@@ -494,24 +494,6 @@ func BenchmarkFMMUSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkResourceHold measures one timed hold (Use → grant → release)
-// on an idle resource. The acceptance bar for the engine fast path is 0
-// allocs/op here: no closure pair, no boxing, reused event storage.
-func BenchmarkResourceHold(b *testing.B) {
-	e := sim.NewEngine()
-	r := sim.NewResource(e, "ch")
-	for i := 0; i < 8; i++ {
-		r.Use(10, nil) // warm event and waiter storage
-	}
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Use(10, nil)
-		e.Run()
-	}
-}
-
 // BenchmarkAblationRouting reports the routing-policy ablation: h-only vs
 // the paper's greedy vs the future-work JSQ router under read skew.
 func BenchmarkAblationRouting(b *testing.B) {

@@ -93,28 +93,63 @@ type blockInfo struct {
 type planeState struct {
 	pagesPerBlock int
 	free          []int // erased block indices, LIFO
-	active        int   // block currently filled by host writes, -1 if none
-	nextPage      int
-	gcActive      int // block currently filled by GC copies, -1 if none
-	gcNextPage    int
-	blocks        []blockInfo
+	// freeCount is the device-wide number of erased blocks, shared by
+	// every plane of one FTL. After newPlaneState, popFree, pushFree and
+	// removeFree are the only writers of free, and each keeps the count
+	// exact.
+	freeCount  *int
+	active     int // block currently filled by host writes, -1 if none
+	nextPage   int
+	gcActive   int // block currently filled by GC copies, -1 if none
+	gcNextPage int
+	blocks     []blockInfo
 }
 
-func newPlaneState(blocks, pagesPerBlock int) *planeState {
-	ps := &planeState{pagesPerBlock: pagesPerBlock, active: -1, gcActive: -1, blocks: make([]blockInfo, blocks)}
+// newPlaneState builds a plane whose blocks are all erased and adds them
+// to the shared freeCount.
+func newPlaneState(blocks, pagesPerBlock int, freeCount *int) *planeState {
+	ps := &planeState{pagesPerBlock: pagesPerBlock, freeCount: freeCount, active: -1, gcActive: -1, blocks: make([]blockInfo, blocks)}
 	// Reverse order so block 0 is popped first, which keeps layouts easy
 	// to reason about in tests.
 	for b := blocks - 1; b >= 0; b-- {
 		ps.free = append(ps.free, b)
 	}
+	*freeCount += blocks
 	return ps
+}
+
+// popFree takes the most recently erased block out of the free pool, or
+// reports false when the pool is empty.
+func (ps *planeState) popFree() (int, bool) {
+	n := len(ps.free)
+	if n == 0 {
+		return 0, false
+	}
+	b := ps.free[n-1]
+	ps.free = ps.free[:n-1]
+	*ps.freeCount--
+	return b, true
+}
+
+// pushFree returns an erased block to the free pool.
+func (ps *planeState) pushFree(b int) {
+	ps.free = append(ps.free, b)
+	*ps.freeCount++
+}
+
+// removeFree pulls a block out of the free pool if it is there.
+func (ps *planeState) removeFree(b int) {
+	for i, fb := range ps.free {
+		if fb == b {
+			ps.free = append(ps.free[:i], ps.free[i+1:]...)
+			*ps.freeCount--
+			return
+		}
+	}
 }
 
 // hasSpace reports whether at least one more page can be allocated.
 func (ps *planeState) hasSpace() bool { return ps.active >= 0 || len(ps.free) > 0 }
-
-// freeBlocks returns the count of fully erased blocks.
-func (ps *planeState) freeBlocks() int { return len(ps.free) }
 
 // allocate returns the next (block, page) in sequence. Allocating on a
 // full plane returns ErrNoFreeBlock — recoverable, because injected
@@ -122,12 +157,11 @@ func (ps *planeState) freeBlocks() int { return len(ps.free) }
 // allocation itself.
 func (ps *planeState) allocate() (block, page int, err error) {
 	if ps.active < 0 {
-		n := len(ps.free)
-		if n == 0 {
+		b, ok := ps.popFree()
+		if !ok {
 			return 0, 0, ErrNoFreeBlock
 		}
-		ps.active = ps.free[n-1]
-		ps.free = ps.free[:n-1]
+		ps.active = b
 		ps.nextPage = 0
 		ps.blocks[ps.active].state = BlockActive
 	}
@@ -152,12 +186,11 @@ func (ps *planeState) gcOpen() bool { return ps.gcActive >= 0 }
 // ErrNoFreeBlock when no erased block remains to open.
 func (ps *planeState) allocateGC() (block, page int, err error) {
 	if ps.gcActive < 0 {
-		n := len(ps.free)
-		if n == 0 {
+		b, ok := ps.popFree()
+		if !ok {
 			return 0, 0, ErrNoFreeBlock
 		}
-		ps.gcActive = ps.free[n-1]
-		ps.free = ps.free[:n-1]
+		ps.gcActive = b
 		ps.gcNextPage = 0
 		ps.blocks[ps.gcActive].state = BlockActive
 	}
@@ -179,55 +212,38 @@ type slot struct {
 // allocator walks (plane, channel, way) space in policy order, skipping
 // slots the supplied filter rejects and slots with no space.
 type allocator struct {
-	policy   AllocPolicy
-	channels int
-	ways     int
-	planes   int
-	cursor   int
-	total    int
+	slots  []slot // one policy cycle: slots[n] is the n-th slot visited
+	cursor int    // index into slots of the next slot to try
 }
 
+// newAllocator lays out one cycle of the policy order by decomposing each
+// linear index into (plane, channel, way), first dimension fastest.
 func newAllocator(policy AllocPolicy, channels, ways, planes int) *allocator {
-	return &allocator{
-		policy:   policy,
-		channels: channels,
-		ways:     ways,
-		planes:   planes,
-		total:    channels * ways * planes,
+	var size [3]int // indexed by Dim
+	size[DimPlane], size[DimChannel], size[DimWay] = planes, channels, ways
+	a := &allocator{slots: make([]slot, channels*ways*planes)}
+	for i := range a.slots {
+		n := i
+		var coord [3]int // indexed by Dim
+		for _, d := range policy.Order {
+			coord[d] = n % size[d]
+			n /= size[d]
+		}
+		a.slots[i] = slot{chip: controller.ChipID{Channel: coord[DimChannel], Way: coord[DimWay]}, plane: coord[DimPlane]}
 	}
-}
-
-// slotAt decomposes a linear index into a slot according to the policy
-// order (first dimension varies fastest).
-func (a *allocator) slotAt(n int) slot {
-	n %= a.total
-	var coord [3]int // indexed by Dim
-	for _, d := range a.policy.Order {
-		size := a.dimSize(d)
-		coord[d] = n % size
-		n /= size
-	}
-	return slot{chip: controller.ChipID{Channel: coord[DimChannel], Way: coord[DimWay]}, plane: coord[DimPlane]}
-}
-
-func (a *allocator) dimSize(d Dim) int {
-	switch d {
-	case DimPlane:
-		return a.planes
-	case DimChannel:
-		return a.channels
-	case DimWay:
-		return a.ways
-	}
-	panic("ftl: unknown dimension")
+	return a
 }
 
 // next returns the next allocatable slot accepted by ok, advancing the
-// cursor, or false when no slot qualifies.
+// cursor, or false when no slot qualifies. A failed call visits every
+// slot once and leaves the cursor where it started.
 func (a *allocator) next(ok func(s slot) bool) (slot, bool) {
-	for i := 0; i < a.total; i++ {
-		s := a.slotAt(a.cursor)
+	for range a.slots {
+		s := a.slots[a.cursor]
 		a.cursor++
+		if a.cursor == len(a.slots) {
+			a.cursor = 0
+		}
 		if ok(s) {
 			return s, true
 		}

@@ -12,15 +12,15 @@ func TestAllocatorCoversEverySlotOncePerCycle(t *testing.T) {
 	for _, policy := range []AllocPolicy{PCWD, PWCD} {
 		a := newAllocator(policy, 4, 3, 2)
 		seen := make(map[slot]int)
-		for i := 0; i < a.total; i++ {
+		for range a.slots {
 			s, ok := a.next(func(slot) bool { return true })
 			if !ok {
 				t.Fatalf("%v: allocator refused with universal filter", policy)
 			}
 			seen[s]++
 		}
-		if len(seen) != a.total {
-			t.Fatalf("%v: %d distinct slots in one cycle, want %d", policy, len(seen), a.total)
+		if len(seen) != len(a.slots) {
+			t.Fatalf("%v: %d distinct slots in one cycle, want %d", policy, len(seen), len(a.slots))
 		}
 		for s, n := range seen {
 			if n != 1 {
@@ -89,6 +89,79 @@ func TestAllocatorFilterSkips(t *testing.T) {
 	}
 }
 
+// refSlot is the reference decomposition the slot table must match: the
+// policy's first dimension is the least significant digit of a mixed-radix
+// number, read off by repeated division.
+func refSlot(order [3]Dim, channels, ways, planes, n int) slot {
+	var ch, w, pl int
+	for _, d := range order {
+		switch d {
+		case DimPlane:
+			pl, n = n%planes, n/planes
+		case DimChannel:
+			ch, n = n%channels, n/channels
+		case DimWay:
+			w, n = n%ways, n/ways
+		}
+	}
+	return slot{chip: controller.ChipID{Channel: ch, Way: w}, plane: pl}
+}
+
+// The precomputed slot table equals the div/mod decomposition for every
+// ordering of the three dimensions, and next walks it exactly as an
+// unbounded cursor reduced modulo the cycle length would, under a filter
+// that rejects about half the slots and fails whole cycles.
+func TestAllocatorSlotTableMatchesReference(t *testing.T) {
+	orders := [][3]Dim{
+		{DimPlane, DimChannel, DimWay}, {DimPlane, DimWay, DimChannel},
+		{DimChannel, DimPlane, DimWay}, {DimChannel, DimWay, DimPlane},
+		{DimWay, DimPlane, DimChannel}, {DimWay, DimChannel, DimPlane},
+	}
+	geos := [][3]int{{3, 5, 2}, {8, 8, 4}} // channels, ways, planes
+	for _, order := range orders {
+		for _, g := range geos {
+			channels, ways, planes := g[0], g[1], g[2]
+			a := newAllocator(AllocPolicy{Order: order}, channels, ways, planes)
+			total := channels * ways * planes
+			if len(a.slots) != total {
+				t.Fatalf("%v %v: table has %d slots, want %d", order, g, len(a.slots), total)
+			}
+			for n, s := range a.slots {
+				if want := refSlot(order, channels, ways, planes, n); s != want {
+					t.Fatalf("%v %v: slots[%d] = %v, want %v", order, g, n, s, want)
+				}
+			}
+			// Accept a slot on odd (channel + way + plane) parity only
+			// while the call number is not a multiple of 7; every seventh
+			// call rejects everything and must return false.
+			call := 0
+			filter := func(s slot) bool {
+				return call%7 != 0 && (s.chip.Channel+s.chip.Way+s.plane)%2 == 1
+			}
+			refCursor := 0
+			for call = 1; call <= 3*total+11; call++ {
+				var want slot
+				wantOK := false
+				for i := 0; i < total; i++ {
+					s := refSlot(order, channels, ways, planes, refCursor%total)
+					refCursor++
+					if filter(s) {
+						want, wantOK = s, true
+						break
+					}
+				}
+				got, ok := a.next(filter)
+				if got != want || ok != wantOK {
+					t.Fatalf("%v %v call %d: next = %v,%v, want %v,%v", order, g, call, got, ok, want, wantOK)
+				}
+				if a.cursor != refCursor%total {
+					t.Fatalf("%v %v call %d: cursor %d, want %d", order, g, call, a.cursor, refCursor%total)
+				}
+			}
+		}
+	}
+}
+
 // Property: physIndex/physDecode are inverse for arbitrary geometry-valid
 // locations.
 func TestPhysIndexRoundTripProperty(t *testing.T) {
@@ -137,7 +210,8 @@ func TestPhysIndexInjective(t *testing.T) {
 }
 
 func TestPlaneStateGCAndHostStreamsIndependent(t *testing.T) {
-	ps := newPlaneState(4, 4)
+	free := 0
+	ps := newPlaneState(4, 4, &free)
 	hb, _, _ := ps.allocate()
 	gb, _, _ := ps.allocateGC()
 	if hb == gb {

@@ -132,6 +132,10 @@ type FTL struct {
 	planes []*planeState
 	alloc  *allocator
 
+	// freeBlocks counts erased blocks across every plane, kept exact by
+	// the planeState free-pool helpers; CheckConsistency recounts it.
+	freeBlocks int
+
 	// in-flight write tracking: reads of an LPN with a write in flight
 	// wait for the write to land.
 	inflightWrites map[int64]int
@@ -219,7 +223,7 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 		f.p2l[i] = unmapped
 	}
 	for i := range f.planes {
-		f.planes[i] = newPlaneState(geo.BlocksPerPlane, geo.PagesPerBlock)
+		f.planes[i] = newPlaneState(geo.BlocksPerPlane, geo.PagesPerBlock, &f.freeBlocks)
 	}
 	if cfg.Map != nil {
 		f.mapu = newMapUnit(f, *cfg.Map)
@@ -294,12 +298,7 @@ func (f *FTL) checkLPN(lpn int64) {
 
 // FreeBlockFraction returns the fraction of all blocks currently erased.
 func (f *FTL) FreeBlockFraction() float64 {
-	total, free := 0, 0
-	for _, ps := range f.planes {
-		total += len(ps.blocks)
-		free += ps.freeBlocks()
-	}
-	return float64(free) / float64(total)
+	return float64(f.freeBlocks) / float64(len(f.planes)*f.geo.BlocksPerPlane)
 }
 
 // TokenFor derives the content token the FTL writes for a (lpn, version)
@@ -334,7 +333,7 @@ func (f *FTL) warmupSlot() (slot, bool) {
 	}
 	return f.alloc.next(func(s slot) bool {
 		ps := f.planeAt(s.chip, s.plane)
-		return len(ps.free) > 0 && f.totalFreeBlocks() > f.reserveBlocks
+		return len(ps.free) > 0 && f.freeBlocks > f.reserveBlocks
 	})
 }
 
@@ -614,7 +613,7 @@ func (f *FTL) hostWriteAllowed(s slot) bool {
 	if !ps.hasSpace() {
 		return false
 	}
-	if ps.active < 0 && f.cfg.GCMode != GCNone && f.totalFreeBlocks() <= f.reserveBlocks {
+	if ps.active < 0 && f.cfg.GCMode != GCNone && f.freeBlocks <= f.reserveBlocks {
 		return false
 	}
 	if f.gcActive && f.cfg.GCMode == GCSpatial && f.inGCGroup(s.chip.Way) {
@@ -824,12 +823,7 @@ func (f *FTL) retireBlock(id controller.ChipID, plane, block int) {
 	if ps.gcActive == block {
 		ps.gcActive = -1
 	}
-	for i, fb := range ps.free {
-		if fb == block {
-			ps.free = append(ps.free[:i], ps.free[i+1:]...)
-			break
-		}
-	}
+	ps.removeFree(block)
 	// An open block closes as Full so GC can still select it and migrate
 	// its remaining valid pages.
 	if bi.state == BlockActive || bi.state == BlockFree {
@@ -863,9 +857,17 @@ func (f *FTL) retryStalled() {
 	}
 }
 
-// CheckConsistency validates l2p/p2l agreement and valid-count accounting;
-// tests call it after workloads and GC churn.
+// CheckConsistency validates l2p/p2l agreement, valid-count accounting and
+// the incremental free-block count; tests call it after workloads and GC
+// churn.
 func (f *FTL) CheckConsistency() error {
+	free := 0
+	for _, ps := range f.planes {
+		free += len(ps.free)
+	}
+	if free != f.freeBlocks {
+		return fmt.Errorf("ftl: free-block count %d, free pools hold %d", f.freeBlocks, free)
+	}
 	validByBlock := make(map[int64]int32)
 	for lpn, phys := range f.l2p {
 		if phys == unmapped {

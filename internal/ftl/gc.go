@@ -143,7 +143,7 @@ func (f *FTL) startGC(done func()) {
 		// so the total matches the baseline (Sec VII-A).
 		perChip = int(float64(perChip)/f.cfg.GCGroupFraction + 0.5)
 	}
-	freeAtStart := f.totalFreeBlocks()
+	freeAtStart := f.freeBlocks
 	victims := f.capVictims(f.selectVictims(perChip))
 	if len(victims) == 0 {
 		f.finishGC(started, freeAtStart, false, done)
@@ -167,7 +167,7 @@ func (f *FTL) startGC(done func()) {
 // destination while no erase is pending to free one. Dropped victims
 // return to the Full state for later rounds.
 func (f *FTL) capVictims(victims []victim) []victim {
-	budget := int64(f.totalFreeBlocks()) * int64(f.geo.PagesPerBlock) / 2
+	budget := int64(f.freeBlocks) * int64(f.geo.PagesPerBlock) / 2
 	kept := victims[:0]
 	for _, v := range victims {
 		valid := int64(f.planeAt(v.id, v.plane).blocks[v.block].validCount)
@@ -179,14 +179,6 @@ func (f *FTL) capVictims(victims []victim) []victim {
 		kept = append(kept, v)
 	}
 	return kept
-}
-
-func (f *FTL) totalFreeBlocks() int {
-	free := 0
-	for _, ps := range f.planes {
-		free += ps.freeBlocks()
-	}
-	return free
 }
 
 func (f *FTL) finishGC(started sim.Time, freeAtStart int, hadVictims bool, done func()) {
@@ -220,7 +212,7 @@ func (f *FTL) finishGC(started sim.Time, freeAtStart int, hadVictims bool, done 
 	// gain. Near the device's compaction limit, rounds that free exactly
 	// as many blocks as their copies consume would otherwise chain GC
 	// forever; the next host write re-triggers instead.
-	if f.totalFreeBlocks() > freeAtStart {
+	if f.freeBlocks > freeAtStart {
 		f.eng.Schedule(0, f.maybeTriggerGC)
 	}
 }
@@ -287,10 +279,6 @@ func (f *FTL) copyOnePage(v victim, page int, done func()) {
 	}
 	dstChip, dstAddr, ok := f.allocGCDestination(v)
 	if !ok {
-		if debugGC {
-			free := f.totalFreeBlocks()
-			println("GC alloc fail: victim", v.id.Channel, v.id.Way, "page", page, "freeBlocks", free)
-		}
 		// Transient exhaustion: every free block is being consumed by
 		// concurrent copies or host writes racing into the reserve. Other
 		// victims' erases will free blocks; retry then.
@@ -412,15 +400,12 @@ func (f *FTL) eraseVictim(v victim, done func()) {
 			return
 		}
 		ps.blocks[v.block].state = BlockFree
-		ps.free = append(ps.free, v.block)
+		ps.pushFree(v.block)
 		f.stats.GCBlocksErased++
 		f.retryStalled()
 		done()
 	})
 }
-
-// debugGC enables diagnostic prints from the GC destination allocator.
-var debugGC = false
 
 // debugGC2 enables mapping-invariant assertions in the copy path.
 var debugGC2 = true

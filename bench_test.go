@@ -11,7 +11,6 @@ package main
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/exp"
@@ -315,90 +314,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.StopTimer()
 	if ns := b.Elapsed().Nanoseconds(); ns > 0 {
 		b.ReportMetric(float64(fired)*1e9/float64(ns), "events/sec")
-	}
-}
-
-// shardedBenchRun drains the many-channel engine-level model behind
-// BenchmarkShardedEngineThroughput: 12 channels, each a dense local
-// event chain on its own shard group, coupled to a shard-0 controller
-// by EccLatency-delayed completion/grant round trips — the same event
-// mix and lookahead bound as a bus-fabric SSD, with the channel work
-// actually partitioned. shards=1 is the serial baseline.
-func shardedBenchRun(shards int) *sim.ShardedEngine {
-	const (
-		channels = 12
-		opsPerCh = 4000
-		window   = 500 * sim.Nanosecond // the bus fabrics' EccLatency bound
-	)
-	se := sim.NewShardedEngine(shards, window)
-	for c := 0; c < channels; c++ {
-		sh := 0
-		if shards > 1 {
-			sh = 1 + c%(shards-1)
-		}
-		eng := se.Shard(sh)
-		step := sim.Time(40+c*7%90) * sim.Nanosecond
-		var op func(o int)
-		op = func(o int) {
-			k := 0
-			var local func()
-			local = func() {
-				k++
-				if k < 5 {
-					eng.Schedule(step, local)
-					return
-				}
-				se.Post(sh, 0, window, func() { // completion to the controller
-					se.Post(0, sh, window, func() { // grant back to the channel
-						if o+1 < opsPerCh {
-							op(o + 1)
-						}
-					})
-				})
-			}
-			local()
-		}
-		ch := c
-		eng.Schedule(sim.Time(ch)*sim.Nanosecond, func() { op(0) })
-	}
-	se.Run()
-	return se
-}
-
-// BenchmarkShardedEngineThroughput measures the partitioned engine on
-// the many-channel model at 4 shards against the same model serial.
-// events/sec and serial-events/sec are wall-clock (machine-dependent;
-// on a single-core host they coincide); total-events and
-// critpath-speedup-x are deterministic — the latter is aggregate events
-// divided by the per-window critical path, i.e. the parallel speedup
-// the partition exposes to a multi-core host, and the quantity the
-// bench-regression gate pins.
-func BenchmarkShardedEngineThroughput(b *testing.B) {
-	b.ReportAllocs()
-	var fired, crit, serialFired int64
-	var serialNs int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		se := shardedBenchRun(4)
-		fired += se.EventsFired()
-		crit += se.CriticalPathEvents()
-	}
-	b.StopTimer()
-	shardedNs := b.Elapsed().Nanoseconds()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		serialFired += shardedBenchRun(1).EventsFired()
-	}
-	serialNs = time.Since(start).Nanoseconds()
-	if shardedNs > 0 {
-		b.ReportMetric(float64(fired)*1e9/float64(shardedNs), "events/sec")
-	}
-	if serialNs > 0 {
-		b.ReportMetric(float64(serialFired)*1e9/float64(serialNs), "serial-events/sec")
-	}
-	b.ReportMetric(float64(fired)/float64(b.N), "total-events")
-	if crit > 0 {
-		b.ReportMetric(float64(fired)/float64(crit), "critpath-speedup-x")
 	}
 }
 

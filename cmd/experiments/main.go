@@ -93,7 +93,6 @@ func main() {
 	telemetryOut := flag.String("telemetry", "", "with -fig array: run the rebuilding scenario with telemetry enabled and write the run-document JSON to this file (render with cmd/report)")
 	progress := flag.Bool("progress", false, "print completed-jobs / event-rate / ETA lines to stderr while sweeps run")
 	parallel := flag.Int("parallel", runner.Default(), "worker count for independent simulation runs (1 = sequential)")
-	shards := flag.Int("shards", 0, "run every simulation on a partitioned engine with this many shards (0 or 1 = serial); results are byte-identical at any count")
 	cpuProf := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
@@ -119,13 +118,6 @@ func main() {
 			opt.Cfg = &c
 		}
 		opt.Cfg.Check = &check.Config{}
-	}
-	if *shards > 1 {
-		if opt.Cfg == nil {
-			c := ssd.ScaledConfig()
-			opt.Cfg = &c
-		}
-		opt.Cfg.Shards = *shards
 	}
 
 	if *traceOut != "" || *metricsOut != "" {

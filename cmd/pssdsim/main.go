@@ -73,7 +73,6 @@ func run(args []string, stdout io.Writer) error {
 	mapping := fs.String("mapping", "flat", "FTL mapping mode: flat (whole map in DRAM), fmmu (on-flash map with a bounded cache)")
 	mapcache := fs.Int("mapcache", 0, "with -mapping fmmu: map cache capacity in translation-page entries (0 = default 64)")
 	mapevict := fs.String("mapevict", "", "with -mapping fmmu: cache eviction policy, clock or lru (default clock)")
-	shards := fs.Int("shards", 0, "run on a partitioned engine with this many shards (0 or 1 = serial); results are byte-identical at any count")
 	list := fs.Bool("list", false, "list named traces and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,6 +93,12 @@ func run(args []string, stdout io.Writer) error {
 	gc, ok := gcNames[strings.ToLower(*gcFlag)]
 	if !ok {
 		return fmt.Errorf("unknown GC mode %q", *gcFlag)
+	}
+	if *requests <= 0 {
+		return fmt.Errorf("-requests must be positive, got %d", *requests)
+	}
+	if *outstanding <= 0 {
+		return fmt.Errorf("-outstanding must be positive, got %d", *outstanding)
 	}
 
 	cfg := ssd.ScaledConfig()
@@ -118,10 +123,6 @@ func run(args []string, stdout io.Writer) error {
 	if *checkFlag {
 		cfg.Check = &check.Config{}
 	}
-	if *shards < 0 {
-		return fmt.Errorf("negative shard count %d", *shards)
-	}
-	cfg.Shards = *shards
 	if _, err := controller.ParseSchedPolicy(*sched); err != nil {
 		return err
 	}
@@ -210,8 +211,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Drain (serial or sharded per -shards) plus an explicit verify so a
-	// violation surfaces as a clean error instead of SSD.Run's panic.
+	// Drain plus an explicit verify so a violation surfaces as a clean
+	// error instead of SSD.Run's panic.
 	end := s.Drain()
 	if s.Checker.Enabled() {
 		if err := s.VerifyInvariants(); err != nil {

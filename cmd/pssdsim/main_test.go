@@ -58,6 +58,10 @@ func TestBadFlagsReturnErrors(t *testing.T) {
 		{"-policy", "bogus"},
 		{"-synthetic", "bogus"},
 		{"-preset", "bogus", "-requests", "10"},
+		{"-requests", "0"},
+		{"-requests", "-1"},
+		{"-synthetic", "rand-read", "-outstanding", "0"},
+		{"-synthetic", "rand-read", "-requests", "-1"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -3,9 +3,6 @@ package prop
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/ssd"
-	"repro/internal/workload"
 )
 
 // TestPropertyMappingZeroViolations crosses both mapping modes against
@@ -38,44 +35,6 @@ func TestPropertyMappingZeroViolations(t *testing.T) {
 		}
 		if !bytes.Equal(res.Summary, fanned[i].Summary) || res.Checks != fanned[i].Checks {
 			t.Errorf("%v: results differ between -parallel 1 and 4", cases[i])
-		}
-	}
-}
-
-// TestPropertyMappingShardsByteIdentity runs one fmmu case per cache
-// size on the serial engine and on a 4-shard partitioned engine: with
-// map fetches and writebacks in the event stream, every summary byte
-// must still match.
-func TestPropertyMappingShardsByteIdentity(t *testing.T) {
-	for _, entries := range []int{1, 4, 64} {
-		c := Generate(37, 1)[0]
-		c.Arch = ssd.ArchPnSSDSplit
-		c.Mapping = "fmmu"
-		c.MapCacheEntries = entries
-		run := func(shards int) []byte {
-			cfg := c.Config()
-			cfg.Shards = shards
-			s := ssd.New(c.Arch, cfg)
-			foot := cfg.LogicalPages()
-			s.Host.Warmup(foot)
-			tr, err := workload.Named(c.Trace, foot, c.Requests, int64(c.Seed>>1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Host.Replay(tr.Requests); err != nil {
-				t.Fatal(err)
-			}
-			s.Run()
-			var buf bytes.Buffer
-			if err := s.WriteSummaryJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
-		serial := run(0)
-		sharded := run(4)
-		if !bytes.Equal(serial, sharded) {
-			t.Errorf("mapcache=%d: summary diverges between serial and -shards 4", entries)
 		}
 	}
 }

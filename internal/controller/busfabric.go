@@ -65,12 +65,6 @@ func (f *BusFabric) Name() string { return f.name }
 // Grid implements Fabric.
 func (f *BusFabric) Grid() *Grid { return f.grid }
 
-// Lookahead implements Fabric. The bus fabrics' only non-zero latency
-// between a channel group and the SoC is the ECC pipeline (reads pay it
-// on the return path, writes before dispatch), so EccLatency is the
-// window bound.
-func (f *BusFabric) Lookahead() sim.Time { return EccLatency }
-
 // Channel returns the h-channel for a grid row, for instrumentation.
 func (f *BusFabric) Channel(ch int) *bus.Channel { return f.chans[ch] }
 

@@ -129,19 +129,6 @@ func (f *OmnibusFabric) ColumnsPerVChannel() int { return f.colsPerV }
 // Name implements Fabric.
 func (f *OmnibusFabric) Name() string { return f.name }
 
-// Lookahead implements Fabric. Omnibus channel groups coordinate both
-// through the ECC pipeline in front of the SoC and through control-plane
-// request/grant messages, so the window bound is the smaller of the two.
-// The control-plane sensitivity ablation can drive CtrlMsgLatency to
-// zero; the SSD layer detects the resulting zero bound and falls back to
-// a serial run rather than fake a lookahead the model no longer has.
-func (f *OmnibusFabric) Lookahead() sim.Time {
-	if d := f.soc.CtrlMsgLatency(); d < EccLatency {
-		return d
-	}
-	return EccLatency
-}
-
 // Grid implements Fabric.
 func (f *OmnibusFabric) Grid() *Grid { return f.grid }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/flash"
-	"repro/internal/sim"
 )
 
 // SchedPolicy selects the controller's command scheduling policy — the
@@ -179,7 +178,7 @@ type schedOp struct {
 // semantics — and entirely synchronous: every scheduling decision runs
 // inside the enqueue call or a completion callback, so it schedules no
 // engine events of its own and inherits the wrapped fabric's determinism
-// (including byte-identity at any -parallel and -shards setting).
+// (including byte-identity at any -parallel setting).
 //
 // With SchedFIFO the wrapper issues every transaction immediately in
 // arrival order — the exact event sequence of an unwrapped fabric — so
@@ -274,10 +273,6 @@ func (f *SchedFabric) Name() string { return f.inner.Name() }
 
 // Grid implements Fabric.
 func (f *SchedFabric) Grid() *Grid { return f.inner.Grid() }
-
-// Lookahead implements Fabric: scheduling decisions are synchronous and
-// add no latency, so the inner fabric's bound carries through.
-func (f *SchedFabric) Lookahead() sim.Time { return f.inner.Lookahead() }
 
 func (f *SchedFabric) chipIndex(id ChipID) int { return id.Channel*f.ways + id.Way }
 

@@ -403,8 +403,8 @@ func TestSchedFabricEndToEnd(t *testing.T) {
 			f := NewSchedFabricCfg(inner, pol, SchedConfig{Window: 2, ReorderBound: 3})
 			rec := &recordingSchedChecker{}
 			f.SetChecker(rec)
-			if f.Name() != inner.Name() || f.Grid() != inner.Grid() || f.Lookahead() != inner.Lookahead() {
-				t.Fatal("wrapper must delegate Name/Grid/Lookahead")
+			if f.Name() != inner.Name() || f.Grid() != inner.Grid() {
+				t.Fatal("wrapper must delegate Name/Grid")
 			}
 			done := 0
 			a := flash.PPA{Plane: 0, Block: 1, Page: 0}

@@ -91,11 +91,6 @@ func (m *Mesh) Size() (w, h int) { return m.w, m.h }
 // WidthBits returns the link width.
 func (m *Mesh) WidthBits() int { return m.widthBits }
 
-// HopLatency returns the per-hop router traversal latency — the minimum
-// delay separating any two mesh nodes, and therefore the lookahead bound
-// a partitioned run derives from this interconnect.
-func (m *Mesh) HopLatency() sim.Time { return m.hopLatency }
-
 // Link returns the directed link between adjacent nodes; it panics when
 // the nodes are not neighbours.
 func (m *Mesh) Link(from, to Node) *bus.Channel {

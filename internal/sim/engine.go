@@ -134,15 +134,15 @@ func (h *eventHeap) popMin() event {
 // totalFired accumulates events executed across every engine in the
 // process — the feed behind the runner package's -progress reporter.
 // Engines publish in batches of firedFlushBatch events rather than per
-// event (plus one unconditional flush when a full Run drains), so N
-// engines stepping in lockstep windows — each window a short RunUntil or
-// RunBefore call — cost one atomic add per ~8k events each instead of
-// one per call, and the hot step loop stays contention-free.
+// event (plus one unconditional flush when a full Run drains), so the
+// runner's concurrent per-job engines cost one atomic add per ~8k events
+// each, and the hot step loop stays contention-free while -progress reads
+// the counter from another goroutine.
 var totalFired atomic.Int64
 
 // firedFlushBatch is the unpublished-event threshold at which an engine
-// pushes its delta to totalFired. Large enough that per-window drains
-// from many shards don't contend on the atomic; small enough that
+// pushes its delta to totalFired. Large enough that the runner's
+// concurrent engines don't contend on the atomic; small enough that
 // -progress never lags a live engine by more than a blink.
 const firedFlushBatch = 8192
 
@@ -155,9 +155,8 @@ func EventsFiredTotal() int64 { return totalFired.Load() }
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all model code runs inside event callbacks. Distinct
 // engines are independent: N goroutines may each drive their own engine
-// concurrently (the runner's per-job engines, or ShardedEngine's
-// per-shard queues) with no shared mutable state beyond the batched
-// EventsFiredTotal counter.
+// concurrently (the runner's per-job engines) with no shared mutable
+// state beyond the batched EventsFiredTotal counter.
 type Engine struct {
 	now    Time
 	seq    int64
@@ -165,10 +164,6 @@ type Engine struct {
 	fired  int64
 	// counted is how much of fired has been published to totalFired.
 	counted int64
-	// interrupt asks the innermost RunBefore loop to return after the
-	// event currently executing — the hook ShardedEngine uses to cut an
-	// exclusive full-speed drain at the first cross-shard post.
-	interrupt bool
 	// highWater tracks the deepest the event queue has been since the
 	// last full drain; recentHW keeps the marks of the last few drained
 	// Runs so the backing array can shrink once a big-config run is
@@ -229,17 +224,16 @@ func (e *Engine) Run() Time {
 	for len(e.events) > 0 {
 		e.step()
 	}
-	e.FlushEventsFired()
+	e.flushFired()
 	e.noteDrained()
 	return e.now
 }
 
-// FlushEventsFired publishes any events fired since the last flush to the
+// flushFired publishes any events fired since the last flush to the
 // process-wide EventsFiredTotal counter, regardless of the batching
-// threshold. Run calls it at every full drain; window drivers
-// (ShardedEngine) call it once per simulation so the final census is
-// exact even when every window stayed under the batch size.
-func (e *Engine) FlushEventsFired() {
+// threshold. Run calls it at every full drain so the census is exact once
+// an engine drains.
+func (e *Engine) flushFired() {
 	if d := e.fired - e.counted; d > 0 {
 		totalFired.Add(d)
 		e.counted = e.fired
@@ -278,8 +272,8 @@ func (e *Engine) heapCap() int { return cap(e.events) }
 // event fired at all), and an event scheduled exactly at the deadline
 // does fire. If the deadline precedes the current clock, nothing fires
 // and the clock is unchanged. EventsFiredTotal publication rides the
-// batching threshold (see EventsFiredTotal), so windowed lockstep drains
-// from many shards do not contend on the shared atomic.
+// batching threshold (see EventsFiredTotal), so windowed drains do not
+// publish per call.
 func (e *Engine) RunUntil(deadline Time) int64 {
 	var n int64
 	for len(e.events) > 0 && e.events[0].at <= deadline {
@@ -292,42 +286,13 @@ func (e *Engine) RunUntil(deadline Time) int64 {
 	return n
 }
 
-// RunBefore executes every event with a timestamp strictly before limit
-// and returns the number fired. Unlike RunUntil it never forces the
-// clock forward: on return Now is the timestamp of the last event
-// executed, so a windowed drive that ends on a window boundary leaves
-// the clock — and every Now-derived statistic — exactly where a single
-// uninterrupted Run would have. It is the window primitive of the
-// sharded engine: conservative lockstep runs each shard RunBefore(T+W).
-// An Interrupt call from inside an executing event stops the loop after
-// that event returns.
-func (e *Engine) RunBefore(limit Time) int64 {
-	var n int64
-	for len(e.events) > 0 && e.events[0].at < limit {
-		e.step()
-		n++
-		if e.interrupt {
-			break
-		}
-	}
-	e.interrupt = false
-	return n
-}
-
-// Interrupt asks the innermost RunBefore loop to return after the event
-// currently executing completes. It must be called from model code
-// running inside that event (the engine is single-threaded); it is a
-// no-op outside RunBefore. ShardedEngine uses it to cut an exclusive
-// full-speed drain the moment a cross-shard message appears.
-func (e *Engine) Interrupt() { e.interrupt = true }
-
 // RunFor advances the clock by d, executing everything due in the window.
 func (e *Engine) RunFor(d Time) int64 { return e.RunUntil(e.now + d) }
 
 // Step executes exactly one event if any is pending, reporting whether one
 // fired. Fired events feed EventsFiredTotal through the same batching
 // threshold as the run loops, so a caller single-stepping an engine (or
-// a window driver draining in tiny slices) still surfaces progress.
+// draining it in tiny RunUntil slices) still surfaces progress.
 func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false

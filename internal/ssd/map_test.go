@@ -10,58 +10,18 @@ import (
 	"repro/internal/ftl"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// mappingArtifacts mirrors shardedArtifacts with the mapping mode as the
-// variable under test: fully instrumented GC-heavy run, returning every
-// byte-addressable artifact.
-func mappingArtifacts(t *testing.T, shards int, mapping string, entries int) (summary, chrome, tel []byte, s *SSD) {
-	t.Helper()
-	cfg := tinyConfig()
-	cfg.FTL.GCMode = ftl.GCSpatial
-	cfg.LogicalUtilization = 0.75
-	cfg.Trace = &trace.Config{Window: 100 * sim.Microsecond}
-	cfg.Check = &check.Config{}
-	cfg.Telemetry = &telemetry.Config{Window: 100 * sim.Microsecond}
-	cfg.Shards = shards
-	cfg.Mapping = mapping
-	cfg.MapCacheEntries = entries
-	s = New(ArchPnSSDSplit, cfg)
-	foot := s.Config.LogicalPages()
-	s.Host.Warmup(foot)
-	tr, err := workload.Named("exchange-1", foot, 400, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Host.MustReplay(tr.Requests)
-	end := s.Run() // checker enabled: a violation panics
-
-	var sb bytes.Buffer
-	if err := s.WriteSummaryJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var cb bytes.Buffer
-	if err := s.Tracer.ExportChrome(&cb); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := json.MarshalIndent(s.Telemetry.Summary(end), "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sb.Bytes(), cb.Bytes(), doc, s
-}
 
 // TestMappingFlatByteIdentical pins the default-path contract of the
 // mapping refactor: Mapping "" and "flat" build no map unit, so every
 // artifact matches byte for byte and no map fields leak into the output.
 func TestMappingFlatByteIdentical(t *testing.T) {
-	refSummary, refChrome, refTel, ref := mappingArtifacts(t, 0, "", 0)
+	refSummary, refChrome, refTel, ref := instrumentedArtifacts(t, func(*Config) {})
 	if ref.FTL.MapEnabled() {
 		t.Fatal("default config built a map unit")
 	}
-	summary, chrome, tel, s := mappingArtifacts(t, 0, "flat", 0)
+	summary, chrome, tel, s := instrumentedArtifacts(t, func(c *Config) { c.Mapping = "flat" })
 	if s.FTL.MapEnabled() {
 		t.Fatal("explicit flat built a map unit")
 	}
@@ -72,30 +32,6 @@ func TestMappingFlatByteIdentical(t *testing.T) {
 		if bytes.Contains(refSummary, []byte(leak)) || bytes.Contains(refTel, []byte(leak)) {
 			t.Fatalf("flat artifacts leak %s", leak)
 		}
-	}
-}
-
-// TestShardsByteIdentityFmmu extends the shard-identity contract to the
-// fmmu mapping mode: with map fetches, writebacks, and cleaning in the
-// event stream, serial vs 4-shard runs still agree on every artifact
-// byte, with the full checker (map ledger included) clean throughout.
-func TestShardsByteIdentityFmmu(t *testing.T) {
-	refSummary, refChrome, refTel, ref := mappingArtifacts(t, 0, "fmmu", 16)
-	if !ref.FTL.MapEnabled() {
-		t.Fatal("fmmu built no map unit")
-	}
-	summary, chrome, tel, _ := mappingArtifacts(t, 4, "fmmu", 16)
-	if !bytes.Equal(summary, refSummary) {
-		t.Fatal("fmmu summary diverges between serial and shards=4")
-	}
-	if !bytes.Equal(chrome, refChrome) {
-		t.Fatal("fmmu Chrome trace diverges between serial and shards=4")
-	}
-	if !bytes.Equal(tel, refTel) {
-		t.Fatal("fmmu telemetry diverges between serial and shards=4")
-	}
-	if !bytes.Contains(refSummary, []byte(`"mapping": "fmmu"`)) {
-		t.Fatal("fmmu summary does not report the mapping mode")
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 // unwrapped, so the whole artifact set — summary, trace, telemetry —
 // matches today's output byte for byte.
 func TestSchedulerFIFOByteIdentical(t *testing.T) {
-	refSummary, refChrome, refTel, ref := shardedArtifacts(t, 0, "")
+	refSummary, refChrome, refTel, ref := instrumentedArtifacts(t, func(*Config) {})
 	if ref.Sched != nil {
 		t.Fatal("default config built a scheduling layer")
 	}
-	summary, chrome, tel, s := shardedArtifacts(t, 0, "fifo")
+	summary, chrome, tel, s := instrumentedArtifacts(t, func(c *Config) { c.Scheduler = "fifo" })
 	if s.Sched != nil {
 		t.Fatal("explicit fifo built a scheduling layer")
 	}
@@ -31,31 +31,21 @@ func TestSchedulerFIFOByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardsByteIdentitySched extends the shard-identity contract to the
-// non-FIFO policies: for conflict and ooo, serial vs 4-shard runs agree
-// on every artifact byte, with the checker (including the new scheduler
-// ledger) clean throughout.
-func TestShardsByteIdentitySched(t *testing.T) {
-	for _, sched := range []string{"conflict", "ooo"} {
-		refSummary, refChrome, refTel, ref := shardedArtifacts(t, 0, sched)
-		if ref.Sched == nil {
-			t.Fatalf("sched=%s: no scheduling layer built", sched)
-		}
-		summary, chrome, tel, _ := shardedArtifacts(t, 4, sched)
-		if !bytes.Equal(summary, refSummary) {
-			t.Fatalf("sched=%s: summary diverges between serial and shards=4", sched)
-		}
-		if !bytes.Equal(chrome, refChrome) {
-			t.Fatalf("sched=%s: Chrome trace diverges between serial and shards=4", sched)
-		}
-		if !bytes.Equal(tel, refTel) {
-			t.Fatalf("sched=%s: telemetry diverges between serial and shards=4", sched)
-		}
-		if !bytes.Contains(refSummary, []byte(`"scheduler": "`+sched+`"`)) {
-			t.Fatalf("sched=%s: summary does not report the policy", sched)
-		}
-		if !ref.Sched.Quiesced() {
-			t.Fatalf("sched=%s: scheduler not quiesced after drain", sched)
+// TestInstrumentedNonDefaultModes: the non-FIFO policies and fmmu mapping
+// drain clean with tracing, the checker (scheduler and map ledgers
+// included), and telemetry all live, and the summary JSON names the mode.
+func TestInstrumentedNonDefaultModes(t *testing.T) {
+	for _, tc := range []struct {
+		edit func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.Scheduler = "conflict" }, `"scheduler": "conflict"`},
+		{func(c *Config) { c.Scheduler = "ooo" }, `"scheduler": "ooo"`},
+		{func(c *Config) { c.Mapping = "fmmu"; c.MapCacheEntries = 16 }, `"mapping": "fmmu"`},
+	} {
+		summary, _, _, _ := instrumentedArtifacts(t, tc.edit)
+		if !bytes.Contains(summary, []byte(tc.want)) {
+			t.Errorf("summary JSON lacks %s", tc.want)
 		}
 	}
 }

@@ -143,14 +143,6 @@ type Config struct {
 	// MapEviction selects the fmmu map-cache replacement policy:
 	// "clock" (or empty, the default) or "lru". Ignored in flat mode.
 	MapEviction string
-	// Shards, when above 1, runs the device on a partitioned engine
-	// (sim.ShardedEngine): the chip array divides into topology-natural
-	// groups (see PlanPartition), the lockstep window comes from the
-	// fabric's Lookahead bound, and Run drains through the sharded
-	// engine. Every output is byte-identical at any shard count — 0, 1,
-	// and the serial engine included; that contract is pinned by tests
-	// and CI the same way the runner pinned -parallel.
-	Shards int
 }
 
 // DefaultConfig returns the paper's Table II parameters: 8 channels, 8
@@ -187,9 +179,6 @@ func (c Config) Validate() {
 	}
 	if c.LogicalUtilization <= 0 || c.LogicalUtilization >= 1 {
 		panic("ssd: LogicalUtilization must be in (0,1)")
-	}
-	if c.Shards < 0 {
-		panic(fmt.Sprintf("ssd: negative shard count %d", c.Shards))
 	}
 	if _, err := controller.ParseSchedPolicy(c.Scheduler); err != nil {
 		panic(fmt.Sprintf("ssd: %v", err))
@@ -266,13 +255,6 @@ type SSD struct {
 	// Config.Scheduler selected a non-FIFO policy. Fabric stays the
 	// inner interconnect model in either case.
 	Sched *controller.SchedFabric
-	// Sharded is the partitioned engine, nil unless Config.Shards > 1.
-	// Engine is then shard 0 of it — the shard holding the host, FTL,
-	// SoC, and fabric resources — so every existing accessor keeps
-	// working unchanged.
-	Sharded *sim.ShardedEngine
-	// Partition is the shard map, nil unless Config.Shards > 1.
-	Partition *Partition
 }
 
 // RAS returns the run's RAS counters, or nil when fault injection is off.
@@ -554,41 +536,14 @@ func ftlConfig(cfg Config) ftl.Config {
 	return fc
 }
 
-// newEngines builds the simulation engine for cfg: a lone serial engine,
-// or — when cfg.Shards asks for partitioning — shard 0 of a
-// ShardedEngine plus the partition plan. The plan's window is
-// provisional until the fabric exists; the constructors and Drain
-// refresh it from Fabric.Lookahead.
-func newEngines(arch Arch, cfg Config) (*sim.Engine, *sim.ShardedEngine, *Partition) {
-	if cfg.Shards <= 1 {
-		return sim.NewEngine(), nil, nil
-	}
-	plan := PlanPartition(arch, cfg, cfg.Shards, sim.Nanosecond)
-	se := sim.NewShardedEngine(plan.Shards, plan.Window)
-	return se.Shard(0), se, &plan
-}
-
-// adoptLookahead records the fabric's lookahead bound as the sharded
-// engine's lockstep window once the fabric exists.
-func adoptLookahead(se *sim.ShardedEngine, part *Partition, fab controller.Fabric) {
-	if se == nil {
-		return
-	}
-	if la := fab.Lookahead(); la > 0 {
-		se.SetWindow(la)
-		part.Window = la
-	}
-}
+// FabricFunc builds the interconnect over an assembled grid and SoC.
+type FabricFunc func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric
 
 // New builds an SSD of the given architecture. The SoC and NVMe
 // bandwidths are provisioned at the architecture's total flash-channel
 // bandwidth so they never bottleneck the interconnect under study
 // (Sec VII-A).
 func New(arch Arch, cfg Config) *SSD {
-	cfg.Validate()
-	eng, se, part := newEngines(arch, cfg)
-	grid := controller.NewGrid(eng, cfg.Channels, cfg.Ways, cfg.Geometry, cfg.Timing)
-
 	// Controller-side bandwidth multiplier: packetized architectures double
 	// the per-controller pin bandwidth (16 bits vs 8).
 	mult := 1
@@ -596,35 +551,28 @@ func New(arch Arch, cfg Config) *SSD {
 	case ArchPSSD, ArchPnSSD, ArchPnSSDSplit, ArchNoSSDFree:
 		mult = 2
 	}
-	socMBps := cfg.totalFlashMBps() * mult
-	soc := controller.NewSoc(eng, socMBps, socMBps)
-
-	fab := makeFabric(arch, eng, grid, soc, cfg)
-	adoptLookahead(se, part, fab)
-	ftlFab, sched := wrapSched(cfg, fab)
-	f := ftl.New(eng, ftlFab, ftlConfig(cfg), cfg.LogicalPages())
-	h := host.New(eng, f, cfg.Geometry.PageSize, socMBps)
-	inj := wireFaults(cfg, grid, fab, f)
-	rec := wireTrace(cfg, eng, grid, fab, f, h, soc)
-	ck := wireCheck(cfg, eng, grid, fab, f, h, soc, inj)
-	wireSchedCheck(sched, ck)
-	col := wireTelemetry(cfg, fab, f, h)
-	fe := wireFrontend(cfg, h, rec, ck, col)
-	return &SSD{Arch: arch, Config: cfg, Engine: eng, Grid: grid, Soc: soc, Fabric: fab, FTL: f, Host: h, Frontend: fe, Faults: inj, Tracer: rec, Checker: ck, Telemetry: col, Sched: sched, Sharded: se, Partition: part}
+	return build(arch, cfg, cfg.totalFlashMBps()*mult, func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, _ int) controller.Fabric {
+		return makeFabric(arch, eng, grid, soc, cfg)
+	})
 }
 
 // NewCustom builds an SSD whose fabric comes from the supplied
 // constructor — the hook the ablation studies use to vary channel widths,
 // routing policy, or control-plane latency while keeping the rest of the
 // stack identical. The arch parameter only labels the result.
-func NewCustom(arch Arch, cfg Config, mk func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric) *SSD {
+func NewCustom(arch Arch, cfg Config, mk FabricFunc) *SSD {
+	return build(arch, cfg, cfg.totalFlashMBps()*2, mk)
+}
+
+// build validates cfg and assembles the device: engine, chip grid, SoC
+// provisioned at socMBps, the fabric from mk, the optional scheduling
+// layer, FTL, host, and every opt-in instrument.
+func build(arch Arch, cfg Config, socMBps int, mk FabricFunc) *SSD {
 	cfg.Validate()
-	eng, se, part := newEngines(arch, cfg)
+	eng := sim.NewEngine()
 	grid := controller.NewGrid(eng, cfg.Channels, cfg.Ways, cfg.Geometry, cfg.Timing)
-	socMBps := cfg.totalFlashMBps() * 2
 	soc := controller.NewSoc(eng, socMBps, socMBps)
 	fab := mk(eng, grid, soc, cfg.Geometry.PageSize)
-	adoptLookahead(se, part, fab)
 	ftlFab, sched := wrapSched(cfg, fab)
 	f := ftl.New(eng, ftlFab, ftlConfig(cfg), cfg.LogicalPages())
 	h := host.New(eng, f, cfg.Geometry.PageSize, socMBps)
@@ -634,7 +582,7 @@ func NewCustom(arch Arch, cfg Config, mk func(eng *sim.Engine, grid *controller.
 	wireSchedCheck(sched, ck)
 	col := wireTelemetry(cfg, fab, f, h)
 	fe := wireFrontend(cfg, h, rec, ck, col)
-	return &SSD{Arch: arch, Config: cfg, Engine: eng, Grid: grid, Soc: soc, Fabric: fab, FTL: f, Host: h, Frontend: fe, Faults: inj, Tracer: rec, Checker: ck, Telemetry: col, Sched: sched, Sharded: se, Partition: part}
+	return &SSD{Arch: arch, Config: cfg, Engine: eng, Grid: grid, Soc: soc, Fabric: fab, FTL: f, Host: h, Frontend: fe, Faults: inj, Tracer: rec, Checker: ck, Telemetry: col, Sched: sched}
 }
 
 func makeFabric(arch Arch, eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, cfg Config) controller.Fabric {
@@ -683,26 +631,8 @@ func (s *SSD) AttachChannelUtil(window sim.Time) *stats.UtilMatrix {
 }
 
 // Drain runs the simulation to completion and returns the final time,
-// routing through the partitioned engine when Config.Shards enabled one
-// and the serial engine otherwise — without verifying invariants (Run
-// does both). The sharded path refreshes the lockstep window from the
-// fabric's current Lookahead bound first: ablations may have changed the
-// underlying latencies since construction, and if one drove the bound to
-// zero (SetCtrlMsgLatency(0)) there is no lookahead left to window on,
-// so Drain falls back to draining shard 0 serially — byte-identical,
-// since the reactive model lives entirely on shard 0.
-func (s *SSD) Drain() sim.Time {
-	if s.Sharded != nil {
-		if la := s.Fabric.Lookahead(); la > 0 {
-			if la != s.Sharded.Window() {
-				s.Sharded.SetWindow(la)
-				s.Partition.Window = la
-			}
-			return s.Sharded.Run()
-		}
-	}
-	return s.Engine.Run()
-}
+// without verifying invariants (Run does both).
+func (s *SSD) Drain() sim.Time { return s.Engine.Run() }
 
 // Run drains the event queue and returns the final simulation time. With
 // the invariant checker enabled, every drain is verified and a violation

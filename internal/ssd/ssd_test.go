@@ -1,12 +1,17 @@
 package ssd
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/ftl"
 	"repro/internal/host"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -20,6 +25,45 @@ func tinyConfig() Config {
 	c.Geometry.PagesPerBlock = 16
 	c.FTL.GCMode = ftl.GCNone
 	return c
+}
+
+// instrumentedArtifacts runs the fully instrumented determinism workload
+// — GC-heavy SpGC on pnSSD+split with tracing, the invariant checker, and
+// telemetry all live — with edit applied to the config, and returns every
+// byte-addressable artifact: the run summary JSON, the Chrome trace
+// export, and the telemetry document.
+func instrumentedArtifacts(t *testing.T, edit func(*Config)) (summary, chrome, tel []byte, s *SSD) {
+	t.Helper()
+	cfg := tinyConfig()
+	cfg.FTL.GCMode = ftl.GCSpatial
+	cfg.LogicalUtilization = 0.75
+	cfg.Trace = &trace.Config{Window: 100 * sim.Microsecond}
+	cfg.Check = &check.Config{}
+	cfg.Telemetry = &telemetry.Config{Window: 100 * sim.Microsecond}
+	edit(&cfg)
+	s = New(ArchPnSSDSplit, cfg)
+	foot := s.Config.LogicalPages()
+	s.Host.Warmup(foot)
+	tr, err := workload.Named("exchange-1", foot, 400, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Host.MustReplay(tr.Requests)
+	end := s.Run() // checker enabled: a violation panics
+
+	var sb bytes.Buffer
+	if err := s.WriteSummaryJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var cb bytes.Buffer
+	if err := s.Tracer.ExportChrome(&cb); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.MarshalIndent(s.Telemetry.Summary(end), "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sb.Bytes(), cb.Bytes(), doc, s
 }
 
 func TestDefaultConfigMatchesTableII(t *testing.T) {

@@ -96,6 +96,10 @@ func main() {
 	cpuProf := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
+	if *reqs < 0 {
+		fmt.Fprintf(os.Stderr, "-requests must not be negative, got %d\n", *reqs)
+		os.Exit(2)
+	}
 
 	runner.SetDefault(*parallel)
 	if *progress {

@@ -302,11 +302,11 @@ func printHeatmap(stdout io.Writer, s *ssd.SSD, end sim.Time) {
 	t := report.New(fmt.Sprintf("Bus utilization (%v windows)", s.Tracer.Window()), "bus", "busy", "timeline")
 	for _, kind := range []string{trace.KindHChannel, trace.KindVChannel} {
 		names, rows := s.Tracer.HeatRows(kind, end)
+		busy := s.Tracer.BusyTotals(kind)
 		for i, name := range names {
-			busy := s.Tracer.BusyTotals(kind)[name]
 			frac := 0.0
 			if end > 0 {
-				frac = float64(busy) / float64(end)
+				frac = float64(busy[name]) / float64(end)
 			}
 			t.Add(name, report.Pct(frac), report.Heat(rows[i]))
 		}

@@ -58,6 +58,9 @@ func main() {
 	cpuProf := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
+	if err := checkCounts(*requests, *outstanding); err != nil {
+		fatalf("%v", err)
+	}
 	runner.SetDefault(*parallel)
 	if *progress {
 		runner.EnableProgress(os.Stderr, sim.EventsFiredTotal)
@@ -308,6 +311,19 @@ func runRebuildRateSweep(archs []ssd.Arch, requests int, seed int64) {
 	for _, row := range rows {
 		fmt.Println(row)
 	}
+}
+
+// checkCounts rejects request and outstanding counts the simulator
+// cannot run, so bad input exits with a message instead of a panic
+// inside a sweep worker.
+func checkCounts(requests, outstanding int) error {
+	if requests <= 0 {
+		return fmt.Errorf("-requests must be positive, got %d", requests)
+	}
+	if outstanding <= 0 {
+		return fmt.Errorf("-outstanding must be positive, got %d", outstanding)
+	}
+	return nil
 }
 
 func fatalf(format string, args ...interface{}) {

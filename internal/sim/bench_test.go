@@ -63,13 +63,13 @@ func BenchmarkResourceHoldContended(b *testing.B) {
 	}
 }
 
-// BenchmarkUtilRecorderSparse records busy intervals far apart in time.
-// The recorder grows straight to the interval's window in one append, so
-// sparse traffic does not reallocate once per empty window in between.
-func BenchmarkUtilRecorderSparse(b *testing.B) {
+// BenchmarkWindowedSparse records busy intervals far apart in time. The
+// series grows straight to the interval's window in one append, so sparse
+// traffic does not reallocate once per empty window in between.
+func BenchmarkWindowedSparse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		u := NewUtilRecorder(Microsecond)
+		u := NewWindowed(Microsecond)
 		// One early interval, then one 50 ms later: ~50k empty windows
 		// crossed in a single growth step.
 		u.AddBusy(0, Microsecond)

@@ -19,7 +19,6 @@ type Resource struct {
 	totalGrants int64
 	totalWait   Time
 	maxWait     Time
-	util        *UtilRecorder
 	obs         ResourceObserver
 	curLabel    string
 	curQueued   Time
@@ -78,19 +77,13 @@ func NewResource(eng *Engine, name string) *Resource {
 // Name returns the diagnostic name supplied at construction.
 func (r *Resource) Name() string { return r.name }
 
-// SetUtilRecorder attaches a windowed utilization recorder; every busy
-// interval is reported to it. A nil recorder detaches.
-func (r *Resource) SetUtilRecorder(u *UtilRecorder) { r.util = u }
-
-// SetObserver attaches a hold/queue observer; nil detaches. With no
-// observer attached the accounting paths are unchanged, so runs with
-// tracing disabled are bit-identical to runs before observers existed.
-func (r *Resource) SetObserver(o ResourceObserver) { r.obs = o }
-
-// AddObserver attaches an additional observer alongside any already
-// installed, fanning callbacks out to both in installation order. This
-// lets tracing and invariant checking watch the same resource without
-// either knowing about the other.
+// AddObserver attaches a hold/queue observer alongside any already
+// installed, fanning callbacks out to all of them in installation order.
+// It is the one way in for every passive consumer — tracing, invariant
+// checking, the Fig 3 utilization matrix — so none needs to know about
+// the others. A nil observer is ignored. With no observer attached the
+// accounting paths are unchanged, so uninstrumented runs are
+// bit-identical to runs before observers existed.
 func (r *Resource) AddObserver(o ResourceObserver) {
 	if o == nil {
 		return
@@ -196,9 +189,6 @@ func (r *Resource) Release() {
 	}
 	held := r.eng.Now() - r.busySince
 	r.totalBusy += held
-	if r.util != nil {
-		r.util.AddBusy(r.busySince, r.eng.Now())
-	}
 	if r.obs != nil {
 		r.obs.ResourceHold(r, r.curLabel, r.curQueued, r.busySince, r.eng.Now())
 	}
@@ -271,57 +261,4 @@ func (r *Resource) Utilization() float64 {
 		return 0
 	}
 	return float64(r.totalBusy) / float64(r.eng.Now())
-}
-
-// UtilRecorder accumulates busy time into fixed-width windows, producing the
-// per-channel utilization time series behind the paper's Fig 3 heatmap.
-type UtilRecorder struct {
-	window  Time
-	busyPer []Time
-}
-
-// NewUtilRecorder creates a recorder with the given window width.
-func NewUtilRecorder(window Time) *UtilRecorder {
-	if window <= 0 {
-		panic("sim: non-positive utilization window")
-	}
-	return &UtilRecorder{window: window}
-}
-
-// Window returns the configured window width.
-func (u *UtilRecorder) Window() Time { return u.window }
-
-// AddBusy credits the interval [from, to) across the windows it overlaps.
-func (u *UtilRecorder) AddBusy(from, to Time) {
-	if to < from {
-		panic("sim: inverted busy interval")
-	}
-	if from == to {
-		return
-	}
-	// Grow straight to the interval's last window instead of one window
-	// per loop iteration: an interval far past the recorded range costs
-	// one append, not O(gap) reallocating appends.
-	if last := int((to - 1) / u.window); last >= len(u.busyPer) {
-		u.busyPer = append(u.busyPer, make([]Time, last+1-len(u.busyPer))...)
-	}
-	for from < to {
-		w := int(from / u.window)
-		end := Time(w+1) * u.window
-		if end > to {
-			end = to
-		}
-		u.busyPer[w] += end - from
-		from = end
-	}
-}
-
-// Series returns per-window utilization in [0,1], one entry per window from
-// time zero through the last busy interval recorded.
-func (u *UtilRecorder) Series() []float64 {
-	out := make([]float64, len(u.busyPer))
-	for i, b := range u.busyPer {
-		out[i] = float64(b) / float64(u.window)
-	}
-	return out
 }

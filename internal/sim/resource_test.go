@@ -105,35 +105,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
-func TestUtilRecorderWindows(t *testing.T) {
-	u := NewUtilRecorder(10)
-	u.AddBusy(5, 25) // half of window 0, all of window 1, half of window 2
-	s := u.Series()
-	want := []float64{0.5, 1.0, 0.5}
-	if len(s) != 3 {
-		t.Fatalf("series = %v, want %v", s, want)
-	}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("series = %v, want %v", s, want)
-		}
-	}
-}
-
-func TestUtilRecorderAttachedToResource(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "ch")
-	u := NewUtilRecorder(100)
-	r.SetUtilRecorder(u)
-	r.Use(50, nil)  // [0,50)
-	r.Use(100, nil) // [50,150)
-	e.Run()
-	s := u.Series()
-	if len(s) != 2 || s[0] != 1.0 || s[1] != 0.5 {
-		t.Fatalf("series = %v, want [1 0.5]", s)
-	}
-}
-
 // Property: with random hold durations the total busy time equals the sum of
 // holds and the final clock equals that sum (single FIFO server).
 func TestResourceSerializationProperty(t *testing.T) {
@@ -150,26 +121,6 @@ func TestResourceSerializationProperty(t *testing.T) {
 		return r.TotalBusy() == sum && e.Now() == sum
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: UtilRecorder conserves busy time — the sum over windows equals
-// the length of the recorded interval, for any window size and interval.
-func TestUtilRecorderConservationProperty(t *testing.T) {
-	prop := func(winRaw, fromRaw, lenRaw uint16) bool {
-		win := Time(winRaw%500) + 1
-		from := Time(fromRaw % 2000)
-		length := Time(lenRaw % 2000)
-		u := NewUtilRecorder(win)
-		u.AddBusy(from, from+length)
-		var total Time
-		for _, b := range u.busyPer {
-			total += b
-		}
-		return total == length
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,6 +9,7 @@ package ssd
 import (
 	"fmt"
 
+	"repro/internal/bus"
 	"repro/internal/check"
 	"repro/internal/controller"
 	"repro/internal/fault"
@@ -255,6 +256,9 @@ type SSD struct {
 	// Config.Scheduler selected a non-FIFO policy. Fabric stays the
 	// inner interconnect model in either case.
 	Sched *controller.SchedFabric
+
+	// probes is the observed-resource enumeration built once by build.
+	probes []probe
 }
 
 // RAS returns the run's RAS counters, or nil when fault injection is off.
@@ -279,105 +283,106 @@ func wireFaults(cfg Config, grid *controller.Grid, fab controller.Fabric, f *ftl
 	return inj
 }
 
+// probe is one attach point for passive resource observers: the
+// resources behind it by name, their trace kind, the AddObserver
+// forwarder, and the drain-time idle probe.
+type probe struct {
+	kind  string
+	names []string // the SoC attaches its system bus and DRAM together
+	obs   interface{ AddObserver(sim.ResourceObserver) }
+	// idle is nil where a named drain check covers the resources (the
+	// SoC and the NVMe link).
+	idle interface {
+		Busy() bool
+		QueueLen() int
+	}
+}
+
+// probes enumerates the device's observed resources in display order:
+// every h-channel, every v-channel (Omnibus fabrics), every chip die,
+// the SoC, and the NVMe link. Mesh links have no per-row channel notion
+// and stay unobserved. This one enumeration drives trace tracks, checker
+// registration and idle watches, Buses, and the Fig 3 matrix, so a new
+// observed resource is added here and nowhere else.
+func probes(grid *controller.Grid, fab controller.Fabric, soc *controller.Soc, h *host.Host) []probe {
+	var out []probe
+	addBus := func(c *bus.Channel, kind string) {
+		out = append(out, probe{kind: kind, names: []string{c.Name()}, obs: c, idle: c})
+	}
+	switch fb := fab.(type) {
+	case *controller.BusFabric:
+		for ch := 0; ch < grid.Channels; ch++ {
+			addBus(fb.Channel(ch), trace.KindHChannel)
+		}
+	case *controller.OmnibusFabric:
+		for ch := 0; ch < grid.Channels; ch++ {
+			addBus(fb.HChannel(ch), trace.KindHChannel)
+		}
+		for i := 0; i < fb.NumVChannels(); i++ {
+			addBus(fb.VChannel(i*fb.ColumnsPerVChannel()), trace.KindVChannel)
+		}
+	}
+	grid.ForEach(func(_ controller.ChipID, c *flash.Chip) {
+		out = append(out, probe{kind: trace.KindChip, names: []string{c.DieName()}, obs: c, idle: c})
+	})
+	return append(out,
+		probe{kind: trace.KindSoc, names: []string{"sysbus", "dram"}, obs: soc},
+		probe{kind: trace.KindHost, names: []string{h.NvmeName()}, obs: h})
+}
+
 // wireTrace builds the recorder from cfg.Trace (nil when absent),
-// registers one track per h-channel, v-channel, chip die, SoC resource,
-// and the NVMe link — in that display order, so every bus appears in the
-// export even if idle — and attaches the observer and span hooks through
-// every layer. Mesh fabrics trace their chips, SoC, and NVMe link; mesh
-// links have no per-row channel notion and stay untracked.
-func wireTrace(cfg Config, eng *sim.Engine, grid *controller.Grid, fab controller.Fabric, f *ftl.FTL, h *host.Host, soc *controller.Soc) *trace.Recorder {
+// registers one track per probed resource — in probe order, so every bus
+// appears in the export even if idle — and attaches the observer and
+// span hooks through every layer.
+func wireTrace(cfg Config, eng *sim.Engine, ps []probe, fab controller.Fabric, f *ftl.FTL, h *host.Host) *trace.Recorder {
 	if cfg.Trace == nil {
 		return nil
 	}
 	rec := trace.New(eng, *cfg.Trace)
-	switch fb := fab.(type) {
-	case *controller.BusFabric:
-		for ch := 0; ch < grid.Channels; ch++ {
-			c := fb.Channel(ch)
-			rec.RegisterTrack(c.Name(), trace.KindHChannel)
-			c.SetObserver(rec)
+	for _, p := range ps {
+		for _, name := range p.names {
+			rec.RegisterTrack(name, p.kind)
 		}
-	case *controller.OmnibusFabric:
-		for ch := 0; ch < grid.Channels; ch++ {
-			c := fb.HChannel(ch)
-			rec.RegisterTrack(c.Name(), trace.KindHChannel)
-			c.SetObserver(rec)
-		}
-		for i := 0; i < fb.NumVChannels(); i++ {
-			c := fb.VChannel(i * fb.ColumnsPerVChannel())
-			rec.RegisterTrack(c.Name(), trace.KindVChannel)
-			c.SetObserver(rec)
-		}
-		fb.SetTracer(rec)
+		p.obs.AddObserver(rec)
 	}
-	grid.ForEach(func(_ controller.ChipID, c *flash.Chip) {
-		rec.RegisterTrack(c.DieName(), trace.KindChip)
-		c.SetObserver(rec)
-	})
-	rec.RegisterTrack("sysbus", trace.KindSoc)
-	rec.RegisterTrack("dram", trace.KindSoc)
-	soc.SetObserver(rec)
-	rec.RegisterTrack(h.NvmeName(), trace.KindHost)
-	h.SetObserver(rec)
+	if ob, ok := fab.(*controller.OmnibusFabric); ok {
+		ob.SetTracer(rec)
+	}
 	h.SetTracer(rec)
 	f.SetTracer(rec)
 	return rec
 }
 
 // wireCheck builds the invariant checker from cfg.Check (nil when
-// absent): it registers every bus channel, die, SoC resource, and the
-// NVMe link with its kind, attaches the checker as an additional observer
-// (tracing, if enabled, keeps its own), hooks the FTL's page-commit sink
+// absent): it registers every probed resource with its kind, attaches
+// the checker as an additional observer (tracing, if enabled, keeps its
+// own and sees each callback first), hooks the FTL's page-commit sink
 // and the Omnibus copy-routing notification, and installs the drain-time
 // leak and accounting checks Run verifies.
-func wireCheck(cfg Config, eng *sim.Engine, grid *controller.Grid, fab controller.Fabric, f *ftl.FTL, h *host.Host, soc *controller.Soc, inj *fault.Injector) *check.Checker {
+func wireCheck(cfg Config, eng *sim.Engine, ps []probe, grid *controller.Grid, fab controller.Fabric, f *ftl.FTL, h *host.Host, soc *controller.Soc, inj *fault.Injector) *check.Checker {
 	if cfg.Check == nil {
 		return nil
 	}
 	ck := check.New(eng, *cfg.Check)
-	watch := func(name string, busy func() bool, queued func() int) {
-		ck.WatchIdle(name, func() (bool, int) { return busy(), queued() })
+	for _, p := range ps {
+		for _, name := range p.names {
+			ck.RegisterResource(name, p.kind)
+			if q := p.idle; q != nil {
+				ck.WatchIdle(name, func() (bool, int) { return q.Busy(), q.QueueLen() })
+			}
+		}
+		p.obs.AddObserver(ck)
 	}
-	switch fb := fab.(type) {
-	case *controller.BusFabric:
-		for ch := 0; ch < grid.Channels; ch++ {
-			c := fb.Channel(ch)
-			ck.RegisterResource(c.Name(), trace.KindHChannel)
-			c.AddObserver(ck)
-			watch(c.Name(), c.Busy, c.QueueLen)
-		}
-	case *controller.OmnibusFabric:
-		for ch := 0; ch < grid.Channels; ch++ {
-			c := fb.HChannel(ch)
-			ck.RegisterResource(c.Name(), trace.KindHChannel)
-			c.AddObserver(ck)
-			watch(c.Name(), c.Busy, c.QueueLen)
-		}
-		for i := 0; i < fb.NumVChannels(); i++ {
-			c := fb.VChannel(i * fb.ColumnsPerVChannel())
-			ck.RegisterResource(c.Name(), trace.KindVChannel)
-			c.AddObserver(ck)
-			watch(c.Name(), c.Busy, c.QueueLen)
-		}
-		ck.WatchCopies(fb.ColumnsPerVChannel())
-		fb.SetChecker(ck)
+	if ob, ok := fab.(*controller.OmnibusFabric); ok {
+		ck.WatchCopies(ob.ColumnsPerVChannel())
+		ob.SetChecker(ck)
 	}
-	grid.ForEach(func(_ controller.ChipID, c *flash.Chip) {
-		ck.RegisterResource(c.DieName(), trace.KindChip)
-		c.AddObserver(ck)
-		watch(c.DieName(), c.Busy, c.QueueLen)
-	})
-	soc.AddObserver(ck)
-	ck.RegisterResource("sysbus", trace.KindSoc)
-	ck.RegisterResource("dram", trace.KindSoc)
 	ck.AddDrainCheck("soc-idle", func() error {
 		if !soc.Idle() {
 			return fmt.Errorf("SoC resources busy or queued after drain")
 		}
 		return nil
 	})
-	ck.RegisterResource(h.NvmeName(), trace.KindHost)
-	h.AddObserver(ck)
 	ck.AddDrainCheck("nvme-idle", func() error {
 		if !h.NvmeIdle() {
 			return fmt.Errorf("NVMe link busy or queued after drain")
@@ -577,12 +582,13 @@ func build(arch Arch, cfg Config, socMBps int, mk FabricFunc) *SSD {
 	f := ftl.New(eng, ftlFab, ftlConfig(cfg), cfg.LogicalPages())
 	h := host.New(eng, f, cfg.Geometry.PageSize, socMBps)
 	inj := wireFaults(cfg, grid, fab, f)
-	rec := wireTrace(cfg, eng, grid, fab, f, h, soc)
-	ck := wireCheck(cfg, eng, grid, fab, f, h, soc, inj)
+	ps := probes(grid, fab, soc, h)
+	rec := wireTrace(cfg, eng, ps, fab, f, h)
+	ck := wireCheck(cfg, eng, ps, grid, fab, f, h, soc, inj)
 	wireSchedCheck(sched, ck)
 	col := wireTelemetry(cfg, fab, f, h)
 	fe := wireFrontend(cfg, h, rec, ck, col)
-	return &SSD{Arch: arch, Config: cfg, Engine: eng, Grid: grid, Soc: soc, Fabric: fab, FTL: f, Host: h, Frontend: fe, Faults: inj, Tracer: rec, Checker: ck, Telemetry: col, Sched: sched}
+	return &SSD{Arch: arch, Config: cfg, Engine: eng, Grid: grid, Soc: soc, Fabric: fab, FTL: f, Host: h, Frontend: fe, Faults: inj, Tracer: rec, Checker: ck, Telemetry: col, Sched: sched, probes: ps}
 }
 
 func makeFabric(arch Arch, eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, cfg Config) controller.Fabric {
@@ -607,27 +613,26 @@ func makeFabric(arch Arch, eng *sim.Engine, grid *controller.Grid, soc *controll
 	return fab
 }
 
-// AttachChannelUtil attaches per-channel utilization recorders with the
-// given window to every h-channel (bus and Omnibus fabrics) and returns
-// the matrix — the instrument behind Fig 3. Mesh fabrics have no channel
-// notion and return nil.
+// AttachChannelUtil attaches a per-channel utilization matrix with the
+// given window to every h-channel (bus and Omnibus fabrics), one row per
+// channel fed as an ordinary resource observer, and returns it — the
+// instrument behind Fig 3. Mesh fabrics have no channel notion and
+// return nil.
 func (s *SSD) AttachChannelUtil(window sim.Time) *stats.UtilMatrix {
-	switch fab := s.Fabric.(type) {
-	case *controller.BusFabric:
-		m := stats.NewUtilMatrix(s.Config.Channels, window)
-		for ch := 0; ch < s.Config.Channels; ch++ {
-			fab.Channel(ch).SetUtilRecorder(m.Recorders[ch])
+	var hs []*bus.Channel
+	for _, b := range s.Buses() {
+		if b.Kind == trace.KindHChannel {
+			hs = append(hs, b.Channel)
 		}
-		return m
-	case *controller.OmnibusFabric:
-		m := stats.NewUtilMatrix(s.Config.Channels, window)
-		for ch := 0; ch < s.Config.Channels; ch++ {
-			fab.HChannel(ch).SetUtilRecorder(m.Recorders[ch])
-		}
-		return m
-	default:
+	}
+	if hs == nil {
 		return nil
 	}
+	m := stats.NewUtilMatrix(len(hs), window)
+	for i, c := range hs {
+		c.AddObserver(m.Observer(i))
+	}
+	return m
 }
 
 // Drain runs the simulation to completion and returns the final time,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/flash"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // BusInfo names one bus channel of the device together with its kind
@@ -25,28 +24,13 @@ type BusInfo struct {
 // h-channels, then (on Omnibus fabrics) all v-channels. Mesh fabrics
 // return nil — their links have no per-row channel notion.
 func (s *SSD) Buses() []BusInfo {
-	switch fab := s.Fabric.(type) {
-	case *controller.BusFabric:
-		out := make([]BusInfo, 0, s.Config.Channels)
-		for ch := 0; ch < s.Config.Channels; ch++ {
-			c := fab.Channel(ch)
-			out = append(out, BusInfo{Name: c.Name(), Kind: trace.KindHChannel, Channel: c})
+	var out []BusInfo
+	for _, p := range s.probes {
+		if c, ok := p.obs.(*bus.Channel); ok {
+			out = append(out, BusInfo{Name: p.names[0], Kind: p.kind, Channel: c})
 		}
-		return out
-	case *controller.OmnibusFabric:
-		out := make([]BusInfo, 0, s.Config.Channels+fab.NumVChannels())
-		for ch := 0; ch < s.Config.Channels; ch++ {
-			c := fab.HChannel(ch)
-			out = append(out, BusInfo{Name: c.Name(), Kind: trace.KindHChannel, Channel: c})
-		}
-		for i := 0; i < fab.NumVChannels(); i++ {
-			c := fab.VChannel(i * fab.ColumnsPerVChannel())
-			out = append(out, BusInfo{Name: c.Name(), Kind: trace.KindVChannel, Channel: c})
-		}
-		return out
-	default:
-		return nil
 	}
+	return out
 }
 
 // LatencySummary is the percentile digest of one latency histogram, in

@@ -147,6 +147,56 @@ func TestTraceBusyAgreesWithChannels(t *testing.T) {
 	}
 }
 
+// The Fig 3 matrix and the trace recorder's h-channel timelines are two
+// consumers of the same probe enumeration over the same windowed
+// accumulator: with equal windows they must agree window for window, on
+// a bus fabric and on an Omnibus fabric.
+func TestChannelUtilAgreesWithTraceHeatRows(t *testing.T) {
+	const window = 100 * sim.Microsecond
+	for _, arch := range []Arch{ArchBase, ArchPnSSDSplit} {
+		cfg := tinyConfig()
+		cfg.FTL.GCMode = ftl.GCSpatial
+		cfg.LogicalUtilization = 0.75
+		cfg.Trace = &trace.Config{Window: window}
+		s := New(arch, cfg)
+		m := s.AttachChannelUtil(window)
+		foot := s.Config.LogicalPages()
+		s.Host.Warmup(foot)
+		tr, err := workload.Named("exchange-1", foot, 400, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Host.MustReplay(tr.Requests)
+		end := s.Run()
+
+		util := m.Rows()
+		names, heat := s.Tracer.HeatRows(trace.KindHChannel, end)
+		if len(util) != len(heat) || len(util) != cfg.Channels {
+			t.Fatalf("%v: %d matrix rows vs %d trace rows (%v), want %d", arch, len(util), len(heat), names, cfg.Channels)
+		}
+		busy := 0.0
+		for ch := range util {
+			a, b := util[ch], heat[ch]
+			for w := 0; w < len(a) || w < len(b); w++ {
+				var x, y float64
+				if w < len(a) {
+					x = a[w]
+				}
+				if w < len(b) {
+					y = b[w]
+				}
+				if x != y {
+					t.Fatalf("%v %s window %d: matrix %v vs trace %v", arch, names[ch], w, x, y)
+				}
+				busy += x
+			}
+		}
+		if busy == 0 {
+			t.Fatalf("%v: no h-channel activity to compare", arch)
+		}
+	}
+}
+
 // TestSummarizeShape exercises the -metrics-json digest on a traced run.
 func TestSummarizeShape(t *testing.T) {
 	s := runGCHeavy(t, true)

@@ -113,34 +113,46 @@ func (m *IOMetrics) String() string {
 
 // UtilMatrix is a channels × time-window utilization matrix: the data
 // behind the paper's Fig 3 heatmap. Rows are channels, columns are windows.
+// Each row is fed by attaching Observer(ch) to that channel's resource.
 type UtilMatrix struct {
-	Recorders []*sim.UtilRecorder
+	Recorders []*sim.Windowed
 }
 
-// NewUtilMatrix creates one recorder per channel with a shared window.
+// NewUtilMatrix creates one busy-time series per channel with a shared
+// window.
 func NewUtilMatrix(channels int, window sim.Time) *UtilMatrix {
-	m := &UtilMatrix{Recorders: make([]*sim.UtilRecorder, channels)}
+	m := &UtilMatrix{Recorders: make([]*sim.Windowed, channels)}
 	for i := range m.Recorders {
-		m.Recorders[i] = sim.NewUtilRecorder(window)
+		m.Recorders[i] = sim.NewWindowed(window)
 	}
 	return m
 }
 
+// Observer returns the resource observer that credits every completed
+// hold, over [grantedAt, releasedAt), to channel ch's row.
+func (m *UtilMatrix) Observer(ch int) sim.ResourceObserver { return utilRow{m.Recorders[ch]} }
+
+// utilRow is one channel's row as a passive resource observer.
+type utilRow struct{ w *sim.Windowed }
+
+func (u utilRow) ResourceHold(_ *sim.Resource, _ string, _, grantedAt, releasedAt sim.Time) {
+	u.w.AddBusy(grantedAt, releasedAt)
+}
+
+func (utilRow) ResourceQueue(*sim.Resource, int, sim.Time) {}
+
 // Rows returns the matrix as [channel][window] utilization in [0,1], with
 // all rows padded to the same width.
 func (m *UtilMatrix) Rows() [][]float64 {
-	rows := make([][]float64, len(m.Recorders))
 	width := 0
-	for i, r := range m.Recorders {
-		rows[i] = r.Series()
-		if len(rows[i]) > width {
-			width = len(rows[i])
+	for _, r := range m.Recorders {
+		if r.Len() > width {
+			width = r.Len()
 		}
 	}
-	for i := range rows {
-		for len(rows[i]) < width {
-			rows[i] = append(rows[i], 0)
-		}
+	rows := make([][]float64, len(m.Recorders))
+	for i, r := range m.Recorders {
+		rows[i] = r.Values(width, func(b sim.Time) float64 { return float64(b) / float64(r.Window()) })
 	}
 	return rows
 }

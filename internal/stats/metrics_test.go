@@ -119,3 +119,19 @@ func TestUtilMatrixImbalance(t *testing.T) {
 		t.Fatalf("empty imbalance = %v, want 1.0", got)
 	}
 }
+
+// The matrix is fed as an ordinary resource observer: each completed
+// hold is credited over [grantedAt, releasedAt), queue wait excluded.
+func TestUtilMatrixObservesResource(t *testing.T) {
+	e := sim.NewEngine()
+	r := sim.NewResource(e, "ch")
+	m := NewUtilMatrix(1, 100)
+	r.AddObserver(m.Observer(0))
+	r.Use(50, nil)  // [0,50)
+	r.Use(100, nil) // queued at 0, held [50,150)
+	e.Run()
+	rows := m.Rows()
+	if len(rows) != 1 || len(rows[0]) != 2 || rows[0][0] != 1.0 || rows[0][1] != 0.5 {
+		t.Fatalf("rows = %v, want [[1 0.5]]", rows)
+	}
+}

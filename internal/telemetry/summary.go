@@ -83,9 +83,10 @@ func (c *Collector) Summary(end sim.Time) *Summary {
 	}
 	// Close open intervals against a copy of the mutable state so
 	// Summary stays idempotent.
-	gcBusy := append([]sim.Time(nil), c.gcBusy...)
+	gcBusy := c.gcBusy
 	if c.gcActive {
-		gcBusy = c.spread(gcBusy, c.gcSince, end)
+		gcBusy = gcBusy.Clone()
+		gcBusy.AddBusy(c.gcSince, end)
 	}
 	n := c.slot(end)
 	if end > 0 && end%c.window == 0 {
@@ -97,18 +98,16 @@ func (c *Collector) Summary(end sim.Time) *Summary {
 	windows := n + 1
 
 	winSec := c.window.Seconds()
-	kiops := make([]float64, windows)
-	mbps := make([]float64, windows)
+	count := func(v sim.Time) float64 { return float64(v) }
+	avg := func(v sim.Time) float64 { return round6(v.Seconds() / winSec) }
+	series := func(name, unit string, s *sim.Windowed, conv func(sim.Time) float64) Series {
+		return Series{Name: name, Unit: unit, Values: s.Values(windows, conv)}
+	}
 	mean := make([]float64, windows)
 	p50 := make([]float64, windows)
 	p99 := make([]float64, windows)
-	for w := 0; w < windows; w++ {
-		if w < len(c.completed) {
-			kiops[w] = round6(float64(c.completed[w]) / winSec / 1000)
-			mbps[w] = round6(float64(c.bytes[w]) / winSec / 1e6)
-		}
-		if w < len(c.lat) && c.lat[w] != nil {
-			h := c.lat[w]
+	for w := 0; w < windows && w < len(c.lat); w++ {
+		if h := c.lat[w]; h != nil {
 			mean[w] = round6(h.Mean().Microseconds())
 			p50[w] = round6(h.Median().Microseconds())
 			p99[w] = round6(h.P99().Microseconds())
@@ -120,8 +119,8 @@ func (c *Collector) Summary(end sim.Time) *Summary {
 		Requests:              c.requests,
 		AttributionViolations: c.attViolated,
 		Series: []Series{
-			{Name: "throughput", Unit: "kiops", Values: kiops},
-			{Name: "bandwidth", Unit: "mbps", Values: mbps},
+			series("throughput", "kiops", c.completed, func(v sim.Time) float64 { return round6(float64(v) / winSec / 1000) }),
+			series("bandwidth", "mbps", c.bytes, func(v sim.Time) float64 { return round6(float64(v) / winSec / 1e6) }),
 			{Name: "lat_mean", Unit: "us", Values: mean},
 			{Name: "lat_p50", Unit: "us", Values: p50},
 			{Name: "lat_p99", Unit: "us", Values: p99},
@@ -129,85 +128,34 @@ func (c *Collector) Summary(end sim.Time) *Summary {
 	}
 
 	if c.gcSeen {
-		busy := make([]float64, windows)
-		copies := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(gcBusy) {
-				busy[w] = round6(gcBusy[w].Seconds() / winSec)
-			}
-			if w < len(c.gcCopies) {
-				copies[w] = float64(c.gcCopies[w])
-			}
-		}
 		sum.Series = append(sum.Series,
-			Series{Name: "gc_active", Unit: "frac", Values: busy},
-			Series{Name: "gc_copies", Unit: "pages", Values: copies})
+			series("gc_active", "frac", gcBusy, avg),
+			series("gc_copies", "pages", c.gcCopies, count))
 	}
 	if c.grantSeen {
-		wait := make([]float64, windows)
-		grants := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(c.grantWait) {
-				wait[w] = round6(c.grantWait[w].Microseconds())
-			}
-			if w < len(c.grantCount) {
-				grants[w] = float64(c.grantCount[w])
-			}
-		}
 		sum.Series = append(sum.Series,
-			Series{Name: "grant_wait", Unit: "us", Values: wait},
-			Series{Name: "grants", Unit: "count", Values: grants})
+			series("grant_wait", "us", c.grantWait, func(v sim.Time) float64 { return round6(v.Microseconds()) }),
+			series("grants", "count", c.grantCount, count))
 	}
-	for i := range c.tenants {
-		t := &c.tenants[i]
-		dur := append([]sim.Time(nil), t.depthDur...)
-		if t.depth > 0 {
-			dur = c.spreadDepth(dur, t.at, end, t.depth)
+	for _, t := range c.tenants {
+		depth := t.depth
+		if t.cur > 0 {
+			depth = depth.Clone()
+			depth.AddWeighted(t.at, end, int64(t.cur))
 		}
-		depth := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(dur) {
-				depth[w] = round6(dur[w].Seconds() / winSec)
-			}
-		}
-		sum.Series = append(sum.Series,
-			Series{Name: "qdepth:" + t.name, Unit: "reqs", Values: depth})
+		sum.Series = append(sum.Series, series("qdepth:"+t.name, "reqs", depth, avg))
 	}
 	if c.rebuildSeen {
-		pages := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(c.rebuilt) {
-				pages[w] = float64(c.rebuilt[w])
-			}
-		}
-		sum.Series = append(sum.Series,
-			Series{Name: "rebuild", Unit: "pages", Values: pages})
+		sum.Series = append(sum.Series, series("rebuild", "pages", c.rebuilt, count))
 	}
 	if c.mapSeen {
-		hits := make([]float64, windows)
-		misses := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(c.mapHits) {
-				hits[w] = float64(c.mapHits[w])
-			}
-			if w < len(c.mapMisses) {
-				misses[w] = float64(c.mapMisses[w])
-			}
-		}
 		sum.Series = append(sum.Series,
-			Series{Name: "map_hits", Unit: "count", Values: hits},
-			Series{Name: "map_misses", Unit: "count", Values: misses})
+			series("map_hits", "count", c.mapHits, count),
+			series("map_misses", "count", c.mapMisses, count))
 	}
 	// Event classes in sorted order so map iteration never leaks.
 	for _, class := range sortedKeys(c.events) {
-		counts := make([]float64, windows)
-		for w := 0; w < windows; w++ {
-			if w < len(c.events[class]) {
-				counts[w] = float64(c.events[class][w])
-			}
-		}
-		sum.Series = append(sum.Series,
-			Series{Name: "event:" + class, Unit: "count", Values: counts})
+		sum.Series = append(sum.Series, series("event:"+class, "count", c.events[class], count))
 	}
 
 	for k := 0; k < 2; k++ {
@@ -250,7 +198,7 @@ func (c *Collector) Summary(end sim.Time) *Summary {
 	return sum
 }
 
-func sortedKeys(m map[string][]int64) []string {
+func sortedKeys(m map[string]*sim.Windowed) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -43,13 +43,13 @@ type Config struct {
 }
 
 // tenantSeries integrates one tenant's submission-queue depth over
-// time, window by window, exactly like trace.Timeline does for
-// resource queues.
+// time: depth × duration per window, with the current depth held open
+// since at.
 type tenantSeries struct {
-	name     string
-	depthDur []sim.Time // sum of depth x duration per window
-	depth    int
-	at       sim.Time
+	name  string
+	depth *sim.Windowed
+	cur   int
+	at    sim.Time
 }
 
 // Collector accumulates all telemetry channels for one device run.
@@ -59,9 +59,9 @@ type tenantSeries struct {
 type Collector struct {
 	window sim.Time
 
-	// Host completion channels, indexed by completion window.
-	completed []int64
-	bytes     []int64
+	// Host completion channels, by completion window.
+	completed *sim.Windowed
+	bytes     *sim.Windowed
 	lat       []*stats.Histogram
 
 	// Per-kind, per-phase attribution histograms for the whole run.
@@ -71,8 +71,8 @@ type Collector struct {
 	attViolated int64
 
 	// GC activity: busy time integrated per window plus copy counts.
-	gcBusy    []sim.Time
-	gcCopies  []int64
+	gcBusy    *sim.Windowed
+	gcCopies  *sim.Windowed
 	gcActive  bool
 	gcSince   sim.Time
 	gcSeen    bool
@@ -80,26 +80,26 @@ type Collector struct {
 
 	// Omnibus grant wait: waited time integrated over the wait
 	// interval, plus grant counts at resolution time.
-	grantWait  []sim.Time
-	grantCount []int64
+	grantWait  *sim.Windowed
+	grantCount *sim.Windowed
 	grantSeen  bool
 
 	// Counted instants (RAS/fault events) per window, keyed by class.
 	// Map order never leaks: Summary sorts the keys.
-	events map[string][]int64
+	events map[string]*sim.Windowed
 
 	// Per-tenant submission-queue depth.
 	tenants []tenantSeries
 
 	// Array rebuild progress: pages rebuilt per window.
-	rebuilt     []int64
+	rebuilt     *sim.Windowed
 	rebuildSeen bool
 
 	// FMMU map-cache activity: lookup hits and misses per window. mapSeen
 	// gates both the series and the PhaseMap attribution rows so flat-mode
 	// summaries stay byte-identical to builds without the map unit.
-	mapHits   []int64
-	mapMisses []int64
+	mapHits   *sim.Windowed
+	mapMisses *sim.Windowed
 	mapSeen   bool
 
 	// Named instants (e.g. rebuild-detect) surfaced in the summary.
@@ -112,7 +112,19 @@ func New(cfg Config) *Collector {
 	if w <= 0 {
 		w = DefaultWindow
 	}
-	c := &Collector{window: w, events: make(map[string][]int64)}
+	c := &Collector{
+		window:     w,
+		completed:  sim.NewWindowed(w),
+		bytes:      sim.NewWindowed(w),
+		gcBusy:     sim.NewWindowed(w),
+		gcCopies:   sim.NewWindowed(w),
+		grantWait:  sim.NewWindowed(w),
+		grantCount: sim.NewWindowed(w),
+		events:     make(map[string]*sim.Windowed),
+		rebuilt:    sim.NewWindowed(w),
+		mapHits:    sim.NewWindowed(w),
+		mapMisses:  sim.NewWindowed(w),
+	}
 	for k := 0; k < 2; k++ {
 		for p := Phase(0); p < NumPhases; p++ {
 			c.phaseHist[k][p] = stats.NewHistogram(90)
@@ -143,42 +155,6 @@ func (c *Collector) touch(at sim.Time) {
 	}
 }
 
-func growI64(s []int64, w int) []int64 {
-	for len(s) <= w {
-		s = append(s, 0)
-	}
-	return s
-}
-
-func growT(s []sim.Time, w int) []sim.Time {
-	for len(s) <= w {
-		s = append(s, 0)
-	}
-	return s
-}
-
-// spread credits the duration [from, to) across the windows it
-// overlaps, returning the grown slice.
-func (c *Collector) spread(s []sim.Time, from, to sim.Time) []sim.Time {
-	if to <= from {
-		return s
-	}
-	s = growT(s, c.slot(to))
-	for w := c.slot(from); w <= c.slot(to); w++ {
-		start, end := sim.Time(w)*c.window, sim.Time(w+1)*c.window
-		if start < from {
-			start = from
-		}
-		if end > to {
-			end = to
-		}
-		if end > start {
-			s[w] += end - start
-		}
-	}
-	return s
-}
-
 // RecordCompletion adds one finished request to the windowed host
 // series. It is order-independent (pure slot-indexed adds), so the
 // array tier can feed it from joined per-device results after the
@@ -188,14 +164,12 @@ func (c *Collector) RecordCompletion(kind stats.IOKind, arrival, complete sim.Ti
 		return
 	}
 	c.touch(complete)
+	c.completed.AddPoint(complete, 1)
+	c.bytes.AddPoint(complete, bytes)
 	w := c.slot(complete)
-	c.completed = growI64(c.completed, w)
-	c.bytes = growI64(c.bytes, w)
 	for len(c.lat) <= w {
 		c.lat = append(c.lat, nil)
 	}
-	c.completed[w]++
-	c.bytes[w] += bytes
 	if c.lat[w] == nil {
 		c.lat[w] = stats.NewHistogram(windowHistDensity)
 	}
@@ -217,7 +191,7 @@ func (c *Collector) GCFinished(at sim.Time) {
 		return
 	}
 	c.touch(at)
-	c.gcBusy = c.spread(c.gcBusy, c.gcSince, at)
+	c.gcBusy.AddBusy(c.gcSince, at)
 	c.gcActive = false
 }
 
@@ -227,9 +201,7 @@ func (c *Collector) GCCopied(at sim.Time) {
 		return
 	}
 	c.touch(at)
-	w := c.slot(at)
-	c.gcCopies = growI64(c.gcCopies, w)
-	c.gcCopies[w]++
+	c.gcCopies.AddPoint(at, 1)
 	c.gcSeen = true
 }
 
@@ -242,10 +214,8 @@ func (c *Collector) GrantWait(from, to sim.Time) {
 		return
 	}
 	c.touch(to)
-	c.grantWait = c.spread(c.grantWait, from, to)
-	w := c.slot(to)
-	c.grantCount = growI64(c.grantCount, w)
-	c.grantCount[w]++
+	c.grantWait.AddBusy(from, to)
+	c.grantCount.AddPoint(to, 1)
 	c.grantSeen = true
 }
 
@@ -256,9 +226,12 @@ func (c *Collector) Event(class string, at sim.Time) {
 		return
 	}
 	c.touch(at)
-	w := c.slot(at)
-	c.events[class] = growI64(c.events[class], w)
-	c.events[class][w]++
+	s := c.events[class]
+	if s == nil {
+		s = sim.NewWindowed(c.window)
+		c.events[class] = s
+	}
+	s.AddPoint(at, 1)
 }
 
 // RegisterTenants declares the tenant names, in display order, before
@@ -268,7 +241,7 @@ func (c *Collector) RegisterTenants(names []string) {
 		return
 	}
 	for _, n := range names {
-		c.tenants = append(c.tenants, tenantSeries{name: n})
+		c.tenants = append(c.tenants, tenantSeries{name: n, depth: sim.NewWindowed(c.window)})
 	}
 }
 
@@ -284,33 +257,12 @@ func (c *Collector) TenantDepth(name string, depth int, at sim.Time) {
 		if t.name != name {
 			continue
 		}
-		if t.depth > 0 {
-			t.depthDur = c.spreadDepth(t.depthDur, t.at, at, t.depth)
+		if t.cur > 0 {
+			t.depth.AddWeighted(t.at, at, int64(t.cur))
 		}
-		t.depth, t.at = depth, at
+		t.cur, t.at = depth, at
 		return
 	}
-}
-
-// spreadDepth credits depth x duration over [from, to).
-func (c *Collector) spreadDepth(s []sim.Time, from, to sim.Time, depth int) []sim.Time {
-	if to <= from || depth == 0 {
-		return s
-	}
-	s = growT(s, c.slot(to))
-	for w := c.slot(from); w <= c.slot(to); w++ {
-		start, end := sim.Time(w)*c.window, sim.Time(w+1)*c.window
-		if start < from {
-			start = from
-		}
-		if end > to {
-			end = to
-		}
-		if end > start {
-			s[w] += (end - start) * sim.Time(depth)
-		}
-	}
-	return s
 }
 
 // EnableMapPhase declares that a map unit is attached to this run, so
@@ -330,9 +282,7 @@ func (c *Collector) MapHit(at sim.Time) {
 		return
 	}
 	c.touch(at)
-	w := c.slot(at)
-	c.mapHits = growI64(c.mapHits, w)
-	c.mapHits[w]++
+	c.mapHits.AddPoint(at, 1)
 	c.mapSeen = true
 }
 
@@ -343,9 +293,7 @@ func (c *Collector) MapMiss(at sim.Time) {
 		return
 	}
 	c.touch(at)
-	w := c.slot(at)
-	c.mapMisses = growI64(c.mapMisses, w)
-	c.mapMisses[w]++
+	c.mapMisses.AddPoint(at, 1)
 	c.mapSeen = true
 }
 
@@ -355,9 +303,7 @@ func (c *Collector) RebuildPage(at sim.Time) {
 		return
 	}
 	c.touch(at)
-	w := c.slot(at)
-	c.rebuilt = growI64(c.rebuilt, w)
-	c.rebuilt[w]++
+	c.rebuilt.AddPoint(at, 1)
 	c.rebuildSeen = true
 }
 

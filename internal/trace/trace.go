@@ -12,9 +12,9 @@
 //     (a request from arrival to completion, a GC round, a grant
 //     arbitration, a write stall) as async spans, and mark routing
 //     decisions as instant events.
-//   - Fixed-interval timelines. Per-track utilization and time-weighted
-//     queue depth are accumulated into fixed windows, the data behind the
-//     per-bus heatmap table and the paper's Fig 3-style analyses.
+//   - Fixed-interval busy timelines. Each track's busy time is
+//     accumulated into fixed windows (a sim.Windowed), the data behind
+//     the per-bus heatmap table and the paper's Fig 3-style analyses.
 //
 // Tracing is strictly passive: the Recorder never schedules events and
 // never touches model state, so a traced run executes the identical event
@@ -28,20 +28,15 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultWindow is the gauge-timeline interval when Config.Window is zero
+// DefaultWindow is the busy-timeline interval when Config.Window is zero
 // (matches the 500us window of the Fig 3 utilization heatmaps).
 const DefaultWindow = 500 * sim.Microsecond
 
 // Config parameterizes a Recorder.
 type Config struct {
-	// Window is the fixed interval of the utilization/queue-depth
-	// timelines; zero selects DefaultWindow.
+	// Window is the fixed interval of the utilization timelines; zero
+	// selects DefaultWindow.
 	Window sim.Time
-	// QueueCounters, when set, additionally emits a Chrome counter event
-	// on every queue-depth transition of every observed resource. The
-	// timelines are always recorded; the per-transition counters make
-	// queue dynamics visible in Perfetto at the cost of trace size.
-	QueueCounters bool
 	// TrackPrefix is prepended to every track name. Array runs trace many
 	// devices whose internal resources share names ("nvme", "h0", die
 	// grids); a per-device prefix like "dev3/" keeps the merged view
@@ -66,11 +61,8 @@ type Track struct {
 	Name string
 	Kind string
 	id   int
-	tl   *Timeline
+	busy *sim.Windowed
 }
-
-// Timeline returns the track's fixed-interval gauge timeline.
-func (t *Track) Timeline() *Timeline { return t.tl }
 
 // SpanID identifies an in-flight async span returned by BeginSpan. The
 // zero value is inert: EndSpan of a zero SpanID is a no-op, so callers on
@@ -94,7 +86,6 @@ type KV struct {
 type Recorder struct {
 	eng    *sim.Engine
 	window sim.Time
-	qctr   bool
 	prefix string
 
 	events []event
@@ -115,7 +106,6 @@ func New(eng *sim.Engine, cfg Config) *Recorder {
 	return &Recorder{
 		eng:    eng,
 		window: w,
-		qctr:   cfg.QueueCounters,
 		prefix: cfg.TrackPrefix,
 		tracks: make(map[string]*Track),
 	}
@@ -125,7 +115,7 @@ func New(eng *sim.Engine, cfg Config) *Recorder {
 // use before building event arguments.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Window returns the gauge-timeline interval.
+// Window returns the busy-timeline interval.
 func (r *Recorder) Window() sim.Time {
 	if r == nil {
 		return 0
@@ -148,7 +138,7 @@ func (r *Recorder) RegisterTrack(name, kind string) *Track {
 	if t, ok := r.tracks[name]; ok {
 		return t
 	}
-	t := &Track{Name: name, Kind: kind, id: len(r.order) + 1, tl: NewTimeline(r.window)}
+	t := &Track{Name: name, Kind: kind, id: len(r.order) + 1, busy: sim.NewWindowed(r.window)}
 	r.tracks[name] = t
 	r.order = append(r.order, name)
 	return t
@@ -186,7 +176,7 @@ func (r *Recorder) ResourceHold(res *sim.Resource, label string, queuedAt, grant
 		return
 	}
 	t := r.track(res.Name())
-	t.tl.AddBusy(grantedAt, releasedAt)
+	t.busy.AddBusy(grantedAt, releasedAt)
 	r.holds++
 	ev := event{Name: label, Cat: "hold", Ph: phComplete, Ts: grantedAt, Dur: releasedAt - grantedAt, Tid: t.id}
 	if wait := grantedAt - queuedAt; wait > 0 {
@@ -196,21 +186,10 @@ func (r *Recorder) ResourceHold(res *sim.Resource, label string, queuedAt, grant
 	r.events = append(r.events, ev)
 }
 
-// ResourceQueue implements sim.ResourceObserver: updates the track's
-// queue-depth timeline and, when enabled, emits a counter event.
-func (r *Recorder) ResourceQueue(res *sim.Resource, depth int, at sim.Time) {
-	if r == nil {
-		return
-	}
-	t := r.track(res.Name())
-	t.tl.SetDepth(depth, at)
-	if r.qctr {
-		r.events = append(r.events, event{
-			Name: t.Name + " queue", Cat: "queue", Ph: phCounter, Ts: at, Tid: t.id,
-			Args: []KV{{K: "depth", V: depth}},
-		})
-	}
-}
+// ResourceQueue implements sim.ResourceObserver. Queue waits reach the
+// trace through the wait_us argument of each hold, so depth changes are
+// not recorded.
+func (r *Recorder) ResourceQueue(*sim.Resource, int, sim.Time) {}
 
 // BeginSpan opens an async span (a lifecycle phase not tied to one
 // resource: a request, a GC round, a grant arbitration). The returned id
@@ -286,7 +265,7 @@ func (r *Recorder) BusyTotals(kind string) map[string]sim.Time {
 	}
 	out := make(map[string]sim.Time)
 	for _, t := range r.Tracks(kind) {
-		out[t.Name] = t.tl.TotalBusy()
+		out[t.Name] = t.busy.Total()
 	}
 	return out
 }
@@ -300,21 +279,17 @@ func (r *Recorder) HeatRows(kind string, end sim.Time) (names []string, rows [][
 	}
 	tracks := r.Tracks(kind)
 	width := 0
-	if r.window > 0 && end > 0 {
+	if end > 0 {
 		width = int((end + r.window - 1) / r.window)
 	}
 	for _, t := range tracks {
-		row := t.tl.UtilSeries()
-		if len(row) > width {
-			width = len(row)
+		if t.busy.Len() > width {
+			width = t.busy.Len()
 		}
-		names = append(names, t.Name)
-		rows = append(rows, row)
 	}
-	for i := range rows {
-		for len(rows[i]) < width {
-			rows[i] = append(rows[i], 0)
-		}
+	for _, t := range tracks {
+		names = append(names, t.Name)
+		rows = append(rows, t.busy.Values(width, func(b sim.Time) float64 { return float64(b) / float64(r.window) }))
 	}
 	return names, rows
 }

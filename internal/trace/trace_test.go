@@ -41,52 +41,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 }
 
-func TestTimelineBusyWindowing(t *testing.T) {
-	win := 10 * sim.Microsecond
-	tl := NewTimeline(win)
-	// A hold spanning windows 0..2: [5us, 25us) = 5us in w0, 10us in w1, 5us in w2.
-	tl.AddBusy(5*sim.Microsecond, 25*sim.Microsecond)
-	series := tl.UtilSeries()
-	want := []float64{0.5, 1.0, 0.5}
-	if len(series) != len(want) {
-		t.Fatalf("series length %d, want %d", len(series), len(want))
-	}
-	for i, v := range want {
-		if series[i] != v {
-			t.Fatalf("window %d utilization %v, want %v", i, series[i], v)
-		}
-	}
-	if tl.TotalBusy() != 20*sim.Microsecond {
-		t.Fatalf("TotalBusy %v, want 20us", tl.TotalBusy())
-	}
-}
-
-func TestTimelineQueueIntegral(t *testing.T) {
-	win := 10 * sim.Microsecond
-	tl := NewTimeline(win)
-	tl.SetDepth(2, 0)                  // depth 2 over [0, 5us)
-	tl.SetDepth(0, 5*sim.Microsecond)  // depth 0 over [5us, 20us)
-	tl.SetDepth(4, 20*sim.Microsecond) // depth 4 over [20us, 25us)
-	series := tl.QueueSeries(25 * sim.Microsecond)
-	// w0: 2*5us/10us = 1.0 mean depth; w1: 0; w2: 4*5us/10us = 2.0.
-	want := []float64{1.0, 0.0, 2.0}
-	if len(series) != len(want) {
-		t.Fatalf("series length %d, want %d", len(series), len(want))
-	}
-	for i, v := range want {
-		if series[i] != v {
-			t.Fatalf("window %d mean depth %v, want %v", i, series[i], v)
-		}
-	}
-	// QueueSeries must not mutate state: calling again gives the same answer.
-	again := tl.QueueSeries(25 * sim.Microsecond)
-	for i := range want {
-		if again[i] != series[i] {
-			t.Fatal("QueueSeries mutated the timeline")
-		}
-	}
-}
-
 // newTestRecorder builds a recorder with its own engine.
 func newTestRecorder(cfg Config) (*sim.Engine, *Recorder) {
 	eng := sim.NewEngine()
@@ -130,6 +84,29 @@ func TestRecorderHoldsAndHeatRows(t *testing.T) {
 		if v != 0 {
 			t.Fatal("idle track h1 has nonzero utilization")
 		}
+	}
+}
+
+// TestTimelineBusyWindowing checks a track's busy timeline: one hold that
+// spans three windows is split across them and counted once in the total.
+func TestTimelineBusyWindowing(t *testing.T) {
+	_, rec := newTestRecorder(Config{Window: 10 * sim.Microsecond})
+	rec.RegisterTrack("h0", KindHChannel)
+	res := sim.NewResource(sim.NewEngine(), "h0")
+	// A hold spanning windows 0..2: [5us, 25us) = 5us in w0, 10us in w1, 5us in w2.
+	rec.ResourceHold(res, "xfer", 5*sim.Microsecond, 5*sim.Microsecond, 25*sim.Microsecond)
+	_, rows := rec.HeatRows(KindHChannel, 25*sim.Microsecond)
+	want := []float64{0.5, 1.0, 0.5}
+	if len(rows) != 1 || len(rows[0]) != len(want) {
+		t.Fatalf("rows %v, want one row %v", rows, want)
+	}
+	for i, v := range want {
+		if rows[0][i] != v {
+			t.Fatalf("window %d utilization %v, want %v", i, rows[0][i], v)
+		}
+	}
+	if busy := rec.BusyTotals(KindHChannel)["h0"]; busy != 20*sim.Microsecond {
+		t.Fatalf("busy total %v, want 20us", busy)
 	}
 }
 

@@ -279,8 +279,8 @@ func fig1(_ exp.Options, emit func(*report.Table)) {
 func fig3(opt exp.Options, emit func(*report.Table)) {
 	res := exp.Fig3(opt)
 	heat := func(title string, rows [][]float64, imbalance float64) {
-		t := report.New(fmt.Sprintf("%s on %s (imbalance index %.2f; one column per %v window)",
-			title, res.Trace, imbalance, "500us"), "ch", "utilization over time")
+		t := report.New(fmt.Sprintf("%s on %s (imbalance index %.2f; one column per %.0fus window)",
+			title, res.Trace, imbalance, sim.SeriesWindow.Microseconds()), "ch", "utilization over time")
 		for ch, row := range rows {
 			t.Add(fmt.Sprint(ch), report.Heat(row))
 		}

@@ -29,15 +29,6 @@ import (
 	"repro/internal/workload"
 )
 
-var archNames = map[string]ssd.Arch{
-	"base":        ssd.ArchBase,
-	"nossd-pin":   ssd.ArchNoSSDPin,
-	"nossd-free":  ssd.ArchNoSSDFree,
-	"pssd":        ssd.ArchPSSD,
-	"pnssd":       ssd.ArchPnSSD,
-	"pnssd+split": ssd.ArchPnSSDSplit,
-}
-
 var gcNames = map[string]ftl.GCMode{
 	"none":       ftl.GCNone,
 	"pagc":       ftl.GCParallel,
@@ -86,9 +77,9 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	arch, ok := archNames[strings.ToLower(*archFlag)]
-	if !ok {
-		return fmt.Errorf("unknown architecture %q", *archFlag)
+	arch, err := ssd.ParseArch(*archFlag)
+	if err != nil {
+		return err
 	}
 	gc, ok := gcNames[strings.ToLower(*gcFlag)]
 	if !ok {
@@ -127,17 +118,17 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	cfg.Scheduler = *sched
+	switch strings.ToLower(*mapevict) {
+	case "", "clock", "lru":
+	default:
+		return fmt.Errorf("unknown map eviction policy %q (want clock or lru)", *mapevict)
+	}
+	if *mapcache < 0 {
+		return fmt.Errorf("negative map cache size %d", *mapcache)
+	}
 	switch strings.ToLower(*mapping) {
 	case "flat":
 	case "fmmu":
-		switch strings.ToLower(*mapevict) {
-		case "", "clock", "lru":
-		default:
-			return fmt.Errorf("unknown map eviction policy %q (want clock or lru)", *mapevict)
-		}
-		if *mapcache < 0 {
-			return fmt.Errorf("negative map cache size %d", *mapcache)
-		}
 		cfg.Mapping = "fmmu"
 		cfg.MapCacheEntries = *mapcache
 		cfg.MapEviction = strings.ToLower(*mapevict)
@@ -145,8 +136,37 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown mapping mode %q (want flat or fmmu)", *mapping)
 	}
 
+	// Resolve the workload before building the device, so a bad workload
+	// flag or trace file fails before anything is printed.
+	foot := cfg.LogicalPages()
+	var pattern workload.Pattern
+	var tr workload.Trace
+	var desc string
+	switch {
+	case *synth != "":
+		if pattern, err = workload.ParsePattern(*synth); err != nil {
+			return err
+		}
+		desc = fmt.Sprintf("synthetic %s, %d outstanding, %d requests", pattern, *outstanding, *requests)
+	case *traceFile != "":
+		if tr, err = readTrace(*traceFile, foot); err != nil {
+			return err
+		}
+		desc = fmt.Sprintf("trace file %s, %d requests", *traceFile, len(tr.Requests))
+	default:
+		name := *preset
+		if name == "" {
+			name = "rocksdb-0"
+		}
+		if tr, err = workload.Named(name, foot, *requests, *seed); err != nil {
+			return err
+		}
+		reads, writes, frac := tr.Mix()
+		desc = fmt.Sprintf("%s (%d reads / %d writes, %.0f%% read), duration %v",
+			name, reads, writes, frac*100, tr.Duration())
+	}
+
 	s := ssd.New(arch, cfg)
-	foot := s.Config.LogicalPages()
 	fmt.Fprintf(stdout, "architecture: %s (%s)\n", arch, arch.Describe())
 	fmt.Fprintf(stdout, "device: %d chips, %d logical pages (%d MB), GC=%s, policy=%s\n",
 		s.Grid.NumChips(), foot, foot*int64(cfg.Geometry.PageSize)/(1<<20), gc, cfg.FTL.Policy)
@@ -160,55 +180,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	s.Host.Warmup(foot)
-	switch {
-	case *synth != "":
-		var p workload.Pattern
-		switch strings.ToLower(*synth) {
-		case "seq-read":
-			p = workload.SeqRead
-		case "seq-write":
-			p = workload.SeqWrite
-		case "rand-read":
-			p = workload.RandRead
-		case "rand-write":
-			p = workload.RandWrite
-		default:
-			return fmt.Errorf("unknown synthetic pattern %q", *synth)
-		}
-		fmt.Fprintf(stdout, "workload: synthetic %s, %d outstanding, %d requests\n", p, *outstanding, *requests)
-		s.Host.RunClosedLoop(workload.Synthetic(p, foot, 4, *seed), *outstanding, *requests)
-	case *traceFile != "":
-		fh, err := os.Open(*traceFile)
-		if err != nil {
-			return fmt.Errorf("open trace: %v", err)
-		}
-		tr, err := workload.ReadCSV(fh, *traceFile)
-		fh.Close()
-		if err != nil {
-			return fmt.Errorf("parse trace: %v", err)
-		}
-		if tr.Footprint > foot {
-			return fmt.Errorf("trace footprint %d exceeds device logical pages %d", tr.Footprint, foot)
-		}
-		fmt.Fprintf(stdout, "workload: trace file %s, %d requests\n", *traceFile, len(tr.Requests))
-		if _, err := s.Host.Replay(tr.Requests); err != nil {
-			return fmt.Errorf("replay trace: %v", err)
-		}
-	default:
-		name := *preset
-		if name == "" {
-			name = "rocksdb-0"
-		}
-		tr, err := workload.Named(name, foot, *requests, *seed)
-		if err != nil {
-			return err
-		}
-		reads, writes, frac := tr.Mix()
-		fmt.Fprintf(stdout, "workload: %s (%d reads / %d writes, %.0f%% read), duration %v\n",
-			name, reads, writes, frac*100, tr.Duration())
-		if _, err := s.Host.Replay(tr.Requests); err != nil {
-			return fmt.Errorf("replay workload: %v", err)
-		}
+	fmt.Fprintf(stdout, "workload: %s\n", desc)
+	if *synth != "" {
+		s.Host.RunClosedLoop(workload.Synthetic(pattern, foot, 4, *seed), *outstanding, *requests)
+	} else if _, err := s.Host.Replay(tr.Requests); err != nil {
+		return fmt.Errorf("replay: %v", err)
 	}
 
 	// Drain plus an explicit verify so a violation surfaces as a clean
@@ -247,6 +223,24 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "metrics: %s\n", *metricsOut)
 	}
 	return nil
+}
+
+// readTrace loads a trace CSV and checks that it fits a device of foot
+// logical pages.
+func readTrace(path string, foot int64) (workload.Trace, error) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return workload.Trace{}, fmt.Errorf("open trace: %v", err)
+	}
+	defer fh.Close()
+	tr, err := workload.ReadCSV(fh, path)
+	if err != nil {
+		return workload.Trace{}, fmt.Errorf("parse trace: %v", err)
+	}
+	if tr.Footprint > foot {
+		return workload.Trace{}, fmt.Errorf("trace footprint %d exceeds device logical pages %d", tr.Footprint, foot)
+	}
+	return tr, nil
 }
 
 func printReport(stdout io.Writer, s *ssd.SSD, end sim.Time) error {
@@ -299,7 +293,7 @@ func printHeatmap(stdout io.Writer, s *ssd.SSD, end sim.Time) {
 	if !s.Tracer.Enabled() {
 		return
 	}
-	t := report.New(fmt.Sprintf("Bus utilization (%v windows)", s.Tracer.Window()), "bus", "busy", "timeline")
+	t := report.New(fmt.Sprintf("Bus utilization (%v windows)", sim.SeriesWindow), "bus", "busy", "timeline")
 	for _, kind := range []string{trace.KindHChannel, trace.KindVChannel} {
 		names, rows := s.Tracer.HeatRows(kind, end)
 		busy := s.Tracer.BusyTotals(kind)

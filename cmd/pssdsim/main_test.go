@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -51,7 +52,14 @@ func TestListFlag(t *testing.T) {
 	}
 }
 
+// Every bad flag is rejected before the device is built, so nothing is
+// printed ahead of the error.
 func TestBadFlagsReturnErrors(t *testing.T) {
+	dir := t.TempDir()
+	tooBig := filepath.Join(dir, "toobig.csv")
+	if err := os.WriteFile(tooBig, []byte("arrival_ps,op,lpn,pages\n0,R,999999999,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-arch", "bogus"},
 		{"-gc", "bogus"},
@@ -62,9 +70,20 @@ func TestBadFlagsReturnErrors(t *testing.T) {
 		{"-requests", "-1"},
 		{"-synthetic", "rand-read", "-outstanding", "0"},
 		{"-synthetic", "rand-read", "-requests", "-1"},
+		{"-tracefile", filepath.Join(dir, "missing.csv")},
+		{"-tracefile", tooBig},
+		{"-sched", "bogus"},
+		{"-mapping", "bogus"},
+		{"-mapevict", "bogus"},
+		{"-mapping", "fmmu", "-mapevict", "bogus"},
+		{"-mapcache", "-1"},
 	} {
-		if err := run(args, &bytes.Buffer{}); err == nil {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) printed before failing:\n%s", args, out.String())
 		}
 	}
 }

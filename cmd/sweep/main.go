@@ -28,22 +28,6 @@ import (
 	"repro/internal/workload"
 )
 
-var archNames = map[string]ssd.Arch{
-	"base":        ssd.ArchBase,
-	"nossd-pin":   ssd.ArchNoSSDPin,
-	"nossd-free":  ssd.ArchNoSSDFree,
-	"pssd":        ssd.ArchPSSD,
-	"pnssd":       ssd.ArchPnSSD,
-	"pnssd+split": ssd.ArchPnSSDSplit,
-}
-
-var patterns = map[string]workload.Pattern{
-	"seq-read":   workload.SeqRead,
-	"seq-write":  workload.SeqWrite,
-	"rand-read":  workload.RandRead,
-	"rand-write": workload.RandWrite,
-}
-
 func main() {
 	param := flag.String("param", "outstanding", "sweep dimension: outstanding, busrate, ways, reqpages, tenants, sched, mapcache, rebuildrate")
 	archFlag := flag.String("arch", "pnssd+split", "architecture (comma list allowed)")
@@ -66,15 +50,15 @@ func main() {
 		runner.EnableProgress(os.Stderr, sim.EventsFiredTotal)
 	}
 
-	p, ok := patterns[strings.ToLower(*patternFlag)]
-	if !ok {
-		fatalf("unknown pattern %q", *patternFlag)
+	p, err := workload.ParsePattern(*patternFlag)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	var archs []ssd.Arch
 	for _, name := range strings.Split(*archFlag, ",") {
-		a, ok := archNames[strings.TrimSpace(strings.ToLower(name))]
-		if !ok {
-			fatalf("unknown architecture %q", name)
+		a, err := ssd.ParseArch(name)
+		if err != nil {
+			fatalf("%v", err)
 		}
 		archs = append(archs, a)
 	}

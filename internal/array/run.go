@@ -120,7 +120,7 @@ func RunPlanned(cfg Config, plan *Plan, parallel int) *Result {
 		for _, lpn := range churnLPNs(cfg, dev) {
 			s.FTL.Reinstall(lpn, ftl.TokenFor(lpn, 1))
 		}
-		times := s.Host.MustReplayTimed(plan.Device[dev])
+		times := s.Host.MustReplay(plan.Device[dev])
 		end := s.Engine.Run()
 		return deviceOut{s: s, times: times, end: end}
 	})
@@ -132,7 +132,7 @@ func RunPlanned(cfg Config, plan *Plan, parallel int) *Result {
 	}
 	var ck *check.ArrayChecker
 	if cfg.Check {
-		ck = check.NewArrayChecker(0)
+		ck = check.NewArrayChecker()
 	}
 	for dev, o := range outs {
 		res.Devices[dev] = o.s
@@ -146,7 +146,7 @@ func RunPlanned(cfg Config, plan *Plan, parallel int) *Result {
 	// of device parallelism.
 	var col *telemetry.Collector
 	if cfg.Telemetry != nil {
-		col = telemetry.New(*cfg.Telemetry)
+		col = telemetry.New()
 	}
 
 	// Reassemble: an array request completes when the last of its shard

@@ -23,13 +23,10 @@ type ArrayChecker struct {
 	doubleAcks int64
 }
 
-// NewArrayChecker builds a checker recording at most maxViolations in
-// detail; zero selects DefaultMaxViolations.
-func NewArrayChecker(maxViolations int) *ArrayChecker {
-	if maxViolations <= 0 {
-		maxViolations = DefaultMaxViolations
-	}
-	return &ArrayChecker{max: maxViolations, acks: make(map[int64]sim.Time)}
+// NewArrayChecker builds a checker recording at most
+// DefaultMaxViolations in detail.
+func NewArrayChecker() *ArrayChecker {
+	return &ArrayChecker{max: DefaultMaxViolations, acks: make(map[int64]sim.Time)}
 }
 
 func (c *ArrayChecker) violate(at sim.Time, rule, format string, args ...any) {

@@ -19,7 +19,7 @@ func TestArrayCheckerNilIsInert(t *testing.T) {
 }
 
 func TestArrayCheckerDoubleAck(t *testing.T) {
-	c := NewArrayChecker(0)
+	c := NewArrayChecker()
 	c.Ack(0, sim.Microsecond)
 	c.Ack(1, 2*sim.Microsecond)
 	c.Ack(0, 3*sim.Microsecond) // failover path acked again
@@ -37,7 +37,7 @@ func TestArrayCheckerDoubleAck(t *testing.T) {
 }
 
 func TestArrayCheckerMissingAndPhantomAcks(t *testing.T) {
-	c := NewArrayChecker(0)
+	c := NewArrayChecker()
 	c.Ack(0, 0)
 	c.Ack(7, 0) // outside [0,2)
 	c.CheckAllAcked(2, sim.Microsecond)
@@ -55,7 +55,7 @@ func TestArrayCheckerMissingAndPhantomAcks(t *testing.T) {
 }
 
 func TestArrayCheckerStripeConservation(t *testing.T) {
-	c := NewArrayChecker(0)
+	c := NewArrayChecker()
 	// 4 stripes, width 3, need 2 live shards. Stripe 2 lost two shards.
 	ok := func(stripe int64, lane int) bool {
 		if stripe == 2 {
@@ -71,7 +71,7 @@ func TestArrayCheckerStripeConservation(t *testing.T) {
 }
 
 func TestArrayCheckerRebuildComplete(t *testing.T) {
-	c := NewArrayChecker(0)
+	c := NewArrayChecker()
 	c.CheckRebuildComplete(5, func(s int64) bool { return s != 3 }, sim.Second)
 	vs := c.Violations()
 	if len(vs) != 1 || vs[0].Rule != "array-rebuild-incomplete" {
@@ -80,7 +80,8 @@ func TestArrayCheckerRebuildComplete(t *testing.T) {
 }
 
 func TestArrayCheckerTruncatesAtCap(t *testing.T) {
-	c := NewArrayChecker(2)
+	c := NewArrayChecker()
+	c.max = 2
 	c.CheckRebuildComplete(10, func(int64) bool { return false }, 0)
 	if len(c.Violations()) != 2 {
 		t.Fatalf("recorded %d violations, cap 2", len(c.Violations()))

@@ -20,15 +20,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Config parameterizes the checker.
-type Config struct {
-	// MaxViolations caps how many violations are recorded in detail;
-	// further ones are counted but not stored. Zero means the default (64).
-	MaxViolations int
-}
+// Config selects invariant checking; it has no tunables.
+type Config struct{}
 
-// DefaultMaxViolations is the recorded-violation cap when Config leaves
-// MaxViolations zero.
+// DefaultMaxViolations caps how many violations a checker records in
+// detail; further ones are counted but not stored.
 const DefaultMaxViolations = 64
 
 // Violation is one invariant breach, timestamped at detection.
@@ -67,7 +63,7 @@ type drainCheck struct {
 // attached checker changes no simulated behavior, only adds bookkeeping.
 type Checker struct {
 	eng *sim.Engine
-	cfg Config
+	max int // recorded-violation cap, DefaultMaxViolations
 
 	kinds     map[string]string // resource name -> trace.Kind* string
 	res       map[*sim.Resource]*resourceState
@@ -106,13 +102,10 @@ type Checker struct {
 }
 
 // New builds a checker bound to the engine.
-func New(eng *sim.Engine, cfg Config) *Checker {
-	if cfg.MaxViolations <= 0 {
-		cfg.MaxViolations = DefaultMaxViolations
-	}
+func New(eng *sim.Engine) *Checker {
 	return &Checker{
 		eng:      eng,
-		cfg:      cfg,
+		max:      DefaultMaxViolations,
 		kinds:    make(map[string]string),
 		res:      make(map[*sim.Resource]*resourceState),
 		expected: make(map[int64]flash.Token),
@@ -132,7 +125,7 @@ func (c *Checker) Checks() int64 {
 
 // violate records one breach, respecting the cap.
 func (c *Checker) violate(rule, format string, args ...any) {
-	if len(c.violations) >= c.cfg.MaxViolations {
+	if len(c.violations) >= c.max {
 		c.dropped++
 		return
 	}

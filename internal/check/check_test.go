@@ -13,7 +13,7 @@ import (
 
 func newChecker() (*sim.Engine, *Checker) {
 	e := sim.NewEngine()
-	return e, New(e, Config{})
+	return e, New(e)
 }
 
 func TestNilCheckerIsInert(t *testing.T) {
@@ -170,7 +170,8 @@ func (*verifyErr) Error() string { return "synthetic failure" }
 
 func TestViolationCap(t *testing.T) {
 	e := sim.NewEngine()
-	c := New(e, Config{MaxViolations: 2})
+	c := New(e)
+	c.max = 2
 	r := sim.NewResource(e, "h0")
 	for i := 0; i < 5; i++ {
 		c.ResourceQueue(r, -1, 0)

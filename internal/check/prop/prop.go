@@ -250,14 +250,13 @@ func Run(c Case) Result {
 	if err != nil {
 		return Result{Case: c, Err: err}
 	}
-	var completed *int
 	if s.Frontend != nil {
 		for i := range tr.Requests {
 			tr.Requests[i].Tenant = i % c.Tenants
 		}
-		completed, err = s.Frontend.Replay(tr.Requests)
+		_, err = s.Frontend.Replay(tr.Requests)
 	} else {
-		completed, err = s.Host.Replay(tr.Requests)
+		_, err = s.Host.Replay(tr.Requests)
 	}
 	if err != nil {
 		return Result{Case: c, Err: fmt.Errorf("%v: replay rejected: %w", c, err)}
@@ -272,8 +271,8 @@ func Run(c Case) Result {
 		res.Err = fmt.Errorf("%v: %d events still pending at the 2s horizon — livelock", c, s.Engine.Pending())
 		return res
 	}
-	if *completed != len(tr.Requests) {
-		res.Err = fmt.Errorf("%v: completed %d of %d requests", c, *completed, len(tr.Requests))
+	if done := s.Metrics().TotalRequests(); done != int64(len(tr.Requests)) {
+		res.Err = fmt.Errorf("%v: completed %d of %d requests", c, done, len(tr.Requests))
 		return res
 	}
 	if err := s.VerifyInvariants(); err != nil {

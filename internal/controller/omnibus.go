@@ -173,16 +173,6 @@ func (p RoutePolicy) String() string {
 // SetRoutePolicy selects the I/O routing policy.
 func (f *OmnibusFabric) SetRoutePolicy(p RoutePolicy) { f.route = p }
 
-// SetAdaptive toggles path diversity for host I/O: false forces h-only,
-// true restores the default greedy policy.
-func (f *OmnibusFabric) SetAdaptive(on bool) {
-	if on {
-		f.route = RouteGreedy
-	} else {
-		f.route = RouteHOnly
-	}
-}
-
 // SetTracer attaches a trace recorder for control-plane spans and
 // routing-decision instants; nil (the default) detaches.
 func (f *OmnibusFabric) SetTracer(t *trace.Recorder) { f.trc = t }
@@ -208,26 +198,6 @@ func (f *OmnibusFabric) SetFaultInjector(inj *fault.Injector) { f.faults = inj }
 
 // FaultInjector returns the attached injector (possibly nil).
 func (f *OmnibusFabric) FaultInjector() *fault.Injector { return f.faults }
-
-// ensureFaults returns the fabric's injector, creating a default one (no
-// faults enabled) on first use so rate setters work standalone.
-func (f *OmnibusFabric) ensureFaults() *fault.Injector {
-	if f.faults == nil {
-		f.faults = fault.New(fault.Config{Seed: 1})
-	}
-	return f.faults
-}
-
-// SetOnDieEccFailRate sets the probability that a direct flash-to-flash
-// copy fails its on-die error check and falls back to the
-// controller-relayed strong-ECC path. It is a convenience wrapper over
-// the fault injector's OnDieECC class.
-func (f *OmnibusFabric) SetOnDieEccFailRate(rate float64) {
-	if rate < 0 || rate > 1 {
-		panic("controller: ECC fail rate outside [0,1]")
-	}
-	f.ensureFaults().SetRate(fault.OnDieECC, rate)
-}
 
 // EccFallbacks returns how many direct copies re-routed through the
 // controller because the on-die check flagged them.

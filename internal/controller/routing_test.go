@@ -3,6 +3,7 @@ package controller
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/flash"
 	"repro/internal/sim"
 )
@@ -55,26 +56,13 @@ func TestRoutingPoliciesDiffer(t *testing.T) {
 	}
 }
 
-func TestSetAdaptiveCompat(t *testing.T) {
-	e, g, soc := testRig(2, 2)
-	f := newOmnibus(e, g, soc, false)
-	f.SetAdaptive(false)
-	if f.route != RouteHOnly {
-		t.Fatal("SetAdaptive(false) did not select h-only")
-	}
-	f.SetAdaptive(true)
-	if f.route != RouteGreedy {
-		t.Fatal("SetAdaptive(true) did not select greedy")
-	}
-}
-
 func TestOnDieEccFallback(t *testing.T) {
 	// rate=1: every same-column copy must take the relayed strong-ECC
 	// path; rate=0: none.
 	run := func(rate float64) (direct, relayed, fallbacks int64, tokenOK bool) {
 		e, g, soc := testRig(4, 2)
 		f := newOmnibus(e, g, soc, false)
-		f.SetOnDieEccFailRate(rate)
+		f.SetFaultInjector(fault.New(fault.Config{Seed: 1, OnDieECCRate: rate}))
 		src, dst := ChipID{0, 1}, ChipID{3, 1}
 		g.Chip(src).Program([]flash.ProgramOp{{Addr: flash.PPA{Plane: 0, Block: 0, Page: 0}, Token: 0xE0}}, nil)
 		e.Run()
@@ -97,22 +85,11 @@ func TestOnDieEccFallback(t *testing.T) {
 	}
 }
 
-func TestOnDieEccRateValidation(t *testing.T) {
-	e, g, soc := testRig(2, 2)
-	f := newOmnibus(e, g, soc, false)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid ECC rate did not panic")
-		}
-	}()
-	f.SetOnDieEccFailRate(1.5)
-}
-
 func TestOnDieEccRateApproximatelyRespected(t *testing.T) {
 	// With rate 0.3 over many draws, fallbacks should land near 30%.
 	e, g, soc := testRig(2, 2)
 	f := newOmnibus(e, g, soc, false)
-	f.SetOnDieEccFailRate(0.3)
+	f.SetFaultInjector(fault.New(fault.Config{Seed: 1, OnDieECCRate: 0.3}))
 	fails := 0
 	const n = 2000
 	for i := 0; i < n; i++ {

@@ -117,37 +117,18 @@ type SchedChecker interface {
 	SchedCompleted(op uint64, inflight int)
 }
 
-// SchedConfig tunes a scheduling policy. The zero value selects the
-// defaults.
-type SchedConfig struct {
-	// Window is the out-of-order inflight window: at most this many
-	// transactions run concurrently, and only the oldest Window pending
-	// transactions are eligible for reordering. 1 degenerates to FIFO
-	// issue order. Default 16.
-	Window int
-	// ReorderBound caps starvation: a pending transaction bypassed this
-	// many times is issued next regardless of score (out-of-order), and
-	// a deferred head bypassed this many times freezes further
-	// admissions until it proceeds (conflict). Default 64.
-	ReorderBound int
-}
-
-// DefaultSchedWindow and DefaultReorderBound are the SchedConfig
-// defaults.
+// Scheduling-layer tuning.
 const (
-	DefaultSchedWindow  = 16
+	// DefaultSchedWindow is the out-of-order inflight window: at most
+	// this many transactions run concurrently, and only the oldest
+	// window pending transactions are eligible for reordering.
+	DefaultSchedWindow = 16
+	// DefaultReorderBound caps starvation: a pending transaction
+	// bypassed this many times is issued next regardless of score
+	// (out-of-order), and a deferred head bypassed this many times
+	// freezes further admissions until it proceeds (conflict).
 	DefaultReorderBound = 64
 )
-
-func (c SchedConfig) withDefaults() SchedConfig {
-	if c.Window <= 0 {
-		c.Window = DefaultSchedWindow
-	}
-	if c.ReorderBound <= 0 {
-		c.ReorderBound = DefaultReorderBound
-	}
-	return c
-}
 
 // opKind classifies a scheduled transaction.
 type opKind int
@@ -186,8 +167,11 @@ type schedOp struct {
 type SchedFabric struct {
 	inner Fabric
 	pol   SchedPolicy
-	cfg   SchedConfig
 	ways  int
+
+	// window and bound start at DefaultSchedWindow and
+	// DefaultReorderBound; a window of 1 degenerates to FIFO issue order.
+	window, bound int
 
 	seq      uint64
 	inflight int
@@ -211,20 +195,16 @@ type SchedFabric struct {
 	maxPending int
 }
 
-// NewSchedFabric wraps inner with the given policy at default tuning.
+// NewSchedFabric wraps inner with the given policy.
 func NewSchedFabric(inner Fabric, pol SchedPolicy) *SchedFabric {
-	return NewSchedFabricCfg(inner, pol, SchedConfig{})
-}
-
-// NewSchedFabricCfg wraps inner with explicit tuning.
-func NewSchedFabricCfg(inner Fabric, pol SchedPolicy, cfg SchedConfig) *SchedFabric {
 	if inner == nil {
 		panic("controller: scheduling layer needs an inner fabric")
 	}
 	return &SchedFabric{
 		inner:    inner,
 		pol:      pol,
-		cfg:      cfg.withDefaults(),
+		window:   DefaultSchedWindow,
+		bound:    DefaultReorderBound,
 		ways:     inner.Grid().Ways,
 		table:    make(map[PathSeg]uint64),
 		chipLoad: make(map[int]int),
@@ -235,16 +215,16 @@ func NewSchedFabricCfg(inner Fabric, pol SchedPolicy, cfg SchedConfig) *SchedFab
 func (f *SchedFabric) Policy() SchedPolicy { return f.pol }
 
 // Window returns the reorder-window size the checker should enforce: the
-// configured inflight window for out-of-order, 0 (unwindowed) otherwise.
+// inflight window for out-of-order, 0 (unwindowed) otherwise.
 func (f *SchedFabric) Window() int {
 	if f.pol == SchedOOO {
-		return f.cfg.Window
+		return f.window
 	}
 	return 0
 }
 
-// ReorderBound returns the configured starvation bound.
-func (f *SchedFabric) ReorderBound() int { return f.cfg.ReorderBound }
+// ReorderBound returns the starvation bound.
+func (f *SchedFabric) ReorderBound() int { return f.bound }
 
 // SetChecker attaches a scheduling checker; nil (the default) detaches.
 func (f *SchedFabric) SetChecker(c SchedChecker) { f.check = c }
@@ -440,7 +420,7 @@ func (f *SchedFabric) issue(op *schedOp, rank int, fin func()) {
 		f.chipLoad[c]++
 	}
 	if f.check != nil {
-		f.check.SchedIssued(op.seq, rank, f.Window(), op.bypassed, f.cfg.ReorderBound)
+		f.check.SchedIssued(op.seq, rank, f.Window(), op.bypassed, f.bound)
 	}
 	if fin != nil {
 		op.run(fin)

@@ -16,7 +16,7 @@ package controller
 // reserved arrivals defer and only the head may admit — so the head is
 // guaranteed to issue once its blockers complete.
 func (f *SchedFabric) frozenConflict() bool {
-	return len(f.deferq) > 0 && f.deferq[0].bypassed >= f.cfg.ReorderBound
+	return len(f.deferq) > 0 && f.deferq[0].bypassed >= f.bound
 }
 
 // pathFree reports whether none of the segments is reserved.

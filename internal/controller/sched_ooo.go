@@ -13,7 +13,7 @@ package controller
 // drainOOO fills the inflight window: while a slot is free, pick among
 // the oldest Window pending transactions and issue the winner.
 func (f *SchedFabric) drainOOO() {
-	for f.inflight < f.cfg.Window && len(f.pending) > 0 {
+	for f.inflight < f.window && len(f.pending) > 0 {
 		idx := f.pickOOO()
 		op := f.pending[idx]
 		f.pending = append(f.pending[:idx], f.pending[idx+1:]...)
@@ -32,11 +32,11 @@ func (f *SchedFabric) drainOOO() {
 // lowest-load candidate with ties broken toward arrival order.
 func (f *SchedFabric) pickOOO() int {
 	lim := len(f.pending)
-	if lim > f.cfg.Window {
-		lim = f.cfg.Window
+	if lim > f.window {
+		lim = f.window
 	}
 	for i := 0; i < lim; i++ {
-		if f.pending[i].bypassed >= f.cfg.ReorderBound {
+		if f.pending[i].bypassed >= f.bound {
 			f.forced++
 			return i
 		}

@@ -88,10 +88,22 @@ type schedHarness struct {
 	fins  map[string]func()
 }
 
-func newSchedHarness(pol SchedPolicy, cfg SchedConfig) *schedHarness {
+// tune overrides a scheduler's reorder window and starvation bound; zero
+// keeps the default.
+func tune(f *SchedFabric, window, bound int) *SchedFabric {
+	if window > 0 {
+		f.window = window
+	}
+	if bound > 0 {
+		f.bound = bound
+	}
+	return f
+}
+
+func newSchedHarness(pol SchedPolicy, window, bound int) *schedHarness {
 	e, g, soc := testRig(2, 2)
 	inner := newOmnibus(e, g, soc, false)
-	h := &schedHarness{f: NewSchedFabricCfg(inner, pol, cfg), fins: make(map[string]func())}
+	h := &schedHarness{f: tune(NewSchedFabric(inner, pol), window, bound), fins: make(map[string]func())}
 	return h
 }
 
@@ -189,7 +201,7 @@ func TestConflictAdmitDeferRelease(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			h := newSchedHarness(SchedConflict, SchedConfig{})
+			h := newSchedHarness(SchedConflict, 0, 0)
 			for _, s := range c.steps {
 				if s.submit != "" {
 					h.add(s.submit, s.path, s.chips...)
@@ -210,7 +222,7 @@ func TestConflictAdmitDeferRelease(t *testing.T) {
 }
 
 func TestConflictStarvationFreeze(t *testing.T) {
-	h := newSchedHarness(SchedConflict, SchedConfig{ReorderBound: 2})
+	h := newSchedHarness(SchedConflict, 0, 2)
 	h.add("A", segs(PathSeg{SegH, 0}), 0)
 	h.add("B", segs(PathSeg{SegH, 0}), 1) // defers behind A: queue head
 	h.add("C", segs(PathSeg{SegH, 1}), 2) // fresh bypass #1
@@ -237,7 +249,7 @@ func TestConflictStarvationFreeze(t *testing.T) {
 }
 
 func TestOOOPickerPrefersIdleDies(t *testing.T) {
-	h := newSchedHarness(SchedOOO, SchedConfig{Window: 2})
+	h := newSchedHarness(SchedOOO, 2, 0)
 	h.add("A", nil, 0)
 	h.add("B", nil, 0) // fills the window
 	h.add("C", nil, 0) // pending, same die as the inflight pair
@@ -258,10 +270,10 @@ func TestOOOPickerPrefersIdleDies(t *testing.T) {
 }
 
 func TestOOOCopyScoresBothChips(t *testing.T) {
-	h := newSchedHarness(SchedOOO, SchedConfig{Window: 1})
+	h := newSchedHarness(SchedOOO, 1, 0)
 	h.add("A", nil, 0)
 	h.complete("A")
-	h2 := newSchedHarness(SchedOOO, SchedConfig{Window: 2})
+	h2 := newSchedHarness(SchedOOO, 2, 0)
 	h2.add("A", nil, 0)
 	h2.add("B", nil, 1)
 	h2.add("C", nil, 0, 1) // copy touching both busy dies
@@ -275,7 +287,7 @@ func TestOOOCopyScoresBothChips(t *testing.T) {
 }
 
 func TestOOOStarvationForcedPick(t *testing.T) {
-	h := newSchedHarness(SchedOOO, SchedConfig{Window: 2, ReorderBound: 1})
+	h := newSchedHarness(SchedOOO, 2, 1)
 	h.add("A", nil, 0)
 	h.add("B", nil, 0)
 	h.add("C", nil, 0) // will be bypassed once by D
@@ -293,8 +305,8 @@ func TestOOOStarvationForcedPick(t *testing.T) {
 }
 
 func TestOOOWindowOneIsFIFO(t *testing.T) {
-	mk := func(pol SchedPolicy, cfg SchedConfig) []string {
-		h := newSchedHarness(pol, cfg)
+	mk := func(pol SchedPolicy, window int) []string {
+		h := newSchedHarness(pol, window, 0)
 		// Arrivals deliberately favour reordering: later ops target idle
 		// dies while earlier ones pile on die 0.
 		h.add("A", nil, 0)
@@ -306,8 +318,8 @@ func TestOOOWindowOneIsFIFO(t *testing.T) {
 		}
 		return h.order
 	}
-	fifo := mk(SchedFIFO, SchedConfig{})
-	oooW1 := mk(SchedOOO, SchedConfig{Window: 1})
+	fifo := mk(SchedFIFO, 0)
+	oooW1 := mk(SchedOOO, 1)
 	if !reflect.DeepEqual(fifo, oooW1) {
 		t.Fatalf("ooo window=1 order %v differs from fifo %v", oooW1, fifo)
 	}
@@ -320,7 +332,7 @@ func TestOOOWindowOneIsFIFO(t *testing.T) {
 // two fresh schedulers per policy: same seed, same issue order.
 func TestSchedDeterminism(t *testing.T) {
 	run := func(pol SchedPolicy, seed uint64) []string {
-		h := newSchedHarness(pol, SchedConfig{Window: 3, ReorderBound: 4})
+		h := newSchedHarness(pol, 3, 4)
 		rng := seed
 		next := func(n int) int {
 			rng = rng*6364136223846793005 + 1442695040888963407
@@ -400,7 +412,7 @@ func TestSchedFabricEndToEnd(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			e, g, soc := testRig(2, 2)
 			inner := newOmnibus(e, g, soc, true)
-			f := NewSchedFabricCfg(inner, pol, SchedConfig{Window: 2, ReorderBound: 3})
+			f := tune(NewSchedFabric(inner, pol), 2, 3)
 			rec := &recordingSchedChecker{}
 			f.SetChecker(rec)
 			if f.Name() != inner.Name() || f.Grid() != inner.Grid() {

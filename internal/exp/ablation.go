@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/controller"
+	"repro/internal/fault"
 	"repro/internal/ftl"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -26,23 +27,12 @@ type AblationRow struct {
 	Detail  string
 }
 
-// pnSSDTraceRun builds a pnSSD variant via mk, replays a trace, and
-// returns metrics.
-func pnSSDTraceRun(opt Options, trace string, churn float64, mode ftl.GCMode,
-	mk func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric) (*ssd.SSD, AblationRow) {
-	cfg := *opt.Cfg
-	if mode != ftl.GCNone {
-		cfg = gcCfg(opt)
-	}
+// pnSSDTraceRun builds a pnSSD variant of cfg via mk, replays a trace,
+// and returns metrics.
+func pnSSDTraceRun(opt Options, cfg ssd.Config, mode ftl.GCMode, trace string, churn float64, mk ssd.FabricFunc) (*ssd.SSD, AblationRow) {
 	cfg.FTL.GCMode = mode
 	s := ssd.NewCustom(ssd.ArchPnSSD, cfg, mk)
-	warm(s, churn, opt.Seed)
-	tr, err := workload.Named(trace, s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-	if err != nil {
-		panic(err)
-	}
-	s.Host.MustReplay(tr.Requests)
-	s.Run()
+	replay(s, opt, churn, trace)
 	m := s.Metrics()
 	return s, AblationRow{Latency: m.MeanLatency(), P99: m.Combined().P99()}
 }
@@ -55,7 +45,7 @@ func AblationVWidth(opt Options) []AblationRow {
 	widths := []int{2, 4, 8, 16}
 	return runner.MapDefault(len(widths), func(i int) AblationRow {
 		vBits := widths[i]
-		_, row := pnSSDTraceRun(opt, "exchange-1", 0, ftl.GCNone,
+		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "exchange-1", 0,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				return controller.NewOmnibusFabricAsym(eng, "pnssd", grid, soc, pageSize, 8, vBits, opt.Cfg.BusMTps, false)
 			})
@@ -83,7 +73,7 @@ func AblationRouting(opt Options) []AblationRow {
 	}
 	return runner.MapDefault(len(variants), func(i int) AblationRow {
 		v := variants[i]
-		_, row := pnSSDTraceRun(opt, "search-0", 0, ftl.GCNone,
+		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "search-0", 0,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				f := controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, opt.Cfg.BusMTps, v.split)
 				f.SetRoutePolicy(v.route)
@@ -104,29 +94,15 @@ func AblationEccFallback(opt Options) []AblationRow {
 	rates := []float64{0, 0.01, 0.1, 0.5, 1.0}
 	return runner.MapDefault(len(rates), func(i int) AblationRow {
 		rate := rates[i]
-		var fab *controller.OmnibusFabric
 		cfg := gcCfg(opt)
-		cfg.FTL.GCMode = ftl.GCSpatial
-		s := ssd.NewCustom(ssd.ArchPnSSD, cfg,
+		cfg.Fault = &fault.Config{Seed: 1, OnDieECCRate: rate}
+		s, row := pnSSDTraceRun(opt, cfg, ftl.GCSpatial, "rocksdb-0", opt.ChurnFraction,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
-				fab = controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, opt.Cfg.BusMTps, false)
-				fab.SetOnDieEccFailRate(rate)
-				return fab
+				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, opt.Cfg.BusMTps, false)
 			})
-		warm(s, opt.ChurnFraction, opt.Seed)
-		tr, err := workload.Named("rocksdb-0", s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-		if err != nil {
-			panic(err)
-		}
-		s.Host.MustReplay(tr.Requests)
-		s.Run()
-		m := s.Metrics()
-		return AblationRow{
-			Name:    fmt.Sprintf("on-die ECC fail %.0f%%", rate*100),
-			Latency: m.MeanLatency(),
-			P99:     m.Combined().P99(),
-			Detail:  fmt.Sprintf("rocksdb-0 + SpGC, %d copies relayed for strong ECC", fab.EccFallbacks()),
-		}
+		row.Name = fmt.Sprintf("on-die ECC fail %.0f%%", rate*100)
+		row.Detail = fmt.Sprintf("rocksdb-0 + SpGC, %d copies relayed for strong ECC", s.Fabric.(*controller.OmnibusFabric).EccFallbacks())
+		return row
 	})
 }
 
@@ -138,7 +114,7 @@ func AblationCtrlLatency(opt Options) []AblationRow {
 	lats := []sim.Time{0, 100 * sim.Nanosecond, 500 * sim.Nanosecond, 2 * sim.Microsecond, 10 * sim.Microsecond}
 	return runner.MapDefault(len(lats), func(i int) AblationRow {
 		d := lats[i]
-		_, row := pnSSDTraceRun(opt, "exchange-1", 0, ftl.GCNone,
+		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "exchange-1", 0,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				soc.SetCtrlMsgLatency(d)
 				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, opt.Cfg.BusMTps, true)
@@ -160,13 +136,7 @@ func AblationGCGroup(opt Options) []AblationRow {
 		cfg.FTL.GCMode = ftl.GCSpatial
 		cfg.FTL.GCGroupFraction = frac
 		s := build(ssd.ArchPnSSDSplit, cfg, ftl.GCSpatial, ftl.PCWD)
-		warm(s, opt.ChurnFraction, opt.Seed)
-		tr, err := workload.Named("rocksdb-0", s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-		if err != nil {
-			panic(err)
-		}
-		s.Host.MustReplay(tr.Requests)
-		s.Run()
+		replay(s, opt, opt.ChurnFraction, "rocksdb-0")
 		m := s.Metrics()
 		st := s.FTL.Stats()
 		return AblationRow{
@@ -188,13 +158,7 @@ func AblationOrganization(opt Options) []AblationRow {
 		cfg := *opt.Cfg
 		cfg.Channels, cfg.Ways = org.ch, org.ways
 		s := build(ssd.ArchPnSSDSplit, cfg, ftl.GCNone, ftl.PCWD)
-		warm(s, 0, opt.Seed)
-		tr, err := workload.Named("exchange-1", s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-		if err != nil {
-			panic(err)
-		}
-		s.Host.MustReplay(tr.Requests)
-		s.Run()
+		replay(s, opt, 0, "exchange-1")
 		m := s.Metrics()
 		omni := s.Fabric.(*controller.OmnibusFabric)
 		return AblationRow{

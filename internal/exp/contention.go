@@ -8,7 +8,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/ssd"
-	"repro/internal/workload"
 )
 
 // ContentionRow summarizes queueing on one architecture's channels under
@@ -36,13 +35,7 @@ func Contention(opt Options) []ContentionRow {
 	return runner.MapDefault(len(archs), func(i int) ContentionRow {
 		arch := archs[i]
 		s := build(arch, *opt.Cfg, ftl.GCNone, ftl.PCWD)
-		warm(s, 0, opt.Seed)
-		tr, err := workload.Named("search-0", s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-		if err != nil {
-			panic(err)
-		}
-		s.Host.MustReplay(tr.Requests)
-		s.Run()
+		replay(s, opt, 0, "search-0")
 
 		row := ContentionRow{Arch: arch, MeanLatency: s.Metrics().MeanLatency()}
 		scan := func(chs []*bus.Channel) (mean, max sim.Time, util float64) {

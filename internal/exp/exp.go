@@ -119,17 +119,24 @@ func warm(s *ssd.SSD, churnFrac float64, seed int64) {
 	}
 }
 
-// replayTrace replays a named trace on a fresh SSD and returns the host
-// metrics and FTL stats.
-func replayTrace(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, trace string, n int, churn float64, seed int64) (*stats.IOMetrics, ftl.Stats) {
-	s := build(arch, cfg, mode, ftl.PCWD)
-	warm(s, churn, seed)
-	tr, err := workload.Named(trace, s.Config.LogicalPages(), n, seed)
+// replay is the package's one run recipe: warm s with churn, replay
+// opt.TraceRequests requests of the named preset trace at opt.Seed, and
+// run s to drain. Callers build s and read its metrics afterwards.
+func replay(s *ssd.SSD, opt Options, churn float64, trace string) {
+	warm(s, churn, opt.Seed)
+	tr, err := workload.Named(trace, s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
 	if err != nil {
 		panic(err)
 	}
 	s.Host.MustReplay(tr.Requests)
 	s.Run()
+}
+
+// replayTrace runs the recipe on a fresh SSD and returns the host
+// metrics and FTL stats.
+func replayTrace(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, opt Options, churn float64, trace string) (*stats.IOMetrics, ftl.Stats) {
+	s := build(arch, cfg, mode, ftl.PCWD)
+	replay(s, opt, churn, trace)
 	return s.Metrics(), s.FTL.Stats()
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // FaultSweepRow is one (architecture, fault rate) point of the
@@ -45,13 +44,7 @@ func FaultSweep(opt Options) []FaultSweepRow {
 			EraseFailsPerChip:   1,
 		}
 		s := ssd.New(arch, cfg)
-		warm(s, opt.ChurnFraction, opt.Seed)
-		tr, err := workload.Named("rocksdb-0", s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-		if err != nil {
-			panic(err)
-		}
-		completed := s.Host.MustReplay(tr.Requests)
-		s.Run()
+		replay(s, opt, opt.ChurnFraction, "rocksdb-0")
 		m := s.Metrics()
 		return FaultSweepRow{
 			Arch:       arch,
@@ -61,7 +54,7 @@ func FaultSweep(opt Options) []FaultSweepRow {
 			KIOPS:      m.KIOPS(),
 			RAS:        s.RAS(),
 			Consistent: s.FTL.CheckConsistency() == nil,
-			Completed:  *completed == len(tr.Requests),
+			Completed:  s.Host.InFlight() == 0,
 		}
 	})
 }
@@ -92,13 +85,7 @@ func DegradedSweep(opt Options) []DegradedRow {
 		fc.Seed = uint64(opt.Seed)
 		cfg.Fault = &fc
 		s := ssd.New(ssd.ArchPnSSDSplit, cfg)
-		warm(s, opt.ChurnFraction, opt.Seed)
-		tr, err := workload.Named("rocksdb-0", s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-		if err != nil {
-			panic(err)
-		}
-		completed := s.Host.MustReplay(tr.Requests)
-		s.Run()
+		replay(s, opt, opt.ChurnFraction, "rocksdb-0")
 		m := s.Metrics()
 		return DegradedRow{
 			Name:       name,
@@ -107,7 +94,7 @@ func DegradedSweep(opt Options) []DegradedRow {
 			KIOPS:      m.KIOPS(),
 			RAS:        s.RAS(),
 			Consistent: s.FTL.CheckConsistency() == nil,
-			Completed:  *completed == len(tr.Requests),
+			Completed:  s.Host.InFlight() == 0,
 		}
 	}
 

@@ -121,7 +121,7 @@ func Fig19(opt Options) []Fig19Row {
 	nc := len(Fig19Configs)
 	pts := runner.MapDefault(len(opt.Traces)*nc, func(i int) point {
 		trace, c := opt.Traces[i/nc], Fig19Configs[i%nc]
-		m, st := replayTrace(c.Arch, gcCfg(opt), c.Mode, trace, opt.TraceRequests, opt.ChurnFraction, opt.Seed)
+		m, st := replayTrace(c.Arch, gcCfg(opt), c.Mode, opt, opt.ChurnFraction, trace)
 		return point{lat: m.MeanLatency(), st: st}
 	})
 	rows := make([]Fig19Row, 0, len(opt.Traces))
@@ -173,13 +173,7 @@ func Fig20a(opt Options) []Fig20aRow {
 	return runner.MapDefault(len(Fig20aConfigs), func(i int) Fig20aRow {
 		c := Fig20aConfigs[i]
 		s := build(c.Arch, gcCfg(opt), c.Mode, ftl.PCWD)
-		warm(s, opt.ChurnFraction, opt.Seed)
-		tr, err := workload.Named("rocksdb-0", s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-		if err != nil {
-			panic(err)
-		}
-		s.Host.MustReplay(tr.Requests)
-		s.Run()
+		replay(s, opt, opt.ChurnFraction, "rocksdb-0")
 		h := s.Metrics().Combined()
 		return Fig20aRow{
 			Config: c,
@@ -211,7 +205,7 @@ func Fig20b(opt Options) []Fig20bRow {
 	nt := len(opt.Traces)
 	sts := runner.MapDefault(len(Fig20aConfigs)*nt, func(i int) ftl.Stats {
 		c, trace := Fig20aConfigs[i/nt], opt.Traces[i%nt]
-		_, st := replayTrace(c.Arch, gcCfg(opt), c.Mode, trace, opt.TraceRequests, opt.ChurnFraction, opt.Seed)
+		_, st := replayTrace(c.Arch, gcCfg(opt), c.Mode, opt, opt.ChurnFraction, trace)
 		return st
 	})
 	rows := make([]Fig20bRow, len(Fig20aConfigs))

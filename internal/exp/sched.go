@@ -79,13 +79,7 @@ func runSchedPoint(p SchedPoint, opt Options) SchedRow {
 	cfg.FTL.GCMode = mode
 	cfg.FTL.Policy = ftl.PCWD
 	s := ssd.New(p.Arch, cfg)
-	warm(s, opt.ChurnFraction, opt.Seed)
-	tr, err := workload.Named("rocksdb-0", s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-	if err != nil {
-		panic(err)
-	}
-	s.Host.MustReplay(tr.Requests)
-	s.Run()
+	replay(s, opt, opt.ChurnFraction, "rocksdb-0")
 	m := s.Metrics()
 	lat := m.Combined()
 	row := SchedRow{
@@ -149,13 +143,12 @@ func runSchedNoisyPoint(p SchedPoint, opt Options) SchedNoisyRow {
 	if err != nil {
 		panic(err)
 	}
-	completed, err := s.Frontend.Replay(tr.Requests)
-	if err != nil {
+	if _, err := s.Frontend.Replay(tr.Requests); err != nil {
 		panic(err)
 	}
 	s.Run()
-	if *completed != len(tr.Requests) {
-		panic(fmt.Sprintf("sched noisy %s: completed %d of %d requests", p.Label(), *completed, len(tr.Requests)))
+	if !s.Frontend.Drained() {
+		panic(fmt.Sprintf("sched noisy %s: completed %d of %d requests", p.Label(), s.Metrics().TotalRequests(), len(tr.Requests)))
 	}
 	row := SchedNoisyRow{Point: p}
 	for _, tm := range s.Frontend.Metrics().Tenants {

@@ -116,13 +116,12 @@ func runTenantPoint(p TenantPoint, opt Options) TenantRow {
 	if err != nil {
 		panic(err)
 	}
-	completed, err := s.Frontend.Replay(tr.Requests)
-	if err != nil {
+	if _, err := s.Frontend.Replay(tr.Requests); err != nil {
 		panic(err)
 	}
 	s.Run()
-	if *completed != len(tr.Requests) {
-		panic(fmt.Sprintf("tenant sweep %s: completed %d of %d requests", p.Label(), *completed, len(tr.Requests)))
+	if !s.Frontend.Drained() {
+		panic(fmt.Sprintf("tenant sweep %s: completed %d of %d requests", p.Label(), s.Metrics().TotalRequests(), len(tr.Requests)))
 	}
 	row := TenantRow{Point: p}
 	for _, tm := range s.Frontend.Metrics().Tenants {

@@ -19,19 +19,16 @@ import (
 // -metrics-json flags of cmd/experiments and the CI trace smoke step.
 func TracedRun(opt Options, arch ssd.Arch, mode ftl.GCMode, traceName string, traceW, summaryW io.Writer) (*stats.IOMetrics, error) {
 	opt = opt.withDefaults()
+	if _, err := workload.Describe(traceName); err != nil {
+		return nil, err
+	}
 	cfg := gcCfg(opt)
 	cfg.FTL.GCMode = mode
 	cfg.FTL.Policy = ftl.PCWD
 	cfg.Trace = &trace.Config{}
 	cfg.Telemetry = &telemetry.Config{}
 	s := ssd.New(arch, cfg)
-	warm(s, opt.ChurnFraction, opt.Seed)
-	tr, err := workload.Named(traceName, s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	s.Host.MustReplay(tr.Requests)
-	s.Run()
+	replay(s, opt, opt.ChurnFraction, traceName)
 	if traceW != nil {
 		s.InjectTelemetryCounters()
 		if err := s.Tracer.ExportChrome(traceW); err != nil {

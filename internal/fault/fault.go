@@ -81,7 +81,7 @@ type Config struct {
 	StrongECCLatency sim.Time // default 10us
 
 	// OnDieECCRate is the Sec VIII hybrid-ECC fallback probability for
-	// direct flash-to-flash copies (the former SetOnDieEccFailRate hook).
+	// direct flash-to-flash copies.
 	OnDieECCRate float64
 
 	// Write/erase path. Rates must stay below 1: retirement handling
@@ -226,29 +226,6 @@ func (in *Injector) RAS() *stats.RAS {
 		return nil
 	}
 	return in.ras
-}
-
-// SetRate overrides one class's rate mid-run (experiment sweeps).
-func (in *Injector) SetRate(c Class, rate float64) {
-	if rate < 0 || rate > 1 {
-		panic(fmt.Sprintf("fault: %s rate %v outside [0,1]", c, rate))
-	}
-	if (c == ProgramFail || c == EraseFail) && rate >= 1 {
-		panic(fmt.Sprintf("fault: %s rate must stay below 1", c))
-	}
-	in.rates[c] = rate
-	switch c {
-	case ReadECC:
-		in.cfg.ReadECCRate = rate
-	case OnDieECC:
-		in.cfg.OnDieECCRate = rate
-	case ProgramFail:
-		in.cfg.ProgramFailRate = rate
-	case EraseFail:
-		in.cfg.EraseFailRate = rate
-	case GrantDrop:
-		in.cfg.GrantDropRate = rate
-	}
 }
 
 // Rate returns the current rate for a class (0 on nil).

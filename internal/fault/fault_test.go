@@ -127,3 +127,31 @@ func TestValidateRejectsNegativeRate(t *testing.T) {
 	}()
 	New(Config{Seed: 1, ReadECCRate: -0.1})
 }
+
+// Every rate and bound outside its legal range is rejected when the
+// injector is built — the one place a rate enters the simulator.
+func TestValidateRejectsOutOfRangeRates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"on-die ECC above 1", Config{OnDieECCRate: 1.5}},
+		{"on-die ECC negative", Config{OnDieECCRate: -0.1}},
+		{"read ECC above 1", Config{ReadECCRate: 1.5}},
+		{"grant drop above 1", Config{GrantDropRate: 1.5}},
+		{"erase fail at 1", Config{EraseFailRate: 1}},
+		{"negative quota", Config{EraseFailsPerChip: -1}},
+		{"negative retry bound", Config{GrantRetryMax: -1}},
+		{"negative backoff budget", Config{GrantBackoffBudget: -1}},
+		{"negative dead v-channel", Config{DeadVChannels: []int{-1}}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accepted", tc.name)
+				}
+			}()
+			New(tc.cfg)
+		}()
+	}
+}

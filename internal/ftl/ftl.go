@@ -80,10 +80,6 @@ type Config struct {
 	// GCThreshold triggers collection when the free-block fraction drops
 	// below it.
 	GCThreshold float64
-	// VictimsPerChip is the number of victim blocks selected per
-	// participating chip per GC round (the paper doubles this for SpGC so
-	// total victims match the baseline).
-	VictimsPerChip int
 	// GCGroupFraction is the fraction of ways assigned to the GC group
 	// under SpGC; the paper uses 1/2 and discusses 1/4 as an ablation.
 	GCGroupFraction float64
@@ -98,7 +94,6 @@ func DefaultConfig() Config {
 		Policy:          PCWD,
 		GCMode:          GCParallel,
 		GCThreshold:     0.25,
-		VictimsPerChip:  1,
 		GCGroupFraction: 0.5,
 	}
 }

@@ -124,6 +124,10 @@ func (f *FTL) selectVictims(perChip int) []victim {
 	return victims
 }
 
+// victimBlocksPerChip is the number of victim blocks selected per
+// participating chip per GC round.
+const victimBlocksPerChip = 1
+
 // startGC runs one collection round: select victims, migrate their valid
 // pages, erase them, return them to the free pools.
 func (f *FTL) startGC(done func()) {
@@ -137,7 +141,7 @@ func (f *FTL) startGC(done func()) {
 			trace.KV{K: "mode", V: f.cfg.GCMode.String()})
 	}
 
-	perChip := f.cfg.VictimsPerChip
+	perChip := victimBlocksPerChip
 	if f.cfg.GCMode == GCSpatial {
 		// Only a fraction of the chips participate; scale victims per chip
 		// so the total matches the baseline (Sec VII-A).

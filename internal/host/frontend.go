@@ -273,32 +273,19 @@ func (fe *Frontend) Enqueue(tenant int, r Request, done func()) error {
 
 // Replay schedules every request of a merged multi-tenant open-loop
 // trace at its arrival time, routing each to the queue its Tenant field
-// names. Validation is up front, like Host.Replay: a bad trace rejects
-// before anything is scheduled.
-func (fe *Frontend) Replay(reqs []Request) (*int, error) {
-	now := fe.eng.Now()
-	for i, r := range reqs {
+// names, and returns the per-request completion times. Validation is
+// Host.Replay's, plus the tenant range: a bad trace rejects before
+// anything is scheduled.
+func (fe *Frontend) Replay(reqs []Request) ([]sim.Time, error) {
+	inRange := func(r Request) error {
 		if r.Tenant < 0 || r.Tenant >= len(fe.queues) {
-			return nil, fmt.Errorf("host: request %d tenant %d outside [0,%d)", i, r.Tenant, len(fe.queues))
+			return fmt.Errorf("tenant %d outside [0,%d)", r.Tenant, len(fe.queues))
 		}
-		if r.Arrival < now {
-			return nil, fmt.Errorf("host: request %d arrival %v is in the past (now %v)", i, r.Arrival, now)
-		}
-		if err := r.validate(r.Arrival); err != nil {
-			return nil, fmt.Errorf("host: request %d: %w", i, err)
-		}
+		return nil
 	}
-	completed := new(int)
-	for _, r := range reqs {
-		r := r
-		fe.eng.At(r.Arrival, func() {
-			r.Arrival = fe.eng.Now()
-			if err := fe.Enqueue(r.Tenant, r, func() { *completed++ }); err != nil {
-				panic(err) // validated above; a rejection here is a bug
-			}
-		})
-	}
-	return completed, nil
+	return replay(fe.eng, reqs, inRange, func(r Request, done func()) error {
+		return fe.Enqueue(r.Tenant, r, done)
+	})
 }
 
 // anyQueued reports whether any submission queue holds a command.
@@ -363,38 +350,4 @@ func (fe *Frontend) dispatch(tenant int, p pending) {
 	if err != nil {
 		panic(err) // requests are validated at Enqueue; see Request.validate
 	}
-}
-
-// RunClosedLoop keeps `outstanding` of one tenant's commands in flight
-// (queued or dispatched) until total have been issued, pulling each
-// next request from gen — the per-tenant analogue of Host.RunClosedLoop
-// for saturation studies where the arbiter, not the workload's arrival
-// process, decides service order.
-func (fe *Frontend) RunClosedLoop(tenant int, gen func(i int) Request, outstanding, total int) error {
-	if tenant < 0 || tenant >= len(fe.queues) {
-		return fmt.Errorf("host: tenant %d outside [0,%d)", tenant, len(fe.queues))
-	}
-	if outstanding <= 0 || total <= 0 {
-		return fmt.Errorf("host: invalid closed-loop parameters (%d outstanding, %d total)", outstanding, total)
-	}
-	if outstanding > total {
-		outstanding = total
-	}
-	issued := 0
-	var issue func()
-	issue = func() {
-		if issued >= total {
-			return
-		}
-		r := gen(issued)
-		issued++
-		r.Arrival = fe.eng.Now()
-		if err := fe.Enqueue(tenant, r, issue); err != nil {
-			panic(err) // generator produced an invalid request
-		}
-	}
-	for i := 0; i < outstanding; i++ {
-		fe.eng.Schedule(0, issue)
-	}
-	return nil
 }

@@ -193,8 +193,8 @@ func TestFrontendReplayRoutesByTenant(t *testing.T) {
 		t.Fatalf("replay: %v", err)
 	}
 	e.Run()
-	if *completed != 3 {
-		t.Fatalf("completed %d of 3", *completed)
+	if completions(completed) != 3 {
+		t.Fatalf("completed %d of 3", completions(completed))
 	}
 	if fe.Grants(0) != 1 || fe.Grants(1) != 2 {
 		t.Fatalf("grants = [%d %d], want [1 2]", fe.Grants(0), fe.Grants(1))
@@ -223,27 +223,6 @@ func TestFrontendReplayRejectsBadTrace(t *testing.T) {
 		if e.Pending() != 0 {
 			t.Errorf("%s: rejected replay scheduled events", tc.name)
 		}
-	}
-}
-
-func TestFrontendClosedLoop(t *testing.T) {
-	cfg := twoTenants()
-	cfg.MaxInflight = 4
-	e, fe := testFrontend(t, cfg)
-	if err := fe.RunClosedLoop(0, func(i int) Request {
-		return Request{Kind: stats.Read, LPN: int64((i * 3) % 250), Pages: 1}
-	}, 4, 30); err != nil {
-		t.Fatalf("closed loop: %v", err)
-	}
-	e.Run()
-	if got := fe.Metrics().Tenants[0].TotalRequests(); got != 30 {
-		t.Fatalf("completed %d of 30", got)
-	}
-	if err := fe.RunClosedLoop(9, nil, 1, 1); err == nil {
-		t.Error("bad tenant accepted")
-	}
-	if err := fe.RunClosedLoop(0, nil, 0, 1); err == nil {
-		t.Error("zero outstanding accepted")
 	}
 }
 

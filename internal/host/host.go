@@ -204,40 +204,44 @@ func (r Request) validate(now sim.Time) error {
 }
 
 // Replay schedules every request of an open-loop trace at its arrival
-// time; run the engine afterwards and read Metrics. It returns a counter
-// that reports completions. The whole trace is validated up front — an
-// arrival before the current simulation time, a non-positive page
-// count, or an unknown kind rejects the trace with an error and
-// schedules nothing, so a malformed trace file cannot crash a sweep.
-func (h *Host) Replay(reqs []Request) (*int, error) {
-	now := h.eng.Now()
-	for i, r := range reqs {
-		if r.Arrival < now {
-			return nil, fmt.Errorf("host: request %d arrival %v is in the past (now %v)", i, r.Arrival, now)
-		}
-		if err := r.validate(r.Arrival); err != nil {
-			return nil, fmt.Errorf("host: request %d: %w", i, err)
-		}
-	}
-	completed := new(int)
-	for _, r := range reqs {
-		r := r
-		h.eng.At(r.Arrival, func() {
-			r.Arrival = h.eng.Now()
-			h.mustSubmit(r, func() { *completed++ })
-		})
-	}
-	return completed, nil
+// time; run the engine afterwards and read Metrics. It returns the
+// per-request completion times: entry i is when request i's completion
+// fired, or -1 if it never completed by the time the engine drained
+// (array-level reassembly needs this view — a stripe's host latency is
+// the max over its shard completions). The whole trace is validated up
+// front — an arrival before the current simulation time, a
+// non-positive page count, or an unknown kind rejects the trace with an
+// error and schedules nothing, so a malformed trace file cannot crash a
+// sweep.
+func (h *Host) Replay(reqs []Request) ([]sim.Time, error) {
+	return replay(h.eng, reqs, nil, h.Submit)
 }
 
-// ReplayTimed is Replay returning per-request completion times: entry i
-// is when request i's completion fired, or -1 if it never completed by
-// the time the engine drained. Array-level reassembly needs the
-// per-request view — a stripe's host latency is the max over its shard
-// completions — where the aggregate IOMetrics histogram is not enough.
-func (h *Host) ReplayTimed(reqs []Request) ([]sim.Time, error) {
-	now := h.eng.Now()
+// MustReplay replays a trace the caller knows is well-formed (generated
+// in-process, not loaded from disk), panicking on a validation failure —
+// the convenience the experiment drivers use. Untrusted traces go
+// through Replay and handle the error.
+func (h *Host) MustReplay(reqs []Request) []sim.Time {
+	times, err := h.Replay(reqs)
+	if err != nil {
+		panic(err)
+	}
+	return times
+}
+
+// replay is the validate-then-schedule body shared by Host.Replay and
+// Frontend.Replay. Each request must pass check (when non-nil) and the
+// arrival and shape rules before anything is scheduled; then each is
+// handed to submit at its arrival time, with a completion callback
+// recording its completion time.
+func replay(eng *sim.Engine, reqs []Request, check func(Request) error, submit func(Request, func()) error) ([]sim.Time, error) {
+	now := eng.Now()
 	for i, r := range reqs {
+		if check != nil {
+			if err := check(r); err != nil {
+				return nil, fmt.Errorf("host: request %d: %w", i, err)
+			}
+		}
 		if r.Arrival < now {
 			return nil, fmt.Errorf("host: request %d arrival %v is in the past (now %v)", i, r.Arrival, now)
 		}
@@ -246,39 +250,16 @@ func (h *Host) ReplayTimed(reqs []Request) ([]sim.Time, error) {
 		}
 	}
 	times := make([]sim.Time, len(reqs))
-	for i := range times {
-		times[i] = -1
-	}
 	for i, r := range reqs {
-		i, r := i, r
-		h.eng.At(r.Arrival, func() {
-			r.Arrival = h.eng.Now()
-			h.mustSubmit(r, func() { times[i] = h.eng.Now() })
+		times[i] = -1
+		eng.At(r.Arrival, func() {
+			r.Arrival = eng.Now()
+			if err := submit(r, func() { times[i] = eng.Now() }); err != nil {
+				panic(err) // validated above; a rejection here is a bug
+			}
 		})
 	}
 	return times, nil
-}
-
-// MustReplayTimed is ReplayTimed for traces generated in-process,
-// panicking on a validation failure.
-func (h *Host) MustReplayTimed(reqs []Request) []sim.Time {
-	times, err := h.ReplayTimed(reqs)
-	if err != nil {
-		panic(err)
-	}
-	return times
-}
-
-// MustReplay replays a trace the caller knows is well-formed (generated
-// in-process, not loaded from disk), panicking on a validation failure —
-// the convenience the experiment drivers use. Untrusted traces go
-// through Replay and handle the error.
-func (h *Host) MustReplay(reqs []Request) *int {
-	completed, err := h.Replay(reqs)
-	if err != nil {
-		panic(err)
-	}
-	return completed
 }
 
 // mustSubmit issues a request already validated by the caller; a

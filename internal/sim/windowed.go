@@ -1,5 +1,12 @@
 package sim
 
+// SeriesWindow is the width of every fixed-window series the simulator
+// exports: the trace recorder's busy timelines, the telemetry series,
+// and the Fig 3 per-channel utilization matrix (the paper's 500 us
+// heatmap window). One width keeps telemetry counter tracks aligned
+// with the utilization timelines in Perfetto.
+const SeriesWindow = 500 * Microsecond
+
 // Windowed accumulates a quantity into fixed-width windows of simulated
 // time. It is the one windowed series type behind every time-resolved
 // view: the Fig 3 per-channel utilization matrix, the trace recorder's

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/ftl"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -47,7 +46,7 @@ func TestFmmuWiring(t *testing.T) {
 	cfg.MapCacheEntries = 2 // tiny: force real miss traffic
 	cfg.MapEviction = "lru"
 	cfg.Check = &check.Config{}
-	cfg.Telemetry = &telemetry.Config{Window: 100 * sim.Microsecond}
+	cfg.Telemetry = &telemetry.Config{}
 	s := New(ArchPnSSDSplit, cfg)
 	if !s.FTL.MapEnabled() || s.FTL.MapCacheEntries() != 2 {
 		t.Fatalf("map unit: enabled=%v entries=%d", s.FTL.MapEnabled(), s.FTL.MapCacheEntries())

@@ -8,6 +8,7 @@ package ssd
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bus"
 	"repro/internal/check"
@@ -37,6 +38,21 @@ const (
 
 // Archs lists every architecture in Table III order.
 var Archs = []Arch{ArchBase, ArchNoSSDPin, ArchNoSSDFree, ArchPSSD, ArchPnSSD, ArchPnSSDSplit}
+
+// archFlags are the command-line names of Archs, index for index.
+var archFlags = []string{"base", "nossd-pin", "nossd-free", "pssd", "pnssd", "pnssd+split"}
+
+// ParseArch resolves a command-line architecture name, ignoring case
+// and surrounding space: base, nossd-pin, nossd-free, pssd, pnssd, or
+// pnssd+split.
+func ParseArch(name string) (Arch, error) {
+	for i, flag := range archFlags {
+		if strings.EqualFold(strings.TrimSpace(name), flag) {
+			return Archs[i], nil
+		}
+	}
+	return 0, fmt.Errorf("unknown architecture %q", name)
+}
 
 // String returns the paper's acronym.
 func (a Arch) String() string {
@@ -363,7 +379,7 @@ func wireCheck(cfg Config, eng *sim.Engine, ps []probe, grid *controller.Grid, f
 	if cfg.Check == nil {
 		return nil
 	}
-	ck := check.New(eng, *cfg.Check)
+	ck := check.New(eng)
 	for _, p := range ps {
 		for _, name := range p.names {
 			ck.RegisterResource(name, p.kind)
@@ -451,7 +467,7 @@ func wireTelemetry(cfg Config, fab controller.Fabric, f *ftl.FTL, h *host.Host) 
 	if cfg.Telemetry == nil {
 		return nil
 	}
-	col := telemetry.New(*cfg.Telemetry)
+	col := telemetry.New()
 	h.SetTelemetry(col)
 	f.SetTelemetry(col)
 	if f.MapEnabled() {
@@ -613,12 +629,12 @@ func makeFabric(arch Arch, eng *sim.Engine, grid *controller.Grid, soc *controll
 	return fab
 }
 
-// AttachChannelUtil attaches a per-channel utilization matrix with the
-// given window to every h-channel (bus and Omnibus fabrics), one row per
-// channel fed as an ordinary resource observer, and returns it — the
-// instrument behind Fig 3. Mesh fabrics have no channel notion and
-// return nil.
-func (s *SSD) AttachChannelUtil(window sim.Time) *stats.UtilMatrix {
+// AttachChannelUtil attaches a per-channel utilization matrix in
+// sim.SeriesWindow windows to every h-channel (bus and Omnibus
+// fabrics), one row per channel fed as an ordinary resource observer,
+// and returns it — the instrument behind Fig 3. Mesh fabrics have no
+// channel notion and return nil.
+func (s *SSD) AttachChannelUtil() *stats.UtilMatrix {
 	var hs []*bus.Channel
 	for _, b := range s.Buses() {
 		if b.Kind == trace.KindHChannel {
@@ -628,7 +644,7 @@ func (s *SSD) AttachChannelUtil(window sim.Time) *stats.UtilMatrix {
 	if hs == nil {
 		return nil
 	}
-	m := stats.NewUtilMatrix(len(hs), window)
+	m := stats.NewUtilMatrix(len(hs), sim.SeriesWindow)
 	for i, c := range hs {
 		c.AddObserver(m.Observer(i))
 	}

@@ -3,6 +3,7 @@ package ssd
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -37,9 +38,9 @@ func instrumentedArtifacts(t *testing.T, edit func(*Config)) (summary, chrome, t
 	cfg := tinyConfig()
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.LogicalUtilization = 0.75
-	cfg.Trace = &trace.Config{Window: 100 * sim.Microsecond}
+	cfg.Trace = &trace.Config{}
 	cfg.Check = &check.Config{}
-	cfg.Telemetry = &telemetry.Config{Window: 100 * sim.Microsecond}
+	cfg.Telemetry = &telemetry.Config{}
 	edit(&cfg)
 	s = New(ArchPnSSDSplit, cfg)
 	foot := s.Config.LogicalPages()
@@ -170,7 +171,7 @@ func TestArchitectureLatencyOrderingNoGC(t *testing.T) {
 
 func TestAttachChannelUtil(t *testing.T) {
 	s := New(ArchBase, tinyConfig())
-	m := s.AttachChannelUtil(100 * sim.Microsecond)
+	m := s.AttachChannelUtil()
 	if m == nil {
 		t.Fatal("no util matrix on bus fabric")
 	}
@@ -192,11 +193,11 @@ func TestAttachChannelUtil(t *testing.T) {
 	}
 
 	pn := New(ArchPnSSD, tinyConfig())
-	if pn.AttachChannelUtil(100*sim.Microsecond) == nil {
+	if pn.AttachChannelUtil() == nil {
 		t.Fatal("no util matrix on omnibus fabric")
 	}
 	mesh := New(ArchNoSSDPin, tinyConfig())
-	if mesh.AttachChannelUtil(100*sim.Microsecond) != nil {
+	if mesh.AttachChannelUtil() != nil {
 		t.Fatal("mesh fabric should return nil util matrix")
 	}
 }
@@ -228,13 +229,48 @@ func TestEndToEndTraceReplayWithGC(t *testing.T) {
 	}
 	completed := s.Host.MustReplay(tr.Requests)
 	s.Run()
-	if *completed != 400 {
-		t.Fatalf("completed %d of 400", *completed)
+	if completions(completed) != 400 {
+		t.Fatalf("completed %d of 400", completions(completed))
 	}
 	if err := s.FTL.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 	if s.FTL.Stats().GCRounds == 0 {
 		t.Fatal("write-heavy trace never triggered GC")
+	}
+}
+
+// completions counts the requests of a replay that completed.
+func completions(times []sim.Time) int {
+	n := 0
+	for _, at := range times {
+		if at >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Every architecture has exactly one command-line name, and the parser
+// maps it back, ignoring case and surrounding space.
+func TestParseArchRoundTrip(t *testing.T) {
+	if len(archFlags) != len(Archs) {
+		t.Fatalf("%d flag names for %d architectures", len(archFlags), len(Archs))
+	}
+	seen := map[Arch]bool{}
+	for i, name := range archFlags {
+		for _, spelled := range []string{name, strings.ToUpper(name), " " + name + " "} {
+			a, err := ParseArch(spelled)
+			if err != nil || a != Archs[i] {
+				t.Fatalf("ParseArch(%q) = %v, %v; want %v", spelled, a, err, Archs[i])
+			}
+		}
+		seen[Archs[i]] = true
+	}
+	if len(seen) != len(Archs) {
+		t.Fatal("two flag names map to one architecture")
+	}
+	if _, err := ParseArch("bogus"); err == nil {
+		t.Fatal("unknown architecture accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/controller"
 	"repro/internal/flash"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -199,7 +200,7 @@ func (s *SSD) InjectTelemetryCounters() {
 	}
 	sum := s.Telemetry.Summary(s.Engine.Now())
 	for _, sr := range sum.Series {
-		s.Tracer.CounterSeries("tel:"+sr.Name, sr.Unit, s.Telemetry.Window(), sr.Values)
+		s.Tracer.CounterSeries("tel:"+sr.Name, sr.Unit, sim.SeriesWindow, sr.Values)
 	}
 }
 

@@ -22,7 +22,7 @@ func runTelemetered(t *testing.T, arch Arch, mode ftl.GCMode, telemetered bool) 
 	cfg.FTL.GCMode = mode
 	cfg.LogicalUtilization = 0.75
 	if telemetered {
-		cfg.Telemetry = &telemetry.Config{Window: 100 * sim.Microsecond}
+		cfg.Telemetry = &telemetry.Config{}
 	}
 	s := New(arch, cfg)
 	foot := s.Config.LogicalPages()
@@ -106,7 +106,7 @@ func TestTelemetrySummaryRoundTrip(t *testing.T) {
 	if tel == nil {
 		t.Fatal("summary has no telemetry section")
 	}
-	if tel.Windows <= 0 || tel.WindowUs != 100 {
+	if tel.Windows <= 0 || tel.WindowUs != sim.SeriesWindow.Microseconds() {
 		t.Fatalf("window shape: %d x %.0fus", tel.Windows, tel.WindowUs)
 	}
 	for _, name := range []string{"throughput", "bandwidth", "lat_mean", "lat_p50", "lat_p99", "gc_active", "gc_copies"} {
@@ -145,8 +145,8 @@ func TestTelemetryCounterTracksInChromeExport(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.LogicalUtilization = 0.75
-	cfg.Trace = &trace.Config{Window: 100 * sim.Microsecond}
-	cfg.Telemetry = &telemetry.Config{Window: 100 * sim.Microsecond}
+	cfg.Trace = &trace.Config{}
+	cfg.Telemetry = &telemetry.Config{}
 	s := New(ArchPnSSDSplit, cfg)
 	foot := s.Config.LogicalPages()
 	s.Host.Warmup(foot)
@@ -208,7 +208,7 @@ func TestTenantDepthSeries(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.LogicalUtilization = 0.75
-	cfg.Telemetry = &telemetry.Config{Window: 100 * sim.Microsecond}
+	cfg.Telemetry = &telemetry.Config{}
 	specs := []workload.TenantSpec{
 		{Name: "reader", Preset: "web-0", Requests: 120, Weight: 4},
 		{Name: "writer", Preset: "update-0", Requests: 120, Weight: 1, Burst: 4},

@@ -41,7 +41,7 @@ func TestSingleTenantFrontendBitEquivalence(t *testing.T) {
 		foot := cfg.LogicalPages()
 		s.Host.Warmup(foot)
 		tr := makeTrace(cfg)
-		var completed *int
+		var completed []sim.Time
 		var err error
 		if frontend {
 			completed, err = s.Frontend.Replay(tr.Requests)
@@ -52,8 +52,8 @@ func TestSingleTenantFrontendBitEquivalence(t *testing.T) {
 			t.Fatalf("replay (frontend=%v): %v", frontend, err)
 		}
 		end := s.Run()
-		if *completed != len(tr.Requests) {
-			t.Fatalf("frontend=%v: completed %d of %d", frontend, *completed, len(tr.Requests))
+		if completions(completed) != len(tr.Requests) {
+			t.Fatalf("frontend=%v: completed %d of %d", frontend, completions(completed), len(tr.Requests))
 		}
 		var buf bytes.Buffer
 		if err := s.WriteSummaryJSON(&buf); err != nil {
@@ -110,8 +110,8 @@ func TestMultiTenantRunWithCheckerAndTrace(t *testing.T) {
 		if err := s.VerifyInvariants(); err != nil {
 			t.Fatalf("%s: %v", arb, err)
 		}
-		if *completed != len(tr.Requests) {
-			t.Fatalf("%s: completed %d of %d", arb, *completed, len(tr.Requests))
+		if completions(completed) != len(tr.Requests) {
+			t.Fatalf("%s: completed %d of %d", arb, completions(completed), len(tr.Requests))
 		}
 		for i, tm := range s.Frontend.Metrics().Tenants {
 			if tm.TotalRequests() != 150 {

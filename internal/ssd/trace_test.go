@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/ftl"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -20,7 +19,7 @@ func runGCHeavy(t *testing.T, traced bool) *SSD {
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.LogicalUtilization = 0.75
 	if traced {
-		cfg.Trace = &trace.Config{Window: 100 * sim.Microsecond}
+		cfg.Trace = &trace.Config{}
 	}
 	s := New(ArchPnSSDSplit, cfg)
 	foot := s.Config.LogicalPages()
@@ -149,17 +148,16 @@ func TestTraceBusyAgreesWithChannels(t *testing.T) {
 
 // The Fig 3 matrix and the trace recorder's h-channel timelines are two
 // consumers of the same probe enumeration over the same windowed
-// accumulator: with equal windows they must agree window for window, on
-// a bus fabric and on an Omnibus fabric.
+// accumulator at the one series window: they must agree window for
+// window, on a bus fabric and on an Omnibus fabric.
 func TestChannelUtilAgreesWithTraceHeatRows(t *testing.T) {
-	const window = 100 * sim.Microsecond
 	for _, arch := range []Arch{ArchBase, ArchPnSSDSplit} {
 		cfg := tinyConfig()
 		cfg.FTL.GCMode = ftl.GCSpatial
 		cfg.LogicalUtilization = 0.75
-		cfg.Trace = &trace.Config{Window: window}
+		cfg.Trace = &trace.Config{}
 		s := New(arch, cfg)
-		m := s.AttachChannelUtil(window)
+		m := s.AttachChannelUtil()
 		foot := s.Config.LogicalPages()
 		s.Host.Warmup(foot)
 		tr, err := workload.Named("exchange-1", foot, 400, 5)

@@ -89,7 +89,7 @@ func (c *Collector) Summary(end sim.Time) *Summary {
 		gcBusy.AddBusy(c.gcSince, end)
 	}
 	n := c.slot(end)
-	if end > 0 && end%c.window == 0 {
+	if end > 0 && end%sim.SeriesWindow == 0 {
 		n-- // end on a window boundary: last window is [n-1]
 	}
 	if n < 0 {
@@ -97,7 +97,7 @@ func (c *Collector) Summary(end sim.Time) *Summary {
 	}
 	windows := n + 1
 
-	winSec := c.window.Seconds()
+	winSec := sim.SeriesWindow.Seconds()
 	count := func(v sim.Time) float64 { return float64(v) }
 	avg := func(v sim.Time) float64 { return round6(v.Seconds() / winSec) }
 	series := func(name, unit string, s *sim.Windowed, conv func(sim.Time) float64) Series {
@@ -114,7 +114,7 @@ func (c *Collector) Summary(end sim.Time) *Summary {
 		}
 	}
 	sum := &Summary{
-		WindowUs:              c.window.Microseconds(),
+		WindowUs:              sim.SeriesWindow.Microseconds(),
 		Windows:               windows,
 		Requests:              c.requests,
 		AttributionViolations: c.attViolated,

@@ -25,22 +25,14 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultWindow is the sampling window width when Config.Window is
-// zero. It matches trace.DefaultWindow so counter tracks line up with
-// the utilization timelines in Perfetto.
-const DefaultWindow = 500 * sim.Microsecond
-
 // windowHistDensity is the bucket resolution of the small per-window
 // latency histograms (coarser than the run-level 90/decade histograms;
 // ~8% bucket error is fine for sparklines).
 const windowHistDensity = 30
 
-// Config selects telemetry collection. The zero value is usable.
-type Config struct {
-	// Window is the sampling window width in simulated time.
-	// Zero selects DefaultWindow.
-	Window sim.Time
-}
+// Config selects telemetry collection; it has no tunables. Series are
+// sampled in sim.SeriesWindow windows.
+type Config struct{}
 
 // tenantSeries integrates one tenant's submission-queue depth over
 // time: depth × duration per window, with the current depth held open
@@ -57,8 +49,6 @@ type tenantSeries struct {
 // inside a single engine's event callbacks (or is fed post-join from
 // a single goroutine, as the array tier does).
 type Collector struct {
-	window sim.Time
-
 	// Host completion channels, by completion window.
 	completed *sim.Windowed
 	bytes     *sim.Windowed
@@ -106,14 +96,10 @@ type Collector struct {
 	marks []Mark
 }
 
-// New returns a collector with the configured window width.
-func New(cfg Config) *Collector {
-	w := cfg.Window
-	if w <= 0 {
-		w = DefaultWindow
-	}
+// New returns an empty collector.
+func New() *Collector {
+	w := sim.SeriesWindow
 	c := &Collector{
-		window:     w,
 		completed:  sim.NewWindowed(w),
 		bytes:      sim.NewWindowed(w),
 		gcBusy:     sim.NewWindowed(w),
@@ -136,16 +122,8 @@ func New(cfg Config) *Collector {
 // Enabled reports whether the collector is active. Nil-safe.
 func (c *Collector) Enabled() bool { return c != nil }
 
-// Window returns the sampling window width.
-func (c *Collector) Window() sim.Time {
-	if c == nil {
-		return 0
-	}
-	return c.window
-}
-
 // slot maps a timestamp to its window index.
-func (c *Collector) slot(at sim.Time) int { return int(at / c.window) }
+func (c *Collector) slot(at sim.Time) int { return int(at / sim.SeriesWindow) }
 
 // touch records the high-water mark so open intervals (an unfinished
 // GC round, a tenant queue that never drains) can be closed at export.
@@ -228,7 +206,7 @@ func (c *Collector) Event(class string, at sim.Time) {
 	c.touch(at)
 	s := c.events[class]
 	if s == nil {
-		s = sim.NewWindowed(c.window)
+		s = sim.NewWindowed(sim.SeriesWindow)
 		c.events[class] = s
 	}
 	s.AddPoint(at, 1)
@@ -241,7 +219,7 @@ func (c *Collector) RegisterTenants(names []string) {
 		return
 	}
 	for _, n := range names {
-		c.tenants = append(c.tenants, tenantSeries{name: n, depth: sim.NewWindowed(c.window)})
+		c.tenants = append(c.tenants, tenantSeries{name: n, depth: sim.NewWindowed(sim.SeriesWindow)})
 	}
 }
 

@@ -9,7 +9,13 @@ import (
 	"repro/internal/stats"
 )
 
-const us = sim.Microsecond
+// tick is a tenth of the series window: the tests place their events
+// on a ten-tick window grid.
+const tick = sim.SeriesWindow / 10
+
+// tickUs is one tick in microseconds, the unit of the time-valued
+// series and phase totals.
+const tickUs = float64(tick / sim.Microsecond)
 
 // TestNilCollectorIsSafe pins the passivity contract's disabled side:
 // every hook on a nil collector (and nil attribution) is a no-op.
@@ -18,35 +24,32 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	if c.Enabled() {
 		t.Fatal("nil collector reports enabled")
 	}
-	if c.Window() != 0 {
-		t.Fatal("nil collector has a window")
-	}
-	c.RecordCompletion(stats.Read, 0, 5*us, 4096)
-	c.GCStarted(us)
-	c.GCFinished(2 * us)
-	c.GCCopied(us)
-	c.GrantWait(us, 2*us)
-	c.Event("program-fail", us)
+	c.RecordCompletion(stats.Read, 0, 5*tick, 4096)
+	c.GCStarted(tick)
+	c.GCFinished(2 * tick)
+	c.GCCopied(tick)
+	c.GrantWait(tick, 2*tick)
+	c.Event("program-fail", tick)
 	c.RegisterTenants([]string{"a"})
-	c.TenantDepth("a", 3, us)
-	c.RebuildPage(us)
-	c.AddMark("m", us)
+	c.TenantDepth("a", 3, tick)
+	c.RebuildPage(tick)
+	c.AddMark("m", tick)
 	a := c.StartRequest(stats.Write, 0)
 	if a != nil {
 		t.Fatal("nil collector returned a live attribution")
 	}
-	a.Mark(PhaseFlash, us)
+	a.Mark(PhaseFlash, tick)
 	if a.Phase(PhaseFlash) != 0 {
 		t.Fatal("nil attribution accumulated time")
 	}
-	c.FinishRequest(a, us, 4096)
+	c.FinishRequest(a, tick, 4096)
 	if c.Requests() != 0 || c.AttributionViolations() != 0 {
 		t.Fatal("nil collector counted requests")
 	}
-	if c.Summary(us) != nil {
+	if c.Summary(tick) != nil {
 		t.Fatal("nil collector produced a summary")
 	}
-	if got := c.Summary(us).String(); got != "telemetry: disabled" {
+	if got := c.Summary(tick).String(); got != "telemetry: disabled" {
 		t.Fatalf("nil summary string %q", got)
 	}
 }
@@ -58,9 +61,9 @@ func TestWindowCount(t *testing.T) {
 		end  sim.Time
 		want int
 	}{
-		{0, 1}, {us, 1}, {10*us - 1, 1}, {10 * us, 1}, {10*us + 1, 2}, {20 * us, 2}, {35 * us, 4},
+		{0, 1}, {tick, 1}, {10*tick - 1, 1}, {10 * tick, 1}, {10*tick + 1, 2}, {20 * tick, 2}, {35 * tick, 4},
 	} {
-		c := New(Config{Window: 10 * us})
+		c := New()
 		s := c.Summary(tc.end)
 		if s.Windows != tc.want {
 			t.Fatalf("end=%v: %d windows, want %d", tc.end, s.Windows, tc.want)
@@ -71,25 +74,25 @@ func TestWindowCount(t *testing.T) {
 			}
 		}
 	}
-	if w := New(Config{}).Window(); w != DefaultWindow {
-		t.Fatalf("default window %v", w)
+	if w := New().Summary(0).WindowUs; w != sim.SeriesWindow.Microseconds() {
+		t.Fatalf("window %vus, want %v", w, sim.SeriesWindow)
 	}
 }
 
 // TestThroughputAndLatencySeries checks per-window completion counts
 // and the windowed latency percentiles.
 func TestThroughputAndLatencySeries(t *testing.T) {
-	c := New(Config{Window: 10 * us})
-	c.RecordCompletion(stats.Read, 0, 5*us, 4096)    // window 0, 5us latency
-	c.RecordCompletion(stats.Read, 2*us, 8*us, 4096) // window 0, 6us latency
-	c.RecordCompletion(stats.Write, 0, 25*us, 8192)  // window 2, 25us latency
-	s := c.Summary(30 * us)
+	c := New()
+	c.RecordCompletion(stats.Read, 0, 5*tick, 4096)      // window 0, 5 ticks latency
+	c.RecordCompletion(stats.Read, 2*tick, 8*tick, 4096) // window 0, 6 ticks latency
+	c.RecordCompletion(stats.Write, 0, 25*tick, 8192)    // window 2, 25 ticks latency
+	s := c.Summary(30 * tick)
 	if s.Windows != 3 {
 		t.Fatalf("%d windows", s.Windows)
 	}
 	tp := s.SeriesByName("throughput")
-	// 2 completions in a 10us window = 200 KIOPS; then 0; then 100.
-	if want := []float64{200, 0, 100}; !reflect.DeepEqual(tp.Values, want) {
+	// 2 completions in one window, then 0, then 1: 4, 0, 2 KIOPS.
+	if want := []float64{4, 0, 2}; !reflect.DeepEqual(tp.Values, want) {
 		t.Fatalf("throughput %v, want %v", tp.Values, want)
 	}
 	bw := s.SeriesByName("bandwidth")
@@ -97,10 +100,10 @@ func TestThroughputAndLatencySeries(t *testing.T) {
 		t.Fatalf("bandwidth %v", bw.Values)
 	}
 	mean := s.SeriesByName("lat_mean")
-	if mean.Values[0] < 5 || mean.Values[0] > 6.5 || mean.Values[1] != 0 {
+	if mean.Values[0] < 5*tickUs || mean.Values[0] > 6.5*tickUs || mean.Values[1] != 0 {
 		t.Fatalf("lat_mean %v", mean.Values)
 	}
-	if p99 := s.SeriesByName("lat_p99"); p99.Values[2] < 24 || p99.Values[2] > 28 {
+	if p99 := s.SeriesByName("lat_p99"); p99.Values[2] < 24*tickUs || p99.Values[2] > 28*tickUs {
 		t.Fatalf("lat_p99 %v", p99.Values)
 	}
 }
@@ -108,12 +111,12 @@ func TestThroughputAndLatencySeries(t *testing.T) {
 // TestGCBusyIntegration checks that one GC interval spreads its busy
 // fraction across the windows it overlaps.
 func TestGCBusyIntegration(t *testing.T) {
-	c := New(Config{Window: 10 * us})
-	c.GCStarted(5 * us)
-	c.GCFinished(25 * us)
-	c.GCCopied(7 * us)
-	c.GCCopied(12 * us)
-	s := c.Summary(30 * us)
+	c := New()
+	c.GCStarted(5 * tick)
+	c.GCFinished(25 * tick)
+	c.GCCopied(7 * tick)
+	c.GCCopied(12 * tick)
+	s := c.Summary(30 * tick)
 	busy := s.SeriesByName("gc_active")
 	if want := []float64{0.5, 1, 0.5}; !reflect.DeepEqual(busy.Values, want) {
 		t.Fatalf("gc_active %v, want %v", busy.Values, want)
@@ -127,12 +130,12 @@ func TestGCBusyIntegration(t *testing.T) {
 // and a standing tenant queue are closed at the export horizon without
 // mutating the collector — two exports agree byte for byte.
 func TestSummaryClosesOpenIntervalsIdempotently(t *testing.T) {
-	c := New(Config{Window: 10 * us})
-	c.GCStarted(5 * us)
+	c := New()
+	c.GCStarted(5 * tick)
 	c.RegisterTenants([]string{"t0"})
 	c.TenantDepth("t0", 2, 0)
-	first := c.Summary(20 * us)
-	second := c.Summary(20 * us)
+	first := c.Summary(20 * tick)
+	second := c.Summary(20 * tick)
 	a, _ := json.Marshal(first)
 	b, _ := json.Marshal(second)
 	if string(a) != string(b) {
@@ -149,13 +152,13 @@ func TestSummaryClosesOpenIntervalsIdempotently(t *testing.T) {
 // TestTenantDepthIntegration checks depth x duration averaging within
 // a window.
 func TestTenantDepthIntegration(t *testing.T) {
-	c := New(Config{Window: 10 * us})
+	c := New()
 	c.RegisterTenants([]string{"a", "b"})
-	c.TenantDepth("a", 4, 0)      // depth 4 over [0,5) = 2.0 average
-	c.TenantDepth("a", 0, 5*us)   // drained
-	c.TenantDepth("b", 1, 0)      // depth 1 across both windows
-	c.TenantDepth("ghost", 9, us) // unregistered: dropped
-	s := c.Summary(20 * us)
+	c.TenantDepth("a", 4, 0)        // depth 4 over [0,5) = 2.0 average
+	c.TenantDepth("a", 0, 5*tick)   // drained
+	c.TenantDepth("b", 1, 0)        // depth 1 across both windows
+	c.TenantDepth("ghost", 9, tick) // unregistered: dropped
+	s := c.Summary(20 * tick)
 	if d := s.SeriesByName("qdepth:a"); !reflect.DeepEqual(d.Values, []float64{2, 0}) {
 		t.Fatalf("qdepth:a %v", d.Values)
 	}
@@ -170,14 +173,14 @@ func TestTenantDepthIntegration(t *testing.T) {
 // TestGrantWaitAndEvents checks the grant-wait integration, the event
 // class counting, and that event series export in sorted class order.
 func TestGrantWaitAndEvents(t *testing.T) {
-	c := New(Config{Window: 10 * us})
-	c.GrantWait(8*us, 12*us) // 2us in window 0, 2us in window 1
-	c.GrantWait(12*us, 12*us)
-	c.Event("write-stall", us)
-	c.Event("grant-drop", 15*us)
-	c.Event("write-stall", 15*us)
-	s := c.Summary(20 * us)
-	if w := s.SeriesByName("grant_wait"); !reflect.DeepEqual(w.Values, []float64{2, 2}) {
+	c := New()
+	c.GrantWait(8*tick, 12*tick) // 2 ticks in window 0, 2 ticks in window 1
+	c.GrantWait(12*tick, 12*tick)
+	c.Event("write-stall", tick)
+	c.Event("grant-drop", 15*tick)
+	c.Event("write-stall", 15*tick)
+	s := c.Summary(20 * tick)
+	if w := s.SeriesByName("grant_wait"); !reflect.DeepEqual(w.Values, []float64{2 * tickUs, 2 * tickUs}) {
 		t.Fatalf("grant_wait %v", w.Values)
 	}
 	if g := s.SeriesByName("grants"); !reflect.DeepEqual(g.Values, []float64{0, 2}) {
@@ -202,17 +205,17 @@ func TestGrantWaitAndEvents(t *testing.T) {
 
 // TestRebuildSeriesAndMarks checks the array-facing channels.
 func TestRebuildSeriesAndMarks(t *testing.T) {
-	c := New(Config{Window: 10 * us})
-	c.RebuildPage(3 * us)
-	c.RebuildPage(3 * us)
-	c.RebuildPage(12 * us)
-	c.AddMark("rebuild-detect", 2*us)
-	c.AddMark("rebuild-complete", 12*us)
-	s := c.Summary(0) // end before lastEvent: clamped up to 12us
+	c := New()
+	c.RebuildPage(3 * tick)
+	c.RebuildPage(3 * tick)
+	c.RebuildPage(12 * tick)
+	c.AddMark("rebuild-detect", 2*tick)
+	c.AddMark("rebuild-complete", 12*tick)
+	s := c.Summary(0) // end before lastEvent: clamped up to 12 ticks
 	if r := s.SeriesByName("rebuild"); !reflect.DeepEqual(r.Values, []float64{2, 1}) {
 		t.Fatalf("rebuild %v", r.Values)
 	}
-	if len(s.Marks) != 2 || s.Marks[0].Name != "rebuild-detect" || s.Marks[1].AtUs != 12 {
+	if len(s.Marks) != 2 || s.Marks[0].Name != "rebuild-detect" || s.Marks[1].AtUs != 12*tickUs {
 		t.Fatalf("marks %+v", s.Marks)
 	}
 }
@@ -220,22 +223,22 @@ func TestRebuildSeriesAndMarks(t *testing.T) {
 // TestAttributionPartition builds one request whose marks partition
 // [arrival, completion] and checks phase sums, histograms, and shares.
 func TestAttributionPartition(t *testing.T) {
-	c := New(Config{Window: 10 * us})
-	a := c.StartRequest(stats.Read, 2*us)
-	a.Mark(PhaseQueue, 4*us) // 2us queue
-	a.Mark(PhaseCmd, 5*us)   // 1us cmd
-	a.Mark(PhaseCmd, 5*us)   // zero-width re-mark: no-op
-	a.Mark(PhaseStall, 5*us) // zero stall
-	a.Mark(PhaseFlash, 11*us)
-	a.Mark(PhaseXfer, 14*us)
-	if got := a.Phase(PhaseFlash); got != 6*us {
+	c := New()
+	a := c.StartRequest(stats.Read, 2*tick)
+	a.Mark(PhaseQueue, 4*tick) // 2 ticks queue
+	a.Mark(PhaseCmd, 5*tick)   // 1 tick cmd
+	a.Mark(PhaseCmd, 5*tick)   // zero-width re-mark: no-op
+	a.Mark(PhaseStall, 5*tick) // zero stall
+	a.Mark(PhaseFlash, 11*tick)
+	a.Mark(PhaseXfer, 14*tick)
+	if got := a.Phase(PhaseFlash); got != 6*tick {
 		t.Fatalf("flash phase %v", got)
 	}
-	c.FinishRequest(a, 14*us, 4096)
+	c.FinishRequest(a, 14*tick, 4096)
 	if c.Requests() != 1 || c.AttributionViolations() != 0 {
 		t.Fatalf("requests=%d violations=%d", c.Requests(), c.AttributionViolations())
 	}
-	s := c.Summary(20 * us)
+	s := c.Summary(20 * tick)
 	var total float64
 	for _, p := range s.Phases {
 		if p.Kind != "read" {
@@ -243,8 +246,8 @@ func TestAttributionPartition(t *testing.T) {
 		}
 		total += p.TotalUs
 	}
-	if total != 12 { // 14us - 2us arrival
-		t.Fatalf("phase totals sum to %vus, want 12", total)
+	if total != 12*tickUs { // 14 ticks - 2 ticks arrival
+		t.Fatalf("phase totals sum to %vus, want %v", total, 12*tickUs)
 	}
 	var shares float64
 	for _, p := range s.Phases {
@@ -267,10 +270,10 @@ func TestAttributionPartition(t *testing.T) {
 // land on the completion time fails the partition identity and is
 // counted, not dropped.
 func TestAttributionViolationDetected(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	a := c.StartRequest(stats.Write, 0)
-	a.Mark(PhaseFlash, 5*us)
-	c.FinishRequest(a, 9*us, 0) // 4us never credited to any phase
+	a.Mark(PhaseFlash, 5*tick)
+	c.FinishRequest(a, 9*tick, 0) // 4 ticks never credited to any phase
 	if c.AttributionViolations() != 1 {
 		t.Fatalf("violations %d, want 1", c.AttributionViolations())
 	}
@@ -288,18 +291,18 @@ func TestRecordCompletionOrderIndependent(t *testing.T) {
 		bytes            int64
 	}
 	recs := []rec{
-		{stats.Read, 0, 7 * us, 4096},
-		{stats.Write, 3 * us, 25 * us, 8192},
-		{stats.Read, 5 * us, 6 * us, 4096},
-		{stats.Write, 0, 40 * us, 4096},
+		{stats.Read, 0, 7 * tick, 4096},
+		{stats.Write, 3 * tick, 25 * tick, 8192},
+		{stats.Read, 5 * tick, 6 * tick, 4096},
+		{stats.Write, 0, 40 * tick, 4096},
 	}
 	build := func(order []int) string {
-		c := New(Config{Window: 10 * us})
+		c := New()
 		for _, i := range order {
 			r := recs[i]
 			c.RecordCompletion(r.kind, r.arrive, r.complete, r.bytes)
 		}
-		raw, _ := json.Marshal(c.Summary(40 * us))
+		raw, _ := json.Marshal(c.Summary(40 * tick))
 		return string(raw)
 	}
 	fwd := build([]int{0, 1, 2, 3})

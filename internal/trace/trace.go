@@ -28,15 +28,9 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultWindow is the busy-timeline interval when Config.Window is zero
-// (matches the 500us window of the Fig 3 utilization heatmaps).
-const DefaultWindow = 500 * sim.Microsecond
-
-// Config parameterizes a Recorder.
+// Config parameterizes a Recorder. Busy timelines are accumulated in
+// sim.SeriesWindow windows.
 type Config struct {
-	// Window is the fixed interval of the utilization timelines; zero
-	// selects DefaultWindow.
-	Window sim.Time
 	// TrackPrefix is prepended to every track name. Array runs trace many
 	// devices whose internal resources share names ("nvme", "h0", die
 	// grids); a per-device prefix like "dev3/" keeps the merged view
@@ -85,7 +79,6 @@ type KV struct {
 // Recorder accumulates trace events for one simulation run.
 type Recorder struct {
 	eng    *sim.Engine
-	window sim.Time
 	prefix string
 
 	events []event
@@ -99,13 +92,8 @@ type Recorder struct {
 
 // New builds a Recorder bound to an engine.
 func New(eng *sim.Engine, cfg Config) *Recorder {
-	w := cfg.Window
-	if w <= 0 {
-		w = DefaultWindow
-	}
 	return &Recorder{
 		eng:    eng,
-		window: w,
 		prefix: cfg.TrackPrefix,
 		tracks: make(map[string]*Track),
 	}
@@ -114,14 +102,6 @@ func New(eng *sim.Engine, cfg Config) *Recorder {
 // Enabled reports whether the recorder is live. It is the guard hot paths
 // use before building event arguments.
 func (r *Recorder) Enabled() bool { return r != nil }
-
-// Window returns the busy-timeline interval.
-func (r *Recorder) Window() sim.Time {
-	if r == nil {
-		return 0
-	}
-	return r.window
-}
 
 // RegisterTrack declares a track up front so it appears in the export
 // (with stable ordering) even if it never records an event — the
@@ -138,7 +118,7 @@ func (r *Recorder) RegisterTrack(name, kind string) *Track {
 	if t, ok := r.tracks[name]; ok {
 		return t
 	}
-	t := &Track{Name: name, Kind: kind, id: len(r.order) + 1, busy: sim.NewWindowed(r.window)}
+	t := &Track{Name: name, Kind: kind, id: len(r.order) + 1, busy: sim.NewWindowed(sim.SeriesWindow)}
 	r.tracks[name] = t
 	r.order = append(r.order, name)
 	return t
@@ -280,7 +260,7 @@ func (r *Recorder) HeatRows(kind string, end sim.Time) (names []string, rows [][
 	tracks := r.Tracks(kind)
 	width := 0
 	if end > 0 {
-		width = int((end + r.window - 1) / r.window)
+		width = int((end + sim.SeriesWindow - 1) / sim.SeriesWindow)
 	}
 	for _, t := range tracks {
 		if t.busy.Len() > width {
@@ -289,7 +269,7 @@ func (r *Recorder) HeatRows(kind string, end sim.Time) (names []string, rows [][
 	}
 	for _, t := range tracks {
 		names = append(names, t.Name)
-		rows = append(rows, t.busy.Values(width, func(b sim.Time) float64 { return float64(b) / float64(r.window) }))
+		rows = append(rows, t.busy.Values(width, func(b sim.Time) float64 { return float64(b) / float64(sim.SeriesWindow) }))
 	}
 	return names, rows
 }

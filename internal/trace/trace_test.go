@@ -41,6 +41,10 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 }
 
+// tick is a tenth of the busy-timeline window: the windowing tests place
+// holds on a ten-tick window grid.
+const tick = sim.SeriesWindow / 10
+
 // newTestRecorder builds a recorder with its own engine.
 func newTestRecorder(cfg Config) (*sim.Engine, *Recorder) {
 	eng := sim.NewEngine()
@@ -48,30 +52,30 @@ func newTestRecorder(cfg Config) (*sim.Engine, *Recorder) {
 }
 
 func TestRecorderHoldsAndHeatRows(t *testing.T) {
-	eng, rec := newTestRecorder(Config{Window: 10 * sim.Microsecond})
+	eng, rec := newTestRecorder(Config{})
 	_ = eng
 	rec.RegisterTrack("h0", KindHChannel)
 	rec.RegisterTrack("h1", KindHChannel)
 	res := sim.NewResource(sim.NewEngine(), "h0")
-	rec.ResourceHold(res, "xfer", 0, 0, 15*sim.Microsecond)
-	rec.ResourceHold(res, "xfer", 20*sim.Microsecond, 30*sim.Microsecond, 35*sim.Microsecond)
+	rec.ResourceHold(res, "xfer", 0, 0, 15*tick)
+	rec.ResourceHold(res, "xfer", 20*tick, 30*tick, 35*tick)
 
 	holds, waits := rec.Holds()
 	if holds != 2 {
 		t.Fatalf("holds = %d, want 2", holds)
 	}
-	if waits != 10*sim.Microsecond {
-		t.Fatalf("wait total %v, want 10us", waits)
+	if waits != 10*tick {
+		t.Fatalf("wait total %v, want %v", waits, 10*tick)
 	}
 	busy := rec.BusyTotals(KindHChannel)
-	if busy["h0"] != 20*sim.Microsecond {
-		t.Fatalf("h0 busy %v, want 20us", busy["h0"])
+	if busy["h0"] != 20*tick {
+		t.Fatalf("h0 busy %v, want %v", busy["h0"], 20*tick)
 	}
-	names, rows := rec.HeatRows(KindHChannel, 40*sim.Microsecond)
+	names, rows := rec.HeatRows(KindHChannel, 40*tick)
 	if len(names) != 2 || names[0] != "h0" || names[1] != "h1" {
 		t.Fatalf("HeatRows names %v", names)
 	}
-	// 40us end with 10us windows: all rows padded to 4 columns.
+	// 40-tick end with 10-tick windows: all rows padded to 4 columns.
 	for i, row := range rows {
 		if len(row) != 4 {
 			t.Fatalf("row %d (%s) has %d windows, want 4", i, names[i], len(row))
@@ -90,12 +94,12 @@ func TestRecorderHoldsAndHeatRows(t *testing.T) {
 // TestTimelineBusyWindowing checks a track's busy timeline: one hold that
 // spans three windows is split across them and counted once in the total.
 func TestTimelineBusyWindowing(t *testing.T) {
-	_, rec := newTestRecorder(Config{Window: 10 * sim.Microsecond})
+	_, rec := newTestRecorder(Config{})
 	rec.RegisterTrack("h0", KindHChannel)
 	res := sim.NewResource(sim.NewEngine(), "h0")
-	// A hold spanning windows 0..2: [5us, 25us) = 5us in w0, 10us in w1, 5us in w2.
-	rec.ResourceHold(res, "xfer", 5*sim.Microsecond, 5*sim.Microsecond, 25*sim.Microsecond)
-	_, rows := rec.HeatRows(KindHChannel, 25*sim.Microsecond)
+	// A hold spanning windows 0..2: ticks [5, 25) = 5 in w0, 10 in w1, 5 in w2.
+	rec.ResourceHold(res, "xfer", 5*tick, 5*tick, 25*tick)
+	_, rows := rec.HeatRows(KindHChannel, 25*tick)
 	want := []float64{0.5, 1.0, 0.5}
 	if len(rows) != 1 || len(rows[0]) != len(want) {
 		t.Fatalf("rows %v, want one row %v", rows, want)
@@ -105,13 +109,13 @@ func TestTimelineBusyWindowing(t *testing.T) {
 			t.Fatalf("window %d utilization %v, want %v", i, rows[0][i], v)
 		}
 	}
-	if busy := rec.BusyTotals(KindHChannel)["h0"]; busy != 20*sim.Microsecond {
-		t.Fatalf("busy total %v, want 20us", busy)
+	if busy := rec.BusyTotals(KindHChannel)["h0"]; busy != 20*tick {
+		t.Fatalf("busy total %v, want %v", busy, 20*tick)
 	}
 }
 
 func TestExportChromeStructure(t *testing.T) {
-	_, rec := newTestRecorder(Config{Window: 10 * sim.Microsecond})
+	_, rec := newTestRecorder(Config{})
 	rec.RegisterTrack("h0", KindHChannel)
 	res := sim.NewResource(sim.NewEngine(), "h0")
 	rec.ResourceHold(res, "xfer", 0, 2*sim.Microsecond, 5*sim.Microsecond)

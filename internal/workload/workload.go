@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/host"
 	"repro/internal/sim"
@@ -50,6 +51,17 @@ func (p Pattern) String() string {
 	default:
 		return fmt.Sprintf("pattern(%d)", int(p))
 	}
+}
+
+// ParsePattern resolves a pattern by its String name, ignoring case and
+// surrounding space: seq-read, seq-write, rand-read, or rand-write.
+func ParsePattern(name string) (Pattern, error) {
+	for p := SeqRead; p <= RandWrite; p++ {
+		if strings.EqualFold(strings.TrimSpace(name), p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown synthetic pattern %q", name)
 }
 
 // Kind returns the I/O direction of the pattern.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -190,5 +191,21 @@ func TestReadCSVErrors(t *testing.T) {
 		if _, err := ReadCSV(bytes.NewBufferString(c), "bad"); err == nil {
 			t.Fatalf("case %d: bad CSV accepted", i)
 		}
+	}
+}
+
+// ParsePattern inverts Pattern.String for all four patterns, ignoring
+// case and surrounding space.
+func TestParsePatternRoundTrip(t *testing.T) {
+	for _, p := range []Pattern{SeqRead, SeqWrite, RandRead, RandWrite} {
+		for _, spelled := range []string{p.String(), strings.ToUpper(p.String()), " " + p.String() + " "} {
+			got, err := ParsePattern(spelled)
+			if err != nil || got != p {
+				t.Fatalf("ParsePattern(%q) = %v, %v; want %v", spelled, got, err, p)
+			}
+		}
+	}
+	if _, err := ParsePattern("bogus"); err == nil {
+		t.Fatal("unknown pattern accepted")
 	}
 }

@@ -1,6 +1,7 @@
 // Command benchjson runs the repo's benchmark harness (one bench per
-// table/figure of the evaluation, see bench_test.go) and re-emits the
-// results as JSON, seeding the perf-trajectory file BENCH_quick.json.
+// table/figure of the evaluation, see bench_test.go, plus the engine and
+// resource-hold benches of internal/sim) and re-emits the results as
+// JSON, seeding the perf-trajectory file BENCH_quick.json.
 // The simulation metrics (improvement percentages, latencies, KIOPS) are
 // deterministic run to run; the wall-clock ns/op entries are not and are
 // recorded for trend-watching only.
@@ -65,16 +66,23 @@ func main() {
 		os.Exit(diffFiles(flag.Arg(0), flag.Arg(1), *threshold))
 	}
 
-	cmd := exec.Command("go", "test", "-run=^$", "-bench="+*bench, "-benchtime=1x", ".")
-	cmd.Stderr = os.Stderr
-	raw, err := cmd.Output()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench run failed: %v\n%s", err, raw)
-		os.Exit(1)
+	// Figure benches run once (their metrics are deterministic); the
+	// engine and hold benches run long enough for ns/op to mean something.
+	var raw []byte
+	for _, pkg := range [][2]string{{".", "1x"}, {"./internal/sim", "100ms"}} {
+		cmd := exec.Command("go", "test", "-run=^$", "-bench="+*bench, "-benchtime="+pkg[1], pkg[0])
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bench run of %s failed: %v\n%s", pkg[0], err, out)
+			os.Exit(1)
+		}
+		raw = append(raw, out...)
 	}
 
 	file := File{
-		Note: "Generated by cmd/benchjson from `go test -bench=. -benchtime=1x`. " +
+		Note: "Generated by cmd/benchjson from `go test -bench=. -benchtime=1x .` " +
+			"and `go test -bench=. -benchtime=100ms ./internal/sim`. " +
 			"Simulation metrics are deterministic; ns/op is wall-clock noise.",
 	}
 	if v, err := exec.Command("go", "env", "GOVERSION").Output(); err == nil {

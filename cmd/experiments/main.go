@@ -192,13 +192,17 @@ func main() {
 		}
 		fn(opt, emit)
 	default:
-		order := []string{"1", "3", "4", "6", "8", "14", "16", "17", "18", "19", "20a", "20b", "tenant"}
-		table1(opt, emit)
-		table2(opt, emit)
-		table3(opt, emit)
-		for _, name := range order {
-			runners[name](opt, emit)
-		}
+		defaultSuite(opt, emit)
+	}
+}
+
+// defaultSuite renders what an invocation without a selector prints.
+func defaultSuite(opt exp.Options, emit func(*report.Table)) {
+	for _, fn := range []func(exp.Options, func(*report.Table)){
+		table1, table2, table3, fig1, fig3, fig4, fig6, fig8, fig14and15,
+		fig16, fig17, fig18, fig19, fig20a, fig20b, figTenant,
+	} {
+		fn(opt, emit)
 	}
 }
 

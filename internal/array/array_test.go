@@ -6,10 +6,12 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flash"
+	"repro/internal/ftl"
 	"repro/internal/host"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // smallCfg builds a 2-group 2+1 array of tiny pnSSDs with one spare —
@@ -292,5 +294,33 @@ func TestConfigValidation(t *testing.T) {
 			tc.mut(&cfg)
 			cfg.Validate()
 		}()
+	}
+}
+
+// The rebuild-rate sweep's slowest point: tiny SpGC members under a
+// throttled rebuild drive each FTL to its compaction limit with writes
+// stalled. GC must keep making net progress there (the copy budget goes
+// to the victims that free the most), so the run drains instead of
+// chaining zero-gain rounds forever.
+func TestSlowRebuildOnTinySpGCArrayDrains(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Device.Geometry.BlocksPerPlane = 8
+	cfg.Device.Geometry.PagesPerBlock = 16
+	cfg.Device.Geometry.PageSize = 16384
+	cfg.Device.FTL.GCMode = ftl.GCSpatial
+	cfg.ChurnFraction = 0.5
+	cfg.RebuildPagesPerSec = 50_000
+	cfg.Check = true
+	tr, err := workload.Named("rocksdb-0", cfg.LogicalPages(), 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Failures = []fault.DeviceEvent{{Device: 0, At: tr.Requests[len(tr.Requests)/4].Arrival}}
+	res := Run(cfg, tr.Requests, 1)
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.TotalRequests() != 300 || res.RAS.FailedReads != 0 {
+		t.Fatalf("completed %d/300 requests, %d failed reads", res.Metrics.TotalRequests(), res.RAS.FailedReads)
 	}
 }

@@ -102,23 +102,11 @@ func (f *MeshFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, 
 		srcChip.Read([]flash.PPA{from}, func() {
 			token := srcChip.PageRegister(from.Plane)
 			f.m.Transfer(srcNode, dstNode, packet.DataFlitsFor(n), func() {
-				reg := dstChip.AcquireVPage()
-				if reg < 0 {
-					// The mesh has no control-plane reservation; model the
-					// stall-and-retry at the destination.
-					var retry func()
-					retry = func() {
-						r := dstChip.AcquireVPage()
-						if r < 0 {
-							f.eng.Schedule(5*sim.Microsecond, retry)
-							return
-						}
-						f.commit(dstChip, r, token, to, done)
-					}
-					f.eng.Schedule(5*sim.Microsecond, retry)
-					return
-				}
-				f.commit(dstChip, reg, token, to, done)
+				// The mesh has no control-plane reservation: the payload
+				// stalls at the destination until a V-page register frees.
+				dstChip.WaitVPage(func(reg int) {
+					f.commit(dstChip, reg, token, to, done)
+				})
 			})
 		})
 	})

@@ -96,3 +96,18 @@ func TestMeshFabricControllerEdgeCongestion(t *testing.T) {
 		t.Fatalf("elapsed %v < 4x page serialization %v: no ejection bottleneck", elapsed, 4*pageSer)
 	}
 }
+
+// The mesh payload stalls at the destination until a V-page register
+// frees. The payload needs ~20us to reach the destination, so the short
+// block is long enough for the copy to arrive and wait.
+func TestMeshBlockedCopyDoesNotPoll(t *testing.T) {
+	build := func(e *sim.Engine, g *Grid, soc *Soc) Fabric {
+		return NewMeshFabric(e, "nossd", g, soc, 16384, 8, 1000)
+	}
+	src, dst := ChipID{0, 0}, ChipID{1, 1}
+	short := blockedCopyEvents(t, build, src, dst, 50*sim.Microsecond)
+	long := blockedCopyEvents(t, build, src, dst, sim.Millisecond)
+	if short != long {
+		t.Fatalf("blocked copy fired %d events for a 50us block, %d for 1ms: it polls", short, long)
+	}
+}

@@ -53,8 +53,6 @@ type OmnibusFabric struct {
 	faults       *fault.Injector
 	eccFallbacks int64
 
-	vpageRetry sim.Time
-
 	// trc records logical spans (grant arbitration, copies) and routing
 	// instants; nil (the default) disables tracing with no overhead.
 	trc *trace.Recorder
@@ -92,19 +90,18 @@ func NewOmnibusFabricAsym(eng *sim.Engine, name string, grid *Grid, soc *Soc, pa
 	}
 	colsPerV := (grid.Ways + numV - 1) / numV
 	f := &OmnibusFabric{
-		eng:        eng,
-		name:       name,
-		grid:       grid,
-		soc:        soc,
-		pageSize:   pageSize,
-		split:      split,
-		h:          make([]*bus.Channel, grid.Channels),
-		v:          make([]*bus.Channel, numV),
-		hIface:     make([]bus.Packetized, grid.Channels),
-		vIface:     make([]bus.Packetized, numV),
-		colsPerV:   colsPerV,
-		route:      RouteGreedy,
-		vpageRetry: 5 * sim.Microsecond,
+		eng:      eng,
+		name:     name,
+		grid:     grid,
+		soc:      soc,
+		pageSize: pageSize,
+		split:    split,
+		h:        make([]*bus.Channel, grid.Channels),
+		v:        make([]*bus.Channel, numV),
+		hIface:   make([]bus.Packetized, grid.Channels),
+		vIface:   make([]bus.Packetized, numV),
+		colsPerV: colsPerV,
+		route:    RouteGreedy,
 	}
 	for ch := 0; ch < grid.Channels; ch++ {
 		f.h[ch] = bus.NewChannel(eng, fmt.Sprintf("%s/h%d", name, ch), hWidthBits, rateMTps)
@@ -291,11 +288,7 @@ func (f *OmnibusFabric) returnData(id ChipID, n int, done func()) {
 			}
 		}
 		hch.UseOp("read-xfer-half", hifc.ReadXfer(half1), join)
-		f.soc.CtrlMsg(func() {
-			f.soc.CtrlMsg(func() {
-				vch.UseOp("read-xfer-half", vifc.ReadXfer(half2), join)
-			})
-		})
+		f.afterVGrant(func() { vch.UseOp("read-xfer-half", vifc.ReadXfer(half2), join) })
 		return
 	}
 	// Greedy adaptive, as in the paper: the first *available* channel is
@@ -308,15 +301,17 @@ func (f *OmnibusFabric) returnData(id ChipID, n int, done func()) {
 		if f.trc.Enabled() {
 			f.trc.Instant("route", "v-return", trace.KV{K: "chip", V: id.String()})
 		}
-		f.soc.CtrlMsg(func() {
-			f.soc.CtrlMsg(func() {
-				vch.UseOp("read-xfer", vifc.ReadXfer(n), finish)
-			})
-		})
+		f.afterVGrant(func() { vch.UseOp("read-xfer", vifc.ReadXfer(n), finish) })
 		return
 	}
 	f.hReturns++
 	hch.UseOp("read-xfer", hifc.ReadXfer(n), finish)
+}
+
+// afterVGrant runs fn once the request/grant exchange over the control
+// plane lets controller[way] drive its v-channel for a host transfer.
+func (f *OmnibusFabric) afterVGrant(fn func()) {
+	f.soc.CtrlMsg(func() { f.soc.CtrlMsg(fn) })
 }
 
 // Write implements Fabric. Payload delivery mirrors the read return path:
@@ -355,19 +350,11 @@ func (f *OmnibusFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
 					}
 				}
 				hch.UseOp("program-xfer-half", hifc.ProgramXfer(half1), join)
-				f.soc.CtrlMsg(func() {
-					f.soc.CtrlMsg(func() {
-						vch.UseOp("program-xfer-half", vifc.ProgramXfer(half2), join)
-					})
-				})
+				f.afterVGrant(func() { vch.UseOp("program-xfer-half", vifc.ProgramXfer(half2), join) })
 				return
 			}
 			if f.routeToV(hch, vch) {
-				f.soc.CtrlMsg(func() {
-					f.soc.CtrlMsg(func() {
-						vch.UseOp("program-xfer", vifc.ProgramXfer(n), program)
-					})
-				})
+				f.afterVGrant(func() { vch.UseOp("program-xfer", vifc.ProgramXfer(n), program) })
 				return
 			}
 			hch.UseOp("program-xfer", hifc.ProgramXfer(n), program)
@@ -395,10 +382,6 @@ func (f *OmnibusFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
 // controller-relayed route over the h-channels.
 func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) {
 	if f.vIndex(src.Way) != f.vIndex(dst.Way) {
-		f.relayedCopies++
-		if f.check != nil {
-			f.check.CopyRouted(src, dst, false)
-		}
 		f.relayCopy(src, from, dst, to, done)
 		return
 	}
@@ -408,10 +391,6 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 		// controller-relayed route over the rows' h-channels.
 		if r := f.faults.RAS(); r != nil {
 			r.DeadVCopies++
-		}
-		f.relayedCopies++
-		if f.check != nil {
-			f.check.CopyRouted(src, dst, false)
 		}
 		f.relayCopy(src, from, dst, to, done)
 		return
@@ -424,10 +403,6 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 		if r := f.faults.RAS(); r != nil {
 			r.OnDieECCFallbacks++
 		}
-		f.relayedCopies++
-		if f.check != nil {
-			f.check.CopyRouted(src, dst, false)
-		}
 		f.relayCopy(src, from, dst, to, done)
 		return
 	}
@@ -439,7 +414,8 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 	// v-channel owner, the owner checks the destination's buffer status,
 	// and the grant comes back — three one-way messages. The V-page
 	// register is reserved at grant time; if none is free, the request
-	// retries after a backoff. An injected GrantDrop loses the exchange:
+	// waits at the destination in arrival order and the grant leaves the
+	// instant a register frees. An injected GrantDrop loses the exchange:
 	// the source controller times out after GrantTimeout<<attempt and
 	// re-requests, and when the retry budget is exhausted it fails over
 	// to the controller-relayed path — a grant is never awaited forever.
@@ -472,10 +448,6 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 						ras.GrantBudgetExhausted++
 					}
 					ras.CopyFailovers++
-					f.relayedCopies++
-					if f.check != nil {
-						f.check.CopyRouted(src, dst, false)
-					}
 					f.trc.EndSpan(grantSpan)
 					f.tel.GrantWait(arbStart, f.eng.Now())
 					f.relayCopy(src, from, dst, to, done)
@@ -487,30 +459,16 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 				return
 			}
 			f.soc.CtrlMsg(func() { // buffer-status check at destination ctrl
-				reg := dstChip.AcquireVPage()
-				if reg < 0 {
-					f.eng.Schedule(f.vpageRetry, arbitrate)
-					return
-				}
-				f.soc.CtrlMsg(func() { // grant back to source ctrl
-					f.directCopies++
-					if f.check != nil {
-						f.check.CopyRouted(src, dst, true)
-					}
-					f.trc.EndSpan(grantSpan)
-					f.tel.GrantWait(arbStart, f.eng.Now())
-					fin := done
-					if f.trc.Enabled() {
-						sp := f.trc.BeginSpan("gc", "direct-copy",
-							trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
-						fin = func() {
-							f.trc.EndSpan(sp)
-							if done != nil {
-								done()
-							}
+				dstChip.WaitVPage(func(reg int) {
+					f.soc.CtrlMsg(func() { // grant back to source ctrl
+						f.directCopies++
+						if f.check != nil {
+							f.check.CopyRouted(src, dst, true)
 						}
-					}
-					f.directTransfer(vch, vifc, srcChip, from, dstChip, reg, to, fin)
+						f.trc.EndSpan(grantSpan)
+						f.tel.GrantWait(arbStart, f.eng.Now())
+						f.directTransfer(vch, vifc, srcChip, from, dstChip, reg, to, f.copySpan("direct-copy", src, dst, done))
+					})
 				})
 			})
 		})
@@ -535,21 +493,17 @@ func (f *OmnibusFabric) directTransfer(vch *bus.Channel, vifc bus.Packetized, sr
 	})
 }
 
-// relayCopy is the cross-column fallback: read through the source row's
-// h-channel into DRAM, then write out through the destination row's
-// h-channel — the Fig 10(a) route.
+// relayCopy is the controller-relayed route, the fallback for
+// cross-column copies, dead v-channels, on-die ECC failures and exhausted
+// grant retries: read through the source row's h-channel into DRAM, then
+// write out through the destination row's h-channel — the Fig 10(a)
+// route. It counts the copy and reports the route to the checker.
 func (f *OmnibusFabric) relayCopy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) {
-	if f.trc.Enabled() {
-		sp := f.trc.BeginSpan("gc", "relay-copy",
-			trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
-		inner := done
-		done = func() {
-			f.trc.EndSpan(sp)
-			if inner != nil {
-				inner()
-			}
-		}
+	f.relayedCopies++
+	if f.check != nil {
+		f.check.CopyRouted(src, dst, false)
 	}
+	done = f.copySpan("relay-copy", src, dst, done)
 	hch := f.h[src.Channel]
 	hifc := f.hIface[src.Channel]
 	srcChip := f.grid.Chip(src)
@@ -566,4 +520,18 @@ func (f *OmnibusFabric) relayCopy(src ChipID, from flash.PPA, dst ChipID, to fla
 			})
 		})
 	})
+}
+
+// copySpan wraps done in a gc trace span named name when tracing is on.
+func (f *OmnibusFabric) copySpan(name string, src, dst ChipID, done func()) func() {
+	if !f.trc.Enabled() {
+		return done
+	}
+	sp := f.trc.BeginSpan("gc", name, trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
+	return func() {
+		f.trc.EndSpan(sp)
+		if done != nil {
+			done()
+		}
+	}
 }

@@ -178,7 +178,7 @@ func TestOmnibusSplitFasterOnIdleFabric(t *testing.T) {
 
 func TestOmnibusVPageBackpressure(t *testing.T) {
 	// Exhaust the destination's V-page registers, then issue a direct
-	// copy: it must retry and eventually complete once a register frees.
+	// copy: it must wait and complete once a register frees.
 	e, g, soc := testRig(2, 2)
 	f := newOmnibus(e, g, soc, false)
 	src, dst := ChipID{0, 0}, ChipID{1, 0}
@@ -200,6 +200,48 @@ func TestOmnibusVPageBackpressure(t *testing.T) {
 	e.Run()
 	if !done {
 		t.Fatal("copy never completed after registers freed")
+	}
+}
+
+// blockedCopyEvents holds both of dst's V-page registers until release,
+// issues one copy from src to dst, and returns the events fired from the
+// copy's issue to its completion. A copy that waits for the register
+// (rather than polling the buffer status) fires the same events however
+// long the block lasts.
+func blockedCopyEvents(t *testing.T, build func(*sim.Engine, *Grid, *Soc) Fabric, src, dst ChipID, release sim.Time) int64 {
+	t.Helper()
+	e, g, soc := testRig(2, 2)
+	f := build(e, g, soc)
+	from, to := flash.PPA{Plane: 0, Block: 0, Page: 0}, flash.PPA{Plane: 0, Block: 1, Page: 0}
+	g.Chip(src).Program([]flash.ProgramOp{{Addr: from, Token: 0x51}}, nil)
+	e.Run()
+	dstChip := g.Chip(dst)
+	r0, r1 := dstChip.AcquireVPage(), dstChip.AcquireVPage()
+	start := e.EventsFired()
+	release += e.Now()
+	e.At(release, func() {
+		dstChip.ReleaseVPage(r0)
+		dstChip.ReleaseVPage(r1)
+	})
+	var doneAt sim.Time = -1
+	f.Copy(src, from, dst, to, func() { doneAt = e.Now() })
+	e.Run()
+	if doneAt < release || dstChip.ContentAt(to) != 0x51 {
+		t.Fatalf("copy done at %v (registers released at %v), content %x", doneAt, release, dstChip.ContentAt(to))
+	}
+	if dstChip.VPagesHeld() != 0 {
+		t.Fatalf("%d V-page registers held after the copy", dstChip.VPagesHeld())
+	}
+	return e.EventsFired() - start
+}
+
+func TestOmnibusBlockedCopyDoesNotPoll(t *testing.T) {
+	build := func(e *sim.Engine, g *Grid, soc *Soc) Fabric { return newOmnibus(e, g, soc, false) }
+	src, dst := ChipID{0, 0}, ChipID{1, 0}
+	short := blockedCopyEvents(t, build, src, dst, 10*sim.Microsecond)
+	long := blockedCopyEvents(t, build, src, dst, sim.Millisecond)
+	if short != long {
+		t.Fatalf("blocked copy fired %d events for a 10us block, %d for 1ms: it polls", short, long)
 	}
 }
 

@@ -126,6 +126,7 @@ type Chip struct {
 	pageReg    []Token // per-plane page registers
 	vpage      []Token // pnSSD V-page registers (2 in the paper)
 	vpageInUse []bool
+	vpageWait  []func(reg int) // WaitVPage callers, oldest first; only while all are held
 
 	content    [][]Token // [plane][block*pagesPerBlock+page]
 	state      [][]PageState
@@ -381,7 +382,7 @@ func (c *Chip) ProgramFromVPage(reg int, addr PPA, done func()) {
 	}
 	token := c.vpage[reg]
 	c.Program([]ProgramOp{{Addr: addr, Token: token}}, func() {
-		c.vpageInUse[reg] = false
+		c.ReleaseVPage(reg)
 		if done != nil {
 			done()
 		}
@@ -440,8 +441,8 @@ func (c *Chip) checkVReg(reg int) {
 }
 
 // AcquireVPage claims a free V-page register, returning its index or -1
-// when both are held — the buffer-status check the Omnibus control plane
-// performs before granting a v-channel transfer (Fig 11).
+// when both are held. It is the non-waiting form of WaitVPage, for
+// callers that have already checked the buffer status.
 func (c *Chip) AcquireVPage() int {
 	for i, used := range c.vpageInUse {
 		if !used {
@@ -452,14 +453,16 @@ func (c *Chip) AcquireVPage() int {
 	return -1
 }
 
-// VPageFree reports whether any V-page register is free.
-func (c *Chip) VPageFree() bool {
-	for _, used := range c.vpageInUse {
-		if !used {
-			return true
-		}
+// WaitVPage claims a V-page register for fn — the buffer-status check the
+// Omnibus control plane performs before a grant (Fig 11). fn runs at once
+// when a register is free; otherwise it waits in arrival order, and the
+// register a commit or abort frees passes straight to the oldest waiter.
+func (c *Chip) WaitVPage(fn func(reg int)) {
+	if reg := c.AcquireVPage(); reg >= 0 {
+		fn(reg)
+		return
 	}
-	return false
+	c.vpageWait = append(c.vpageWait, fn)
 }
 
 // SetVPage stores payload arriving over a v-channel into a claimed V-page
@@ -478,13 +481,22 @@ func (c *Chip) VPage(reg int) Token {
 	return c.vpage[reg]
 }
 
-// ReleaseVPage frees a claimed register without committing it (abort path).
+// ReleaseVPage frees a claimed register, handing it straight to the
+// oldest WaitVPage waiter if there is one. A commit releases its register
+// when the program completes; a direct call aborts a copy.
 func (c *Chip) ReleaseVPage(reg int) {
 	c.checkVReg(reg)
 	if !c.vpageInUse[reg] {
 		panic(fmt.Sprintf("flash %s: release of unclaimed V-page register %d", c.name, reg))
 	}
-	c.vpageInUse[reg] = false
+	if len(c.vpageWait) == 0 {
+		c.vpageInUse[reg] = false
+		return
+	}
+	fn := c.vpageWait[0]
+	c.vpageWait[0] = nil
+	c.vpageWait = c.vpageWait[1:]
+	fn(reg)
 }
 
 // InstallPage instantly programs a page with no simulated time, for

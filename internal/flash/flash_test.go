@@ -221,7 +221,7 @@ func TestMultiPlaneDuplicatePlanePanics(t *testing.T) {
 func TestVPageLifecycle(t *testing.T) {
 	e := sim.NewEngine()
 	c := newTestChip(e)
-	if !c.VPageFree() {
+	if c.VPagesHeld() != 0 {
 		t.Fatal("fresh chip has no free V-page registers")
 	}
 	r0 := c.AcquireVPage()
@@ -229,7 +229,7 @@ func TestVPageLifecycle(t *testing.T) {
 	if r0 != 0 || r1 != 1 {
 		t.Fatalf("acquired %d, %d", r0, r1)
 	}
-	if c.VPageFree() || c.AcquireVPage() != -1 {
+	if c.VPagesHeld() != NumVPageRegisters || c.AcquireVPage() != -1 {
 		t.Fatal("exhausted V-page registers still acquirable")
 	}
 	c.SetVPage(r0, 0xCAFE)
@@ -242,12 +242,67 @@ func TestVPageLifecycle(t *testing.T) {
 	if c.ContentAt(PPA{0, 4, 0}) != 0xCAFE {
 		t.Fatal("VCommit did not program token")
 	}
-	if !c.VPageFree() {
+	if c.VPagesHeld() != 1 {
 		t.Fatal("V-page register not freed after commit")
 	}
 	c.ReleaseVPage(r1)
 	if c.AcquireVPage() == -1 {
 		t.Fatal("released register not reusable")
+	}
+}
+
+// Copies that find both V-page registers held queue on the chip and are
+// served in arrival order, each the instant a register frees — by a
+// commit completing or by an abort — with both registers held until the
+// queue drains.
+func TestWaitVPageFIFO(t *testing.T) {
+	e := sim.NewEngine()
+	c := newTestChip(e)
+	r0 := c.AcquireVPage()
+	r1 := c.AcquireVPage()
+	var served []int
+	var regs []int
+	for i := 0; i < 3; i++ {
+		c.WaitVPage(func(reg int) {
+			served = append(served, i)
+			regs = append(regs, reg)
+		})
+	}
+	if len(served) != 0 || c.VPagesHeld() != NumVPageRegisters {
+		t.Fatalf("waiters served %v on a full chip, %d held", served, c.VPagesHeld())
+	}
+	c.SetVPage(r0, 0xAB)
+	c.ProgramFromVPage(r0, PPA{0, 2, 0}, nil)
+	e.Run()
+	if len(served) != 1 || served[0] != 0 || regs[0] != r0 {
+		t.Fatalf("after commit served %v regs %v, want waiter 0 on register %d", served, regs, r0)
+	}
+	if e.Now() != c.Timing().Program {
+		t.Fatalf("waiter served at %v, want at commit completion %v", e.Now(), c.Timing().Program)
+	}
+	if c.VPagesHeld() != NumVPageRegisters {
+		t.Fatalf("%d registers held with waiters queued", c.VPagesHeld())
+	}
+	c.ReleaseVPage(r1)
+	if len(served) != 2 || served[1] != 1 || regs[1] != r1 {
+		t.Fatalf("after release served %v regs %v, want waiter 1 on register %d", served, regs, r1)
+	}
+	if c.VPagesHeld() != NumVPageRegisters {
+		t.Fatalf("%d registers held with a waiter queued", c.VPagesHeld())
+	}
+	c.ReleaseVPage(regs[0])
+	if len(served) != 3 || served[2] != 2 {
+		t.Fatalf("served %v, want arrival order 0,1,2", served)
+	}
+	c.ReleaseVPage(regs[1])
+	c.ReleaseVPage(regs[2])
+	if c.VPagesHeld() != 0 {
+		t.Fatalf("%d registers held after the queue drained", c.VPagesHeld())
+	}
+	got := -1
+	c.WaitVPage(func(reg int) { got = reg })
+	if got < 0 {
+		t.Fatal("WaitVPage on a free chip did not claim at once")
 	}
 }
 

@@ -100,7 +100,7 @@ func TestODCProtocolSoak(t *testing.T) {
 
 	xfer := func(from, to page) bool {
 		// Read source into its register, arm destination, push, commit.
-		if !to.chip.VPageFree() {
+		if to.chip.VPagesHeld() == NumVPageRegisters {
 			return false
 		}
 		if err := from.odc.Submit(mustEncode(packet.ReadControl(from.chip.Address(from.addr))), nil, nil); err != nil {

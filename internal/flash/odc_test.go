@@ -160,7 +160,7 @@ func TestODCFlashToFlashProtocol(t *testing.T) {
 	if dst.ContentAt(to) != 0xC0FFEE {
 		t.Fatalf("flash-to-flash copy corrupted: %x", dst.ContentAt(to))
 	}
-	if !dst.VPageFree() {
+	if dst.VPagesHeld() != 0 {
 		t.Fatal("V-page register leaked after commit")
 	}
 }

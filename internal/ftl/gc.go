@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/controller"
 	"repro/internal/fault"
@@ -168,19 +169,37 @@ func (f *FTL) startGC(done func()) {
 // capVictims trims a round's victim set so that the pages its copies will
 // consume fit in half the currently free space. Without the cap, a round
 // on a nearly full device could have every victim stalled waiting for a
-// destination while no erase is pending to free one. Dropped victims
-// return to the Full state for later rounds.
+// destination while no erase is pending to free one. A binding budget
+// admits the fewest-valid victims first: spent in scan order, it could
+// keep fully valid victims that free nothing, and at the compaction limit
+// such rounds chain forever through the stalled-write retry. Dropped
+// victims return to the Full state for later rounds.
 func (f *FTL) capVictims(victims []victim) []victim {
+	valid := func(v victim) int64 { return int64(f.planeAt(v.id, v.plane).blocks[v.block].validCount) }
 	budget := int64(f.freeBlocks) * int64(f.geo.PagesPerBlock) / 2
+	var total int64
+	for _, v := range victims {
+		total += valid(v)
+	}
+	if total <= budget {
+		return victims
+	}
+	byValid := append([]victim(nil), victims...)
+	sort.SliceStable(byValid, func(i, j int) bool { return valid(byValid[i]) < valid(byValid[j]) })
+	dropped := 0
+	for i, v := range byValid {
+		if n := valid(v); n > budget && i > dropped {
+			f.planeAt(v.id, v.plane).blocks[v.block].state = BlockFull
+			dropped++
+		} else {
+			budget -= n
+		}
+	}
 	kept := victims[:0]
 	for _, v := range victims {
-		valid := int64(f.planeAt(v.id, v.plane).blocks[v.block].validCount)
-		if valid > budget && len(kept) > 0 {
-			f.planeAt(v.id, v.plane).blocks[v.block].state = BlockFull
-			continue
+		if f.planeAt(v.id, v.plane).blocks[v.block].state != BlockFull {
+			kept = append(kept, v)
 		}
-		budget -= valid
-		kept = append(kept, v)
 	}
 	return kept
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/flash"
 )
 
@@ -88,5 +89,46 @@ func TestVictimPoliciesBothMakeProgress(t *testing.T) {
 		if perBlock > 8 { // pagesPerBlock is 8 in the small rig
 			t.Fatalf("%s: %f copies per erased block exceeds block size", pair.name, perBlock)
 		}
+	}
+}
+
+// When the copy budget binds, a round keeps the victims that free the
+// most space. Spending it in scan order would keep the fully valid
+// blocks on the first chip and drop the nearly empty ones behind them:
+// a round that frees nothing, which on a device at its compaction limit
+// chains forever through the stalled-write retry.
+func TestCapVictimsKeepsFewestValid(t *testing.T) {
+	_, f, _ := rig(noGC(), 64)
+	full, sparse := controller.ChipID{Channel: 0, Way: 0}, controller.ChipID{Channel: 1, Way: 0}
+	victims := []victim{
+		{id: full, plane: 0, block: 0},
+		{id: full, plane: 0, block: 1},
+		{id: sparse, plane: 0, block: 0},
+		{id: sparse, plane: 0, block: 1},
+	}
+	for i, valid := range []int32{8, 8, 1, 2} {
+		v := victims[i]
+		b := &f.planeAt(v.id, v.plane).blocks[v.block]
+		b.validCount, b.state = valid, BlockErasing
+	}
+	f.freeBlocks = 4 // budget: 4 blocks x 8 pages / 2 = 16 pages
+	kept := f.capVictims(append([]victim(nil), victims...))
+	want := []victim{victims[0], victims[2], victims[3]}
+	if len(kept) != len(want) {
+		t.Fatalf("kept %v, want %v", kept, want)
+	}
+	for i := range want {
+		if kept[i] != want[i] {
+			t.Fatalf("kept %v, want %v (scan order)", kept, want)
+		}
+	}
+	if st := f.planeAt(full, 0).blocks[1].state; st != BlockFull {
+		t.Fatalf("dropped victim left in state %v, want BlockFull", st)
+	}
+
+	// A budget that covers every victim keeps the set as it is.
+	f.freeBlocks = 8
+	if kept := f.capVictims(append([]victim(nil), victims...)); len(kept) != len(victims) {
+		t.Fatalf("unbound budget kept %d of %d victims", len(kept), len(victims))
 	}
 }

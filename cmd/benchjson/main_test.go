@@ -21,8 +21,8 @@ func writeBench(t *testing.T, dir, name string, benches []BenchResult) string {
 }
 
 // TestDiffFiles covers the regression gate: deterministic metrics over
-// the threshold exit 3, wall-clock metrics are ignored, and new
-// benchmarks/metrics never fail the comparison.
+// the threshold exit 3 (allocs/op among them), wall-clock metrics are
+// ignored, and new benchmarks/metrics never fail the comparison.
 func TestDiffFiles(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeBench(t, dir, "old.json", []BenchResult{
@@ -57,6 +57,18 @@ func TestDiffFiles(t *testing.T) {
 		// A looser threshold lets the same change through.
 		if code := diffFiles(oldPath, newPath, 150); code != 0 {
 			t.Fatalf("exit %d at 150%% threshold, want 0", code)
+		}
+	})
+
+	t.Run("allocs/op gated", func(t *testing.T) {
+		zero := writeBench(t, dir, "zero.json", []BenchResult{
+			{Name: "BenchmarkReadPath/base", Runs: 20000, Metrics: map[string]float64{"allocs/op": 0, "B/op": 0}},
+		})
+		again := writeBench(t, dir, "again.json", []BenchResult{
+			{Name: "BenchmarkReadPath/base", Runs: 20000, Metrics: map[string]float64{"allocs/op": 22, "B/op": 1336}},
+		})
+		if code := diffFiles(zero, again, 25); code != 3 {
+			t.Fatalf("exit %d for a hot path that allocates again, want 3", code)
 		}
 	})
 

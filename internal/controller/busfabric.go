@@ -30,6 +30,7 @@ type BusFabric struct {
 	pageSize int
 	chans    []*bus.Channel
 	iface    []bus.Iface
+	reads    readOps
 }
 
 // NewBusFabric builds a bus fabric with one channel per grid row.
@@ -45,6 +46,7 @@ func NewBusFabric(eng *sim.Engine, name string, grid *Grid, soc *Soc, pageSize, 
 		chans:    make([]*bus.Channel, grid.Channels),
 		iface:    make([]bus.Iface, grid.Channels),
 	}
+	f.reads = readOps{grid: grid, soc: soc, pageSize: pageSize, ret: f.returnRead}
 	for ch := 0; ch < grid.Channels; ch++ {
 		f.chans[ch] = bus.NewChannel(eng, fmt.Sprintf("%s/h%d", name, ch), widthBits, rateMTps)
 		if packetized {
@@ -71,19 +73,13 @@ func (f *BusFabric) Channel(ch int) *bus.Channel { return f.chans[ch] }
 // Read implements Fabric: command on the channel, tR in the array, page
 // readout on the channel, ECC, then the SoC hop into DRAM.
 func (f *BusFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
-	ch := f.chans[id.Channel]
-	ifc := f.iface[id.Channel]
-	chip := f.grid.Chip(id)
-	n := totalBytes(f.pageSize, len(ppas))
-	ch.UseOp("read-cmd", ifc.ReadCmd(), func() {
-		chip.Read(ppas, func() {
-			ch.UseOp("read-xfer", ifc.ReadXfer(n), func() {
-				f.eng.Schedule(EccLatency, func() {
-					f.soc.Transfer(n, done)
-				})
-			})
-		})
-	})
+	r := f.reads.get(id, ppas, done)
+	f.chans[id.Channel].UseOp("read-cmd", f.iface[id.Channel].ReadCmd(), r.sense)
+}
+
+// returnRead reads the pages out over the chip's channel.
+func (f *BusFabric) returnRead(r *readOp) {
+	f.chans[r.id.Channel].UseOp("read-xfer", f.iface[r.id.Channel].ReadXfer(r.n), r.xfer)
 }
 
 // Write implements Fabric: the SoC hop out of DRAM, command+payload on the
@@ -125,10 +121,8 @@ func (f *BusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, d
 		srcChip.Read([]flash.PPA{from}, func() {
 			token := srcChip.PageRegister(from.Plane)
 			srcCh.UseOp("gc-read-xfer", srcIfc.ReadXfer(n), func() {
-				f.eng.Schedule(EccLatency, func() {
-					f.soc.Transfer(n, func() {
-						f.Write(dst, []flash.ProgramOp{{Addr: to, Token: token}}, done)
-					})
+				f.soc.eccTransfer(n, func() {
+					f.Write(dst, []flash.ProgramOp{{Addr: to, Token: token}}, done)
 				})
 			})
 		})

@@ -13,6 +13,7 @@ package controller
 import (
 	"fmt"
 
+	"repro/internal/bus"
 	"repro/internal/flash"
 	"repro/internal/sim"
 )
@@ -101,6 +102,7 @@ type Soc struct {
 	sysBusPsByte sim.Time
 	dramPsByte   sim.Time
 	ctrlMsgDelay sim.Time
+	freeXfers    []*socXfer // recycled Transfer records
 }
 
 // DefaultCtrlMsgLatency is the one-way latency of a control-plane message
@@ -127,12 +129,57 @@ func NewSoc(eng *sim.Engine, sysBusMBps, dramMBps int) *Soc {
 // Transfer moves n bytes across the system bus and into/out of DRAM as a
 // two-stage pipeline, then runs done.
 func (s *Soc) Transfer(n int, done func()) {
+	s.newXfer(n, done).sysBusStep()
+}
+
+// eccTransfer is the tail of every page read into DRAM: the controller's
+// ECC pipeline latency, then Transfer.
+func (s *Soc) eccTransfer(n int, done func()) {
+	s.eng.Schedule(EccLatency, s.newXfer(n, done).sysBus)
+}
+
+// socXfer is one SoC transfer between issue and its DRAM stage. Records
+// are recycled through the Soc's free list; sysBus and dram are method
+// values bound once when the record is created, so a transfer allocates
+// nothing in steady state.
+type socXfer struct {
+	s      *Soc
+	n      int
+	done   func()
+	sysBus func() // bound x.sysBusStep
+	dram   func() // bound x.dramStep
+}
+
+// newXfer pops a transfer record off the free list, building one if
+// empty.
+func (s *Soc) newXfer(n int, done func()) *socXfer {
 	if n < 0 {
 		panic("controller: negative SoC transfer")
 	}
-	s.sysBus.UseLabeled("xfer", sim.Time(n)*s.sysBusPsByte, func() {
-		s.dram.UseLabeled("xfer", sim.Time(n)*s.dramPsByte, done)
-	})
+	var x *socXfer
+	if k := len(s.freeXfers); k > 0 {
+		x = s.freeXfers[k-1]
+		s.freeXfers = s.freeXfers[:k-1]
+	} else {
+		x = &socXfer{s: s}
+		x.sysBus = x.sysBusStep
+		x.dram = x.dramStep
+	}
+	x.n, x.done = n, done
+	return x
+}
+
+func (x *socXfer) sysBusStep() {
+	x.s.sysBus.UseLabeled("xfer", sim.Time(x.n)*x.s.sysBusPsByte, x.dram)
+}
+
+// dramStep is the record's last event: it goes back on the free list and
+// the DRAM hold carries done.
+func (x *socXfer) dramStep() {
+	s, n, done := x.s, x.n, x.done
+	x.done = nil
+	s.freeXfers = append(s.freeXfers, x)
+	s.dram.UseLabeled("xfer", sim.Time(n)*s.dramPsByte, done)
 }
 
 // AddObserver attaches a hold/queue observer to the system bus and DRAM
@@ -167,6 +214,93 @@ func (s *Soc) SysBusBusy() sim.Time { return s.sysBus.TotalBusy() }
 
 // DramBusy returns cumulative DRAM occupancy.
 func (s *Soc) DramBusy() sim.Time { return s.dram.TotalBusy() }
+
+// readOp is one Fabric.Read in flight on a bus, Omnibus or mesh fabric:
+// the command reaches the chip, the array senses, the fabric's own return
+// path carries the pages to the controller, and Soc.eccTransfer lands
+// them in DRAM. Records are recycled through the fabric's readOps free
+// list, and every step is a method value bound once when the record is
+// created, so a steady stream of reads allocates nothing.
+type readOp struct {
+	ops  *readOps
+	id   ChipID
+	chip *flash.Chip
+	ppas []flash.PPA // the caller's slice, read when the command lands
+	n    int         // payload bytes
+	done func()
+
+	// Omnibus returns: joins counts the split halves still in flight,
+	// and vch/vLabel/vDur/vNext is the v-channel hold issued once the
+	// control-plane grant arrives.
+	joins  int
+	vch    *bus.Channel
+	vLabel string
+	vDur   sim.Time
+	vNext  func()
+
+	sense, ret, xfer, join, vReq, vGrant func() // bound steps
+}
+
+// readOps is one fabric's free list of read records plus its data return
+// path, which runs once the pages sit in the chip's page registers and
+// must end in the record's xfer step.
+type readOps struct {
+	grid     *Grid
+	soc      *Soc
+	pageSize int
+	ret      func(r *readOp)
+	free     []*readOp
+}
+
+// get pops a read record off the free list, building one if empty.
+func (p *readOps) get(id ChipID, ppas []flash.PPA, done func()) *readOp {
+	var r *readOp
+	if k := len(p.free); k > 0 {
+		r = p.free[k-1]
+		p.free = p.free[:k-1]
+	} else {
+		r = &readOp{ops: p}
+		r.sense, r.ret, r.xfer = r.senseStep, r.retStep, r.xferStep
+		r.join, r.vReq, r.vGrant = r.joinStep, r.vReqStep, r.vGrantStep
+	}
+	r.id, r.chip, r.ppas, r.done = id, p.grid.Chip(id), ppas, done
+	r.n = totalBytes(p.pageSize, len(ppas))
+	return r
+}
+
+func (r *readOp) senseStep() { r.chip.Read(r.ppas, r.ret) }
+
+func (r *readOp) retStep() { r.ops.ret(r) }
+
+// xferStep is the record's last event: the payload has reached the
+// controller, so the record goes back on the free list and the ECC and
+// SoC hop carries done.
+func (r *readOp) xferStep() {
+	p, n, done := r.ops, r.n, r.done
+	r.ppas, r.done, r.vNext = nil, nil, nil
+	p.free = append(p.free, r)
+	p.soc.eccTransfer(n, done)
+}
+
+// joinStep completes one half of a split return.
+func (r *readOp) joinStep() {
+	r.joins--
+	if r.joins == 0 {
+		r.xferStep()
+	}
+}
+
+// afterVGrant issues a v-channel hold of d once the request/grant
+// exchange over the control plane lets controller[way] drive vch, then
+// runs next.
+func (r *readOp) afterVGrant(vch *bus.Channel, label string, d sim.Time, next func()) {
+	r.vch, r.vLabel, r.vDur, r.vNext = vch, label, d, next
+	r.ops.soc.CtrlMsg(r.vReq)
+}
+
+func (r *readOp) vReqStep() { r.ops.soc.CtrlMsg(r.vGrant) }
+
+func (r *readOp) vGrantStep() { r.vch.UseOp(r.vLabel, r.vDur, r.vNext) }
 
 // totalBytes sums the page sizes of a multi-plane op set.
 func totalBytes(pageSize, pages int) int { return pageSize * pages }

@@ -20,12 +20,13 @@ type MeshFabric struct {
 	soc      *Soc
 	pageSize int
 	m        *mesh.Mesh
+	reads    readOps
 }
 
 // NewMeshFabric builds the mesh fabric; widthBits is the per-link width
 // (2 for the pin-constrained variant, 8 for the unconstrained one).
 func NewMeshFabric(eng *sim.Engine, name string, grid *Grid, soc *Soc, pageSize, widthBits, rateMTps int) *MeshFabric {
-	return &MeshFabric{
+	f := &MeshFabric{
 		eng:      eng,
 		name:     name,
 		grid:     grid,
@@ -33,6 +34,8 @@ func NewMeshFabric(eng *sim.Engine, name string, grid *Grid, soc *Soc, pageSize,
 		pageSize: pageSize,
 		m:        mesh.New(eng, grid.Ways, grid.Channels, widthBits, rateMTps),
 	}
+	f.reads = readOps{grid: grid, soc: soc, pageSize: pageSize, ret: f.returnRead}
+	return f
 }
 
 // Name implements Fabric.
@@ -49,19 +52,13 @@ func (f *MeshFabric) node(id ChipID) mesh.Node { return mesh.Node{X: id.Way, Y: 
 // Read implements Fabric: command packet to the chip, tR, data packet back
 // to the row's controller, ECC, SoC hop.
 func (f *MeshFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
-	chip := f.grid.Chip(id)
-	node := f.node(id)
-	ctrl := mesh.Controller(id.Channel)
-	n := totalBytes(f.pageSize, len(ppas))
-	f.m.Transfer(ctrl, node, packet.ControlFlitsFor(), func() {
-		chip.Read(ppas, func() {
-			f.m.Transfer(node, ctrl, packet.DataFlitsFor(n), func() {
-				f.eng.Schedule(EccLatency, func() {
-					f.soc.Transfer(n, done)
-				})
-			})
-		})
-	})
+	r := f.reads.get(id, ppas, done)
+	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.sense)
+}
+
+// returnRead sends the data packet back to the row's controller.
+func (f *MeshFabric) returnRead(r *readOp) {
+	f.m.Transfer(f.node(r.id), mesh.Controller(r.id.Channel), packet.DataFlitsFor(r.n), r.xfer)
 }
 
 // Write implements Fabric: SoC hop, then one command+payload packet stream

@@ -68,6 +68,8 @@ type OmnibusFabric struct {
 	// counters for reports and tests
 	hReturns, vReturns, splitReturns int64
 	directCopies, relayedCopies      int64
+
+	reads readOps
 }
 
 // NewOmnibusFabric builds the Omnibus fabric. Table II: 8 h-channels and
@@ -103,6 +105,7 @@ func NewOmnibusFabricAsym(eng *sim.Engine, name string, grid *Grid, soc *Soc, pa
 		colsPerV: colsPerV,
 		route:    RouteGreedy,
 	}
+	f.reads = readOps{grid: grid, soc: soc, pageSize: pageSize, ret: f.returnData}
 	for ch := 0; ch < grid.Channels; ch++ {
 		f.h[ch] = bus.NewChannel(eng, fmt.Sprintf("%s/h%d", name, ch), hWidthBits, rateMTps)
 		f.hIface[ch] = bus.NewPacketized(f.h[ch])
@@ -235,37 +238,28 @@ func (f *OmnibusFabric) PathCounts() (h, v, split, direct, relayed int64) {
 // row controller owns the chip); the data return path is adaptive or
 // split.
 func (f *OmnibusFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
-	hch := f.h[id.Channel]
-	hifc := f.hIface[id.Channel]
-	chip := f.grid.Chip(id)
-	n := totalBytes(f.pageSize, len(ppas))
-	hch.UseOp("read-cmd", hifc.ReadCmd(), func() {
-		chip.Read(ppas, func() {
-			f.returnData(id, n, done)
-		})
-	})
+	r := f.reads.get(id, ppas, done)
+	f.h[id.Channel].UseOp("read-cmd", f.hIface[id.Channel].ReadCmd(), r.sense)
 }
 
-// returnData moves n bytes from the chip's page registers into DRAM over
-// the chosen path(s).
-func (f *OmnibusFabric) returnData(id ChipID, n int, done func()) {
+// returnData moves the read's payload from the chip's page registers to
+// the controller over the chosen path(s).
+func (f *OmnibusFabric) returnData(r *readOp) {
+	id, n := r.id, r.n
 	hch, vch := f.h[id.Channel], f.v[f.vIndex(id.Way)]
 	hifc, vifc := f.hIface[id.Channel], f.vIface[f.vIndex(id.Way)]
-	finish := func() {
-		f.eng.Schedule(EccLatency, func() { f.soc.Transfer(n, done) })
-	}
 	if f.vDead(id.Way) {
 		// Degraded mode: the column's v-channel is dead, so path diversity
 		// collapses and the whole payload returns over the row's h-channel
 		// — the failover the paper's path redundancy makes possible.
-		if r := f.faults.RAS(); r != nil {
-			r.DegradedReturns++
+		if ras := f.faults.RAS(); ras != nil {
+			ras.DegradedReturns++
 		}
 		f.hReturns++
 		if f.trc.Enabled() {
 			f.trc.Instant("route", "degraded-h", trace.KV{K: "chip", V: id.String()})
 		}
-		hch.UseOp("read-xfer", hifc.ReadXfer(n), finish)
+		hch.UseOp("read-xfer", hifc.ReadXfer(n), r.xfer)
 		return
 	}
 	if f.split && n > 1 && hch.Load() == 0 && vch.Load() == 0 {
@@ -280,15 +274,9 @@ func (f *OmnibusFabric) returnData(id ChipID, n int, done func()) {
 			f.trc.Instant("route", "split-return", trace.KV{K: "chip", V: id.String()})
 		}
 		half1, half2 := n/2, n-n/2
-		remaining := 2
-		join := func() {
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
-		}
-		hch.UseOp("read-xfer-half", hifc.ReadXfer(half1), join)
-		f.afterVGrant(func() { vch.UseOp("read-xfer-half", vifc.ReadXfer(half2), join) })
+		r.joins = 2
+		hch.UseOp("read-xfer-half", hifc.ReadXfer(half1), r.join)
+		r.afterVGrant(vch, "read-xfer-half", vifc.ReadXfer(half2), r.join)
 		return
 	}
 	// Greedy adaptive, as in the paper: the first *available* channel is
@@ -301,11 +289,11 @@ func (f *OmnibusFabric) returnData(id ChipID, n int, done func()) {
 		if f.trc.Enabled() {
 			f.trc.Instant("route", "v-return", trace.KV{K: "chip", V: id.String()})
 		}
-		f.afterVGrant(func() { vch.UseOp("read-xfer", vifc.ReadXfer(n), finish) })
+		r.afterVGrant(vch, "read-xfer", vifc.ReadXfer(n), r.xfer)
 		return
 	}
 	f.hReturns++
-	hch.UseOp("read-xfer", hifc.ReadXfer(n), finish)
+	hch.UseOp("read-xfer", hifc.ReadXfer(n), r.xfer)
 }
 
 // afterVGrant runs fn once the request/grant exchange over the control
@@ -512,10 +500,8 @@ func (f *OmnibusFabric) relayCopy(src ChipID, from flash.PPA, dst ChipID, to fla
 		srcChip.Read([]flash.PPA{from}, func() {
 			token := srcChip.PageRegister(from.Plane)
 			hch.UseOp("gc-read-xfer", hifc.ReadXfer(n), func() {
-				f.eng.Schedule(EccLatency, func() {
-					f.soc.Transfer(n, func() {
-						f.Write(dst, []flash.ProgramOp{{Addr: to, Token: token}}, done)
-					})
+				f.soc.eccTransfer(n, func() {
+					f.Write(dst, []flash.ProgramOp{{Addr: to, Token: token}}, done)
 				})
 			})
 		})

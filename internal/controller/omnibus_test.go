@@ -258,3 +258,50 @@ func TestOmnibusPnSSDSlowerThanPSSDWhenIdle(t *testing.T) {
 		t.Fatalf("pSSD %v not faster than pnSSD %v on idle fabric", latP, latPn)
 	}
 }
+
+// TestOmnibusSplitReadReusedFromItsOwnCallback chains split reads in
+// which each completion at once reads another page of the same chip, so
+// every read after the first runs on the fabric, SoC and chip records
+// the previous one just released. Each must see its own token in the
+// page register, split again on the idle fabric, and take exactly as
+// long as the first.
+func TestOmnibusSplitReadReusedFromItsOwnCallback(t *testing.T) {
+	e, g, soc := testRig(2, 2)
+	f := newOmnibus(e, g, soc, true)
+	id := ChipID{1, 1}
+	chip := g.Chip(id)
+	const chain = 4
+	for page := 0; page < chain; page++ {
+		chip.Program([]flash.ProgramOp{{Addr: flash.PPA{Plane: page % 4, Block: 0, Page: page}, Token: flash.Token(0xA0 + page)}}, nil)
+	}
+	e.Run()
+
+	var lat []sim.Time
+	var issued sim.Time
+	var read func(page int)
+	read = func(page int) {
+		issued = e.Now()
+		f.Read(id, []flash.PPA{{Plane: page % 4, Block: 0, Page: page}}, func() {
+			lat = append(lat, e.Now()-issued)
+			if got, want := chip.PageRegister(page%4), flash.Token(0xA0+page); got != want {
+				t.Fatalf("read %d: page register = %x, want %x", page, got, want)
+			}
+			if page+1 < chain {
+				read(page + 1)
+			}
+		})
+	}
+	read(0)
+	e.Run()
+	if len(lat) != chain {
+		t.Fatalf("%d of %d chained reads completed", len(lat), chain)
+	}
+	for i, l := range lat {
+		if l != lat[0] {
+			t.Fatalf("read %d took %v, the first %v", i, l, lat[0])
+		}
+	}
+	if _, _, split, _, _ := f.PathCounts(); split != chain {
+		t.Fatalf("splitReturns = %d, want %d", split, chain)
+	}
+}

@@ -135,6 +135,8 @@ type Chip struct {
 
 	reads, programs, erases int64
 
+	freeReads []*chipRead // recycled Read records
+
 	// faults injects transient read ECC failures; faultKey identifies
 	// this chip in the injector's per-chip quota accounting.
 	faults   *fault.Injector
@@ -267,21 +269,61 @@ func (c *Chip) Read(ppas []PPA, done func()) {
 			panic(fmt.Sprintf("flash %s: read of unprogrammed page %v", c.name, a))
 		}
 	}
-	addrs := append([]PPA(nil), ppas...)
-	c.die.AcquireLabeled("read", func() {
-		// The retry ladder extends the die-busy window: re-senses hold the
-		// array exactly like the first sense does on real NAND.
-		c.eng.Schedule(c.timing.Read+c.readFaultPenalty(len(addrs)), func() {
-			for _, a := range addrs {
-				c.pageReg[a.Plane] = c.content[a.Plane][c.pageIndex(a)]
-			}
-			c.reads++
-			c.die.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	r := c.newRead()
+	r.addrs = append(r.addrs[:0], ppas...)
+	r.done = done
+	c.die.AcquireLabeled("read", r.grant)
+}
+
+// chipRead is one queued or sensing Chip.Read. Records are recycled
+// through the chip's free list so a steady stream of reads allocates
+// nothing: grant and sense are method values bound once when the record
+// is created, and addrs keeps its capacity across uses.
+type chipRead struct {
+	c     *Chip
+	addrs []PPA
+	done  func()
+	grant func() // bound r.granted
+	sense func() // bound r.sensed
+}
+
+// newRead pops a read record off the free list, building one if empty.
+func (c *Chip) newRead() *chipRead {
+	if n := len(c.freeReads); n > 0 {
+		r := c.freeReads[n-1]
+		c.freeReads = c.freeReads[:n-1]
+		return r
+	}
+	r := &chipRead{c: c}
+	r.grant = r.granted
+	r.sense = r.sensed
+	return r
+}
+
+// granted runs when the die is granted. The retry ladder extends the
+// die-busy window: re-senses hold the array exactly like the first sense
+// does on real NAND.
+func (r *chipRead) granted() {
+	c := r.c
+	c.eng.Schedule(c.timing.Read+c.readFaultPenalty(len(r.addrs)), r.sense)
+}
+
+// sensed lands the pages in their registers and frees the die. The
+// record returns to the free list before done runs, because done may
+// issue the next read on this chip.
+func (r *chipRead) sensed() {
+	c := r.c
+	for _, a := range r.addrs {
+		c.pageReg[a.Plane] = c.content[a.Plane][c.pageIndex(a)]
+	}
+	c.reads++
+	c.die.Release()
+	done := r.done
+	r.done = nil
+	c.freeReads = append(c.freeReads, r)
+	if done != nil {
+		done()
+	}
 }
 
 // readFaultPenalty draws the transient-ECC outcome for each page of a

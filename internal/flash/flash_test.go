@@ -371,3 +371,61 @@ func TestProgramEraseProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadRecordReusedFromItsOwnCallback drives a chain of reads in
+// which each completion at once issues the next read on the same chip,
+// so the next read takes the record the finishing read just released,
+// while a second read waits on the die behind it. Every read must still
+// land its own tokens in the page registers and take exactly tR.
+func TestReadRecordReusedFromItsOwnCallback(t *testing.T) {
+	e := sim.NewEngine()
+	c := newTestChip(e)
+	tok := func(plane, page int) Token { return Token(0x100*plane + page + 1) }
+	for plane := 0; plane < 4; plane++ {
+		for page := 0; page < 4; page++ {
+			c.Program([]ProgramOp{{Addr: PPA{Plane: plane, Block: 0, Page: page}, Token: tok(plane, page)}}, nil)
+		}
+	}
+	e.Run()
+
+	const chain = 4
+	var chained, queued int
+	var next func()
+	next = func() {
+		if chained > 0 {
+			for _, plane := range []int{chained % 4, (chained + 1) % 4} {
+				if got, want := c.PageRegister(plane), tok(plane, chained-1); got != want {
+					t.Fatalf("read %d: plane %d register = %x, want %x", chained, plane, got, want)
+				}
+			}
+		}
+		if chained == chain {
+			return
+		}
+		chained++
+		page := chained - 1
+		c.Read([]PPA{{Plane: chained % 4, Block: 0, Page: page}, {Plane: (chained + 1) % 4, Block: 0, Page: page}}, next)
+		if chained == 1 {
+			// A second read queues on the die behind the first, holding
+			// its own record while the chain recycles the other.
+			c.Read([]PPA{{Plane: 3, Block: 0, Page: 3}}, func() {
+				queued++
+				if got := c.PageRegister(3); got != tok(3, 3) {
+					t.Fatalf("queued read: plane 3 register = %x, want %x", got, tok(3, 3))
+				}
+			})
+		}
+	}
+	start := e.Now()
+	next()
+	e.Run()
+	if chained != chain || queued != 1 {
+		t.Fatalf("chained %d of %d reads, queued read completed %d times", chained, chain, queued)
+	}
+	if got, want := e.Now()-start, (chain+1)*c.Timing().Read; got != want {
+		t.Fatalf("reads took %v, want %v (one tR each, serialized on the die)", got, want)
+	}
+	if r, _, _ := c.Counters(); r != chain+1 {
+		t.Fatalf("reads = %d, want %d", r, chain+1)
+	}
+}

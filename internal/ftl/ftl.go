@@ -139,6 +139,8 @@ type FTL struct {
 	// writes stalled on allocation space, retried as blocks free up.
 	stalled []func() bool
 
+	freeReads []*hostRead // recycled ReadTracked records
+
 	// reserveBlocks is the pool of free blocks host writes may not consume
 	// — headroom that guarantees GC can always allocate copy destinations.
 	reserveBlocks int
@@ -398,8 +400,8 @@ func (f *FTL) Reinstall(lpn int64, tok flash.Token) {
 	}
 }
 
-// groupOps batches per-page operations on one chip into multi-plane sets
-// with distinct planes.
+// chipBatch is one multi-plane operation: pages on one chip with
+// distinct planes.
 type chipBatch struct {
 	id   controller.ChipID
 	ppas []flash.PPA
@@ -407,13 +409,19 @@ type chipBatch struct {
 	lpns []int64 // parallel to ppas on write batches; nil on reads
 }
 
-func batchByChip(locs []controller.ChipID, addrs []flash.PPA, toks []flash.Token, lpns []int64) []chipBatch {
-	var batches []chipBatch
-	open := make(map[controller.ChipID]int) // chip -> open batch index
+// batchByChip groups per-page operations into chip batches, appending to
+// batches[:0] and reusing the buffers of its old elements. A page joins
+// the chip's most recent batch unless that batch already holds its
+// plane, in which case it opens a new one.
+func batchByChip(batches []chipBatch, locs []controller.ChipID, addrs []flash.PPA, toks []flash.Token, lpns []int64) []chipBatch {
+	batches = batches[:0]
 	for i := range locs {
 		id := locs[i]
-		bi, ok := open[id]
-		if ok {
+		bi := len(batches) - 1
+		for bi >= 0 && batches[bi].id != id {
+			bi--
+		}
+		if bi >= 0 {
 			b := &batches[bi]
 			conflict := false
 			for _, a := range b.ppas {
@@ -433,15 +441,21 @@ func batchByChip(locs []controller.ChipID, addrs []flash.PPA, toks []flash.Token
 				continue
 			}
 		}
-		nb := chipBatch{id: id, ppas: []flash.PPA{addrs[i]}}
+		if len(batches) == cap(batches) {
+			batches = append(batches, chipBatch{})
+		} else {
+			batches = batches[:len(batches)+1]
+		}
+		nb := &batches[len(batches)-1]
+		nb.id = id
+		nb.ppas = append(nb.ppas[:0], addrs[i])
+		nb.toks, nb.lpns = nb.toks[:0], nb.lpns[:0]
 		if toks != nil {
-			nb.toks = []flash.Token{toks[i]}
+			nb.toks = append(nb.toks, toks[i])
 		}
 		if lpns != nil {
-			nb.lpns = []int64{lpns[i]}
+			nb.lpns = append(nb.lpns, lpns[i])
 		}
-		batches = append(batches, nb)
-		open[id] = len(batches) - 1
 	}
 	return batches
 }
@@ -462,102 +476,155 @@ func (f *FTL) ReadTracked(lpns []int64, att *telemetry.Attribution, done func())
 	}
 	f.outstanding++
 	f.stats.HostReads += int64(len(lpns))
-	wrapped := func() {
-		f.outstanding--
-		done()
-	}
 	for _, lpn := range lpns {
 		f.checkLPN(lpn)
 	}
-	f.readWhenStable(append([]int64(nil), lpns...), att, wrapped)
+	r := f.newRead()
+	r.lpns = append(r.lpns[:0], lpns...)
+	r.att, r.done = att, done
+	f.readWhenStable(r)
+}
+
+// hostRead is one ReadTracked from entry to done. Records are recycled
+// through the FTL's free list and keep the capacity of their lpns copy,
+// translation scratch and chip batches across uses; each batch's
+// completion is a method value bound once, so a steady stream of reads
+// allocates nothing.
+type hostRead struct {
+	f         *FTL
+	lpns      []int64
+	att       *telemetry.Attribution
+	done      func()
+	locs      []controller.ChipID
+	addrs     []flash.PPA
+	batches   []chipBatch
+	ends      []*batchEnd // ends[i] completes batches[i]
+	remaining int
+}
+
+// batchEnd completes one chip batch of a hostRead.
+type batchEnd struct {
+	r  *hostRead
+	i  int
+	fn func() // bound e.complete
+}
+
+// newRead pops a read record off the free list, building one if empty.
+func (f *FTL) newRead() *hostRead {
+	if n := len(f.freeReads); n > 0 {
+		r := f.freeReads[n-1]
+		f.freeReads = f.freeReads[:n-1]
+		return r
+	}
+	return &hostRead{f: f}
 }
 
 // readWhenStable issues the read once no target LPN has a write in
 // flight. Every wake-up re-checks the whole set: while the read waited on
 // one LPN, a fresh write to another may have started, and issuing then
 // would read a page whose program has not reached the chip.
-func (f *FTL) readWhenStable(lpns []int64, att *telemetry.Attribution, done func()) {
-	for _, lpn := range lpns {
+func (f *FTL) readWhenStable(r *hostRead) {
+	for _, lpn := range r.lpns {
 		if f.inflightWrites[lpn] > 0 {
 			f.writeWaiters[lpn] = append(f.writeWaiters[lpn], func() {
-				f.readWhenStable(lpns, att, done)
+				f.readWhenStable(r)
 			})
 			return
 		}
 	}
 	// Any wait behind in-flight writes ends here; un-stalled reads
 	// mark at their own issue instant and credit an exact zero.
-	att.Mark(telemetry.PhaseStall, f.eng.Now())
+	r.att.Mark(telemetry.PhaseStall, f.eng.Now())
 	if f.mapu == nil {
-		f.issueRead(lpns, done)
+		f.issueRead(r)
 		return
 	}
-	f.mapu.translate(lpns, func() {
-		att.Mark(telemetry.PhaseMap, f.eng.Now())
+	f.mapu.translate(r.lpns, func() {
+		r.att.Mark(telemetry.PhaseMap, f.eng.Now())
 		// A fetch consumed simulated time: a write to one of the target
 		// LPNs may have started meanwhile, so re-check stability before
 		// issuing (any new wait is credited back to the stall phase).
-		for _, lpn := range lpns {
+		for _, lpn := range r.lpns {
 			if f.inflightWrites[lpn] > 0 {
-				f.readWhenStable(lpns, att, done)
+				f.readWhenStable(r)
 				return
 			}
 		}
-		f.issueRead(lpns, done)
+		f.issueRead(r)
 	})
 }
 
-func (f *FTL) issueRead(lpns []int64, done func()) {
-	locs := make([]controller.ChipID, len(lpns))
-	addrs := make([]flash.PPA, len(lpns))
-	for i, lpn := range lpns {
+func (f *FTL) issueRead(r *hostRead) {
+	r.locs, r.addrs = r.locs[:0], r.addrs[:0]
+	for _, lpn := range r.lpns {
 		id, addr, ok := f.Map(lpn)
 		if !ok {
 			panic(fmt.Sprintf("ftl: read of unmapped LPN %d (warm up the footprint first)", lpn))
 		}
-		locs[i], addrs[i] = id, addr
+		r.locs, r.addrs = append(r.locs, id), append(r.addrs, addr)
 	}
-	batches := batchByChip(locs, addrs, nil, nil)
-	remaining := len(batches)
-	for _, b := range batches {
-		b := b
+	r.batches = batchByChip(r.batches, r.locs, r.addrs, nil, nil)
+	for len(r.ends) < len(r.batches) {
+		e := &batchEnd{r: r, i: len(r.ends)}
+		e.fn = e.complete
+		r.ends = append(r.ends, e)
+	}
+	r.remaining = len(r.batches)
+	for bi := range r.batches {
+		b := &r.batches[bi]
 		// Pin the blocks under read so GC cannot erase them while the read
 		// is still queued behind channel or die contention.
 		for i, a := range b.ppas {
 			if debugReads && f.fab.Grid().Chip(b.id).PageStateAt(a) != flash.PageProgrammed {
-				bi := f.planeAt(b.id, a.Plane).blocks[a.Block]
-				phys := physIndex(f.geo, f.ways, b.id, a)
-				lpn := f.p2l[phys]
-				infl := -1
-				if lpn >= 0 {
-					infl = f.inflightWrites[lpn]
-				}
-				var readLPN, readL2P int64 = -1, -1
-				for _, cand := range lpns {
-					if f.l2p[cand] == phys {
-						readLPN, readL2P = cand, f.l2p[cand]
-					}
-				}
-				panic(fmt.Sprintf("ftl: issueRead of erased page %v on %v (batch idx %d, block state=%d valid=%d inflight=%d refs=%d, p2l=%d inflightWrites[p2l]=%d l2p[p2l]=%d readLPN=%d readL2P=%d inflightWrites[readLPN]=%d phys=%d)",
-					a, b.id, i, bi.state, bi.validCount, bi.inflight, bi.readRefs, lpn, infl, func() int64 {
-						if lpn >= 0 {
-							return f.l2p[lpn]
-						}
-						return -2
-					}(), readLPN, readL2P, f.inflightWrites[readLPN], phys))
+				f.erasedReadPanic(r.lpns, b.id, a, i)
 			}
 			f.planeAt(b.id, a.Plane).blocks[a.Block].readRefs++
 		}
-		f.fab.Read(b.id, b.ppas, func() {
-			for _, a := range b.ppas {
-				f.planeAt(b.id, a.Plane).blocks[a.Block].readRefs--
-			}
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
+		f.fab.Read(b.id, b.ppas, r.ends[bi].fn)
 	}
+}
+
+// complete unpins the batch's blocks; the read's last batch returns the
+// record to the free list and then runs done, which may issue the next
+// read.
+func (e *batchEnd) complete() {
+	r := e.r
+	f := r.f
+	b := &r.batches[e.i]
+	for _, a := range b.ppas {
+		f.planeAt(b.id, a.Plane).blocks[a.Block].readRefs--
+	}
+	r.remaining--
+	if r.remaining > 0 {
+		return
+	}
+	done := r.done
+	r.att, r.done = nil, nil
+	f.freeReads = append(f.freeReads, r)
+	f.outstanding--
+	done()
+}
+
+// erasedReadPanic reports a read issued against a page that is not
+// programmed, with the mapping state that explains how it got there.
+func (f *FTL) erasedReadPanic(lpns []int64, id controller.ChipID, a flash.PPA, idx int) {
+	bi := f.planeAt(id, a.Plane).blocks[a.Block]
+	phys := physIndex(f.geo, f.ways, id, a)
+	lpn := f.p2l[phys]
+	infl := -1
+	l2pOfP2L := int64(-2)
+	if lpn >= 0 {
+		infl = f.inflightWrites[lpn]
+		l2pOfP2L = f.l2p[lpn]
+	}
+	var readLPN, readL2P int64 = -1, -1
+	for _, cand := range lpns {
+		if f.l2p[cand] == phys {
+			readLPN, readL2P = cand, f.l2p[cand]
+		}
+	}
+	panic(fmt.Sprintf("ftl: issueRead of erased page %v on %v (batch idx %d, block state=%d valid=%d inflight=%d refs=%d, p2l=%d inflightWrites[p2l]=%d l2p[p2l]=%d readLPN=%d readL2P=%d inflightWrites[readLPN]=%d phys=%d)",
+		a, id, idx, bi.state, bi.validCount, bi.inflight, bi.readRefs, lpn, infl, l2pOfP2L, readLPN, readL2P, f.inflightWrites[readLPN], phys))
 }
 
 // Write services host page writes: each LPN gets a fresh physical page
@@ -705,7 +772,7 @@ func (f *FTL) commitWrite(lpns []int64, toks []flash.Token, targets []pendingTar
 		}
 		locs[i], addrs[i] = tgt.s.chip, addr
 	}
-	batches := batchByChip(locs, addrs, toks, lpns)
+	batches := batchByChip(nil, locs, addrs, toks, lpns)
 	remaining := len(batches)
 	lpnsCopy := append([]int64(nil), lpns...)
 	for _, b := range batches {
@@ -900,7 +967,7 @@ func (f *FTL) CheckConsistency() error {
 }
 
 // debugReads enables an issue-time page-state check in issueRead.
-var debugReads = true
+const debugReads = true
 
 // WearStats summarizes block erase counts across the device — the P/E
 // cycle distribution whose uniformity the SpGC group swap protects

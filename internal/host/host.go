@@ -44,6 +44,7 @@ type Host struct {
 	versions map[int64]int64
 	inFlight int
 	reqSeq   int64
+	freeReqs []*request // recycled Submit records
 
 	// trc records one async span per request lifecycle (arrival through
 	// completion); nil (the default) disables tracing with no overhead.
@@ -108,18 +109,6 @@ func (h *Host) Warmup(lpns int64) {
 	}
 }
 
-func (h *Host) lpnsOf(r Request) []int64 {
-	lpns := make([]int64, r.Pages)
-	for i := range lpns {
-		lpn := r.LPN + int64(i)
-		if lpn >= h.f.NumLPNs() {
-			lpn %= h.f.NumLPNs()
-		}
-		lpns[i] = lpn
-	}
-	return lpns
-}
-
 // Submit issues one request now (the request's Arrival field is used only
 // for latency accounting and must not be in the future). done may be nil.
 // A malformed request — non-positive page count, unknown kind, or an
@@ -131,12 +120,21 @@ func (h *Host) Submit(r Request, done func()) error {
 		return err
 	}
 	h.inFlight++
-	lpns := h.lpnsOf(r)
-	bytes := int64(r.Pages) * int64(h.pageSize)
-	var span trace.SpanID
+	q := h.newRequest()
+	q.req, q.done = r, done
+	q.lpns = q.lpns[:0]
+	for i := 0; i < r.Pages; i++ {
+		lpn := r.LPN + int64(i)
+		if lpn >= h.f.NumLPNs() {
+			lpn %= h.f.NumLPNs()
+		}
+		q.lpns = append(q.lpns, lpn)
+	}
+	q.bytes = int64(r.Pages) * int64(h.pageSize)
+	q.span = trace.SpanID{}
 	if h.trc.Enabled() {
 		h.reqSeq++
-		span = h.trc.BeginSpan("req", r.Kind.String(),
+		q.span = h.trc.BeginSpan("req", r.Kind.String(),
 			trace.KV{K: "seq", V: h.reqSeq},
 			trace.KV{K: "lpn", V: r.LPN},
 			trace.KV{K: "pages", V: r.Pages})
@@ -145,47 +143,97 @@ func (h *Host) Submit(r Request, done func()) error {
 	// completion] along the request path — sq-wait to NVMe pickup,
 	// command processing, link transfer, FTL stall, flash work — so
 	// phase durations sum exactly to end-to-end latency.
-	att := h.tel.StartRequest(r.Kind, r.Arrival)
-	att.Mark(telemetry.PhaseQueue, h.eng.Now())
-	finish := func() {
-		h.inFlight--
-		now := h.eng.Now()
-		h.metrics.Record(r.Kind, r.Arrival, now, bytes)
-		h.trc.EndSpan(span)
-		if r.Kind == stats.Read {
-			att.Mark(telemetry.PhaseXfer, now)
-		} else {
-			att.Mark(telemetry.PhaseFlash, now)
-		}
-		h.tel.FinishRequest(att, now, bytes)
-		if done != nil {
-			done()
-		}
-	}
-	xfer := sim.Time(bytes) * h.nvmePsByte
-	if r.Kind == stats.Read {
-		h.eng.Schedule(h.cmdLatency, func() {
-			att.Mark(telemetry.PhaseCmd, h.eng.Now())
-			h.f.ReadTracked(lpns, att, func() {
-				att.Mark(telemetry.PhaseFlash, h.eng.Now())
-				h.nvme.UseLabeled("read-return", xfer, finish)
-			})
-		})
-	} else {
-		toks := make([]flash.Token, len(lpns))
-		for i, lpn := range lpns {
+	q.att = h.tel.StartRequest(r.Kind, r.Arrival)
+	q.att.Mark(telemetry.PhaseQueue, h.eng.Now())
+	q.xfer = sim.Time(q.bytes) * h.nvmePsByte
+	if r.Kind == stats.Write {
+		q.toks = q.toks[:0]
+		for _, lpn := range q.lpns {
 			h.versions[lpn]++
-			toks[i] = ftl.TokenFor(lpn, h.versions[lpn])
+			q.toks = append(q.toks, ftl.TokenFor(lpn, h.versions[lpn]))
 		}
-		h.eng.Schedule(h.cmdLatency, func() {
-			att.Mark(telemetry.PhaseCmd, h.eng.Now())
-			h.nvme.UseLabeled("write-payload", xfer, func() {
-				att.Mark(telemetry.PhaseXfer, h.eng.Now())
-				h.f.WriteTracked(lpns, toks, att, finish)
-			})
-		})
 	}
+	h.eng.Schedule(h.cmdLatency, q.cmd)
 	return nil
+}
+
+// request is one Submit from command fetch to completion. Records are
+// recycled through the host's free list and keep the capacity of their
+// lpns and token buffers; the steps are method values bound once when
+// the record is created, so a steady stream of requests allocates
+// nothing in the host.
+type request struct {
+	h     *Host
+	req   Request
+	done  func()
+	lpns  []int64
+	toks  []flash.Token // write payload
+	bytes int64
+	xfer  sim.Time // NVMe link time of the payload
+	span  trace.SpanID
+	att   *telemetry.Attribution
+
+	cmd, flashed, payload, finish func() // bound steps
+}
+
+// newRequest pops a request record off the free list, building one if
+// empty.
+func (h *Host) newRequest() *request {
+	if n := len(h.freeReqs); n > 0 {
+		q := h.freeReqs[n-1]
+		h.freeReqs = h.freeReqs[:n-1]
+		return q
+	}
+	q := &request{h: h}
+	q.cmd, q.flashed, q.payload, q.finish = q.cmdStep, q.flashedStep, q.payloadStep, q.finishStep
+	return q
+}
+
+// cmdStep runs once the command is processed: a read goes to the FTL, a
+// write first pulls its payload over the NVMe link.
+func (q *request) cmdStep() {
+	h := q.h
+	q.att.Mark(telemetry.PhaseCmd, h.eng.Now())
+	if q.req.Kind == stats.Read {
+		h.f.ReadTracked(q.lpns, q.att, q.flashed)
+		return
+	}
+	h.nvme.UseLabeled("write-payload", q.xfer, q.payload)
+}
+
+// flashedStep returns read data over the NVMe link.
+func (q *request) flashedStep() {
+	q.att.Mark(telemetry.PhaseFlash, q.h.eng.Now())
+	q.h.nvme.UseLabeled("read-return", q.xfer, q.finish)
+}
+
+// payloadStep hands a write's payload to the FTL.
+func (q *request) payloadStep() {
+	q.att.Mark(telemetry.PhaseXfer, q.h.eng.Now())
+	q.h.f.WriteTracked(q.lpns, q.toks, q.att, q.finish)
+}
+
+// finishStep records the completion, returns the record to the free list
+// and then runs done, which may submit the next request.
+func (q *request) finishStep() {
+	h := q.h
+	h.inFlight--
+	now := h.eng.Now()
+	r := q.req
+	h.metrics.Record(r.Kind, r.Arrival, now, q.bytes)
+	h.trc.EndSpan(q.span)
+	if r.Kind == stats.Read {
+		q.att.Mark(telemetry.PhaseXfer, now)
+	} else {
+		q.att.Mark(telemetry.PhaseFlash, now)
+	}
+	h.tel.FinishRequest(q.att, now, q.bytes)
+	done := q.done
+	q.done, q.att = nil, nil
+	h.freeReqs = append(h.freeReqs, q)
+	if done != nil {
+		done()
+	}
 }
 
 // validate rejects a malformed request; now is the engine clock a

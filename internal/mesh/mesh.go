@@ -51,6 +51,7 @@ type Mesh struct {
 	rateMTps   int
 	hopLatency sim.Time
 	links      map[[2]Node]*bus.Channel
+	freeXfers  []*transfer // recycled Transfer records
 }
 
 // New builds a w×h mesh with the given directed-link width and rate.
@@ -116,20 +117,20 @@ func (m *Mesh) check(n Node) {
 // Path returns the dimension-ordered (X then Y) route from src to dst as a
 // sequence of directed hops. Controller endpoints route through their
 // row's edge node.
-func (m *Mesh) Path(src, dst Node) []Node {
+func (m *Mesh) Path(src, dst Node) []Node { return m.appendPath(nil, src, dst) }
+
+// appendPath appends the route from src to dst to path.
+func (m *Mesh) appendPath(path []Node, src, dst Node) []Node {
 	m.check(src)
 	m.check(dst)
+	path = append(path, src)
 	if src == dst {
-		return []Node{src}
+		return path
 	}
-	path := []Node{src}
 	cur := src
-	step := func(next Node) {
-		path = append(path, next)
-		cur = next
-	}
 	if cur.IsController() {
-		step(Node{0, cur.Y})
+		cur = Node{0, cur.Y}
+		path = append(path, cur)
 	}
 	// X dimension first toward the destination column (controllers live in
 	// column -1's attachment, i.e. column 0 on-mesh).
@@ -139,21 +140,23 @@ func (m *Mesh) Path(src, dst Node) []Node {
 	}
 	for cur.X != dstX {
 		if cur.X < dstX {
-			step(Node{cur.X + 1, cur.Y})
+			cur.X++
 		} else {
-			step(Node{cur.X - 1, cur.Y})
+			cur.X--
 		}
+		path = append(path, cur)
 	}
 	// Then Y.
 	for cur.Y != dst.Y {
 		if cur.Y < dst.Y {
-			step(Node{cur.X, cur.Y + 1})
+			cur.Y++
 		} else {
-			step(Node{cur.X, cur.Y - 1})
+			cur.Y--
 		}
+		path = append(path, cur)
 	}
 	if dst.IsController() {
-		step(dst)
+		path = append(path, dst)
 	}
 	return path
 }
@@ -167,9 +170,11 @@ func (m *Mesh) Hops(src, dst Node) int { return len(m.Path(src, dst)) - 1 }
 // serialization time; the head cuts through to the next link after the
 // hop latency plus one beat.
 func (m *Mesh) Transfer(src, dst Node, flits int, done func()) {
-	path := m.Path(src, dst)
-	if len(path) < 2 {
+	t := m.newTransfer()
+	t.path = m.appendPath(t.path[:0], src, dst)
+	if len(t.path) < 2 {
 		// Degenerate same-node transfer: no links crossed.
+		m.freeXfers = append(m.freeXfers, t)
 		m.eng.Schedule(0, func() {
 			if done != nil {
 				done()
@@ -177,26 +182,81 @@ func (m *Mesh) Transfer(src, dst Node, flits int, done func()) {
 		})
 		return
 	}
-	var step func(i int)
-	step = func(i int) {
-		link := m.Link(path[i], path[i+1])
-		ser := link.TimeForFlits(flits)
-		link.Acquire(func() {
-			last := i+2 == len(path)
-			if !last {
-				// Head cut-through: downstream link is requested after the
-				// router latency and the first beat.
-				m.eng.Schedule(m.hopLatency+link.BeatTime(), func() { step(i + 1) })
-			}
-			m.eng.Schedule(ser, func() {
-				link.Release()
-				if last && done != nil {
-					done()
-				}
-			})
-		})
+	for len(t.hops) < len(t.path)-1 {
+		h := &hop{t: t, i: len(t.hops)}
+		h.granted, h.next, h.release = h.grantedStep, h.nextStep, h.releaseStep
+		t.hops = append(t.hops, h)
 	}
-	step(0)
+	t.flits, t.done = flits, done
+	t.hops[0].request()
+}
+
+// transfer is one packet in flight. Records are recycled through the
+// mesh's free list, and each hop's steps are method values bound once
+// when the hop is created, so a transfer allocates nothing in steady
+// state. The final hop's release is the record's last event: every hop
+// is requested strictly after its predecessor was granted and all links
+// share one serialization time.
+type transfer struct {
+	m     *Mesh
+	path  []Node
+	hops  []*hop // hops[i] crosses path[i] -> path[i+1]
+	flits int
+	done  func()
+}
+
+// hop is one link crossing of a transfer.
+type hop struct {
+	t    *transfer
+	i    int
+	link *bus.Channel
+
+	granted, next, release func() // bound steps
+}
+
+// newTransfer pops a transfer record off the free list, building one if
+// empty.
+func (m *Mesh) newTransfer() *transfer {
+	if k := len(m.freeXfers); k > 0 {
+		t := m.freeXfers[k-1]
+		m.freeXfers = m.freeXfers[:k-1]
+		return t
+	}
+	return &transfer{m: m}
+}
+
+// last reports whether the hop crosses the transfer's final link.
+func (h *hop) last() bool { return h.i+2 == len(h.t.path) }
+
+func (h *hop) request() {
+	h.link = h.t.m.Link(h.t.path[h.i], h.t.path[h.i+1])
+	h.link.Acquire(h.granted)
+}
+
+func (h *hop) grantedStep() {
+	m := h.t.m
+	if !h.last() {
+		// Head cut-through: downstream link is requested after the
+		// router latency and the first beat.
+		m.eng.Schedule(m.hopLatency+h.link.BeatTime(), h.next)
+	}
+	m.eng.Schedule(h.link.TimeForFlits(h.t.flits), h.release)
+}
+
+func (h *hop) nextStep() { h.t.hops[h.i+1].request() }
+
+func (h *hop) releaseStep() {
+	h.link.Release()
+	if !h.last() {
+		return
+	}
+	t := h.t
+	done := t.done
+	t.done = nil
+	t.m.freeXfers = append(t.m.freeXfers, t)
+	if done != nil {
+		done()
+	}
 }
 
 // MaxLinkQueue returns the largest queue length currently present on any

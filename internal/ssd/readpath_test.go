@@ -1,0 +1,69 @@
+package ssd
+
+import (
+	"testing"
+
+	"repro/internal/host"
+	"repro/internal/workload"
+)
+
+// The read-path pin and bench run closed-loop 64 KB random reads, 16 in
+// flight. The warm-up batch is long enough for every chip to have seen
+// its deepest read queue, so the per-chip free lists are full.
+const (
+	readPathOutstanding = 16
+	readPathWarm        = 4096
+	readPathBatch       = 512
+)
+
+// readPathDevice builds a warmed device of arch on the scaled geometry
+// and returns it with a 64 KB random-read generator over its footprint.
+func readPathDevice(arch Arch) (*SSD, func(int) host.Request) {
+	cfg := ScaledConfig()
+	s := New(arch, cfg)
+	foot := cfg.LogicalPages()
+	s.Host.Warmup(foot)
+	return s, workload.Synthetic(workload.RandRead, foot, 65536/cfg.Geometry.PageSize, 1)
+}
+
+// TestReadPathAllocFree pins the allocation-free read path: once one
+// batch has filled the per-layer free lists (host request, FTL read,
+// fabric read, mesh transfer, SoC transfer, chip read), a second batch of
+// 64 KB reads allocates nothing per request on every architecture.
+func TestReadPathAllocFree(t *testing.T) {
+	for _, arch := range Archs {
+		s, gen := readPathDevice(arch)
+		s.Host.RunClosedLoop(gen, readPathOutstanding, readPathWarm)
+		s.Run()
+		batch := func() {
+			s.Host.RunClosedLoop(gen, readPathOutstanding, readPathBatch)
+			s.Run()
+		}
+		perReq := testing.AllocsPerRun(2, batch) / readPathBatch
+		if perReq > 0.1 {
+			t.Errorf("%v: %.3f allocations per read request, want <= 0.1", arch, perReq)
+		}
+	}
+}
+
+// BenchmarkReadPath measures the host-request layer end to end: one op
+// is one 64 KB random read through host, FTL, fabric, flash and SoC on a
+// warmed scaled device, closed loop at 16 in flight. It reports
+// allocs/op, zero once the free lists are warm, and events/req. Run it
+// at a fixed -benchtime=Nx so events/req is the same on every machine.
+func BenchmarkReadPath(b *testing.B) {
+	for i, arch := range Archs {
+		b.Run(archFlags[i], func(b *testing.B) {
+			s, gen := readPathDevice(arch)
+			s.Host.RunClosedLoop(gen, readPathOutstanding, readPathWarm)
+			s.Run()
+			fired := s.Engine.EventsFired()
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.Host.RunClosedLoop(gen, readPathOutstanding, b.N)
+			s.Run()
+			b.StopTimer()
+			b.ReportMetric(float64(s.Engine.EventsFired()-fired)/float64(b.N), "events/req")
+		})
+	}
+}

@@ -13,26 +13,42 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files from this run")
 
-// The figure golden: the default suite at -quick, rendered exactly as
-// `experiments -quick -csv` prints it, compared byte for byte against
-// the committed file. Any drift in a figure's numbers — a model change,
-// an arithmetic slip, a reordered row — fails here and shows up as a
-// reviewable testdata diff when accepted with -update.
+// The figure goldens: each sweep at -quick, rendered exactly as
+// `experiments -quick -csv <selector>` prints it, compared byte for byte
+// against its committed file. Any drift in a figure's numbers — a model
+// change, an arithmetic slip, a reordered row — fails here and shows up
+// as a reviewable testdata diff when accepted with -update.
 func TestQuickSuiteGolden(t *testing.T) {
-	var buf bytes.Buffer
-	defaultSuite(exp.Quick(), func(tb *report.Table) { buf.WriteString(tb.CSV()) })
-	const golden = "testdata/quick.csv"
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	cases := []struct {
+		golden string // under testdata/
+		run    func(exp.Options, func(*report.Table))
+	}{
+		{"quick.csv", defaultSuite},
+		{"fig_sched.csv", figSched},
+		{"fig_fmmu.csv", figFmmu},
+		{"fig_array.csv", figArray},
+		{"fig_contention.csv", figContention},
+		{"ablation_all.csv", func(o exp.Options, e func(*report.Table)) { runAblations("all", o, e) }},
+		{"fault_all.csv", func(o exp.Options, e func(*report.Table)) { runFaultExperiments("all", o, e) }},
 	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("-quick -csv output differs from %s (rerun with -update to accept):\n%s", golden, firstDiff(buf.Bytes(), want))
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			var buf bytes.Buffer
+			c.run(exp.Quick(), func(tb *report.Table) { buf.WriteString(tb.CSV()) })
+			golden := "testdata/" + c.golden
+			if *update {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("-quick -csv output differs from %s (rerun with -update to accept):\n%s", golden, firstDiff(buf.Bytes(), want))
+			}
+		})
 	}
 }
 

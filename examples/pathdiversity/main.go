@@ -2,7 +2,9 @@
 // its row's h-channel and its column's v-channel. This example hammers a
 // single hot channel with reads (the Fig 3 imbalance, distilled) and
 // shows pnSSD routing around the hotspot while baseSSD and pSSD queue on
-// one bus. It also prints the fabric's own path counters.
+// one bus. It also prints the fabric's own path counters: all four
+// architectures are the one channel fabric, and the bus ones, having no
+// v-channels, return everything over h.
 package main
 
 import (
@@ -44,13 +46,9 @@ func main() {
 		hotChannelReads(device, 400)
 		device.Run()
 		m := device.Metrics()
-		line := fmt.Sprintf("%-22s mean=%-10v p99=%-10v %.1f KIOPS",
-			arch, m.MeanLatency(), m.Combined().P99(), m.KIOPS())
-		if omni, ok := device.Fabric.(*controller.OmnibusFabric); ok {
-			h, v, split, _, _ := omni.PathCounts()
-			line += fmt.Sprintf("   (returns: %d via h, %d via v, %d split)", h, v, split)
-		}
-		fmt.Println(line)
+		h, v, split, _, _ := device.Fabric.(*controller.OmnibusFabric).PathCounts()
+		fmt.Printf("%-22s mean=%-10v p99=%-10v %.1f KIOPS   (returns: %d via h, %d via v, %d split)\n",
+			arch, m.MeanLatency(), m.Combined().P99(), m.KIOPS(), h, v, split)
 	}
 	fmt.Println("\nEvery read targets channel 0. The bus architectures serialize on that")
 	fmt.Println("one channel; Omnibus spreads the returns across the ways' v-channels.")

@@ -74,8 +74,9 @@ type Checker struct {
 	expected     map[int64]flash.Token
 	contentProbe func(lpn int64) (flash.Token, bool)
 
-	// GC copy routing (Omnibus only): colsPerV > 0 enables the
-	// direct-copy column invariant.
+	// GC copy routing (channel fabrics): colsPerV > 0 enables the
+	// direct-copy column invariant; a fabric with no v-channels reports
+	// 0 and relays every copy.
 	colsPerV                    int
 	directCopies, relayedCopies int64
 
@@ -248,8 +249,8 @@ func (c *Checker) SetContentProbe(lookup func(lpn int64) (flash.Token, bool)) {
 	c.contentProbe = lookup
 }
 
-// WatchCopies enables the GC routing invariant for an Omnibus fabric
-// whose v-channels each serve colsPerV way-columns.
+// WatchCopies enables the GC routing invariant for a channel fabric
+// whose v-channels each serve colsPerV way-columns (0: no v-channels).
 func (c *Checker) WatchCopies(colsPerV int) {
 	if c == nil {
 		return

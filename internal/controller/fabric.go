@@ -1,8 +1,9 @@
 // Package controller implements the flash channel controllers and the
-// architecture-specific interconnect fabrics of the paper: the
-// conventional bus (baseSSD), the fat packetized bus (pSSD), the Omnibus
-// 2D bus with its split control/data plane (pnSSD), and the
-// Network-on-SSD mesh comparator.
+// architecture-specific interconnect fabrics of the paper: the channel
+// fabric (OmnibusFabric) in its three steps — the conventional bus
+// (baseSSD), the fat packetized bus (pSSD), and the Omnibus 2D bus with
+// its split control/data plane (pnSSD) — and the Network-on-SSD mesh
+// comparator.
 //
 // A Fabric hides topology behind four flash transactions — read, write,
 // erase, and page copy — so the FTL and the host layer are identical
@@ -28,9 +29,22 @@ type ChipID struct {
 // String formats the id.
 func (id ChipID) String() string { return fmt.Sprintf("ch%d/w%d", id.Channel, id.Way) }
 
+// EccLatency is the controller-side ECC pipeline latency added to every
+// page that crosses a flash channel controller (LDPC decode/encode).
+const EccLatency = 500 * sim.Nanosecond
+
+// OnDieEccLatency is the weaker on-die error detection used for direct
+// flash-to-flash movement in pnSSD (the hybrid-ECC scheme of the paper's
+// discussion section).
+const OnDieEccLatency = 100 * sim.Nanosecond
+
 // Fabric is the uniform transaction interface over an SSD interconnect.
 // All completion callbacks fire as engine events after the full data path
 // (flash array, channel, SoC) has been traversed.
+//
+// A fabric may read the caller's ppas, ops and blocks slices until the
+// op's done fires, so the caller must leave them untouched until then; no
+// fabric copies them.
 type Fabric interface {
 	// Name identifies the architecture for reports.
 	Name() string
@@ -45,7 +59,8 @@ type Fabric interface {
 	Erase(id ChipID, blocks []flash.PPA, done func())
 	// Copy moves one valid page from src to dst for garbage collection.
 	// The route is architecture-specific: through the controller and DRAM
-	// on bus fabrics, directly flash-to-flash where the topology allows.
+	// without v-channels, directly flash-to-flash where the topology
+	// allows.
 	Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func())
 }
 

@@ -103,7 +103,7 @@ func readLatency(t *testing.T, e *sim.Engine, f Fabric, id ChipID) sim.Time {
 
 func TestBusFabricReadWriteErase(t *testing.T) {
 	e, g, soc := testRig(2, 2)
-	f := NewBusFabric(e, "base", g, soc, 16384, 8, 1000, false)
+	f := NewOmnibusFabric(e, "base", g, soc, 16384, 8, 0, 1000, false, false)
 	id := ChipID{0, 1}
 	a := flash.PPA{Plane: 1, Block: 2, Page: 0}
 
@@ -127,7 +127,7 @@ func TestBusFabricReadWriteErase(t *testing.T) {
 
 func TestBusFabricReadLatencyBreakdown(t *testing.T) {
 	e, g, soc := testRig(1, 1)
-	f := NewBusFabric(e, "base", g, soc, 16384, 8, 1000, false)
+	f := NewOmnibusFabric(e, "base", g, soc, 16384, 8, 0, 1000, false, false)
 	lat := readLatency(t, e, f, ChipID{0, 0})
 	// cmd 120ns + tR 3us + xfer 16.434us + ECC 0.5us + SoC 4.096us ≈ 24.15us
 	want := 120*sim.Nanosecond + 3*sim.Microsecond + 16434*sim.Nanosecond +
@@ -139,9 +139,9 @@ func TestBusFabricReadLatencyBreakdown(t *testing.T) {
 
 func TestPSSDReadFasterThanBase(t *testing.T) {
 	eBase, gBase, socBase := testRig(1, 1)
-	base := NewBusFabric(eBase, "base", gBase, socBase, 16384, 8, 1000, false)
+	base := NewOmnibusFabric(eBase, "base", gBase, socBase, 16384, 8, 0, 1000, false, false)
 	ePssd, gPssd, socPssd := testRig(1, 1)
-	pssd := NewBusFabric(ePssd, "pssd", gPssd, socPssd, 16384, 16, 1000, true)
+	pssd := NewOmnibusFabric(ePssd, "pssd", gPssd, socPssd, 16384, 16, 0, 1000, true, false)
 
 	latBase := readLatency(t, eBase, base, ChipID{0, 0})
 	latPssd := readLatency(t, ePssd, pssd, ChipID{0, 0})
@@ -160,7 +160,7 @@ func TestBusFabricChannelContention(t *testing.T) {
 	// channel must serialize the page transfers.
 	run := func(channels, ways int, ids []ChipID) sim.Time {
 		e, g, soc := testRig(channels, ways)
-		f := NewBusFabric(e, "base", g, soc, 16384, 8, 1000, false)
+		f := NewOmnibusFabric(e, "base", g, soc, 16384, 8, 0, 1000, false, false)
 		for _, id := range ids {
 			g.Chip(id).Program([]flash.ProgramOp{{Addr: flash.PPA{Plane: 0, Block: 0, Page: 0}, Token: 1}}, nil)
 		}
@@ -188,7 +188,7 @@ func TestBusFabricChannelContention(t *testing.T) {
 
 func TestBusFabricCopyMovesContent(t *testing.T) {
 	e, g, soc := testRig(2, 2)
-	f := NewBusFabric(e, "base", g, soc, 16384, 8, 1000, false)
+	f := NewOmnibusFabric(e, "base", g, soc, 16384, 8, 0, 1000, false, false)
 	src, dst := ChipID{0, 0}, ChipID{1, 1}
 	from, to := flash.PPA{Plane: 0, Block: 0, Page: 0}, flash.PPA{Plane: 2, Block: 3, Page: 0}
 	g.Chip(src).Program([]flash.ProgramOp{{Addr: from, Token: 0x77}}, nil)
@@ -201,12 +201,18 @@ func TestBusFabricCopyMovesContent(t *testing.T) {
 	}
 }
 
+// The dedicated interface is legal only as 8-bit h-channels with no
+// v-channels.
 func TestDedicatedRequires8Bits(t *testing.T) {
-	e, g, soc := testRig(1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("16-bit dedicated fabric did not panic")
-		}
-	}()
-	NewBusFabric(e, "bad", g, soc, 16384, 16, 1000, false)
+	for _, w := range []struct{ h, v int }{{16, 0}, {8, 8}} {
+		func() {
+			e, g, soc := testRig(1, 1)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("dedicated fabric h=%d v=%d did not panic", w.h, w.v)
+				}
+			}()
+			NewOmnibusFabric(e, "bad", g, soc, 16384, w.h, w.v, 1000, false, false)
+		}()
+	}
 }

@@ -68,11 +68,10 @@ func (f *MeshFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
 	node := f.node(id)
 	ctrl := mesh.Controller(id.Channel)
 	n := totalBytes(f.pageSize, len(ops))
-	writes := append([]flash.ProgramOp(nil), ops...)
 	f.soc.Transfer(n, func() {
 		f.eng.Schedule(EccLatency, func() {
 			f.m.Transfer(ctrl, node, packet.ControlFlitsFor()+packet.DataFlitsFor(n), func() {
-				chip.Program(writes, done)
+				chip.Program(ops, done)
 			})
 		})
 	})

@@ -11,17 +11,27 @@ import (
 	"repro/internal/trace"
 )
 
-// OmnibusFabric is the pnSSD interconnect (Fig 9(c)): the packetized
-// bandwidth is partitioned into an 8-bit h-channel per row and an 8-bit
-// v-channel per column, with channel controller k driving both h-channel
-// k and v-channel k. Data-plane movement between chips happens on the
-// v-channels; the control plane runs between controllers over the SoC
-// interconnect with the source/destination/intermediate roles of Fig 11.
+// OmnibusFabric is the channel fabric of the paper's pSSD → pnSSD
+// progression: one h-channel per grid row, plus — on pnSSD (Fig 9(c)) —
+// one v-channel per column, with channel controller k driving both
+// h-channel k and v-channel k.
 //
-// I/O reads return over whichever of the chip's two buses is less loaded
-// (the paper's greedy adaptive choice), or over both at once when split
-// transfers are enabled. GC page copies between chips in the same column
-// use only that column's v-channel — the property Spatial GC exploits.
+//   - baseSSD is the fabric with dedicated 8-bit h-channels and no
+//     v-channels; pSSD (Fig 9(a)) packetizes the h-channels to 16 bits.
+//     Chips on one row share its channel for every command and every
+//     byte, and all traffic funnels through the channel controller.
+//   - pnSSD partitions the packetized 16-bit budget into an 8-bit
+//     h-channel per row and an 8-bit v-channel per column. Data-plane
+//     movement between chips happens on the v-channels; the control plane
+//     runs between controllers over the SoC interconnect with the
+//     source/destination/intermediate roles of Fig 11.
+//
+// With v-channels, I/O reads return over whichever of the chip's two
+// buses is less loaded (the paper's greedy adaptive choice), or over both
+// at once when split transfers are enabled, and GC page copies between
+// chips in the same column use only that column's v-channel — the
+// property Spatial GC exploits. Without them (or with the column's
+// v-channel dead), everything moves over the h-channels.
 type OmnibusFabric struct {
 	eng      *sim.Engine
 	name     string
@@ -32,15 +42,15 @@ type OmnibusFabric struct {
 
 	h      []*bus.Channel
 	v      []*bus.Channel
-	hIface []bus.Packetized
+	hIface []bus.Iface
 	vIface []bus.Packetized
 
-	// colsPerV is how many adjacent way-columns share one v-channel. It is
-	// 1 in the square organization; in a wide organization (more ways than
-	// channels) each controller's single v-channel must interconnect
-	// Ways/Channels columns (Sec V-E). In a tall organization (more
-	// channels than ways) there is one v-channel per way and the surplus
-	// controllers drive only their h-channel.
+	// colsPerV is how many adjacent way-columns share one v-channel (0
+	// when there are none). It is 1 in the square organization; in a wide
+	// organization (more ways than channels) each controller's single
+	// v-channel must interconnect Ways/Channels columns (Sec V-E). In a
+	// tall organization (more channels than ways) there is one v-channel
+	// per way and the surplus controllers drive only their h-channel.
 	colsPerV int
 
 	// route selects the I/O path policy; GC copies always use v-channels.
@@ -72,25 +82,25 @@ type OmnibusFabric struct {
 	reads readOps
 }
 
-// NewOmnibusFabric builds the Omnibus fabric. Table II: 8 h-channels and
-// 8 v-channels, all 8 bits at the base rate. split enables the
-// half-page-per-path transfer technique of Sec V-C.
-func NewOmnibusFabric(eng *sim.Engine, name string, grid *Grid, soc *Soc, pageSize, widthBits, rateMTps int, split bool) *OmnibusFabric {
-	return NewOmnibusFabricAsym(eng, name, grid, soc, pageSize, widthBits, widthBits, rateMTps, split)
-}
-
-// NewOmnibusFabricAsym builds an Omnibus fabric with different h- and
-// v-channel widths, for the bandwidth-partitioning ablation (how much of
-// the packetized 16-bit budget to give the vertical dimension).
-func NewOmnibusFabricAsym(eng *sim.Engine, name string, grid *Grid, soc *Soc, pageSize, hWidthBits, vWidthBits, rateMTps int, split bool) *OmnibusFabric {
+// NewOmnibusFabric builds the channel fabric: one h-channel per grid row
+// of hWidthBits, and vWidthBits > 0 adds one v-channel per controller
+// (never more than one per column). packetized selects the packetized
+// interface; the dedicated one is legal only as 8-bit h-channels with no
+// v-channels. split enables the half-page-per-path transfer technique of
+// Sec V-C. Table II: baseSSD is 8/0 dedicated, pSSD 16/0 packetized,
+// pnSSD 8/8 packetized, all at the base rate.
+func NewOmnibusFabric(eng *sim.Engine, name string, grid *Grid, soc *Soc, pageSize, hWidthBits, vWidthBits, rateMTps int, packetized, split bool) *OmnibusFabric {
+	if !packetized && (hWidthBits != 8 || vWidthBits != 0) {
+		panic("controller: dedicated interface is 8 bits wide with no v-channels")
+	}
 	// One v-channel per controller, but never more than one per column:
 	// numV = min(channels, ways); wide grids share each v-channel across
 	// ways/channels adjacent columns.
-	numV := grid.Channels
-	if grid.Ways < numV {
-		numV = grid.Ways
+	numV, colsPerV := 0, 0
+	if vWidthBits > 0 {
+		numV = min(grid.Channels, grid.Ways)
+		colsPerV = (grid.Ways + numV - 1) / numV
 	}
-	colsPerV := (grid.Ways + numV - 1) / numV
 	f := &OmnibusFabric{
 		eng:      eng,
 		name:     name,
@@ -100,7 +110,7 @@ func NewOmnibusFabricAsym(eng *sim.Engine, name string, grid *Grid, soc *Soc, pa
 		split:    split,
 		h:        make([]*bus.Channel, grid.Channels),
 		v:        make([]*bus.Channel, numV),
-		hIface:   make([]bus.Packetized, grid.Channels),
+		hIface:   make([]bus.Iface, grid.Channels),
 		vIface:   make([]bus.Packetized, numV),
 		colsPerV: colsPerV,
 		route:    RouteGreedy,
@@ -108,7 +118,11 @@ func NewOmnibusFabricAsym(eng *sim.Engine, name string, grid *Grid, soc *Soc, pa
 	f.reads = readOps{grid: grid, soc: soc, pageSize: pageSize, ret: f.returnData}
 	for ch := 0; ch < grid.Channels; ch++ {
 		f.h[ch] = bus.NewChannel(eng, fmt.Sprintf("%s/h%d", name, ch), hWidthBits, rateMTps)
-		f.hIface[ch] = bus.NewPacketized(f.h[ch])
+		if packetized {
+			f.hIface[ch] = bus.NewPacketized(f.h[ch])
+		} else {
+			f.hIface[ch] = bus.NewDedicated(rateMTps)
+		}
 	}
 	for i := 0; i < numV; i++ {
 		f.v[i] = bus.NewChannel(eng, fmt.Sprintf("%s/v%d", name, i), vWidthBits, rateMTps)
@@ -196,9 +210,6 @@ func (f *OmnibusFabric) SetChecker(c CopyChecker) { f.check = c }
 // SetFaultInjector attaches the shared fault injector. Nil detaches it.
 func (f *OmnibusFabric) SetFaultInjector(inj *fault.Injector) { f.faults = inj }
 
-// FaultInjector returns the attached injector (possibly nil).
-func (f *OmnibusFabric) FaultInjector() *fault.Injector { return f.faults }
-
 // EccFallbacks returns how many direct copies re-routed through the
 // controller because the on-die check flagged them.
 func (f *OmnibusFabric) EccFallbacks() int64 { return f.eccFallbacks }
@@ -208,10 +219,23 @@ func (f *OmnibusFabric) eccFails() bool {
 	return f.faults.Draw(fault.OnDieECC)
 }
 
-// vDead reports whether the v-channel serving a way-column is
-// kill-switched; degraded-mode routing must avoid it.
-func (f *OmnibusFabric) vDead(way int) bool {
-	return f.faults.VChannelDead(f.vIndex(way))
+// hOnly reports whether traffic for a way-column must stay on the
+// h-channels, and whether that is degraded mode. A fabric with no
+// v-channels (baseSSD, pSSD) always routes over h by design: that draws
+// no fault and counts no RAS event. On pnSSD a column is h-only, in
+// degraded mode, while its v-channel is kill-switched.
+func (f *OmnibusFabric) hOnly(way int) (hOnly, degraded bool) {
+	if len(f.v) == 0 {
+		return true, false
+	}
+	dead := f.faults.VChannelDead(f.vIndex(way))
+	return dead, dead
+}
+
+// sameV reports whether one v-channel serves both chips' columns, the
+// precondition of a direct flash-to-flash copy.
+func (f *OmnibusFabric) sameV(a, b ChipID) bool {
+	return len(f.v) > 0 && f.vIndex(a.Way) == f.vIndex(b.Way)
 }
 
 // routeToV reports whether a host transfer should take the v-channel.
@@ -246,22 +270,25 @@ func (f *OmnibusFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
 // the controller over the chosen path(s).
 func (f *OmnibusFabric) returnData(r *readOp) {
 	id, n := r.id, r.n
-	hch, vch := f.h[id.Channel], f.v[f.vIndex(id.Way)]
-	hifc, vifc := f.hIface[id.Channel], f.vIface[f.vIndex(id.Way)]
-	if f.vDead(id.Way) {
-		// Degraded mode: the column's v-channel is dead, so path diversity
-		// collapses and the whole payload returns over the row's h-channel
-		// — the failover the paper's path redundancy makes possible.
-		if ras := f.faults.RAS(); ras != nil {
-			ras.DegradedReturns++
+	hch, hifc := f.h[id.Channel], f.hIface[id.Channel]
+	if hOnly, degraded := f.hOnly(id.Way); hOnly {
+		if degraded {
+			// Degraded mode: the column's v-channel is dead, so path
+			// diversity collapses and the whole payload returns over the
+			// row's h-channel — the failover the paper's path redundancy
+			// makes possible.
+			if ras := f.faults.RAS(); ras != nil {
+				ras.DegradedReturns++
+			}
+			if f.trc.Enabled() {
+				f.trc.Instant("route", "degraded-h", trace.KV{K: "chip", V: id.String()})
+			}
 		}
 		f.hReturns++
-		if f.trc.Enabled() {
-			f.trc.Instant("route", "degraded-h", trace.KV{K: "chip", V: id.String()})
-		}
 		hch.UseOp("read-xfer", hifc.ReadXfer(n), r.xfer)
 		return
 	}
+	vch, vifc := f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
 	if f.split && n > 1 && hch.Load() == 0 && vch.Load() == 0 {
 		// Half the payload on each bus; the v half first traverses the
 		// control plane so controller[way] drives its v-channel (one
@@ -305,22 +332,24 @@ func (f *OmnibusFabric) afterVGrant(fn func()) {
 // Write implements Fabric. Payload delivery mirrors the read return path:
 // split across h and v when enabled, otherwise greedy adaptive.
 func (f *OmnibusFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
-	hch, vch := f.h[id.Channel], f.v[f.vIndex(id.Way)]
-	hifc, vifc := f.hIface[id.Channel], f.vIface[f.vIndex(id.Way)]
+	hch, hifc := f.h[id.Channel], f.hIface[id.Channel]
 	chip := f.grid.Chip(id)
 	n := totalBytes(f.pageSize, len(ops))
-	writes := append([]flash.ProgramOp(nil), ops...)
 	f.soc.Transfer(n, func() {
 		f.eng.Schedule(EccLatency, func() {
-			program := func() { chip.Program(writes, done) }
-			if f.vDead(id.Way) {
-				// Degraded mode: deliver the whole payload on the h-channel.
-				if r := f.faults.RAS(); r != nil {
-					r.DegradedReturns++
+			program := func() { chip.Program(ops, done) }
+			if hOnly, degraded := f.hOnly(id.Way); hOnly {
+				if degraded {
+					// Degraded mode: deliver the whole payload on the
+					// h-channel.
+					if r := f.faults.RAS(); r != nil {
+						r.DegradedReturns++
+					}
 				}
 				hch.UseOp("program-xfer", hifc.ProgramXfer(n), program)
 				return
 			}
+			vch, vifc := f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
 			// Split applies to read returns only. Splitting program
 			// payloads couples every write to its column's v-channel, and
 			// with way-striped allocation policies consecutive writes
@@ -366,20 +395,20 @@ func (f *OmnibusFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
 // destination, or an intermediate controller per Fig 11), the payload
 // crosses the v-channel exactly once into the destination's V-page
 // register, and an on-die commit programs it — no h-channel, controller
-// ECC, or DRAM involvement. Cross-column copies fall back to the
-// controller-relayed route over the h-channels.
+// ECC, or DRAM involvement. Every other copy takes the
+// controller-relayed route over the h-channels: always on a fabric with
+// no v-channels, and on pnSSD for cross-column copies and copies whose
+// column's v-channel is dead.
 func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) {
-	if f.vIndex(src.Way) != f.vIndex(dst.Way) {
-		f.relayCopy(src, from, dst, to, done)
-		return
-	}
-	if f.vDead(src.Way) {
+	hOnly, degraded := f.hOnly(src.Way)
+	if degraded && f.sameV(src, dst) {
 		// Degraded mode: the column's v-channel is dead, so the SpGC
-		// direct path is unavailable and the copy falls back to the
-		// controller-relayed route over the rows' h-channels.
+		// direct path is unavailable.
 		if r := f.faults.RAS(); r != nil {
 			r.DeadVCopies++
 		}
+	}
+	if hOnly || !f.sameV(src, dst) {
 		f.relayCopy(src, from, dst, to, done)
 		return
 	}
@@ -481,11 +510,12 @@ func (f *OmnibusFabric) directTransfer(vch *bus.Channel, vifc bus.Packetized, sr
 	})
 }
 
-// relayCopy is the controller-relayed route, the fallback for
-// cross-column copies, dead v-channels, on-die ECC failures and exhausted
-// grant retries: read through the source row's h-channel into DRAM, then
-// write out through the destination row's h-channel — the Fig 10(a)
-// route. It counts the copy and reports the route to the checker.
+// relayCopy is the controller-relayed route: every copy on a fabric
+// with no v-channels, and on pnSSD the fallback for cross-column copies,
+// dead v-channels, on-die ECC failures and exhausted grant retries. It
+// reads through the source row's h-channel into DRAM, then writes out
+// through the destination row's h-channel — the Fig 10(a) route — and
+// counts the copy and reports the route to the checker.
 func (f *OmnibusFabric) relayCopy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) {
 	f.relayedCopies++
 	if f.check != nil {

@@ -14,7 +14,7 @@ func TestOmnibusWideGridSharesVChannels(t *testing.T) {
 	// 4 channels x 8 ways: 4 controllers, each responsible for one
 	// v-channel spanning two columns.
 	e, g, soc := testRig(4, 8)
-	f := NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 1000, false)
+	f := NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 8, 1000, true, false)
 	if f.NumVChannels() != 4 {
 		t.Fatalf("NumVChannels = %d, want 4", f.NumVChannels())
 	}
@@ -37,7 +37,7 @@ func TestOmnibusTallGridOneVPerWay(t *testing.T) {
 	// 8 channels x 4 ways: 4 v-channels, one per way; half the
 	// controllers drive only their h-channel.
 	e, g, soc := testRig(8, 4)
-	f := NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 1000, false)
+	f := NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 8, 1000, true, false)
 	if f.NumVChannels() != 4 {
 		t.Fatalf("NumVChannels = %d, want 4", f.NumVChannels())
 	}
@@ -57,7 +57,7 @@ func TestOmnibusWideGridDirectCopyAcrossSharedColumns(t *testing.T) {
 	// In a 2x4 grid (colsPerV=2), chips in ways 0 and 1 share a v-channel,
 	// so a copy between them is direct even though the ways differ.
 	e, g, soc := testRig(2, 4)
-	f := NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 1000, false)
+	f := NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 8, 1000, true, false)
 	src, dst := ChipID{0, 0}, ChipID{1, 1} // different ways, same v-group
 	g.Chip(src).Program([]flash.ProgramOp{{Addr: flash.PPA{Plane: 0, Block: 0, Page: 0}, Token: 0x5A}}, nil)
 	e.Run()
@@ -84,7 +84,7 @@ func TestOmnibusWideGridDirectCopyAcrossSharedColumns(t *testing.T) {
 
 func TestOmnibusWideGridReadWrite(t *testing.T) {
 	e, g, soc := testRig(2, 8)
-	f := NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 1000, true)
+	f := NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 8, 1000, true, true)
 	var done int
 	for w := 0; w < 8; w++ {
 		id := ChipID{w % 2, w}
@@ -110,7 +110,7 @@ func TestOmnibusSharedVChannelContention(t *testing.T) {
 	// chips on separate v-channels copy in parallel.
 	copyTime := func(ways int, srcW1, srcW2 int) sim.Time {
 		e, g, soc := testRig(2, ways)
-		f := NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 1000, false)
+		f := NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 8, 1000, true, false)
 		for _, w := range []int{srcW1, srcW2} {
 			g.Chip(ChipID{0, w}).Program([]flash.ProgramOp{{Addr: flash.PPA{Plane: 0, Block: 0, Page: 0}, Token: 1}}, nil)
 		}

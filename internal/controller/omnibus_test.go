@@ -8,7 +8,7 @@ import (
 )
 
 func newOmnibus(e *sim.Engine, g *Grid, soc *Soc, split bool) *OmnibusFabric {
-	return NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 1000, split)
+	return NewOmnibusFabric(e, "pnssd", g, soc, 16384, 8, 8, 1000, true, split)
 }
 
 func TestOmnibusReadWriteErase(t *testing.T) {
@@ -251,7 +251,7 @@ func TestOmnibusPnSSDSlowerThanPSSDWhenIdle(t *testing.T) {
 	ePn, gPn, socPn := testRig(1, 1)
 	pn := newOmnibus(ePn, gPn, socPn, false)
 	eP, gP, socP := testRig(1, 1)
-	p := NewBusFabric(eP, "pssd", gP, socP, 16384, 16, 1000, true)
+	p := NewOmnibusFabric(eP, "pssd", gP, socP, 16384, 16, 0, 1000, true, false)
 	latPn := readLatency(t, ePn, pn, ChipID{0, 0})
 	latP := readLatency(t, eP, p, ChipID{0, 0})
 	if latP >= latPn {

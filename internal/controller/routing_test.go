@@ -109,7 +109,7 @@ func TestChannelWaitAccounting(t *testing.T) {
 	e := sim.NewEngine()
 	g := NewGrid(e, 1, 2, testGeo(), flash.ULLTiming())
 	soc := NewSoc(e, 8000, 8000)
-	f := NewBusFabric(e, "base", g, soc, 16384, 8, 1000, false)
+	f := NewOmnibusFabric(e, "base", g, soc, 16384, 8, 0, 1000, false, false)
 	for w := 0; w < 2; w++ {
 		g.Chip(ChipID{0, w}).Program([]flash.ProgramOp{{Addr: flash.PPA{Plane: 0, Block: 0, Page: 0}, Token: 1}}, nil)
 	}
@@ -122,7 +122,7 @@ func TestChannelWaitAccounting(t *testing.T) {
 	if remaining != 0 {
 		t.Fatal("reads incomplete")
 	}
-	ch := f.Channel(0)
+	ch := f.HChannel(0)
 	if ch.MeanWait() <= 0 {
 		t.Fatal("contended channel reports zero mean wait")
 	}

@@ -256,36 +256,35 @@ func (f *SchedFabric) Grid() *Grid { return f.inner.Grid() }
 
 func (f *SchedFabric) chipIndex(id ChipID) int { return id.Channel*f.ways + id.Way }
 
-// readPath closes over the segments a read may occupy. On Omnibus the
-// return path is adaptive or split, so the reservation conservatively
-// covers both the row's h-channel and the column's v-channel; bus
-// fabrics have only the h-channel; mesh chips reserve themselves.
+// readPath closes over the segments a read may occupy: the row's
+// h-channel on a channel fabric, plus the column's v-channel when it has
+// v-channels, since the return path is then adaptive or split and the
+// reservation conservatively covers both. Mesh chips reserve themselves.
 func (f *SchedFabric) readPath(id ChipID) []PathSeg {
-	switch in := f.inner.(type) {
-	case *OmnibusFabric:
-		return []PathSeg{{SegH, id.Channel}, {SegV, in.vIndex(id.Way)}, {SegChip, f.chipIndex(id)}}
-	case *BusFabric:
-		return []PathSeg{{SegH, id.Channel}, {SegChip, f.chipIndex(id)}}
+	chip := PathSeg{SegChip, f.chipIndex(id)}
+	in, ok := f.inner.(*OmnibusFabric)
+	switch {
+	case !ok:
+		return []PathSeg{chip}
+	case in.NumVChannels() > 0:
+		return []PathSeg{{SegH, id.Channel}, {SegV, in.vIndex(id.Way)}, chip}
 	default:
-		return []PathSeg{{SegChip, f.chipIndex(id)}}
+		return []PathSeg{{SegH, id.Channel}, chip}
 	}
 }
 
-// copyPath closes over the segments a GC copy occupies: the column's
-// v-channel for a direct Omnibus copy, the two rows' h-channels for a
-// relayed one, plus both chips.
+// copyPath closes over the segments a GC copy occupies on a channel
+// fabric: the column's v-channel for a direct copy, the two rows'
+// h-channels for a relayed one, plus both chips.
 func (f *SchedFabric) copyPath(src, dst ChipID) []PathSeg {
 	chips := []PathSeg{{SegChip, f.chipIndex(src)}, {SegChip, f.chipIndex(dst)}}
 	var segs []PathSeg
-	switch in := f.inner.(type) {
-	case *OmnibusFabric:
-		if in.vIndex(src.Way) == in.vIndex(dst.Way) {
+	if in, ok := f.inner.(*OmnibusFabric); ok {
+		if in.sameV(src, dst) {
 			segs = []PathSeg{{SegV, in.vIndex(src.Way)}}
 		} else {
 			segs = []PathSeg{{SegH, src.Channel}, {SegH, dst.Channel}}
 		}
-	case *BusFabric:
-		segs = []PathSeg{{SegH, src.Channel}, {SegH, dst.Channel}}
 	}
 	return dedupeSegs(append(segs, chips...))
 }
@@ -311,12 +310,11 @@ func dedupeSegs(segs []PathSeg) []PathSeg {
 
 // Read implements Fabric.
 func (f *SchedFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
-	addrs := append([]flash.PPA(nil), ppas...)
 	f.submit(&schedOp{
 		kind:  opRead,
 		segs:  f.readPath(id),
 		chips: []int{f.chipIndex(id)},
-		run:   func(fin func()) { f.inner.Read(id, addrs, fin) },
+		run:   func(fin func()) { f.inner.Read(id, ppas, fin) },
 	}, done)
 }
 
@@ -324,22 +322,20 @@ func (f *SchedFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
 // the conflict policy passes them through unreserved; the out-of-order
 // window still sequences them against the die-utilization score.
 func (f *SchedFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
-	writes := append([]flash.ProgramOp(nil), ops...)
 	f.submit(&schedOp{
 		kind:  opWrite,
 		chips: []int{f.chipIndex(id)},
-		run:   func(fin func()) { f.inner.Write(id, writes, fin) },
+		run:   func(fin func()) { f.inner.Write(id, ops, fin) },
 	}, done)
 }
 
 // Erase implements Fabric; erases are one control packet and pass the
 // conflict table unreserved.
 func (f *SchedFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
-	addrs := append([]flash.PPA(nil), blocks...)
 	f.submit(&schedOp{
 		kind:  opErase,
 		chips: []int{f.chipIndex(id)},
-		run:   func(fin func()) { f.inner.Erase(id, addrs, fin) },
+		run:   func(fin func()) { f.inner.Erase(id, blocks, fin) },
 	}, done)
 }
 

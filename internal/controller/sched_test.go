@@ -47,7 +47,7 @@ func TestParseSchedPolicy(t *testing.T) {
 
 func TestSchedPathClosure(t *testing.T) {
 	e, g, soc := testRig(4, 4)
-	omni := NewOmnibusFabric(e, "pnssd", g, soc, testGeo().PageSize, 8, 1000, false)
+	omni := NewOmnibusFabric(e, "pnssd", g, soc, testGeo().PageSize, 8, 8, 1000, true, false)
 	so := NewSchedFabric(omni, SchedConflict)
 	if got := so.readPath(ChipID{2, 3}); !reflect.DeepEqual(got, []PathSeg{{SegH, 2}, {SegV, 3}, {SegChip, 2*4 + 3}}) {
 		t.Fatalf("omnibus read path = %v", got)
@@ -66,7 +66,7 @@ func TestSchedPathClosure(t *testing.T) {
 	}
 
 	e2, g2, soc2 := testRig(4, 4)
-	bus := NewBusFabric(e2, "pssd", g2, soc2, testGeo().PageSize, 16, 1000, true)
+	bus := NewOmnibusFabric(e2, "pssd", g2, soc2, testGeo().PageSize, 16, 0, 1000, true, false)
 	sb := NewSchedFabric(bus, SchedConflict)
 	if got := sb.readPath(ChipID{1, 2}); !reflect.DeepEqual(got, []PathSeg{{SegH, 1}, {SegChip, 1*4 + 2}}) {
 		t.Fatalf("bus read path = %v", got)

@@ -47,7 +47,7 @@ func AblationVWidth(opt Options) []AblationRow {
 		vBits := widths[i]
 		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "exchange-1", 0,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
-				return controller.NewOmnibusFabricAsym(eng, "pnssd", grid, soc, pageSize, 8, vBits, opt.Cfg.BusMTps, false)
+				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, vBits, opt.Cfg.BusMTps, true, false)
 			})
 		row.Name = fmt.Sprintf("v-width %d bits", vBits)
 		row.Detail = "h fixed at 8 bits, exchange-1, no GC"
@@ -75,7 +75,7 @@ func AblationRouting(opt Options) []AblationRow {
 		v := variants[i]
 		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "search-0", 0,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
-				f := controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, opt.Cfg.BusMTps, v.split)
+				f := controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, 8, opt.Cfg.BusMTps, true, v.split)
 				f.SetRoutePolicy(v.route)
 				return f
 			})
@@ -98,7 +98,7 @@ func AblationEccFallback(opt Options) []AblationRow {
 		cfg.Fault = &fault.Config{Seed: 1, OnDieECCRate: rate}
 		s, row := pnSSDTraceRun(opt, cfg, ftl.GCSpatial, "rocksdb-0", opt.ChurnFraction,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
-				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, opt.Cfg.BusMTps, false)
+				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, 8, opt.Cfg.BusMTps, true, false)
 			})
 		row.Name = fmt.Sprintf("on-die ECC fail %.0f%%", rate*100)
 		row.Detail = fmt.Sprintf("rocksdb-0 + SpGC, %d copies relayed for strong ECC", s.Fabric.(*controller.OmnibusFabric).EccFallbacks())
@@ -117,7 +117,7 @@ func AblationCtrlLatency(opt Options) []AblationRow {
 		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "exchange-1", 0,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				soc.SetCtrlMsgLatency(d)
-				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, opt.Cfg.BusMTps, true)
+				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, 8, opt.Cfg.BusMTps, true, true)
 			})
 		row.Name = fmt.Sprintf("ctrl msg %v", d)
 		row.Detail = "exchange-1, adaptive+split"

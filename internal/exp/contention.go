@@ -8,6 +8,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/ssd"
+	"repro/internal/trace"
 )
 
 // ContentionRow summarizes queueing on one architecture's channels under
@@ -21,7 +22,7 @@ type ContentionRow struct {
 	// (or, for the mesh, the controller-adjacent ejection links).
 	HMeanWait sim.Time
 	HMaxWait  sim.Time
-	// VMeanWait aggregates the v-channels (zero for non-Omnibus fabrics).
+	// VMeanWait aggregates the v-channels (zero without v-channels).
 	VMeanWait sim.Time
 	// BusiestUtil is the highest single-channel lifetime utilization.
 	BusiestUtil float64
@@ -56,45 +57,35 @@ func Contention(opt Options) []ContentionRow {
 			}
 			return mean, max, util
 		}
-		switch fab := s.Fabric.(type) {
-		case *controller.BusFabric:
-			var chs []*bus.Channel
-			for ch := 0; ch < s.Config.Channels; ch++ {
-				chs = append(chs, fab.Channel(ch))
-			}
-			row.HMeanWait, row.HMaxWait, row.BusiestUtil = scan(chs)
-		case *controller.OmnibusFabric:
-			var hs, vs []*bus.Channel
-			for ch := 0; ch < s.Config.Channels; ch++ {
-				hs = append(hs, fab.HChannel(ch))
-			}
-			for i := 0; i < fab.NumVChannels(); i++ {
-				vs = append(vs, fab.VChannel(i*fab.ColumnsPerVChannel()))
-			}
-			var vMax sim.Time
-			var vUtil float64
-			row.HMeanWait, row.HMaxWait, row.BusiestUtil = scan(hs)
-			row.VMeanWait, vMax, vUtil = scan(vs)
-			if vMax > row.HMaxWait {
-				row.HMaxWait = vMax
-			}
-			if vUtil > row.BusiestUtil {
-				row.BusiestUtil = vUtil
-			}
-		case *controller.MeshFabric:
+		if fab, ok := s.Fabric.(*controller.MeshFabric); ok {
 			m := fab.Mesh()
 			var chs []*bus.Channel
 			for y := 0; y < s.Config.Channels; y++ {
-				chs = append(chs, m.Link(meshNode(0, y), meshController(y)))
-				chs = append(chs, m.Link(meshController(y), meshNode(0, y)))
+				edge, ctrl := mesh.Node{X: 0, Y: y}, mesh.Controller(y)
+				chs = append(chs, m.Link(edge, ctrl), m.Link(ctrl, edge))
 			}
 			row.HMeanWait, row.HMaxWait, row.BusiestUtil = scan(chs)
+			return row
+		}
+		var hs, vs []*bus.Channel
+		for _, b := range s.Buses() {
+			switch b.Kind {
+			case trace.KindHChannel:
+				hs = append(hs, b.Channel)
+			case trace.KindVChannel:
+				vs = append(vs, b.Channel)
+			}
+		}
+		var vMax sim.Time
+		var vUtil float64
+		row.HMeanWait, row.HMaxWait, row.BusiestUtil = scan(hs)
+		row.VMeanWait, vMax, vUtil = scan(vs)
+		if vMax > row.HMaxWait {
+			row.HMaxWait = vMax
+		}
+		if vUtil > row.BusiestUtil {
+			row.BusiestUtil = vUtil
 		}
 		return row
 	})
 }
-
-// meshNode and meshController adapt the mesh package's node constructors
-// without importing it at every call site.
-func meshNode(x, y int) mesh.Node    { return mesh.Node{X: x, Y: y} }
-func meshController(y int) mesh.Node { return mesh.Controller(y) }

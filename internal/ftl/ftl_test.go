@@ -18,7 +18,7 @@ func rig(cfg Config, numLPNs int64) (*sim.Engine, *FTL, *controller.Grid) {
 	e := sim.NewEngine()
 	g := controller.NewGrid(e, 2, 2, smallGeo(), flash.ULLTiming())
 	soc := controller.NewSoc(e, 8000, 8000)
-	fab := controller.NewBusFabric(e, "base", g, soc, smallGeo().PageSize, 8, 1000, false)
+	fab := controller.NewOmnibusFabric(e, "base", g, soc, smallGeo().PageSize, 8, 0, 1000, false, false)
 	return e, New(e, fab, cfg, numLPNs), g
 }
 
@@ -26,7 +26,7 @@ func omniRig(cfg Config, numLPNs int64, channels, ways int) (*sim.Engine, *FTL, 
 	e := sim.NewEngine()
 	g := controller.NewGrid(e, channels, ways, smallGeo(), flash.ULLTiming())
 	soc := controller.NewSoc(e, 8000, 8000)
-	fab := controller.NewOmnibusFabric(e, "pnssd", g, soc, smallGeo().PageSize, 8, 1000, false)
+	fab := controller.NewOmnibusFabric(e, "pnssd", g, soc, smallGeo().PageSize, 8, 8, 1000, true, false)
 	return e, New(e, fab, cfg, numLPNs), fab
 }
 

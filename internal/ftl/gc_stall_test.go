@@ -20,7 +20,7 @@ func TestGCZeroVictimRoundParksStalledWrites(t *testing.T) {
 	e := sim.NewEngine()
 	g := controller.NewGrid(e, 1, 1, geo, flash.ULLTiming())
 	soc := controller.NewSoc(e, 8000, 8000)
-	fab := controller.NewBusFabric(e, "base", g, soc, geo.PageSize, 8, 1000, false)
+	fab := controller.NewOmnibusFabric(e, "base", g, soc, geo.PageSize, 8, 0, 1000, false, false)
 	cfg := DefaultConfig()
 	cfg.GCMode = GCParallel
 	f := New(e, fab, cfg, 4)

@@ -27,7 +27,7 @@ func churnWear(t *testing.T, mode GCMode, rounds int) WearStats {
 	e := sim.NewEngine()
 	g := controller.NewGrid(e, 4, 4, smallGeo(), flash.ULLTiming())
 	soc := controller.NewSoc(e, 8000, 8000)
-	fab := controller.NewOmnibusFabric(e, "pnssd", g, soc, smallGeo().PageSize, 8, 1000, false)
+	fab := controller.NewOmnibusFabric(e, "pnssd", g, soc, smallGeo().PageSize, 8, 8, 1000, true, false)
 	cfg := DefaultConfig()
 	cfg.GCMode = mode
 	cfg.GCThreshold = 0.3

@@ -16,7 +16,7 @@ func testHost(t *testing.T) (*sim.Engine, *Host) {
 	geo := flash.Geometry{Planes: 2, BlocksPerPlane: 8, PagesPerBlock: 8, PageSize: 4096}
 	g := controller.NewGrid(e, 2, 2, geo, flash.ULLTiming())
 	soc := controller.NewSoc(e, 8000, 8000)
-	fab := controller.NewBusFabric(e, "base", g, soc, geo.PageSize, 8, 1000, false)
+	fab := controller.NewOmnibusFabric(e, "base", g, soc, geo.PageSize, 8, 0, 1000, false, false)
 	cfg := ftl.DefaultConfig()
 	cfg.GCMode = ftl.GCNone
 	f := ftl.New(e, fab, cfg, 256)

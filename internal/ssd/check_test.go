@@ -98,7 +98,7 @@ func TestCheckerPassivity(t *testing.T) {
 }
 
 // corruptCopyFabric is the seeded-mutation test double: it delegates
-// everything to a real bus fabric but "performs" GC copies by instantly
+// everything to a real baseSSD fabric but "performs" GC copies by instantly
 // installing the wrong token at the destination — the classic silent
 // relocation bug the page-conservation invariant exists to catch.
 type corruptCopyFabric struct {
@@ -120,7 +120,7 @@ func TestCheckerCatchesCorruptedGCCopy(t *testing.T) {
 	cfg.Check = &check.Config{}
 	var liar *corruptCopyFabric
 	s := NewCustom(ArchBase, cfg, func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
-		inner := controller.NewBusFabric(eng, "liar", grid, soc, pageSize, 8, cfg.BusMTps, false)
+		inner := controller.NewOmnibusFabric(eng, "liar", grid, soc, pageSize, 8, 0, cfg.BusMTps, false, false)
 		liar = &corruptCopyFabric{Fabric: inner, eng: eng, grid: grid}
 		return liar
 	})

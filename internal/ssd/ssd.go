@@ -110,8 +110,9 @@ type Config struct {
 	// (the rest is over-provisioning).
 	LogicalUtilization float64
 	// Fault, when non-nil, enables deterministic fault injection: one
-	// shared injector is threaded through every chip, the FTL, and (on
-	// Omnibus architectures) the fabric control plane.
+	// shared injector is threaded through every chip, the FTL, and the
+	// channel fabric, whose v-channels and control plane (pnSSD only)
+	// draw interconnect faults.
 	Fault *fault.Config
 	// Trace, when non-nil, enables the tracing subsystem: a recorder is
 	// attached to every bus channel, flash die, SoC resource, and the NVMe
@@ -281,9 +282,10 @@ type SSD struct {
 func (s *SSD) RAS() *stats.RAS { return s.Faults.RAS() }
 
 // wireFaults builds the injector from cfg.Fault (nil when absent) and
-// attaches it to every chip, the FTL, and an Omnibus fabric's control
-// plane. Bus and mesh fabrics have no v-channels or grant exchange, so
-// for them only the flash- and FTL-level classes apply.
+// attaches it to every chip, the FTL, and a channel fabric. Only pnSSD's
+// v-channels and grant exchange draw interconnect faults; on baseSSD and
+// pSSD (no v-channels) and on the mesh only the flash- and FTL-level
+// classes apply.
 func wireFaults(cfg Config, grid *controller.Grid, fab controller.Fabric, f *ftl.FTL) *fault.Injector {
 	if cfg.Fault == nil {
 		return nil
@@ -315,7 +317,7 @@ type probe struct {
 }
 
 // probes enumerates the device's observed resources in display order:
-// every h-channel, every v-channel (Omnibus fabrics), every chip die,
+// every h-channel, every v-channel (pnSSD), every chip die,
 // the SoC, and the NVMe link. Mesh links have no per-row channel notion
 // and stay unobserved. This one enumeration drives trace tracks, checker
 // registration and idle watches, Buses, and the Fig 3 matrix, so a new
@@ -325,12 +327,7 @@ func probes(grid *controller.Grid, fab controller.Fabric, soc *controller.Soc, h
 	addBus := func(c *bus.Channel, kind string) {
 		out = append(out, probe{kind: kind, names: []string{c.Name()}, obs: c, idle: c})
 	}
-	switch fb := fab.(type) {
-	case *controller.BusFabric:
-		for ch := 0; ch < grid.Channels; ch++ {
-			addBus(fb.Channel(ch), trace.KindHChannel)
-		}
-	case *controller.OmnibusFabric:
+	if fb, ok := fab.(*controller.OmnibusFabric); ok {
 		for ch := 0; ch < grid.Channels; ch++ {
 			addBus(fb.HChannel(ch), trace.KindHChannel)
 		}
@@ -373,8 +370,8 @@ func wireTrace(cfg Config, eng *sim.Engine, ps []probe, fab controller.Fabric, f
 // absent): it registers every probed resource with its kind, attaches
 // the checker as an additional observer (tracing, if enabled, keeps its
 // own and sees each callback first), hooks the FTL's page-commit sink
-// and the Omnibus copy-routing notification, and installs the drain-time
-// leak and accounting checks Run verifies.
+// and the channel fabric's copy-routing notification, and installs the
+// drain-time leak and accounting checks Run verifies.
 func wireCheck(cfg Config, eng *sim.Engine, ps []probe, grid *controller.Grid, fab controller.Fabric, f *ftl.FTL, h *host.Host, soc *controller.Soc, inj *fault.Injector) *check.Checker {
 	if cfg.Check == nil {
 		return nil
@@ -460,9 +457,10 @@ func wireCheck(cfg Config, eng *sim.Engine, ps []probe, grid *controller.Grid, f
 
 // wireTelemetry builds the collector from cfg.Telemetry (nil when
 // absent) and attaches it to the host (attribution + windowed series),
-// the FTL (GC activity, stall events), and an Omnibus fabric's grant
-// arbitration. The collector is purely passive — it never schedules
-// events — so an instrumented run executes the same event sequence.
+// the FTL (GC activity, stall events), and a channel fabric's grant
+// arbitration (pnSSD only). The collector is purely passive — it never
+// schedules events — so an instrumented run executes the same event
+// sequence.
 func wireTelemetry(cfg Config, fab controller.Fabric, f *ftl.FTL, h *host.Host) *telemetry.Collector {
 	if cfg.Telemetry == nil {
 		return nil
@@ -612,13 +610,13 @@ func makeFabric(arch Arch, eng *sim.Engine, grid *controller.Grid, soc *controll
 	ps := cfg.Geometry.PageSize
 	switch arch {
 	case ArchBase:
-		fab = controller.NewBusFabric(eng, arch.String(), grid, soc, ps, 8, cfg.BusMTps, false)
+		fab = controller.NewOmnibusFabric(eng, arch.String(), grid, soc, ps, 8, 0, cfg.BusMTps, false, false)
 	case ArchPSSD:
-		fab = controller.NewBusFabric(eng, arch.String(), grid, soc, ps, 16, cfg.BusMTps, true)
+		fab = controller.NewOmnibusFabric(eng, arch.String(), grid, soc, ps, 16, 0, cfg.BusMTps, true, false)
 	case ArchPnSSD:
-		fab = controller.NewOmnibusFabric(eng, arch.String(), grid, soc, ps, 8, cfg.BusMTps, false)
+		fab = controller.NewOmnibusFabric(eng, arch.String(), grid, soc, ps, 8, 8, cfg.BusMTps, true, false)
 	case ArchPnSSDSplit:
-		fab = controller.NewOmnibusFabric(eng, arch.String(), grid, soc, ps, 8, cfg.BusMTps, true)
+		fab = controller.NewOmnibusFabric(eng, arch.String(), grid, soc, ps, 8, 8, cfg.BusMTps, true, true)
 	case ArchNoSSDPin:
 		fab = controller.NewMeshFabric(eng, arch.String(), grid, soc, ps, 2, cfg.BusMTps)
 	case ArchNoSSDFree:
@@ -630,10 +628,10 @@ func makeFabric(arch Arch, eng *sim.Engine, grid *controller.Grid, soc *controll
 }
 
 // AttachChannelUtil attaches a per-channel utilization matrix in
-// sim.SeriesWindow windows to every h-channel (bus and Omnibus
-// fabrics), one row per channel fed as an ordinary resource observer,
-// and returns it — the instrument behind Fig 3. Mesh fabrics have no
-// channel notion and return nil.
+// sim.SeriesWindow windows to every h-channel of a channel fabric, one
+// row per channel fed as an ordinary resource observer, and returns it
+// — the instrument behind Fig 3. Mesh fabrics have no channel notion
+// and return nil.
 func (s *SSD) AttachChannelUtil() *stats.UtilMatrix {
 	var hs []*bus.Channel
 	for _, b := range s.Buses() {

@@ -22,7 +22,7 @@ type BusInfo struct {
 }
 
 // Buses enumerates the device's bus channels in display order: all
-// h-channels, then (on Omnibus fabrics) all v-channels. Mesh fabrics
+// h-channels, then (on pnSSD) all v-channels. Mesh fabrics
 // return nil — their links have no per-row channel notion.
 func (s *SSD) Buses() []BusInfo {
 	var out []BusInfo

@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/check"
+	"repro/internal/controller"
 	"repro/internal/ftl"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -224,5 +226,53 @@ func TestSummarizeShape(t *testing.T) {
 	}
 	if sum.TraceEvents == 0 || sum.TraceHolds == 0 {
 		t.Fatalf("trace totals missing: events=%d holds=%d", sum.TraceEvents, sum.TraceHolds)
+	}
+}
+
+// A baseSSD GC copy is visible like a pnSSD one: the bus architectures
+// are the channel fabric with no v-channels, so their relayed copies get
+// the same trace span, path counter and checker notification. The three
+// counts must agree on a traced, checked PaGC run.
+func TestBusArchRelayedCopiesObservable(t *testing.T) {
+	cfg := gcConfig()
+	cfg.Trace = &trace.Config{}
+	cfg.Check = &check.Config{}
+	s := New(ArchBase, cfg)
+	foot := s.Config.LogicalPages()
+	s.Host.Warmup(foot)
+	tr, err := workload.Named("rocksdb-1", foot, 300, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Host.MustReplay(tr.Requests)
+	s.Run()
+
+	var buf bytes.Buffer
+	if err := s.Tracer.ExportChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct{ Name, Ph string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var spans int64
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "relay-copy" && ev.Ph == "b" {
+			spans++
+		}
+	}
+	fab, ok := s.Fabric.(*controller.OmnibusFabric)
+	if !ok {
+		t.Fatalf("baseSSD fabric is %T, want the channel fabric", s.Fabric)
+	}
+	_, _, _, _, relayed := fab.PathCounts()
+	_, checked := s.Checker.CopyCounts()
+	if spans == 0 || spans != relayed || relayed != checked {
+		t.Fatalf("relayed copies: %d trace spans, %d fabric, %d checker; want equal and nonzero", spans, relayed, checked)
+	}
+	if copied := s.FTL.Stats().GCPagesCopied; relayed != copied {
+		t.Fatalf("%d relayed copies, FTL copied %d pages", relayed, copied)
 	}
 }

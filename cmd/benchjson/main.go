@@ -1,7 +1,7 @@
 // Command benchjson runs the repo's benchmark harness (one bench per
 // table/figure of the evaluation, see bench_test.go, plus the engine and
-// resource-hold benches of internal/sim and the host-request read-path
-// bench of internal/ssd) and re-emits the results as JSON, seeding the
+// resource-hold benches of internal/sim and the host-request read- and
+// write-path benches of internal/ssd) and re-emits the results as JSON, seeding the
 // perf-trajectory file BENCH_quick.json.
 // The simulation metrics (improvement percentages, latencies, KIOPS,
 // events per request) and allocs/op are deterministic run to run; the
@@ -70,8 +70,8 @@ func main() {
 
 	// Figure benches run once (their metrics are deterministic); the
 	// engine and hold benches run long enough for ns/op to mean
-	// something; the read-path bench runs a fixed request count so its
-	// events/req does not depend on the machine.
+	// something; the read- and write-path benches run a fixed request
+	// count so their events/req does not depend on the machine.
 	var raw []byte
 	for _, pkg := range [][2]string{{".", "1x"}, {"./internal/sim", "100ms"}, {"./internal/ssd", "20000x"}} {
 		cmd := exec.Command("go", "test", "-run=^$", "-bench="+*bench, "-benchtime="+pkg[1], pkg[0])

@@ -11,32 +11,60 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden file from this run")
 
-// The CLI smoke test: one full deterministic run — scaled pnSSD+split
-// device, spatial GC, invariant checker attached — compared byte for
-// byte against the committed transcript. Any behavior drift in the
-// simulator, the report formatting, or the checker wiring shows up as
-// a golden diff.
+// The CLI goldens: full deterministic runs compared byte for byte
+// against committed output. Any behavior drift in the simulator, the
+// report formatting, or the checker wiring shows up as a golden diff.
+//
+//   - spgc: scaled pnSSD+split device, spatial GC, invariant checker
+//     attached; the golden is the whole transcript.
+//   - write-storm: baseSSD under parallel GC on rocksdb-1, which parks
+//     host writes on allocation 1,276 times; the golden is the
+//     -metrics-json summary (it carries write_stalls), since the
+//     transcript names the metrics file.
 func TestGoldenOutput(t *testing.T) {
-	args := []string{"-arch", "pnssd+split", "-preset", "rocksdb-0", "-gc", "spgc", "-requests", "300", "-seed", "7", "-check"}
-	var buf bytes.Buffer
-	if err := run(args, &buf); err != nil {
-		t.Fatalf("run %v: %v", args, err)
-	}
-	const golden = "testdata/golden_rocksdb0_spgc.txt"
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("output differs from %s (rerun with -update to accept):\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
-	}
-	if !strings.Contains(buf.String(), "0 violations") {
-		t.Error("checked run did not report zero violations")
+	for _, tc := range []struct {
+		name, golden string
+		args         []string
+		metrics      bool // compare the -metrics-json summary, not stdout
+	}{
+		{"spgc", "testdata/golden_rocksdb0_spgc.txt",
+			[]string{"-arch", "pnssd+split", "-preset", "rocksdb-0", "-gc", "spgc", "-requests", "300", "-seed", "7", "-check"}, false},
+		{"write-storm", "testdata/golden_rocksdb1_pagc_metrics.json",
+			[]string{"-arch", "base", "-preset", "rocksdb-1", "-gc", "pagc", "-requests", "12000", "-seed", "1", "-check"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := tc.args
+			metrics := filepath.Join(t.TempDir(), "metrics.json")
+			if tc.metrics {
+				args = append(args, "-metrics-json", metrics)
+			}
+			var buf bytes.Buffer
+			if err := run(args, &buf); err != nil {
+				t.Fatalf("run %v: %v", args, err)
+			}
+			if !strings.Contains(buf.String(), "0 violations") {
+				t.Error("checked run did not report zero violations")
+			}
+			got := buf.Bytes()
+			if tc.metrics {
+				var err error
+				if got, err = os.ReadFile(metrics); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if *update {
+				if err := os.WriteFile(tc.golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(tc.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("output differs from %s (rerun with -update to accept):\ngot:\n%s\nwant:\n%s", tc.golden, got, want)
+			}
+		})
 	}
 }
 

@@ -230,92 +230,145 @@ func (s *Soc) SysBusBusy() sim.Time { return s.sysBus.TotalBusy() }
 // DramBusy returns cumulative DRAM occupancy.
 func (s *Soc) DramBusy() sim.Time { return s.dram.TotalBusy() }
 
-// readOp is one Fabric.Read in flight on a bus, Omnibus or mesh fabric:
-// the command reaches the chip, the array senses, the fabric's own return
-// path carries the pages to the controller, and Soc.eccTransfer lands
-// them in DRAM. Records are recycled through the fabric's readOps free
+// fabricOp is one Fabric.Read, Write or Erase in flight on the channel or
+// mesh fabric. A read's command reaches the chip, the array senses, the
+// fabric's own return path carries the pages to the controller, and
+// Soc.eccTransfer lands them in DRAM. A write crosses the SoC and the
+// controller ECC, the fabric's own delivery path carries the payload to
+// the chip, and the chip programs it. An erase is one command, then the
+// chip erases. Records are recycled through the fabric's fabricOps free
 // list, and every step is a method value bound once when the record is
-// created, so a steady stream of reads allocates nothing.
-type readOp struct {
-	ops  *readOps
-	id   ChipID
-	chip *flash.Chip
-	ppas []flash.PPA // the caller's slice, read when the command lands
-	n    int         // payload bytes
-	done func()
+// created, so a steady stream of operations allocates nothing.
+type fabricOp struct {
+	pool  *fabricOps
+	id    ChipID
+	chip  *flash.Chip
+	ppas  []flash.PPA       // read or erase: the caller's slice
+	progs []flash.ProgramOp // write: the caller's slice
+	n     int               // payload bytes
+	done  func()
 
-	// Omnibus returns: joins counts the split halves still in flight,
-	// and vch/vLabel/vDur/vNext is the v-channel hold issued once the
-	// control-plane grant arrives.
+	// Omnibus transfers: joins counts the split halves still in flight
+	// and joined runs when the last lands; vch/vLabel/vDur/vNext is the
+	// v-channel hold issued once the control-plane grant arrives.
 	joins  int
+	joined func()
 	vch    *bus.Channel
 	vLabel string
 	vDur   sim.Time
 	vNext  func()
 
-	sense, ret, xfer, join, vReq, vGrant func() // bound steps
+	sense, ret, xfer, ecc, deliver, program, erase, join, vReq, vGrant func() // bound steps
 }
 
-// readOps is one fabric's free list of read records plus its data return
-// path, which runs once the pages sit in the chip's page registers and
-// must end in the record's xfer step.
-type readOps struct {
+// fabricOps is one fabric's free list of op records plus its two
+// fabric-specific paths: ret carries a read's pages from the chip's page
+// registers to the controller and must end in the record's xfer step;
+// deliver carries a write's payload from the controller to the chip and
+// must end in its program step.
+type fabricOps struct {
 	grid     *Grid
 	soc      *Soc
 	pageSize int
-	ret      func(r *readOp)
-	free     []*readOp
+	ret      func(r *fabricOp)
+	deliver  func(r *fabricOp)
+	free     []*fabricOp
 }
 
-// get pops a read record off the free list, building one if empty.
-func (p *readOps) get(id ChipID, ppas []flash.PPA, done func()) *readOp {
-	var r *readOp
+// get pops an op record off the free list, building one if empty.
+func (p *fabricOps) get(id ChipID, done func()) *fabricOp {
+	var r *fabricOp
 	if k := len(p.free); k > 0 {
 		r = p.free[k-1]
 		p.free = p.free[:k-1]
 	} else {
-		r = &readOp{ops: p}
+		r = &fabricOp{pool: p}
 		r.sense, r.ret, r.xfer = r.senseStep, r.retStep, r.xferStep
+		r.ecc, r.deliver, r.program, r.erase = r.eccStep, r.deliverStep, r.programStep, r.eraseStep
 		r.join, r.vReq, r.vGrant = r.joinStep, r.vReqStep, r.vGrantStep
 	}
-	r.id, r.chip, r.ppas, r.done = id, p.grid.Chip(id), ppas, done
-	r.n = totalBytes(p.pageSize, len(ppas))
+	r.id, r.chip, r.done = id, p.grid.Chip(id), done
 	return r
 }
 
-func (r *readOp) senseStep() { r.chip.Read(r.ppas, r.ret) }
+// read loads a record for a Fabric.Read.
+func (p *fabricOps) read(id ChipID, ppas []flash.PPA, done func()) *fabricOp {
+	r := p.get(id, done)
+	r.ppas, r.n = ppas, totalBytes(p.pageSize, len(ppas))
+	return r
+}
 
-func (r *readOp) retStep() { r.ops.ret(r) }
+// write loads a record for a Fabric.Write.
+func (p *fabricOps) write(id ChipID, progs []flash.ProgramOp, done func()) *fabricOp {
+	r := p.get(id, done)
+	r.progs, r.n = progs, totalBytes(p.pageSize, len(progs))
+	return r
+}
 
-// xferStep is the record's last event: the payload has reached the
+// put returns a record whose last event has fired to the free list.
+func (p *fabricOps) put(r *fabricOp) {
+	r.ppas, r.progs, r.done, r.joined, r.vNext = nil, nil, nil, nil, nil
+	p.free = append(p.free, r)
+}
+
+func (r *fabricOp) senseStep() { r.chip.Read(r.ppas, r.ret) }
+
+func (r *fabricOp) retStep() { r.pool.ret(r) }
+
+// xferStep is a read's last event: the payload has reached the
 // controller, so the record goes back on the free list and the ECC and
 // SoC hop carries done.
-func (r *readOp) xferStep() {
-	p, n, done := r.ops, r.n, r.done
-	r.ppas, r.done, r.vNext = nil, nil, nil
-	p.free = append(p.free, r)
+func (r *fabricOp) xferStep() {
+	p, n, done := r.pool, r.n, r.done
+	p.put(r)
 	p.soc.eccTransfer(n, done)
 }
 
-// joinStep completes one half of a split return.
-func (r *readOp) joinStep() {
+// eccStep follows a write's SoC transfer: the controller ECC pipeline.
+func (r *fabricOp) eccStep() { r.pool.soc.eng.Schedule(EccLatency, r.deliver) }
+
+func (r *fabricOp) deliverStep() { r.pool.deliver(r) }
+
+// programStep is a write's last event: the payload sits at the chip, so
+// the record goes back on the free list and the program carries done.
+func (r *fabricOp) programStep() {
+	chip, progs, done := r.chip, r.progs, r.done
+	r.pool.put(r)
+	chip.Program(progs, done)
+}
+
+// eraseStep is an erase's last event: the command reached the chip.
+func (r *fabricOp) eraseStep() {
+	chip, blocks, done := r.chip, r.ppas, r.done
+	r.pool.put(r)
+	chip.Erase(blocks, done)
+}
+
+// splitJoin arms a split transfer: two halves in flight, and next runs
+// when both have landed.
+func (r *fabricOp) splitJoin(next func()) {
+	r.joins, r.joined = 2, next
+}
+
+// joinStep completes one half of a split transfer.
+func (r *fabricOp) joinStep() {
 	r.joins--
 	if r.joins == 0 {
-		r.xferStep()
+		r.joined()
 	}
 }
 
 // afterVGrant issues a v-channel hold of d once the request/grant
 // exchange over the control plane lets controller[way] drive vch, then
 // runs next.
-func (r *readOp) afterVGrant(vch *bus.Channel, label string, d sim.Time, next func()) {
+func (r *fabricOp) afterVGrant(vch *bus.Channel, label string, d sim.Time, next func()) {
 	r.vch, r.vLabel, r.vDur, r.vNext = vch, label, d, next
-	r.ops.soc.CtrlMsg(r.vReq)
+	r.pool.soc.CtrlMsg(r.vReq)
 }
 
-func (r *readOp) vReqStep() { r.ops.soc.CtrlMsg(r.vGrant) }
+func (r *fabricOp) vReqStep() { r.pool.soc.CtrlMsg(r.vGrant) }
 
-func (r *readOp) vGrantStep() { r.vch.UseOp(r.vLabel, r.vDur, r.vNext) }
+func (r *fabricOp) vGrantStep() { r.vch.UseOp(r.vLabel, r.vDur, r.vNext) }
 
 // totalBytes sums the page sizes of a multi-plane op set.
 func totalBytes(pageSize, pages int) int { return pageSize * pages }

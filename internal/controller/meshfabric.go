@@ -20,7 +20,8 @@ type MeshFabric struct {
 	soc      *Soc
 	pageSize int
 	m        *mesh.Mesh
-	reads    readOps
+	fops     fabricOps
+	copies   []*meshCopy // recycled Copy records
 }
 
 // NewMeshFabric builds the mesh fabric; widthBits is the per-link width
@@ -34,7 +35,7 @@ func NewMeshFabric(eng *sim.Engine, name string, grid *Grid, soc *Soc, pageSize,
 		pageSize: pageSize,
 		m:        mesh.New(eng, grid.Ways, grid.Channels, widthBits, rateMTps),
 	}
-	f.reads = readOps{grid: grid, soc: soc, pageSize: pageSize, ret: f.returnRead}
+	f.fops = fabricOps{grid: grid, soc: soc, pageSize: pageSize, ret: f.returnRead, deliver: f.deliverWrite}
 	return f
 }
 
@@ -52,37 +53,32 @@ func (f *MeshFabric) node(id ChipID) mesh.Node { return mesh.Node{X: id.Way, Y: 
 // Read implements Fabric: command packet to the chip, tR, data packet back
 // to the row's controller, ECC, SoC hop.
 func (f *MeshFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
-	r := f.reads.get(id, ppas, done)
+	r := f.fops.read(id, ppas, done)
 	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.sense)
 }
 
 // returnRead sends the data packet back to the row's controller.
-func (f *MeshFabric) returnRead(r *readOp) {
+func (f *MeshFabric) returnRead(r *fabricOp) {
 	f.m.Transfer(f.node(r.id), mesh.Controller(r.id.Channel), packet.DataFlitsFor(r.n), r.xfer)
 }
 
 // Write implements Fabric: SoC hop, then one command+payload packet stream
 // to the chip, then tPROG.
 func (f *MeshFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
-	chip := f.grid.Chip(id)
-	node := f.node(id)
-	ctrl := mesh.Controller(id.Channel)
-	n := totalBytes(f.pageSize, len(ops))
-	f.soc.Transfer(n, func() {
-		f.eng.Schedule(EccLatency, func() {
-			f.m.Transfer(ctrl, node, packet.ControlFlitsFor()+packet.DataFlitsFor(n), func() {
-				chip.Program(ops, done)
-			})
-		})
-	})
+	w := f.fops.write(id, ops, done)
+	f.soc.Transfer(w.n, w.ecc)
+}
+
+// deliverWrite sends the command+payload packet stream to the chip.
+func (f *MeshFabric) deliverWrite(w *fabricOp) {
+	f.m.Transfer(mesh.Controller(w.id.Channel), f.node(w.id), packet.ControlFlitsFor()+packet.DataFlitsFor(w.n), w.program)
 }
 
 // Erase implements Fabric.
 func (f *MeshFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
-	chip := f.grid.Chip(id)
-	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), func() {
-		chip.Erase(blocks, done)
-	})
+	r := f.fops.get(id, done)
+	r.ppas = blocks
+	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.erase)
 }
 
 // Copy implements Fabric: the mesh does provide flash-to-flash
@@ -91,26 +87,65 @@ func (f *MeshFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
 // commits with an on-die program — the same capability pnSSD has, paid
 // for with multi-hop link occupancy.
 func (f *MeshFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) {
-	srcChip, dstChip := f.grid.Chip(src), f.grid.Chip(dst)
-	srcNode, dstNode := f.node(src), f.node(dst)
-	n := f.pageSize
-	f.m.Transfer(mesh.Controller(src.Channel), srcNode, packet.ControlFlitsFor(), func() {
-		srcChip.Read([]flash.PPA{from}, func() {
-			token := srcChip.PageRegister(from.Plane)
-			f.m.Transfer(srcNode, dstNode, packet.DataFlitsFor(n), func() {
-				// The mesh has no control-plane reservation: the payload
-				// stalls at the destination until a V-page register frees.
-				dstChip.WaitVPage(func(reg int) {
-					f.commit(dstChip, reg, token, to, done)
-				})
-			})
-		})
-	})
+	var c *meshCopy
+	if k := len(f.copies); k > 0 {
+		c = f.copies[k-1]
+		f.copies = f.copies[:k-1]
+	} else {
+		c = &meshCopy{f: f}
+		c.readCmd, c.sensed, c.arrived, c.commit, c.finish = c.readCmdStep, c.sensedStep, c.arrivedStep, c.commitStep, c.finishStep
+		c.vpage = c.vpageStep
+	}
+	c.src, c.from[0], c.dst, c.to, c.done = src, from, dst, to, done
+	f.m.Transfer(mesh.Controller(src.Channel), f.node(src), packet.ControlFlitsFor(), c.readCmd)
 }
 
-func (f *MeshFabric) commit(dstChip *flash.Chip, reg int, token flash.Token, to flash.PPA, done func()) {
-	dstChip.SetVPage(reg, token)
-	f.eng.Schedule(OnDieEccLatency, func() {
-		dstChip.ProgramFromVPage(reg, to, done)
-	})
+// meshCopy is one MeshFabric.Copy in flight. Records are recycled
+// through the fabric's free list and every step is a method value bound
+// once, so a steady stream of GC copies allocates nothing.
+type meshCopy struct {
+	f        *MeshFabric
+	src, dst ChipID
+	from     [1]flash.PPA // the source page, as Chip.Read takes it
+	to       flash.PPA
+	done     func()
+	token    flash.Token
+	reg      int
+
+	readCmd, sensed, arrived, commit, finish func() // bound steps
+	vpage                                    func(reg int)
+}
+
+func (c *meshCopy) readCmdStep() { c.f.grid.Chip(c.src).Read(c.from[:], c.sensed) }
+
+// sensedStep sends the page from the source node to the destination.
+func (c *meshCopy) sensedStep() {
+	f := c.f
+	c.token = f.grid.Chip(c.src).PageRegister(c.from[0].Plane)
+	f.m.Transfer(f.node(c.src), f.node(c.dst), packet.DataFlitsFor(f.pageSize), c.arrived)
+}
+
+// arrivedStep parks the payload at the destination: the mesh has no
+// control-plane reservation, so it stalls until a V-page register frees.
+func (c *meshCopy) arrivedStep() { c.f.grid.Chip(c.dst).WaitVPage(c.vpage) }
+
+// vpageStep stores the payload in the claimed register; on-die ECC runs
+// before the commit.
+func (c *meshCopy) vpageStep(reg int) {
+	c.reg = reg
+	c.f.grid.Chip(c.dst).SetVPage(reg, c.token)
+	c.f.eng.Schedule(OnDieEccLatency, c.commit)
+}
+
+func (c *meshCopy) commitStep() { c.f.grid.Chip(c.dst).ProgramFromVPage(c.reg, c.to, c.finish) }
+
+// finishStep is the copy's last event: the record goes back on the free
+// list and done runs.
+func (c *meshCopy) finishStep() {
+	f, done := c.f, c.done
+	c.done = nil
+	f.copies = append(f.copies, c)
+	if done != nil {
+		done()
+	}
 }

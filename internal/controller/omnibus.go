@@ -79,7 +79,8 @@ type OmnibusFabric struct {
 	hReturns, vReturns, splitReturns int64
 	directCopies, relayedCopies      int64
 
-	reads readOps
+	fops       fabricOps
+	freeCopies []*copyOp // recycled Copy records
 }
 
 // NewOmnibusFabric builds the channel fabric: one h-channel per grid row
@@ -115,7 +116,7 @@ func NewOmnibusFabric(eng *sim.Engine, name string, grid *Grid, soc *Soc, pageSi
 		colsPerV: colsPerV,
 		route:    RouteGreedy,
 	}
-	f.reads = readOps{grid: grid, soc: soc, pageSize: pageSize, ret: f.returnData}
+	f.fops = fabricOps{grid: grid, soc: soc, pageSize: pageSize, ret: f.returnData, deliver: f.deliverWrite}
 	for ch := 0; ch < grid.Channels; ch++ {
 		f.h[ch] = bus.NewChannel(eng, fmt.Sprintf("%s/h%d", name, ch), hWidthBits, rateMTps)
 		if packetized {
@@ -262,13 +263,13 @@ func (f *OmnibusFabric) PathCounts() (h, v, split, direct, relayed int64) {
 // row controller owns the chip); the data return path is adaptive or
 // split.
 func (f *OmnibusFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
-	r := f.reads.get(id, ppas, done)
+	r := f.fops.read(id, ppas, done)
 	f.h[id.Channel].UseOp("read-cmd", f.hIface[id.Channel].ReadCmd(), r.sense)
 }
 
 // returnData moves the read's payload from the chip's page registers to
 // the controller over the chosen path(s).
-func (f *OmnibusFabric) returnData(r *readOp) {
+func (f *OmnibusFabric) returnData(r *fabricOp) {
 	id, n := r.id, r.n
 	hch, hifc := f.h[id.Channel], f.hIface[id.Channel]
 	if hOnly, degraded := f.hOnly(id.Way); hOnly {
@@ -301,7 +302,7 @@ func (f *OmnibusFabric) returnData(r *readOp) {
 			f.trc.Instant("route", "split-return", trace.KV{K: "chip", V: id.String()})
 		}
 		half1, half2 := n/2, n-n/2
-		r.joins = 2
+		r.splitJoin(r.xfer)
 		hch.UseOp("read-xfer-half", hifc.ReadXfer(half1), r.join)
 		r.afterVGrant(vch, "read-xfer-half", vifc.ReadXfer(half2), r.join)
 		return
@@ -323,70 +324,55 @@ func (f *OmnibusFabric) returnData(r *readOp) {
 	hch.UseOp("read-xfer", hifc.ReadXfer(n), r.xfer)
 }
 
-// afterVGrant runs fn once the request/grant exchange over the control
-// plane lets controller[way] drive its v-channel for a host transfer.
-func (f *OmnibusFabric) afterVGrant(fn func()) {
-	f.soc.CtrlMsg(func() { f.soc.CtrlMsg(fn) })
-}
-
 // Write implements Fabric. Payload delivery mirrors the read return path:
 // split across h and v when enabled, otherwise greedy adaptive.
 func (f *OmnibusFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
+	w := f.fops.write(id, ops, done)
+	f.soc.Transfer(w.n, w.ecc)
+}
+
+// deliverWrite carries a write's payload from the controller to the chip
+// over the chosen path(s).
+func (f *OmnibusFabric) deliverWrite(w *fabricOp) {
+	id, n := w.id, w.n
 	hch, hifc := f.h[id.Channel], f.hIface[id.Channel]
-	chip := f.grid.Chip(id)
-	n := totalBytes(f.pageSize, len(ops))
-	f.soc.Transfer(n, func() {
-		f.eng.Schedule(EccLatency, func() {
-			program := func() { chip.Program(ops, done) }
-			if hOnly, degraded := f.hOnly(id.Way); hOnly {
-				if degraded {
-					// Degraded mode: deliver the whole payload on the
-					// h-channel.
-					if r := f.faults.RAS(); r != nil {
-						r.DegradedReturns++
-					}
-				}
-				hch.UseOp("program-xfer", hifc.ProgramXfer(n), program)
-				return
+	if hOnly, degraded := f.hOnly(id.Way); hOnly {
+		if degraded {
+			// Degraded mode: deliver the whole payload on the h-channel.
+			if r := f.faults.RAS(); r != nil {
+				r.DegradedReturns++
 			}
-			vch, vifc := f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
-			// Split applies to read returns only. Splitting program
-			// payloads couples every write to its column's v-channel, and
-			// with way-striped allocation policies consecutive writes
-			// share one column — the v-channel becomes a serial hotspot
-			// that costs far more than the halved serialization saves.
-			// Write payloads route adaptively instead; when both buses are
-			// idle the split variant still sends halves down both.
-			if f.split && n > 1 && hch.Load() == 0 && vch.Load() == 0 {
-				half1, half2 := n/2, n-n/2
-				remaining := 2
-				join := func() {
-					remaining--
-					if remaining == 0 {
-						program()
-					}
-				}
-				hch.UseOp("program-xfer-half", hifc.ProgramXfer(half1), join)
-				f.afterVGrant(func() { vch.UseOp("program-xfer-half", vifc.ProgramXfer(half2), join) })
-				return
-			}
-			if f.routeToV(hch, vch) {
-				f.afterVGrant(func() { vch.UseOp("program-xfer", vifc.ProgramXfer(n), program) })
-				return
-			}
-			hch.UseOp("program-xfer", hifc.ProgramXfer(n), program)
-		})
-	})
+		}
+		hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.program)
+		return
+	}
+	vch, vifc := f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
+	// Split applies to read returns only. Splitting program payloads
+	// couples every write to its column's v-channel, and with way-striped
+	// allocation policies consecutive writes share one column — the
+	// v-channel becomes a serial hotspot that costs far more than the
+	// halved serialization saves. Write payloads route adaptively
+	// instead; when both buses are idle the split variant still sends
+	// halves down both.
+	if f.split && n > 1 && hch.Load() == 0 && vch.Load() == 0 {
+		half1, half2 := n/2, n-n/2
+		w.splitJoin(w.program)
+		hch.UseOp("program-xfer-half", hifc.ProgramXfer(half1), w.join)
+		w.afterVGrant(vch, "program-xfer-half", vifc.ProgramXfer(half2), w.join)
+		return
+	}
+	if f.routeToV(hch, vch) {
+		w.afterVGrant(vch, "program-xfer", vifc.ProgramXfer(n), w.program)
+		return
+	}
+	hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.program)
 }
 
 // Erase implements Fabric: a single control packet on the h-channel.
 func (f *OmnibusFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
-	ch := f.h[id.Channel]
-	ifc := f.hIface[id.Channel]
-	chip := f.grid.Chip(id)
-	ch.UseOp("erase-cmd", ifc.EraseCmd(), func() {
-		chip.Erase(blocks, done)
-	})
+	r := f.fops.get(id, done)
+	r.ppas = blocks
+	f.h[id.Channel].UseOp("erase-cmd", f.hIface[id.Channel].EraseCmd(), r.erase)
 }
 
 // Copy implements Fabric. Same-column copies move directly over the
@@ -400,6 +386,7 @@ func (f *OmnibusFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
 // no v-channels, and on pnSSD for cross-column copies and copies whose
 // column's v-channel is dead.
 func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) {
+	c := f.newCopy(src, from, dst, to, done)
 	hOnly, degraded := f.hOnly(src.Way)
 	if degraded && f.sameV(src, dst) {
 		// Degraded mode: the column's v-channel is dead, so the SpGC
@@ -409,7 +396,7 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 		}
 	}
 	if hOnly || !f.sameV(src, dst) {
-		f.relayCopy(src, from, dst, to, done)
+		f.relayCopy(c)
 		return
 	}
 	if f.eccFails() {
@@ -420,13 +407,9 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 		if r := f.faults.RAS(); r != nil {
 			r.OnDieECCFallbacks++
 		}
-		f.relayCopy(src, from, dst, to, done)
+		f.relayCopy(c)
 		return
 	}
-	vch := f.v[f.vIndex(src.Way)]
-	vifc := f.vIface[f.vIndex(src.Way)]
-	srcChip, dstChip := f.grid.Chip(src), f.grid.Chip(dst)
-
 	// Control plane (Fig 11): the source's controller requests the
 	// v-channel owner, the owner checks the destination's buffer status,
 	// and the grant comes back — three one-way messages. The V-page
@@ -436,78 +419,122 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 	// the source controller times out after GrantTimeout<<attempt and
 	// re-requests, and when the retry budget is exhausted it fails over
 	// to the controller-relayed path — a grant is never awaited forever.
-	attempts := 0
-	arbStart := f.eng.Now()
-	var waited sim.Time
-	var grantSpan trace.SpanID
+	c.arbStart = f.eng.Now()
 	if f.trc.Enabled() {
-		grantSpan = f.trc.BeginSpan("gc", "grant-wait",
+		c.grantSpan = f.trc.BeginSpan("gc", "grant-wait",
 			trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
 	}
-	var arbitrate func()
-	arbitrate = func() {
-		f.soc.CtrlMsg(func() { // request: source ctrl -> v-channel owner
-			if f.faults.Draw(fault.GrantDrop) {
-				ras := f.faults.RAS()
-				ras.GrantDrops++
-				f.tel.Event("grant-drop", f.eng.Now())
-				cfg := f.faults.Config()
-				attempts++
-				backoff := cfg.GrantTimeout << uint(attempts-1)
-				// The ladder is doubly bounded: by retry count and by the
-				// cumulative backoff-time budget. Either bound exhausting
-				// fails the copy over to the relay path; a budget-triggered
-				// failover (the count alone would have kept retrying) is
-				// tallied separately so the report distinguishes "gave up
-				// after N tries" from "ran out of time".
-				if attempts > cfg.GrantRetryMax || waited+backoff > cfg.GrantBackoffBudget {
-					if attempts <= cfg.GrantRetryMax {
-						ras.GrantBudgetExhausted++
-					}
-					ras.CopyFailovers++
-					f.trc.EndSpan(grantSpan)
-					f.tel.GrantWait(arbStart, f.eng.Now())
-					f.relayCopy(src, from, dst, to, done)
-					return
-				}
-				ras.GrantRetries++
-				waited += backoff
-				f.eng.Schedule(backoff, arbitrate)
-				return
-			}
-			f.soc.CtrlMsg(func() { // buffer-status check at destination ctrl
-				dstChip.WaitVPage(func(reg int) {
-					f.soc.CtrlMsg(func() { // grant back to source ctrl
-						f.directCopies++
-						if f.check != nil {
-							f.check.CopyRouted(src, dst, true)
-						}
-						f.trc.EndSpan(grantSpan)
-						f.tel.GrantWait(arbStart, f.eng.Now())
-						f.directTransfer(vch, vifc, srcChip, from, dstChip, reg, to, f.copySpan("direct-copy", src, dst, done))
-					})
-				})
-			})
-		})
-	}
-	arbitrate()
+	c.arbitrateStep()
 }
 
-// directTransfer runs the data-plane half of a same-column copy: tR on the
+// copyOp is one OmnibusFabric.Copy from arbitration to commit, on either
+// route. Records are recycled through the fabric's free list; every step
+// is a method value bound once when the record is created, so a steady
+// stream of GC copies allocates nothing.
+type copyOp struct {
+	f        *OmnibusFabric
+	src, dst ChipID
+	from     [1]flash.PPA // the source page, as Chip.Read takes it
+	to       flash.PPA
+	done     func()
+	direct   bool // the flash-to-flash route over the column's v-channel
+
+	// Grant arbitration: retries so far, when it began, the backoff
+	// spent, and its trace span.
+	attempts  int
+	arbStart  sim.Time
+	waited    sim.Time
+	grantSpan trace.SpanID
+
+	span  trace.SpanID       // the copy's trace span, once routed
+	reg   int                // the destination's V-page register (direct)
+	token flash.Token        // the page, once sensed
+	prog  [1]flash.ProgramOp // the relayed write (relay)
+	vpage func(reg int)      // bound c.vpageStep
+
+	arbitrate, request, status, grant, readCmd, sensed, vxfer, commit, relayed, relayWrite, finish func() // bound steps
+}
+
+// newCopy pops a copy record off the free list, building one if empty.
+func (f *OmnibusFabric) newCopy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) *copyOp {
+	var c *copyOp
+	if k := len(f.freeCopies); k > 0 {
+		c = f.freeCopies[k-1]
+		f.freeCopies = f.freeCopies[:k-1]
+	} else {
+		c = &copyOp{f: f}
+		c.arbitrate, c.request, c.status, c.grant = c.arbitrateStep, c.requestStep, c.statusStep, c.grantStep
+		c.readCmd, c.sensed, c.vxfer, c.commit = c.readCmdStep, c.sensedStep, c.vxferStep, c.commitStep
+		c.relayed, c.relayWrite, c.finish = c.relayedStep, c.relayWriteStep, c.finishStep
+		c.vpage = c.vpageStep
+	}
+	c.src, c.from[0], c.dst, c.to, c.done = src, from, dst, to, done
+	c.attempts, c.waited = 0, 0
+	return c
+}
+
+// arbitrateStep sends the request: source ctrl -> v-channel owner.
+func (c *copyOp) arbitrateStep() { c.f.soc.CtrlMsg(c.request) }
+
+// requestStep lands the request at the v-channel owner, unless an
+// injected GrantDrop lost it.
+func (c *copyOp) requestStep() {
+	f := c.f
+	if f.faults.Draw(fault.GrantDrop) {
+		ras := f.faults.RAS()
+		ras.GrantDrops++
+		f.tel.Event("grant-drop", f.eng.Now())
+		cfg := f.faults.Config()
+		c.attempts++
+		backoff := cfg.GrantTimeout << uint(c.attempts-1)
+		// The ladder is doubly bounded: by retry count and by the
+		// cumulative backoff-time budget. Either bound exhausting fails
+		// the copy over to the relay path; a budget-triggered failover
+		// (the count alone would have kept retrying) is tallied
+		// separately so the report distinguishes "gave up after N tries"
+		// from "ran out of time".
+		if c.attempts > cfg.GrantRetryMax || c.waited+backoff > cfg.GrantBackoffBudget {
+			if c.attempts <= cfg.GrantRetryMax {
+				ras.GrantBudgetExhausted++
+			}
+			ras.CopyFailovers++
+			f.trc.EndSpan(c.grantSpan)
+			f.tel.GrantWait(c.arbStart, f.eng.Now())
+			f.relayCopy(c)
+			return
+		}
+		ras.GrantRetries++
+		c.waited += backoff
+		f.eng.Schedule(backoff, c.arbitrate)
+		return
+	}
+	f.soc.CtrlMsg(c.status) // buffer-status check at destination ctrl
+}
+
+func (c *copyOp) statusStep() { c.f.grid.Chip(c.dst).WaitVPage(c.vpage) }
+
+// vpageStep holds the claimed register and sends the grant back to the
+// source ctrl.
+func (c *copyOp) vpageStep(reg int) {
+	c.reg = reg
+	c.f.soc.CtrlMsg(c.grant)
+}
+
+// grantStep starts the data-plane half of a same-column copy: tR on the
 // source, one v-channel crossing, on-die ECC, tPROG from the V-page
 // register on the destination.
-func (f *OmnibusFabric) directTransfer(vch *bus.Channel, vifc bus.Packetized, srcChip *flash.Chip, from flash.PPA, dstChip *flash.Chip, reg int, to flash.PPA, done func()) {
-	vch.UseOp("gc-read-cmd", vifc.ReadCmd(), func() {
-		srcChip.Read([]flash.PPA{from}, func() {
-			token := srcChip.PageRegister(from.Plane)
-			vch.UseOp("gc-vxfer", vifc.VXfer(f.pageSize), func() {
-				dstChip.SetVPage(reg, token)
-				f.eng.Schedule(OnDieEccLatency, func() {
-					dstChip.ProgramFromVPage(reg, to, done)
-				})
-			})
-		})
-	})
+func (c *copyOp) grantStep() {
+	f := c.f
+	f.directCopies++
+	if f.check != nil {
+		f.check.CopyRouted(c.src, c.dst, true)
+	}
+	f.trc.EndSpan(c.grantSpan)
+	f.tel.GrantWait(c.arbStart, f.eng.Now())
+	c.direct = true
+	c.beginSpan("direct-copy")
+	vi := f.vIndex(c.src.Way)
+	f.v[vi].UseOp("gc-read-cmd", f.vIface[vi].ReadCmd(), c.readCmd)
 }
 
 // relayCopy is the controller-relayed route: every copy on a fabric
@@ -516,38 +543,67 @@ func (f *OmnibusFabric) directTransfer(vch *bus.Channel, vifc bus.Packetized, sr
 // reads through the source row's h-channel into DRAM, then writes out
 // through the destination row's h-channel — the Fig 10(a) route — and
 // counts the copy and reports the route to the checker.
-func (f *OmnibusFabric) relayCopy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) {
+func (f *OmnibusFabric) relayCopy(c *copyOp) {
 	f.relayedCopies++
 	if f.check != nil {
-		f.check.CopyRouted(src, dst, false)
+		f.check.CopyRouted(c.src, c.dst, false)
 	}
-	done = f.copySpan("relay-copy", src, dst, done)
-	hch := f.h[src.Channel]
-	hifc := f.hIface[src.Channel]
-	srcChip := f.grid.Chip(src)
-	n := f.pageSize
-	hch.UseOp("gc-read-cmd", hifc.ReadCmd(), func() {
-		srcChip.Read([]flash.PPA{from}, func() {
-			token := srcChip.PageRegister(from.Plane)
-			hch.UseOp("gc-read-xfer", hifc.ReadXfer(n), func() {
-				f.soc.eccTransfer(n, func() {
-					f.Write(dst, []flash.ProgramOp{{Addr: to, Token: token}}, done)
-				})
-			})
-		})
-	})
+	c.direct = false
+	c.beginSpan("relay-copy")
+	ch := c.src.Channel
+	f.h[ch].UseOp("gc-read-cmd", f.hIface[ch].ReadCmd(), c.readCmd)
 }
 
-// copySpan wraps done in a gc trace span named name when tracing is on.
-func (f *OmnibusFabric) copySpan(name string, src, dst ChipID, done func()) func() {
-	if !f.trc.Enabled() {
-		return done
+// beginSpan opens the copy's gc trace span named name when tracing is
+// on.
+func (c *copyOp) beginSpan(name string) {
+	if f := c.f; f.trc.Enabled() {
+		c.span = f.trc.BeginSpan("gc", name, trace.KV{K: "src", V: c.src.String()}, trace.KV{K: "dst", V: c.dst.String()})
 	}
-	sp := f.trc.BeginSpan("gc", name, trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
-	return func() {
-		f.trc.EndSpan(sp)
-		if done != nil {
-			done()
-		}
+}
+
+func (c *copyOp) readCmdStep() { c.f.grid.Chip(c.src).Read(c.from[:], c.sensed) }
+
+// sensedStep moves the sensed page off the source: over the v-channel
+// into the destination's V-page register, or over the source row's
+// h-channel toward DRAM.
+func (c *copyOp) sensedStep() {
+	f := c.f
+	c.token = f.grid.Chip(c.src).PageRegister(c.from[0].Plane)
+	if c.direct {
+		vi := f.vIndex(c.src.Way)
+		f.v[vi].UseOp("gc-vxfer", f.vIface[vi].VXfer(f.pageSize), c.vxfer)
+		return
+	}
+	ch := c.src.Channel
+	f.h[ch].UseOp("gc-read-xfer", f.hIface[ch].ReadXfer(f.pageSize), c.relayed)
+}
+
+// vxferStep lands the payload in the V-page register; on-die ECC runs
+// before the commit.
+func (c *copyOp) vxferStep() {
+	c.f.grid.Chip(c.dst).SetVPage(c.reg, c.token)
+	c.f.eng.Schedule(OnDieEccLatency, c.commit)
+}
+
+func (c *copyOp) commitStep() { c.f.grid.Chip(c.dst).ProgramFromVPage(c.reg, c.to, c.finish) }
+
+func (c *copyOp) relayedStep() { c.f.soc.eccTransfer(c.f.pageSize, c.relayWrite) }
+
+// relayWriteStep writes the page out from DRAM like any host write.
+func (c *copyOp) relayWriteStep() {
+	c.prog[0] = flash.ProgramOp{Addr: c.to, Token: c.token}
+	c.f.Write(c.dst, c.prog[:], c.finish)
+}
+
+// finishStep is the copy's last event: it closes the trace span, goes
+// back on the free list and runs done.
+func (c *copyOp) finishStep() {
+	f, done := c.f, c.done
+	f.trc.EndSpan(c.span)
+	c.done, c.span, c.grantSpan = nil, trace.SpanID{}, trace.SpanID{}
+	f.freeCopies = append(f.freeCopies, c)
+	if done != nil {
+		done()
 	}
 }

@@ -135,7 +135,10 @@ type Chip struct {
 
 	reads, programs, erases int64
 
-	freeReads []*chipRead // recycled Read records
+	freeReads    []*chipRead  // recycled Read records
+	freeArrayOps []*arrayOp   // recycled Program and Erase records
+	ppaScratch   []PPA        // Program's multi-plane check
+	vcommit      [1]ProgramOp // ProgramFromVPage's op, copied at issue
 
 	// faults injects transient read ECC failures; faultKey identifies
 	// this chip in the injector's per-chip quota accounting.
@@ -382,36 +385,108 @@ type ProgramOp struct {
 // fabrics (Omnibus adaptive routing, the mesh) can reorder in-flight
 // programs that were issued in order.
 func (c *Chip) Program(ops []ProgramOp, done func()) {
-	ppas := make([]PPA, len(ops))
-	for i, op := range ops {
-		ppas[i] = op.Addr
+	c.program(ops, -1, done)
+}
+
+// program issues a Program whose completion frees V-page register vreg
+// first, or no register when vreg is -1.
+func (c *Chip) program(ops []ProgramOp, vreg int, done func()) {
+	c.ppaScratch = c.ppaScratch[:0]
+	for _, op := range ops {
+		c.ppaScratch = append(c.ppaScratch, op.Addr)
 	}
-	c.checkMultiPlane(ppas)
+	c.checkMultiPlane(c.ppaScratch)
 	for _, op := range ops {
 		a := op.Addr
 		if c.state[a.Plane][c.pageIndex(a)] != PageErased {
 			panic(fmt.Sprintf("flash %s: program of non-erased page %v", c.name, a))
 		}
 	}
-	writes := append([]ProgramOp(nil), ops...)
+	r := c.newArrayOp(done)
+	r.ops = append(r.ops[:0], ops...)
+	r.vreg = vreg
 	// State is committed at issue time so a read queued behind this program
 	// on the die validates against the state it will observe at grant.
-	for _, op := range writes {
+	for _, op := range r.ops {
 		c.nextPage[op.Addr.Plane][op.Addr.Block]++
 		c.state[op.Addr.Plane][c.pageIndex(op.Addr)] = PageProgrammed
 	}
-	c.die.AcquireLabeled("program", func() {
-		c.eng.Schedule(c.timing.Program, func() {
-			for _, op := range writes {
-				c.content[op.Addr.Plane][c.pageIndex(op.Addr)] = op.Token
+	c.die.AcquireLabeled("program", r.grant)
+}
+
+// arrayOp is one queued or running Chip.Program or Chip.Erase. Records
+// are recycled through the chip's free list like chipRead: grant and
+// finish are method values bound once, and the ops and blocks copies
+// keep their capacity across uses. An erase is a record with blocks set.
+type arrayOp struct {
+	c      *Chip
+	ops    []ProgramOp // program targets and tokens
+	blocks []PPA       // erase targets; empty for a program
+	vreg   int         // V-page register the program frees, or -1
+	done   func()
+	grant  func() // bound r.granted
+	finish func() // bound r.finished
+}
+
+// newArrayOp pops an array-op record off the free list, building one if
+// empty.
+func (c *Chip) newArrayOp(done func()) *arrayOp {
+	var r *arrayOp
+	if n := len(c.freeArrayOps); n > 0 {
+		r = c.freeArrayOps[n-1]
+		c.freeArrayOps = c.freeArrayOps[:n-1]
+	} else {
+		// A multi-plane op addresses at most one page per plane, so
+		// buffers of that capacity never grow.
+		r = &arrayOp{c: c, ops: make([]ProgramOp, 0, c.geo.Planes), blocks: make([]PPA, 0, c.geo.Planes)}
+		r.grant = r.granted
+		r.finish = r.finished
+	}
+	r.ops, r.blocks, r.vreg, r.done = r.ops[:0], r.blocks[:0], -1, done
+	return r
+}
+
+// granted runs when the die is granted: the array busy time starts.
+func (r *arrayOp) granted() {
+	d := r.c.timing.Program
+	if len(r.blocks) > 0 {
+		d = r.c.timing.Erase
+	}
+	r.c.eng.Schedule(d, r.finish)
+}
+
+// finished applies the operation to the array and frees the die. The
+// record returns to the free list before the V-page release and done
+// run, because either may issue the next operation on this chip.
+func (r *arrayOp) finished() {
+	c := r.c
+	if len(r.blocks) > 0 {
+		for _, a := range r.blocks {
+			base := a.Block * c.geo.PagesPerBlock
+			for p := 0; p < c.geo.PagesPerBlock; p++ {
+				c.state[a.Plane][base+p] = PageErased
+				c.content[a.Plane][base+p] = ErasedToken
 			}
-			c.programs++
-			c.die.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+			c.nextPage[a.Plane][a.Block] = 0
+			c.eraseCount[a.Plane][a.Block]++
+		}
+		c.erases++
+	} else {
+		for _, op := range r.ops {
+			c.content[op.Addr.Plane][c.pageIndex(op.Addr)] = op.Token
+		}
+		c.programs++
+	}
+	c.die.Release()
+	vreg, done := r.vreg, r.done
+	r.done = nil
+	c.freeArrayOps = append(c.freeArrayOps, r)
+	if vreg >= 0 {
+		c.ReleaseVPage(vreg)
+	}
+	if done != nil {
+		done()
+	}
 }
 
 // ProgramFromVPage programs a V-page register's content into the array —
@@ -422,13 +497,8 @@ func (c *Chip) ProgramFromVPage(reg int, addr PPA, done func()) {
 	if !c.vpageInUse[reg] {
 		panic(fmt.Sprintf("flash %s: VCommit from empty V-page register %d", c.name, reg))
 	}
-	token := c.vpage[reg]
-	c.Program([]ProgramOp{{Addr: addr, Token: token}}, func() {
-		c.ReleaseVPage(reg)
-		if done != nil {
-			done()
-		}
-	})
+	c.vcommit[0] = ProgramOp{Addr: addr, Token: c.vpage[reg]}
+	c.program(c.vcommit[:], reg, done)
 }
 
 // Erase erases one block per addressed plane (multi-plane erase). All
@@ -438,25 +508,9 @@ func (c *Chip) Erase(blocks []PPA, done func()) {
 		blocks[i].Page = 0
 	}
 	c.checkMultiPlane(blocks)
-	targets := append([]PPA(nil), blocks...)
-	c.die.AcquireLabeled("erase", func() {
-		c.eng.Schedule(c.timing.Erase, func() {
-			for _, a := range targets {
-				base := a.Block * c.geo.PagesPerBlock
-				for p := 0; p < c.geo.PagesPerBlock; p++ {
-					c.state[a.Plane][base+p] = PageErased
-					c.content[a.Plane][base+p] = ErasedToken
-				}
-				c.nextPage[a.Plane][a.Block] = 0
-				c.eraseCount[a.Plane][a.Block]++
-			}
-			c.erases++
-			c.die.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	r := c.newArrayOp(done)
+	r.blocks = append(r.blocks, blocks...)
+	c.die.AcquireLabeled("erase", r.grant)
 }
 
 // PageRegister returns the content of a plane's page register.
@@ -535,9 +589,12 @@ func (c *Chip) ReleaseVPage(reg int) {
 		c.vpageInUse[reg] = false
 		return
 	}
+	// Shift the queue down rather than reslice it forward, so appends
+	// keep reusing one backing array.
 	fn := c.vpageWait[0]
-	c.vpageWait[0] = nil
-	c.vpageWait = c.vpageWait[1:]
+	n := copy(c.vpageWait, c.vpageWait[1:])
+	c.vpageWait[n] = nil
+	c.vpageWait = c.vpageWait[:n]
 	fn(reg)
 }
 

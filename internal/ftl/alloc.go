@@ -86,6 +86,18 @@ type blockInfo struct {
 	mapOwned bool
 }
 
+// freeLedger is the device-wide record of the free pools, shared by
+// every planeState of one FTL through a pointer. After newPlaneState,
+// popFree, pushFree and removeFree are the only writers of a plane's
+// free pool, and each keeps freeBlocks exact and bumps epoch.
+type freeLedger struct {
+	freeBlocks int // erased blocks across every plane
+	// epoch counts allocation-state changes that can widen host write
+	// admission: every free-pool change, and the end of a GC round
+	// (finishGC). The host-admission memo is valid while it holds still.
+	epoch uint64
+}
+
 // planeState manages block allocation within one (chip, plane). Host
 // writes and GC copies fill separate active blocks so a collection round
 // consumes free blocks at the rate it erases them instead of opening a
@@ -93,28 +105,25 @@ type blockInfo struct {
 type planeState struct {
 	pagesPerBlock int
 	free          []int // erased block indices, LIFO
-	// freeCount is the device-wide number of erased blocks, shared by
-	// every plane of one FTL. After newPlaneState, popFree, pushFree and
-	// removeFree are the only writers of free, and each keeps the count
-	// exact.
-	freeCount  *int
-	active     int // block currently filled by host writes, -1 if none
-	nextPage   int
-	gcActive   int // block currently filled by GC copies, -1 if none
-	gcNextPage int
-	blocks     []blockInfo
+	ledger        *freeLedger
+	active        int // block currently filled by host writes, -1 if none
+	nextPage      int
+	gcActive      int // block currently filled by GC copies, -1 if none
+	gcNextPage    int
+	blocks        []blockInfo
 }
 
 // newPlaneState builds a plane whose blocks are all erased and adds them
-// to the shared freeCount.
-func newPlaneState(blocks, pagesPerBlock int, freeCount *int) *planeState {
-	ps := &planeState{pagesPerBlock: pagesPerBlock, freeCount: freeCount, active: -1, gcActive: -1, blocks: make([]blockInfo, blocks)}
+// to the shared ledger.
+func newPlaneState(blocks, pagesPerBlock int, ledger *freeLedger) *planeState {
+	ps := &planeState{pagesPerBlock: pagesPerBlock, ledger: ledger, active: -1, gcActive: -1, blocks: make([]blockInfo, blocks)}
 	// Reverse order so block 0 is popped first, which keeps layouts easy
 	// to reason about in tests.
 	for b := blocks - 1; b >= 0; b-- {
 		ps.free = append(ps.free, b)
 	}
-	*freeCount += blocks
+	ledger.freeBlocks += blocks
+	ledger.epoch++
 	return ps
 }
 
@@ -127,14 +136,16 @@ func (ps *planeState) popFree() (int, bool) {
 	}
 	b := ps.free[n-1]
 	ps.free = ps.free[:n-1]
-	*ps.freeCount--
+	ps.ledger.freeBlocks--
+	ps.ledger.epoch++
 	return b, true
 }
 
 // pushFree returns an erased block to the free pool.
 func (ps *planeState) pushFree(b int) {
 	ps.free = append(ps.free, b)
-	*ps.freeCount++
+	ps.ledger.freeBlocks++
+	ps.ledger.epoch++
 }
 
 // removeFree pulls a block out of the free pool if it is there.
@@ -142,7 +153,8 @@ func (ps *planeState) removeFree(b int) {
 	for i, fb := range ps.free {
 		if fb == b {
 			ps.free = append(ps.free[:i], ps.free[i+1:]...)
-			*ps.freeCount--
+			ps.ledger.freeBlocks--
+			ps.ledger.epoch++
 			return
 		}
 	}

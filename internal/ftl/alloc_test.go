@@ -210,8 +210,7 @@ func TestPhysIndexInjective(t *testing.T) {
 }
 
 func TestPlaneStateGCAndHostStreamsIndependent(t *testing.T) {
-	free := 0
-	ps := newPlaneState(4, 4, &free)
+	ps := newPlaneState(4, 4, &freeLedger{})
 	hb, _, _ := ps.allocate()
 	gb, _, _ := ps.allocateGC()
 	if hb == gb {

@@ -127,19 +127,31 @@ type FTL struct {
 	planes []*planeState
 	alloc  *allocator
 
-	// freeBlocks counts erased blocks across every plane, kept exact by
-	// the planeState free-pool helpers; CheckConsistency recounts it.
-	freeBlocks int
+	// freeLedger counts erased blocks across every plane, kept exact by
+	// the planeState free-pool helpers (CheckConsistency recounts it), and
+	// carries the allocation epoch the host-admission memo keys on.
+	freeLedger
+
+	// hostFullAt memoizes a failed host admission: when it equals the
+	// ledger's epoch, no slot admits a host write and tryWrite skips the
+	// scan. 0 means no memo; the epoch is at least 1 once a plane exists.
+	hostFullAt uint64
 
 	// in-flight write tracking: reads of an LPN with a write in flight
 	// wait for the write to land.
 	inflightWrites map[int64]int
 	writeWaiters   map[int64][]func()
 
-	// writes stalled on allocation space, retried as blocks free up.
-	stalled []func() bool
+	// writes stalled on allocation space, retried as blocks free up;
+	// retryStalled swaps stalled with the spare buffer.
+	stalled, stalledSpare []*hostWrite
 
-	freeReads []*hostRead // recycled ReadTracked records
+	freeReads   []*hostRead     // recycled ReadTracked records
+	freeWrites  []*hostWrite    // recycled write records
+	freeVictims []*victimRun    // recycled GC victim records
+	targets     []pendingTarget // tryWrite scratch
+	victims     []victim        // selectVictims result
+	cands       []victimCand    // selectVictims scratch
 
 	// reserveBlocks is the pool of free blocks host writes may not consume
 	// — headroom that guarantees GC can always allocate copy destinations.
@@ -149,7 +161,11 @@ type FTL struct {
 
 	gcActive  bool
 	gcGroupLo bool // SpGC: true when the low-way half is the GC group
-	stats     Stats
+	// gcBoundary is the SpGC group width in ways: GCGroupFraction of the
+	// ways, clamped to leave both groups non-empty.
+	gcBoundary int
+	maybeGC    func() // bound f.maybeTriggerGC
+	stats      Stats
 
 	// faults draws program/erase failure outcomes; nil means no injection.
 	faults *fault.Injector
@@ -220,7 +236,15 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 		f.p2l[i] = unmapped
 	}
 	for i := range f.planes {
-		f.planes[i] = newPlaneState(geo.BlocksPerPlane, geo.PagesPerBlock, &f.freeBlocks)
+		f.planes[i] = newPlaneState(geo.BlocksPerPlane, geo.PagesPerBlock, &f.freeLedger)
+	}
+	f.maybeGC = f.maybeTriggerGC
+	f.gcBoundary = int(float64(f.ways) * cfg.GCGroupFraction)
+	if f.gcBoundary <= 0 {
+		f.gcBoundary = 1
+	}
+	if f.gcBoundary >= f.ways {
+		f.gcBoundary = f.ways - 1
 	}
 	if cfg.Map != nil {
 		f.mapu = newMapUnit(f, *cfg.Map)
@@ -646,24 +670,74 @@ func (f *FTL) WriteTracked(lpns []int64, toks []flash.Token, att *telemetry.Attr
 	}
 	f.outstanding++
 	f.stats.HostWrites += int64(len(lpns))
-	wrapped := func() {
-		f.outstanding--
-		done()
-	}
-	lp := append([]int64(nil), lpns...)
-	tk := append([]flash.Token(nil), toks...)
+	w := f.newWrite(lpns, toks, att, done)
+	w.host = true
 	if f.mapu == nil {
-		f.tryWrite(lp, tk, att, wrapped)
+		f.tryWrite(w)
 		f.maybeTriggerGC()
 		return
 	}
 	// Even an overwrite consults the map first — honest DFTL lookup
 	// traffic: the FTL must know the old physical page to invalidate it.
-	f.mapu.translate(lp, func() {
-		att.Mark(telemetry.PhaseMap, f.eng.Now())
-		f.tryWrite(lp, tk, att, wrapped)
-		f.maybeTriggerGC()
-	})
+	f.mapu.translate(w.lpns, w.translated)
+}
+
+// hostWrite is one write from entry until its last program lands: a
+// WriteTracked, the allocated prefix a stall commits early, or a
+// program-fail reissue. A stalled write re-queues the same record.
+// Records are recycled through the FTL's free list and keep the capacity
+// of their lpns and token copies, chip batches and ProgramOp buffers;
+// each batch's completion is a method value bound once, so a steady
+// stream of writes allocates nothing.
+type hostWrite struct {
+	f    *FTL
+	lpns []int64
+	toks []flash.Token
+	att  *telemetry.Attribution
+	done func()
+	host bool // a WriteTracked: completion drops the outstanding count
+
+	stall      trace.SpanID // open write-stall span while parked
+	translated func()       // bound w.mapped
+
+	locs      []controller.ChipID
+	addrs     []flash.PPA
+	batches   []chipBatch
+	ops       [][]flash.ProgramOp // ops[i] programs batches[i]
+	ends      []*writeEnd         // ends[i] completes batches[i]
+	remaining int
+}
+
+// writeEnd completes one chip batch of a hostWrite.
+type writeEnd struct {
+	w  *hostWrite
+	i  int
+	fn func() // bound e.complete
+}
+
+// newWrite pops a write record off the free list, building one if
+// empty, and loads copies of lpns and toks.
+func (f *FTL) newWrite(lpns []int64, toks []flash.Token, att *telemetry.Attribution, done func()) *hostWrite {
+	var w *hostWrite
+	if n := len(f.freeWrites); n > 0 {
+		w = f.freeWrites[n-1]
+		f.freeWrites = f.freeWrites[:n-1]
+	} else {
+		w = &hostWrite{f: f}
+		w.translated = w.mapped
+	}
+	w.lpns = append(w.lpns[:0], lpns...)
+	w.toks = append(w.toks[:0], toks...)
+	w.att, w.done = att, done
+	return w
+}
+
+// mapped resumes a write once the map unit has translated its LPNs.
+func (w *hostWrite) mapped() {
+	f := w.f
+	w.att.Mark(telemetry.PhaseMap, f.eng.Now())
+	f.tryWrite(w)
+	f.maybeTriggerGC()
 }
 
 // hostWriteAllowed reports whether host writes may target a slot right
@@ -684,12 +758,28 @@ func (f *FTL) hostWriteAllowed(s slot) bool {
 	return true
 }
 
-func (f *FTL) tryWrite(lpns []int64, toks []flash.Token, att *telemetry.Attribution, done func()) {
+// hostSlot returns the next slot that admits a host write. A failed scan
+// is memoized against the allocation epoch: while the epoch holds still,
+// nothing that could widen admission has happened, so the next call
+// fails at once. A failed scan leaves the allocator cursor where it
+// started, so skipping one changes nothing.
+func (f *FTL) hostSlot() (slot, bool) {
+	if f.hostFullAt == f.epoch {
+		return slot{}, false
+	}
+	s, ok := f.alloc.next(f.hostWriteAllowed)
+	if !ok {
+		f.hostFullAt = f.epoch
+	}
+	return s, ok
+}
+
+func (f *FTL) tryWrite(w *hostWrite) {
 	// Allocate as many pages as space allows; a shortfall commits the
 	// allocated prefix and stalls the remainder until blocks free up.
-	targets := make([]pendingTarget, 0, len(lpns))
-	for range lpns {
-		s, ok := f.alloc.next(f.hostWriteAllowed)
+	f.targets = f.targets[:0]
+	for range w.lpns {
+		s, ok := f.hostSlot()
 		if !ok {
 			break
 		}
@@ -700,29 +790,22 @@ func (f *FTL) tryWrite(lpns []int64, toks []flash.Token, att *telemetry.Attribut
 			// filter's space check and here): stall like any other.
 			break
 		}
-		targets = append(targets, pendingTarget{s: s, block: block, page: page})
+		f.targets = append(f.targets, pendingTarget{s: s, block: block, page: page})
 	}
-	if len(targets) < len(lpns) {
-		// Not enough space now: record already-allocated targets as a
+	if n := len(f.targets); n < len(w.lpns) {
+		// Not enough space now: commit the already-allocated targets as a
 		// partial prefix and stall the remainder.
 		f.stats.WriteStalls++
-		if len(targets) > 0 {
-			f.commitWrite(lpns[:len(targets)], toks[:len(targets)], targets, nil)
-			lpns = lpns[len(targets):]
-			toks = toks[len(targets):]
+		if n > 0 {
+			f.commitWrite(f.newWrite(w.lpns[:n], w.toks[:n], nil, nil), f.targets)
+			w.lpns = w.lpns[:copy(w.lpns, w.lpns[n:])]
+			w.toks = w.toks[:copy(w.toks, w.toks[n:])]
 		}
-		lp, tk := lpns, toks
 		f.tel.Event("write-stall", f.eng.Now())
-		var stallSpan trace.SpanID
 		if f.trc.Enabled() {
-			stallSpan = f.trc.BeginSpan("ftl", "write-stall", trace.KV{K: "pages", V: len(lp)})
+			w.stall = f.trc.BeginSpan("ftl", "write-stall", trace.KV{K: "pages", V: len(w.lpns)})
 		}
-		f.stalled = append(f.stalled, func() bool {
-			// retried later; returns true when issued
-			f.trc.EndSpan(stallSpan)
-			f.tryWrite(lp, tk, att, done)
-			return true
-		})
+		f.stalled = append(f.stalled, w)
 		// A stalled write means allocation is out of space right now —
 		// collection must run no matter where the threshold sits.
 		if !f.gcActive && f.cfg.GCMode != GCNone {
@@ -733,8 +816,8 @@ func (f *FTL) tryWrite(lpns []int64, toks []flash.Token, att *telemetry.Attribut
 	// Full allocation succeeded: any stall epochs end here. For a
 	// write whose prefix committed earlier, program time overlapping
 	// the stall is credited to the stall (the binding constraint).
-	att.Mark(telemetry.PhaseStall, f.eng.Now())
-	f.commitWrite(lpns, toks, targets, done)
+	w.att.Mark(telemetry.PhaseStall, f.eng.Now())
+	f.commitWrite(w, f.targets)
 }
 
 type pendingTarget struct {
@@ -743,11 +826,12 @@ type pendingTarget struct {
 	page  int
 }
 
-func (f *FTL) commitWrite(lpns []int64, toks []flash.Token, targets []pendingTarget, done func()) {
-	locs := make([]controller.ChipID, len(lpns))
-	addrs := make([]flash.PPA, len(lpns))
+// commitWrite maps every LPN of w to its target and issues one fabric
+// write per chip batch.
+func (f *FTL) commitWrite(w *hostWrite, targets []pendingTarget) {
+	w.locs, w.addrs = w.locs[:0], w.addrs[:0]
 	for i, tgt := range targets {
-		lpn := lpns[i]
+		lpn := w.lpns[i]
 		// Invalidate the previous version.
 		if old := f.l2p[lpn]; old != unmapped {
 			f.invalidatePhys(old)
@@ -765,51 +849,71 @@ func (f *FTL) commitWrite(lpns []int64, toks []flash.Token, targets []pendingTar
 		ps.blocks[tgt.block].lastWrite = int64(f.eng.Now())
 		f.inflightWrites[lpn]++
 		if f.sink != nil {
-			f.sink.PageWritten(lpn, toks[i])
+			f.sink.PageWritten(lpn, w.toks[i])
 		}
 		if f.mapu != nil {
 			f.mapu.noteUpdate(lpn)
 		}
-		locs[i], addrs[i] = tgt.s.chip, addr
+		w.locs, w.addrs = append(w.locs, tgt.s.chip), append(w.addrs, addr)
 	}
-	batches := batchByChip(nil, locs, addrs, toks, lpns)
-	remaining := len(batches)
-	lpnsCopy := append([]int64(nil), lpns...)
-	for _, b := range batches {
-		b := b
-		ops := make([]flash.ProgramOp, len(b.ppas))
+	w.batches = batchByChip(w.batches, w.locs, w.addrs, w.toks, w.lpns)
+	for len(w.ends) < len(w.batches) {
+		e := &writeEnd{w: w, i: len(w.ends)}
+		e.fn = e.complete
+		w.ends = append(w.ends, e)
+		w.ops = append(w.ops, nil)
+	}
+	w.remaining = len(w.batches)
+	for bi := range w.batches {
+		b := &w.batches[bi]
+		ops := w.ops[bi][:0]
 		for i := range b.ppas {
-			ops[i] = flash.ProgramOp{Addr: b.ppas[i], Token: b.toks[i]}
+			ops = append(ops, flash.ProgramOp{Addr: b.ppas[i], Token: b.toks[i]})
 		}
-		f.fab.Write(b.id, ops, func() {
-			for _, a := range b.ppas {
-				f.planeAt(b.id, a.Plane).blocks[a.Block].inflight--
-			}
-			// Firmware reads the NAND status register after tPROG: a failed
-			// program retires the block and remaps the write. The remap
-			// holds its own in-flight reference, so reads of the remapped
-			// LPN keep waiting even after this batch releases below.
-			if f.faults != nil {
-				f.handleProgramFaults(b)
-			}
-			remaining--
-			if remaining == 0 {
-				for _, lpn := range lpnsCopy {
-					f.releaseInflight(lpn)
-				}
-				// Liveness backstop: if writes are parked with no collection
-				// running (a zero-victim round finished while every Full block
-				// still had programs in flight), this completion is the event
-				// that unblocks victim selection — restart GC. Healthy runs
-				// never take this branch: a stall always leaves gcActive set.
-				if len(f.stalled) > 0 && !f.gcActive && f.cfg.GCMode != GCNone {
-					f.startGC(nil)
-				}
-				if done != nil {
-					done()
-				}
-			}
-		})
+		w.ops[bi] = ops
+		f.fab.Write(b.id, ops, w.ends[bi].fn)
+	}
+}
+
+// complete releases the batch's blocks; the write's last batch releases
+// its LPNs, returns the record to the free list and then runs done.
+func (e *writeEnd) complete() {
+	w := e.w
+	f := w.f
+	b := &w.batches[e.i]
+	for _, a := range b.ppas {
+		f.planeAt(b.id, a.Plane).blocks[a.Block].inflight--
+	}
+	// Firmware reads the NAND status register after tPROG: a failed
+	// program retires the block and remaps the write. The remap holds
+	// its own in-flight reference, so reads of the remapped LPN keep
+	// waiting even after this batch releases below.
+	if f.faults != nil {
+		f.handleProgramFaults(b)
+	}
+	w.remaining--
+	if w.remaining > 0 {
+		return
+	}
+	for _, lpn := range w.lpns {
+		f.releaseInflight(lpn)
+	}
+	// Liveness backstop: if writes are parked with no collection running
+	// (a zero-victim round finished while every Full block still had
+	// programs in flight), this completion is the event that unblocks
+	// victim selection — restart GC. Healthy runs never take this branch:
+	// a stall always leaves gcActive set.
+	if len(f.stalled) > 0 && !f.gcActive && f.cfg.GCMode != GCNone {
+		f.startGC(nil)
+	}
+	done, host := w.done, w.host
+	w.att, w.done, w.host, w.stall = nil, nil, false, trace.SpanID{}
+	f.freeWrites = append(f.freeWrites, w)
+	if host {
+		f.outstanding--
+	}
+	if done != nil {
+		done()
 	}
 }
 
@@ -840,7 +944,7 @@ func (f *FTL) releaseInflight(lpn int64) {
 // fresh block — the bad-block remap path. The stale token left in the
 // failed page is harmless: the mapping no longer points there and the
 // block never returns to service.
-func (f *FTL) handleProgramFaults(b chipBatch) {
+func (f *FTL) handleProgramFaults(b *chipBatch) {
 	key := f.chipKey(b.id)
 	for i, a := range b.ppas {
 		if !f.faults.DrawFor(fault.ProgramFail, key) {
@@ -863,7 +967,7 @@ func (f *FTL) handleProgramFaults(b chipBatch) {
 		// this LPN cannot observe the unmapped window (or a stalled
 		// reissue) and panic on an unmapped read.
 		f.holdInflight(lpn)
-		f.tryWrite([]int64{lpn}, []flash.Token{b.toks[i]}, nil, func() { f.releaseInflight(lpn) })
+		f.tryWrite(f.newWrite(b.lpns[i:i+1], b.toks[i:i+1], nil, func() { f.releaseInflight(lpn) }))
 	}
 }
 
@@ -907,21 +1011,28 @@ func (f *FTL) invalidatePhys(phys int64) {
 	f.p2l[phys] = unmapped
 }
 
-// retryStalled reissues writes that stalled on allocation.
+// retryStalled reissues writes that stalled on allocation, in the order
+// they stalled. A write that stalls again re-queues its record on the
+// other buffer. A nested call (a retry can start a GC round that retires
+// a bad victim at once) takes the buffer as it then stands; the outer
+// loop's buffer stays out of reach until that loop is done with it.
 func (f *FTL) retryStalled() {
 	if len(f.stalled) == 0 {
 		return
 	}
 	pending := f.stalled
-	f.stalled = nil
-	for _, retry := range pending {
-		retry()
+	f.stalled, f.stalledSpare = f.stalledSpare[:0], nil
+	for i, w := range pending {
+		pending[i] = nil
+		f.trc.EndSpan(w.stall)
+		f.tryWrite(w)
 	}
+	f.stalledSpare = pending[:0]
 }
 
-// CheckConsistency validates l2p/p2l agreement, valid-count accounting and
-// the incremental free-block count; tests call it after workloads and GC
-// churn.
+// CheckConsistency validates l2p/p2l agreement, valid-count accounting,
+// the incremental free-block count and the host-admission memo; tests
+// call it after workloads and GC churn.
 func (f *FTL) CheckConsistency() error {
 	free := 0
 	for _, ps := range f.planes {
@@ -929,6 +1040,15 @@ func (f *FTL) CheckConsistency() error {
 	}
 	if free != f.freeBlocks {
 		return fmt.Errorf("ftl: free-block count %d, free pools hold %d", f.freeBlocks, free)
+	}
+	if f.hostFullAt == f.epoch {
+		// The memo claims no slot admits a host write; a non-mutating
+		// scan must agree (alloc.next would move the cursor).
+		for _, s := range f.alloc.slots {
+			if f.hostWriteAllowed(s) {
+				return fmt.Errorf("ftl: admission memo says no slot admits a host write, but %v plane %d does", s.chip, s.plane)
+			}
+		}
 	}
 	validByBlock := make(map[int64]int32)
 	for lpn, phys := range f.l2p {

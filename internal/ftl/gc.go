@@ -46,17 +46,10 @@ type victim struct {
 // inGCGroup reports whether a way belongs to the current GC group under
 // SpGC. Groups swap every round to level wear (Fig 12(c)).
 func (f *FTL) inGCGroup(way int) bool {
-	boundary := int(float64(f.ways) * f.cfg.GCGroupFraction)
-	if boundary <= 0 {
-		boundary = 1
-	}
-	if boundary >= f.ways {
-		boundary = f.ways - 1
-	}
 	if f.gcGroupLo {
-		return way < boundary
+		return way < f.gcBoundary
 	}
-	return way >= f.ways-boundary
+	return way >= f.ways-f.gcBoundary
 }
 
 // gcParticipant reports whether a chip contributes victims this round.
@@ -67,36 +60,40 @@ func (f *FTL) gcParticipant(id controller.ChipID) bool {
 	return f.inGCGroup(id.Way)
 }
 
+// victimCand is one block selectVictims may pick.
+type victimCand struct {
+	plane, block int
+	valid        int32
+	lastWrite    int64
+}
+
 // selectVictims picks up to perChip victim blocks on every participating
 // chip using the greedy minimum-valid policy. Only full blocks with no
-// in-flight writes qualify.
+// in-flight writes qualify. The result is FTL scratch, valid until the
+// next round selects.
 func (f *FTL) selectVictims(perChip int) []victim {
-	var victims []victim
+	victims := f.victims[:0]
 	f.fab.Grid().ForEach(func(id controller.ChipID, _ *flash.Chip) {
 		if !f.gcParticipant(id) {
 			return
 		}
-		type cand struct {
-			plane, block int
-			valid        int32
-			lastWrite    int64
-		}
-		var cands []cand
+		cands := f.cands[:0]
 		for plane := 0; plane < f.geo.Planes; plane++ {
 			ps := f.planeAt(id, plane)
 			for b := range ps.blocks {
 				bi := &ps.blocks[b]
 				if bi.state == BlockFull && bi.inflight == 0 && !bi.mapOwned {
-					cands = append(cands, cand{plane, b, bi.validCount, bi.lastWrite})
+					cands = append(cands, victimCand{plane, b, bi.validCount, bi.lastWrite})
 				}
 			}
 		}
+		f.cands = cands
 		// Score candidates: greedy prefers the fewest valid pages;
 		// cost-benefit maximizes (1-u)/(2u) * age. Lower score wins so
 		// both policies share the selection loop; ties resolve by
 		// (plane, block) scan order for determinism.
 		now := float64(f.eng.Now())
-		score := func(c cand) float64 {
+		score := func(c victimCand) float64 {
 			if f.cfg.Victim == VictimCostBenefit {
 				u := float64(c.valid) / float64(f.geo.PagesPerBlock)
 				if u >= 1 {
@@ -122,6 +119,7 @@ func (f *FTL) selectVictims(perChip int) []victim {
 			f.planeAt(id, c.plane).blocks[c.block].state = BlockErasing
 		}
 	})
+	f.victims = victims
 	return victims
 }
 
@@ -155,14 +153,14 @@ func (f *FTL) startGC(done func()) {
 		return
 	}
 	remaining := len(victims)
+	collected := func() {
+		remaining--
+		if remaining == 0 {
+			f.finishGC(started, freeAtStart, true, done)
+		}
+	}
 	for _, v := range victims {
-		v := v
-		f.collectVictim(v, func() {
-			remaining--
-			if remaining == 0 {
-				f.finishGC(started, freeAtStart, true, done)
-			}
-		})
+		f.collectVictim(v, collected)
 	}
 }
 
@@ -206,6 +204,9 @@ func (f *FTL) capVictims(victims []victim) []victim {
 
 func (f *FTL) finishGC(started sim.Time, freeAtStart int, hadVictims bool, done func()) {
 	f.gcActive = false
+	// Host admission widens: the SpGC group restriction lifts (and the
+	// groups swap below), so a memoized failed scan no longer holds.
+	f.epoch++
 	f.tel.GCFinished(f.eng.Now())
 	dur := f.eng.Now() - started
 	f.stats.GCTotalTime += dur
@@ -236,115 +237,157 @@ func (f *FTL) finishGC(started sim.Time, freeAtStart int, hadVictims bool, done 
 	// as many blocks as their copies consume would otherwise chain GC
 	// forever; the next host write re-triggers instead.
 	if f.freeBlocks > freeAtStart {
-		f.eng.Schedule(0, f.maybeTriggerGC)
+		f.eng.Schedule(0, f.maybeGC)
 	}
+}
+
+// victimRun collects one victim block: it migrates the block's valid
+// pages one at a time, then erases it and runs done. Records are
+// recycled through the FTL's free list and keep the capacity of their
+// page snapshot; every step is a method value bound once, so a round's
+// page copies and erases allocate nothing.
+type victimRun struct {
+	f     *FTL
+	v     victim
+	pages []int // valid pages at selection, migrated in order
+	i     int   // pages[i] is the page being migrated
+	done  func()
+
+	// The copy in flight.
+	oldPhys, newPhys int64
+	lpn              int64
+	dst              controller.ChipID
+	dstAddr          flash.PPA
+	dstPS            *planeState
+
+	blocks [1]flash.PPA // the erase target
+
+	copyPage, copied, poll, erase, erased func() // bound steps
 }
 
 // collectVictim migrates every valid page off one victim block, then
 // erases it.
 func (f *FTL) collectVictim(v victim, done func()) {
+	var r *victimRun
+	if n := len(f.freeVictims); n > 0 {
+		r = f.freeVictims[n-1]
+		f.freeVictims = f.freeVictims[:n-1]
+	} else {
+		r = &victimRun{f: f}
+		r.copyPage, r.copied, r.poll = r.copyStep, r.copiedStep, r.pollStep
+		r.erase, r.erased = r.eraseStep, r.erasedStep
+	}
+	r.v, r.i, r.done = v, 0, done
 	// Snapshot the valid pages now; pages invalidated by host overwrites
 	// mid-collection are re-checked at copy time.
-	var pages []int
+	r.pages = r.pages[:0]
 	base := physIndex(f.geo, f.ways, v.id, flash.PPA{Plane: v.plane, Block: v.block, Page: 0})
 	for p := 0; p < f.geo.PagesPerBlock; p++ {
 		if f.p2l[base+int64(p)] != unmapped {
-			pages = append(pages, p)
+			r.pages = append(r.pages, p)
 		}
 	}
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(pages) {
-			f.eraseVictim(v, done)
-			return
-		}
-		proceed := func() {
-			f.copyOnePage(v, pages[i], func() { step(i + 1) })
-		}
-		if f.cfg.GCMode == GCPreemptive {
-			f.yieldToHost(proceed)
-			return
-		}
-		proceed()
-	}
-	step(0)
+	r.advance()
 }
 
-// yieldToHost implements the semi-preemptive policy: between page copies,
+// advance migrates pages[i], or erases the victim once every page has
+// moved.
+func (r *victimRun) advance() {
+	if r.i >= len(r.pages) {
+		r.eraseStep()
+		return
+	}
+	if r.f.cfg.GCMode == GCPreemptive {
+		r.pollStep()
+		return
+	}
+	r.copyStep()
+}
+
+// nextPage moves on once pages[i] is migrated or found stale.
+func (r *victimRun) nextPage() {
+	r.i++
+	r.advance()
+}
+
+// pollStep implements the semi-preemptive policy: between page copies,
 // GC waits while host I/O is outstanding, polling until the device goes
 // idle — unless free space is critically low, in which case it stops
 // yielding (GC cannot be postponed indefinitely). Writes stalled on
 // allocation never count as I/O worth yielding to: they cannot progress
 // until GC frees space, so waiting on them would deadlock the device
 // with free space sitting just above the critical floor.
-func (f *FTL) yieldToHost(proceed func()) {
-	critical := f.cfg.GCThreshold / 4
-	var poll func()
-	poll = func() {
-		if f.outstanding == 0 || len(f.stalled) > 0 || f.FreeBlockFraction() < critical {
-			proceed()
-			return
-		}
-		f.eng.Schedule(10*sim.Microsecond, poll)
-	}
-	poll()
-}
-
-// copyOnePage migrates one page of a victim block if it is still valid.
-func (f *FTL) copyOnePage(v victim, page int, done func()) {
-	from := flash.PPA{Plane: v.plane, Block: v.block, Page: page}
-	oldPhys := physIndex(f.geo, f.ways, v.id, from)
-	lpn := f.p2l[oldPhys]
-	if lpn == unmapped {
-		// Host overwrote it since selection; nothing to move.
-		done()
+func (r *victimRun) pollStep() {
+	f := r.f
+	if f.outstanding == 0 || len(f.stalled) > 0 || f.FreeBlockFraction() < f.cfg.GCThreshold/4 {
+		r.copyStep()
 		return
 	}
-	dstChip, dstAddr, ok := f.allocGCDestination(v)
+	f.eng.Schedule(10*sim.Microsecond, r.poll)
+}
+
+// copyStep migrates pages[i] if it is still valid.
+func (r *victimRun) copyStep() {
+	f, v := r.f, r.v
+	from := flash.PPA{Plane: v.plane, Block: v.block, Page: r.pages[r.i]}
+	r.oldPhys = physIndex(f.geo, f.ways, v.id, from)
+	r.lpn = f.p2l[r.oldPhys]
+	if r.lpn == unmapped {
+		// Host overwrote it since selection; nothing to move.
+		r.nextPage()
+		return
+	}
+	dst, dstAddr, ok := f.allocGCDestination(v)
 	if !ok {
 		// Transient exhaustion: every free block is being consumed by
 		// concurrent copies or host writes racing into the reserve. Other
 		// victims' erases will free blocks; retry then.
-		f.eng.Schedule(20*sim.Microsecond, func() { f.copyOnePage(v, page, done) })
+		f.eng.Schedule(20*sim.Microsecond, r.copyPage)
 		return
 	}
-	newPhys := physIndex(f.geo, f.ways, dstChip, dstAddr)
-	dstPS := f.planeAt(dstChip, dstAddr.Plane)
-	dstPS.blocks[dstAddr.Block].inflight++
+	r.dst, r.dstAddr = dst, dstAddr
+	r.newPhys = physIndex(f.geo, f.ways, dst, dstAddr)
+	r.dstPS = f.planeAt(dst, dstAddr.Plane)
+	r.dstPS.blocks[dstAddr.Block].inflight++
 	f.stats.GCPagesCopied++
 	f.tel.GCCopied(f.eng.Now())
-	f.fab.Copy(v.id, from, dstChip, dstAddr, func() {
-		dstPS.blocks[dstAddr.Block].inflight--
-		if f.faults.DrawFor(fault.ProgramFail, f.chipKey(dstChip)) {
-			// The commit program at the destination failed its status
-			// check: retire the destination block and retry the copy to a
-			// fresh one. The source mapping never moved, so the page is
-			// still intact on the victim.
-			r := f.ras()
-			r.ProgramFails++
-			r.GCCopyRetries++
-			f.retireBlock(dstChip, dstAddr.Plane, dstAddr.Block)
-			f.copyOnePage(v, page, done)
-			return
+	f.fab.Copy(v.id, from, dst, dstAddr, r.copied)
+}
+
+// copiedStep lands one page copy: the mapping moves to the destination
+// unless the host rewrote the LPN mid-copy.
+func (r *victimRun) copiedStep() {
+	f, v := r.f, r.v
+	r.dstPS.blocks[r.dstAddr.Block].inflight--
+	if f.faults.DrawFor(fault.ProgramFail, f.chipKey(r.dst)) {
+		// The commit program at the destination failed its status
+		// check: retire the destination block and retry the copy to a
+		// fresh one. The source mapping never moved, so the page is
+		// still intact on the victim.
+		ras := f.ras()
+		ras.ProgramFails++
+		ras.GCCopyRetries++
+		f.retireBlock(r.dst, r.dstAddr.Plane, r.dstAddr.Block)
+		r.copyStep()
+		return
+	}
+	if lpn := r.lpn; f.p2l[r.oldPhys] == lpn && f.l2p[lpn] == r.oldPhys {
+		// Still current: move the mapping.
+		if debugGC2 && f.p2l[r.newPhys] != unmapped {
+			panic(fmt.Sprintf("ftl: GC copy double-maps phys %d (old lpn %d, new lpn %d)", r.newPhys, f.p2l[r.newPhys], lpn))
 		}
-		if f.p2l[oldPhys] == lpn && f.l2p[lpn] == oldPhys {
-			// Still current: move the mapping.
-			if debugGC2 && f.p2l[newPhys] != unmapped {
-				panic(fmt.Sprintf("ftl: GC copy double-maps phys %d (old lpn %d, new lpn %d)", newPhys, f.p2l[newPhys], lpn))
-			}
-			f.l2p[lpn] = newPhys
-			f.p2l[newPhys] = lpn
-			f.p2l[oldPhys] = unmapped
-			f.planeAt(v.id, v.plane).blocks[v.block].validCount--
-			dstPS.blocks[dstAddr.Block].validCount++
-			if f.mapu != nil {
-				f.mapu.noteUpdate(lpn)
-			}
+		f.l2p[lpn] = r.newPhys
+		f.p2l[r.newPhys] = lpn
+		f.p2l[r.oldPhys] = unmapped
+		f.planeAt(v.id, v.plane).blocks[v.block].validCount--
+		r.dstPS.blocks[r.dstAddr.Block].validCount++
+		if f.mapu != nil {
+			f.mapu.noteUpdate(lpn)
 		}
-		// Otherwise the host rewrote the LPN mid-copy; the copied page is
-		// immediately garbage and stays invalid at the destination.
-		done()
-	})
+	}
+	// Otherwise the host rewrote the LPN mid-copy; the copied page is
+	// immediately garbage and stays invalid at the destination.
+	r.nextPage()
 }
 
 // allocGCDestination picks the destination page for a GC copy. SpGC
@@ -386,19 +429,20 @@ func (f *FTL) allocGCDestination(v victim) (controller.ChipID, flash.PPA, bool) 
 	return pick(func(s slot) bool { return true })
 }
 
-// eraseVictim erases a fully migrated victim and returns it to the free
+// eraseStep erases a fully migrated victim and returns it to the free
 // pool. The erase waits for host reads still pinning the block — reads
 // that mapped a page before its copy relocated it and are queued behind
 // channel contention.
-func (f *FTL) eraseVictim(v victim, done func()) {
+func (r *victimRun) eraseStep() {
+	f, v := r.f, r.v
 	ps := f.planeAt(v.id, v.plane)
 	if ps.blocks[v.block].validCount != 0 {
-		// True invariant: collectVictim migrated every valid page before
-		// calling here; a nonzero count is an accounting bug, not a fault.
+		// True invariant: every valid page was migrated before this step;
+		// a nonzero count is an accounting bug, not a fault.
 		panic(fmt.Sprintf("ftl: erasing block with %d valid pages", ps.blocks[v.block].validCount))
 	}
 	if ps.blocks[v.block].readRefs > 0 {
-		f.eng.Schedule(20*sim.Microsecond, func() { f.eraseVictim(v, done) })
+		f.eng.Schedule(20*sim.Microsecond, r.erase)
 		return
 	}
 	if ps.blocks[v.block].bad {
@@ -407,28 +451,44 @@ func (f *FTL) eraseVictim(v victim, done func()) {
 		// return to the free pool.
 		ps.blocks[v.block].state = BlockRetired
 		f.retryStalled()
-		done()
+		r.finish()
 		return
 	}
-	f.fab.Erase(v.id, []flash.PPA{{Plane: v.plane, Block: v.block}}, func() {
-		if f.faults.DrawFor(fault.EraseFail, f.chipKey(v.id)) {
-			// Erase status failed: the block retires instead of rejoining
-			// the free pool.
-			f.ras().EraseFails++
-			f.tel.Event("erase-fail", f.eng.Now())
-			f.retireBlock(v.id, v.plane, v.block)
-			ps.blocks[v.block].state = BlockRetired
-			f.retryStalled()
-			done()
-			return
-		}
-		ps.blocks[v.block].state = BlockFree
-		ps.pushFree(v.block)
-		f.stats.GCBlocksErased++
+	r.blocks[0] = flash.PPA{Plane: v.plane, Block: v.block}
+	f.fab.Erase(v.id, r.blocks[:], r.erased)
+}
+
+// erasedStep returns an erased victim to the free pool, or retires it
+// when the erase status failed.
+func (r *victimRun) erasedStep() {
+	f, v := r.f, r.v
+	ps := f.planeAt(v.id, v.plane)
+	if f.faults.DrawFor(fault.EraseFail, f.chipKey(v.id)) {
+		// Erase status failed: the block retires instead of rejoining
+		// the free pool.
+		f.ras().EraseFails++
+		f.tel.Event("erase-fail", f.eng.Now())
+		f.retireBlock(v.id, v.plane, v.block)
+		ps.blocks[v.block].state = BlockRetired
 		f.retryStalled()
-		done()
-	})
+		r.finish()
+		return
+	}
+	ps.blocks[v.block].state = BlockFree
+	ps.pushFree(v.block)
+	f.stats.GCBlocksErased++
+	f.retryStalled()
+	r.finish()
+}
+
+// finish returns the record to the free list, then runs done, which may
+// finish the round and start the next.
+func (r *victimRun) finish() {
+	f, done := r.f, r.done
+	r.done = nil
+	f.freeVictims = append(f.freeVictims, r)
+	done()
 }
 
 // debugGC2 enables mapping-invariant assertions in the copy path.
-var debugGC2 = true
+const debugGC2 = true

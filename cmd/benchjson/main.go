@@ -1,12 +1,12 @@
-// Command benchjson runs the repo's benchmark harness (one bench per
-// table/figure of the evaluation, see bench_test.go, plus the engine and
-// resource-hold benches of internal/sim and the host-request read- and
-// write-path benches of internal/ssd) and re-emits the results as JSON, seeding the
-// perf-trajectory file BENCH_quick.json.
-// The simulation metrics (improvement percentages, latencies, KIOPS,
-// events per request) and allocs/op are deterministic run to run; the
-// wall-clock ns/op entries are not and are recorded for trend-watching
-// only.
+// Command benchjson runs the repo's layer benchmarks (the engine and
+// resource-hold benches of internal/sim, the array-router bench of
+// internal/array, and the host-request read- and write-path benches of
+// internal/ssd) and re-emits the results as JSON, seeding the
+// perf-trajectory file BENCH_quick.json. Figures have no benches: the
+// committed CSV goldens of cmd/experiments pin them byte for byte.
+// The simulation metrics (events per request, miss rates, plan sizes)
+// and allocs/op are deterministic run to run; the wall-clock ns/op
+// entries are not and are recorded for trend-watching only.
 //
 // -diff compares two result files metric by metric instead of running
 // anything: it prints every shared deterministic metric whose relative
@@ -16,7 +16,7 @@
 // the committed BENCH_quick.json to flag silent metric drift.
 //
 //	go run ./cmd/benchjson                 # writes BENCH_quick.json
-//	go run ./cmd/benchjson -o out.json -bench Fig14
+//	go run ./cmd/benchjson -o out.json -bench ReadPath
 //	go run ./cmd/benchjson -diff BENCH_quick.json /tmp/bench_new.json
 package main
 
@@ -50,7 +50,7 @@ type File struct {
 
 // benchLine matches `go test -bench` result lines:
 //
-//	BenchmarkFig14Latency-8   1   123456 ns/op   12.3 pssd-improvement-pct ...
+//	BenchmarkReadPath/base-8   20000   1928 ns/op   14.00 events/req ...
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.+)$`)
 
 func main() {
@@ -68,12 +68,11 @@ func main() {
 		os.Exit(diffFiles(flag.Arg(0), flag.Arg(1), *threshold))
 	}
 
-	// Figure benches run once (their metrics are deterministic); the
-	// engine and hold benches run long enough for ns/op to mean
-	// something; the read- and write-path benches run a fixed request
-	// count so their events/req does not depend on the machine.
+	// The engine, hold and router benches run long enough for ns/op to
+	// mean something; the read- and write-path benches run a fixed
+	// request count so their events/req does not depend on the machine.
 	var raw []byte
-	for _, pkg := range [][2]string{{".", "1x"}, {"./internal/sim", "100ms"}, {"./internal/ssd", "20000x"}} {
+	for _, pkg := range [][2]string{{"./internal/sim", "100ms"}, {"./internal/array", "100ms"}, {"./internal/ssd", "20000x"}} {
 		cmd := exec.Command("go", "test", "-run=^$", "-bench="+*bench, "-benchtime="+pkg[1], pkg[0])
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
@@ -85,8 +84,7 @@ func main() {
 	}
 
 	file := File{
-		Note: "Generated by cmd/benchjson from `go test -bench=. -benchtime=1x .`, " +
-			"`go test -bench=. -benchtime=100ms ./internal/sim` " +
+		Note: "Generated by cmd/benchjson from `go test -bench=. -benchtime=100ms ./internal/sim ./internal/array` " +
 			"and `go test -bench=. -benchtime=20000x ./internal/ssd`. " +
 			"Simulation metrics and allocs/op are deterministic; ns/op is wall-clock noise.",
 	}

@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 
 	"repro/internal/check"
@@ -39,44 +37,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
-
-// startProfiles begins CPU profiling and/or arms a heap-profile dump for
-// the -cpuprofile/-memprofile flags (either may be empty). The returned
-// stop function must run before exit: it finishes the CPU profile and
-// writes the heap snapshot, so future perf PRs can measure instead of
-// guess.
-func startProfiles(cpuPath, memPath string) func() {
-	var stopCPU func()
-	if cpuPath != "" {
-		fh, err := os.Create(cpuPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(fh); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		stopCPU = func() { pprof.StopCPUProfile(); fh.Close() }
-	}
-	return func() {
-		if stopCPU != nil {
-			stopCPU()
-		}
-		if memPath != "" {
-			fh, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			defer fh.Close()
-			runtime.GC() // materialize only live allocations in the snapshot
-			if err := pprof.WriteHeapProfile(fh); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-		}
-	}
-}
 
 func main() {
 	fig := flag.String("fig", "", "figure to reproduce: 1,3,4,6,8,14,15,16,17,18,19,20a,20b,contention,tenant,array,sched,fmmu (empty = all)")
@@ -105,7 +65,11 @@ func main() {
 	if *progress {
 		runner.EnableProgress(os.Stderr, sim.EventsFiredTotal)
 	}
-	stop := startProfiles(*cpuProf, *memProf)
+	stop, err := runner.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	defer stop()
 
 	opt := exp.Options{Seed: *seed}

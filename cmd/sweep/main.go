@@ -13,8 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/array"
@@ -149,30 +147,11 @@ func main() {
 		fatalf("unknown sweep parameter %q", *param)
 	}
 
-	if *cpuProf != "" {
-		fh, err := os.Create(*cpuProf)
-		if err != nil {
-			fatalf("cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(fh); err != nil {
-			fatalf("cpuprofile: %v", err)
-		}
-		defer func() { pprof.StopCPUProfile(); fh.Close() }()
+	stop, err := runner.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if *memProf != "" {
-		defer func() {
-			fh, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			defer fh.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(fh); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-		}()
-	}
+	defer stop()
 
 	// Every (arch, point) simulation is independent; fan them out and
 	// print the CSV rows afterwards in sweep order so output is

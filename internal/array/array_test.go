@@ -324,3 +324,38 @@ func TestSlowRebuildOnTinySpGCArrayDrains(t *testing.T) {
 		t.Fatalf("completed %d/300 requests, %d failed reads", res.Metrics.TotalRequests(), res.RAS.FailedReads)
 	}
 }
+
+// BenchmarkArrayRouter measures the erasure-coded array router alone —
+// shard placement, degraded-read reconstruction, retry-ladder routing,
+// and the throttled rebuild schedule for a mixed trace with one
+// mid-trace device kill. No device simulation runs, so ns/op tracks
+// pure planning throughput; device-ops is the fan-out the plan emits.
+func BenchmarkArrayRouter(b *testing.B) {
+	dc := ssd.ScaledConfig()
+	dc.Channels, dc.Ways = 2, 2
+	dc.Geometry.Planes = 2
+	dc.Geometry.BlocksPerPlane = 8
+	dc.Geometry.PagesPerBlock = 16
+	dc.LogicalUtilization = 0.75
+	cfg := Config{
+		Arch:   ssd.ArchPnSSDSplit,
+		Device: dc,
+		Data:   2, Parity: 1,
+		Groups:             2,
+		Spares:             1,
+		Seed:               1,
+		RebuildPagesPerSec: 200_000,
+		Failures:           []fault.DeviceEvent{{Device: 0, At: 2 * sim.Millisecond}},
+	}
+	cfg = cfg.WithDefaults()
+	tr, err := workload.Named("rocksdb-0", cfg.LogicalPages(), 2000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := BuildPlan(cfg, tr.Requests)
+		b.ReportMetric(float64(p.DeviceOps()), "device-ops")
+		b.ReportMetric(float64(p.RAS.DegradedReads), "degraded-reads")
+	}
+}

@@ -206,8 +206,7 @@ func (p Packetized) ProgramXfer(n int) sim.Time {
 // EraseCmd implements Iface: a single control packet (erase carries only a
 // row address, 6 flits).
 func (p Packetized) EraseCmd() sim.Time {
-	erase := packet.EraseControl(packet.Address{})
-	return p.handshake + p.ch.TimeForFlits(erase.Flits())
+	return p.handshake + p.ch.TimeForFlits(packet.EraseControl().Flits())
 }
 
 // VXfer returns the occupancy of a direct flash-to-flash page movement on a

@@ -1,8 +1,9 @@
 // Package flash models NAND flash memory chips: the die/plane/block/page
 // geometry, array operation timing (tR, tPROG, tBERS), multi-plane
-// commands, per-plane page registers, and the pnSSD additions — V-page
-// registers and the on-die controller that decodes packets into internal
-// control signals (Fig 7 of the paper).
+// commands, per-plane page registers, and the pnSSD addition of V-page
+// registers (Fig 7 of the paper). The packet-decoding on-die controller
+// is modelled as flit timing on the channel (bus.Packetized), so the
+// fabrics drive a chip through its methods directly.
 //
 // Page contents are modelled as 64-bit tokens rather than full 16 KB
 // buffers, which lets every copy path (host write, controller-mediated GC
@@ -14,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -70,24 +70,6 @@ type PPA struct {
 
 // String formats the address.
 func (a PPA) String() string { return fmt.Sprintf("p%d/b%d/pg%d", a.Plane, a.Block, a.Page) }
-
-// PackRow encodes a PPA into the 24-bit row address carried by control
-// packets: plane in the top bits, then block, then page.
-func (g Geometry) PackRow(a PPA) uint32 {
-	g.checkPPA(a)
-	return uint32(a.Plane)<<20 | uint32(a.Block)<<9 | uint32(a.Page)
-}
-
-// UnpackRow decodes a 24-bit row address back into a PPA.
-func (g Geometry) UnpackRow(row uint32) PPA {
-	a := PPA{
-		Plane: int(row >> 20 & 0xF),
-		Block: int(row >> 9 & 0x7FF),
-		Page:  int(row & 0x1FF),
-	}
-	g.checkPPA(a)
-	return a
-}
 
 func (g Geometry) checkPPA(a PPA) {
 	if a.Plane < 0 || a.Plane >= g.Planes ||
@@ -490,7 +472,7 @@ func (r *arrayOp) finished() {
 }
 
 // ProgramFromVPage programs a V-page register's content into the array —
-// the commit step of a flash-to-flash copy (OpVCommit). The register is
+// the commit step of a flash-to-flash copy. The register is
 // freed when the program completes.
 func (c *Chip) ProgramFromVPage(reg int, addr PPA, done func()) {
 	c.checkVReg(reg)
@@ -521,15 +503,6 @@ func (c *Chip) PageRegister(plane int) Token {
 	return c.pageReg[plane]
 }
 
-// SetPageRegister loads a plane's page register, modelling payload arrival
-// from the channel ahead of a program.
-func (c *Chip) SetPageRegister(plane int, t Token) {
-	if plane < 0 || plane >= c.geo.Planes {
-		panic(fmt.Sprintf("flash %s: plane %d out of range", c.name, plane))
-	}
-	c.pageReg[plane] = t
-}
-
 func (c *Chip) checkVReg(reg int) {
 	if reg < 0 || reg >= len(c.vpage) {
 		panic(fmt.Sprintf("flash %s: V-page register %d out of range", c.name, reg))
@@ -537,8 +510,8 @@ func (c *Chip) checkVReg(reg int) {
 }
 
 // AcquireVPage claims a free V-page register, returning its index or -1
-// when both are held. It is the non-waiting form of WaitVPage, for
-// callers that have already checked the buffer status.
+// when both are held. WaitVPage is its only caller outside tests, which
+// use it to hold registers directly.
 func (c *Chip) AcquireVPage() int {
 	for i, used := range c.vpageInUse {
 		if !used {
@@ -609,9 +582,4 @@ func (c *Chip) InstallPage(a PPA, t Token) {
 	c.state[a.Plane][c.pageIndex(a)] = PageProgrammed
 	c.content[a.Plane][c.pageIndex(a)] = t
 	c.nextPage[a.Plane][a.Block]++
-}
-
-// Address converts a PPA to the on-wire packet address.
-func (c *Chip) Address(a PPA) packet.Address {
-	return packet.Address{Column: 0, Row: c.geo.PackRow(a)}
 }

@@ -32,36 +32,6 @@ func TestULLTiming(t *testing.T) {
 	}
 }
 
-func TestRowPackUnpack(t *testing.T) {
-	g := Geometry{Planes: 4, BlocksPerPlane: 1024, PagesPerBlock: 512, PageSize: 16384}
-	cases := []PPA{
-		{0, 0, 0},
-		{3, 1023, 511},
-		{1, 512, 255},
-	}
-	for _, a := range cases {
-		row := g.PackRow(a)
-		if row>>24 != 0 {
-			t.Fatalf("row %x exceeds 24 bits for %v", row, a)
-		}
-		back := g.UnpackRow(row)
-		if back != a {
-			t.Fatalf("round trip %v -> %x -> %v", a, row, back)
-		}
-	}
-}
-
-func TestRowPackUnpackProperty(t *testing.T) {
-	g := Geometry{Planes: 4, BlocksPerPlane: 1024, PagesPerBlock: 512, PageSize: 16384}
-	prop := func(p, b, pg uint16) bool {
-		a := PPA{Plane: int(p) % g.Planes, Block: int(b) % g.BlocksPerPlane, Page: int(pg) % g.PagesPerBlock}
-		return g.UnpackRow(g.PackRow(a)) == a
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestProgramReadRoundTrip(t *testing.T) {
 	e := sim.NewEngine()
 	c := newTestChip(e)

@@ -1,4 +1,8 @@
-// Package packet implements the pSSD wire formats of the paper's Fig 8.
+// Package packet holds the pSSD wire formats of the paper's Fig 8 as
+// flit counts: the channel models (bus.Packetized, the mesh) charge
+// serialization time by these lengths, and Fig 8 reports the header
+// overheads. Nothing encodes or decodes packets; the on-die controller
+// that would decode them is modelled as this flit timing.
 //
 // A flit is 8 bits. On an 8-bit channel one flit moves per transfer beat;
 // on a 16-bit pSSD channel two flits move per beat. Packets are one or more
@@ -11,12 +15,24 @@
 // data header uses 4 of 8 (50%), matching the overhead figures quoted in
 // the paper. Against a 16 KB page payload both are negligible, which is the
 // paper's point.
+//
+// Header layout (control):
+//
+//	bit 7..6  Type = 00
+//	bit 5..4  T    = number of command flits (0..3)
+//	bit 3     C    = column address present
+//	bit 2     R    = row address present
+//	bit 1..0  reserved (the 2 unused bits = 25% header overhead)
+//
+// Header layout (data):
+//
+//	bit 7..6  Type = 01
+//	bit 5     V    = deliver into a V-page register (flash-to-flash)
+//	bit 4     S    = split segment (one half of a split page transfer)
+//	bit 3..0  reserved (the 4 unused bits = 50% header overhead)
 package packet
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // FlitBits is the width of one flow-control digit.
 const FlitBits = 8
@@ -42,41 +58,26 @@ func (t Type) String() string {
 	}
 }
 
-// Command opcodes carried in control packets. The conventional ONFi
-// opcodes are kept verbatim; the pSSD-specific transfer commands occupy
-// vendor-reserved space.
+// Command opcodes carried in control packets, kept verbatim from ONFi.
 const (
-	OpReadFirst      = 0x00 // page read, first cycle
-	OpReadSecond     = 0x30 // page read, confirm cycle
-	OpProgram        = 0x80 // page program, first cycle
-	OpProgramConfirm = 0x10 // page program, confirm cycle
-	OpErase          = 0x60 // block erase, first cycle
-	OpEraseConfirm   = 0xD0 // block erase, confirm cycle
-	OpReadStatus     = 0x70 // status poll
-	OpReadXfer       = 0xE0 // pSSD: "read data transfer" — stream page register out
-	OpVXferOut       = 0xE1 // pnSSD: push page register onto the v-channel
-	OpVXferIn        = 0xE2 // pnSSD: latch v-channel payload into a V-page register
-	OpVCommit        = 0xE3 // pnSSD: program a V-page register into the array
+	OpReadFirst    = 0x00 // page read, first cycle
+	OpReadSecond   = 0x30 // page read, confirm cycle
+	OpErase        = 0x60 // block erase, first cycle
+	OpEraseConfirm = 0xD0 // block erase, confirm cycle
 )
 
-// Address is a flash physical address as serialized on the wire: a 2-flit
-// column address and a 3-flit row address, as in ONFi.
-type Address struct {
-	Column uint16 // byte offset within the page
-	Row    uint32 // plane/block/page packed by the flash geometry (24 bits)
-}
-
+// Address flits, as in ONFi: a 2-flit column and a 3-flit row address.
 const (
 	colFlits = 2
 	rowFlits = 3
 )
 
-// Control is a decoded control packet.
+// Control is the shape of a control packet: its command flits and which
+// address fields follow them.
 type Control struct {
 	Commands []uint8 // 1..3 command flits
 	HasCol   bool    // column address present (2 flits)
 	HasRow   bool    // row address present (3 flits)
-	Addr     Address
 }
 
 // Flits returns the on-wire length in flits, including the header.
@@ -91,200 +92,24 @@ func (c Control) Flits() int {
 	return n
 }
 
-// header layout (control):
-//
-//	bit 7..6  Type = 00
-//	bit 5..4  T    = number of command flits (0..3)
-//	bit 3     C    = column address present
-//	bit 2     R    = row address present
-//	bit 1..0  reserved (the 2 unused bits = 25% header overhead)
-//
-// header layout (data):
-//
-//	bit 7..6  Type = 01
-//	bit 5     V    = deliver into a V-page register (flash-to-flash)
-//	bit 4     S    = split segment (one half of a split page transfer)
-//	bit 3..0  reserved (the 4 unused bits = 50% header overhead)
-
-// Encode serializes the control packet.
-func (c Control) Encode() ([]byte, error) {
-	if len(c.Commands) == 0 || len(c.Commands) > 3 {
-		return nil, fmt.Errorf("packet: control packet with %d command flits (want 1..3)", len(c.Commands))
-	}
-	hdr := byte(TypeControl)<<6 | byte(len(c.Commands))<<4
-	if c.HasCol {
-		hdr |= 1 << 3
-	}
-	if c.HasRow {
-		hdr |= 1 << 2
-	}
-	out := make([]byte, 0, c.Flits())
-	out = append(out, hdr)
-	out = append(out, c.Commands...)
-	if c.HasCol {
-		out = append(out, byte(c.Addr.Column), byte(c.Addr.Column>>8))
-	}
-	if c.HasRow {
-		out = append(out, byte(c.Addr.Row), byte(c.Addr.Row>>8), byte(c.Addr.Row>>16))
-	}
-	return out, nil
+// ReadControl is the control packet for a page read.
+func ReadControl() Control {
+	return Control{Commands: []uint8{OpReadFirst, OpReadSecond}, HasCol: true, HasRow: true}
 }
 
-// Data is a decoded data packet. Payload length is carried in two flits
-// after the header, so a packet can carry up to 64 KiB-1 of payload; page
-// payloads (16 KiB) and split halves fit directly.
-type Data struct {
-	ToVPage bool   // deliver into the destination's V-page register
-	Split   bool   // this packet is one half of a split transfer
-	Payload []byte // payload flits; length on the wire, content modelled
+// EraseControl is the control packet for a block erase (row only).
+func EraseControl() Control {
+	return Control{Commands: []uint8{OpErase, OpEraseConfirm}, HasRow: true}
 }
-
-// MaxDataPayload is the largest payload one data packet can carry.
-const MaxDataPayload = 1<<16 - 1
-
-// Flits returns the on-wire length in flits: header + 2 length flits +
-// payload.
-func (d Data) Flits() int { return 1 + 2 + len(d.Payload) }
 
 // DataFlitsFor returns the wire length of a data packet carrying n payload
-// bytes, without building one.
+// bytes: header + 2 length flits + payload.
 func DataFlitsFor(n int) int { return 1 + 2 + n }
 
 // ControlFlitsFor returns the wire length of the control packet for a
 // typical two-cycle command with full column+row addressing (e.g. read or
 // program): header + 2 commands + 2 column + 3 row = 8 flits.
 func ControlFlitsFor() int { return 8 }
-
-// Encode serializes the data packet.
-func (d Data) Encode() ([]byte, error) {
-	if len(d.Payload) > MaxDataPayload {
-		return nil, fmt.Errorf("packet: payload %d exceeds %d", len(d.Payload), MaxDataPayload)
-	}
-	hdr := byte(TypeData) << 6
-	if d.ToVPage {
-		hdr |= 1 << 5
-	}
-	if d.Split {
-		hdr |= 1 << 4
-	}
-	out := make([]byte, 0, d.Flits())
-	out = append(out, hdr, byte(len(d.Payload)), byte(len(d.Payload)>>8))
-	out = append(out, d.Payload...)
-	return out, nil
-}
-
-// Errors returned by Decode.
-var (
-	ErrTruncated = errors.New("packet: truncated")
-	ErrBadType   = errors.New("packet: unknown packet type")
-)
-
-// PeekType returns the packet type of an encoded buffer.
-func PeekType(b []byte) (Type, error) {
-	if len(b) == 0 {
-		return 0, ErrTruncated
-	}
-	t := Type(b[0] >> 6)
-	if t != TypeControl && t != TypeData {
-		return 0, ErrBadType
-	}
-	return t, nil
-}
-
-// DecodeControl parses an encoded control packet, returning the packet and
-// the number of flits consumed.
-func DecodeControl(b []byte) (Control, int, error) {
-	if len(b) == 0 {
-		return Control{}, 0, ErrTruncated
-	}
-	if Type(b[0]>>6) != TypeControl {
-		return Control{}, 0, ErrBadType
-	}
-	nCmd := int(b[0] >> 4 & 0x3)
-	hasCol := b[0]&(1<<3) != 0
-	hasRow := b[0]&(1<<2) != 0
-	if nCmd == 0 {
-		return Control{}, 0, fmt.Errorf("packet: control header with zero command flits")
-	}
-	need := 1 + nCmd
-	if hasCol {
-		need += colFlits
-	}
-	if hasRow {
-		need += rowFlits
-	}
-	if len(b) < need {
-		return Control{}, 0, ErrTruncated
-	}
-	c := Control{Commands: append([]uint8(nil), b[1:1+nCmd]...), HasCol: hasCol, HasRow: hasRow}
-	p := 1 + nCmd
-	if hasCol {
-		c.Addr.Column = uint16(b[p]) | uint16(b[p+1])<<8
-		p += colFlits
-	}
-	if hasRow {
-		c.Addr.Row = uint32(b[p]) | uint32(b[p+1])<<8 | uint32(b[p+2])<<16
-		p += rowFlits
-	}
-	return c, p, nil
-}
-
-// DecodeData parses an encoded data packet, returning the packet and the
-// number of flits consumed.
-func DecodeData(b []byte) (Data, int, error) {
-	if len(b) < 3 {
-		return Data{}, 0, ErrTruncated
-	}
-	if Type(b[0]>>6) != TypeData {
-		return Data{}, 0, ErrBadType
-	}
-	d := Data{ToVPage: b[0]&(1<<5) != 0, Split: b[0]&(1<<4) != 0}
-	n := int(b[1]) | int(b[2])<<8
-	if len(b) < 3+n {
-		return Data{}, 0, ErrTruncated
-	}
-	d.Payload = append([]byte(nil), b[3:3+n]...)
-	return d, 3 + n, nil
-}
-
-// ReadControl builds the control packet for a page read.
-func ReadControl(a Address) Control {
-	return Control{Commands: []uint8{OpReadFirst, OpReadSecond}, HasCol: true, HasRow: true, Addr: a}
-}
-
-// ReadXferControl builds the pSSD "read data transfer" control packet that
-// asks the on-die controller to stream the page register back.
-func ReadXferControl(a Address) Control {
-	return Control{Commands: []uint8{OpReadXfer}, HasCol: true, HasRow: true, Addr: a}
-}
-
-// ProgramControl builds the control packet preceding a program payload.
-func ProgramControl(a Address) Control {
-	return Control{Commands: []uint8{OpProgram, OpProgramConfirm}, HasCol: true, HasRow: true, Addr: a}
-}
-
-// EraseControl builds the control packet for a block erase (row only).
-func EraseControl(a Address) Control {
-	return Control{Commands: []uint8{OpErase, OpEraseConfirm}, HasRow: true, Addr: a}
-}
-
-// VXferOutControl builds the pnSSD control packet telling a source chip to
-// push a page register onto its v-channel.
-func VXferOutControl(a Address) Control {
-	return Control{Commands: []uint8{OpVXferOut}, HasCol: true, HasRow: true, Addr: a}
-}
-
-// VXferInControl builds the pnSSD control packet telling a destination chip
-// to latch the next v-channel payload into a V-page register.
-func VXferInControl(a Address) Control {
-	return Control{Commands: []uint8{OpVXferIn}, HasCol: true, HasRow: true, Addr: a}
-}
-
-// VCommitControl builds the pnSSD control packet that programs a V-page
-// register into the array at the given address.
-func VCommitControl(a Address) Control {
-	return Control{Commands: []uint8{OpVCommit}, HasCol: true, HasRow: true, Addr: a}
-}
 
 // HeaderOverhead reports the fraction of header bits that are wasted
 // (reserved) for each packet type: 2/8 for control, 4/8 for data — the

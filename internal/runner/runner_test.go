@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -157,4 +159,27 @@ func TestMapSimulationsDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestStartProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	stop, err := StartProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s not written: %v", p, err)
+		}
+	}
+	if _, err := StartProfiles(filepath.Join(dir, "missing", "cpu.pprof"), ""); err == nil {
+		t.Fatal("unwritable CPU profile path accepted")
+	}
+	stop, err = StartProfiles("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
 }

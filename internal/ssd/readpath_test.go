@@ -16,10 +16,9 @@ const (
 	readPathBatch       = 512
 )
 
-// readPathDevice builds a warmed device of arch on the scaled geometry
-// and returns it with a 64 KB random-read generator over its footprint.
-func readPathDevice(arch Arch) (*SSD, func(int) host.Request) {
-	cfg := ScaledConfig()
+// readPathDevice builds a warmed device of arch on cfg and returns it
+// with a 64 KB random-read generator over its footprint.
+func readPathDevice(arch Arch, cfg Config) (*SSD, func(int) host.Request) {
 	s := New(arch, cfg)
 	foot := cfg.LogicalPages()
 	s.Host.Warmup(foot)
@@ -32,7 +31,7 @@ func readPathDevice(arch Arch) (*SSD, func(int) host.Request) {
 // 64 KB reads allocates nothing per request on every architecture.
 func TestReadPathAllocFree(t *testing.T) {
 	for _, arch := range Archs {
-		s, gen := readPathDevice(arch)
+		s, gen := readPathDevice(arch, ScaledConfig())
 		s.Host.RunClosedLoop(gen, readPathOutstanding, readPathWarm)
 		s.Run()
 		batch := func() {
@@ -51,19 +50,37 @@ func TestReadPathAllocFree(t *testing.T) {
 // warmed scaled device, closed loop at 16 in flight. It reports
 // allocs/op, zero once the free lists are warm, and events/req. Run it
 // at a fixed -benchtime=Nx so events/req is the same on every machine.
+//
+// The pnssd+split-fmmu case maps through the fmmu map unit with a cache
+// of a quarter of the translation pages, so the stream mixes cache hits
+// with demand fetches through the fabric; it adds miss-pct. The fmmu
+// translate callback still allocates, so TestReadPathAllocFree leaves
+// this case out.
 func BenchmarkReadPath(b *testing.B) {
 	for i, arch := range Archs {
-		b.Run(archFlags[i], func(b *testing.B) {
-			s, gen := readPathDevice(arch)
-			s.Host.RunClosedLoop(gen, readPathOutstanding, readPathWarm)
-			s.Run()
-			fired := s.Engine.EventsFired()
-			b.ReportAllocs()
-			b.ResetTimer()
-			s.Host.RunClosedLoop(gen, readPathOutstanding, b.N)
-			s.Run()
-			b.StopTimer()
-			b.ReportMetric(float64(s.Engine.EventsFired()-fired)/float64(b.N), "events/req")
-		})
+		b.Run(archFlags[i], func(b *testing.B) { benchReadPath(b, arch, ScaledConfig()) })
 	}
+	b.Run("pnssd+split-fmmu", func(b *testing.B) {
+		cfg := ScaledConfig()
+		cfg.Mapping = "fmmu"
+		perT := int64(cfg.Geometry.PageSize / 8)
+		cfg.MapCacheEntries = int((cfg.LogicalPages()+perT-1)/perT) / 4
+		s := benchReadPath(b, ArchPnSSDSplit, cfg)
+		b.ReportMetric(s.FTL.MapStats().MissRate()*100, "miss-pct")
+	})
+}
+
+// benchReadPath runs one BenchmarkReadPath case and returns its device.
+func benchReadPath(b *testing.B, arch Arch, cfg Config) *SSD {
+	s, gen := readPathDevice(arch, cfg)
+	s.Host.RunClosedLoop(gen, readPathOutstanding, readPathWarm)
+	s.Run()
+	fired := s.Engine.EventsFired()
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Host.RunClosedLoop(gen, readPathOutstanding, b.N)
+	s.Run()
+	b.StopTimer()
+	b.ReportMetric(float64(s.Engine.EventsFired()-fired)/float64(b.N), "events/req")
+	return s
 }

@@ -133,10 +133,22 @@ type Trace struct {
 	Footprint int64
 }
 
-// Generate builds a trace of n requests over a footprint of LPNs.
-func Generate(name string, p Params, footprint int64, n int, seed int64) Trace {
+// checkSize reports whether a trace of n requests of p.ReqPages pages
+// fits a footprint: Generate needs n > 0 and at least one request's span
+// of LPNs.
+func checkSize(p Params, footprint int64, n int) error {
 	if p.ReqPages <= 0 || footprint < int64(p.ReqPages) || n <= 0 {
-		panic("workload: invalid generation parameters")
+		return fmt.Errorf("workload: invalid generation parameters: %d requests of %d pages over a %d-page footprint (want requests > 0, pages > 0, footprint >= pages)",
+			n, p.ReqPages, footprint)
+	}
+	return nil
+}
+
+// Generate builds a trace of n requests over a footprint of LPNs. It
+// panics on parameters checkSize rejects.
+func Generate(name string, p Params, footprint int64, n int, seed int64) Trace {
+	if err := checkSize(p, footprint, n); err != nil {
+		panic(err)
 	}
 	if p.Burst <= 0 {
 		p.Burst = 1
@@ -257,11 +269,15 @@ func Describe(name string) (string, error) {
 	return p.why, nil
 }
 
-// Named generates a preset trace over the footprint.
+// Named generates a preset trace over the footprint. An unknown preset, a
+// non-positive n or a footprint smaller than one request is an error.
 func Named(name string, footprint int64, n int, seed int64) (Trace, error) {
 	p, ok := presets[name]
 	if !ok {
 		return Trace{}, fmt.Errorf("workload: unknown preset %q (have %v)", name, Names())
+	}
+	if err := checkSize(p.params, footprint, n); err != nil {
+		return Trace{}, err
 	}
 	return Generate(name, p.params, footprint, n, seed), nil
 }

@@ -134,6 +134,15 @@ func TestNamedPresets(t *testing.T) {
 	if _, err := Named("nope", 4096, 10, 1); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
+	// Bad sizes are errors, not Generate's panic.
+	for _, c := range []struct {
+		foot int64
+		n    int
+	}{{4096, 0}, {4096, -1}, {0, 10}, {1, 10}} {
+		if _, err := Named("rocksdb-0", c.foot, c.n, 1); err == nil {
+			t.Errorf("Named(footprint %d, n %d) accepted", c.foot, c.n)
+		}
+	}
 	if _, err := Describe("nope"); err == nil {
 		t.Fatal("unknown describe accepted")
 	}

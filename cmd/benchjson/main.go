@@ -12,12 +12,13 @@
 // anything: it prints every shared deterministic metric whose relative
 // change exceeds -threshold percent and exits 3 when any did. Wall-clock
 // and allocator-size metrics (ns/op, B/op, events/sec) are excluded —
-// they are machine noise, not simulation behavior. CI uses this against
-// the committed BENCH_quick.json to flag silent metric drift.
+// they are machine noise, not simulation behavior. CI runs it at
+// -threshold 0 against the committed BENCH_quick.json, so any change to a
+// deterministic metric fails until the baseline is regenerated.
 //
 //	go run ./cmd/benchjson                 # writes BENCH_quick.json
 //	go run ./cmd/benchjson -o out.json -bench ReadPath
-//	go run ./cmd/benchjson -diff BENCH_quick.json /tmp/bench_new.json
+//	go run ./cmd/benchjson -diff -threshold 0 BENCH_quick.json /tmp/bench_new.json
 package main
 
 import (

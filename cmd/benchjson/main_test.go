@@ -60,6 +60,25 @@ func TestDiffFiles(t *testing.T) {
 		}
 	})
 
+	t.Run("exact gate", func(t *testing.T) {
+		same := writeBench(t, dir, "same.json", []BenchResult{
+			{Name: "BenchmarkFig14", Runs: 1, Metrics: map[string]float64{
+				"ns/op": 2000, "mean-latency-us": 100, "kiops": 50,
+			}},
+		})
+		if code := diffFiles(oldPath, same, 0); code != 0 {
+			t.Fatalf("exit %d for unchanged metrics at threshold 0, want 0", code)
+		}
+		nudged := writeBench(t, dir, "nudged.json", []BenchResult{
+			{Name: "BenchmarkFig14", Runs: 1, Metrics: map[string]float64{
+				"mean-latency-us": 100.01, "kiops": 50,
+			}},
+		})
+		if code := diffFiles(oldPath, nudged, 0); code != 3 {
+			t.Fatalf("exit %d for a 0.01%% move at threshold 0, want 3", code)
+		}
+	})
+
 	t.Run("allocs/op gated", func(t *testing.T) {
 		zero := writeBench(t, dir, "zero.json", []BenchResult{
 			{Name: "BenchmarkReadPath/base", Runs: 20000, Metrics: map[string]float64{"allocs/op": 0, "B/op": 0}},

@@ -3,6 +3,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/controller"
 	"repro/internal/flash"
@@ -86,44 +87,41 @@ type blockInfo struct {
 	mapOwned bool
 }
 
-// freeLedger is the device-wide record of the free pools, shared by
-// every planeState of one FTL through a pointer. After newPlaneState,
-// popFree, pushFree and removeFree are the only writers of a plane's
-// free pool, and each keeps freeBlocks exact and bumps epoch.
-type freeLedger struct {
-	freeBlocks int // erased blocks across every plane
-	// epoch counts allocation-state changes that can widen host write
-	// admission: every free-pool change, and the end of a GC round
-	// (finishGC). The host-admission memo is valid while it holds still.
-	epoch uint64
-}
-
 // planeState manages block allocation within one (chip, plane). Host
 // writes and GC copies fill separate active blocks so a collection round
 // consumes free blocks at the rate it erases them instead of opening a
 // fresh block in every plane it scatters copies into.
+//
+// After newPlaneState, popFree, pushFree and removeFree are the only
+// writers of the free pool, and allocate, allocateGC and
+// FTL.retireBlock the only writers of active and gcActive. Each keeps
+// the allocator's device-wide free count and this plane's slot bits
+// exact.
 type planeState struct {
 	pagesPerBlock int
-	free          []int // erased block indices, LIFO
-	ledger        *freeLedger
-	active        int // block currently filled by host writes, -1 if none
+	free          []int      // erased block indices, LIFO
+	alloc         *allocator // shared free count and slot bits
+	slot          int        // this plane's index in alloc.slots
+	active        int        // block currently filled by host writes, -1 if none
 	nextPage      int
 	gcActive      int // block currently filled by GC copies, -1 if none
 	gcNextPage    int
 	blocks        []blockInfo
 }
 
-// newPlaneState builds a plane whose blocks are all erased and adds them
-// to the shared ledger.
-func newPlaneState(blocks, pagesPerBlock int, ledger *freeLedger) *planeState {
-	ps := &planeState{pagesPerBlock: pagesPerBlock, ledger: ledger, active: -1, gcActive: -1, blocks: make([]blockInfo, blocks)}
+// newPlaneState builds the plane at slot index slot of a, with all its
+// blocks erased and counted in a.
+func newPlaneState(blocks, pagesPerBlock int, a *allocator, slot int) *planeState {
+	ps := &planeState{pagesPerBlock: pagesPerBlock, alloc: a, slot: slot, active: -1, gcActive: -1, blocks: make([]blockInfo, blocks)}
 	// Reverse order so block 0 is popped first, which keeps layouts easy
 	// to reason about in tests.
 	for b := blocks - 1; b >= 0; b-- {
 		ps.free = append(ps.free, b)
 	}
-	ledger.freeBlocks += blocks
-	ledger.epoch++
+	a.freeBlocks += blocks
+	if blocks > 0 {
+		a.free.set(slot)
+	}
 	return ps
 }
 
@@ -136,16 +134,18 @@ func (ps *planeState) popFree() (int, bool) {
 	}
 	b := ps.free[n-1]
 	ps.free = ps.free[:n-1]
-	ps.ledger.freeBlocks--
-	ps.ledger.epoch++
+	ps.alloc.freeBlocks--
+	if n == 1 {
+		ps.alloc.free.clear(ps.slot)
+	}
 	return b, true
 }
 
 // pushFree returns an erased block to the free pool.
 func (ps *planeState) pushFree(b int) {
 	ps.free = append(ps.free, b)
-	ps.ledger.freeBlocks++
-	ps.ledger.epoch++
+	ps.alloc.freeBlocks++
+	ps.alloc.free.set(ps.slot)
 }
 
 // removeFree pulls a block out of the free pool if it is there.
@@ -153,14 +153,17 @@ func (ps *planeState) removeFree(b int) {
 	for i, fb := range ps.free {
 		if fb == b {
 			ps.free = append(ps.free[:i], ps.free[i+1:]...)
-			ps.ledger.freeBlocks--
-			ps.ledger.epoch++
+			ps.alloc.freeBlocks--
+			if len(ps.free) == 0 {
+				ps.alloc.free.clear(ps.slot)
+			}
 			return
 		}
 	}
 }
 
 // hasSpace reports whether at least one more page can be allocated.
+// CheckConsistency's host-admission oracle uses it.
 func (ps *planeState) hasSpace() bool { return ps.active >= 0 || len(ps.free) > 0 }
 
 // allocate returns the next (block, page) in sequence. Allocating on a
@@ -176,23 +179,17 @@ func (ps *planeState) allocate() (block, page int, err error) {
 		ps.active = b
 		ps.nextPage = 0
 		ps.blocks[ps.active].state = BlockActive
+		ps.alloc.open.set(ps.slot)
 	}
 	block, page = ps.active, ps.nextPage
 	ps.nextPage++
 	if ps.nextPage == ps.pagesPerBlock {
 		ps.blocks[ps.active].state = BlockFull
 		ps.active = -1
+		ps.alloc.open.clear(ps.slot)
 	}
 	return block, page, nil
 }
-
-// hasGCSpace reports whether a GC copy destination can be allocated
-// without stealing the host's open block.
-func (ps *planeState) hasGCSpace() bool { return ps.gcActive >= 0 || len(ps.free) > 0 }
-
-// gcOpen reports whether a GC destination block is already open, which
-// the destination chooser prefers so copies stream into few blocks.
-func (ps *planeState) gcOpen() bool { return ps.gcActive >= 0 }
 
 // allocateGC returns the next (block, page) of the plane's GC stream, or
 // ErrNoFreeBlock when no erased block remains to open.
@@ -205,12 +202,14 @@ func (ps *planeState) allocateGC() (block, page int, err error) {
 		ps.gcActive = b
 		ps.gcNextPage = 0
 		ps.blocks[ps.gcActive].state = BlockActive
+		ps.alloc.gcOpen.set(ps.slot)
 	}
 	block, page = ps.gcActive, ps.gcNextPage
 	ps.gcNextPage++
 	if ps.gcNextPage == ps.pagesPerBlock {
 		ps.blocks[ps.gcActive].state = BlockFull
 		ps.gcActive = -1
+		ps.alloc.gcOpen.clear(ps.slot)
 	}
 	return block, page, nil
 }
@@ -221,11 +220,28 @@ type slot struct {
 	plane int
 }
 
-// allocator walks (plane, channel, way) space in policy order, skipping
-// slots the supplied filter rejects and slots with no space.
+// slotBits is a set of slot indices, bit i standing for slots[i].
+type slotBits []uint64
+
+func newSlotBits(n int) slotBits  { return make(slotBits, (n+63)/64) }
+func (b slotBits) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b slotBits) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
+func (b slotBits) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+// allocator walks (plane, channel, way) space in policy order from a
+// cursor. It keeps one bitset per plane-state predicate over the slot
+// indices, so every placement is one find-next-set-bit search.
 type allocator struct {
 	slots  []slot // one policy cycle: slots[n] is the n-th slot visited
 	cursor int    // index into slots of the next slot to try
+
+	freeBlocks int // erased blocks across every plane
+
+	open   slotBits // the plane has a host block open
+	gcOpen slotBits // the plane has a GC block open
+	free   slotBits // the plane's free pool is non-empty
+
+	way []slotBits // way[w]: the slots on way w
 }
 
 // newAllocator lays out one cycle of the policy order by decomposing each
@@ -233,7 +249,8 @@ type allocator struct {
 func newAllocator(policy AllocPolicy, channels, ways, planes int) *allocator {
 	var size [3]int // indexed by Dim
 	size[DimPlane], size[DimChannel], size[DimWay] = planes, channels, ways
-	a := &allocator{slots: make([]slot, channels*ways*planes)}
+	n := channels * ways * planes
+	a := &allocator{slots: make([]slot, n), open: newSlotBits(n), gcOpen: newSlotBits(n), free: newSlotBits(n)}
 	for i := range a.slots {
 		n := i
 		var coord [3]int // indexed by Dim
@@ -243,24 +260,77 @@ func newAllocator(policy AllocPolicy, channels, ways, planes int) *allocator {
 		}
 		a.slots[i] = slot{chip: controller.ChipID{Channel: coord[DimChannel], Way: coord[DimWay]}, plane: coord[DimPlane]}
 	}
+	a.way = make([]slotBits, ways)
+	for w := range a.way {
+		a.way[w] = a.waysMask(w, w+1)
+	}
 	return a
 }
 
-// next returns the next allocatable slot accepted by ok, advancing the
-// cursor, or false when no slot qualifies. A failed call visits every
-// slot once and leaves the cursor where it started.
-func (a *allocator) next(ok func(s slot) bool) (slot, bool) {
-	for range a.slots {
-		s := a.slots[a.cursor]
-		a.cursor++
-		if a.cursor == len(a.slots) {
-			a.cursor = 0
-		}
-		if ok(s) {
-			return s, true
+// waysMask returns the slots whose way lies in [lo, hi).
+func (a *allocator) waysMask(lo, hi int) slotBits {
+	m := newSlotBits(len(a.slots))
+	for i, s := range a.slots {
+		if s.chip.Way >= lo && s.chip.Way < hi {
+			m.set(i)
 		}
 	}
-	return slot{}, false
+	return m
+}
+
+// nextSet returns the first slot at or after the cursor, wrapping past
+// the end, whose bit is set in (x | y) & m, and moves the cursor to the
+// slot after it. A nil y adds nothing and a nil m masks nothing. A
+// failed search leaves the cursor where it was. This is the slot a walk
+// of the table from the cursor, testing each slot, would return.
+func (a *allocator) nextSet(x, y, m slotBits) (slot, bool) {
+	c := a.cursor
+	w := c >> 6
+	v := word(x, y, m, w) >> (c & 63) << (c & 63) // bits at or after the cursor
+	// Then the words after the cursor's, wrapping, and last its own word
+	// again, whose bits at or after the cursor are known to be clear.
+	for k := 0; v == 0; k++ {
+		if k == len(x) {
+			return slot{}, false
+		}
+		if w++; w == len(x) {
+			w = 0
+		}
+		v = word(x, y, m, w)
+	}
+	i := w<<6 + bits.TrailingZeros64(v)
+	if a.cursor = i + 1; a.cursor == len(a.slots) {
+		a.cursor = 0
+	}
+	return a.slots[i], true
+}
+
+// atCursor takes the cursor's own slot when its bit is set in x | y,
+// which is then the slot nextSet(x, y, nil) returns, and moves the
+// cursor past it; otherwise it changes nothing. Unlike nextSet it
+// inlines, so Install, whose cursor slot nearly always qualifies, pays
+// for a call only when it does not.
+func (a *allocator) atCursor(x, y slotBits) (slot, bool) {
+	c := a.cursor
+	if (x[c>>6]|y[c>>6])>>(c&63)&1 == 0 {
+		return slot{}, false
+	}
+	if a.cursor++; a.cursor == len(a.slots) {
+		a.cursor = 0
+	}
+	return a.slots[c], true
+}
+
+// word returns word w of (x | y) & m.
+func word(x, y, m slotBits, w int) uint64 {
+	v := x[w]
+	if y != nil {
+		v |= y[w]
+	}
+	if m != nil {
+		v &= m[w]
+	}
+	return v
 }
 
 // physIndex linearizes a physical page location for the reverse map.

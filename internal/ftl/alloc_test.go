@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -8,12 +9,22 @@ import (
 	"repro/internal/flash"
 )
 
+// allSlots returns a set holding every slot of a.
+func allSlots(a *allocator) slotBits {
+	b := newSlotBits(len(a.slots))
+	for i := range a.slots {
+		b.set(i)
+	}
+	return b
+}
+
 func TestAllocatorCoversEverySlotOncePerCycle(t *testing.T) {
 	for _, policy := range []AllocPolicy{PCWD, PWCD} {
 		a := newAllocator(policy, 4, 3, 2)
+		all := allSlots(a)
 		seen := make(map[slot]int)
 		for range a.slots {
-			s, ok := a.next(func(slot) bool { return true })
+			s, ok := a.nextSet(all, nil, nil)
 			if !ok {
 				t.Fatalf("%v: allocator refused with universal filter", policy)
 			}
@@ -44,7 +55,7 @@ func TestAllocatorPolicyOrder(t *testing.T) {
 		{controller.ChipID{Channel: 1, Way: 1}, 1},
 	}
 	for i, w := range want {
-		s, ok := a.next(func(slot) bool { return true })
+		s, ok := a.nextSet(allSlots(a), nil, nil)
 		if !ok || s != w {
 			t.Fatalf("PCWD step %d = %v, want %v", i, s, w)
 		}
@@ -59,7 +70,7 @@ func TestAllocatorPolicyOrder(t *testing.T) {
 		{controller.ChipID{Channel: 1, Way: 0}, 0},
 	}
 	for i, w := range wantB {
-		s, ok := b.next(func(slot) bool { return true })
+		s, ok := b.nextSet(allSlots(b), nil, nil)
 		if !ok || s != w {
 			t.Fatalf("PWCD step %d = %v, want %v", i, s, w)
 		}
@@ -68,10 +79,10 @@ func TestAllocatorPolicyOrder(t *testing.T) {
 
 func TestAllocatorFilterSkips(t *testing.T) {
 	a := newAllocator(PCWD, 2, 2, 1)
-	// Reject way 1 entirely: only two slots remain.
+	// Mask out way 1 entirely: only two slots remain.
 	got := make(map[slot]bool)
 	for i := 0; i < 4; i++ {
-		s, ok := a.next(func(s slot) bool { return s.chip.Way == 0 })
+		s, ok := a.nextSet(allSlots(a), nil, a.way[0])
 		if !ok {
 			t.Fatal("allocator refused despite acceptable slots")
 		}
@@ -84,7 +95,7 @@ func TestAllocatorFilterSkips(t *testing.T) {
 		t.Fatalf("distinct way-0 slots = %d, want 2", len(got))
 	}
 	// Reject everything: must return false, not loop forever.
-	if _, ok := a.next(func(slot) bool { return false }); ok {
+	if _, ok := a.nextSet(newSlotBits(len(a.slots)), nil, nil); ok {
 		t.Fatal("allocator satisfied an unsatisfiable filter")
 	}
 }
@@ -107,17 +118,41 @@ func refSlot(order [3]Dim, channels, ways, planes, n int) slot {
 	return slot{chip: controller.ChipID{Channel: ch, Way: w}, plane: pl}
 }
 
+// randBits returns a random set over n slots: nil (an absent y or m)
+// about one call in five, all zeros one in seven, and otherwise a dense
+// set of about half the slots or a sparse one of about one in twelve.
+func randBits(rng *rand.Rand, n int) slotBits {
+	r := rng.Intn(35)
+	if r < 7 {
+		return nil
+	}
+	b := newSlotBits(n)
+	if r < 12 {
+		return b
+	}
+	for i := 0; i < n; i++ {
+		if (r < 24 && rng.Intn(2) == 0) || (r >= 24 && rng.Intn(12) == 0) {
+			b.set(i)
+		}
+	}
+	return b
+}
+
 // The precomputed slot table equals the div/mod decomposition for every
-// ordering of the three dimensions, and next walks it exactly as an
-// unbounded cursor reduced modulo the cycle length would, under a filter
-// that rejects about half the slots and fails whole cycles.
+// ordering of the three dimensions, and nextSet returns exactly what a
+// walk of the table from the cursor, testing each slot for (x|y)&m,
+// returns, and moves the cursor as that walk does: past the slot found,
+// or nowhere when no slot qualifies. atCursor agrees with it whenever
+// the walk stops at once. The geometries fill one word, four full words,
+// and end mid-word.
 func TestAllocatorSlotTableMatchesReference(t *testing.T) {
 	orders := [][3]Dim{
 		{DimPlane, DimChannel, DimWay}, {DimPlane, DimWay, DimChannel},
 		{DimChannel, DimPlane, DimWay}, {DimChannel, DimWay, DimPlane},
 		{DimWay, DimPlane, DimChannel}, {DimWay, DimChannel, DimPlane},
 	}
-	geos := [][3]int{{3, 5, 2}, {8, 8, 4}} // channels, ways, planes
+	geos := [][3]int{{3, 5, 2}, {8, 8, 4}, {5, 7, 3}} // channels, ways, planes
+	rng := rand.New(rand.NewSource(1))
 	for _, order := range orders {
 		for _, g := range geos {
 			channels, ways, planes := g[0], g[1], g[2]
@@ -131,32 +166,50 @@ func TestAllocatorSlotTableMatchesReference(t *testing.T) {
 					t.Fatalf("%v %v: slots[%d] = %v, want %v", order, g, n, s, want)
 				}
 			}
-			// Accept a slot on odd (channel + way + plane) parity only
-			// while the call number is not a multiple of 7; every seventh
-			// call rejects everything and must return false.
-			call := 0
-			filter := func(s slot) bool {
-				return call%7 != 0 && (s.chip.Channel+s.chip.Way+s.plane)%2 == 1
-			}
-			refCursor := 0
-			for call = 1; call <= 3*total+11; call++ {
-				var want slot
-				wantOK := false
-				for i := 0; i < total; i++ {
-					s := refSlot(order, channels, ways, planes, refCursor%total)
-					refCursor++
-					if filter(s) {
-						want, wantOK = s, true
+			cursors := []int{0, 63, 64, total - 1}
+			failed := 0
+			for call := 0; call < 40*total; call++ {
+				cur := rng.Intn(total)
+				if call < 4*len(cursors) {
+					cur = cursors[call%len(cursors)] % total
+				}
+				x := randBits(rng, total)
+				if x == nil {
+					x = newSlotBits(total)
+				}
+				y, m := randBits(rng, total), randBits(rng, total)
+				in := func(i int) bool {
+					return (x.has(i) || (y != nil && y.has(i))) && (m == nil || m.has(i))
+				}
+				want, wantOK, wantCursor := slot{}, false, cur
+				for k := 0; k < total; k++ {
+					if i := (cur + k) % total; in(i) {
+						want, wantOK, wantCursor = refSlot(order, channels, ways, planes, i), true, (i+1)%total
 						break
 					}
 				}
-				got, ok := a.next(filter)
-				if got != want || ok != wantOK {
-					t.Fatalf("%v %v call %d: next = %v,%v, want %v,%v", order, g, call, got, ok, want, wantOK)
+				if y != nil && m == nil {
+					// atCursor answers exactly when the cursor's slot qualifies.
+					a.cursor = cur
+					got, ok := a.atCursor(x, y)
+					hit := wantOK && wantCursor == (cur+1)%total
+					if ok != hit || (ok && (got != want || a.cursor != wantCursor)) || (!ok && a.cursor != cur) {
+						t.Fatalf("%v %v call %d from cursor %d: atCursor = %v,%v cursor %d, want %v,%v cursor %d",
+							order, g, call, cur, got, ok, a.cursor, want, hit, wantCursor)
+					}
 				}
-				if a.cursor != refCursor%total {
-					t.Fatalf("%v %v call %d: cursor %d, want %d", order, g, call, a.cursor, refCursor%total)
+				a.cursor = cur
+				got, ok := a.nextSet(x, y, m)
+				if got != want || ok != wantOK || a.cursor != wantCursor {
+					t.Fatalf("%v %v call %d from cursor %d: nextSet = %v,%v cursor %d, want %v,%v cursor %d",
+						order, g, call, cur, got, ok, a.cursor, want, wantOK, wantCursor)
 				}
+				if !ok {
+					failed++
+				}
+			}
+			if failed == 0 {
+				t.Fatalf("%v %v: no search failed", order, g)
 			}
 		}
 	}
@@ -210,7 +263,8 @@ func TestPhysIndexInjective(t *testing.T) {
 }
 
 func TestPlaneStateGCAndHostStreamsIndependent(t *testing.T) {
-	ps := newPlaneState(4, 4, &freeLedger{})
+	a := newAllocator(PCWD, 1, 1, 1)
+	ps := newPlaneState(4, 4, a, 0)
 	hb, _, _ := ps.allocate()
 	gb, _, _ := ps.allocateGC()
 	if hb == gb {
@@ -229,7 +283,7 @@ func TestPlaneStateGCAndHostStreamsIndependent(t *testing.T) {
 	if ps.blocks[hb].state != BlockFull {
 		t.Fatal("host block not full after 4 pages")
 	}
-	if ps.blocks[gb].state != BlockActive || !ps.gcOpen() {
+	if ps.blocks[gb].state != BlockActive || !a.gcOpen.has(0) || a.open.has(0) {
 		t.Fatal("GC block state disturbed by host stream")
 	}
 	// GC stream continues from page 1.

@@ -25,7 +25,7 @@ func freeRecount(f *FTL) int {
 // disagree.
 func checkFreeCount(t *testing.T, f *FTL, step string) {
 	t.Helper()
-	if got, want := f.freeBlocks, freeRecount(f); got != want {
+	if got, want := f.alloc.freeBlocks, freeRecount(f); got != want {
 		t.Fatalf("%s: free-block count %d, pools hold %d", step, got, want)
 	}
 }
@@ -102,11 +102,11 @@ func TestFreeBlockCountTracksPoolsUnderFaults(t *testing.T) {
 			for pl := 0; pl < smallGeo().Planes; pl++ {
 				ps := f.planeAt(id, pl)
 				if !freeRetired && len(ps.free) > 0 {
-					before := f.freeBlocks
+					before := f.alloc.freeBlocks
 					f.retireBlock(id, pl, ps.free[0])
 					checkFreeCount(t, f, "retire free block")
-					if f.freeBlocks != before-1 {
-						t.Fatalf("retiring a free block moved the count %d -> %d", before, f.freeBlocks)
+					if f.alloc.freeBlocks != before-1 {
+						t.Fatalf("retiring a free block moved the count %d -> %d", before, f.alloc.freeBlocks)
 					}
 					freeRetired = true
 					continue
@@ -118,11 +118,11 @@ func TestFreeBlockCountTracksPoolsUnderFaults(t *testing.T) {
 						}
 						checkFreeCount(t, f, "open host block")
 					}
-					before := f.freeBlocks
+					before := f.alloc.freeBlocks
 					f.retireBlock(id, pl, ps.active)
 					checkFreeCount(t, f, "retire open block")
-					if f.freeBlocks != before {
-						t.Fatalf("retiring an open block moved the count %d -> %d", before, f.freeBlocks)
+					if f.alloc.freeBlocks != before {
+						t.Fatalf("retiring an open block moved the count %d -> %d", before, f.alloc.freeBlocks)
 					}
 					openRetired = true
 				}
@@ -147,8 +147,8 @@ func TestFreeBlockCountTracksFmmuCarving(t *testing.T) {
 	if carved == 0 {
 		t.Fatal("map unit carved no blocks")
 	}
-	if want := len(f.planes)*smallGeo().BlocksPerPlane - carved; f.freeBlocks != want {
-		t.Fatalf("free-block count after carving = %d, want %d", f.freeBlocks, want)
+	if want := len(f.planes)*smallGeo().BlocksPerPlane - carved; f.alloc.freeBlocks != want {
+		t.Fatalf("free-block count after carving = %d, want %d", f.alloc.freeBlocks, want)
 	}
 	checkFreeCount(t, f, "carve")
 	churnChecked(t, e, f, 128, 500, 3)

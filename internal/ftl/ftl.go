@@ -127,15 +127,9 @@ type FTL struct {
 	planes []*planeState
 	alloc  *allocator
 
-	// freeLedger counts erased blocks across every plane, kept exact by
-	// the planeState free-pool helpers (CheckConsistency recounts it), and
-	// carries the allocation epoch the host-admission memo keys on.
-	freeLedger
-
-	// hostFullAt memoizes a failed host admission: when it equals the
-	// ledger's epoch, no slot admits a host write and tryWrite skips the
-	// scan. 0 means no memo; the epoch is at least 1 once a plane exists.
-	hostFullAt uint64
+	// SpGC group masks: gcLo/gcHi hold the GC group's slots and ioLo/ioHi
+	// the I/O group's, when gcGroupLo is true/false.
+	gcLo, gcHi, ioLo, ioHi slotBits
 
 	// in-flight write tracking: reads of an LPN with a write in flight
 	// wait for the write to land.
@@ -223,7 +217,6 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 		l2p:            make([]int64, numLPNs),
 		p2l:            make([]int64, raw),
 		planes:         make([]*planeState, grid.NumChips()*geo.Planes),
-		alloc:          newAllocator(cfg.Policy, grid.Channels, grid.Ways, geo.Planes),
 		inflightWrites: make(map[int64]int),
 		writeWaiters:   make(map[int64][]func()),
 		gcGroupLo:      false,                     // first SpGC round collects the high half
@@ -235,8 +228,10 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 	for i := range f.p2l {
 		f.p2l[i] = unmapped
 	}
-	for i := range f.planes {
-		f.planes[i] = newPlaneState(geo.BlocksPerPlane, geo.PagesPerBlock, &f.freeLedger)
+	f.alloc = newAllocator(cfg.Policy, f.channels, f.ways, geo.Planes)
+	for i, s := range f.alloc.slots {
+		chipIdx := s.chip.Channel*f.ways + s.chip.Way
+		f.planes[chipIdx*geo.Planes+s.plane] = newPlaneState(geo.BlocksPerPlane, geo.PagesPerBlock, f.alloc, i)
 	}
 	f.maybeGC = f.maybeTriggerGC
 	f.gcBoundary = int(float64(f.ways) * cfg.GCGroupFraction)
@@ -246,6 +241,8 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 	if f.gcBoundary >= f.ways {
 		f.gcBoundary = f.ways - 1
 	}
+	f.gcLo, f.ioLo = f.alloc.waysMask(0, f.gcBoundary), f.alloc.waysMask(f.gcBoundary, f.ways)
+	f.gcHi, f.ioHi = f.alloc.waysMask(f.ways-f.gcBoundary, f.ways), f.alloc.waysMask(0, f.ways-f.gcBoundary)
 	if cfg.Map != nil {
 		f.mapu = newMapUnit(f, *cfg.Map)
 	}
@@ -319,7 +316,7 @@ func (f *FTL) checkLPN(lpn int64) {
 
 // FreeBlockFraction returns the fraction of all blocks currently erased.
 func (f *FTL) FreeBlockFraction() float64 {
-	return float64(f.freeBlocks) / float64(len(f.planes)*f.geo.BlocksPerPlane)
+	return float64(f.alloc.freeBlocks) / float64(len(f.planes)*f.geo.BlocksPerPlane)
 }
 
 // TokenFor derives the content token the FTL writes for a (lpn, version)
@@ -349,13 +346,10 @@ func (f *FTL) Map(lpn int64) (controller.ChipID, flash.PPA, bool) {
 // open one partial block in every plane and leave zero erased blocks —
 // a state from which GC cannot allocate a single copy destination.
 func (f *FTL) warmupSlot() (slot, bool) {
-	if s, ok := f.alloc.next(func(s slot) bool { return f.planeAt(s.chip, s.plane).active >= 0 }); ok {
-		return s, true
+	if s, ok := f.alloc.nextSet(f.alloc.open, nil, nil); ok || f.alloc.freeBlocks <= f.reserveBlocks {
+		return s, ok
 	}
-	return f.alloc.next(func(s slot) bool {
-		ps := f.planeAt(s.chip, s.plane)
-		return len(ps.free) > 0 && f.freeBlocks > f.reserveBlocks
-	})
+	return f.alloc.nextSet(f.alloc.free, nil, nil)
 }
 
 // Install instantly maps and programs an LPN for pre-run warmup, consuming
@@ -366,7 +360,10 @@ func (f *FTL) Install(lpn int64, tok flash.Token) {
 	if f.l2p[lpn] != unmapped {
 		panic(fmt.Sprintf("ftl: Install over mapped LPN %d", lpn))
 	}
-	s, ok := f.alloc.next(func(s slot) bool { return f.planeAt(s.chip, s.plane).hasSpace() })
+	s, ok := f.alloc.atCursor(f.alloc.open, f.alloc.free)
+	if !ok {
+		s, ok = f.alloc.nextSet(f.alloc.open, f.alloc.free, nil)
+	}
 	if !ok {
 		panic("ftl: Install with no space")
 	}
@@ -744,12 +741,14 @@ func (w *hostWrite) mapped() {
 // now: under active SpGC, writes are restricted to the I/O group, and a
 // host write may not open a fresh block when doing so would eat into the
 // GC reserve — it stalls until collection frees space instead.
+// hostSlot searches the slot bits for exactly this rule;
+// CheckConsistency holds it to this slot-by-slot statement.
 func (f *FTL) hostWriteAllowed(s slot) bool {
 	ps := f.planeAt(s.chip, s.plane)
 	if !ps.hasSpace() {
 		return false
 	}
-	if ps.active < 0 && f.cfg.GCMode != GCNone && f.freeBlocks <= f.reserveBlocks {
+	if ps.active < 0 && f.cfg.GCMode != GCNone && f.alloc.freeBlocks <= f.reserveBlocks {
 		return false
 	}
 	if f.gcActive && f.cfg.GCMode == GCSpatial && f.inGCGroup(s.chip.Way) {
@@ -758,20 +757,18 @@ func (f *FTL) hostWriteAllowed(s slot) bool {
 	return true
 }
 
-// hostSlot returns the next slot that admits a host write. A failed scan
-// is memoized against the allocation epoch: while the epoch holds still,
-// nothing that could widen admission has happened, so the next call
-// fails at once. A failed scan leaves the allocator cursor where it
-// started, so skipping one changes nothing.
+// hostSlot returns the next slot that admits a host write: one with a
+// host block open or, while the GC reserve allows a new block, a free
+// block, outside the GC group during an SpGC round.
 func (f *FTL) hostSlot() (slot, bool) {
-	if f.hostFullAt == f.epoch {
-		return slot{}, false
+	var fresh, group slotBits
+	if f.cfg.GCMode == GCNone || f.alloc.freeBlocks > f.reserveBlocks {
+		fresh = f.alloc.free
 	}
-	s, ok := f.alloc.next(f.hostWriteAllowed)
-	if !ok {
-		f.hostFullAt = f.epoch
+	if f.gcActive && f.cfg.GCMode == GCSpatial {
+		group = f.ioGroupMask()
 	}
-	return s, ok
+	return f.alloc.nextSet(f.alloc.open, fresh, group)
 }
 
 func (f *FTL) tryWrite(w *hostWrite) {
@@ -787,7 +784,7 @@ func (f *FTL) tryWrite(w *hostWrite) {
 		block, page, err := ps.allocate()
 		if err != nil {
 			// Recoverable shortfall (a fault retired the block between the
-			// filter's space check and here): stall like any other.
+			// search and here): stall like any other.
 			break
 		}
 		f.targets = append(f.targets, pendingTarget{s: s, block: block, page: page})
@@ -985,9 +982,11 @@ func (f *FTL) retireBlock(id controller.ChipID, plane, block int) {
 	bi.bad = true
 	if ps.active == block {
 		ps.active = -1
+		f.alloc.open.clear(ps.slot)
 	}
 	if ps.gcActive == block {
 		ps.gcActive = -1
+		f.alloc.gcOpen.clear(ps.slot)
 	}
 	ps.removeFree(block)
 	// An open block closes as Full so GC can still select it and migrate
@@ -1031,24 +1030,18 @@ func (f *FTL) retryStalled() {
 }
 
 // CheckConsistency validates l2p/p2l agreement, valid-count accounting,
-// the incremental free-block count and the host-admission memo; tests
-// call it after workloads and GC churn.
+// the incremental free-block count, the allocator's slot bits and the
+// host search; tests call it after workloads and GC churn.
 func (f *FTL) CheckConsistency() error {
 	free := 0
 	for _, ps := range f.planes {
 		free += len(ps.free)
 	}
-	if free != f.freeBlocks {
-		return fmt.Errorf("ftl: free-block count %d, free pools hold %d", f.freeBlocks, free)
+	if free != f.alloc.freeBlocks {
+		return fmt.Errorf("ftl: free-block count %d, free pools hold %d", f.alloc.freeBlocks, free)
 	}
-	if f.hostFullAt == f.epoch {
-		// The memo claims no slot admits a host write; a non-mutating
-		// scan must agree (alloc.next would move the cursor).
-		for _, s := range f.alloc.slots {
-			if f.hostWriteAllowed(s) {
-				return fmt.Errorf("ftl: admission memo says no slot admits a host write, but %v plane %d does", s.chip, s.plane)
-			}
-		}
+	if err := f.checkSlotBits(); err != nil {
+		return err
 	}
 	validByBlock := make(map[int64]int32)
 	for lpn, phys := range f.l2p {
@@ -1082,6 +1075,48 @@ func (f *FTL) CheckConsistency() error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// checkSlotBits holds every slot bit and mask to the plane state or way
+// it stands for, and the host search to a walk of hostWriteAllowed from
+// the cursor.
+func (f *FTL) checkSlotBits() error {
+	a := f.alloc
+	for i, s := range a.slots {
+		ps := f.planeAt(s.chip, s.plane)
+		if ps.slot != i {
+			return fmt.Errorf("ftl: %v plane %d has slot index %d, want %d", s.chip, s.plane, ps.slot, i)
+		}
+		if a.open.has(i) != (ps.active >= 0) || a.gcOpen.has(i) != (ps.gcActive >= 0) || a.free.has(i) != (len(ps.free) > 0) {
+			return fmt.Errorf("ftl: %v plane %d slot bits open=%v gcOpen=%v free=%v, plane has active=%d gcActive=%d %d free",
+				s.chip, s.plane, a.open.has(i), a.gcOpen.has(i), a.free.has(i), ps.active, ps.gcActive, len(ps.free))
+		}
+		for w := range a.way {
+			if a.way[w].has(i) != (s.chip.Way == w) {
+				return fmt.Errorf("ftl: way %d mask disagrees at %v plane %d", w, s.chip, s.plane)
+			}
+		}
+		gc := f.inGCGroup(s.chip.Way)
+		if f.gcGroupMask().has(i) != gc || f.ioGroupMask().has(i) == gc {
+			return fmt.Errorf("ftl: SpGC group masks disagree with inGCGroup at %v plane %d", s.chip, s.plane)
+		}
+	}
+	cur := a.cursor
+	got, ok := f.hostSlot()
+	a.cursor = cur
+	var want slot
+	wantOK := false
+	for k := range a.slots {
+		if s := a.slots[(cur+k)%len(a.slots)]; f.hostWriteAllowed(s) {
+			want, wantOK = s, true
+			break
+		}
+	}
+	if got != want || ok != wantOK {
+		return fmt.Errorf("ftl: host search from slot %d found %v plane %d (%v), hostWriteAllowed first admits %v plane %d (%v)",
+			cur, got.chip, got.plane, ok, want.chip, want.plane, wantOK)
 	}
 	return nil
 }

@@ -52,6 +52,23 @@ func (f *FTL) inGCGroup(way int) bool {
 	return way >= f.ways-f.gcBoundary
 }
 
+// gcGroupMask returns the slots of the current SpGC GC group.
+func (f *FTL) gcGroupMask() slotBits {
+	if f.gcGroupLo {
+		return f.gcLo
+	}
+	return f.gcHi
+}
+
+// ioGroupMask returns the slots of the current SpGC I/O group, the
+// complement of gcGroupMask.
+func (f *FTL) ioGroupMask() slotBits {
+	if f.gcGroupLo {
+		return f.ioLo
+	}
+	return f.ioHi
+}
+
 // gcParticipant reports whether a chip contributes victims this round.
 func (f *FTL) gcParticipant(id controller.ChipID) bool {
 	if f.cfg.GCMode != GCSpatial {
@@ -146,7 +163,7 @@ func (f *FTL) startGC(done func()) {
 		// so the total matches the baseline (Sec VII-A).
 		perChip = int(float64(perChip)/f.cfg.GCGroupFraction + 0.5)
 	}
-	freeAtStart := f.freeBlocks
+	freeAtStart := f.alloc.freeBlocks
 	victims := f.capVictims(f.selectVictims(perChip))
 	if len(victims) == 0 {
 		f.finishGC(started, freeAtStart, false, done)
@@ -174,7 +191,7 @@ func (f *FTL) startGC(done func()) {
 // victims return to the Full state for later rounds.
 func (f *FTL) capVictims(victims []victim) []victim {
 	valid := func(v victim) int64 { return int64(f.planeAt(v.id, v.plane).blocks[v.block].validCount) }
-	budget := int64(f.freeBlocks) * int64(f.geo.PagesPerBlock) / 2
+	budget := int64(f.alloc.freeBlocks) * int64(f.geo.PagesPerBlock) / 2
 	var total int64
 	for _, v := range victims {
 		total += valid(v)
@@ -204,9 +221,6 @@ func (f *FTL) capVictims(victims []victim) []victim {
 
 func (f *FTL) finishGC(started sim.Time, freeAtStart int, hadVictims bool, done func()) {
 	f.gcActive = false
-	// Host admission widens: the SpGC group restriction lifts (and the
-	// groups swap below), so a memoized failed scan no longer holds.
-	f.epoch++
 	f.tel.GCFinished(f.eng.Now())
 	dur := f.eng.Now() - started
 	f.stats.GCTotalTime += dur
@@ -236,7 +250,7 @@ func (f *FTL) finishGC(started sim.Time, freeAtStart int, hadVictims bool, done 
 	// gain. Near the device's compaction limit, rounds that free exactly
 	// as many blocks as their copies consume would otherwise chain GC
 	// forever; the next host write re-triggers instead.
-	if f.freeBlocks > freeAtStart {
+	if f.alloc.freeBlocks > freeAtStart {
 		f.eng.Schedule(0, f.maybeGC)
 	}
 }
@@ -396,12 +410,12 @@ func (r *victimRun) copiedStep() {
 // allocate anywhere via the normal policy. If the same-column restriction
 // cannot be satisfied, it widens to any GC-group chip.
 func (f *FTL) allocGCDestination(v victim) (controller.ChipID, flash.PPA, bool) {
-	pick := func(ok func(s slot) bool) (controller.ChipID, flash.PPA, bool) {
+	pick := func(m slotBits) (controller.ChipID, flash.PPA, bool) {
 		// Prefer planes with a GC destination block already open so copies
 		// stream sequentially into few blocks; only then open fresh ones.
-		s, found := f.alloc.next(func(s slot) bool { return f.planeAt(s.chip, s.plane).gcOpen() && ok(s) })
+		s, found := f.alloc.nextSet(f.alloc.gcOpen, nil, m)
 		if !found {
-			s, found = f.alloc.next(func(s slot) bool { return f.planeAt(s.chip, s.plane).hasGCSpace() && ok(s) })
+			s, found = f.alloc.nextSet(f.alloc.gcOpen, f.alloc.free, m)
 		}
 		if !found {
 			return controller.ChipID{}, flash.PPA{}, false
@@ -410,23 +424,23 @@ func (f *FTL) allocGCDestination(v victim) (controller.ChipID, flash.PPA, bool) 
 		block, page, err := ps.allocateGC()
 		if err != nil {
 			// Recoverable: a fault retired the last free block between the
-			// hasGCSpace check and the allocation. The caller retries once
+			// search and the allocation. The caller retries once
 			// pending erases free space.
 			return controller.ChipID{}, flash.PPA{}, false
 		}
 		return s.chip, flash.PPA{Plane: s.plane, Block: block, Page: page}, true
 	}
 	if f.cfg.GCMode == GCSpatial {
-		if id, addr, ok := pick(func(s slot) bool { return s.chip.Way == v.id.Way }); ok {
+		if id, addr, ok := pick(f.alloc.way[v.id.Way]); ok {
 			return id, addr, true
 		}
-		if id, addr, ok := pick(func(s slot) bool { return f.inGCGroup(s.chip.Way) }); ok {
+		if id, addr, ok := pick(f.gcGroupMask()); ok {
 			return id, addr, true
 		}
 		// Last resort: anywhere — correctness over isolation when the GC
 		// group itself has no space left.
 	}
-	return pick(func(s slot) bool { return true })
+	return pick(nil)
 }
 
 // eraseStep erases a fully migrated victim and returns it to the free

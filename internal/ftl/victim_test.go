@@ -111,7 +111,7 @@ func TestCapVictimsKeepsFewestValid(t *testing.T) {
 		b := &f.planeAt(v.id, v.plane).blocks[v.block]
 		b.validCount, b.state = valid, BlockErasing
 	}
-	f.freeBlocks = 4 // budget: 4 blocks x 8 pages / 2 = 16 pages
+	f.alloc.freeBlocks = 4 // budget: 4 blocks x 8 pages / 2 = 16 pages
 	kept := f.capVictims(append([]victim(nil), victims...))
 	want := []victim{victims[0], victims[2], victims[3]}
 	if len(kept) != len(want) {
@@ -127,7 +127,7 @@ func TestCapVictimsKeepsFewestValid(t *testing.T) {
 	}
 
 	// A budget that covers every victim keeps the set as it is.
-	f.freeBlocks = 8
+	f.alloc.freeBlocks = 8
 	if kept := f.capVictims(append([]victim(nil), victims...)); len(kept) != len(victims) {
 		t.Fatalf("unbound budget kept %d of %d victims", len(kept), len(victims))
 	}

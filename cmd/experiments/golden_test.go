@@ -30,6 +30,7 @@ func TestQuickSuiteGolden(t *testing.T) {
 		{"fig_contention.csv", figContention},
 		{"ablation_all.csv", func(o exp.Options, e func(*report.Table)) { runAblations("all", o, e) }},
 		{"fault_all.csv", func(o exp.Options, e func(*report.Table)) { runFaultExperiments("all", o, e) }},
+		{"sweep_all.csv", func(o exp.Options, e func(*report.Table)) { runSweeps("all", o, e) }},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {

@@ -1,6 +1,7 @@
 // Command experiments reproduces every table and figure of the paper's
 // evaluation. With no flags it runs the full suite; -fig / -table select
-// individual artifacts, -quick shrinks run sizes for a fast smoke pass,
+// individual artifacts, -ablation / -fault / -sweep select the
+// supplementary studies, -quick shrinks run sizes for a fast smoke pass,
 // and -csv switches output to CSV.
 //
 // Independent configuration runs inside each figure fan out across
@@ -13,6 +14,7 @@
 //	go run ./cmd/experiments -table 2
 //	go run ./cmd/experiments -quick
 //	go run ./cmd/experiments -quick -parallel 8 -csv
+//	go run ./cmd/experiments -sweep busrate -csv
 //	go run ./cmd/experiments -fig 19 -cpuprofile cpu.pprof
 //	go run ./cmd/experiments -quick -trace out.json -metrics-json run.json
 //
@@ -43,6 +45,7 @@ func main() {
 	table := flag.String("table", "", "table to print: 1,2,3")
 	ablation := flag.String("ablation", "", "ablation study: vwidth, routing, ctrl-latency, gc-group, organization, ecc, victim, all")
 	faultExp := flag.String("fault", "", "fault/RAS experiment: sweep (fault-rate x architecture), degraded (v-channel kill + grant drops), all")
+	sweep := flag.String("sweep", "", "sensitivity sweep over every architecture: outstanding, busrate, ways, reqpages, tenants, sched, mapcache, rebuildrate, all")
 	quick := flag.Bool("quick", false, "small runs for a fast smoke pass")
 	checkFlag := flag.Bool("check", false, "attach the invariant checker to every run (panics on violation)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -58,6 +61,12 @@ func main() {
 	flag.Parse()
 	if *reqs < 0 {
 		fmt.Fprintf(os.Stderr, "-requests must not be negative, got %d\n", *reqs)
+		os.Exit(2)
+	}
+	if *seed == 0 {
+		// exp.Options reads a zero seed as "default", which would make
+		// -seed 0 silently rerun seed 1.
+		fmt.Fprintln(os.Stderr, "-seed must not be 0")
 		os.Exit(2)
 	}
 
@@ -137,6 +146,8 @@ func main() {
 	}
 
 	switch {
+	case *sweep != "":
+		runSweeps(*sweep, opt, emit)
 	case *faultExp != "":
 		runFaultExperiments(*faultExp, opt, emit)
 	case *ablation != "":
@@ -535,6 +546,41 @@ func runFaultExperiments(which string, opt exp.Options, emit func(*report.Table)
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown fault experiment %q\n", which)
+		os.Exit(2)
+	}
+}
+
+// runSweeps renders the sensitivity sweeps: each exp.SweepParams
+// dimension as one param,arch,pattern,x table, then the rebuild-throttle
+// sweep with its array columns. An unknown name runs nothing.
+func runSweeps(which string, opt exp.Options, emit func(*report.Table)) {
+	ran := false
+	for _, p := range exp.SweepParams {
+		if which != "all" && which != p {
+			continue
+		}
+		ran = true
+		t := report.New("Sweep "+p+": mean and p99 latency vs x, every architecture (supplementary analysis)",
+			"param", "arch", "pattern", "x", "mean_us", "p99_us", "kiops")
+		for _, r := range exp.Sweep(p, opt) {
+			t.Add(p, r.Arch.String(), r.Workload, fmt.Sprint(r.X), report.F2(r.Mean.Microseconds()),
+				report.F2(r.P99.Microseconds()), report.F1(r.KIOPS))
+		}
+		emit(t)
+	}
+	if which == "all" || which == "rebuildrate" {
+		ran = true
+		t := report.New("Sweep rebuildrate: 2+1 array, device 0 killed a quarter into rocksdb-0, SpGC (supplementary analysis)",
+			"param", "arch", "workload", "rate_pps", "mean_us", "p99_us", "kiops", "rebuild_ms", "degraded_reads", "failed_reads")
+		for _, r := range exp.RebuildRateSweep(opt) {
+			t.Add("rebuildrate", r.Arch.String(), "rocksdb-0", fmt.Sprint(r.Rate), report.F2(r.Mean.Microseconds()),
+				report.F2(r.P99.Microseconds()), report.F1(r.KIOPS), report.F2(r.RebuildTime.Milliseconds()),
+				fmt.Sprint(r.DegradedReads), fmt.Sprint(r.FailedReads))
+		}
+		emit(t)
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown sweep %q\n", which)
 		os.Exit(2)
 	}
 }

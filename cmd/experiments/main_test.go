@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -65,6 +69,12 @@ func TestCSVHeaderStability(t *testing.T) {
 		{"fmmu", figFmmu, []string{
 			"mapping,skew,mean,p99,KIOPS,map lookups,map misses,miss rate,fetches,writebacks",
 		}},
+		{"sweep", func(o exp.Options, e func(*report.Table)) { runSweeps("busrate", o, e) }, []string{
+			"param,arch,pattern,x,mean_us,p99_us,kiops",
+		}},
+		{"rebuildrate", func(o exp.Options, e func(*report.Table)) { runSweeps("rebuildrate", o, e) }, []string{
+			"param,arch,workload,rate_pps,mean_us,p99_us,kiops,rebuild_ms,degraded_reads,failed_reads",
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -78,5 +88,46 @@ func TestCSVHeaderStability(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMain lets a test run this test binary as the experiments command:
+// with EXPERIMENTS_ARGS set, the process is main() on those arguments.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("EXPERIMENTS_ARGS"); ok {
+		os.Args = append([]string{"experiments"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// Bad selector values and -seed 0 (which exp.Options would read as the
+// default seed 1) exit with status 2 and a message before any run, so
+// nothing reaches stdout.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	for _, args := range []string{
+		"-sweep bogus",
+		"-sweep bogus -quick -csv",
+		"-quick -fig 14 -csv -seed 0",
+		"-quick -sweep ways -seed 0",
+		"-requests -1",
+		"-ablation bogus",
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "EXPERIMENTS_ARGS="+args)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("experiments %s: err = %v, want exit status 2", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("experiments %s printed to stdout: %q", args, stdout.String())
+		}
+		if stderr.Len() == 0 {
+			t.Errorf("experiments %s exited without a message", args)
+		}
 	}
 }

@@ -43,12 +43,6 @@ func NewChannel(eng *sim.Engine, name string, widthBits, rateMTps int) *Channel 
 // Name returns the channel name.
 func (c *Channel) Name() string { return c.name }
 
-// WidthBits returns the channel width.
-func (c *Channel) WidthBits() int { return c.widthBits }
-
-// RateMTps returns the transfer rate in mega-transfers per second.
-func (c *Channel) RateMTps() int { return c.rateMTps }
-
 // BeatTime returns the duration of one transfer beat.
 func (c *Channel) BeatTime() sim.Time { return c.beat }
 
@@ -82,12 +76,6 @@ func (c *Channel) UseOp(label string, d sim.Time, done func()) { c.res.UseLabele
 // Acquire and Release expose raw resource holds for multi-phase
 // transactions that must keep the bus across phases.
 func (c *Channel) Acquire(fn func()) { c.res.Acquire(fn) }
-
-// AcquireOp is Acquire with an operation label for trace observers.
-func (c *Channel) AcquireOp(label string, fn func()) { c.res.AcquireLabeled(label, fn) }
-
-// TryAcquire acquires only if the channel is idle with no waiters.
-func (c *Channel) TryAcquire(fn func()) bool { return c.res.TryAcquire(fn) }
 
 // Release frees the channel.
 func (c *Channel) Release() { c.res.Release() }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/array"
 	"repro/internal/fault"
 	"repro/internal/ftl"
+	"repro/internal/host"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -83,6 +84,22 @@ func arrayCfg(opt Options, arch ssd.Arch, mode ftl.GCMode) array.Config {
 	}
 }
 
+// arrayTrace generates the rocksdb-0 trace every array run replays.
+func arrayTrace(cfg array.Config, opt Options) []host.Request {
+	tr, err := workload.Named("rocksdb-0", cfg.LogicalPages(), opt.TraceRequests, opt.Seed)
+	if err != nil {
+		panic(err)
+	}
+	return tr.Requests
+}
+
+// rebuildAtQuarter kills device 0 a quarter of the way through reqs and
+// turns on the rebuild scheduler at the given throttle (pages/s).
+func rebuildAtQuarter(cfg *array.Config, reqs []host.Request, rate int) {
+	cfg.Failures = []fault.DeviceEvent{{Device: 0, At: reqs[len(reqs)/4].Arrival}}
+	cfg.RebuildPagesPerSec = rate
+}
+
 // ArrayTelemetryDoc is the run document the -telemetry flag writes and
 // cmd/report consumes: one rebuilding-scenario array run with its
 // windowed time series, rebuild marks, and headline aggregates.
@@ -109,15 +126,10 @@ type ArrayTelemetryDoc struct {
 func ArrayTelemetryRun(opt Options) ArrayTelemetryDoc {
 	opt = opt.withDefaults()
 	cfg := arrayCfg(opt, ssd.ArchPnSSDSplit, ftl.GCSpatial)
-	tr, err := workload.Named("rocksdb-0", cfg.LogicalPages(), opt.TraceRequests, opt.Seed)
-	if err != nil {
-		panic(err)
-	}
-	quarter := tr.Requests[len(tr.Requests)/4].Arrival
-	cfg.Failures = []fault.DeviceEvent{{Device: 0, At: quarter}}
-	cfg.RebuildPagesPerSec = ArrayRebuildRate
+	reqs := arrayTrace(cfg, opt)
+	rebuildAtQuarter(&cfg, reqs, ArrayRebuildRate)
 	cfg.Telemetry = &telemetry.Config{}
-	res := array.Run(cfg, tr.Requests, runner.Default())
+	res := array.Run(cfg, reqs, runner.Default())
 	if err := res.Err(); err != nil {
 		panic(err)
 	}
@@ -157,22 +169,17 @@ func ArraySweep(opt Options) []ArraySweepRow {
 		sc := ArrayScenarios[i%len(ArrayScenarios)]
 
 		cfg := arrayCfg(opt, arch, mode)
-		tr, err := workload.Named("rocksdb-0", cfg.LogicalPages(), opt.TraceRequests, opt.Seed)
-		if err != nil {
-			panic(err)
-		}
+		reqs := arrayTrace(cfg, opt)
 		switch sc {
 		case ArrayDegraded:
 			cfg.Failures = []fault.DeviceEvent{{Device: 0, At: 0}}
 		case ArrayRebuilding:
-			quarter := tr.Requests[len(tr.Requests)/4].Arrival
-			cfg.Failures = []fault.DeviceEvent{{Device: 0, At: quarter}}
-			cfg.RebuildPagesPerSec = ArrayRebuildRate
+			rebuildAtQuarter(&cfg, reqs, ArrayRebuildRate)
 		}
 
 		// The sweep parallelizes across points; each point simulates its
 		// member devices sequentially to keep the worker pool flat.
-		res := array.Run(cfg, tr.Requests, 1)
+		res := array.Run(cfg, reqs, 1)
 		var copies int64
 		for _, s := range res.Devices {
 			copies += s.FTL.Stats().GCPagesCopied

@@ -1,8 +1,10 @@
 // Package exp contains one runner per table and figure of the paper's
 // evaluation (Sec VII), plus the motivation figures. Each runner builds
 // fresh SSDs, drives the workload the paper describes, and returns typed
-// rows; cmd/experiments renders them as tables and bench_test.go wraps
-// them as benchmarks.
+// rows; cmd/experiments renders them as tables. Sweep and
+// RebuildRateSweep add one-dimensional sensitivity sweeps (bus rate, way
+// count, request size, tenant count, rebuild throttle, ...) on the same
+// run recipes.
 //
 // Runs use ssd.ScaledConfig: the Table II organization (8 channels × 8
 // ways × 4 planes, 16 KB pages, ULL timing, 1000 MT/s bus) with fewer
@@ -11,10 +13,12 @@
 package exp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/ftl"
+	"repro/internal/host"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/stats"
@@ -140,11 +144,38 @@ func replayTrace(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, opt Options, ch
 	return s.Metrics(), s.FTL.Stats()
 }
 
-// runClosedLoop drives a synthetic pattern with a fixed outstanding depth.
-func runClosedLoop(arch ssd.Arch, cfg ssd.Config, policy ftl.AllocPolicy, p workload.Pattern, outstanding, total int, seed int64) *stats.IOMetrics {
+// replayTenants is the multi-tenant form of replay: it puts a 16-deep
+// front end with the given arbiter over cfg, builds and warms the SSD,
+// replays the tenants' interleaved traces, runs to drain, and returns
+// the SSD for the caller to read. cfg carries the GC mode and policy.
+func replayTenants(arch ssd.Arch, cfg ssd.Config, specs []workload.TenantSpec, arbiter string, churn float64, seed int64) *ssd.SSD {
+	cfg.Frontend = &host.FrontendConfig{
+		Tenants:     workload.QueueConfigs(specs),
+		Arbiter:     arbiter,
+		MaxInflight: 16,
+	}
+	s := ssd.New(arch, cfg)
+	warm(s, churn, seed)
+	tr, err := workload.GenerateTenants(specs, s.Config.LogicalPages(), seed)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := s.Frontend.Replay(tr.Requests); err != nil {
+		panic(err)
+	}
+	s.Run()
+	if !s.Frontend.Drained() {
+		panic(fmt.Sprintf("%v/%s tenants: completed %d of %d requests", arch, arbiter, s.Metrics().TotalRequests(), len(tr.Requests)))
+	}
+	return s
+}
+
+// runClosedLoop drives a synthetic pattern of reqPages-page requests
+// with a fixed outstanding depth.
+func runClosedLoop(arch ssd.Arch, cfg ssd.Config, policy ftl.AllocPolicy, p workload.Pattern, outstanding, reqPages, total int, seed int64) *stats.IOMetrics {
 	s := build(arch, cfg, ftl.GCNone, policy)
 	warm(s, 0, seed)
-	gen := workload.Synthetic(p, s.Config.LogicalPages(), 4, seed) // 64 KB requests
+	gen := workload.Synthetic(p, s.Config.LogicalPages(), reqPages, seed)
 	s.Host.RunClosedLoop(gen, outstanding, total)
 	s.Run()
 	return s.Metrics()

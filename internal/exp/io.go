@@ -182,7 +182,7 @@ func syntheticSweep(opt Options, policy ftl.AllocPolicy) []Fig16Row {
 		p := patterns[i/(len(ssd.Archs)*len(outs))]
 		arch := ssd.Archs[i/len(outs)%len(ssd.Archs)]
 		o := outs[i%len(outs)]
-		m := runClosedLoop(arch, *opt.Cfg, policy, p, o, opt.SyntheticRequests, opt.Seed)
+		m := runClosedLoop(arch, *opt.Cfg, policy, p, o, 4, opt.SyntheticRequests, opt.Seed) // 64 KB requests
 		return m.MeanLatency()
 	})
 	var rows []Fig16Row

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/ftl"
-	"repro/internal/host"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/ssd"
-	"repro/internal/workload"
 )
 
 // SchedPoint is one cell of the scheduling study: an architecture, a
@@ -131,25 +129,7 @@ func runSchedNoisyPoint(p SchedPoint, opt Options) SchedNoisyRow {
 	cfg.Scheduler = p.Sched
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.FTL.Policy = ftl.PCWD
-	specs := NoisyNeighborSpecs(opt.TraceRequests)
-	cfg.Frontend = &host.FrontendConfig{
-		Tenants:     workload.QueueConfigs(specs),
-		Arbiter:     "dwrr",
-		MaxInflight: 16,
-	}
-	s := ssd.New(p.Arch, cfg)
-	warm(s, opt.ChurnFraction, opt.Seed)
-	tr, err := workload.GenerateTenants(specs, s.Config.LogicalPages(), opt.Seed)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := s.Frontend.Replay(tr.Requests); err != nil {
-		panic(err)
-	}
-	s.Run()
-	if !s.Frontend.Drained() {
-		panic(fmt.Sprintf("sched noisy %s: completed %d of %d requests", p.Label(), s.Metrics().TotalRequests(), len(tr.Requests)))
-	}
+	s := replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), "dwrr", opt.ChurnFraction, opt.Seed)
 	row := SchedNoisyRow{Point: p}
 	for _, tm := range s.Frontend.Metrics().Tenants {
 		h := tm.Combined()

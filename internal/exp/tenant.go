@@ -102,27 +102,9 @@ func runTenantPoint(p TenantPoint, opt Options) TenantRow {
 		mode = ftl.GCSpatial
 	}
 	cfg := gcCfg(opt)
-	specs := NoisyNeighborSpecs(opt.TraceRequests)
-	cfg.Frontend = &host.FrontendConfig{
-		Tenants:     workload.QueueConfigs(specs),
-		Arbiter:     p.Arbiter,
-		MaxInflight: 16,
-	}
 	cfg.FTL.GCMode = mode
 	cfg.FTL.Policy = ftl.PCWD
-	s := ssd.New(p.Arch, cfg)
-	warm(s, opt.ChurnFraction, opt.Seed)
-	tr, err := workload.GenerateTenants(specs, s.Config.LogicalPages(), opt.Seed)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := s.Frontend.Replay(tr.Requests); err != nil {
-		panic(err)
-	}
-	s.Run()
-	if !s.Frontend.Drained() {
-		panic(fmt.Sprintf("tenant sweep %s: completed %d of %d requests", p.Label(), s.Metrics().TotalRequests(), len(tr.Requests)))
-	}
+	s := replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), p.Arbiter, opt.ChurnFraction, opt.Seed)
 	row := TenantRow{Point: p}
 	for _, tm := range s.Frontend.Metrics().Tenants {
 		h := tm.Combined()

@@ -168,12 +168,6 @@ func (fe *Frontend) Metrics() *stats.TenantSet { return fe.tm }
 // NumTenants returns the queue-pair count.
 func (fe *Frontend) NumTenants() int { return len(fe.queues) }
 
-// TenantName returns the queue's display name.
-func (fe *Frontend) TenantName(tenant int) string { return fe.queues[tenant].cfg.Name }
-
-// ArbiterName returns the active grant policy's name.
-func (fe *Frontend) ArbiterName() string { return fe.arb.Name() }
-
 // QueueLen returns the commands waiting in one submission queue.
 func (fe *Frontend) QueueLen(tenant int) int { return fe.queues[tenant].len() }
 

@@ -47,8 +47,6 @@ const DefaultHopLatency = 10 * sim.Nanosecond
 type Mesh struct {
 	eng        *sim.Engine
 	w, h       int
-	widthBits  int
-	rateMTps   int
 	hopLatency sim.Time
 	links      map[[2]Node]*bus.Channel
 	freeXfers  []*transfer // recycled Transfer records
@@ -63,8 +61,6 @@ func New(eng *sim.Engine, w, h, widthBits, rateMTps int) *Mesh {
 		eng:        eng,
 		w:          w,
 		h:          h,
-		widthBits:  widthBits,
-		rateMTps:   rateMTps,
 		hopLatency: DefaultHopLatency,
 		links:      make(map[[2]Node]*bus.Channel),
 	}
@@ -85,12 +81,6 @@ func New(eng *sim.Engine, w, h, widthBits, rateMTps int) *Mesh {
 	}
 	return m
 }
-
-// Size returns (w, h).
-func (m *Mesh) Size() (w, h int) { return m.w, m.h }
-
-// WidthBits returns the link width.
-func (m *Mesh) WidthBits() int { return m.widthBits }
 
 // Link returns the directed link between adjacent nodes; it panics when
 // the nodes are not neighbours.
@@ -257,18 +247,6 @@ func (h *hop) releaseStep() {
 	if done != nil {
 		done()
 	}
-}
-
-// MaxLinkQueue returns the largest queue length currently present on any
-// link — a congestion probe used by tests.
-func (m *Mesh) MaxLinkQueue() int {
-	max := 0
-	for _, ch := range m.links {
-		if q := ch.QueueLen(); q > max {
-			max = q
-		}
-	}
-	return max
 }
 
 // EdgeLinkBusy returns cumulative busy time of the ejection links into the

@@ -7,6 +7,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/flash"
 	"repro/internal/ftl"
@@ -279,9 +280,10 @@ func (h *Host) MustReplay(reqs []Request) []sim.Time {
 
 // replay is the validate-then-schedule body shared by Host.Replay and
 // Frontend.Replay. Each request must pass check (when non-nil) and the
-// arrival and shape rules before anything is scheduled; then each is
-// handed to submit at its arrival time, with a completion callback
-// recording its completion time.
+// arrival and shape rules before anything is scheduled; then the trace
+// is copied, so the caller may reuse its slice, and one Engine.AtEach
+// stream hands each request to submit at its arrival time, with a
+// completion callback recording its completion time.
 func replay(eng *sim.Engine, reqs []Request, check func(Request) error, submit func(Request, func()) error) ([]sim.Time, error) {
 	now := eng.Now()
 	for i, r := range reqs {
@@ -297,15 +299,19 @@ func replay(eng *sim.Engine, reqs []Request, check func(Request) error, submit f
 			return nil, fmt.Errorf("host: request %d: %w", i, err)
 		}
 	}
+	trace := slices.Clone(reqs)
 	times := make([]sim.Time, len(reqs))
-	for i, r := range reqs {
+	for i, r := range trace {
+		times[i] = r.Arrival
+	}
+	eng.AtEach(times, func(i int) {
+		if err := submit(trace[i], func() { times[i] = eng.Now() }); err != nil {
+			panic(err) // validated above; a rejection here is a bug
+		}
+	})
+	// AtEach copied the arrivals; times now collects completions.
+	for i := range times {
 		times[i] = -1
-		eng.At(r.Arrival, func() {
-			r.Arrival = eng.Now()
-			if err := submit(r, func() { times[i] = eng.Now() }); err != nil {
-				panic(err) // validated above; a rejection here is a bug
-			}
-		})
 	}
 	return times, nil
 }

@@ -24,6 +24,37 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSameInstant measures the same-instant lane: four
+// zero-delay event chains, one op per event, with every sixteenth event
+// one picosecond ahead so the clock moves and the lane drains. Steady
+// state is 0 allocs/op.
+func BenchmarkEngineSameInstant(b *testing.B) {
+	e := NewEngine()
+	fired, scheduled := 0, min(4, b.N)
+	var tick func()
+	tick = func() {
+		fired++
+		if scheduled == b.N {
+			return
+		}
+		scheduled++
+		if fired%16 == 0 {
+			e.Schedule(1, tick)
+		} else {
+			e.Schedule(0, tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < scheduled; i++ {
+		e.Schedule(0, tick)
+	}
+	e.Run()
+	if fired != b.N {
+		b.Fatalf("fired %d events, want %d", fired, b.N)
+	}
+}
+
 // BenchmarkResourceHold measures the timed-hold fast path: Use on an
 // idle resource, grant, release. After warm-up it must run at 0
 // allocs/op — the grant/release steps are pre-bound method values and

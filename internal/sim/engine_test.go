@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -216,6 +217,88 @@ func TestEngineNilEventPanics(t *testing.T) {
 	NewEngine().Schedule(1, nil)
 }
 
+func TestEngineAtEachPastPanics(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(10, func() {})
+	e.Run()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtEach into the past did not panic")
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("rejected AtEach left %d events pending", e.Pending())
+		}
+	}()
+	e.AtEach([]Time{20, 5, 30}, func(int) {})
+}
+
+func TestEngineAtEachNilPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtEach with a nil fn did not panic")
+		}
+	}()
+	NewEngine().AtEach(nil, nil)
+}
+
+// TestEngineCorruptedHeapPanics: an event queued behind the clock means
+// the queue's order is broken; step refuses to rewind time.
+func TestEngineCorruptedHeapPanics(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(10, func() {})
+	e.Run()
+	e.events.push(event{at: 5, seq: e.seq + 1, fn: func() {}})
+	defer func() {
+		if r := recover(); r != "sim: event heap corrupted" {
+			t.Fatalf("recovered %v, want the corrupted-heap panic", r)
+		}
+	}()
+	e.Step()
+}
+
+// TestEngineAtEachOrder: arrivals fire by time, ties in index order, and
+// interleave with At events by the seq numbers a loop of At calls would
+// have taken. The caller's slice is copied.
+func TestEngineAtEachOrder(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	rec := func(s string) { order = append(order, fmt.Sprintf("%s@%d", s, int64(e.Now()))) }
+	e.At(3, func() { rec("a") })
+	times := []Time{5, 3, 0, 3, 0}
+	e.AtEach(times, func(i int) { rec(fmt.Sprint(i)) })
+	times[0] = 1
+	e.At(3, func() { rec("b") })
+	e.Schedule(0, func() { rec("c") })
+	e.Run()
+	want := "[2@0 4@0 c@0 a@3 1@3 3@3 b@3 0@5]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("order = %s, want %s", got, want)
+	}
+}
+
+// TestEnginePendingCountsEveryQueue: Pending counts heap entries, lane
+// entries and stream arrivals not yet queued, and falls by one per fired
+// event, so a drain check reads 0 only when nothing is scheduled.
+func TestEnginePendingCountsEveryQueue(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(0, func() {})
+	e.Schedule(0, func() {})
+	e.Schedule(7, func() {})
+	e.AtEach([]Time{4, 1, 9, 1}, func(int) {})
+	e.AtEach(nil, func(int) {})
+	if got := e.Pending(); got != 7 {
+		t.Fatalf("Pending = %d, want 7", got)
+	}
+	for want := 6; e.Step(); want-- {
+		if got := e.Pending(); got != want {
+			t.Fatalf("Pending = %d after a step, want %d", got, want)
+		}
+	}
+	if e.Pending() != 0 || e.EventsFired() != 7 {
+		t.Fatalf("drained engine: Pending %d, fired %d", e.Pending(), e.EventsFired())
+	}
+}
+
 // Property: for any set of non-negative delays, events fire in
 // non-decreasing time order and the final clock equals the max delay.
 func TestEngineOrderProperty(t *testing.T) {
@@ -363,8 +446,9 @@ func TestEventsFiredTotalConcurrentEngines(t *testing.T) {
 	}
 }
 
-// TestEventHeapShrinks: a run that piles up a huge queue must not pin
-// its peak-size backing array forever. After enough small drained Runs
+// TestEventHeapShrinks: a run that piles up a huge queue, in the heap or
+// in the same-instant lane, must not pin its peak-size backing array
+// forever. After enough small drained Runs
 // push the big one out of the high-water history, capacity falls back
 // toward what the recent runs actually needed.
 func TestEventHeapShrinks(t *testing.T) {
@@ -387,6 +471,24 @@ func TestEventHeapShrinks(t *testing.T) {
 	}
 	if c := e.heapCap(); c >= peak/4 {
 		t.Fatalf("heap capacity still %d after small runs (peak %d); want < peak/4", c, peak)
+	}
+	// The same for the same-instant lane: a burst of zero-delay events.
+	for i := 0; i < big; i++ {
+		e.Schedule(0, func() {})
+	}
+	e.Run()
+	lanePeak := e.laneCap()
+	if lanePeak < big {
+		t.Fatalf("lane capacity %d below burst size %d", lanePeak, big)
+	}
+	for r := 0; r < hwRuns+1; r++ {
+		for i := 0; i < 8; i++ {
+			e.Schedule(0, func() {})
+		}
+		e.Run()
+	}
+	if c := e.laneCap(); c >= lanePeak/4 {
+		t.Fatalf("lane capacity still %d after small runs (peak %d); want < peak/4", c, lanePeak)
 	}
 	// The engine still works after shrinking.
 	fired := 0

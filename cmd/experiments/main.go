@@ -63,12 +63,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-requests must not be negative, got %d\n", *reqs)
 		os.Exit(2)
 	}
-	if *seed == 0 {
-		// exp.Options reads a zero seed as "default", which would make
-		// -seed 0 silently rerun seed 1.
-		fmt.Fprintln(os.Stderr, "-seed must not be 0")
-		os.Exit(2)
-	}
 
 	runner.SetDefault(*parallel)
 	if *progress {

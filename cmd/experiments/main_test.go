@@ -102,15 +102,12 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// Bad selector values and -seed 0 (which exp.Options would read as the
-// default seed 1) exit with status 2 and a message before any run, so
-// nothing reaches stdout.
+// Bad selector values exit with status 2 and a message before any run,
+// so nothing reaches stdout.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range []string{
 		"-sweep bogus",
 		"-sweep bogus -quick -csv",
-		"-quick -fig 14 -csv -seed 0",
-		"-quick -sweep ways -seed 0",
 		"-requests -1",
 		"-ablation bogus",
 	} {

@@ -167,6 +167,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	s := ssd.New(arch, cfg)
+	var util *stats.UtilMatrix
+	if s.Tracer.Enabled() {
+		util = s.AttachChannelUtil()
+	}
 	fmt.Fprintf(stdout, "architecture: %s (%s)\n", arch, arch.Describe())
 	fmt.Fprintf(stdout, "device: %d chips, %d logical pages (%d MB), GC=%s, policy=%s\n",
 		s.Grid.NumChips(), foot, foot*int64(cfg.Geometry.PageSize)/(1<<20), gc, cfg.FTL.Policy)
@@ -196,7 +200,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "invariants: %d checks, 0 violations\n", s.Checker.Checks())
 	}
-	if err := printReport(stdout, s, end); err != nil {
+	if err := printReport(stdout, s, util, end); err != nil {
 		return err
 	}
 
@@ -243,7 +247,7 @@ func readTrace(path string, foot int64) (workload.Trace, error) {
 	return tr, nil
 }
 
-func printReport(stdout io.Writer, s *ssd.SSD, end sim.Time) error {
+func printReport(stdout io.Writer, s *ssd.SSD, util *stats.UtilMatrix, end sim.Time) error {
 	m := s.Metrics()
 	comb := m.Combined()
 	t := report.New("\nResults", "metric", "value")
@@ -277,7 +281,7 @@ func printReport(stdout io.Writer, s *ssd.SSD, end sim.Time) error {
 	t.Add("sysbus busy", s.Soc.SysBusBusy().String())
 	t.Add("dram busy", s.Soc.DramBusy().String())
 	fmt.Fprintln(stdout, t.String())
-	printHeatmap(stdout, s, end)
+	printHeatmap(stdout, s, util, end)
 	if err := s.FTL.CheckConsistency(); err != nil {
 		return fmt.Errorf("FTL consistency check failed: %v", err)
 	}
@@ -286,24 +290,23 @@ func printReport(stdout io.Writer, s *ssd.SSD, end sim.Time) error {
 }
 
 // printHeatmap renders the per-bus utilization timelines as a shade-rune
-// heat table (the textual Fig 3), one row per h- and v-channel. It needs
-// the trace recorder's fixed-window timelines, so it renders only when
-// tracing is enabled.
-func printHeatmap(stdout io.Writer, s *ssd.SSD, end sim.Time) {
-	if !s.Tracer.Enabled() {
+// heat table (the textual Fig 3), one row per h- and v-channel in Buses
+// order, padded to the windows covering [0, end). util is the Fig 3
+// matrix, attached only to traced runs; nil prints nothing.
+func printHeatmap(stdout io.Writer, s *ssd.SSD, util *stats.UtilMatrix, end sim.Time) {
+	if util == nil {
 		return
 	}
+	width := int((end + sim.SeriesWindow - 1) / sim.SeriesWindow)
+	frac := func(busy sim.Time) float64 { return float64(busy) / float64(sim.SeriesWindow) }
 	t := report.New(fmt.Sprintf("Bus utilization (%v windows)", sim.SeriesWindow), "bus", "busy", "timeline")
-	for _, kind := range []string{trace.KindHChannel, trace.KindVChannel} {
-		names, rows := s.Tracer.HeatRows(kind, end)
-		busy := s.Tracer.BusyTotals(kind)
-		for i, name := range names {
-			frac := 0.0
-			if end > 0 {
-				frac = float64(busy[name]) / float64(end)
-			}
-			t.Add(name, report.Pct(frac), report.Heat(rows[i]))
+	for i, b := range s.Buses() {
+		row := util.Recorders[i]
+		busy := 0.0
+		if end > 0 {
+			busy = float64(row.Total()) / float64(end)
 		}
+		t.Add(b.Name, report.Pct(busy), report.Heat(row.Values(width, frac)))
 	}
 	if len(t.Rows) > 0 {
 		fmt.Fprintln(stdout, t.String())

@@ -14,6 +14,8 @@ var update = flag.Bool("update", false, "rewrite the golden file from this run")
 // The CLI goldens: full deterministic runs compared byte for byte
 // against committed output. Any behavior drift in the simulator, the
 // report formatting, or the checker wiring shows up as a golden diff.
+// An "OUT" argument names a file in a temporary directory; the
+// transcript shows it as "OUT".
 //
 //   - spgc: scaled pnSSD+split device, spatial GC, invariant checker
 //     attached; the golden is the whole transcript.
@@ -21,22 +23,28 @@ var update = flag.Bool("update", false, "rewrite the golden file from this run")
 //     host writes on allocation 1,276 times; the golden is the
 //     -metrics-json summary (it carries write_stalls), since the
 //     transcript names the metrics file.
+//   - heatmap: the spgc device on the full rocksdb-0 trace with -trace,
+//     whose transcript adds the per-bus utilization heat table.
 func TestGoldenOutput(t *testing.T) {
 	for _, tc := range []struct {
 		name, golden string
 		args         []string
-		metrics      bool // compare the -metrics-json summary, not stdout
+		outFile      bool // compare the file written to OUT, not stdout
 	}{
 		{"spgc", "testdata/golden_rocksdb0_spgc.txt",
 			[]string{"-arch", "pnssd+split", "-preset", "rocksdb-0", "-gc", "spgc", "-requests", "300", "-seed", "7", "-check"}, false},
 		{"write-storm", "testdata/golden_rocksdb1_pagc_metrics.json",
-			[]string{"-arch", "base", "-preset", "rocksdb-1", "-gc", "pagc", "-requests", "12000", "-seed", "1", "-check"}, true},
+			[]string{"-arch", "base", "-preset", "rocksdb-1", "-gc", "pagc", "-requests", "12000", "-seed", "1", "-check", "-metrics-json", "OUT"}, true},
+		{"heatmap", "testdata/golden_rocksdb0_spgc_heatmap.txt",
+			[]string{"-arch", "pnssd+split", "-gc", "spgc", "-preset", "rocksdb-0", "-check", "-trace", "OUT"}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			args := tc.args
-			metrics := filepath.Join(t.TempDir(), "metrics.json")
-			if tc.metrics {
-				args = append(args, "-metrics-json", metrics)
+			out := filepath.Join(t.TempDir(), "out.json")
+			args := append([]string(nil), tc.args...)
+			for i, a := range args {
+				if a == "OUT" {
+					args[i] = out
+				}
 			}
 			var buf bytes.Buffer
 			if err := run(args, &buf); err != nil {
@@ -45,10 +53,10 @@ func TestGoldenOutput(t *testing.T) {
 			if !strings.Contains(buf.String(), "0 violations") {
 				t.Error("checked run did not report zero violations")
 			}
-			got := buf.Bytes()
-			if tc.metrics {
+			got := bytes.ReplaceAll(buf.Bytes(), []byte(out), []byte("OUT"))
+			if tc.outFile {
 				var err error
-				if got, err = os.ReadFile(metrics); err != nil {
+				if got, err = os.ReadFile(out); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -35,10 +35,9 @@ type runDoc struct {
 	RebuildMs float64 `json:"rebuild_ms"`
 
 	// ssd.Summary fields.
-	Arch      string  `json:"arch"`
-	SimTimeUs float64 `json:"sim_time_us"`
-	Requests  int64   `json:"requests"`
-	KIOPS     float64 `json:"kiops"`
+	Arch     string  `json:"arch"`
+	Requests int64   `json:"requests"`
+	KIOPS    float64 `json:"kiops"`
 
 	Telemetry *telemetry.Summary `json:"telemetry"`
 }

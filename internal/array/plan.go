@@ -386,9 +386,6 @@ func (p *Plan) reconstructPage(g int, t int64, lane int, rt sim.Time) planPage {
 	return planPage{ops: ops, floor: rt, tail: p.cfg.ReconstructLatency}
 }
 
-// Requests returns how many array requests the plan routed.
-func (p *Plan) Requests() int { return len(p.reqs) }
-
 // DeviceOps returns the total operation count across device traces —
 // the unit the router-throughput benchmark reports.
 func (p *Plan) DeviceOps() int {

@@ -90,13 +90,6 @@ type deviceOut struct {
 func Run(cfg Config, reqs []host.Request, parallel int) *Result {
 	cfg = cfg.WithDefaults()
 	plan := BuildPlan(cfg, reqs)
-	return RunPlanned(cfg, plan, parallel)
-}
-
-// RunPlanned executes a pre-built plan (the split exists so benchmarks
-// can measure planning and simulation separately).
-func RunPlanned(cfg Config, plan *Plan, parallel int) *Result {
-	cfg = cfg.WithDefaults()
 	label := func(dev int) string {
 		role := "coded"
 		if dev >= cfg.Groups*cfg.Width() {

@@ -110,8 +110,6 @@ func (c *Channel) Utilization() float64 { return c.res.Utilization() }
 // Implementations must be pure: occupancy depends only on the transaction,
 // so controllers can plan transfers before acquiring the bus.
 type Iface interface {
-	// Name identifies the interface style for reports.
-	Name() string
 	// ReadCmd is the occupancy to issue a page-read command+address.
 	ReadCmd() sim.Time
 	// ReadXfer is the occupancy to stream a page of n bytes from the chip
@@ -135,9 +133,6 @@ type Dedicated struct {
 func NewDedicated(rateMTps int) Dedicated {
 	return Dedicated{timing: onfi.NewTiming(rateMTps)}
 }
-
-// Name implements Iface.
-func (Dedicated) Name() string { return "dedicated" }
 
 // ReadCmd implements Iface.
 func (d Dedicated) ReadCmd() sim.Time { return d.timing.ReadCmdTime() }
@@ -167,9 +162,6 @@ type Packetized struct {
 func NewPacketized(ch *Channel) Packetized {
 	return Packetized{ch: ch, handshake: onfi.DefaultHandshake}
 }
-
-// Name implements Iface.
-func (Packetized) Name() string { return "packetized" }
 
 // ReadCmd implements Iface: CE handshake plus one control packet.
 func (p Packetized) ReadCmd() sim.Time {

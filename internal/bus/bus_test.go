@@ -85,9 +85,6 @@ func TestChannelLoad(t *testing.T) {
 
 func TestDedicatedTiming(t *testing.T) {
 	d := NewDedicated(1000)
-	if d.Name() != "dedicated" {
-		t.Fatal("name")
-	}
 	// Page readout of 16 KB at 1 B/ns plus 50ns handshake.
 	if got := d.ReadXfer(16384); got != 16434*sim.Nanosecond {
 		t.Fatalf("ReadXfer = %v, want 16.434us", got)
@@ -108,9 +105,6 @@ func TestPacketizedTimingOn16Bit(t *testing.T) {
 	e := sim.NewEngine()
 	ch := NewChannel(e, "p", 16, 1000)
 	p := NewPacketized(ch)
-	if p.Name() != "packetized" {
-		t.Fatal("name")
-	}
 	// Control packet: 8 flits on 16 bits = 4 beats = 4ns, plus 50ns handshake.
 	if got := p.ReadCmd(); got != 54*sim.Nanosecond {
 		t.Fatalf("ReadCmd = %v, want 54ns", got)

@@ -24,8 +24,8 @@ func TestGridBasics(t *testing.T) {
 	if g.NumChips() != 8 {
 		t.Fatalf("NumChips = %d", g.NumChips())
 	}
-	if g.Chip(ChipID{3, 1}).Name() != "ch3/w1" {
-		t.Fatalf("chip name = %q", g.Chip(ChipID{3, 1}).Name())
+	if g.Chip(ChipID{3, 1}).DieName() != "ch3/w1/die" {
+		t.Fatalf("chip die name = %q", g.Chip(ChipID{3, 1}).DieName())
 	}
 	var visited int
 	g.ForEach(func(id ChipID, c *flash.Chip) {

@@ -245,9 +245,6 @@ func (f *SchedFabric) Quiesced() bool {
 	return f.inflight == 0 && len(f.deferq) == 0 && len(f.pending) == 0 && len(f.table) == 0
 }
 
-// Inner returns the wrapped fabric.
-func (f *SchedFabric) Inner() Fabric { return f.inner }
-
 // Name implements Fabric; the wrapper is invisible in reports.
 func (f *SchedFabric) Name() string { return f.inner.Name() }
 

@@ -491,11 +491,12 @@ func TestSchedFIFOMatchesUnwrapped(t *testing.T) {
 
 func TestSchedConfigDefaults(t *testing.T) {
 	e, g, soc := testRig(2, 2)
-	f := NewSchedFabric(newOmnibus(e, g, soc, false), SchedOOO)
+	inner := newOmnibus(e, g, soc, false)
+	f := NewSchedFabric(inner, SchedOOO)
 	if f.Window() != DefaultSchedWindow || f.ReorderBound() != DefaultReorderBound {
 		t.Fatalf("defaults = (%d, %d), want (%d, %d)", f.Window(), f.ReorderBound(), DefaultSchedWindow, DefaultReorderBound)
 	}
-	c := NewSchedFabric(f.Inner(), SchedConflict)
+	c := NewSchedFabric(inner, SchedConflict)
 	if c.Window() != 0 {
 		t.Fatalf("conflict policy reports window %d, want 0 (unwindowed)", c.Window())
 	}

@@ -96,7 +96,7 @@ func AblationEccFallback(opt Options) []AblationRow {
 		rate := rates[i]
 		cfg := gcCfg(opt)
 		cfg.Fault = &fault.Config{Seed: 1, OnDieECCRate: rate}
-		s, row := pnSSDTraceRun(opt, cfg, ftl.GCSpatial, "rocksdb-0", opt.ChurnFraction,
+		s, row := pnSSDTraceRun(opt, cfg, ftl.GCSpatial, "rocksdb-0", churnFraction,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, 8, opt.Cfg.BusMTps, true, false)
 			})
@@ -136,7 +136,7 @@ func AblationGCGroup(opt Options) []AblationRow {
 		cfg.FTL.GCMode = ftl.GCSpatial
 		cfg.FTL.GCGroupFraction = frac
 		s := build(ssd.ArchPnSSDSplit, cfg, ftl.GCSpatial, ftl.PCWD)
-		replay(s, opt, opt.ChurnFraction, "rocksdb-0")
+		replay(s, opt, churnFraction, "rocksdb-0")
 		m := s.Metrics()
 		st := s.FTL.Stats()
 		return AblationRow{

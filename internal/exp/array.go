@@ -70,7 +70,7 @@ func arrayCfg(opt Options, arch ssd.Arch, mode ftl.GCMode) array.Config {
 	if dc.Geometry.PagesPerBlock > 16 {
 		dc.Geometry.PagesPerBlock = 16
 	}
-	dc.LogicalUtilization = opt.GCUtilization
+	dc.LogicalUtilization = gcUtilization
 	dc.FTL.GCMode = mode
 	return array.Config{
 		Arch:   arch,
@@ -79,7 +79,7 @@ func arrayCfg(opt Options, arch ssd.Arch, mode ftl.GCMode) array.Config {
 		Groups:        2,
 		Spares:        1,
 		Seed:          opt.Seed,
-		ChurnFraction: opt.ChurnFraction,
+		ChurnFraction: churnFraction,
 		Check:         opt.Cfg.Check != nil,
 	}
 }

@@ -25,7 +25,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Options tunes experiment scale. Zero values select defaults.
+// Options tunes experiment scale. Zero values select defaults, except
+// Seed, where 0 is a seed like any other.
 type Options struct {
 	// Cfg is the device configuration; defaults to ssd.ScaledConfig().
 	Cfg *ssd.Config
@@ -34,22 +35,26 @@ type Options struct {
 	// SyntheticRequests is the request count per closed-loop run
 	// (default 300).
 	SyntheticRequests int
-	// ChurnFraction controls warm-up overwrites before GC experiments,
-	// as a fraction of the logical space (default 0.5).
-	ChurnFraction float64
-	// GCUtilization is the logical utilization used for GC experiments
-	// (default 0.75). GC runs need an absolutely larger free pool than the
-	// no-GC runs: the scaled geometry has few blocks per plane, so the
-	// default 87.5% utilization leaves so few erased blocks that a single
-	// collection round's destination allocations plus a write burst
-	// exhaust them and writes stall — an artifact of scaling, not of the
-	// architectures under study.
-	GCUtilization float64
-	// Seed makes every run deterministic (default 1).
+	// Seed makes every run deterministic; every value, 0 included, is
+	// a distinct seed.
 	Seed int64
 	// Traces overrides the trace list (default workload.Names()).
 	Traces []string
 }
+
+const (
+	// churnFraction is the share of the logical space overwritten in
+	// warm-up before GC experiments.
+	churnFraction = 0.5
+	// gcUtilization is the logical utilization used for GC experiments.
+	// GC runs need an absolutely larger free pool than the no-GC runs:
+	// the scaled geometry has few blocks per plane, so the default 87.5%
+	// utilization leaves so few erased blocks that a single collection
+	// round's destination allocations plus a write burst exhaust them and
+	// writes stall — an artifact of scaling, not of the architectures
+	// under study.
+	gcUtilization = 0.75
+)
 
 func (o Options) withDefaults() Options {
 	if o.Cfg == nil {
@@ -61,15 +66,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SyntheticRequests == 0 {
 		o.SyntheticRequests = 300
-	}
-	if o.ChurnFraction == 0 {
-		o.ChurnFraction = 0.5
-	}
-	if o.GCUtilization == 0 {
-		o.GCUtilization = 0.75
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	if o.Traces == nil {
 		o.Traces = workload.Names()
@@ -187,7 +183,7 @@ func runClosedLoop(arch ssd.Arch, cfg ssd.Config, policy ftl.AllocPolicy, p work
 // concurrently at the scaled-down geometry.
 func gcCfg(opt Options) ssd.Config {
 	cfg := *opt.Cfg
-	cfg.LogicalUtilization = opt.GCUtilization
+	cfg.LogicalUtilization = gcUtilization
 	return cfg
 }
 

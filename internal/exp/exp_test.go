@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/ssd"
@@ -83,6 +84,16 @@ func TestFig3Imbalance(t *testing.T) {
 	if res.ReadImbalance <= res.WriteImbalance {
 		t.Fatalf("read imbalance %.2f not above write imbalance %.2f",
 			res.ReadImbalance, res.WriteImbalance)
+	}
+}
+
+// Seed 0 is a seed like any other, not a request for a default: a
+// runner at seed 0 and at seed 1 replays different traces.
+func TestSeedZeroIsASeed(t *testing.T) {
+	zero, one := Quick(), Quick()
+	zero.Seed, one.Seed = 0, 1
+	if reflect.DeepEqual(Fig3(zero).ReadRows, Fig3(one).ReadRows) {
+		t.Fatal("Fig 3 at seed 0 reproduces seed 1")
 	}
 }
 

@@ -150,12 +150,6 @@ func TableI() []TableIRow {
 	return rows
 }
 
-// TableIIRow is one simulation parameter.
-type TableIIRow struct {
-	Group string
-	Value string
-}
-
 // TableIII returns the architecture matrix.
 func TableIII() [][2]string {
 	rows := make([][2]string, 0, len(ssd.Archs))

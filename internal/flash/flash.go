@@ -39,11 +39,6 @@ func (g Geometry) PagesPerChip() int {
 	return g.Planes * g.BlocksPerPlane * g.PagesPerBlock
 }
 
-// CapacityBytes returns the chip capacity.
-func (g Geometry) CapacityBytes() int64 {
-	return int64(g.PagesPerChip()) * int64(g.PageSize)
-}
-
 // Timing holds the array operation latencies. Table II uses the ULL
 // parameters: read 3 us, program 50 us, erase 1 ms.
 type Timing struct {
@@ -158,14 +153,8 @@ func NewChip(eng *sim.Engine, name string, geo Geometry, timing Timing) *Chip {
 	return c
 }
 
-// Name returns the chip name.
-func (c *Chip) Name() string { return c.name }
-
 // Geometry returns the chip geometry.
 func (c *Chip) Geometry() Geometry { return c.geo }
-
-// Timing returns the array timing.
-func (c *Chip) Timing() Timing { return c.timing }
 
 // SetFaults attaches a fault injector. key identifies this chip for
 // per-chip fault quotas; nil disables injection.
@@ -542,12 +531,6 @@ func (c *Chip) SetVPage(reg int, t Token) {
 		panic(fmt.Sprintf("flash %s: store into unclaimed V-page register %d", c.name, reg))
 	}
 	c.vpage[reg] = t
-}
-
-// VPage returns a V-page register's content.
-func (c *Chip) VPage(reg int) Token {
-	c.checkVReg(reg)
-	return c.vpage[reg]
 }
 
 // ReleaseVPage frees a claimed register, handing it straight to the

@@ -20,9 +20,6 @@ func TestGeometryArithmetic(t *testing.T) {
 	if g.PagesPerChip() != 4*1024*512 {
 		t.Fatalf("PagesPerChip = %d", g.PagesPerChip())
 	}
-	if g.CapacityBytes() != int64(4*1024*512)*16384 {
-		t.Fatalf("CapacityBytes = %d", g.CapacityBytes())
-	}
 }
 
 func TestULLTiming(t *testing.T) {
@@ -203,7 +200,7 @@ func TestVPageLifecycle(t *testing.T) {
 		t.Fatal("exhausted V-page registers still acquirable")
 	}
 	c.SetVPage(r0, 0xCAFE)
-	if c.VPage(r0) != 0xCAFE {
+	if c.vpage[r0] != 0xCAFE {
 		t.Fatal("V-page content lost")
 	}
 	// Commit r0 into the array: register frees on completion.
@@ -247,8 +244,8 @@ func TestWaitVPageFIFO(t *testing.T) {
 	if len(served) != 1 || served[0] != 0 || regs[0] != r0 {
 		t.Fatalf("after commit served %v regs %v, want waiter 0 on register %d", served, regs, r0)
 	}
-	if e.Now() != c.Timing().Program {
-		t.Fatalf("waiter served at %v, want at commit completion %v", e.Now(), c.Timing().Program)
+	if e.Now() != c.timing.Program {
+		t.Fatalf("waiter served at %v, want at commit completion %v", e.Now(), c.timing.Program)
 	}
 	if c.VPagesHeld() != NumVPageRegisters {
 		t.Fatalf("%d registers held with waiters queued", c.VPagesHeld())
@@ -283,7 +280,7 @@ func TestVPageMisusePanics(t *testing.T) {
 		func() { c.SetVPage(0, 1) },                         // unclaimed store
 		func() { c.ReleaseVPage(0) },                        // unclaimed release
 		func() { c.ProgramFromVPage(1, PPA{0, 0, 0}, nil) }, // empty commit
-		func() { c.VPage(9) },                               // out of range
+		func() { c.SetVPage(9, 1) },                         // out of range
 	} {
 		func() {
 			defer func() {
@@ -392,7 +389,7 @@ func TestReadRecordReusedFromItsOwnCallback(t *testing.T) {
 	if chained != chain || queued != 1 {
 		t.Fatalf("chained %d of %d reads, queued read completed %d times", chained, chain, queued)
 	}
-	if got, want := e.Now()-start, (chain+1)*c.Timing().Read; got != want {
+	if got, want := e.Now()-start, (chain+1)*c.timing.Read; got != want {
 		t.Fatalf("reads took %v, want %v (one tR each, serialized on the die)", got, want)
 	}
 	if r, _, _ := c.Counters(); r != chain+1 {

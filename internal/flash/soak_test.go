@@ -90,7 +90,7 @@ func TestChipProtocolSoak(t *testing.T) {
 			if f := pages[rng.Intn(len(pages))]; f.chip == from {
 				tok := readBack(f)
 				if tok != written[f] {
-					t.Fatalf("copy source %v on %s read %x, want %x", f.addr, f.chip.Name(), tok, written[f])
+					t.Fatalf("copy source %v on %s read %x, want %x", f.addr, f.chip.name, tok, written[f])
 				}
 				srcs = append(srcs, f)
 				toks = append(toks, tok)
@@ -133,14 +133,14 @@ func TestChipProtocolSoak(t *testing.T) {
 		done := false
 		victim.chip.Erase([]PPA{blk}, func() { done = true })
 		e.Run()
-		if !done || e.Now()-start < victim.chip.Timing().Erase {
-			t.Fatalf("erase done=%v after %v, want tBERS %v", done, e.Now()-start, victim.chip.Timing().Erase)
+		if !done || e.Now()-start < victim.chip.timing.Erase {
+			t.Fatalf("erase done=%v after %v, want tBERS %v", done, e.Now()-start, victim.chip.timing.Erase)
 		}
 		kept := pages[:0]
 		for _, p := range pages {
 			if p.chip == victim.chip && p.addr.Plane == blk.Plane && p.addr.Block == blk.Block {
 				if st := p.chip.PageStateAt(p.addr); st != PageErased {
-					t.Fatalf("erased page %v on %s in state %v", p.addr, p.chip.Name(), st)
+					t.Fatalf("erased page %v on %s in state %v", p.addr, p.chip.name, st)
 				}
 				delete(written, p)
 				continue
@@ -162,7 +162,7 @@ func TestChipProtocolSoak(t *testing.T) {
 		case op < 16:
 			p := pages[rng.Intn(len(pages))]
 			if got := readBack(p); got != written[p] {
-				t.Fatalf("iter %d: read of %v on %s = %x, want %x", i, p.addr, p.chip.Name(), got, written[p])
+				t.Fatalf("iter %d: read of %v on %s = %x, want %x", i, p.addr, p.chip.name, got, written[p])
 			}
 		case op < 19:
 			copyBurst(1 + rng.Intn(3))
@@ -174,7 +174,7 @@ func TestChipProtocolSoak(t *testing.T) {
 	// Final sweep: every page the soak wrote still carries its token.
 	for p, tok := range written {
 		if got := p.chip.ContentAt(p.addr); got != tok {
-			t.Fatalf("final sweep: %v on %s = %x, want %x", p.addr, p.chip.Name(), got, tok)
+			t.Fatalf("final sweep: %v on %s = %x, want %x", p.addr, p.chip.name, got, tok)
 		}
 	}
 	if copies == 0 || waits == 0 || erases == 0 {

@@ -367,23 +367,7 @@ func (f *FTL) Install(lpn int64, tok flash.Token) {
 	if !ok {
 		panic("ftl: Install with no space")
 	}
-	ps := f.planeAt(s.chip, s.plane)
-	block, page, err := ps.allocate()
-	if err != nil {
-		panic(fmt.Sprintf("ftl: Install allocation failed: %v", err))
-	}
-	addr := flash.PPA{Plane: s.plane, Block: block, Page: page}
-	f.fab.Grid().Chip(s.chip).InstallPage(addr, tok)
-	phys := physIndex(f.geo, f.ways, s.chip, addr)
-	f.l2p[lpn] = phys
-	f.p2l[phys] = lpn
-	ps.blocks[block].validCount++
-	if f.sink != nil {
-		f.sink.PageWritten(lpn, tok)
-	}
-	if f.mapu != nil {
-		f.mapu.warmTouch(lpn)
-	}
+	f.installAt(s, lpn, tok)
 }
 
 // Reinstall instantly overwrites an already-mapped LPN during warmup:
@@ -402,10 +386,17 @@ func (f *FTL) Reinstall(lpn int64, tok flash.Token) {
 		panic("ftl: Reinstall with no space (respecting the GC reserve)")
 	}
 	f.invalidatePhys(old)
+	f.installAt(s, lpn, tok)
+}
+
+// installAt is the instant placement Install and Reinstall share: it
+// allocates the next page of slot s, programs tok there with no
+// simulated time, and maps lpn to it.
+func (f *FTL) installAt(s slot, lpn int64, tok flash.Token) {
 	ps := f.planeAt(s.chip, s.plane)
 	block, page, err := ps.allocate()
 	if err != nil {
-		panic(fmt.Sprintf("ftl: Reinstall allocation failed: %v", err))
+		panic(fmt.Sprintf("ftl: instant install allocation failed: %v", err))
 	}
 	addr := flash.PPA{Plane: s.plane, Block: block, Page: page}
 	f.fab.Grid().Chip(s.chip).InstallPage(addr, tok)

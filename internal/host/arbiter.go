@@ -20,7 +20,6 @@ type QueueState struct {
 // counters) and must be deterministic: the same call sequence yields
 // the same grants. An arbiter instance belongs to exactly one Frontend.
 type Arbiter interface {
-	Name() string
 	Pick(qs []QueueState) int
 }
 
@@ -71,8 +70,6 @@ func costOf(q QueueState) int {
 // within len(qs) grants.
 type roundRobin struct{ last int }
 
-func (*roundRobin) Name() string { return ArbRR }
-
 func (r *roundRobin) Pick(qs []QueueState) int {
 	n := len(qs)
 	for i := 1; i <= n; i++ {
@@ -94,8 +91,6 @@ type weightedRR struct {
 	cur  int
 	used int
 }
-
-func (*weightedRR) Name() string { return ArbWRR }
 
 func (w *weightedRR) Pick(qs []QueueState) int {
 	n := len(qs)
@@ -133,8 +128,6 @@ type deficitWRR struct {
 	streak  int
 	fresh   bool // replenish pending for the current queue
 }
-
-func (*deficitWRR) Name() string { return ArbDWRR }
 
 func (d *deficitWRR) advance(n int) {
 	d.cur = (d.cur + 1) % n

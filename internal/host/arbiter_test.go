@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -29,17 +30,14 @@ func serviceShares(a Arbiter, qs []QueueState, grants int) (cmds, pages []int) {
 }
 
 func TestNewArbiter(t *testing.T) {
+	kinds := map[string]Arbiter{"": &roundRobin{}, ArbRR: &roundRobin{}, ArbWRR: &weightedRR{}, ArbDWRR: &deficitWRR{}}
 	for _, name := range append(ArbiterNames(), "") {
 		a, err := NewArbiter(name)
 		if err != nil {
 			t.Fatalf("NewArbiter(%q): %v", name, err)
 		}
-		want := name
-		if want == "" {
-			want = ArbRR
-		}
-		if a.Name() != want {
-			t.Fatalf("NewArbiter(%q).Name() = %q", name, a.Name())
+		if got, want := reflect.TypeOf(a), reflect.TypeOf(kinds[name]); got != want {
+			t.Fatalf("NewArbiter(%q) built a %v, want %v", name, got, want)
 		}
 	}
 	if _, err := NewArbiter("priority"); err == nil {

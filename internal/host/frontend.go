@@ -159,17 +159,11 @@ func NewFrontend(h *Host, cfg FrontendConfig) (*Frontend, error) {
 	return fe, nil
 }
 
-// Host returns the wrapped single-queue host.
-func (fe *Frontend) Host() *Host { return fe.h }
-
 // Metrics returns the per-tenant metrics set.
 func (fe *Frontend) Metrics() *stats.TenantSet { return fe.tm }
 
 // NumTenants returns the queue-pair count.
 func (fe *Frontend) NumTenants() int { return len(fe.queues) }
-
-// QueueLen returns the commands waiting in one submission queue.
-func (fe *Frontend) QueueLen(tenant int) int { return fe.queues[tenant].len() }
 
 // Inflight returns commands dispatched but not completed.
 func (fe *Frontend) Inflight() int { return fe.inflight }

@@ -251,7 +251,7 @@ func TestFrontendUnlimitedInflightIsTransparent(t *testing.T) {
 	if a, b := eDirect.EventsFired(), eFe.EventsFired(); a != b {
 		t.Fatalf("event counts diverge: direct %d, frontend %d", a, b)
 	}
-	if a, b := hDirect.Metrics().MeanLatency(), fe.Host().Metrics().MeanLatency(); a != b {
+	if a, b := hDirect.Metrics().MeanLatency(), fe.h.Metrics().MeanLatency(); a != b {
 		t.Fatalf("latency diverges: direct %v, frontend %v", a, b)
 	}
 }

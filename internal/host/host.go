@@ -96,9 +96,6 @@ func (h *Host) NvmeName() string { return h.nvme.Name() }
 // transfers — a drained-device invariant.
 func (h *Host) NvmeIdle() bool { return !h.nvme.Busy() && h.nvme.QueueLen() == 0 }
 
-// FTL returns the bound translation layer.
-func (h *Host) FTL() *ftl.FTL { return h.f }
-
 // InFlight returns requests submitted but not completed.
 func (h *Host) InFlight() int { return h.inFlight }
 

@@ -52,7 +52,7 @@ func TestSubmitWriteUpdatesVersion(t *testing.T) {
 	h.Warmup(64)
 	h.Submit(Request{Kind: stats.Write, LPN: 5, Pages: 1}, nil)
 	e.Run()
-	id, addr, ok := h.FTL().Map(5)
+	id, addr, ok := h.f.Map(5)
 	if !ok {
 		t.Fatal("LPN 5 unmapped after write")
 	}
@@ -296,7 +296,7 @@ func newReplayRig(t *testing.T, frontend bool) replayRig {
 	e, fe := testFrontend(t, twoTenants())
 	return replayRig{e, fe.Replay, func(r Request, done func()) error {
 		return fe.Enqueue(r.Tenant, r, done)
-	}, fe.Host().Metrics()}
+	}, fe.h.Metrics()}
 }
 
 // atLoopReplay is the reference schedule: one At closure per request,

@@ -151,9 +151,6 @@ func (m *Mesh) appendPath(path []Node, src, dst Node) []Node {
 	return path
 }
 
-// Hops returns the number of links on the route from src to dst.
-func (m *Mesh) Hops(src, dst Node) int { return len(m.Path(src, dst)) - 1 }
-
 // Transfer moves a packet of n payload-equivalent flits from src to dst
 // along the dimension-ordered route, calling done when the tail finishes
 // crossing the final link. Each link is held for the packet's full
@@ -247,16 +244,4 @@ func (h *hop) releaseStep() {
 	if done != nil {
 		done()
 	}
-}
-
-// EdgeLinkBusy returns cumulative busy time of the ejection links into the
-// controllers — the hotspot the paper identifies ("the performance
-// bottleneck are the mesh channels near the flash controllers").
-func (m *Mesh) EdgeLinkBusy() sim.Time {
-	var total sim.Time
-	for y := 0; y < m.h; y++ {
-		total += m.Link(Node{0, y}, Controller(y)).TotalBusy()
-		total += m.Link(Controller(y), Node{0, y}).TotalBusy()
-	}
-	return total
 }

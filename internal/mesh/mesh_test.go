@@ -31,8 +31,8 @@ func TestPathControllerEndpoints(t *testing.T) {
 	if p[0] != Controller(1) || p[1] != (Node{0, 1}) || p[len(p)-1] != (Node{2, 3}) {
 		t.Fatalf("path = %v", p)
 	}
-	if m.Hops(Controller(1), Node{2, 3}) != 5 {
-		t.Fatalf("hops = %d, want 5", m.Hops(Controller(1), Node{2, 3}))
+	if hops := len(p) - 1; hops != 5 {
+		t.Fatalf("hops = %d, want 5", hops)
 	}
 	// Chip back to a different controller: X to column 0 first, then Y, then eject.
 	p = m.Path(Node{3, 0}, Controller(2))
@@ -50,7 +50,7 @@ func TestPathControllerEndpoints(t *testing.T) {
 func TestPathSameNode(t *testing.T) {
 	e := sim.NewEngine()
 	m := New(e, 4, 4, 8, 1000)
-	if got := m.Hops(Node{1, 1}, Node{1, 1}); got != 0 {
+	if got := len(m.Path(Node{1, 1}, Node{1, 1})) - 1; got != 0 {
 		t.Fatalf("self hops = %d", got)
 	}
 }
@@ -160,8 +160,13 @@ func TestCongestionAtControllerEdge(t *testing.T) {
 	if eject.TotalBusy() != serial {
 		t.Fatalf("ejection link busy %v, want %v", eject.TotalBusy(), serial)
 	}
-	if m.EdgeLinkBusy() != serial {
-		t.Fatalf("EdgeLinkBusy = %v, want %v", m.EdgeLinkBusy(), serial)
+	// Every other controller edge link stayed idle.
+	var edge sim.Time
+	for y := 0; y < m.h; y++ {
+		edge += m.Link(Node{0, y}, Controller(y)).TotalBusy() + m.Link(Controller(y), Node{0, y}).TotalBusy()
+	}
+	if edge != serial {
+		t.Fatalf("controller edge links busy %v, want %v", edge, serial)
 	}
 }
 

@@ -61,19 +61,6 @@ func (s Signal) String() string {
 	return fmt.Sprintf("signal(%d)", int(s))
 }
 
-// PinCounts returns (total pins, payload pins) for the interface — 18 and
-// 10 for NV-DDR4; the 10 payload pins are DQ[7:0] plus the DQS pair, of
-// which 8 carry data. The paper's bandwidth argument rests on this split.
-func PinCounts() (total, payload int) {
-	for _, info := range Signals {
-		total += info.Pins
-		if !info.Control {
-			payload += info.Pins
-		}
-	}
-	return total, payload
-}
-
 // Command/address cycle counts for the standard two-cycle commands.
 const (
 	ReadCmdCycles    = 2 // 00h ... 30h
@@ -83,7 +70,6 @@ const (
 	RowAddrCycles    = 3
 	FullAddrCycles   = ColumnAddrCycles + RowAddrCycles
 	EraseAddrCycles  = RowAddrCycles
-	StatusPollCycles = 2 // 70h + status byte
 )
 
 // Timing converts transfer rate into per-phase channel occupancy for the

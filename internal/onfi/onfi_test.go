@@ -6,8 +6,17 @@ import (
 	"repro/internal/sim"
 )
 
+// TestPinCounts sums the signal inventory: 18 pins for NV-DDR4, of which
+// 10 are payload (DQ[7:0] plus the DQS pair, 8 of them data). The
+// paper's bandwidth argument rests on this split.
 func TestPinCounts(t *testing.T) {
-	total, payload := PinCounts()
+	var total, payload int
+	for _, info := range Signals {
+		total += info.Pins
+		if !info.Control {
+			payload += info.Pins
+		}
+	}
 	if total != 18 {
 		t.Fatalf("total pins = %d, want 18 (NV-DDR4)", total)
 	}

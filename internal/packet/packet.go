@@ -92,11 +92,6 @@ func (c Control) Flits() int {
 	return n
 }
 
-// ReadControl is the control packet for a page read.
-func ReadControl() Control {
-	return Control{Commands: []uint8{OpReadFirst, OpReadSecond}, HasCol: true, HasRow: true}
-}
-
 // EraseControl is the control packet for a block erase (row only).
 func EraseControl() Control {
 	return Control{Commands: []uint8{OpErase, OpEraseConfirm}, HasRow: true}

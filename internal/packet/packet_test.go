@@ -4,7 +4,8 @@ import "testing"
 
 func TestReadControlWireSize(t *testing.T) {
 	// Header + 2 commands + 2 column + 3 row = 8 flits, per Fig 8.
-	if got := ReadControl().Flits(); got != 8 {
+	read := Control{Commands: []uint8{OpReadFirst, OpReadSecond}, HasCol: true, HasRow: true}
+	if got := read.Flits(); got != 8 {
 		t.Fatalf("read control flits = %d, want 8", got)
 	}
 	if got := ControlFlitsFor(); got != 8 {

@@ -44,9 +44,6 @@ func EnableProgress(w io.Writer, eventCount func() int64) {
 	prog.enabled.Store(w != nil)
 }
 
-// DisableProgress turns progress reporting back off.
-func DisableProgress() { EnableProgress(nil, nil) }
-
 // note reports one completed job (done of n) of a batch that started
 // at t0. Intermediate lines are throttled; the batch's final job
 // always prints so short batches still leave one line.

@@ -11,7 +11,7 @@ import (
 // at least the final line, carrying the job count and the event column
 // from the supplied counter.
 func TestProgressReportsBatch(t *testing.T) {
-	defer DisableProgress()
+	defer EnableProgress(nil, nil)
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	w := writerFunc(func(p []byte) (int, error) {
@@ -43,7 +43,7 @@ func TestProgressReportsBatch(t *testing.T) {
 // TestProgressSequentialPath covers the parallel<=1 inline path with a
 // nil event counter (event columns omitted).
 func TestProgressSequentialPath(t *testing.T) {
-	defer DisableProgress()
+	defer EnableProgress(nil, nil)
 	var buf bytes.Buffer
 	EnableProgress(&buf, nil)
 	MapLabeled(1, 3, func(i int) string { return "job" }, func(i int) int { return i })
@@ -61,7 +61,7 @@ func TestProgressSequentialPath(t *testing.T) {
 func TestProgressDisabledIsSilent(t *testing.T) {
 	var buf bytes.Buffer
 	EnableProgress(&buf, nil)
-	DisableProgress()
+	EnableProgress(nil, nil)
 	Map(2, 4, func(i int) int { return i })
 	if buf.Len() != 0 {
 		t.Fatalf("disabled reporter wrote %q", buf.String())

@@ -237,9 +237,6 @@ func (r *Resource) UseLabeled(label string, d Time, done func()) {
 // TotalBusy returns cumulative held time over completed holds.
 func (r *Resource) TotalBusy() Time { return r.totalBusy }
 
-// TotalGrants returns the number of grants issued.
-func (r *Resource) TotalGrants() int64 { return r.totalGrants }
-
 // TotalWait returns the cumulative time grantees spent queued before
 // receiving the resource; immediate grants contribute zero.
 func (r *Resource) TotalWait() Time { return r.totalWait }

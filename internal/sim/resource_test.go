@@ -25,8 +25,8 @@ func TestResourceFIFO(t *testing.T) {
 	if r.TotalBusy() != 50 {
 		t.Fatalf("TotalBusy = %v, want 50", r.TotalBusy())
 	}
-	if r.TotalGrants() != 5 {
-		t.Fatalf("TotalGrants = %d, want 5", r.TotalGrants())
+	if r.totalGrants != 5 {
+		t.Fatalf("%d grants, want 5", r.totalGrants)
 	}
 }
 

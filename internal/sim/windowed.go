@@ -1,17 +1,17 @@
 package sim
 
 // SeriesWindow is the width of every fixed-window series the simulator
-// exports: the trace recorder's busy timelines, the telemetry series,
-// and the Fig 3 per-channel utilization matrix (the paper's 500 us
-// heatmap window). One width keeps telemetry counter tracks aligned
-// with the utilization timelines in Perfetto.
+// exports: the telemetry series and the Fig 3 per-bus utilization
+// matrix (the paper's 500 us heatmap window), which also feeds
+// pssdsim's heat table. One width keeps the telemetry counter tracks
+// and the heat table on the same time grid.
 const SeriesWindow = 500 * Microsecond
 
 // Windowed accumulates a quantity into fixed-width windows of simulated
 // time. It is the one windowed series type behind every time-resolved
-// view: the Fig 3 per-channel utilization matrix, the trace recorder's
-// per-track busy timelines, and the telemetry collector's GC, grant,
-// queue-depth, and event series. Three kinds of credit feed it:
+// view: the Fig 3 per-bus utilization matrix and the telemetry
+// collector's GC, grant, queue-depth, and event series. Three kinds of
+// credit feed it:
 //
 //   - AddBusy credits an interval [from, to) to the windows it overlaps
 //     (busy time);

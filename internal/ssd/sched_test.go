@@ -67,7 +67,7 @@ func TestSchedulerWiring(t *testing.T) {
 	if _, ok := s.Fabric.(*controller.OmnibusFabric); !ok {
 		t.Fatalf("SSD.Fabric is %T, want the inner Omnibus fabric", s.Fabric)
 	}
-	if s.Sched.Inner() != s.Fabric {
+	if s.Sched.Name() != s.Fabric.Name() || s.Sched.Grid() != s.Fabric.Grid() {
 		t.Fatal("wrapper does not wrap SSD.Fabric")
 	}
 	if s.Buses() == nil {

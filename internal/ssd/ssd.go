@@ -627,24 +627,19 @@ func makeFabric(arch Arch, eng *sim.Engine, grid *controller.Grid, soc *controll
 	return fab
 }
 
-// AttachChannelUtil attaches a per-channel utilization matrix in
-// sim.SeriesWindow windows to every h-channel of a channel fabric, one
-// row per channel fed as an ordinary resource observer, and returns it
-// — the instrument behind Fig 3. Mesh fabrics have no channel notion
-// and return nil.
+// AttachChannelUtil attaches a per-bus utilization matrix in
+// sim.SeriesWindow windows, one row per bus in Buses order (h-channels,
+// then v-channels), each fed as an ordinary resource observer, and
+// returns it — the instrument behind Fig 3 and pssdsim's heat table.
+// Mesh fabrics have no channel notion and return nil.
 func (s *SSD) AttachChannelUtil() *stats.UtilMatrix {
-	var hs []*bus.Channel
-	for _, b := range s.Buses() {
-		if b.Kind == trace.KindHChannel {
-			hs = append(hs, b.Channel)
-		}
-	}
-	if hs == nil {
+	buses := s.Buses()
+	if buses == nil {
 		return nil
 	}
-	m := stats.NewUtilMatrix(len(hs), sim.SeriesWindow)
-	for i, c := range hs {
-		c.AddObserver(m.Observer(i))
+	m := stats.NewUtilMatrix(len(buses), sim.SeriesWindow)
+	for i, b := range buses {
+		b.Channel.AddObserver(m.Observer(i))
 	}
 	return m
 }

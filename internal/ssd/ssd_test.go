@@ -193,8 +193,8 @@ func TestAttachChannelUtil(t *testing.T) {
 	}
 
 	pn := New(ArchPnSSD, tinyConfig())
-	if pn.AttachChannelUtil() == nil {
-		t.Fatal("no util matrix on omnibus fabric")
+	if m := pn.AttachChannelUtil(); m == nil || len(m.Recorders) != len(pn.Buses()) {
+		t.Fatal("omnibus util matrix lacks one row per h- and v-channel")
 	}
 	mesh := New(ArchNoSSDPin, tinyConfig())
 	if mesh.AttachChannelUtil() != nil {

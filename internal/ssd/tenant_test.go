@@ -122,7 +122,7 @@ func TestMultiTenantRunWithCheckerAndTrace(t *testing.T) {
 				t.Fatalf("%s: tenant %d ledger %d/%d/%d, want 150 each", arb, i, q, g, d)
 			}
 		}
-		if got := len(s.Tracer.Tracks(trace.KindTenant)); got != 2 {
+		if got := trackKinds(t, s)[trace.KindTenant]; got != 2 {
 			t.Fatalf("%s: %d tenant trace tracks, want 2", arb, got)
 		}
 	}

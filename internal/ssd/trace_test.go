@@ -4,18 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/controller"
 	"repro/internal/ftl"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // runGCHeavy executes the determinism workload (GC-heavy SpGC run on
 // pnSSD+split) with or without tracing and returns the device.
-func runGCHeavy(t *testing.T, traced bool) *SSD {
+func runGCHeavy(t *testing.T, traced bool, attach ...func(*SSD)) *SSD {
 	t.Helper()
 	cfg := tinyConfig()
 	cfg.FTL.GCMode = ftl.GCSpatial
@@ -24,6 +26,9 @@ func runGCHeavy(t *testing.T, traced bool) *SSD {
 		cfg.Trace = &trace.Config{}
 	}
 	s := New(ArchPnSSDSplit, cfg)
+	for _, f := range attach {
+		f(s)
+	}
 	foot := s.Config.LogicalPages()
 	s.Host.Warmup(foot)
 	tr, err := workload.Named("exchange-1", foot, 400, 5)
@@ -70,11 +75,10 @@ func TestTracingOffIsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTraceExportCoversDevice checks the export acceptance criteria: the
-// Chrome JSON is valid and declares at least one track per h-channel,
-// v-channel, and chip.
-func TestTraceExportCoversDevice(t *testing.T) {
-	s := runGCHeavy(t, true)
+// trackKinds exports s's trace and counts its declared tracks by kind.
+// The export names each track "<kind> <resource>".
+func trackKinds(t *testing.T, s *SSD) map[string]int {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Tracer.ExportChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -92,15 +96,20 @@ func TestTraceExportCoversDevice(t *testing.T) {
 	kinds := map[string]int{}
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "M" && e.Name == "thread_name" {
-			// Track names are "<kind> <resource>".
 			name, _ := e.Args["name"].(string)
-			for _, k := range []string{trace.KindHChannel, trace.KindVChannel, trace.KindChip} {
-				if len(name) > len(k) && name[:len(k)] == k {
-					kinds[k]++
-				}
-			}
+			kind, _, _ := strings.Cut(name, " ")
+			kinds[kind]++
 		}
 	}
+	return kinds
+}
+
+// TestTraceExportCoversDevice checks the export acceptance criteria: the
+// Chrome JSON is valid and declares at least one track per h-channel,
+// v-channel, and chip.
+func TestTraceExportCoversDevice(t *testing.T) {
+	s := runGCHeavy(t, true)
+	kinds := trackKinds(t, s)
 	cfg := s.Config
 	if kinds[trace.KindHChannel] != cfg.Channels {
 		t.Fatalf("%d h-channel tracks, want %d", kinds[trace.KindHChannel], cfg.Channels)
@@ -113,87 +122,34 @@ func TestTraceExportCoversDevice(t *testing.T) {
 	}
 }
 
-// TestTraceBusyAgreesWithChannels checks that the per-bus busy time
-// reconstructed from hold spans agrees with each channel's own TotalBusy
-// accounting within 1% — the heatmap and the report must tell one story.
+// TestTraceBusyAgreesWithChannels checks that the per-bus busy time of
+// the utilization matrix behind the traced heat table agrees with each
+// channel's own TotalBusy accounting within 1% — the heatmap and the
+// report must tell one story.
 func TestTraceBusyAgreesWithChannels(t *testing.T) {
-	s := runGCHeavy(t, true)
-	byKind := map[string]map[string]int64{}
-	for _, kind := range []string{trace.KindHChannel, trace.KindVChannel} {
-		byKind[kind] = map[string]int64{}
-		for name, busy := range s.Tracer.BusyTotals(kind) {
-			byKind[kind][name] = int64(busy)
-		}
+	var m *stats.UtilMatrix
+	s := runGCHeavy(t, true, func(s *SSD) { m = s.AttachChannelUtil() })
+	buses := s.Buses()
+	if len(m.Recorders) != len(buses) {
+		t.Fatalf("%d matrix rows for %d buses", len(m.Recorders), len(buses))
 	}
 	checked := 0
-	for _, b := range s.Buses() {
-		got, ok := byKind[b.Kind][b.Name]
-		if !ok {
-			t.Fatalf("bus %s (%s) has no trace track", b.Name, b.Kind)
-		}
+	for i, b := range buses {
+		got := int64(m.Recorders[i].Total())
 		want := int64(b.Channel.TotalBusy())
 		if want == 0 {
 			if got != 0 {
-				t.Fatalf("bus %s: trace busy %d but channel idle", b.Name, got)
+				t.Fatalf("bus %s: matrix busy %d but channel idle", b.Name, got)
 			}
 			continue
 		}
 		if rel := math.Abs(float64(got-want)) / float64(want); rel > 0.01 {
-			t.Fatalf("bus %s: trace busy %d vs channel %d (%.2f%% off)", b.Name, got, want, rel*100)
+			t.Fatalf("bus %s: matrix busy %d vs channel %d (%.2f%% off)", b.Name, got, want, rel*100)
 		}
 		checked++
 	}
 	if checked == 0 {
 		t.Fatal("no busy bus to compare")
-	}
-}
-
-// The Fig 3 matrix and the trace recorder's h-channel timelines are two
-// consumers of the same probe enumeration over the same windowed
-// accumulator at the one series window: they must agree window for
-// window, on a bus fabric and on an Omnibus fabric.
-func TestChannelUtilAgreesWithTraceHeatRows(t *testing.T) {
-	for _, arch := range []Arch{ArchBase, ArchPnSSDSplit} {
-		cfg := tinyConfig()
-		cfg.FTL.GCMode = ftl.GCSpatial
-		cfg.LogicalUtilization = 0.75
-		cfg.Trace = &trace.Config{}
-		s := New(arch, cfg)
-		m := s.AttachChannelUtil()
-		foot := s.Config.LogicalPages()
-		s.Host.Warmup(foot)
-		tr, err := workload.Named("exchange-1", foot, 400, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Host.MustReplay(tr.Requests)
-		end := s.Run()
-
-		util := m.Rows()
-		names, heat := s.Tracer.HeatRows(trace.KindHChannel, end)
-		if len(util) != len(heat) || len(util) != cfg.Channels {
-			t.Fatalf("%v: %d matrix rows vs %d trace rows (%v), want %d", arch, len(util), len(heat), names, cfg.Channels)
-		}
-		busy := 0.0
-		for ch := range util {
-			a, b := util[ch], heat[ch]
-			for w := 0; w < len(a) || w < len(b); w++ {
-				var x, y float64
-				if w < len(a) {
-					x = a[w]
-				}
-				if w < len(b) {
-					y = b[w]
-				}
-				if x != y {
-					t.Fatalf("%v %s window %d: matrix %v vs trace %v", arch, names[ch], w, x, y)
-				}
-				busy += x
-			}
-		}
-		if busy == 0 {
-			t.Fatalf("%v: no h-channel activity to compare", arch)
-		}
 	}
 }
 

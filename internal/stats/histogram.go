@@ -93,14 +93,6 @@ func (h *Histogram) Mean() sim.Time {
 	return sim.Time(h.sum / float64(h.n))
 }
 
-// Min returns the smallest sample, or 0 when empty.
-func (h *Histogram) Min() sim.Time {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest sample, or 0 when empty.
 func (h *Histogram) Max() sim.Time {
 	if h.n == 0 {

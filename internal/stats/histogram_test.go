@@ -22,8 +22,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Mean() != 20*sim.Microsecond {
 		t.Fatalf("Mean = %v, want 20us", h.Mean())
 	}
-	if h.Min() != 10*sim.Microsecond || h.Max() != 30*sim.Microsecond {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
+	if h.Percentile(0) != 10*sim.Microsecond || h.Max() != 30*sim.Microsecond {
+		t.Fatalf("p0/Max = %v/%v", h.Percentile(0), h.Max())
 	}
 }
 
@@ -91,8 +91,8 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Mean() != 3*sim.Microsecond {
 		t.Fatalf("Mean = %v, want 3us", a.Mean())
 	}
-	if a.Min() != sim.Microsecond || a.Max() != 5*sim.Microsecond {
-		t.Fatalf("Min/Max = %v/%v", a.Min(), a.Max())
+	if a.Percentile(0) != sim.Microsecond || a.Max() != 5*sim.Microsecond {
+		t.Fatalf("p0/Max = %v/%v", a.Percentile(0), a.Max())
 	}
 }
 
@@ -129,7 +129,7 @@ func TestHistogramPercentileMonotoneProperty(t *testing.T) {
 			if v < prev {
 				return false
 			}
-			if h.Count() > 0 && (v < h.Min() || v > h.Max()) {
+			if h.Count() > 0 && (v < h.Percentile(0) || v > h.Max()) {
 				return false
 			}
 			prev = v

@@ -157,10 +157,6 @@ func (m *UtilMatrix) Rows() [][]float64 {
 	return rows
 }
 
-// ImbalanceIndex quantifies cross-channel imbalance; 1.0 is perfectly
-// balanced. See ImbalanceOfRows.
-func (m *UtilMatrix) ImbalanceIndex() float64 { return ImbalanceOfRows(m.Rows()) }
-
 // ImbalanceOfRows computes a busy-weighted imbalance index over a
 // [channel][window] utilization matrix: the sum over windows of the
 // busiest channel's utilization divided by the sum of the mean

@@ -103,19 +103,19 @@ func TestUtilMatrixImbalance(t *testing.T) {
 	for _, r := range balanced.Recorders {
 		r.AddBusy(0, 10)
 	}
-	if got := balanced.ImbalanceIndex(); got != 1.0 {
+	if got := ImbalanceOfRows(balanced.Rows()); got != 1.0 {
 		t.Fatalf("balanced imbalance = %v, want 1.0", got)
 	}
 
 	skewed := NewUtilMatrix(4, 10)
 	skewed.Recorders[0].AddBusy(0, 10) // only one channel busy
-	got := skewed.ImbalanceIndex()
+	got := ImbalanceOfRows(skewed.Rows())
 	if got != 4.0 {
 		t.Fatalf("skewed imbalance = %v, want 4.0 (max/mean with 1-of-4 busy)", got)
 	}
 
 	empty := NewUtilMatrix(4, 10)
-	if got := empty.ImbalanceIndex(); got != 1.0 {
+	if got := ImbalanceOfRows(empty.Rows()); got != 1.0 {
 		t.Fatalf("empty imbalance = %v, want 1.0", got)
 	}
 }

@@ -13,7 +13,6 @@ import (
 type CountHist struct {
 	counts []int64
 	n      int64
-	sum    int64
 }
 
 // NewCountHist returns an empty count histogram.
@@ -30,18 +29,6 @@ func (h *CountHist) Add(v int) {
 	}
 	h.counts[v]++
 	h.n++
-	h.sum += int64(v)
-}
-
-// N returns the number of samples recorded.
-func (h *CountHist) N() int64 { return h.n }
-
-// Mean returns the arithmetic mean, or 0 when empty.
-func (h *CountHist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
 }
 
 // Max returns the largest recorded value, or 0 when empty.

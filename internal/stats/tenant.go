@@ -21,9 +21,6 @@ func (t *TenantMetrics) SLOViolations() int64 {
 	return t.Violations[Read] + t.Violations[Write]
 }
 
-// P999 returns the tenant's combined p99.9 latency.
-func (t *TenantMetrics) P999() sim.Time { return t.Combined().Percentile(99.9) }
-
 // String summarizes the tenant for logs.
 func (t *TenantMetrics) String() string {
 	return fmt.Sprintf("%s: %v slo-viol=%d", t.Name, t.IOMetrics.String(), t.SLOViolations())
@@ -59,6 +56,3 @@ func (s *TenantSet) Record(tenant int, kind IOKind, arrival, complete sim.Time, 
 		t.Violations[kind]++
 	}
 }
-
-// Len returns the tenant count.
-func (s *TenantSet) Len() int { return len(s.Tenants) }

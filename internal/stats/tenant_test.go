@@ -12,8 +12,8 @@ const tus = sim.Microsecond
 // and checks metrics isolation and per-kind SLO accounting.
 func TestTenantSetRecordAndSLO(t *testing.T) {
 	s := NewTenantSet([]string{"reader", "writer"})
-	if s.Len() != 2 {
-		t.Fatalf("Len %d", s.Len())
+	if len(s.Tenants) != 2 {
+		t.Fatalf("%d tenants", len(s.Tenants))
 	}
 	s.SetSLO(0, Read, 10*tus) // reads over 10us violate
 	// Writer has no targets: nothing it does can violate.
@@ -49,7 +49,7 @@ func TestTenantSetRecordAndSLO(t *testing.T) {
 	}
 }
 
-// TestTenantMetricsP999 checks the tail accessor against a known
+// TestTenantMetricsP999 checks a tenant's combined p99.9 against a known
 // distribution: 999 fast requests and one slow outlier put p99.9 at the
 // outlier's bucket.
 func TestTenantMetricsP999(t *testing.T) {
@@ -58,7 +58,7 @@ func TestTenantMetricsP999(t *testing.T) {
 		s.Record(0, Read, 0, 10*tus, 4096)
 	}
 	s.Record(0, Read, 0, 1000*tus, 4096)
-	p999 := s.Tenants[0].P999()
+	p999 := s.Tenants[0].Combined().Percentile(99.9)
 	if p999 < 900*tus {
 		t.Fatalf("p99.9 %v does not reach the outlier", p999)
 	}

@@ -96,14 +96,6 @@ func (a *Attribution) Mark(p Phase, now sim.Time) {
 	}
 }
 
-// Phase returns the duration credited to p so far.
-func (a *Attribution) Phase(p Phase) sim.Time {
-	if a == nil {
-		return 0
-	}
-	return a.phase[p]
-}
-
 // FinishRequest closes an attribution at completion time, records the
 // request into the windowed host series and the per-phase run
 // histograms, and checks the partition identity: the phase durations

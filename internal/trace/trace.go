@@ -1,7 +1,7 @@
 // Package trace is the simulator's observability subsystem: a
 // deterministic event/span recorder keyed on sim.Time.
 //
-// A Recorder collects three kinds of data:
+// A Recorder collects two kinds of data:
 //
 //   - Resource hold spans. Every sim.Resource the Recorder observes (bus
 //     channels, flash dies, the NVMe link, the SoC system bus and DRAM)
@@ -12,9 +12,6 @@
 //     (a request from arrival to completion, a GC round, a grant
 //     arbitration, a write stall) as async spans, and mark routing
 //     decisions as instant events.
-//   - Fixed-interval busy timelines. Each track's busy time is
-//     accumulated into fixed windows (a sim.Windowed), the data behind
-//     the per-bus heatmap table and the paper's Fig 3-style analyses.
 //
 // Tracing is strictly passive: the Recorder never schedules events and
 // never touches model state, so a traced run executes the identical event
@@ -28,8 +25,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Config parameterizes a Recorder. Busy timelines are accumulated in
-// sim.SeriesWindow windows.
+// Config parameterizes a Recorder.
 type Config struct {
 	// TrackPrefix is prepended to every track name. Array runs trace many
 	// devices whose internal resources share names ("nvme", "h0", die
@@ -38,7 +34,8 @@ type Config struct {
 	TrackPrefix string
 }
 
-// Track kinds, used to group tracks in exports and heatmap tables.
+// Track kinds: the label of each track in exports, and the class of each
+// bus in ssd.Buses.
 const (
 	KindHChannel = "h-channel"
 	KindVChannel = "v-channel"
@@ -55,7 +52,6 @@ type Track struct {
 	Name string
 	Kind string
 	id   int
-	busy *sim.Windowed
 }
 
 // SpanID identifies an in-flight async span returned by BeginSpan. The
@@ -118,7 +114,7 @@ func (r *Recorder) RegisterTrack(name, kind string) *Track {
 	if t, ok := r.tracks[name]; ok {
 		return t
 	}
-	t := &Track{Name: name, Kind: kind, id: len(r.order) + 1, busy: sim.NewWindowed(sim.SeriesWindow)}
+	t := &Track{Name: name, Kind: kind, id: len(r.order) + 1}
 	r.tracks[name] = t
 	r.order = append(r.order, name)
 	return t
@@ -133,22 +129,6 @@ func (r *Recorder) track(name string) *Track {
 	return r.RegisterTrack(name, KindOther)
 }
 
-// Tracks returns all tracks of one kind in registration order; an empty
-// kind selects every track.
-func (r *Recorder) Tracks(kind string) []*Track {
-	if r == nil {
-		return nil
-	}
-	var out []*Track
-	for _, name := range r.order {
-		t := r.tracks[name]
-		if kind == "" || t.Kind == kind {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // ResourceHold implements sim.ResourceObserver: one complete event on the
 // resource's track, with the queue wait attached when nonzero.
 func (r *Recorder) ResourceHold(res *sim.Resource, label string, queuedAt, grantedAt, releasedAt sim.Time) {
@@ -156,7 +136,6 @@ func (r *Recorder) ResourceHold(res *sim.Resource, label string, queuedAt, grant
 		return
 	}
 	t := r.track(res.Name())
-	t.busy.AddBusy(grantedAt, releasedAt)
 	r.holds++
 	ev := event{Name: label, Cat: "hold", Ph: phComplete, Ts: grantedAt, Dur: releasedAt - grantedAt, Tid: t.id}
 	if wait := grantedAt - queuedAt; wait > 0 {
@@ -234,42 +213,4 @@ func (r *Recorder) Holds() (int64, sim.Time) {
 		return 0, 0
 	}
 	return r.holds, r.waits
-}
-
-// BusyTotals returns, per track of the given kind, the summed busy time
-// recorded on that track — the quantity the export equivalence test
-// compares against each channel's own TotalBusy accounting.
-func (r *Recorder) BusyTotals(kind string) map[string]sim.Time {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]sim.Time)
-	for _, t := range r.Tracks(kind) {
-		out[t.Name] = t.busy.Total()
-	}
-	return out
-}
-
-// HeatRows returns the per-track utilization series of one kind, padded
-// to a common width covering [0, end) — ready for report.Heat rendering.
-// Track order is registration order; names parallel rows.
-func (r *Recorder) HeatRows(kind string, end sim.Time) (names []string, rows [][]float64) {
-	if r == nil {
-		return nil, nil
-	}
-	tracks := r.Tracks(kind)
-	width := 0
-	if end > 0 {
-		width = int((end + sim.SeriesWindow - 1) / sim.SeriesWindow)
-	}
-	for _, t := range tracks {
-		if t.busy.Len() > width {
-			width = t.busy.Len()
-		}
-	}
-	for _, t := range tracks {
-		names = append(names, t.Name)
-		rows = append(rows, t.busy.Values(width, func(b sim.Time) float64 { return float64(b) / float64(sim.SeriesWindow) }))
-	}
-	return names, rows
 }

@@ -41,77 +41,53 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 }
 
-// tick is a tenth of the busy-timeline window: the windowing tests place
-// holds on a ten-tick window grid.
-const tick = sim.SeriesWindow / 10
-
 // newTestRecorder builds a recorder with its own engine.
 func newTestRecorder(cfg Config) (*sim.Engine, *Recorder) {
 	eng := sim.NewEngine()
 	return eng, New(eng, cfg)
 }
 
-func TestRecorderHoldsAndHeatRows(t *testing.T) {
-	eng, rec := newTestRecorder(Config{})
-	_ = eng
+func TestRecorderHolds(t *testing.T) {
+	_, rec := newTestRecorder(Config{})
 	rec.RegisterTrack("h0", KindHChannel)
-	rec.RegisterTrack("h1", KindHChannel)
 	res := sim.NewResource(sim.NewEngine(), "h0")
-	rec.ResourceHold(res, "xfer", 0, 0, 15*tick)
-	rec.ResourceHold(res, "xfer", 20*tick, 30*tick, 35*tick)
+	rec.ResourceHold(res, "xfer", 0, 0, 15*sim.Microsecond)
+	rec.ResourceHold(res, "xfer", 20*sim.Microsecond, 30*sim.Microsecond, 35*sim.Microsecond)
 
 	holds, waits := rec.Holds()
 	if holds != 2 {
 		t.Fatalf("holds = %d, want 2", holds)
 	}
-	if waits != 10*tick {
-		t.Fatalf("wait total %v, want %v", waits, 10*tick)
-	}
-	busy := rec.BusyTotals(KindHChannel)
-	if busy["h0"] != 20*tick {
-		t.Fatalf("h0 busy %v, want %v", busy["h0"], 20*tick)
-	}
-	names, rows := rec.HeatRows(KindHChannel, 40*tick)
-	if len(names) != 2 || names[0] != "h0" || names[1] != "h1" {
-		t.Fatalf("HeatRows names %v", names)
-	}
-	// 40-tick end with 10-tick windows: all rows padded to 4 columns.
-	for i, row := range rows {
-		if len(row) != 4 {
-			t.Fatalf("row %d (%s) has %d windows, want 4", i, names[i], len(row))
-		}
-	}
-	if rows[0][0] != 1.0 || rows[0][1] != 0.5 {
-		t.Fatalf("h0 series %v, want [1.0 0.5 ...]", rows[0])
-	}
-	for _, v := range rows[1] {
-		if v != 0 {
-			t.Fatal("idle track h1 has nonzero utilization")
-		}
+	if waits != 10*sim.Microsecond {
+		t.Fatalf("wait total %v, want %v", waits, 10*sim.Microsecond)
 	}
 }
 
-// TestTimelineBusyWindowing checks a track's busy timeline: one hold that
-// spans three windows is split across them and counted once in the total.
-func TestTimelineBusyWindowing(t *testing.T) {
-	_, rec := newTestRecorder(Config{})
-	rec.RegisterTrack("h0", KindHChannel)
-	res := sim.NewResource(sim.NewEngine(), "h0")
-	// A hold spanning windows 0..2: ticks [5, 25) = 5 in w0, 10 in w1, 5 in w2.
-	rec.ResourceHold(res, "xfer", 5*tick, 5*tick, 25*tick)
-	_, rows := rec.HeatRows(KindHChannel, 25*tick)
-	want := []float64{0.5, 1.0, 0.5}
-	if len(rows) != 1 || len(rows[0]) != len(want) {
-		t.Fatalf("rows %v, want one row %v", rows, want)
+// trackNames returns the "<kind> <name>" label of every track the
+// export declares, in registration order.
+func trackNames(t *testing.T, rec *Recorder) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.ExportChrome(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range want {
-		if rows[0][i] != v {
-			t.Fatalf("window %d utilization %v, want %v", i, rows[0][i], v)
+	var doc struct {
+		TraceEvents []struct {
+			Name string                 `json:"name"`
+			Args map[string]interface{} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range doc.TraceEvents {
+		if e.Name == "thread_name" {
+			name, _ := e.Args["name"].(string)
+			names = append(names, name)
 		}
 	}
-	if busy := rec.BusyTotals(KindHChannel)["h0"]; busy != 20*tick {
-		t.Fatalf("busy total %v, want %v", busy, 20*tick)
-	}
+	return names
 }
 
 func TestExportChromeStructure(t *testing.T) {
@@ -218,24 +194,24 @@ func TestSpanIDsPairUp(t *testing.T) {
 func TestTrackPrefixAppliesEverywhere(t *testing.T) {
 	eng, rec := newTestRecorder(Config{TrackPrefix: "dev3/"})
 	rec.RegisterTrack("h0", KindHChannel)
-	if tr := rec.Tracks(KindHChannel); len(tr) != 1 || tr[0].Name != "dev3/h0" {
-		t.Fatalf("registered tracks: %+v", tr)
+	if tr := trackNames(t, rec); len(tr) != 1 || tr[0] != "h-channel dev3/h0" {
+		t.Fatalf("registered tracks: %q", tr)
 	}
 	// Registering the raw name again must not mint a second track.
 	rec.RegisterTrack("h0", KindHChannel)
-	if tr := rec.Tracks(KindHChannel); len(tr) != 1 {
-		t.Fatalf("re-registration duplicated the track: %+v", tr)
+	if tr := trackNames(t, rec); len(tr) != 1 {
+		t.Fatalf("re-registration duplicated the track: %q", tr)
 	}
 	// Auto-registration through an observer callback sees the raw
 	// resource name and must land on the prefixed track.
 	res := sim.NewResource(eng, "nvme")
 	rec.ResourceHold(res, "hold", 0, 0, sim.Microsecond)
-	if tr := rec.Tracks(KindOther); len(tr) != 1 || tr[0].Name != "dev3/nvme" {
-		t.Fatalf("auto-registered tracks: %+v", tr)
+	if tr := trackNames(t, rec); len(tr) != 2 || tr[1] != "resource dev3/nvme" {
+		t.Fatalf("auto-registered tracks: %q", tr)
 	}
 	rec.ResourceHold(res, "hold", sim.Microsecond, sim.Microsecond, 2*sim.Microsecond)
-	if tr := rec.Tracks(""); len(tr) != 2 {
-		t.Fatalf("repeat hold duplicated a track: %+v", tr)
+	if tr := trackNames(t, rec); len(tr) != 2 {
+		t.Fatalf("repeat hold duplicated a track: %q", tr)
 	}
 }
 
@@ -243,8 +219,7 @@ func TestAutoRegisteredTrackGetsOtherKind(t *testing.T) {
 	_, rec := newTestRecorder(Config{})
 	res := sim.NewResource(sim.NewEngine(), "mystery")
 	rec.ResourceHold(res, "hold", 0, 0, sim.Microsecond)
-	tracks := rec.Tracks(KindOther)
-	if len(tracks) != 1 || tracks[0].Name != "mystery" {
-		t.Fatalf("auto-registered tracks: %+v", tracks)
+	if tr := trackNames(t, rec); len(tr) != 1 || tr[0] != KindOther+" mystery" {
+		t.Fatalf("auto-registered tracks: %q", tr)
 	}
 }

@@ -2,8 +2,9 @@
 // workload (named preset, trace CSV file, or synthetic pattern), a GC
 // mode, and get the latency/throughput report. -trace writes a Chrome
 // trace-event JSON (open in Perfetto), -metrics-json a machine-
-// readable run summary, and -check attaches the cross-layer invariant
-// checker (page conservation, bus legality, leak detection at drain).
+// readable run summary (with trace totals only when -trace is given
+// too), and -check attaches the cross-layer invariant checker (page
+// conservation, bus legality, leak detection at drain).
 //
 //	go run ./cmd/pssdsim -arch pnssd+split -preset rocksdb-0 -gc spgc
 //	go run ./cmd/pssdsim -arch pssd -synthetic rand-read -outstanding 32
@@ -108,7 +109,7 @@ func run(args []string, stdout io.Writer) error {
 	if gc != ftl.GCNone {
 		cfg.LogicalUtilization = 0.75
 	}
-	if *traceOut != "" || *metricsOut != "" {
+	if *traceOut != "" {
 		cfg.Trace = &trace.Config{}
 	}
 	if *checkFlag {

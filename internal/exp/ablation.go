@@ -29,7 +29,7 @@ type AblationRow struct {
 
 // pnSSDTraceRun builds a pnSSD variant of cfg via mk, replays a trace,
 // and returns metrics.
-func pnSSDTraceRun(opt Options, cfg ssd.Config, mode ftl.GCMode, trace string, churn float64, mk ssd.FabricFunc) (*ssd.SSD, AblationRow) {
+func pnSSDTraceRun(opt Options, cfg ssd.Config, mode ftl.GCMode, trace string, churn bool, mk ssd.FabricFunc) (*ssd.SSD, AblationRow) {
 	cfg.FTL.GCMode = mode
 	s := ssd.NewCustom(ssd.ArchPnSSD, cfg, mk)
 	replay(s, opt, churn, trace)
@@ -45,7 +45,7 @@ func AblationVWidth(opt Options) []AblationRow {
 	widths := []int{2, 4, 8, 16}
 	return runner.MapDefault(len(widths), func(i int) AblationRow {
 		vBits := widths[i]
-		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "exchange-1", 0,
+		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "exchange-1", false,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, vBits, opt.Cfg.BusMTps, true, false)
 			})
@@ -73,7 +73,7 @@ func AblationRouting(opt Options) []AblationRow {
 	}
 	return runner.MapDefault(len(variants), func(i int) AblationRow {
 		v := variants[i]
-		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "search-0", 0,
+		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "search-0", false,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				f := controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, 8, opt.Cfg.BusMTps, true, v.split)
 				f.SetRoutePolicy(v.route)
@@ -96,7 +96,7 @@ func AblationEccFallback(opt Options) []AblationRow {
 		rate := rates[i]
 		cfg := gcCfg(opt)
 		cfg.Fault = &fault.Config{Seed: 1, OnDieECCRate: rate}
-		s, row := pnSSDTraceRun(opt, cfg, ftl.GCSpatial, "rocksdb-0", churnFraction,
+		s, row := pnSSDTraceRun(opt, cfg, ftl.GCSpatial, "rocksdb-0", true,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, 8, opt.Cfg.BusMTps, true, false)
 			})
@@ -114,7 +114,7 @@ func AblationCtrlLatency(opt Options) []AblationRow {
 	lats := []sim.Time{0, 100 * sim.Nanosecond, 500 * sim.Nanosecond, 2 * sim.Microsecond, 10 * sim.Microsecond}
 	return runner.MapDefault(len(lats), func(i int) AblationRow {
 		d := lats[i]
-		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "exchange-1", 0,
+		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "exchange-1", false,
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				soc.SetCtrlMsgLatency(d)
 				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, 8, opt.Cfg.BusMTps, true, true)
@@ -136,7 +136,7 @@ func AblationGCGroup(opt Options) []AblationRow {
 		cfg.FTL.GCMode = ftl.GCSpatial
 		cfg.FTL.GCGroupFraction = frac
 		s := build(ssd.ArchPnSSDSplit, cfg, ftl.GCSpatial, ftl.PCWD)
-		replay(s, opt, churnFraction, "rocksdb-0")
+		replay(s, opt, true, "rocksdb-0")
 		m := s.Metrics()
 		st := s.FTL.Stats()
 		return AblationRow{
@@ -158,7 +158,7 @@ func AblationOrganization(opt Options) []AblationRow {
 		cfg := *opt.Cfg
 		cfg.Channels, cfg.Ways = org.ch, org.ways
 		s := build(ssd.ArchPnSSDSplit, cfg, ftl.GCNone, ftl.PCWD)
-		replay(s, opt, 0, "exchange-1")
+		replay(s, opt, false, "exchange-1")
 		m := s.Metrics()
 		omni := s.Fabric.(*controller.OmnibusFabric)
 		return AblationRow{
@@ -182,7 +182,7 @@ func AblationVictimPolicy(opt Options) []AblationRow {
 		cfg.FTL.GCMode = ftl.GCParallel
 		cfg.FTL.Victim = vp
 		s := build(ssd.ArchPnSSDSplit, cfg, ftl.GCParallel, ftl.PCWD)
-		warm(s, 0, opt.Seed)
+		warm(s, false, opt.Seed)
 		// Hot/cold overwrite stream: 90% of writes hit 5% of the space, the
 		// regime where age-aware cleaning avoids re-copying hot data. Warm-up
 		// churn is skipped so block ages come entirely from the run itself.

@@ -36,7 +36,7 @@ func Contention(opt Options) []ContentionRow {
 	return runner.MapDefault(len(archs), func(i int) ContentionRow {
 		arch := archs[i]
 		s := build(arch, *opt.Cfg, ftl.GCNone, ftl.PCWD)
-		replay(s, opt, 0, "search-0")
+		replay(s, opt, false, "search-0")
 
 		row := ContentionRow{Arch: arch, MeanLatency: s.Metrics().MeanLatency()}
 		scan := func(chs []*bus.Channel) (mean, max sim.Time, util float64) {

@@ -94,35 +94,35 @@ func build(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, policy ftl.AllocPolic
 	return ssd.New(arch, cfg)
 }
 
-// warm installs the full logical footprint; churn then instantly
-// overwrites churnFrac of it (bounded by the free headroom) so blocks
+// warm installs the full logical footprint; with churn it then instantly
+// overwrites churnFraction of it (bounded by the free headroom) so blocks
 // carry the invalid pages GC experiments need.
-func warm(s *ssd.SSD, churnFrac float64, seed int64) {
+func warm(s *ssd.SSD, churn bool, seed int64) {
 	foot := s.Config.LogicalPages()
 	s.Host.Warmup(foot)
-	if churnFrac <= 0 {
+	if !churn {
 		return
 	}
 	headroom := s.Config.RawPages() - foot
-	churn := int64(float64(foot) * churnFrac)
+	n := int64(float64(foot) * churnFraction)
 	// Churn consumes free pages one-for-one; cap it at half the headroom
 	// so the device enters the measured run with a working free pool —
 	// GC needs erased blocks for copy destinations and the host keeps
 	// writing while rounds are in flight.
-	if limit := headroom / 2; churn > limit {
-		churn = limit
+	if limit := headroom / 2; n > limit {
+		n = limit
 	}
 	rng := rand.New(rand.NewSource(seed))
-	for i := int64(0); i < churn; i++ {
+	for i := int64(0); i < n; i++ {
 		lpn := rng.Int63n(foot)
 		s.FTL.Reinstall(lpn, ftl.TokenFor(lpn, 1))
 	}
 }
 
-// replay is the package's one run recipe: warm s with churn, replay
+// replay is the package's one run recipe: warm s (churned if churn), replay
 // opt.TraceRequests requests of the named preset trace at opt.Seed, and
 // run s to drain. Callers build s and read its metrics afterwards.
-func replay(s *ssd.SSD, opt Options, churn float64, trace string) {
+func replay(s *ssd.SSD, opt Options, churn bool, trace string) {
 	warm(s, churn, opt.Seed)
 	tr, err := workload.Named(trace, s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
 	if err != nil {
@@ -134,7 +134,7 @@ func replay(s *ssd.SSD, opt Options, churn float64, trace string) {
 
 // replayTrace runs the recipe on a fresh SSD and returns the host
 // metrics and FTL stats.
-func replayTrace(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, opt Options, churn float64, trace string) (*stats.IOMetrics, ftl.Stats) {
+func replayTrace(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, opt Options, churn bool, trace string) (*stats.IOMetrics, ftl.Stats) {
 	s := build(arch, cfg, mode, ftl.PCWD)
 	replay(s, opt, churn, trace)
 	return s.Metrics(), s.FTL.Stats()
@@ -144,7 +144,7 @@ func replayTrace(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, opt Options, ch
 // front end with the given arbiter over cfg, builds and warms the SSD,
 // replays the tenants' interleaved traces, runs to drain, and returns
 // the SSD for the caller to read. cfg carries the GC mode and policy.
-func replayTenants(arch ssd.Arch, cfg ssd.Config, specs []workload.TenantSpec, arbiter string, churn float64, seed int64) *ssd.SSD {
+func replayTenants(arch ssd.Arch, cfg ssd.Config, specs []workload.TenantSpec, arbiter string, churn bool, seed int64) *ssd.SSD {
 	cfg.Frontend = &host.FrontendConfig{
 		Tenants:     workload.QueueConfigs(specs),
 		Arbiter:     arbiter,
@@ -170,7 +170,7 @@ func replayTenants(arch ssd.Arch, cfg ssd.Config, specs []workload.TenantSpec, a
 // with a fixed outstanding depth.
 func runClosedLoop(arch ssd.Arch, cfg ssd.Config, policy ftl.AllocPolicy, p workload.Pattern, outstanding, reqPages, total int, seed int64) *stats.IOMetrics {
 	s := build(arch, cfg, ftl.GCNone, policy)
-	warm(s, 0, seed)
+	warm(s, false, seed)
 	gen := workload.Synthetic(p, s.Config.LogicalPages(), reqPages, seed)
 	s.Host.RunClosedLoop(gen, outstanding, total)
 	s.Run()

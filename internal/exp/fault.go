@@ -44,7 +44,7 @@ func FaultSweep(opt Options) []FaultSweepRow {
 			EraseFailsPerChip:   1,
 		}
 		s := ssd.New(arch, cfg)
-		replay(s, opt, churnFraction, "rocksdb-0")
+		replay(s, opt, true, "rocksdb-0")
 		m := s.Metrics()
 		return FaultSweepRow{
 			Arch:       arch,
@@ -85,7 +85,7 @@ func DegradedSweep(opt Options) []DegradedRow {
 		fc.Seed = uint64(opt.Seed)
 		cfg.Fault = &fc
 		s := ssd.New(ssd.ArchPnSSDSplit, cfg)
-		replay(s, opt, churnFraction, "rocksdb-0")
+		replay(s, opt, true, "rocksdb-0")
 		m := s.Metrics()
 		return DegradedRow{
 			Name:       name,

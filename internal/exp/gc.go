@@ -57,7 +57,7 @@ func Fig18(opt Options) []Fig18Row {
 	cfg := gcCfg(opt)
 	run := func(c GCConfig, p workload.Pattern) sim.Time {
 		s := build(c.Arch, cfg, c.Mode, ftl.PCWD)
-		warm(s, churnFraction, opt.Seed)
+		warm(s, true, opt.Seed)
 		gen := workload.Synthetic(p, s.Config.LogicalPages(), 4, opt.Seed)
 		s.Host.RunClosedLoop(gen, 16, opt.SyntheticRequests)
 		forceContinuousGC(s)
@@ -121,7 +121,7 @@ func Fig19(opt Options) []Fig19Row {
 	nc := len(Fig19Configs)
 	pts := runner.MapDefault(len(opt.Traces)*nc, func(i int) point {
 		trace, c := opt.Traces[i/nc], Fig19Configs[i%nc]
-		m, st := replayTrace(c.Arch, gcCfg(opt), c.Mode, opt, churnFraction, trace)
+		m, st := replayTrace(c.Arch, gcCfg(opt), c.Mode, opt, true, trace)
 		return point{lat: m.MeanLatency(), st: st}
 	})
 	rows := make([]Fig19Row, 0, len(opt.Traces))
@@ -173,7 +173,7 @@ func Fig20a(opt Options) []Fig20aRow {
 	return runner.MapDefault(len(Fig20aConfigs), func(i int) Fig20aRow {
 		c := Fig20aConfigs[i]
 		s := build(c.Arch, gcCfg(opt), c.Mode, ftl.PCWD)
-		replay(s, opt, churnFraction, "rocksdb-0")
+		replay(s, opt, true, "rocksdb-0")
 		h := s.Metrics().Combined()
 		return Fig20aRow{
 			Config: c,
@@ -205,7 +205,7 @@ func Fig20b(opt Options) []Fig20bRow {
 	nt := len(opt.Traces)
 	sts := runner.MapDefault(len(Fig20aConfigs)*nt, func(i int) ftl.Stats {
 		c, trace := Fig20aConfigs[i/nt], opt.Traces[i%nt]
-		_, st := replayTrace(c.Arch, gcCfg(opt), c.Mode, opt, churnFraction, trace)
+		_, st := replayTrace(c.Arch, gcCfg(opt), c.Mode, opt, true, trace)
 		return st
 	})
 	rows := make([]Fig20bRow, len(Fig20aConfigs))

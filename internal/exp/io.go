@@ -34,7 +34,7 @@ func Fig3(opt Options) Fig3Result {
 	}
 	run := func(kind stats.IOKind) [][]float64 {
 		s := build(ssd.ArchBase, *opt.Cfg, ftl.GCNone, ftl.PCWD)
-		warm(s, 0, opt.Seed)
+		warm(s, false, opt.Seed)
 		m := s.AttachChannelUtil()
 		var reqs []host.Request
 		for _, r := range full.Requests {
@@ -78,7 +78,7 @@ func Fig4(opt Options) []Fig4Row {
 		trace, sc := opt.Traces[i/len(scales)], scales[i%len(scales)]
 		cfg := *opt.Cfg
 		cfg.BusMTps = int(float64(cfg.BusMTps) * sc)
-		m, _ := replayTrace(ssd.ArchBase, cfg, ftl.GCNone, opt, 0, trace)
+		m, _ := replayTrace(ssd.ArchBase, cfg, ftl.GCNone, opt, false, trace)
 		return m.MeanLatency()
 	})
 	rows := make([]Fig4Row, 0, len(opt.Traces))
@@ -112,7 +112,7 @@ func Fig14(opt Options) []Fig14Row {
 	}
 	pts := runner.MapDefault(len(opt.Traces)*len(ssd.Archs), func(i int) point {
 		trace, arch := opt.Traces[i/len(ssd.Archs)], ssd.Archs[i%len(ssd.Archs)]
-		m, _ := replayTrace(arch, *opt.Cfg, ftl.GCNone, opt, 0, trace)
+		m, _ := replayTrace(arch, *opt.Cfg, ftl.GCNone, opt, false, trace)
 		return point{lat: m.MeanLatency(), kiops: m.KIOPS()}
 	})
 	rows := make([]Fig14Row, 0, len(opt.Traces))

@@ -77,7 +77,7 @@ func runSchedPoint(p SchedPoint, opt Options) SchedRow {
 	cfg.FTL.GCMode = mode
 	cfg.FTL.Policy = ftl.PCWD
 	s := ssd.New(p.Arch, cfg)
-	replay(s, opt, churnFraction, "rocksdb-0")
+	replay(s, opt, true, "rocksdb-0")
 	m := s.Metrics()
 	lat := m.Combined()
 	row := SchedRow{
@@ -129,7 +129,7 @@ func runSchedNoisyPoint(p SchedPoint, opt Options) SchedNoisyRow {
 	cfg.Scheduler = p.Sched
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.FTL.Policy = ftl.PCWD
-	s := replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), "dwrr", churnFraction, opt.Seed)
+	s := replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), "dwrr", true, opt.Seed)
 	row := SchedNoisyRow{Point: p}
 	for _, tm := range s.Frontend.Metrics().Tenants {
 		h := tm.Combined()

@@ -125,7 +125,7 @@ func tenantCountSweep(opt Options) []SweepRow {
 		cfg := *opt.Cfg
 		cfg.FTL.GCMode = ftl.GCNone
 		cfg.FTL.Policy = ftl.PCWD
-		s := replayTenants(arch, cfg, specs, arb, 0, opt.Seed)
+		s := replayTenants(arch, cfg, specs, arb, false, opt.Seed)
 		return sweepRow(arch, "rocksdb-0/"+arb, count, s.Metrics())
 	})
 }

@@ -28,7 +28,7 @@ func TracedRun(opt Options, arch ssd.Arch, mode ftl.GCMode, traceName string, tr
 	cfg.Trace = &trace.Config{}
 	cfg.Telemetry = &telemetry.Config{}
 	s := ssd.New(arch, cfg)
-	replay(s, opt, churnFraction, traceName)
+	replay(s, opt, true, traceName)
 	if traceW != nil {
 		s.InjectTelemetryCounters()
 		if err := s.Tracer.ExportChrome(traceW); err != nil {

@@ -246,6 +246,7 @@ func (c *Chip) Read(ppas []PPA, done func()) {
 	r := c.newRead()
 	r.addrs = append(r.addrs[:0], ppas...)
 	r.done = done
+	// An open hold, not a timed one: the ECC fault penalty is drawn at grant.
 	c.die.AcquireLabeled("read", r.grant)
 }
 
@@ -382,20 +383,20 @@ func (c *Chip) program(ops []ProgramOp, vreg int, done func()) {
 		c.nextPage[op.Addr.Plane][op.Addr.Block]++
 		c.state[op.Addr.Plane][c.pageIndex(op.Addr)] = PageProgrammed
 	}
-	c.die.AcquireLabeled("program", r.grant)
+	c.die.UseLabeled("program", c.timing.Program, r.finish)
 }
 
-// arrayOp is one queued or running Chip.Program or Chip.Erase. Records
-// are recycled through the chip's free list like chipRead: grant and
-// finish are method values bound once, and the ops and blocks copies
-// keep their capacity across uses. An erase is a record with blocks set.
+// arrayOp is one queued or running Chip.Program or Chip.Erase, a timed
+// hold of the die. Records are recycled through the chip's free list like
+// chipRead: finish is a method value bound once, and the ops and blocks
+// copies keep their capacity across uses. An erase is a record with
+// blocks set.
 type arrayOp struct {
 	c      *Chip
 	ops    []ProgramOp // program targets and tokens
 	blocks []PPA       // erase targets; empty for a program
 	vreg   int         // V-page register the program frees, or -1
 	done   func()
-	grant  func() // bound r.granted
 	finish func() // bound r.finished
 }
 
@@ -410,25 +411,15 @@ func (c *Chip) newArrayOp(done func()) *arrayOp {
 		// A multi-plane op addresses at most one page per plane, so
 		// buffers of that capacity never grow.
 		r = &arrayOp{c: c, ops: make([]ProgramOp, 0, c.geo.Planes), blocks: make([]PPA, 0, c.geo.Planes)}
-		r.grant = r.granted
 		r.finish = r.finished
 	}
 	r.ops, r.blocks, r.vreg, r.done = r.ops[:0], r.blocks[:0], -1, done
 	return r
 }
 
-// granted runs when the die is granted: the array busy time starts.
-func (r *arrayOp) granted() {
-	d := r.c.timing.Program
-	if len(r.blocks) > 0 {
-		d = r.c.timing.Erase
-	}
-	r.c.eng.Schedule(d, r.finish)
-}
-
-// finished applies the operation to the array and frees the die. The
-// record returns to the free list before the V-page release and done
-// run, because either may issue the next operation on this chip.
+// finished runs as the die hold ends and applies the operation to the
+// array. The record returns to the free list before the V-page release
+// and done run, because either may issue the next operation on this chip.
 func (r *arrayOp) finished() {
 	c := r.c
 	if len(r.blocks) > 0 {
@@ -448,7 +439,6 @@ func (r *arrayOp) finished() {
 		}
 		c.programs++
 	}
-	c.die.Release()
 	vreg, done := r.vreg, r.done
 	r.done = nil
 	c.freeArrayOps = append(c.freeArrayOps, r)
@@ -481,7 +471,7 @@ func (c *Chip) Erase(blocks []PPA, done func()) {
 	c.checkMultiPlane(blocks)
 	r := c.newArrayOp(done)
 	r.blocks = append(r.blocks, blocks...)
-	c.die.AcquireLabeled("erase", r.grant)
+	c.die.UseLabeled("erase", c.timing.Erase, r.finish)
 }
 
 // PageRegister returns the content of a plane's page register.

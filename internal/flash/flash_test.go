@@ -98,6 +98,52 @@ func TestDieSerializesOps(t *testing.T) {
 	}
 }
 
+// TestDieEventsPerOp pins how many events each array operation costs.
+// Program and erase are timed holds of the die, one event each. A read
+// is an open hold, since its ECC penalty is drawn at grant: its grant and
+// its sense are two events.
+func TestDieEventsPerOp(t *testing.T) {
+	a := PPA{Plane: 1, Block: 2, Page: 0} // installed before each op
+	for _, tc := range []struct {
+		name string
+		op   func(c *Chip)
+		want int64
+	}{
+		{"program", func(c *Chip) { c.Program([]ProgramOp{{Addr: PPA{Plane: 1, Block: 3}, Token: 7}}, nil) }, 1},
+		{"erase", func(c *Chip) { c.Erase([]PPA{a}, nil) }, 1},
+		{"read", func(c *Chip) { c.Read([]PPA{a}, nil) }, 2},
+	} {
+		e := sim.NewEngine()
+		c := newTestChip(e)
+		c.InstallPage(a, 7)
+		tc.op(c)
+		e.Run()
+		if got := e.EventsFired(); got != tc.want {
+			t.Errorf("%s fired %d events, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestReadQueuedBehindProgramSeesToken checks that a read issued while a
+// program of the same page holds the die waits for it and senses the
+// programmed token, not the erased one.
+func TestReadQueuedBehindProgramSeesToken(t *testing.T) {
+	e := sim.NewEngine()
+	c := newTestChip(e)
+	a := PPA{Plane: 3, Block: 1, Page: 0}
+	c.Program([]ProgramOp{{Addr: a, Token: 0xBEEF}}, nil)
+	var got Token
+	var at sim.Time
+	c.Read([]PPA{a}, func() { got, at = c.PageRegister(3), e.Now() })
+	e.Run()
+	if got != 0xBEEF {
+		t.Fatalf("queued read sensed %x, want the programmed token beef", got)
+	}
+	if want := 53 * sim.Microsecond; at != want {
+		t.Fatalf("queued read finished at %v, want %v (tPROG then tR)", at, want)
+	}
+}
+
 func TestEraseResetsBlock(t *testing.T) {
 	e := sim.NewEngine()
 	c := newTestChip(e)

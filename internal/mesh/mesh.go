@@ -217,6 +217,7 @@ func (h *hop) last() bool { return h.i+2 == len(h.t.path) }
 
 func (h *hop) request() {
 	h.link = h.t.m.Link(h.t.path[h.i], h.t.path[h.i+1])
+	// An open hold, not a timed one: cut-through needs the grant instant.
 	h.link.Acquire(h.granted)
 }
 

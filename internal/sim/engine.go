@@ -167,7 +167,7 @@ func EventsFiredTotal() int64 { return totalFired.Load() }
 //     entry has at == now (the clock never advances while the lane holds
 //     anything) and entries are appended in seq order, so the lane is
 //     sorted and its head is its minimum. Zero-delay events, chiefly the
-//     grant of every Resource hold, skip the heap entirely.
+//     grant callback of every Acquire hold, skip the heap entirely.
 //   - arrival streams from AtEach, each sorted by (at, seq), of which
 //     only the head is queued; firing it queues its successor.
 //   - events, the heap, for everything else.

@@ -74,4 +74,4 @@ func TestEngineGoldenSequence(t *testing.T) {
 	}
 }
 
-const goldenWant = "n0@5;n1@5;t42@6;t21@9;a2@12;n2@12;t38@14;t12@19;t26@19;t23@21;t30@24;b3@26;a4@29;g9@29;r9@34;g10@34;r10@34;t28@37;a11@38;g13@38;t35@39;r13@40;a16@40;g20@40;t5@48;b6@48;r20@52;g22@52;r22@54;t15@56;b7@58;a25@65;b8@77;a27@78;g29@78;r29@84;b14@85;b17@88;a37@89;g40@89;cut58@90;b18@91;b19@97;r40@101;b31@106;a45@124;a46@124;b43@156;b47@177;fired=88 now=177 busyA=124 busyB=177 waitA=874 waitB=1833"
+const goldenWant = "n0@5;n1@5;t42@6;t21@9;a2@12;n2@12;t38@14;t12@19;t26@19;t23@21;t30@24;b3@26;a4@29;g9@29;r9@34;g10@34;r10@34;t28@37;a11@38;g13@38;t35@39;r13@40;a16@40;g20@40;t5@48;b6@48;r20@52;g22@52;r22@54;t15@56;b7@58;a25@65;b8@77;a27@78;g29@78;r29@84;b14@85;b17@88;a37@89;g40@89;cut42@90;b18@91;b19@97;r40@101;b31@106;a45@124;a46@124;b43@156;b47@177;fired=58 now=177 busyA=124 busyB=177 waitA=874 waitB=1833"

@@ -95,9 +95,10 @@ func (e *refEngine) RunUntil(deadline Time) int64 {
 	return n
 }
 
-// refResource is Resource's event pattern on refEngine: a grant is a
-// zero-delay event, a timed hold's grant schedules its release, and the
-// release grants the next FIFO waiter before running done.
+// refResource is Resource's event pattern on refEngine: an open hold's
+// grant is a zero-delay event, a timed hold's grant schedules its release
+// d later as its one event, and the release grants the next FIFO waiter
+// before running done.
 type refResource struct {
 	e       *refEngine
 	busy    bool
@@ -126,13 +127,11 @@ func (r *refResource) grant(q refReq) {
 		r.e.Schedule(0, q.fn)
 		return
 	}
-	r.e.Schedule(0, func() {
-		r.e.Schedule(q.d, func() {
-			r.Release()
-			if q.done != nil {
-				q.done()
-			}
-		})
+	r.e.Schedule(q.d, func() {
+		r.Release()
+		if q.done != nil {
+			q.done()
+		}
 	})
 }
 

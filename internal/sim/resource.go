@@ -2,11 +2,16 @@ package sim
 
 // Resource is a unit-capacity server with FIFO admission. It models any
 // hardware element that serves one occupant at a time: a bus channel, a
-// flash die, a DRAM port. Holders acquire the resource, are called back when
-// granted, and must release it when done.
+// flash die, a DRAM port. It is held two ways:
 //
-// Grant callbacks run as fresh events (never re-entrantly inside Acquire or
-// Release), so model code can treat them as happening "next".
+//   - A timed hold (Use/UseLabeled) occupies it for a known duration. The
+//     grant schedules the release directly, so the whole hold is one
+//     event: at its end the resource is released and done runs.
+//   - An open hold (Acquire/AcquireLabeled) is for a holder that learns
+//     its duration only once granted. The grant callback runs as a fresh
+//     event (never re-entrantly inside Acquire or Release), so model
+//     code can treat it as happening "next", and the holder must call
+//     Release when done.
 type Resource struct {
 	eng     *Engine
 	name    string
@@ -23,18 +28,13 @@ type Resource struct {
 	curLabel    string
 	curQueued   Time
 
-	// Timed-hold fast path: Use/UseLabeled holds are granted through the
-	// two method values below (bound once at construction) instead of
-	// per-hold closures, so the common "occupy a bus for a serialization
-	// time" pattern schedules zero heap allocations. The duration and
-	// completion callback of the hold currently in flight live in curDur
-	// and curDone; unit capacity guarantees at most one timed hold is
-	// active at a time, so one slot suffices. Queued timed holds carry
-	// their duration/callback in their grantReq until granted.
-	curDur    Time
-	curDone   func()
-	grantStep func() // bound r.timedGrantStep
-	relStep   func() // bound r.timedReleaseStep
+	// Timed-hold fast path: the grant schedules relStep, a method value
+	// bound once at construction, so a hold builds no closure. curDone is
+	// the completion callback of the timed hold in flight; unit capacity
+	// means at most one is active, so one slot suffices. Queued timed
+	// holds carry their duration and callback in their grantReq.
+	curDone func()
+	relStep func() // bound r.timedReleaseStep
 }
 
 // ResourceObserver receives passive notifications about a resource's
@@ -69,7 +69,6 @@ const DefaultHoldLabel = "hold"
 // used only for diagnostics.
 func NewResource(eng *Engine, name string) *Resource {
 	r := &Resource{eng: eng, name: name}
-	r.grantStep = r.timedGrantStep
 	r.relStep = r.timedReleaseStep
 	return r
 }
@@ -154,20 +153,11 @@ func (r *Resource) grant(req grantReq) {
 	r.curQueued = req.at
 	r.totalGrants++
 	if req.timed {
-		r.curDur = req.dur
 		r.curDone = req.done
-		r.eng.Schedule(0, r.grantStep)
+		r.eng.Schedule(req.dur, r.relStep)
 		return
 	}
 	r.eng.Schedule(0, req.fn)
-}
-
-// timedGrantStep is the grant event of a timed hold: it runs at the grant
-// instant and schedules the release, exactly as the closure pair in
-// UseLabeled used to — same event count, same seq consumption, so runs
-// are bit-identical to the closure-based implementation.
-func (r *Resource) timedGrantStep() {
-	r.eng.Schedule(r.curDur, r.relStep)
 }
 
 // timedReleaseStep releases a timed hold and runs its completion
@@ -215,11 +205,11 @@ func (r *Resource) Release() {
 func (r *Resource) Use(d Time, done func()) { r.UseLabeled(DefaultHoldLabel, d, done) }
 
 // UseLabeled is Use with an observer label for the hold. It is the
-// engine's hottest path — every bus transfer and flash operation passes
-// through it — so it is allocation-free: instead of building a
-// grant-then-release closure pair per hold, the hold's duration and done
-// callback ride in the grant request and fire through per-resource
-// method values bound once at construction.
+// engine's hottest path — every bus transfer and flash program or erase
+// passes through it — so it is allocation-free and costs one event: the hold's
+// duration and done callback ride in the grant request, and the grant
+// schedules the release through a per-resource method value bound once at
+// construction.
 func (r *Resource) UseLabeled(label string, d Time, done func()) {
 	if d < 0 {
 		panic("sim: negative hold duration for " + r.name)

@@ -30,6 +30,42 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
+// TestTimedHoldIsOneEvent pins that a Use hold costs one event, whether
+// it is granted at once or queued: n holds on n idle resources and n holds
+// contending for one resource each fire exactly n events, and every done
+// runs at its hold's end.
+func TestTimedHoldIsOneEvent(t *testing.T) {
+	const n = 8
+	for _, contended := range []bool{false, true} {
+		e := NewEngine()
+		shared := NewResource(e, "shared")
+		var ends []Time
+		for i := 0; i < n; i++ {
+			r := shared
+			if !contended {
+				r = NewResource(e, "idle")
+			}
+			r.Use(10, func() { ends = append(ends, e.Now()) })
+		}
+		e.Run()
+		if e.EventsFired() != n {
+			t.Errorf("contended=%v: %d holds fired %d events, want %d", contended, n, e.EventsFired(), n)
+		}
+		for i, at := range ends {
+			want := Time(10)
+			if contended {
+				want = Time(10 * (i + 1))
+			}
+			if at != want {
+				t.Fatalf("contended=%v: hold %d ended at %v, want %v", contended, i, at, want)
+			}
+		}
+		if len(ends) != n {
+			t.Fatalf("contended=%v: %d of %d holds completed", contended, len(ends), n)
+		}
+	}
+}
+
 func TestResourceAcquireRelease(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "die")
@@ -63,7 +99,6 @@ func TestResourceTryAcquire(t *testing.T) {
 	r.Release()
 	// With a waiter queued via Acquire, TryAcquire must also fail even if idle.
 	r.Use(10, nil)
-	e.Step() // grant the Use
 	if r.TryAcquire(func() {}) {
 		t.Fatal("TryAcquire succeeded on busy resource")
 	}

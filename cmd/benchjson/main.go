@@ -1,17 +1,19 @@
 // Command benchjson runs the repo's layer benchmarks (the engine and
 // resource-hold benches of internal/sim, the array-router bench of
 // internal/array, and the host-request read- and write-path benches of
-// internal/ssd) and re-emits the results as JSON, seeding the
-// perf-trajectory file BENCH_quick.json. Figures have no benches: the
-// committed CSV goldens of cmd/experiments pin them byte for byte.
-// The simulation metrics (events per request, miss rates, plan sizes)
-// and allocs/op are deterministic run to run; the wall-clock ns/op
-// entries are not and are recorded for trend-watching only.
+// internal/ssd) and the end-to-end BenchmarkQuickSuite of
+// cmd/experiments (the whole -quick default suite, once), and re-emits
+// the results as JSON, seeding the perf-trajectory file BENCH_quick.json.
+// The committed CSV goldens of cmd/experiments pin the figures' numbers
+// byte for byte. The simulation metrics (events per request or op, miss
+// rates, plan sizes) and allocs/op are deterministic run to run; the
+// wall-clock ns/op entries are not and are recorded for trend-watching
+// only.
 //
 // -diff compares two result files metric by metric instead of running
 // anything: it prints every shared deterministic metric whose relative
 // change exceeds -threshold percent and exits 3 when any did. Wall-clock
-// and allocator-size metrics (ns/op, B/op, events/sec) are excluded —
+// and allocator-size metrics (ns/op, B/op) are excluded —
 // they are machine noise, not simulation behavior. CI runs it at
 // -threshold 0 against the committed BENCH_quick.json, so any change to a
 // deterministic metric fails until the baseline is regenerated.
@@ -71,9 +73,10 @@ func main() {
 
 	// The engine, hold and router benches run long enough for ns/op to
 	// mean something; the read- and write-path benches run a fixed
-	// request count so their events/req does not depend on the machine.
+	// request count so their events/req does not depend on the machine,
+	// and the quick suite, seconds long, runs once.
 	var raw []byte
-	for _, pkg := range [][2]string{{"./internal/sim", "100ms"}, {"./internal/array", "100ms"}, {"./internal/ssd", "20000x"}} {
+	for _, pkg := range [][2]string{{"./internal/sim", "100ms"}, {"./internal/array", "100ms"}, {"./internal/ssd", "20000x"}, {"./cmd/experiments", "1x"}} {
 		cmd := exec.Command("go", "test", "-run=^$", "-bench="+*bench, "-benchtime="+pkg[1], pkg[0])
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
@@ -85,8 +88,8 @@ func main() {
 	}
 
 	file := File{
-		Note: "Generated by cmd/benchjson from `go test -bench=. -benchtime=100ms ./internal/sim ./internal/array` " +
-			"and `go test -bench=. -benchtime=20000x ./internal/ssd`. " +
+		Note: "Generated by cmd/benchjson from `go test -bench=. -benchtime=100ms ./internal/sim ./internal/array`, " +
+			"`go test -bench=. -benchtime=20000x ./internal/ssd` and `go test -bench=. -benchtime=1x ./cmd/experiments`. " +
 			"Simulation metrics and allocs/op are deterministic; ns/op is wall-clock noise.",
 	}
 	if v, err := exec.Command("go", "env", "GOVERSION").Output(); err == nil {
@@ -133,11 +136,10 @@ func main() {
 }
 
 // noisyMetrics are wall-clock / allocator readings that vary run to run
-// and machine to machine (events/sec is simulated events per wall
-// second — same machine dependence as ns/op); -diff ignores them.
-// allocs/op is not among them: for a fixed workload it is a count, so a
-// hot path that starts allocating again is flagged.
-var noisyMetrics = map[string]bool{"ns/op": true, "B/op": true, "events/sec": true}
+// and machine to machine; -diff ignores them. allocs/op is not among
+// them: for a fixed workload it is a count, so a hot path that starts
+// allocating again is flagged.
+var noisyMetrics = map[string]bool{"ns/op": true, "B/op": true}
 
 // loadFile reads one benchjson result file.
 func loadFile(path string) (File, error) {

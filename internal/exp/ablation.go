@@ -182,7 +182,7 @@ func AblationVictimPolicy(opt Options) []AblationRow {
 		cfg.FTL.GCMode = ftl.GCParallel
 		cfg.FTL.Victim = vp
 		s := build(ssd.ArchPnSSDSplit, cfg, ftl.GCParallel, ftl.PCWD)
-		warm(s, false, opt.Seed)
+		warm(s, opt, false)
 		// Hot/cold overwrite stream: 90% of writes hit 5% of the space, the
 		// regime where age-aware cleaning avoids re-copying hot data. Warm-up
 		// churn is skipped so block ages come entirely from the run itself.

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/ftl"
 	"repro/internal/host"
@@ -40,6 +41,10 @@ type Options struct {
 	Seed int64
 	// Traces overrides the trace list (default workload.Names()).
 	Traces []string
+
+	// warmed holds the warm-ups of one exported call; withDefaults
+	// gives each call a fresh one.
+	warmed *warmCache
 }
 
 const (
@@ -70,6 +75,9 @@ func (o Options) withDefaults() Options {
 	if o.Traces == nil {
 		o.Traces = workload.Names()
 	}
+	if o.warmed == nil {
+		o.warmed = &warmCache{entries: make(map[warmKey]*warmEntry)}
+	}
 	return o
 }
 
@@ -96,8 +104,23 @@ func build(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, policy ftl.AllocPolic
 
 // warm installs the full logical footprint; with churn it then instantly
 // overwrites churnFraction of it (bounded by the free headroom) so blocks
-// carry the invalid pages GC experiments need.
-func warm(s *ssd.SSD, churn bool, seed int64) {
+// carry the invalid pages GC experiments need. The first warm-up of each
+// distinct state in opt's cache runs for real and is saved; every later
+// one restores the saved state.
+func warm(s *ssd.SSD, opt Options, churn bool) {
+	e := opt.warmed.entry(warmKey{s.FTL.WarmKey(), churn, opt.Seed})
+	saved := false
+	e.once.Do(func() {
+		e.state = s.FTL.SaveWarm(func() { install(s, churn, opt.Seed) })
+		saved = true
+	})
+	if !saved {
+		s.FTL.RestoreWarm(e.state)
+	}
+}
+
+// install is the warm-up itself.
+func install(s *ssd.SSD, churn bool, seed int64) {
 	foot := s.Config.LogicalPages()
 	s.Host.Warmup(foot)
 	if !churn {
@@ -119,11 +142,43 @@ func warm(s *ssd.SSD, churn bool, seed int64) {
 	}
 }
 
+// warmKey names one distinct warmed state. The arch is not part of it:
+// ftl.New never sees the arch, and every arch builds the same chip grid.
+type warmKey struct {
+	ftl   ftl.WarmKey
+	churn bool
+	seed  int64
+}
+
+// warmCache holds one saved warm-up per key. Each entry is filled once,
+// by whichever worker reaches it first; the state is a function of the
+// key alone, so which worker that is cannot show in any result.
+type warmCache struct {
+	mu      sync.Mutex
+	entries map[warmKey]*warmEntry
+}
+
+type warmEntry struct {
+	once  sync.Once
+	state *ftl.WarmState
+}
+
+func (c *warmCache) entry(k warmKey) *warmEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[k]
+	if e == nil {
+		e = &warmEntry{}
+		c.entries[k] = e
+	}
+	return e
+}
+
 // replay is the package's one run recipe: warm s (churned if churn), replay
 // opt.TraceRequests requests of the named preset trace at opt.Seed, and
 // run s to drain. Callers build s and read its metrics afterwards.
 func replay(s *ssd.SSD, opt Options, churn bool, trace string) {
-	warm(s, churn, opt.Seed)
+	warm(s, opt, churn)
 	tr, err := workload.Named(trace, s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
 	if err != nil {
 		panic(err)
@@ -144,15 +199,15 @@ func replayTrace(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, opt Options, ch
 // front end with the given arbiter over cfg, builds and warms the SSD,
 // replays the tenants' interleaved traces, runs to drain, and returns
 // the SSD for the caller to read. cfg carries the GC mode and policy.
-func replayTenants(arch ssd.Arch, cfg ssd.Config, specs []workload.TenantSpec, arbiter string, churn bool, seed int64) *ssd.SSD {
+func replayTenants(arch ssd.Arch, cfg ssd.Config, specs []workload.TenantSpec, arbiter string, opt Options, churn bool) *ssd.SSD {
 	cfg.Frontend = &host.FrontendConfig{
 		Tenants:     workload.QueueConfigs(specs),
 		Arbiter:     arbiter,
 		MaxInflight: 16,
 	}
 	s := ssd.New(arch, cfg)
-	warm(s, churn, seed)
-	tr, err := workload.GenerateTenants(specs, s.Config.LogicalPages(), seed)
+	warm(s, opt, churn)
+	tr, err := workload.GenerateTenants(specs, s.Config.LogicalPages(), opt.Seed)
 	if err != nil {
 		panic(err)
 	}
@@ -166,13 +221,13 @@ func replayTenants(arch ssd.Arch, cfg ssd.Config, specs []workload.TenantSpec, a
 	return s
 }
 
-// runClosedLoop drives a synthetic pattern of reqPages-page requests
-// with a fixed outstanding depth.
-func runClosedLoop(arch ssd.Arch, cfg ssd.Config, policy ftl.AllocPolicy, p workload.Pattern, outstanding, reqPages, total int, seed int64) *stats.IOMetrics {
+// runClosedLoop drives opt.SyntheticRequests requests of a synthetic
+// pattern, reqPages pages each, with a fixed outstanding depth.
+func runClosedLoop(arch ssd.Arch, cfg ssd.Config, policy ftl.AllocPolicy, p workload.Pattern, outstanding, reqPages int, opt Options) *stats.IOMetrics {
 	s := build(arch, cfg, ftl.GCNone, policy)
-	warm(s, false, seed)
-	gen := workload.Synthetic(p, s.Config.LogicalPages(), reqPages, seed)
-	s.Host.RunClosedLoop(gen, outstanding, total)
+	warm(s, opt, false)
+	gen := workload.Synthetic(p, s.Config.LogicalPages(), reqPages, opt.Seed)
+	s.Host.RunClosedLoop(gen, outstanding, opt.SyntheticRequests)
 	s.Run()
 	return s.Metrics()
 }

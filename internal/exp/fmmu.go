@@ -96,7 +96,7 @@ func runFmmuPoint(p FmmuPoint, params workload.Params, cfg ssd.Config, opt Optio
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.FTL.Policy = ftl.PCWD
 	s := ssd.New(ssd.ArchPnSSDSplit, cfg)
-	warm(s, true, opt.Seed)
+	warm(s, opt, true)
 	tr := workload.Generate("fmmu-"+p.Skew, params, s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
 	s.Host.MustReplay(tr.Requests)
 	s.Run()

@@ -57,7 +57,7 @@ func Fig18(opt Options) []Fig18Row {
 	cfg := gcCfg(opt)
 	run := func(c GCConfig, p workload.Pattern) sim.Time {
 		s := build(c.Arch, cfg, c.Mode, ftl.PCWD)
-		warm(s, true, opt.Seed)
+		warm(s, opt, true)
 		gen := workload.Synthetic(p, s.Config.LogicalPages(), 4, opt.Seed)
 		s.Host.RunClosedLoop(gen, 16, opt.SyntheticRequests)
 		forceContinuousGC(s)

@@ -34,7 +34,7 @@ func Fig3(opt Options) Fig3Result {
 	}
 	run := func(kind stats.IOKind) [][]float64 {
 		s := build(ssd.ArchBase, *opt.Cfg, ftl.GCNone, ftl.PCWD)
-		warm(s, false, opt.Seed)
+		warm(s, opt, false)
 		m := s.AttachChannelUtil()
 		var reqs []host.Request
 		for _, r := range full.Requests {
@@ -182,7 +182,7 @@ func syntheticSweep(opt Options, policy ftl.AllocPolicy) []Fig16Row {
 		p := patterns[i/(len(ssd.Archs)*len(outs))]
 		arch := ssd.Archs[i/len(outs)%len(ssd.Archs)]
 		o := outs[i%len(outs)]
-		m := runClosedLoop(arch, *opt.Cfg, policy, p, o, 4, opt.SyntheticRequests, opt.Seed) // 64 KB requests
+		m := runClosedLoop(arch, *opt.Cfg, policy, p, o, 4, opt) // 64 KB requests
 		return m.MeanLatency()
 	})
 	var rows []Fig16Row

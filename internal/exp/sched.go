@@ -129,7 +129,7 @@ func runSchedNoisyPoint(p SchedPoint, opt Options) SchedNoisyRow {
 	cfg.Scheduler = p.Sched
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.FTL.Policy = ftl.PCWD
-	s := replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), "dwrr", true, opt.Seed)
+	s := replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), "dwrr", opt, true)
 	row := SchedNoisyRow{Point: p}
 	for _, tm := range s.Frontend.Metrics().Tenants {
 		h := tm.Combined()

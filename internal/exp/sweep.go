@@ -105,7 +105,7 @@ func Sweep(param string, opt Options) []SweepRow {
 		if pt.edit != nil {
 			pt.edit(&cfg)
 		}
-		m := runClosedLoop(arch, cfg, ftl.PCWD, workload.RandRead, pt.outs, pt.reqPages, opt.SyntheticRequests, opt.Seed)
+		m := runClosedLoop(arch, cfg, ftl.PCWD, workload.RandRead, pt.outs, pt.reqPages, opt)
 		return sweepRow(arch, workload.RandRead.String()+pt.suffix, pt.x, m)
 	})
 }
@@ -125,7 +125,7 @@ func tenantCountSweep(opt Options) []SweepRow {
 		cfg := *opt.Cfg
 		cfg.FTL.GCMode = ftl.GCNone
 		cfg.FTL.Policy = ftl.PCWD
-		s := replayTenants(arch, cfg, specs, arb, false, opt.Seed)
+		s := replayTenants(arch, cfg, specs, arb, opt, false)
 		return sweepRow(arch, "rocksdb-0/"+arb, count, s.Metrics())
 	})
 }

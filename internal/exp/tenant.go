@@ -104,7 +104,7 @@ func runTenantPoint(p TenantPoint, opt Options) TenantRow {
 	cfg := gcCfg(opt)
 	cfg.FTL.GCMode = mode
 	cfg.FTL.Policy = ftl.PCWD
-	s := replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), p.Arbiter, true, opt.Seed)
+	s := replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), p.Arbiter, opt, true)
 	row := TenantRow{Point: p}
 	for _, tm := range s.Frontend.Metrics().Tenants {
 		h := tm.Combined()

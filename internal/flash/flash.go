@@ -13,6 +13,7 @@ package flash
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -105,10 +106,13 @@ type Chip struct {
 	vpageInUse []bool
 	vpageWait  []func(reg int) // WaitVPage callers, oldest first; only while all are held
 
-	content    [][]Token // [plane][block*pagesPerBlock+page]
-	state      [][]PageState
-	nextPage   [][]int // per [plane][block]: next programmable page index
-	eraseCount [][]int
+	// The array, one flat slice per field: pages at
+	// plane*pagesPerPlane + block*pagesPerBlock + page (pageIndex), blocks
+	// at plane*blocksPerPlane + block (blockIndex).
+	content    []Token
+	state      []PageState
+	nextPage   []int // per block: next programmable page index
+	eraseCount []int
 
 	reads, programs, erases int64
 
@@ -140,16 +144,11 @@ func NewChip(eng *sim.Engine, name string, geo Geometry, timing Timing) *Chip {
 		vpage:      make([]Token, NumVPageRegisters),
 		vpageInUse: make([]bool, NumVPageRegisters),
 	}
-	c.content = make([][]Token, geo.Planes)
-	c.state = make([][]PageState, geo.Planes)
-	c.nextPage = make([][]int, geo.Planes)
-	c.eraseCount = make([][]int, geo.Planes)
-	for p := 0; p < geo.Planes; p++ {
-		c.content[p] = make([]Token, geo.BlocksPerPlane*geo.PagesPerBlock)
-		c.state[p] = make([]PageState, geo.BlocksPerPlane*geo.PagesPerBlock)
-		c.nextPage[p] = make([]int, geo.BlocksPerPlane)
-		c.eraseCount[p] = make([]int, geo.BlocksPerPlane)
-	}
+	pages, blocks := geo.PagesPerChip(), geo.Planes*geo.BlocksPerPlane
+	c.content = make([]Token, pages)
+	c.state = make([]PageState, pages)
+	c.nextPage = make([]int, blocks)
+	c.eraseCount = make([]int, blocks)
 	return c
 }
 
@@ -196,24 +195,29 @@ func (c *Chip) Counters() (reads, programs, erases int64) {
 	return c.reads, c.programs, c.erases
 }
 
-func (c *Chip) pageIndex(a PPA) int { return a.Block*c.geo.PagesPerBlock + a.Page }
+func (c *Chip) pageIndex(a PPA) int {
+	return (a.Plane*c.geo.BlocksPerPlane+a.Block)*c.geo.PagesPerBlock + a.Page
+}
+
+func (c *Chip) blockIndex(a PPA) int { return a.Plane*c.geo.BlocksPerPlane + a.Block }
 
 // PageStateAt returns the lifecycle state of a page.
 func (c *Chip) PageStateAt(a PPA) PageState {
 	c.geo.checkPPA(a)
-	return c.state[a.Plane][c.pageIndex(a)]
+	return c.state[c.pageIndex(a)]
 }
 
 // ContentAt returns the stored token of a page (for verification).
 func (c *Chip) ContentAt(a PPA) Token {
 	c.geo.checkPPA(a)
-	return c.content[a.Plane][c.pageIndex(a)]
+	return c.content[c.pageIndex(a)]
 }
 
 // EraseCount returns the P/E cycle count of a block.
 func (c *Chip) EraseCount(plane, block int) int {
-	c.geo.checkPPA(PPA{Plane: plane, Block: block})
-	return c.eraseCount[plane][block]
+	a := PPA{Plane: plane, Block: block}
+	c.geo.checkPPA(a)
+	return c.eraseCount[c.blockIndex(a)]
 }
 
 // checkMultiPlane validates a multi-plane address vector: non-empty,
@@ -239,7 +243,7 @@ func (c *Chip) checkMultiPlane(ppas []PPA) {
 func (c *Chip) Read(ppas []PPA, done func()) {
 	c.checkMultiPlane(ppas)
 	for _, a := range ppas {
-		if c.state[a.Plane][c.pageIndex(a)] != PageProgrammed {
+		if c.state[c.pageIndex(a)] != PageProgrammed {
 			panic(fmt.Sprintf("flash %s: read of unprogrammed page %v", c.name, a))
 		}
 	}
@@ -289,7 +293,7 @@ func (r *chipRead) granted() {
 func (r *chipRead) sensed() {
 	c := r.c
 	for _, a := range r.addrs {
-		c.pageReg[a.Plane] = c.content[a.Plane][c.pageIndex(a)]
+		c.pageReg[a.Plane] = c.content[c.pageIndex(a)]
 	}
 	c.reads++
 	c.die.Release()
@@ -370,7 +374,7 @@ func (c *Chip) program(ops []ProgramOp, vreg int, done func()) {
 	c.checkMultiPlane(c.ppaScratch)
 	for _, op := range ops {
 		a := op.Addr
-		if c.state[a.Plane][c.pageIndex(a)] != PageErased {
+		if c.state[c.pageIndex(a)] != PageErased {
 			panic(fmt.Sprintf("flash %s: program of non-erased page %v", c.name, a))
 		}
 	}
@@ -380,8 +384,8 @@ func (c *Chip) program(ops []ProgramOp, vreg int, done func()) {
 	// State is committed at issue time so a read queued behind this program
 	// on the die validates against the state it will observe at grant.
 	for _, op := range r.ops {
-		c.nextPage[op.Addr.Plane][op.Addr.Block]++
-		c.state[op.Addr.Plane][c.pageIndex(op.Addr)] = PageProgrammed
+		c.nextPage[c.blockIndex(op.Addr)]++
+		c.state[c.pageIndex(op.Addr)] = PageProgrammed
 	}
 	c.die.UseLabeled("program", c.timing.Program, r.finish)
 }
@@ -424,18 +428,18 @@ func (r *arrayOp) finished() {
 	c := r.c
 	if len(r.blocks) > 0 {
 		for _, a := range r.blocks {
-			base := a.Block * c.geo.PagesPerBlock
-			for p := 0; p < c.geo.PagesPerBlock; p++ {
-				c.state[a.Plane][base+p] = PageErased
-				c.content[a.Plane][base+p] = ErasedToken
+			base := c.pageIndex(a)
+			for i := base; i < base+c.geo.PagesPerBlock; i++ {
+				c.state[i] = PageErased
+				c.content[i] = ErasedToken
 			}
-			c.nextPage[a.Plane][a.Block] = 0
-			c.eraseCount[a.Plane][a.Block]++
+			c.nextPage[c.blockIndex(a)] = 0
+			c.eraseCount[c.blockIndex(a)]++
 		}
 		c.erases++
 	} else {
 		for _, op := range r.ops {
-			c.content[op.Addr.Plane][c.pageIndex(op.Addr)] = op.Token
+			c.content[c.pageIndex(op.Addr)] = op.Token
 		}
 		c.programs++
 	}
@@ -549,10 +553,47 @@ func (c *Chip) ReleaseVPage(reg int) {
 // must not be called once simulation I/O is in flight.
 func (c *Chip) InstallPage(a PPA, t Token) {
 	c.geo.checkPPA(a)
-	if c.state[a.Plane][c.pageIndex(a)] != PageErased {
+	i := c.pageIndex(a)
+	if c.state[i] != PageErased {
 		panic(fmt.Sprintf("flash %s: install over programmed page %v", c.name, a))
 	}
-	c.state[a.Plane][c.pageIndex(a)] = PageProgrammed
-	c.content[a.Plane][c.pageIndex(a)] = t
-	c.nextPage[a.Plane][a.Block]++
+	c.state[i] = PageProgrammed
+	c.content[i] = t
+	c.nextPage[c.blockIndex(a)]++
+}
+
+// ArrayState is a saved copy of a chip's array: every page's content and
+// state, every block's next page and erase count, and the operation
+// counters. It carries warmed-up device state from one chip to a fresh
+// chip of the same geometry.
+type ArrayState struct {
+	content                 []Token
+	state                   []PageState
+	nextPage, eraseCount    []int
+	reads, programs, erases int64
+}
+
+// SaveArray returns a copy of the chip's array.
+func (c *Chip) SaveArray() *ArrayState {
+	return &ArrayState{
+		content:    slices.Clone(c.content),
+		state:      slices.Clone(c.state),
+		nextPage:   slices.Clone(c.nextPage),
+		eraseCount: slices.Clone(c.eraseCount),
+		reads:      c.reads, programs: c.programs, erases: c.erases,
+	}
+}
+
+// RestoreArray overwrites the chip's array with a copy of a, which must
+// come from a chip of the same geometry. Like InstallPage it bypasses the
+// die and must not be called once simulation I/O is in flight.
+func (c *Chip) RestoreArray(a *ArrayState) {
+	if len(a.content) != len(c.content) || len(a.nextPage) != len(c.nextPage) {
+		panic(fmt.Sprintf("flash %s: restore of a %d-page array into %+v", c.name, len(a.content), c.geo))
+	}
+	copy(c.content, a.content)
+	copy(c.state, a.state)
+	copy(c.nextPage, a.nextPage)
+	copy(c.eraseCount, a.eraseCount)
+	c.reads, c.programs, c.erases = a.reads, a.programs, a.erases
 }

@@ -1,7 +1,8 @@
 // Command benchjson runs the repo's layer benchmarks (the engine and
 // resource-hold benches of internal/sim, the array-router bench of
-// internal/array, and the host-request read- and write-path benches of
-// internal/ssd) and the end-to-end BenchmarkQuickSuite of
+// internal/array, and the host-request read- and write-path and device
+// construction benches of internal/ssd) and the end-to-end
+// BenchmarkQuickSuite of
 // cmd/experiments (the whole -quick default suite, once), and re-emits
 // the results as JSON, seeding the perf-trajectory file BENCH_quick.json.
 // The committed CSV goldens of cmd/experiments pin the figures' numbers
@@ -73,15 +74,22 @@ func main() {
 
 	// The engine, hold and router benches run long enough for ns/op to
 	// mean something; the read- and write-path benches run a fixed
-	// request count so their events/req does not depend on the machine,
-	// and the quick suite, seconds long, runs once.
+	// request count so their events/req does not depend on the machine;
+	// BenchmarkNew builds a fixed number of devices; and the quick suite,
+	// seconds long, runs once. Each run skips what another run covers.
 	var raw []byte
-	for _, pkg := range [][2]string{{"./internal/sim", "100ms"}, {"./internal/array", "100ms"}, {"./internal/ssd", "20000x"}, {"./cmd/experiments", "1x"}} {
-		cmd := exec.Command("go", "test", "-run=^$", "-bench="+*bench, "-benchtime="+pkg[1], pkg[0])
+	for _, run := range []struct{ pkg, benchtime, skip string }{
+		{"./internal/sim", "100ms", ""},
+		{"./internal/array", "100ms", ""},
+		{"./internal/ssd", "20000x", "^BenchmarkNew$"},
+		{"./internal/ssd", "200x", "^Benchmark(ReadPath|WritePath|Replay)$"},
+		{"./cmd/experiments", "1x", ""},
+	} {
+		cmd := exec.Command("go", "test", "-run=^$", "-bench="+*bench, "-benchtime="+run.benchtime, "-skip="+run.skip, run.pkg)
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench run of %s failed: %v\n%s", pkg[0], err, out)
+			fmt.Fprintf(os.Stderr, "bench run of %s failed: %v\n%s", run.pkg, err, out)
 			os.Exit(1)
 		}
 		raw = append(raw, out...)
@@ -89,7 +97,8 @@ func main() {
 
 	file := File{
 		Note: "Generated by cmd/benchjson from `go test -bench=. -benchtime=100ms ./internal/sim ./internal/array`, " +
-			"`go test -bench=. -benchtime=20000x ./internal/ssd` and `go test -bench=. -benchtime=1x ./cmd/experiments`. " +
+			"`go test -bench=. -benchtime=20000x -skip=^BenchmarkNew$ ./internal/ssd`, " +
+			"`go test -bench=BenchmarkNew -benchtime=200x ./internal/ssd` and `go test -bench=. -benchtime=1x ./cmd/experiments`. " +
 			"Simulation metrics and allocs/op are deterministic; ns/op is wall-clock noise.",
 	}
 	if v, err := exec.Command("go", "env", "GOVERSION").Output(); err == nil {

@@ -19,7 +19,6 @@ import (
 
 // Channel is one bus: an h-channel, a v-channel, or a mesh link.
 type Channel struct {
-	name      string
 	widthBits int
 	rateMTps  int
 	beat      sim.Time
@@ -28,20 +27,25 @@ type Channel struct {
 
 // NewChannel creates an idle channel of the given width and rate.
 func NewChannel(eng *sim.Engine, name string, widthBits, rateMTps int) *Channel {
+	return &NewChannels(eng, []string{name}, widthBits, rateMTps)[0]
+}
+
+// NewChannels creates one idle channel of the given width and rate per
+// name, the channels and their resources each in one slab.
+func NewChannels(eng *sim.Engine, names []string, widthBits, rateMTps int) []Channel {
 	if widthBits <= 0 || rateMTps <= 0 {
-		panic(fmt.Sprintf("bus: invalid channel %s: width=%d rate=%d", name, widthBits, rateMTps))
+		panic(fmt.Sprintf("bus: invalid channels %v: width=%d rate=%d", names, widthBits, rateMTps))
 	}
-	return &Channel{
-		name:      name,
-		widthBits: widthBits,
-		rateMTps:  rateMTps,
-		beat:      sim.Time(1_000_000 / rateMTps),
-		res:       sim.NewResource(eng, name),
+	res := sim.NewResources(eng, names)
+	cs := make([]Channel, len(names))
+	for i := range cs {
+		cs[i] = Channel{widthBits: widthBits, rateMTps: rateMTps, beat: sim.Time(1_000_000 / rateMTps), res: &res[i]}
 	}
+	return cs
 }
 
 // Name returns the channel name.
-func (c *Channel) Name() string { return c.name }
+func (c *Channel) Name() string { return c.res.Name() }
 
 // BeatTime returns the duration of one transfer beat.
 func (c *Channel) BeatTime() sim.Time { return c.beat }

@@ -13,6 +13,7 @@ package controller
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/bus"
 	"repro/internal/flash"
@@ -65,25 +66,23 @@ type Fabric interface {
 }
 
 // Grid is the channel×way array of flash chips shared by every fabric.
+// Its chips are one flash.Array in row-major order.
 type Grid struct {
 	Channels int // rows
 	Ways     int // columns
-	chips    [][]*flash.Chip
+	arr      *flash.Array
 }
 
-// NewGrid builds channels×ways erased chips.
+// NewGrid builds channels×ways erased chips named ch<channel>/w<way>.
 func NewGrid(eng *sim.Engine, channels, ways int, geo flash.Geometry, timing flash.Timing) *Grid {
 	if channels <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("controller: invalid grid %dx%d", channels, ways))
 	}
-	g := &Grid{Channels: channels, Ways: ways, chips: make([][]*flash.Chip, channels)}
-	for ch := 0; ch < channels; ch++ {
-		g.chips[ch] = make([]*flash.Chip, ways)
-		for w := 0; w < ways; w++ {
-			g.chips[ch][w] = flash.NewChip(eng, fmt.Sprintf("ch%d/w%d", ch, w), geo, timing)
-		}
+	name := func(b []byte, i int) []byte {
+		b = strconv.AppendInt(append(b, "ch"...), int64(i/ways), 10)
+		return strconv.AppendInt(append(b, "/w"...), int64(i%ways), 10)
 	}
-	return g
+	return &Grid{Channels: channels, Ways: ways, arr: flash.NewArray(eng, channels*ways, name, geo, timing)}
 }
 
 // Chip returns the chip at id.
@@ -91,7 +90,7 @@ func (g *Grid) Chip(id ChipID) *flash.Chip {
 	if id.Channel < 0 || id.Channel >= g.Channels || id.Way < 0 || id.Way >= g.Ways {
 		panic(fmt.Sprintf("controller: chip %v outside %dx%d grid", id, g.Channels, g.Ways))
 	}
-	return g.chips[id.Channel][id.Way]
+	return &g.arr.Chips[id.Channel*g.Ways+id.Way]
 }
 
 // NumChips returns the total chip count.
@@ -99,12 +98,17 @@ func (g *Grid) NumChips() int { return g.Channels * g.Ways }
 
 // ForEach visits every chip in row-major order.
 func (g *Grid) ForEach(fn func(id ChipID, c *flash.Chip)) {
-	for ch := 0; ch < g.Channels; ch++ {
-		for w := 0; w < g.Ways; w++ {
-			fn(ChipID{ch, w}, g.chips[ch][w])
-		}
+	for i := range g.arr.Chips {
+		fn(ChipID{i / g.Ways, i % g.Ways}, &g.arr.Chips[i])
 	}
 }
+
+// SaveArray returns a copy of every chip's array state.
+func (g *Grid) SaveArray() *flash.ArrayState { return g.arr.Save() }
+
+// RestoreArray overwrites every chip's array state with a copy of s,
+// saved from a grid of the same shape and geometry.
+func (g *Grid) RestoreArray(s *flash.ArrayState) { g.arr.Restore(s) }
 
 // Soc models the shared controller-side resources every page crossing
 // them must traverse: the system bus and DRAM, each a FIFO bandwidth

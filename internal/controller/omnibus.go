@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/bus"
 	"repro/internal/fault"
@@ -40,8 +41,8 @@ type OmnibusFabric struct {
 	pageSize int
 	split    bool
 
-	h      []*bus.Channel
-	v      []*bus.Channel
+	h      []bus.Channel
+	v      []bus.Channel
 	hIface []bus.Iface
 	vIface []bus.Packetized
 
@@ -109,27 +110,40 @@ func NewOmnibusFabric(eng *sim.Engine, name string, grid *Grid, soc *Soc, pageSi
 		soc:      soc,
 		pageSize: pageSize,
 		split:    split,
-		h:        make([]*bus.Channel, grid.Channels),
-		v:        make([]*bus.Channel, numV),
+		h:        bus.NewChannels(eng, busNames(name, "/h", grid.Channels), hWidthBits, rateMTps),
 		hIface:   make([]bus.Iface, grid.Channels),
 		vIface:   make([]bus.Packetized, numV),
 		colsPerV: colsPerV,
 		route:    RouteGreedy,
 	}
 	f.fops = fabricOps{grid: grid, soc: soc, pageSize: pageSize, ret: f.returnData, deliver: f.deliverWrite}
-	for ch := 0; ch < grid.Channels; ch++ {
-		f.h[ch] = bus.NewChannel(eng, fmt.Sprintf("%s/h%d", name, ch), hWidthBits, rateMTps)
+	if numV > 0 {
+		f.v = bus.NewChannels(eng, busNames(name, "/v", numV), vWidthBits, rateMTps)
+	}
+	// The interfaces sit behind pointers into one slab (packetized) or
+	// share one value (dedicated), so filling hIface boxes nothing per
+	// channel.
+	hPk := make([]bus.Packetized, grid.Channels)
+	var ded bus.Iface = bus.NewDedicated(rateMTps)
+	for ch := range f.h {
 		if packetized {
-			f.hIface[ch] = bus.NewPacketized(f.h[ch])
+			hPk[ch] = bus.NewPacketized(&f.h[ch])
+			f.hIface[ch] = &hPk[ch]
 		} else {
-			f.hIface[ch] = bus.NewDedicated(rateMTps)
+			f.hIface[ch] = ded
 		}
 	}
-	for i := 0; i < numV; i++ {
-		f.v[i] = bus.NewChannel(eng, fmt.Sprintf("%s/v%d", name, i), vWidthBits, rateMTps)
-		f.vIface[i] = bus.NewPacketized(f.v[i])
+	for i := range f.v {
+		f.vIface[i] = bus.NewPacketized(&f.v[i])
 	}
 	return f
+}
+
+// busNames names n buses <fabric><kind><i>, such as pnSSD/h3.
+func busNames(fabric, kind string, n int) []string {
+	return sim.Names(n, func(b []byte, i int) []byte {
+		return strconv.AppendInt(append(append(b, fabric...), kind...), int64(i), 10)
+	})
 }
 
 // vIndex maps a way-column to the v-channel that serves it.
@@ -148,11 +162,11 @@ func (f *OmnibusFabric) Name() string { return f.name }
 func (f *OmnibusFabric) Grid() *Grid { return f.grid }
 
 // HChannel returns the h-channel for a row, for instrumentation.
-func (f *OmnibusFabric) HChannel(ch int) *bus.Channel { return f.h[ch] }
+func (f *OmnibusFabric) HChannel(ch int) *bus.Channel { return &f.h[ch] }
 
 // VChannel returns the v-channel serving a way-column, for
 // instrumentation.
-func (f *OmnibusFabric) VChannel(w int) *bus.Channel { return f.v[f.vIndex(w)] }
+func (f *OmnibusFabric) VChannel(w int) *bus.Channel { return &f.v[f.vIndex(w)] }
 
 // RoutePolicy selects how host transfers choose between a chip's
 // h-channel and v-channel.
@@ -271,7 +285,7 @@ func (f *OmnibusFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
 // the controller over the chosen path(s).
 func (f *OmnibusFabric) returnData(r *fabricOp) {
 	id, n := r.id, r.n
-	hch, hifc := f.h[id.Channel], f.hIface[id.Channel]
+	hch, hifc := &f.h[id.Channel], f.hIface[id.Channel]
 	if hOnly, degraded := f.hOnly(id.Way); hOnly {
 		if degraded {
 			// Degraded mode: the column's v-channel is dead, so path
@@ -289,7 +303,7 @@ func (f *OmnibusFabric) returnData(r *fabricOp) {
 		hch.UseOp("read-xfer", hifc.ReadXfer(n), r.xfer)
 		return
 	}
-	vch, vifc := f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
+	vch, vifc := &f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
 	if f.split && n > 1 && hch.Load() == 0 && vch.Load() == 0 {
 		// Half the payload on each bus; the v half first traverses the
 		// control plane so controller[way] drives its v-channel (one
@@ -335,7 +349,7 @@ func (f *OmnibusFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
 // over the chosen path(s).
 func (f *OmnibusFabric) deliverWrite(w *fabricOp) {
 	id, n := w.id, w.n
-	hch, hifc := f.h[id.Channel], f.hIface[id.Channel]
+	hch, hifc := &f.h[id.Channel], f.hIface[id.Channel]
 	if hOnly, degraded := f.hOnly(id.Way); hOnly {
 		if degraded {
 			// Degraded mode: deliver the whole payload on the h-channel.
@@ -346,7 +360,7 @@ func (f *OmnibusFabric) deliverWrite(w *fabricOp) {
 		hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.program)
 		return
 	}
-	vch, vifc := f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
+	vch, vifc := &f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
 	// Split applies to read returns only. Splitting program payloads
 	// couples every write to its column's v-channel, and with way-striped
 	// allocation policies consecutive writes share one column — the

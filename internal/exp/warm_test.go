@@ -17,7 +17,10 @@ import (
 // and restores it into every arch: each restored device must equal a
 // device of that arch warmed for real, field by field (FTL maps, planes,
 // allocator, chips, map unit, checker), pass CheckConsistency, and give
-// the same Summarize JSON on the same replayed trace.
+// the same Summarize JSON on the same replayed trace. The cross cells
+// save under PaGC with the default GC parameters and restore under
+// another GC mode, victim policy, threshold and group fraction, none of
+// which a warm-up reads.
 func TestWarmRestoreMatchesFreshWarm(t *testing.T) {
 	geos := []func(*ssd.Config){
 		func(c *ssd.Config) { c.Geometry.BlocksPerPlane, c.Geometry.PagesPerBlock = 8, 16 },
@@ -35,6 +38,7 @@ func TestWarmRestoreMatchesFreshWarm(t *testing.T) {
 		cfg    ssd.Config
 		policy ftl.AllocPolicy
 		churn  bool
+		save   *ssd.Config // the saving device's config when not cfg
 	}
 	var cells []cell
 	for gi, edit := range geos {
@@ -45,7 +49,7 @@ func TestWarmRestoreMatchesFreshWarm(t *testing.T) {
 					edit(&cfg)
 					cfg.LogicalUtilization = gcUtilization
 					cfg.FTL.GCMode = mode
-					cells = append(cells, cell{fmt.Sprintf("geo%d/%v/%v/churn=%v", gi, policy, mode, churn), cfg, policy, churn})
+					cells = append(cells, cell{fmt.Sprintf("geo%d/%v/%v/churn=%v", gi, policy, mode, churn), cfg, policy, churn, nil})
 				}
 			}
 		}
@@ -59,14 +63,28 @@ func TestWarmRestoreMatchesFreshWarm(t *testing.T) {
 	checked.Check = &check.Config{}
 	both.Mapping, both.MapCacheEntries, both.Check = "fmmu", 3, &check.Config{}
 	cells = append(cells,
-		cell{"fmmu", fmmu, ftl.PCWD, true},
-		cell{"check", checked, ftl.PWCD, true},
-		cell{"fmmu+check", both, ftl.PCWD, true})
+		cell{"fmmu", fmmu, ftl.PCWD, true, nil},
+		cell{"check", checked, ftl.PWCD, true, nil},
+		cell{"fmmu+check", both, ftl.PCWD, true, nil})
+	saver := small
+	saver.FTL.GCMode = ftl.GCParallel
+	for _, mode := range []ftl.GCMode{ftl.GCNone, ftl.GCPreemptive, ftl.GCSpatial} {
+		for _, policy := range []ftl.AllocPolicy{ftl.PCWD, ftl.PWCD} {
+			cfg := small
+			cfg.FTL.GCMode, cfg.FTL.Victim = mode, ftl.VictimCostBenefit
+			cfg.FTL.GCThreshold, cfg.FTL.GCGroupFraction = 0.3, 0.25
+			cells = append(cells, cell{fmt.Sprintf("cross/pagc->%v/%v", mode, policy), cfg, policy, true, &saver})
+		}
+	}
 
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
 			opt := Options{Cfg: &c.cfg, TraceRequests: 60, Seed: 5}.withDefaults()
-			warm(build(ssd.ArchBase, c.cfg, c.cfg.FTL.GCMode, c.policy), opt, c.churn)
+			save := c.cfg
+			if c.save != nil {
+				save = *c.save
+			}
+			warm(build(ssd.ArchBase, save, save.FTL.GCMode, c.policy), opt, c.churn)
 			for _, arch := range ssd.Archs {
 				restored := build(arch, c.cfg, c.cfg.FTL.GCMode, c.policy)
 				warm(restored, opt, c.churn)
@@ -223,17 +241,29 @@ func mapKey(k reflect.Value) string {
 }
 
 // TestRestoreWarmRejectsOtherKey: a saved warm-up restores only into an
-// FTL of the same key; one that differs in nothing but its GC mode is
-// refused.
+// FTL of the same key; one that differs in nothing but its allocation
+// policy is refused.
 func TestRestoreWarmRejectsOtherKey(t *testing.T) {
 	cfg := *Quick().Cfg
 	src := build(ssd.ArchBase, cfg, ftl.GCNone, ftl.PCWD)
 	ws := src.FTL.SaveWarm(func() { install(src, false, 1) })
-	dst := build(ssd.ArchBase, cfg, ftl.GCParallel, ftl.PCWD)
+	dst := build(ssd.ArchBase, cfg, ftl.GCNone, ftl.PWCD)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RestoreWarm accepted a warm-up saved under another key")
 		}
 	}()
 	dst.FTL.RestoreWarm(ws)
+}
+
+// TestFig19WarmsOnce: every Fig 19 device, whatever its arch and GC
+// mode, starts from the same churned PCWD state, so a Quick() run makes
+// one real warm-up and restores it into every other device.
+func TestFig19WarmsOnce(t *testing.T) {
+	opt := Quick()
+	opt.warmed = &warmCache{entries: make(map[warmKey]*warmEntry)}
+	Fig19(opt)
+	if n := len(opt.warmed.entries); n != 1 {
+		t.Fatalf("Fig 19 made %d real warm-ups, want 1", n)
+	}
 }

@@ -106,7 +106,7 @@ type Chip struct {
 	vpageInUse []bool
 	vpageWait  []func(reg int) // WaitVPage callers, oldest first; only while all are held
 
-	// The array, one flat slice per field: pages at
+	// The chip's windows of its Array's slabs: pages at
 	// plane*pagesPerPlane + block*pagesPerBlock + page (pageIndex), blocks
 	// at plane*blocksPerPlane + block (blockIndex).
 	content    []Token
@@ -131,26 +131,64 @@ type Chip struct {
 // on-die data-plane adds (the paper's cost discussion assumes two).
 const NumVPageRegisters = 2
 
-// NewChip builds an erased chip.
+// NewChip builds an erased chip: the one-chip case of NewArray.
 func NewChip(eng *sim.Engine, name string, geo Geometry, timing Timing) *Chip {
-	geo.Validate()
-	c := &Chip{
-		eng:        eng,
-		name:       name,
-		geo:        geo,
-		timing:     timing,
-		die:        sim.NewResource(eng, name+"/die"),
-		pageReg:    make([]Token, geo.Planes),
-		vpage:      make([]Token, NumVPageRegisters),
-		vpageInUse: make([]bool, NumVPageRegisters),
-	}
-	pages, blocks := geo.PagesPerChip(), geo.Planes*geo.BlocksPerPlane
-	c.content = make([]Token, pages)
-	c.state = make([]PageState, pages)
-	c.nextPage = make([]int, blocks)
-	c.eraseCount = make([]int, blocks)
-	return c
+	return &NewArray(eng, 1, func(b []byte, _ int) []byte { return append(b, name...) }, geo, timing).Chips[0]
 }
+
+// Array is a set of chips built together. Their page and block state,
+// registers and dies live in a few array-wide slabs, and each chip holds
+// a capacity-limited window of every slab, so no chip can grow into its
+// neighbour's.
+type Array struct {
+	Chips []Chip
+
+	content    []Token
+	state      []PageState
+	nextPage   []int
+	eraseCount []int
+}
+
+// NewArray builds n erased chips of one geometry; name appends chip i's
+// name to b.
+func NewArray(eng *sim.Engine, n int, name func(b []byte, i int) []byte, geo Geometry, timing Timing) *Array {
+	geo.Validate()
+	pages, blocks := geo.PagesPerChip(), geo.Planes*geo.BlocksPerPlane
+	a := &Array{
+		Chips:      make([]Chip, n),
+		content:    make([]Token, n*pages),
+		state:      make([]PageState, n*pages),
+		nextPage:   make([]int, n*blocks),
+		eraseCount: make([]int, n*blocks),
+	}
+	// A chip's name is its die's name less the "/die" suffix.
+	dies := sim.Names(n, func(b []byte, i int) []byte { return append(name(b, i), "/die"...) })
+	res := sim.NewResources(eng, dies)
+	pageReg := make([]Token, n*geo.Planes)
+	vpage := make([]Token, n*NumVPageRegisters)
+	vpageInUse := make([]bool, n*NumVPageRegisters)
+	for i := range a.Chips {
+		a.Chips[i] = Chip{
+			eng:        eng,
+			name:       dies[i][:len(dies[i])-len("/die")],
+			geo:        geo,
+			timing:     timing,
+			die:        &res[i],
+			pageReg:    window(pageReg, i, geo.Planes),
+			vpage:      window(vpage, i, NumVPageRegisters),
+			vpageInUse: window(vpageInUse, i, NumVPageRegisters),
+			content:    window(a.content, i, pages),
+			state:      window(a.state, i, pages),
+			nextPage:   window(a.nextPage, i, blocks),
+			eraseCount: window(a.eraseCount, i, blocks),
+		}
+	}
+	return a
+}
+
+// window returns the i-th n-element window of a slab, its capacity
+// limited so that an append copies rather than spills into window i+1.
+func window[T any](slab []T, i, n int) []T { return slab[i*n : (i+1)*n : (i+1)*n] }
 
 // Geometry returns the chip geometry.
 func (c *Chip) Geometry() Geometry { return c.geo }
@@ -562,38 +600,48 @@ func (c *Chip) InstallPage(a PPA, t Token) {
 	c.nextPage[c.blockIndex(a)]++
 }
 
-// ArrayState is a saved copy of a chip's array: every page's content and
-// state, every block's next page and erase count, and the operation
-// counters. It carries warmed-up device state from one chip to a fresh
-// chip of the same geometry.
+// ArrayState is a saved copy of an Array: every page's content and
+// state, every block's next page and erase count, and each chip's
+// operation counters. It carries warmed-up device state from one array
+// to a fresh array of the same size and geometry.
 type ArrayState struct {
-	content                 []Token
-	state                   []PageState
-	nextPage, eraseCount    []int
-	reads, programs, erases int64
+	content              []Token
+	state                []PageState
+	nextPage, eraseCount []int
+	counters             [][3]int64 // per chip: reads, programs, erases
 }
 
-// SaveArray returns a copy of the chip's array.
-func (c *Chip) SaveArray() *ArrayState {
-	return &ArrayState{
-		content:    slices.Clone(c.content),
-		state:      slices.Clone(c.state),
-		nextPage:   slices.Clone(c.nextPage),
-		eraseCount: slices.Clone(c.eraseCount),
-		reads:      c.reads, programs: c.programs, erases: c.erases,
+// Save returns a copy of the array's state.
+func (a *Array) Save() *ArrayState {
+	s := &ArrayState{
+		content:    slices.Clone(a.content),
+		state:      slices.Clone(a.state),
+		nextPage:   slices.Clone(a.nextPage),
+		eraseCount: slices.Clone(a.eraseCount),
+		counters:   make([][3]int64, len(a.Chips)),
 	}
+	for i := range a.Chips {
+		c := &a.Chips[i]
+		s.counters[i] = [3]int64{c.reads, c.programs, c.erases}
+	}
+	return s
 }
 
-// RestoreArray overwrites the chip's array with a copy of a, which must
-// come from a chip of the same geometry. Like InstallPage it bypasses the
-// die and must not be called once simulation I/O is in flight.
-func (c *Chip) RestoreArray(a *ArrayState) {
-	if len(a.content) != len(c.content) || len(a.nextPage) != len(c.nextPage) {
-		panic(fmt.Sprintf("flash %s: restore of a %d-page array into %+v", c.name, len(a.content), c.geo))
+// Restore overwrites the array's state with a copy of s, which must come
+// from an array of the same size and geometry. Like InstallPage it
+// bypasses the dies and must not be called once simulation I/O is in
+// flight.
+func (a *Array) Restore(s *ArrayState) {
+	if len(s.content) != len(a.content) || len(s.nextPage) != len(a.nextPage) || len(s.counters) != len(a.Chips) {
+		panic(fmt.Sprintf("flash: restore of a %d-page, %d-block array into %d pages and %d blocks",
+			len(s.content), len(s.nextPage), len(a.content), len(a.nextPage)))
 	}
-	copy(c.content, a.content)
-	copy(c.state, a.state)
-	copy(c.nextPage, a.nextPage)
-	copy(c.eraseCount, a.eraseCount)
-	c.reads, c.programs, c.erases = a.reads, a.programs, a.erases
+	copy(a.content, s.content)
+	copy(a.state, s.state)
+	copy(a.nextPage, s.nextPage)
+	copy(a.eraseCount, s.eraseCount)
+	for i := range a.Chips {
+		c := &a.Chips[i]
+		c.reads, c.programs, c.erases = s.counters[i][0], s.counters[i][1], s.counters[i][2]
+	}
 }

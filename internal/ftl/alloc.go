@@ -92,7 +92,7 @@ type blockInfo struct {
 // consumes free blocks at the rate it erases them instead of opening a
 // fresh block in every plane it scatters copies into.
 //
-// After newPlaneState, popFree, pushFree and removeFree are the only
+// After newPlanes, popFree, pushFree and removeFree are the only
 // writers of the free pool, and allocate, allocateGC and
 // FTL.retireBlock the only writers of active and gcActive. Each keeps
 // the allocator's device-wide free count and this plane's slot bits
@@ -109,20 +109,30 @@ type planeState struct {
 	blocks        []blockInfo
 }
 
-// newPlaneState builds the plane at slot index slot of a, with all its
-// blocks erased and counted in a.
-func newPlaneState(blocks, pagesPerBlock int, a *allocator, slot int) *planeState {
-	ps := &planeState{pagesPerBlock: pagesPerBlock, alloc: a, slot: slot, active: -1, gcActive: -1, blocks: make([]blockInfo, blocks)}
-	// Reverse order so block 0 is popped first, which keeps layouts easy
-	// to reason about in tests.
-	for b := blocks - 1; b >= 0; b-- {
-		ps.free = append(ps.free, b)
+// newPlanes builds one planeState per slot of a, plane p of chip c at
+// index c*Planes+p, with every block erased and counted in a. The
+// planes' block records and free lists are windows of the blocks and
+// free slabs it returns, each window's capacity its plane's block count,
+// so pushFree never reallocates.
+func newPlanes(a *allocator, ways int, geo flash.Geometry) (planes []planeState, blocks []blockInfo, free []int) {
+	n, bpp := len(a.slots), geo.BlocksPerPlane
+	planes = make([]planeState, n)
+	blocks = make([]blockInfo, n*bpp)
+	free = make([]int, n*bpp)
+	for i, s := range a.slots {
+		k := (s.chip.Channel*ways+s.chip.Way)*geo.Planes + s.plane
+		lo, hi := k*bpp, (k+1)*bpp
+		fl := free[lo:hi:hi]
+		// Reverse order so block 0 is popped first, which keeps layouts
+		// easy to reason about in tests.
+		for b := range fl {
+			fl[b] = bpp - 1 - b
+		}
+		planes[k] = planeState{pagesPerBlock: geo.PagesPerBlock, free: fl, alloc: a, slot: i, active: -1, gcActive: -1, blocks: blocks[lo:hi:hi]}
+		a.freeBlocks += bpp
+		a.free.set(i)
 	}
-	a.freeBlocks += blocks
-	if blocks > 0 {
-		a.free.set(slot)
-	}
-	return ps
+	return planes, blocks, free
 }
 
 // popFree takes the most recently erased block out of the free pool, or

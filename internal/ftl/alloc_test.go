@@ -264,7 +264,8 @@ func TestPhysIndexInjective(t *testing.T) {
 
 func TestPlaneStateGCAndHostStreamsIndependent(t *testing.T) {
 	a := newAllocator(PCWD, 1, 1, 1)
-	ps := newPlaneState(4, 4, a, 0)
+	planes, _, _ := newPlanes(a, 1, flash.Geometry{Planes: 1, BlocksPerPlane: 4, PagesPerBlock: 4, PageSize: 4096})
+	ps := &planes[0]
 	hb, _, _ := ps.allocate()
 	gb, _, _ := ps.allocateGC()
 	if hb == gb {

@@ -164,7 +164,7 @@ func TestCheckConsistencyCatchesSkippedFreeDecrement(t *testing.T) {
 	if err := f.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	ps := f.planes[0]
+	ps := &f.planes[0]
 	ps.free = ps.free[:len(ps.free)-1] // pop without popFree
 	err := f.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "free-block count") {

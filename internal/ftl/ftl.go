@@ -12,6 +12,7 @@ package ftl
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/controller"
 	"repro/internal/fault"
@@ -98,7 +99,8 @@ func DefaultConfig() Config {
 	}
 }
 
-const unmapped = int64(-1)
+// unmapped marks an l2p or p2l entry that maps nothing.
+const unmapped = -1
 
 // Stats aggregates FTL activity over a run.
 type Stats struct {
@@ -122,10 +124,16 @@ type FTL struct {
 	channels, ways int
 	numLPNs        int64
 
-	l2p    []int64 // lpn -> phys, or unmapped
-	p2l    []int64 // phys -> lpn, or unmapped
-	planes []*planeState
-	alloc  *allocator
+	// l2p and p2l are int32, halving the device's largest allocations:
+	// New rejects a grid of 2^31 or more physical pages.
+	l2p    []int32 // lpn -> phys, or unmapped
+	p2l    []int32 // phys -> lpn, or unmapped
+	planes []planeState
+	// blocks and freeLists are the slabs behind every plane's block
+	// records and free list (newPlanes).
+	blocks    []blockInfo
+	freeLists []int
+	alloc     *allocator
 
 	// SpGC group masks: gcLo/gcHi hold the GC group's slots and ioLo/ioHi
 	// the I/O group's, when gcGroupLo is true/false.
@@ -200,6 +208,9 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 	grid := fab.Grid()
 	geo := grid.Chip(controller.ChipID{Channel: 0, Way: 0}).Geometry()
 	raw := int64(grid.NumChips()) * int64(geo.PagesPerChip())
+	if raw > math.MaxInt32 {
+		panic(fmt.Sprintf("ftl: %d physical pages exceed the int32 maps' bound of %d", raw, math.MaxInt32))
+	}
 	if numLPNs <= 0 || numLPNs >= raw {
 		panic(fmt.Sprintf("ftl: logical capacity %d must be in (0, %d)", numLPNs, raw))
 	}
@@ -214,9 +225,8 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 		channels:       grid.Channels,
 		ways:           grid.Ways,
 		numLPNs:        numLPNs,
-		l2p:            make([]int64, numLPNs),
-		p2l:            make([]int64, raw),
-		planes:         make([]*planeState, grid.NumChips()*geo.Planes),
+		l2p:            make([]int32, numLPNs),
+		p2l:            make([]int32, raw),
 		inflightWrites: make(map[int64]int),
 		writeWaiters:   make(map[int64][]func()),
 		gcGroupLo:      false,                     // first SpGC round collects the high half
@@ -229,10 +239,7 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 		f.p2l[i] = unmapped
 	}
 	f.alloc = newAllocator(cfg.Policy, f.channels, f.ways, geo.Planes)
-	for i, s := range f.alloc.slots {
-		chipIdx := s.chip.Channel*f.ways + s.chip.Way
-		f.planes[chipIdx*geo.Planes+s.plane] = newPlaneState(geo.BlocksPerPlane, geo.PagesPerBlock, f.alloc, i)
-	}
+	f.planes, f.blocks, f.freeLists = newPlanes(f.alloc, f.ways, geo)
 	f.maybeGC = f.maybeTriggerGC
 	f.gcBoundary = int(float64(f.ways) * cfg.GCGroupFraction)
 	if f.gcBoundary <= 0 {
@@ -276,9 +283,9 @@ func (f *FTL) ras() *stats.RAS { return f.faults.RAS() }
 // RetiredBlocks counts blocks permanently removed from service.
 func (f *FTL) RetiredBlocks() int {
 	n := 0
-	for _, ps := range f.planes {
-		for b := range ps.blocks {
-			if ps.blocks[b].bad {
+	for i := range f.planes {
+		for _, bi := range f.planes[i].blocks {
+			if bi.bad {
 				n++
 			}
 		}
@@ -305,7 +312,7 @@ func (f *FTL) StalledWrites() int { return len(f.stalled) }
 
 func (f *FTL) planeAt(id controller.ChipID, plane int) *planeState {
 	chipIdx := id.Channel*f.ways + id.Way
-	return f.planes[chipIdx*f.geo.Planes+plane]
+	return &f.planes[chipIdx*f.geo.Planes+plane]
 }
 
 func (f *FTL) checkLPN(lpn int64) {
@@ -331,7 +338,7 @@ func TokenFor(lpn int64, version int64) flash.Token {
 // mapped.
 func (f *FTL) Map(lpn int64) (controller.ChipID, flash.PPA, bool) {
 	f.checkLPN(lpn)
-	phys := f.l2p[lpn]
+	phys := int64(f.l2p[lpn])
 	if phys == unmapped {
 		return controller.ChipID{}, flash.PPA{}, false
 	}
@@ -377,7 +384,7 @@ func (f *FTL) Install(lpn int64, tok flash.Token) {
 // millions of writes.
 func (f *FTL) Reinstall(lpn int64, tok flash.Token) {
 	f.checkLPN(lpn)
-	old := f.l2p[lpn]
+	old := int64(f.l2p[lpn])
 	if old == unmapped {
 		panic(fmt.Sprintf("ftl: Reinstall of unmapped LPN %d", lpn))
 	}
@@ -401,8 +408,8 @@ func (f *FTL) installAt(s slot, lpn int64, tok flash.Token) {
 	addr := flash.PPA{Plane: s.plane, Block: block, Page: page}
 	f.fab.Grid().Chip(s.chip).InstallPage(addr, tok)
 	phys := physIndex(f.geo, f.ways, s.chip, addr)
-	f.l2p[lpn] = phys
-	f.p2l[phys] = lpn
+	f.l2p[lpn] = int32(phys)
+	f.p2l[phys] = int32(lpn)
 	ps.blocks[block].validCount++
 	if f.sink != nil {
 		f.sink.PageWritten(lpn, tok)
@@ -622,17 +629,17 @@ func (e *batchEnd) complete() {
 func (f *FTL) erasedReadPanic(lpns []int64, id controller.ChipID, a flash.PPA, idx int) {
 	bi := f.planeAt(id, a.Plane).blocks[a.Block]
 	phys := physIndex(f.geo, f.ways, id, a)
-	lpn := f.p2l[phys]
+	lpn := int64(f.p2l[phys])
 	infl := -1
 	l2pOfP2L := int64(-2)
 	if lpn >= 0 {
 		infl = f.inflightWrites[lpn]
-		l2pOfP2L = f.l2p[lpn]
+		l2pOfP2L = int64(f.l2p[lpn])
 	}
 	var readLPN, readL2P int64 = -1, -1
 	for _, cand := range lpns {
-		if f.l2p[cand] == phys {
-			readLPN, readL2P = cand, f.l2p[cand]
+		if int64(f.l2p[cand]) == phys {
+			readLPN, readL2P = cand, phys
 		}
 	}
 	panic(fmt.Sprintf("ftl: issueRead of erased page %v on %v (batch idx %d, block state=%d valid=%d inflight=%d refs=%d, p2l=%d inflightWrites[p2l]=%d l2p[p2l]=%d readLPN=%d readL2P=%d inflightWrites[readLPN]=%d phys=%d)",
@@ -822,15 +829,15 @@ func (f *FTL) commitWrite(w *hostWrite, targets []pendingTarget) {
 		lpn := w.lpns[i]
 		// Invalidate the previous version.
 		if old := f.l2p[lpn]; old != unmapped {
-			f.invalidatePhys(old)
+			f.invalidatePhys(int64(old))
 		}
 		addr := flash.PPA{Plane: tgt.s.plane, Block: tgt.block, Page: tgt.page}
 		phys := physIndex(f.geo, f.ways, tgt.s.chip, addr)
 		if debugReads && f.p2l[phys] != unmapped {
 			panic(fmt.Sprintf("ftl: commitWrite double-maps phys %d (old lpn %d, new lpn %d) at %v/%v", phys, f.p2l[phys], lpn, tgt.s.chip, addr))
 		}
-		f.l2p[lpn] = phys
-		f.p2l[phys] = lpn
+		f.l2p[lpn] = int32(phys)
+		f.p2l[phys] = int32(lpn)
 		ps := f.planeAt(tgt.s.chip, tgt.s.plane)
 		ps.blocks[tgt.block].validCount++
 		ps.blocks[tgt.block].inflight++
@@ -943,7 +950,7 @@ func (f *FTL) handleProgramFaults(b *chipBatch) {
 		f.retireBlock(b.id, a.Plane, a.Block)
 		phys := physIndex(f.geo, f.ways, b.id, a)
 		lpn := b.lpns[i]
-		if f.p2l[phys] != lpn || f.l2p[lpn] != phys {
+		if int64(f.p2l[phys]) != lpn || int64(f.l2p[lpn]) != phys {
 			// Superseded mid-flight by a host overwrite: the failed page
 			// held no current data, retirement alone suffices.
 			continue
@@ -1025,8 +1032,8 @@ func (f *FTL) retryStalled() {
 // host search; tests call it after workloads and GC churn.
 func (f *FTL) CheckConsistency() error {
 	free := 0
-	for _, ps := range f.planes {
-		free += len(ps.free)
+	for i := range f.planes {
+		free += len(f.planes[i].free)
 	}
 	if free != f.alloc.freeBlocks {
 		return fmt.Errorf("ftl: free-block count %d, free pools hold %d", f.alloc.freeBlocks, free)
@@ -1039,14 +1046,15 @@ func (f *FTL) CheckConsistency() error {
 		if phys == unmapped {
 			continue
 		}
-		if f.p2l[phys] != int64(lpn) {
+		if f.p2l[phys] != int32(lpn) {
 			return fmt.Errorf("ftl: l2p[%d]=%d but p2l=%d", lpn, phys, f.p2l[phys])
 		}
-		id, addr := physDecode(f.geo, f.ways, phys)
+		id, addr := physDecode(f.geo, f.ways, int64(phys))
 		chipIdx := int64(id.Channel*f.ways+id.Way)*int64(f.geo.Planes) + int64(addr.Plane)
 		validByBlock[chipIdx*int64(f.geo.BlocksPerPlane)+int64(addr.Block)]++
 	}
-	for pi, ps := range f.planes {
+	for pi := range f.planes {
+		ps := &f.planes[pi]
 		for b := range ps.blocks {
 			want := validByBlock[int64(pi)*int64(f.geo.BlocksPerPlane)+int64(b)]
 			if ps.blocks[b].validCount != want {

@@ -345,7 +345,7 @@ func (r *victimRun) copyStep() {
 	f, v := r.f, r.v
 	from := flash.PPA{Plane: v.plane, Block: v.block, Page: r.pages[r.i]}
 	r.oldPhys = physIndex(f.geo, f.ways, v.id, from)
-	r.lpn = f.p2l[r.oldPhys]
+	r.lpn = int64(f.p2l[r.oldPhys])
 	if r.lpn == unmapped {
 		// Host overwrote it since selection; nothing to move.
 		r.nextPage()
@@ -385,13 +385,13 @@ func (r *victimRun) copiedStep() {
 		r.copyStep()
 		return
 	}
-	if lpn := r.lpn; f.p2l[r.oldPhys] == lpn && f.l2p[lpn] == r.oldPhys {
+	if lpn := r.lpn; int64(f.p2l[r.oldPhys]) == lpn && int64(f.l2p[lpn]) == r.oldPhys {
 		// Still current: move the mapping.
 		if debugGC2 && f.p2l[r.newPhys] != unmapped {
 			panic(fmt.Sprintf("ftl: GC copy double-maps phys %d (old lpn %d, new lpn %d)", r.newPhys, f.p2l[r.newPhys], lpn))
 		}
-		f.l2p[lpn] = r.newPhys
-		f.p2l[r.newPhys] = lpn
+		f.l2p[lpn] = int32(r.newPhys)
+		f.p2l[r.newPhys] = int32(lpn)
 		f.p2l[r.oldPhys] = unmapped
 		f.planeAt(v.id, v.plane).blocks[v.block].validCount--
 		r.dstPS.blocks[r.dstAddr.Block].validCount++

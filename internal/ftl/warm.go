@@ -4,29 +4,29 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/controller"
 	"repro/internal/flash"
 )
 
 // WarmKey is what shapes an FTL's state after a warm-up: the chip grid,
-// the logical capacity and the FTL configuration, the map unit's compared
-// by value. New sees nothing else, so two FTLs with equal keys that run
-// the same Install/Reinstall sequence end in the same state on any
-// fabric. Keys are comparable.
+// the logical capacity, the allocation policy, and the map unit's
+// configuration by value. Install and Reinstall read nothing else (not
+// the GC mode, victim policy, GC threshold or group fraction), so two
+// FTLs with equal keys that run the same Install/Reinstall sequence end
+// in the same state on any fabric. Keys are comparable.
 type WarmKey struct {
 	channels, ways int
 	geo            flash.Geometry
 	numLPNs        int64
-	cfg            Config // Map cleared; see mapCfg
+	policy         AllocPolicy
 	mapCfg         MapConfig
 	mapped         bool
 }
 
 // WarmKey returns f's key.
 func (f *FTL) WarmKey() WarmKey {
-	k := WarmKey{channels: f.channels, ways: f.ways, geo: f.geo, numLPNs: f.numLPNs, cfg: f.cfg}
+	k := WarmKey{channels: f.channels, ways: f.ways, geo: f.geo, numLPNs: f.numLPNs, policy: f.cfg.Policy}
 	if f.cfg.Map != nil {
-		k.cfg.Map, k.mapCfg, k.mapped = nil, *f.cfg.Map, true
+		k.mapCfg, k.mapped = *f.cfg.Map, true
 	}
 	return k
 }
@@ -34,16 +34,24 @@ func (f *FTL) WarmKey() WarmKey {
 // WarmState is a saved copy of an FTL and its chips right after a
 // warm-up, with the ordered (lpn, token) stream the warm-up installed.
 // SaveWarm makes one; RestoreWarm copies it into a fresh FTL of the same
-// key.
+// key. Each slab is saved and restored with one copy.
 type WarmState struct {
 	key                WarmKey
-	l2p, p2l           []int64
-	planes             []planeState // free and blocks are copies; alloc is nil
+	l2p, p2l           []int32
+	blocks             []blockInfo // the FTL's slabs
+	freeLists          []int
+	marks              []planeMark // per plane
 	cursor, freeBlocks int
 	open, gcOpen, free slotBits
-	chips              []*flash.ArrayState // in Grid.ForEach order
-	lpns               []int64             // the install stream
+	chips              *flash.ArrayState
+	lpns               []int64 // the install stream
 	toks               []flash.Token
+}
+
+// planeMark is what a planeState holds besides its slab windows.
+type planeMark struct {
+	free                                   int // free-list length
+	active, nextPage, gcActive, gcNextPage int
 }
 
 // installLog records the install stream on its way to the sink.
@@ -73,23 +81,22 @@ func (f *FTL) SaveWarm(fill func()) *WarmState {
 		key:        f.WarmKey(),
 		l2p:        slices.Clone(f.l2p),
 		p2l:        slices.Clone(f.p2l),
-		planes:     make([]planeState, len(f.planes)),
+		blocks:     slices.Clone(f.blocks),
+		freeLists:  slices.Clone(f.freeLists),
+		marks:      make([]planeMark, len(f.planes)),
 		cursor:     a.cursor,
 		freeBlocks: a.freeBlocks,
 		open:       slices.Clone(a.open),
 		gcOpen:     slices.Clone(a.gcOpen),
 		free:       slices.Clone(a.free),
+		chips:      f.fab.Grid().SaveArray(),
 		lpns:       log.lpns,
 		toks:       log.toks,
 	}
-	for i, ps := range f.planes {
-		p := *ps
-		p.alloc, p.free, p.blocks = nil, slices.Clone(ps.free), slices.Clone(ps.blocks)
-		ws.planes[i] = p
+	for i := range f.planes {
+		ps := &f.planes[i]
+		ws.marks[i] = planeMark{len(ps.free), ps.active, ps.nextPage, ps.gcActive, ps.gcNextPage}
 	}
-	f.fab.Grid().ForEach(func(_ controller.ChipID, c *flash.Chip) {
-		ws.chips = append(ws.chips, c.SaveArray())
-	})
 	return ws
 }
 
@@ -103,22 +110,19 @@ func (f *FTL) RestoreWarm(ws *WarmState) {
 	}
 	copy(f.l2p, ws.l2p)
 	copy(f.p2l, ws.p2l)
-	for i, ps := range f.planes {
-		p := &ws.planes[i]
-		ps.free = append(ps.free[:0], p.free...)
-		copy(ps.blocks, p.blocks)
-		ps.active, ps.nextPage, ps.gcActive, ps.gcNextPage = p.active, p.nextPage, p.gcActive, p.gcNextPage
+	copy(f.blocks, ws.blocks)
+	copy(f.freeLists, ws.freeLists)
+	for i := range f.planes {
+		ps, m := &f.planes[i], ws.marks[i]
+		ps.free = ps.free[:m.free]
+		ps.active, ps.nextPage, ps.gcActive, ps.gcNextPage = m.active, m.nextPage, m.gcActive, m.gcNextPage
 	}
 	a := f.alloc
 	a.cursor, a.freeBlocks = ws.cursor, ws.freeBlocks
 	copy(a.open, ws.open)
 	copy(a.gcOpen, ws.gcOpen)
 	copy(a.free, ws.free)
-	i := 0
-	f.fab.Grid().ForEach(func(_ controller.ChipID, c *flash.Chip) {
-		c.RestoreArray(ws.chips[i])
-		i++
-	})
+	f.fab.Grid().RestoreArray(ws.chips)
 	for i, lpn := range ws.lpns {
 		if f.sink != nil {
 			f.sink.PageWritten(lpn, ws.toks[i])

@@ -15,6 +15,7 @@ package mesh
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/bus"
 	"repro/internal/sim"
@@ -33,11 +34,16 @@ func Controller(y int) Node { return Node{X: -1, Y: y} }
 func (n Node) IsController() bool { return n.X == -1 }
 
 // String formats the node.
-func (n Node) String() string {
+func (n Node) String() string { return string(n.appendTo(nil)) }
+
+// appendTo appends the node's name, ctrl<y> or (<x>,<y>), to b.
+func (n Node) appendTo(b []byte) []byte {
 	if n.IsController() {
-		return fmt.Sprintf("ctrl%d", n.Y)
+		return strconv.AppendInt(append(b, "ctrl"...), int64(n.Y), 10)
 	}
-	return fmt.Sprintf("(%d,%d)", n.X, n.Y)
+	b = strconv.AppendInt(append(b, '('), int64(n.X), 10)
+	b = strconv.AppendInt(append(b, ','), int64(n.Y), 10)
+	return append(b, ')')
 }
 
 // DefaultHopLatency is the per-hop router traversal latency.
@@ -48,8 +54,13 @@ type Mesh struct {
 	eng        *sim.Engine
 	w, h       int
 	hopLatency sim.Time
-	links      map[[2]Node]*bus.Channel
-	freeXfers  []*transfer // recycled Transfer records
+	links      []bus.Channel
+	// out[4*cell+d] indexes links for the link leaving a node in
+	// direction d (+x, -x, +y, -y), or is -1. Cells are row-major over
+	// x in [-1, w), so a row's controller is the cell west of its edge
+	// node.
+	out       []int32
+	freeXfers []*transfer // recycled Transfer records
 }
 
 // New builds a w×h mesh with the given directed-link width and rate.
@@ -57,19 +68,12 @@ func New(eng *sim.Engine, w, h, widthBits, rateMTps int) *Mesh {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("mesh: invalid size %dx%d", w, h))
 	}
-	m := &Mesh{
-		eng:        eng,
-		w:          w,
-		h:          h,
-		hopLatency: DefaultHopLatency,
-		links:      make(map[[2]Node]*bus.Channel),
-	}
-	add := func(a, b Node) {
-		m.links[[2]Node{a, b}] = bus.NewChannel(eng, fmt.Sprintf("link %v->%v", a, b), widthBits, rateMTps)
-		m.links[[2]Node{b, a}] = bus.NewChannel(eng, fmt.Sprintf("link %v->%v", b, a), widthBits, rateMTps)
-	}
+	// Both directions of each adjacent pair, pair by pair: a row's
+	// injection/ejection pair, then each node's east and south pairs.
+	pairs := make([][2]Node, 0, 2*(h+h*(w-1)+w*(h-1)))
+	add := func(a, b Node) { pairs = append(pairs, [2]Node{a, b}, [2]Node{b, a}) }
 	for y := 0; y < h; y++ {
-		add(Controller(y), Node{0, y}) // injection/ejection pair
+		add(Controller(y), Node{0, y})
 		for x := 0; x < w; x++ {
 			if x+1 < w {
 				add(Node{x, y}, Node{x + 1, y})
@@ -79,17 +83,56 @@ func New(eng *sim.Engine, w, h, widthBits, rateMTps int) *Mesh {
 			}
 		}
 	}
+	names := sim.Names(len(pairs), func(b []byte, i int) []byte {
+		b = pairs[i][0].appendTo(append(b, "link "...))
+		return pairs[i][1].appendTo(append(b, "->"...))
+	})
+	m := &Mesh{
+		eng:        eng,
+		w:          w,
+		h:          h,
+		hopLatency: DefaultHopLatency,
+		links:      bus.NewChannels(eng, names, widthBits, rateMTps),
+		out:        make([]int32, 4*(w+1)*h),
+	}
+	for i := range m.out {
+		m.out[i] = -1
+	}
+	for i, p := range pairs {
+		m.out[m.slot(p[0], p[1])] = int32(i)
+	}
 	return m
+}
+
+// slot returns the index in out of the link from one node to the next,
+// or -1 when from is off the mesh or to is not one step from it.
+func (m *Mesh) slot(from, to Node) int {
+	if from.X < -1 || from.X >= m.w || from.Y < 0 || from.Y >= m.h {
+		return -1
+	}
+	var d int
+	switch dx, dy := to.X-from.X, to.Y-from.Y; {
+	case dx == 1 && dy == 0:
+		d = 0
+	case dx == -1 && dy == 0:
+		d = 1
+	case dx == 0 && dy == 1:
+		d = 2
+	case dx == 0 && dy == -1:
+		d = 3
+	default:
+		return -1
+	}
+	return 4*(from.Y*(m.w+1)+from.X+1) + d
 }
 
 // Link returns the directed link between adjacent nodes; it panics when
 // the nodes are not neighbours.
 func (m *Mesh) Link(from, to Node) *bus.Channel {
-	ch, ok := m.links[[2]Node{from, to}]
-	if !ok {
-		panic(fmt.Sprintf("mesh: no link %v->%v", from, to))
+	if k := m.slot(from, to); k >= 0 && m.out[k] >= 0 {
+		return &m.links[m.out[k]]
 	}
-	return ch
+	panic(fmt.Sprintf("mesh: no link %v->%v", from, to))
 }
 
 func (m *Mesh) check(n Node) {

@@ -13,10 +13,15 @@ package sim
 //     code can treat it as happening "next", and the holder must call
 //     Release when done.
 type Resource struct {
-	eng     *Engine
-	name    string
-	busy    bool
+	eng  *Engine
+	name string
+	busy bool
+	// waiters[head:] are the queued requests, oldest first. Popped slots
+	// are zeroed, and the live entries slide to the front only when an
+	// append finds the slice full, so a grant is O(1) like the engine's
+	// same-instant lane.
 	waiters []grantReq
+	head    int
 
 	// accounting
 	busySince   Time
@@ -68,9 +73,39 @@ const DefaultHoldLabel = "hold"
 // NewResource creates an idle resource attached to the engine. The name is
 // used only for diagnostics.
 func NewResource(eng *Engine, name string) *Resource {
-	r := &Resource{eng: eng, name: name}
-	r.relStep = r.timedReleaseStep
-	return r
+	return &NewResources(eng, []string{name})[0]
+}
+
+// NewResources creates one idle resource per name in a single slab, the
+// way a device builds its dies, buses and links.
+func NewResources(eng *Engine, names []string) []Resource {
+	rs := make([]Resource, len(names))
+	for i := range rs {
+		r := &rs[i]
+		r.eng, r.name = eng, names[i]
+		r.relStep = r.timedReleaseStep
+	}
+	return rs
+}
+
+// Names builds n strings that share one backing array: name appends the
+// i-th to b. Devices name thousands of resources this way without one
+// allocation per name.
+func Names(n int, name func(b []byte, i int) []byte) []string {
+	var buf []byte
+	ends := make([]int, n)
+	for i := range ends {
+		buf = name(buf, i)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
+	out := make([]string, n)
+	start := 0
+	for i, end := range ends {
+		out[i] = all[start:end]
+		start = end
+	}
+	return out
 }
 
 // Name returns the diagnostic name supplied at construction.
@@ -113,7 +148,7 @@ func (t teeObserver) ResourceQueue(r *Resource, depth int, at Time) {
 func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen returns the number of waiters not yet granted.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
 // Acquire requests the resource. When granted, fn runs as its own event; the
 // holder must eventually call Release.
@@ -130,16 +165,27 @@ func (r *Resource) AcquireLabeled(label string, fn func()) {
 		r.grant(grantReq{fn: fn, at: r.eng.Now(), label: label})
 		return
 	}
-	r.waiters = append(r.waiters, grantReq{fn: fn, at: r.eng.Now(), label: label})
+	r.enqueue(grantReq{fn: fn, at: r.eng.Now(), label: label})
+}
+
+// enqueue appends a waiter, first sliding the live entries to the front
+// when the slice is full and popped slots sit before them.
+func (r *Resource) enqueue(req grantReq) {
+	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
+		n := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[n:])
+		r.waiters, r.head = r.waiters[:n], 0
+	}
+	r.waiters = append(r.waiters, req)
 	if r.obs != nil {
-		r.obs.ResourceQueue(r, len(r.waiters), r.eng.Now())
+		r.obs.ResourceQueue(r, r.QueueLen(), r.eng.Now())
 	}
 }
 
 // TryAcquire acquires the resource only if it is idle and has no waiters,
 // reporting success. On success fn is scheduled exactly as with Acquire.
 func (r *Resource) TryAcquire(fn func()) bool {
-	if r.busy || len(r.waiters) > 0 {
+	if r.busy || r.QueueLen() > 0 {
 		return false
 	}
 	r.grant(grantReq{fn: fn, at: r.eng.Now(), label: DefaultHoldLabel})
@@ -183,17 +229,21 @@ func (r *Resource) Release() {
 		r.obs.ResourceHold(r, r.curLabel, r.curQueued, r.busySince, r.eng.Now())
 	}
 	r.busy = false
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
+	if h := r.head; h < len(r.waiters) {
+		next := r.waiters[h]
+		r.waiters[h] = grantReq{}
+		if h+1 == len(r.waiters) {
+			r.waiters, r.head = r.waiters[:0], 0
+		} else {
+			r.head = h + 1
+		}
 		wait := r.eng.Now() - next.at
 		r.totalWait += wait
 		if wait > r.maxWait {
 			r.maxWait = wait
 		}
 		if r.obs != nil {
-			r.obs.ResourceQueue(r, len(r.waiters), r.eng.Now())
+			r.obs.ResourceQueue(r, r.QueueLen(), r.eng.Now())
 		}
 		r.grant(next)
 	}
@@ -218,10 +268,7 @@ func (r *Resource) UseLabeled(label string, d Time, done func()) {
 		r.grant(grantReq{at: r.eng.Now(), label: label, timed: true, dur: d, done: done})
 		return
 	}
-	r.waiters = append(r.waiters, grantReq{at: r.eng.Now(), label: label, timed: true, dur: d, done: done})
-	if r.obs != nil {
-		r.obs.ResourceQueue(r, len(r.waiters), r.eng.Now())
-	}
+	r.enqueue(grantReq{at: r.eng.Now(), label: label, timed: true, dur: d, done: done})
 }
 
 // TotalBusy returns cumulative held time over completed holds.

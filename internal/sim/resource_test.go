@@ -159,3 +159,61 @@ func TestResourceSerializationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResourceDeepQueue drives a queue hundreds deep whose grants append
+// more waiters, so popped slots, a full slice and the slide to the front
+// all occur: grants stay FIFO, QueueLen counts exactly the waiters not
+// yet granted, no slot outside the live window keeps a request, and the
+// slide keeps the backing array within twice the deepest queue.
+func TestResourceDeepQueue(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "bus")
+	var order []int
+	next, deepest := 0, 0
+	var add func()
+	add = func() {
+		i := next
+		next++
+		r.Use(1, func() {
+			order = append(order, i)
+			waiting := next - len(order)
+			if r.Busy() {
+				waiting--
+			}
+			if r.QueueLen() != waiting {
+				t.Fatalf("after grant %d: QueueLen %d, want %d", i, r.QueueLen(), waiting)
+			}
+			for k, w := range r.waiters[:cap(r.waiters)] {
+				if (k < r.head || k >= len(r.waiters)) && (w.fn != nil || w.done != nil || w.label != "") {
+					t.Fatalf("after grant %d: slot %d outside [%d,%d) still holds a request", i, k, r.head, len(r.waiters))
+				}
+			}
+			if i%2 == 0 && next < 1000 {
+				add()
+				add()
+			}
+			deepest = max(deepest, r.QueueLen())
+		})
+	}
+	for range 300 {
+		add()
+	}
+	if r.QueueLen() != 299 {
+		t.Fatalf("QueueLen %d after 300 holds on an idle resource, want 299", r.QueueLen())
+	}
+	e.Run()
+	if len(order) != next {
+		t.Fatalf("%d of %d holds granted", len(order), next)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("grant %d went to hold %d, want FIFO", i, v)
+		}
+	}
+	if c := cap(r.waiters); c > 2*deepest {
+		t.Fatalf("backing array grew to %d slots for a queue at most %d deep", c, deepest)
+	}
+	if r.QueueLen() != 0 || r.head != 0 || len(r.waiters) != 0 {
+		t.Fatalf("drained queue has QueueLen %d, head %d, len %d", r.QueueLen(), r.head, len(r.waiters))
+	}
+}

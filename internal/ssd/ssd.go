@@ -8,6 +8,7 @@ package ssd
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/bus"
@@ -195,6 +196,10 @@ func (c Config) Validate() {
 	if c.Channels <= 0 || c.Ways <= 0 || c.BusMTps <= 0 {
 		panic(fmt.Sprintf("ssd: invalid config %+v", c))
 	}
+	// The FTL's maps hold page numbers as int32.
+	if n := c.RawPages(); n > math.MaxInt32 {
+		panic(fmt.Sprintf("ssd: %d physical pages exceed the bound of %d", n, math.MaxInt32))
+	}
 	if c.LogicalUtilization <= 0 || c.LogicalUtilization >= 1 {
 		panic("ssd: LogicalUtilization must be in (0,1)")
 	}
@@ -323,9 +328,16 @@ type probe struct {
 // registration and idle watches, Buses, and the Fig 3 matrix, so a new
 // observed resource is added here and nowhere else.
 func probes(grid *controller.Grid, fab controller.Fabric, soc *controller.Soc, h *host.Host) []probe {
-	var out []probe
+	// One slab holds every probe's names, each probe a window of it.
+	n := grid.NumChips() + 2*grid.Channels + 2
+	out := make([]probe, 0, n)
+	slab := make([]string, 0, n+1)
+	names := func(s ...string) []string {
+		slab = append(slab, s...)
+		return slab[len(slab)-len(s) : len(slab) : len(slab)]
+	}
 	addBus := func(c *bus.Channel, kind string) {
-		out = append(out, probe{kind: kind, names: []string{c.Name()}, obs: c, idle: c})
+		out = append(out, probe{kind: kind, names: names(c.Name()), obs: c, idle: c})
 	}
 	if fb, ok := fab.(*controller.OmnibusFabric); ok {
 		for ch := 0; ch < grid.Channels; ch++ {
@@ -336,11 +348,11 @@ func probes(grid *controller.Grid, fab controller.Fabric, soc *controller.Soc, h
 		}
 	}
 	grid.ForEach(func(_ controller.ChipID, c *flash.Chip) {
-		out = append(out, probe{kind: trace.KindChip, names: []string{c.DieName()}, obs: c, idle: c})
+		out = append(out, probe{kind: trace.KindChip, names: names(c.DieName()), obs: c, idle: c})
 	})
 	return append(out,
-		probe{kind: trace.KindSoc, names: []string{"sysbus", "dram"}, obs: soc},
-		probe{kind: trace.KindHost, names: []string{h.NvmeName()}, obs: h})
+		probe{kind: trace.KindSoc, names: names("sysbus", "dram"), obs: soc},
+		probe{kind: trace.KindHost, names: names(h.NvmeName()), obs: h})
 }
 
 // wireTrace builds the recorder from cfg.Trace (nil when absent),

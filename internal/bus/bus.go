@@ -77,12 +77,12 @@ func (c *Channel) Use(d sim.Time, done func()) { c.res.Use(d, done) }
 // naming the hold for trace observers. Labels must be constant strings.
 func (c *Channel) UseOp(label string, d sim.Time, done func()) { c.res.UseLabeled(label, d, done) }
 
-// Acquire and Release expose raw resource holds for multi-phase
-// transactions that must keep the bus across phases.
-func (c *Channel) Acquire(fn func()) { c.res.Acquire(fn) }
-
-// Release frees the channel.
-func (c *Channel) Release() { c.res.Release() }
+// UseGranted occupies the channel for the duration hold returns at the
+// grant, then runs done: a hold whose holder must act at the grant
+// instant, as a mesh hop cuts its packet's head through to the next link.
+func (c *Channel) UseGranted(hold func() sim.Time, done func()) {
+	c.res.UseGranted(sim.DefaultHoldLabel, hold, done)
+}
 
 // Busy reports whether the channel is currently held.
 func (c *Channel) Busy() bool { return c.res.Busy() }

@@ -288,8 +288,9 @@ func (c *Chip) Read(ppas []PPA, done func()) {
 	r := c.newRead()
 	r.addrs = append(r.addrs[:0], ppas...)
 	r.done = done
-	// An open hold, not a timed one: the ECC fault penalty is drawn at grant.
-	c.die.AcquireLabeled("read", r.grant)
+	// The hold's length is set at the grant, where the ECC fault penalty
+	// is drawn, so penalties are drawn in grant order.
+	c.die.UseGranted("read", r.grant, r.sense)
 }
 
 // chipRead is one queued or sensing Chip.Read. Records are recycled
@@ -300,8 +301,8 @@ type chipRead struct {
 	c     *Chip
 	addrs []PPA
 	done  func()
-	grant func() // bound r.granted
-	sense func() // bound r.sensed
+	grant func() sim.Time // bound r.granted
+	sense func()          // bound r.sensed
 }
 
 // newRead pops a read record off the free list, building one if empty.
@@ -317,24 +318,23 @@ func (c *Chip) newRead() *chipRead {
 	return r
 }
 
-// granted runs when the die is granted. The retry ladder extends the
-// die-busy window: re-senses hold the array exactly like the first sense
-// does on real NAND.
-func (r *chipRead) granted() {
+// granted runs when the die is granted and returns how long the read
+// holds it. The retry ladder extends the die-busy window: re-senses hold
+// the array exactly like the first sense does on real NAND.
+func (r *chipRead) granted() sim.Time {
 	c := r.c
-	c.eng.Schedule(c.timing.Read+c.readFaultPenalty(len(r.addrs)), r.sense)
+	return c.timing.Read + c.readFaultPenalty(len(r.addrs))
 }
 
-// sensed lands the pages in their registers and frees the die. The
-// record returns to the free list before done runs, because done may
-// issue the next read on this chip.
+// sensed runs once the die is released and lands the pages in their
+// registers. The record returns to the free list before done runs,
+// because done may issue the next read on this chip.
 func (r *chipRead) sensed() {
 	c := r.c
 	for _, a := range r.addrs {
 		c.pageReg[a.Plane] = c.content[c.pageIndex(a)]
 	}
 	c.reads++
-	c.die.Release()
 	done := r.done
 	r.done = nil
 	c.freeReads = append(c.freeReads, r)

@@ -99,9 +99,9 @@ func TestDieSerializesOps(t *testing.T) {
 }
 
 // TestDieEventsPerOp pins how many events each array operation costs.
-// Program and erase are timed holds of the die, one event each. A read
-// is an open hold, since its ECC penalty is drawn at grant: its grant and
-// its sense are two events.
+// Every one is a timed hold of the die, one event each. A read's length,
+// which its ECC penalty extends, is set at the grant without an event of
+// its own.
 func TestDieEventsPerOp(t *testing.T) {
 	a := PPA{Plane: 1, Block: 2, Page: 0} // installed before each op
 	for _, tc := range []struct {
@@ -111,7 +111,7 @@ func TestDieEventsPerOp(t *testing.T) {
 	}{
 		{"program", func(c *Chip) { c.Program([]ProgramOp{{Addr: PPA{Plane: 1, Block: 3}, Token: 7}}, nil) }, 1},
 		{"erase", func(c *Chip) { c.Erase([]PPA{a}, nil) }, 1},
-		{"read", func(c *Chip) { c.Read([]PPA{a}, nil) }, 2},
+		{"read", func(c *Chip) { c.Read([]PPA{a}, nil) }, 1},
 	} {
 		e := sim.NewEngine()
 		c := newTestChip(e)

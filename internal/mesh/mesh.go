@@ -241,7 +241,8 @@ type hop struct {
 	i    int
 	link *bus.Channel
 
-	granted, next, release func() // bound steps
+	granted       func() sim.Time // bound grantedStep
+	next, release func()          // bound steps
 }
 
 // newTransfer pops a transfer record off the free list, building one if
@@ -260,24 +261,24 @@ func (h *hop) last() bool { return h.i+2 == len(h.t.path) }
 
 func (h *hop) request() {
 	h.link = h.t.m.Link(h.t.path[h.i], h.t.path[h.i+1])
-	// An open hold, not a timed one: cut-through needs the grant instant.
-	h.link.Acquire(h.granted)
+	h.link.UseGranted(h.granted, h.release)
 }
 
-func (h *hop) grantedStep() {
+// grantedStep runs at the grant, which cut-through needs, and returns
+// how long the packet holds the link.
+func (h *hop) grantedStep() sim.Time {
 	m := h.t.m
 	if !h.last() {
 		// Head cut-through: downstream link is requested after the
 		// router latency and the first beat.
 		m.eng.Schedule(m.hopLatency+h.link.BeatTime(), h.next)
 	}
-	m.eng.Schedule(h.link.TimeForFlits(h.t.flits), h.release)
+	return h.link.TimeForFlits(h.t.flits)
 }
 
 func (h *hop) nextStep() { h.t.hops[h.i+1].request() }
 
 func (h *hop) releaseStep() {
-	h.link.Release()
 	if !h.last() {
 		return
 	}

@@ -110,6 +110,27 @@ func TestTransferLatency(t *testing.T) {
 	}
 }
 
+// TestTransferEventsPerHop pins what a k-hop transfer costs: one event
+// per link hold and one per cut-through of the head to the next link,
+// 2k-1 in all. A hop's hold length is set at its grant, which costs no
+// event of its own.
+func TestTransferEventsPerHop(t *testing.T) {
+	for _, dst := range []Node{{0, 0}, {1, 0}, {3, 0}, {3, 2}, {2, 3}} {
+		e := sim.NewEngine()
+		m := New(e, 4, 4, 8, 1000)
+		k := len(m.Path(Controller(0), dst)) - 1
+		done := 0
+		m.Transfer(Controller(0), dst, 100, func() { done++ })
+		e.Run()
+		if done != 1 {
+			t.Fatalf("%d-hop transfer completed %d times", k, done)
+		}
+		if got, want := e.EventsFired(), int64(2*k-1); got != want {
+			t.Errorf("%d-hop transfer fired %d events, want %d", k, got, want)
+		}
+	}
+}
+
 func TestTransferPinConstraintSlowdown(t *testing.T) {
 	e2 := sim.NewEngine()
 	narrow := New(e2, 8, 8, 2, 1000)

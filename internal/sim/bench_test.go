@@ -24,10 +24,10 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSameInstant measures the same-instant lane: four
-// zero-delay event chains, one op per event, with every sixteenth event
-// one picosecond ahead so the clock moves and the lane drains. Steady
-// state is 0 allocs/op.
+// BenchmarkEngineSameInstant measures zero-delay events, which go
+// through the heap like any other: four zero-delay event chains, one op
+// per event, with every sixteenth event one picosecond ahead so the clock
+// moves. Steady state is 0 allocs/op.
 func BenchmarkEngineSameInstant(b *testing.B) {
 	e := NewEngine()
 	fired, scheduled := 0, min(4, b.N)

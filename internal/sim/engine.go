@@ -75,11 +75,10 @@ func (a event) before(b event) bool {
 // eventHeap is a 4-ary min-heap of concrete event values ordered by
 // before. It replaces container/heap: no heap.Interface, no interface{}
 // boxing on push/pop, and the arity-4 layout halves the tree depth so
-// sift-down touches fewer cache lines per operation. It holds only what
-// the same-instant lane cannot: events scheduled for a later instant,
-// plus the head of each AtEach arrival stream. The backing array is kept
-// across Run loops, so a drained engine re-fills its queue without
-// reallocating.
+// sift-down touches fewer cache lines per operation. It holds every
+// scheduled event plus the head of each AtEach arrival stream. The
+// backing array is kept across Run loops, so a drained engine re-fills
+// its queue without reallocating.
 type eventHeap []event
 
 // push appends ev and sifts it up to its position.
@@ -162,35 +161,26 @@ func EventsFiredTotal() int64 { return totalFired.Load() }
 // concurrently (the runner's per-job engines) with no shared mutable
 // state beyond the batched EventsFiredTotal counter.
 //
-// Pending events live in three places, all ordered by before:
-//   - lane, a FIFO of events scheduled for the current instant. Every
-//     entry has at == now (the clock never advances while the lane holds
-//     anything) and entries are appended in seq order, so the lane is
-//     sorted and its head is its minimum. Zero-delay events, chiefly the
-//     grant callback of every Acquire hold, skip the heap entirely.
+// Pending events live in two places, both ordered by before:
 //   - arrival streams from AtEach, each sorted by (at, seq), of which
 //     only the head is queued; firing it queues its successor.
-//   - events, the heap, for everything else.
+//   - events, the heap, for everything else, zero-delay events included.
 //
-// step fires the earlier of the lane head and the heap top, so the
-// firing order is the single-queue (at, seq) order event for event.
+// step fires the heap top, so the firing order is the single-queue
+// (at, seq) order event for event.
 type Engine struct {
 	now    Time
 	seq    int64
 	events eventHeap
-	// lane[laneHead:] are the pending same-instant events; popped slots
-	// are zeroed so their closures can be collected.
-	lane     []event
-	laneHead int
 	// backlog counts stream arrivals not yet queued in events.
 	backlog int
 	fired   int64
 	// counted is how much of fired has been published to totalFired.
 	counted int64
-	// highWater tracks the longest the heap or the lane has been since
-	// the last full drain; recentHW keeps the marks of the last few
-	// drained Runs so the backing arrays can shrink once a big-config run
-	// is provably over, not on the first quiet window after it.
+	// highWater tracks the longest the heap has been since the last full
+	// drain; recentHW keeps the marks of the last few drained Runs so the
+	// backing array can shrink once a big-config run is provably over,
+	// not on the first quiet window after it.
 	highWater int
 	recentHW  [hwRuns]int
 	hwIdx     int
@@ -216,8 +206,8 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) EventsFired() int64 { return e.fired }
 
 // Pending returns the number of scheduled events that have not fired:
-// heap and lane entries plus AtEach arrivals not yet queued.
-func (e *Engine) Pending() int { return len(e.events) + len(e.lane) - e.laneHead + e.backlog }
+// heap entries plus AtEach arrivals not yet queued.
+func (e *Engine) Pending() int { return len(e.events) + e.backlog }
 
 // Schedule runs fn after delay d. A negative delay panics: the model has a
 // causality bug and silently clamping it would hide the error.
@@ -237,10 +227,6 @@ func (e *Engine) At(t Time, fn func()) {
 		panic("sim: nil event function")
 	}
 	e.seq++
-	if t == e.now {
-		e.laneAppend(event{at: t, seq: e.seq, fn: fn})
-		return
-	}
 	e.push(event{at: t, seq: e.seq, fn: fn})
 }
 
@@ -248,23 +234,6 @@ func (e *Engine) At(t Time, fn func()) {
 func (e *Engine) push(ev event) {
 	e.events.push(ev)
 	if n := len(e.events); n > e.highWater {
-		e.highWater = n
-	}
-}
-
-// laneAppend queues a same-instant event. A full lane whose head has
-// advanced slides its live entries to the front first, so a long run of
-// same-instant events reuses the slots already popped instead of growing
-// the slice.
-func (e *Engine) laneAppend(ev event) {
-	if e.laneHead > 0 && len(e.lane) == cap(e.lane) {
-		n := copy(e.lane, e.lane[e.laneHead:])
-		clear(e.lane[n:])
-		e.lane = e.lane[:n]
-		e.laneHead = 0
-	}
-	e.lane = append(e.lane, ev)
-	if n := len(e.lane); n > e.highWater {
 		e.highWater = n
 	}
 }
@@ -337,9 +306,9 @@ func (s *arrivals) next() {
 	s.fn(i)
 }
 
-// queued reports whether an event is waiting in the heap or the lane.
-// Unqueued stream arrivals always have their predecessor queued.
-func (e *Engine) queued() bool { return e.laneHead < len(e.lane) || len(e.events) > 0 }
+// queued reports whether an event is waiting in the heap. Unqueued
+// stream arrivals always have their predecessor queued.
+func (e *Engine) queued() bool { return len(e.events) > 0 }
 
 // Run executes events until the queue drains and returns the final time.
 func (e *Engine) Run() Time {
@@ -363,11 +332,11 @@ func (e *Engine) flushFired() {
 }
 
 // noteDrained records the queue's high-water mark for the Run that just
-// drained and shrinks the heap's and the lane's backing arrays once
-// either capacity exceeds 4x the deepest queue any of the last hwRuns
-// Runs needed. Big-config sweeps reuse one engine across many Runs;
-// without this, a single deep-queue run pins its peak-size slices (and
-// every event closure slot in them) for the engine's remaining lifetime.
+// drained and shrinks the heap's backing array once its capacity
+// exceeds 4x the deepest queue any of the last hwRuns Runs needed.
+// Big-config sweeps reuse one engine across many Runs; without this, a
+// single deep-queue run pins its peak-size slice (and every event
+// closure slot in it) for the engine's remaining lifetime.
 func (e *Engine) noteDrained() {
 	e.recentHW[e.hwIdx%hwRuns] = e.highWater
 	e.hwIdx++
@@ -380,15 +349,11 @@ func (e *Engine) noteDrained() {
 	if c := cap(e.events); c >= minShrinkCap && c > 4*need {
 		e.events = make(eventHeap, 0, 2*need)
 	}
-	if c := cap(e.lane); c >= minShrinkCap && c > 4*need {
-		e.lane, e.laneHead = make([]event, 0, 2*need), 0
-	}
 	e.highWater = 0
 }
 
-// heapCap and laneCap expose the queues' backing capacities to tests.
+// heapCap exposes the heap's backing capacity to tests.
 func (e *Engine) heapCap() int { return cap(e.events) }
-func (e *Engine) laneCap() int { return cap(e.lane) }
 
 // RunUntil executes every event with a timestamp <= deadline, including
 // events those events schedule into the window, and returns the number of
@@ -402,14 +367,7 @@ func (e *Engine) laneCap() int { return cap(e.lane) }
 // publish per call.
 func (e *Engine) RunUntil(deadline Time) int64 {
 	var n int64
-	for {
-		if e.laneHead < len(e.lane) {
-			if e.now > deadline {
-				break
-			}
-		} else if len(e.events) == 0 || e.events[0].at > deadline {
-			break
-		}
+	for len(e.events) > 0 && e.events[0].at <= deadline {
 		e.step()
 		n++
 	}
@@ -434,20 +392,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// step fires the earlier of the lane head and the heap top.
+// step fires the heap top.
 func (e *Engine) step() {
-	var ev event
-	if h := e.laneHead; h < len(e.lane) && (len(e.events) == 0 || e.lane[h].before(e.events[0])) {
-		ev = e.lane[h]
-		e.lane[h] = event{}
-		if h+1 == len(e.lane) {
-			e.lane, e.laneHead = e.lane[:0], 0
-		} else {
-			e.laneHead = h + 1
-		}
-	} else {
-		ev = e.events.popMin()
-	}
+	ev := e.events.popMin()
 	if ev.at < e.now {
 		panic("sim: event heap corrupted")
 	}

@@ -276,9 +276,9 @@ func TestEngineAtEachOrder(t *testing.T) {
 	}
 }
 
-// TestEnginePendingCountsEveryQueue: Pending counts heap entries, lane
-// entries and stream arrivals not yet queued, and falls by one per fired
-// event, so a drain check reads 0 only when nothing is scheduled.
+// TestEnginePendingCountsEveryQueue: Pending counts heap entries and
+// stream arrivals not yet queued, and falls by one per fired event, so a
+// drain check reads 0 only when nothing is scheduled.
 func TestEnginePendingCountsEveryQueue(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(0, func() {})
@@ -446,11 +446,10 @@ func TestEventsFiredTotalConcurrentEngines(t *testing.T) {
 	}
 }
 
-// TestEventHeapShrinks: a run that piles up a huge queue, in the heap or
-// in the same-instant lane, must not pin its peak-size backing array
-// forever. After enough small drained Runs
-// push the big one out of the high-water history, capacity falls back
-// toward what the recent runs actually needed.
+// TestEventHeapShrinks: a run that piles up a huge queue must not pin its
+// peak-size backing array forever. After enough small drained Runs push
+// the big one out of the high-water history, capacity falls back toward
+// what the recent runs actually needed.
 func TestEventHeapShrinks(t *testing.T) {
 	e := NewEngine()
 	const big = 50_000
@@ -471,24 +470,6 @@ func TestEventHeapShrinks(t *testing.T) {
 	}
 	if c := e.heapCap(); c >= peak/4 {
 		t.Fatalf("heap capacity still %d after small runs (peak %d); want < peak/4", c, peak)
-	}
-	// The same for the same-instant lane: a burst of zero-delay events.
-	for i := 0; i < big; i++ {
-		e.Schedule(0, func() {})
-	}
-	e.Run()
-	lanePeak := e.laneCap()
-	if lanePeak < big {
-		t.Fatalf("lane capacity %d below burst size %d", lanePeak, big)
-	}
-	for r := 0; r < hwRuns+1; r++ {
-		for i := 0; i < 8; i++ {
-			e.Schedule(0, func() {})
-		}
-		e.Run()
-	}
-	if c := e.laneCap(); c >= lanePeak/4 {
-		t.Fatalf("lane capacity still %d after small runs (peak %d); want < peak/4", c, lanePeak)
 	}
 	// The engine still works after shrinking.
 	fired := 0

@@ -12,8 +12,9 @@ import (
 // Resources, and on refEngine, a naive queue that keeps every pending
 // event in one slice sorted by (at, seq), with refResource mirroring
 // Resource's event pattern on top of it. The two firing logs must agree
-// entry for entry, which pins that the same-instant lane and the AtEach
-// streams fire in the single-queue (at, seq) order.
+// entry for entry, which pins that the heap and the AtEach streams fire
+// in the single-queue (at, seq) order, and that a resource's holds run
+// their hooks and releases where the reference says.
 
 // queue is the scheduling surface a script drives.
 type queue interface {
@@ -25,24 +26,28 @@ type queue interface {
 	Step() bool
 	Run() Time
 	Pending() int
+	EventsFired() int64
 }
 
 // holder is the resource surface a script drives.
 type holder interface {
 	Use(d Time, done func())
-	AcquireLabeled(label string, fn func())
-	Release()
+	UseGranted(label string, hold func() Time, done func())
+	TotalBusy() Time
+	TotalWait() Time
 }
 
 // refEngine is the reference queue: a slice kept sorted by before.
 type refEngine struct {
-	now Time
-	seq int64
-	evs []event
+	now   Time
+	seq   int64
+	evs   []event
+	fired int64
 }
 
-func (e *refEngine) Now() Time    { return e.now }
-func (e *refEngine) Pending() int { return len(e.evs) }
+func (e *refEngine) Now() Time          { return e.now }
+func (e *refEngine) Pending() int       { return len(e.evs) }
+func (e *refEngine) EventsFired() int64 { return e.fired }
 
 func (e *refEngine) Schedule(d Time, fn func()) { e.At(e.now+d, fn) }
 
@@ -65,6 +70,7 @@ func (e *refEngine) step() {
 	ev := e.evs[0]
 	e.evs = e.evs[1:]
 	e.now = ev.at
+	e.fired++
 	ev.fn()
 }
 
@@ -95,25 +101,34 @@ func (e *refEngine) RunUntil(deadline Time) int64 {
 	return n
 }
 
-// refResource is Resource's event pattern on refEngine: an open hold's
-// grant is a zero-delay event, a timed hold's grant schedules its release
-// d later as its one event, and the release grants the next FIFO waiter
+// refResource is Resource's event pattern on refEngine: a grant runs the
+// hold's hook inline and schedules the release at the length it returns,
+// the hold's one event, and the release grants the next FIFO waiter
 // before running done.
 type refResource struct {
 	e       *refEngine
 	busy    bool
+	since   Time
 	waiters []refReq
+	// busyT and waitT are the held and queued totals.
+	busyT, waitT Time
 }
 
 type refReq struct {
-	fn   func() // nil for a timed hold
-	d    Time
+	at   Time
+	hold func() Time
 	done func()
 }
 
-func (r *refResource) Use(d Time, done func())            { r.request(refReq{d: d, done: done}) }
-func (r *refResource) AcquireLabeled(_ string, fn func()) { r.request(refReq{fn: fn}) }
-func (r *refResource) request(q refReq) {
+func (r *refResource) TotalBusy() Time { return r.busyT }
+func (r *refResource) TotalWait() Time { return r.waitT }
+
+func (r *refResource) Use(d Time, done func()) {
+	r.UseGranted("", func() Time { return d }, done)
+}
+
+func (r *refResource) UseGranted(_ string, hold func() Time, done func()) {
+	q := refReq{at: r.e.now, hold: hold, done: done}
 	if r.busy {
 		r.waiters = append(r.waiters, q)
 		return
@@ -123,25 +138,20 @@ func (r *refResource) request(q refReq) {
 
 func (r *refResource) grant(q refReq) {
 	r.busy = true
-	if q.fn != nil {
-		r.e.Schedule(0, q.fn)
-		return
-	}
-	r.e.Schedule(q.d, func() {
-		r.Release()
+	r.since = r.e.now
+	r.waitT += r.e.now - q.at
+	r.e.Schedule(q.hold(), func() {
+		r.busyT += r.e.now - r.since
+		r.busy = false
+		if len(r.waiters) > 0 {
+			next := r.waiters[0]
+			r.waiters = r.waiters[1:]
+			r.grant(next)
+		}
 		if q.done != nil {
 			q.done()
 		}
 	})
-}
-
-func (r *refResource) Release() {
-	r.busy = false
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.grant(next)
-	}
 }
 
 // maxScript bounds the scripts the fuzzer tries. Longer ones add no
@@ -155,11 +165,11 @@ const maxScript = 128
 // of every top-level op. Ops (first byte mod 10, then argument bytes):
 // 0 nothing, 1 Schedule(0), 2 Schedule(d), 3 At(now+d), 4 AtEach over up
 // to five times with ties and zero offsets in any order, 5 Use(d),
-// 6 AcquireLabeled with a release d later, and at top level only 7
-// RunUntil (the deadline may precede the clock), 8 Step, 9 Run. A fired
-// event runs one nested op, so events chain; past the end of the script
-// every byte reads as 0. Every created event costs at least one script
-// byte, so every script ends.
+// 6 UseGranted whose hook fires an event inline and returns d, and at
+// top level only 7 RunUntil (the deadline may precede the clock), 8 Step,
+// 9 Run. A fired event runs one nested op, so events chain; past the end
+// of the script every byte reads as 0. Every created event costs at least
+// one script byte, so every script ends.
 func orderRun(q queue, res [2]holder, script []byte) string {
 	var sb strings.Builder
 	pos, ids := 0, 0
@@ -208,13 +218,10 @@ func orderRun(q queue, res [2]holder, script []byte) string {
 			r := res[next()%2]
 			d := Time(next() % 5)
 			grant, release := newEvent(), newEvent()
-			r.AcquireLabeled("x", func() {
+			r.UseGranted("x", func() Time {
 				grant()
-				q.Schedule(d, func() {
-					r.Release()
-					release()
-				})
-			})
+				return d
+			}, release)
 		case 7:
 			deadline := q.Now() + Time(next()%10) - 2
 			n := q.RunUntil(deadline)
@@ -246,7 +253,8 @@ func checkEngineOrder(t *testing.T, script []byte) {
 }
 
 // engineOrderCorpus is the seed corpus of FuzzEngineOrder: hand-written
-// scripts for the lane/stream interleavings, then seeded random ones.
+// scripts for the same-instant and stream interleavings, then seeded
+// random ones.
 func engineOrderCorpus() [][]byte {
 	corpus := [][]byte{
 		{},
@@ -256,13 +264,13 @@ func engineOrderCorpus() [][]byte {
 		{4, 5, 3, 0, 2, 0, 1, 9},
 		// Empty AtEach, then a one-element one.
 		{4, 0, 4, 1, 2, 9},
-		// AtEach beside pending lane entries: three zero-delay events,
+		// AtEach beside pending same-instant events: three zero-delay events,
 		// then a stream over {now, now, now+1, now}.
 		{2, 3, 1, 1, 1, 4, 4, 0, 0, 1, 0, 9},
 		// AtEach called mid-instant: the first of two zero-delay events
 		// opens a stream over {now, now+2, now} while the second waits.
 		{1, 1, 9, 4, 3, 0, 2, 0, 0},
-		// Contended holds and manual holds on both resources, cut twice.
+		// Contended holds and hooked holds on both resources, cut twice.
 		{5, 0, 3, 1, 5, 0, 2, 2, 6, 0, 3, 2, 6, 1, 0, 5, 7, 5, 7, 1, 8, 8, 9},
 		// A cut whose deadline precedes the clock, then single steps.
 		{3, 6, 7, 8, 7, 0, 8, 8, 8, 8},

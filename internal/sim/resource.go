@@ -2,24 +2,24 @@ package sim
 
 // Resource is a unit-capacity server with FIFO admission. It models any
 // hardware element that serves one occupant at a time: a bus channel, a
-// flash die, a DRAM port. It is held two ways:
+// flash die, a DRAM port. Every hold is a timed hold, and a whole hold is
+// one event: the grant schedules the release, and at its end the
+// resource is released and done runs.
 //
-//   - A timed hold (Use/UseLabeled) occupies it for a known duration. The
-//     grant schedules the release directly, so the whole hold is one
-//     event: at its end the resource is released and done runs.
-//   - An open hold (Acquire/AcquireLabeled) is for a holder that learns
-//     its duration only once granted. The grant callback runs as a fresh
-//     event (never re-entrantly inside Acquire or Release), so model
-//     code can treat it as happening "next", and the holder must call
-//     Release when done.
+//   - Use/UseLabeled hold it for a duration known at the request.
+//   - UseGranted holds it for a duration that its hook returns at the
+//     grant, for a holder that must act at the grant instant (draw a
+//     fault penalty, send a packet's head on to the next link). The hook
+//     runs inline: inside UseGranted on an idle resource, or inside the
+//     release that hands the resource on, before the previous holder's
+//     done.
 type Resource struct {
 	eng  *Engine
 	name string
 	busy bool
 	// waiters[head:] are the queued requests, oldest first. Popped slots
 	// are zeroed, and the live entries slide to the front only when an
-	// append finds the slice full, so a grant is O(1) like the engine's
-	// same-instant lane.
+	// append finds the slice full, so a grant is O(1).
 	waiters []grantReq
 	head    int
 
@@ -33,20 +33,20 @@ type Resource struct {
 	curLabel    string
 	curQueued   Time
 
-	// Timed-hold fast path: the grant schedules relStep, a method value
-	// bound once at construction, so a hold builds no closure. curDone is
-	// the completion callback of the timed hold in flight; unit capacity
-	// means at most one is active, so one slot suffices. Queued timed
-	// holds carry their duration and callback in their grantReq.
+	// The grant schedules relStep, a method value bound once at
+	// construction, so a hold builds no closure. curDone is the
+	// completion callback of the hold in flight; unit capacity means at
+	// most one is active, so one slot suffices. Queued holds carry their
+	// duration or hook and their callback in their grantReq.
 	curDone func()
-	relStep func() // bound r.timedReleaseStep
+	relStep func() // bound r.releaseStep
 }
 
 // ResourceObserver receives passive notifications about a resource's
 // occupancy and queue, the hook the tracing subsystem attaches to. All
-// callbacks fire synchronously inside Acquire/Release; implementations
-// must only record — scheduling events or touching model state from an
-// observer would perturb the simulation it is observing.
+// callbacks fire synchronously inside a request or a release;
+// implementations must only record — scheduling events or touching model
+// state from an observer would perturb the simulation it is observing.
 type ResourceObserver interface {
 	// ResourceHold reports one completed hold: the holder enqueued at
 	// queuedAt, was granted at grantedAt (equal to queuedAt for immediate
@@ -56,18 +56,18 @@ type ResourceObserver interface {
 	ResourceQueue(r *Resource, depth int, at Time)
 }
 
+// grantReq is one requested hold. It runs for dur, or for what hold
+// returns at the grant when hold is set, then releases and calls done
+// (which may be nil).
 type grantReq struct {
-	fn    func()
 	at    Time
 	label string
-	// timed marks a Use/UseLabeled hold: fn is nil and the hold runs for
-	// dur, then releases and calls done (which may be nil).
-	timed bool
 	dur   Time
+	hold  func() Time
 	done  func()
 }
 
-// DefaultHoldLabel names holds acquired without an explicit label.
+// DefaultHoldLabel names holds requested without an explicit label.
 const DefaultHoldLabel = "hold"
 
 // NewResource creates an idle resource attached to the engine. The name is
@@ -83,7 +83,7 @@ func NewResources(eng *Engine, names []string) []Resource {
 	for i := range rs {
 		r := &rs[i]
 		r.eng, r.name = eng, names[i]
-		r.relStep = r.timedReleaseStep
+		r.relStep = r.releaseStep
 	}
 	return rs
 }
@@ -150,24 +150,6 @@ func (r *Resource) Busy() bool { return r.busy }
 // QueueLen returns the number of waiters not yet granted.
 func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
-// Acquire requests the resource. When granted, fn runs as its own event; the
-// holder must eventually call Release.
-func (r *Resource) Acquire(fn func()) { r.AcquireLabeled(DefaultHoldLabel, fn) }
-
-// AcquireLabeled is Acquire with a label naming the hold for observers
-// (e.g. "read-xfer" on a bus, "program" on a die). Labels should be
-// constant strings; they are carried by value and never retained.
-func (r *Resource) AcquireLabeled(label string, fn func()) {
-	if fn == nil {
-		panic("sim: nil acquire callback for " + r.name)
-	}
-	if !r.busy {
-		r.grant(grantReq{fn: fn, at: r.eng.Now(), label: label})
-		return
-	}
-	r.enqueue(grantReq{fn: fn, at: r.eng.Now(), label: label})
-}
-
 // enqueue appends a waiter, first sliding the live entries to the front
 // when the slice is full and popped slots sit before them.
 func (r *Resource) enqueue(req grantReq) {
@@ -182,44 +164,48 @@ func (r *Resource) enqueue(req grantReq) {
 	}
 }
 
-// TryAcquire acquires the resource only if it is idle and has no waiters,
-// reporting success. On success fn is scheduled exactly as with Acquire.
-func (r *Resource) TryAcquire(fn func()) bool {
-	if r.busy || r.QueueLen() > 0 {
-		return false
+// request grants req at once on an idle resource and queues it otherwise.
+func (r *Resource) request(req grantReq) {
+	if r.busy {
+		r.enqueue(req)
+		return
 	}
-	r.grant(grantReq{fn: fn, at: r.eng.Now(), label: DefaultHoldLabel})
-	return true
+	r.grant(req)
 }
 
+// grant starts req's hold and schedules its release. A hook runs here,
+// after the resource is marked held, so a request it makes on this
+// resource queues behind the hold.
 func (r *Resource) grant(req grantReq) {
 	r.busy = true
 	r.busySince = r.eng.Now()
 	r.curLabel = req.label
 	r.curQueued = req.at
 	r.totalGrants++
-	if req.timed {
-		r.curDone = req.done
-		r.eng.Schedule(req.dur, r.relStep)
-		return
+	r.curDone = req.done
+	d := req.dur
+	if req.hold != nil {
+		if d = req.hold(); d < 0 {
+			panic("sim: negative hold duration for " + r.name)
+		}
 	}
-	r.eng.Schedule(0, req.fn)
+	r.eng.Schedule(d, r.relStep)
 }
 
-// timedReleaseStep releases a timed hold and runs its completion
-// callback. curDone is read before Release because Release may grant the
-// next queued timed hold, which overwrites the slot.
-func (r *Resource) timedReleaseStep() {
+// releaseStep ends the hold in flight and runs its completion callback.
+// curDone is read before release because release may grant the next
+// queued hold, which overwrites the slot.
+func (r *Resource) releaseStep() {
 	done := r.curDone
 	r.curDone = nil
-	r.Release()
+	r.release()
 	if done != nil {
 		done()
 	}
 }
 
-// Release frees the resource and grants it to the next FIFO waiter, if any.
-func (r *Resource) Release() {
+// release frees the resource and grants it to the next FIFO waiter, if any.
+func (r *Resource) release() {
 	if !r.busy {
 		panic("sim: release of idle resource " + r.name)
 	}
@@ -249,26 +235,34 @@ func (r *Resource) Release() {
 	}
 }
 
-// Use acquires the resource, holds it for d, then releases it and runs done
-// (which may be nil). It is the common "occupy a bus for a serialization
-// time" helper.
+// Use holds the resource for d, then releases it and runs done (which may
+// be nil). It is the common "occupy a bus for a serialization time"
+// helper.
 func (r *Resource) Use(d Time, done func()) { r.UseLabeled(DefaultHoldLabel, d, done) }
 
-// UseLabeled is Use with an observer label for the hold. It is the
-// engine's hottest path — every bus transfer and flash program or erase
-// passes through it — so it is allocation-free and costs one event: the hold's
-// duration and done callback ride in the grant request, and the grant
-// schedules the release through a per-resource method value bound once at
-// construction.
+// UseLabeled is Use with an observer label for the hold (e.g.
+// "read-xfer" on a bus, "program" on a die). Labels should be constant
+// strings; they are carried by value and never retained. It is the
+// engine's hottest path, every bus transfer and flash program or erase
+// passes through it, so it is allocation-free and costs one event: the
+// hold's duration and done callback ride in the grant request, and the
+// grant schedules the release through a per-resource method value bound
+// once at construction.
 func (r *Resource) UseLabeled(label string, d Time, done func()) {
 	if d < 0 {
 		panic("sim: negative hold duration for " + r.name)
 	}
-	if !r.busy {
-		r.grant(grantReq{at: r.eng.Now(), label: label, timed: true, dur: d, done: done})
-		return
+	r.request(grantReq{at: r.eng.Now(), label: label, dur: d, done: done})
+}
+
+// UseGranted is UseLabeled for a hold whose duration is known only at the
+// grant: hold runs at the grant instant and returns the duration, which
+// must not be negative. The hold is still one event.
+func (r *Resource) UseGranted(label string, hold func() Time, done func()) {
+	if hold == nil {
+		panic("sim: nil hold hook for " + r.name)
 	}
-	r.enqueue(grantReq{at: r.eng.Now(), label: label, timed: true, dur: d, done: done})
+	r.request(grantReq{at: r.eng.Now(), label: label, hold: hold, done: done})
 }
 
 // TotalBusy returns cumulative held time over completed holds.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -66,41 +68,26 @@ func TestTimedHoldIsOneEvent(t *testing.T) {
 	}
 }
 
-func TestResourceAcquireRelease(t *testing.T) {
+// TestResourceUseGranted serializes two holds whose lengths their hooks
+// set at the grant: the second is granted when the first is released.
+func TestResourceUseGranted(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "die")
 	var got []string
-	r.Acquire(func() {
+	r.UseGranted("read", func() Time {
 		got = append(got, "first")
-		e.Schedule(100, func() { r.Release() })
-	})
-	r.Acquire(func() {
+		return 100
+	}, nil)
+	r.UseGranted("read", func() Time {
 		got = append(got, "second")
-		r.Release()
-	})
+		return 0
+	}, func() { got = append(got, "second-done") })
 	e.Run()
-	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
+	if len(got) != 3 || got[0] != "first" || got[1] != "second" || got[2] != "second-done" {
 		t.Fatalf("got %v", got)
 	}
-	if e.Now() != 100 {
-		t.Fatalf("now = %v, want 100", e.Now())
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "ch")
-	okFirst := r.TryAcquire(func() {})
-	okSecond := r.TryAcquire(func() { t.Fatal("second TryAcquire callback ran") })
-	if !okFirst || okSecond {
-		t.Fatalf("TryAcquire = %v, %v; want true, false", okFirst, okSecond)
-	}
-	e.Run()
-	r.Release()
-	// With a waiter queued via Acquire, TryAcquire must also fail even if idle.
-	r.Use(10, nil)
-	if r.TryAcquire(func() {}) {
-		t.Fatal("TryAcquire succeeded on busy resource")
+	if e.Now() != 100 || r.TotalBusy() != 100 || e.EventsFired() != 2 {
+		t.Fatalf("now %v, busy %v, %d events; want 100, 100, 2", e.Now(), r.TotalBusy(), e.EventsFired())
 	}
 }
 
@@ -112,21 +99,48 @@ func TestResourceReleaseIdlePanics(t *testing.T) {
 			t.Fatal("release of idle resource did not panic")
 		}
 	}()
-	r.Release()
+	r.release()
 }
 
-func TestResourceGrantNotReentrant(t *testing.T) {
+// TestResourceHookRunsAtGrant pins where a UseGranted hook runs: inside
+// the call on an idle resource, and on a queued hold inside the event
+// that releases the previous holder, before that holder's done. Either
+// way it runs at the grant instant with the resource already held, and
+// its duration starts there.
+func TestResourceHookRunsAtGrant(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "x")
-	granted := false
-	r.Acquire(func() { granted = true })
-	if granted {
-		t.Fatal("grant ran re-entrantly inside Acquire")
-	}
+	var log []string
+	note := func(s string) { log = append(log, fmt.Sprintf("%s@%d/%v", s, e.Now(), r.Busy())) }
+	e.Schedule(5, func() {
+		note("call1")
+		r.UseGranted("a", func() Time { note("hook1"); return 10 }, func() { note("done1") })
+		note("queue2")
+		r.UseGranted("b", func() Time { note("hook2"); return 3 }, func() { note("done2") })
+		note("ret")
+	})
 	e.Run()
-	if !granted {
-		t.Fatal("grant never ran")
+	want := "call1@5/false hook1@5/true queue2@5/true ret@5/true hook2@15/true done1@15/true done2@18/false"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("hook order\n got: %s\nwant: %s", got, want)
 	}
+	if e.EventsFired() != 3 {
+		t.Fatalf("%d events, want 3: the schedule and one per hold", e.EventsFired())
+	}
+}
+
+// TestResourceNegativeHookPanics: a hook that returns a negative length
+// is a model bug, reported with the resource's name.
+func TestResourceNegativeHookPanics(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "die7")
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "negative hold duration") || !strings.Contains(msg, "die7") {
+			t.Fatalf("panic %q, want a negative-duration panic naming die7", msg)
+		}
+	}()
+	r.UseGranted("read", func() Time { return -1 }, nil)
 }
 
 func TestResourceUtilization(t *testing.T) {
@@ -162,19 +176,21 @@ func TestResourceSerializationProperty(t *testing.T) {
 
 // TestResourceDeepQueue drives a queue hundreds deep whose grants append
 // more waiters, so popped slots, a full slice and the slide to the front
-// all occur: grants stay FIFO, QueueLen counts exactly the waiters not
-// yet granted, no slot outside the live window keeps a request, and the
-// slide keeps the backing array within twice the deepest queue.
+// all occur. Every third hold is a UseGranted hold. Grants stay FIFO
+// across both kinds, each hook runs at its own grant, QueueLen counts
+// exactly the waiters not yet granted, no slot outside the live window
+// keeps a request, and the slide keeps the backing array within twice
+// the deepest queue.
 func TestResourceDeepQueue(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "bus")
-	var order []int
+	var order, hooked []int
 	next, deepest := 0, 0
 	var add func()
 	add = func() {
 		i := next
 		next++
-		r.Use(1, func() {
+		done := func() {
 			order = append(order, i)
 			waiting := next - len(order)
 			if r.Busy() {
@@ -184,7 +200,7 @@ func TestResourceDeepQueue(t *testing.T) {
 				t.Fatalf("after grant %d: QueueLen %d, want %d", i, r.QueueLen(), waiting)
 			}
 			for k, w := range r.waiters[:cap(r.waiters)] {
-				if (k < r.head || k >= len(r.waiters)) && (w.fn != nil || w.done != nil || w.label != "") {
+				if (k < r.head || k >= len(r.waiters)) && (w.hold != nil || w.done != nil || w.label != "") {
 					t.Fatalf("after grant %d: slot %d outside [%d,%d) still holds a request", i, k, r.head, len(r.waiters))
 				}
 			}
@@ -193,7 +209,18 @@ func TestResourceDeepQueue(t *testing.T) {
 				add()
 			}
 			deepest = max(deepest, r.QueueLen())
-		})
+		}
+		if i%3 != 2 {
+			r.Use(1, done)
+			return
+		}
+		r.UseGranted("g", func() Time {
+			if r.totalGrants != int64(i+1) {
+				t.Fatalf("hook of hold %d ran at grant %d, want %d", i, r.totalGrants, i+1)
+			}
+			hooked = append(hooked, i)
+			return 1
+		}, done)
 	}
 	for range 300 {
 		add()
@@ -208,6 +235,11 @@ func TestResourceDeepQueue(t *testing.T) {
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("grant %d went to hold %d, want FIFO", i, v)
+		}
+	}
+	for k, v := range hooked {
+		if v != 3*k+2 {
+			t.Fatalf("hook %d ran for hold %d, want %d", k, v, 3*k+2)
 		}
 	}
 	if c := cap(r.waiters); c > 2*deepest {

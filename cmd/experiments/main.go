@@ -619,7 +619,7 @@ func figSched(opt exp.Options, emit func(*report.Table)) {
 		if r.Point.SpGC {
 			gc = "SpGC"
 		}
-		t.Add(r.Point.Arch.String(), r.Point.Sched, gc, r.Mean.String(), r.P99.String(),
+		t.Add(r.Point.Arch.String(), r.Point.Sched.String(), gc, r.Mean.String(), r.P99.String(),
 			report.F1(r.KIOPS), report.F1(r.BWMBps), fmt.Sprint(r.GCCopied),
 			fmt.Sprint(r.Deferred), fmt.Sprint(r.Reordered))
 	}
@@ -629,7 +629,7 @@ func figSched(opt exp.Options, emit func(*report.Table)) {
 	t = report.New("Controller scheduling under a noisy neighbor (dwrr + SpGC; latency tenant's tail is the score)",
 		"architecture", "scheduler", "latency p99", "latency p99.9", "SLO misses", "noisy p99", "deferred", "reordered")
 	for _, r := range noisy {
-		t.Add(r.Point.Arch.String(), r.Point.Sched, r.LatencyP99.String(), r.LatencyP999.String(),
+		t.Add(r.Point.Arch.String(), r.Point.Sched.String(), r.LatencyP99.String(), r.LatencyP999.String(),
 			fmt.Sprint(r.SLOViolations), r.NoisyP99.String(), fmt.Sprint(r.Deferred), fmt.Sprint(r.Reordered))
 	}
 	emit(t)

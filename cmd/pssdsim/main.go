@@ -115,26 +115,23 @@ func run(args []string, stdout io.Writer) error {
 	if *checkFlag {
 		cfg.Check = &check.Config{}
 	}
-	if _, err := controller.ParseSchedPolicy(*sched); err != nil {
+	if cfg.Scheduler, err = controller.ParseSchedPolicy(*sched); err != nil {
 		return err
 	}
-	cfg.Scheduler = *sched
-	switch strings.ToLower(*mapevict) {
-	case "", "clock", "lru":
-	default:
-		return fmt.Errorf("unknown map eviction policy %q (want clock or lru)", *mapevict)
-	}
-	if *mapcache < 0 {
-		return fmt.Errorf("negative map cache size %d", *mapcache)
+	// The map flags are checked even when -mapping flat leaves them unused.
+	mapCfg := &ftl.MapConfig{Entries: *mapcache, Eviction: strings.ToLower(*mapevict)}
+	if err := mapCfg.Validate(); err != nil {
+		return err
 	}
 	switch strings.ToLower(*mapping) {
 	case "flat":
 	case "fmmu":
-		cfg.Mapping = "fmmu"
-		cfg.MapCacheEntries = *mapcache
-		cfg.MapEviction = strings.ToLower(*mapevict)
+		cfg.FTL.Map = mapCfg
 	default:
 		return fmt.Errorf("unknown mapping mode %q (want flat or fmmu)", *mapping)
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 
 	// Resolve the workload before building the device, so a bad workload

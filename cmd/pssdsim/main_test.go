@@ -123,3 +123,22 @@ func TestBadFlagsReturnErrors(t *testing.T) {
 		}
 	}
 }
+
+// A bad device flag's error names the accepted values, so the user
+// learns what to type instead.
+func TestBadFlagsNameAcceptedValues(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sched", "venice"}, `"venice" (want fifo, conflict, or ooo)`},
+		{[]string{"-mapping", "dftl"}, `"dftl" (want flat or fmmu)`},
+		{[]string{"-mapevict", "random"}, `"random" (want clock or lru)`},
+		{[]string{"-mapping", "fmmu", "-mapcache", "-1"}, "negative map cache size -1"},
+	} {
+		err := run(tc.args, new(bytes.Buffer))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", tc.args, err, tc.want)
+		}
+	}
+}

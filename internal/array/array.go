@@ -23,7 +23,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/ssd"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Defaults for the router's timing knobs.
@@ -37,7 +36,11 @@ const (
 
 // Config describes one erasure-coded array.
 type Config struct {
-	// Arch and Device configure every member SSD identically.
+	// Arch and Device configure every member SSD identically. A
+	// non-nil Device.Check turns on each member's invariant checker and
+	// the array-level checks (ack discipline, stripe conservation,
+	// rebuild completeness); a non-nil Device.Trace gives each member
+	// its own recorder.
 	Arch   ssd.Arch
 	Device ssd.Config
 
@@ -83,13 +86,6 @@ type Config struct {
 	// zero disables rebuild (spares still absorb redirected writes).
 	RebuildPagesPerSec int
 
-	// Check enables the per-device invariant checkers plus the
-	// array-level checks (ack discipline, stripe conservation, rebuild
-	// completeness).
-	Check bool
-	// Trace, when set, records per-device traces with a "devN/" track
-	// prefix so the merged view stays unambiguous.
-	Trace *trace.Config
 	// Telemetry, when set, produces an array-level time-series summary:
 	// windowed throughput/latency over the reassembled request stream
 	// plus rebuild progress per window and rebuild start/end marks. The
@@ -135,30 +131,35 @@ func (c Config) LogicalPages() int64 {
 	return int64(c.Groups) * c.StripesPerGroup() * int64(c.Data)
 }
 
-// Validate panics on malformed configuration, mirroring ssd.Config.
-func (c Config) Validate() {
-	c.Device.Validate()
+// Validate reports the first malformed setting, the member device's
+// included, or nil.
+func (c Config) Validate() error {
+	if err := c.Device.Validate(); err != nil {
+		return err
+	}
 	if c.Data < 1 || c.Parity < 1 {
-		panic(fmt.Sprintf("array: need m>=1 data and k>=1 parity shards, got %d+%d", c.Data, c.Parity))
+		return fmt.Errorf("array: need m>=1 data and k>=1 parity shards, got %d+%d", c.Data, c.Parity)
 	}
 	if c.Groups < 1 {
-		panic("array: need at least one group")
+		return fmt.Errorf("array: need at least one group")
 	}
 	if c.Spares < 0 {
-		panic("array: negative spare count")
+		return fmt.Errorf("array: negative spare count")
 	}
 	if c.RetryMax < 0 || c.RetryBackoff < 0 || c.RouteLatency < 0 ||
 		c.ReconstructLatency < 0 || c.DetectLatency < 0 || c.RebuildPagesPerSec < 0 {
-		panic("array: negative router parameter")
+		return fmt.Errorf("array: negative router parameter")
 	}
 	coded := c.Groups * c.Width()
 	for _, e := range c.Failures {
 		if e.Device >= coded {
-			panic(fmt.Sprintf("array: failure event %v targets a spare or unknown device (coded devices: %d)", e, coded))
+			return fmt.Errorf("array: failure event %v targets a spare or unknown device (coded devices: %d)", e, coded)
+		}
+		if err := e.Validate(); err != nil {
+			return err
 		}
 	}
-	// NewDeviceSchedule re-validates times and windows.
-	fault.NewDeviceSchedule(c.Failures)
+	return nil
 }
 
 // shard is one placed shard: a device and the device-local LPN.

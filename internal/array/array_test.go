@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/flash"
 	"repro/internal/ftl"
@@ -90,7 +91,7 @@ func TestLayoutRotationAndRoundTrip(t *testing.T) {
 
 func TestHealthyRunCompletesClean(t *testing.T) {
 	cfg := smallCfg()
-	cfg.Check = true
+	cfg.Device.Check = &check.Config{}
 	reqs := mixedTrace(cfg, 200, 4, 10*sim.Microsecond)
 	res := Run(cfg, reqs, 2)
 	if err := res.Err(); err != nil {
@@ -115,7 +116,7 @@ func TestHealthyRunCompletesClean(t *testing.T) {
 // every stripe — all under the array invariant checker.
 func TestSingleKillZeroFailedReads(t *testing.T) {
 	cfg := smallCfg()
-	cfg.Check = true
+	cfg.Device.Check = &check.Config{}
 	cfg.RebuildPagesPerSec = 200_000
 	kill := 1 * sim.Millisecond
 	cfg.Failures = []fault.DeviceEvent{{Device: 0, At: kill}}
@@ -152,7 +153,7 @@ func TestSingleKillZeroFailedReads(t *testing.T) {
 // is planned open-loop and reassembly is an arithmetic join.
 func TestRunParallelismInvariant(t *testing.T) {
 	cfg := smallCfg()
-	cfg.Check = true
+	cfg.Device.Check = &check.Config{}
 	cfg.RebuildPagesPerSec = 200_000
 	cfg.Failures = []fault.DeviceEvent{
 		{Device: 3, At: 800 * sim.Microsecond},
@@ -176,7 +177,7 @@ func TestRunParallelismInvariant(t *testing.T) {
 // device; reads that outlast the ladder reconstruct instead.
 func TestTransientOutageRetries(t *testing.T) {
 	cfg := smallCfg()
-	cfg.Check = true
+	cfg.Device.Check = &check.Config{}
 	// A long window: reads early in it exhaust the ladder (70us by
 	// default) and reconstruct; reads near its end retry onto the
 	// device.
@@ -205,7 +206,7 @@ func TestTransientOutageRetries(t *testing.T) {
 func TestKillWithoutSpareLosesWritesNotReads(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Spares = 0
-	cfg.Check = true
+	cfg.Device.Check = &check.Config{}
 	cfg.Failures = []fault.DeviceEvent{{Device: 4, At: 0}}
 	// writeEvery=5: a multiple of the group width here would alias the
 	// write stride with the shard rotation and skip device 4 entirely.
@@ -283,17 +284,15 @@ func TestConfigValidation(t *testing.T) {
 			c.Failures = []fault.DeviceEvent{{Device: c.Groups * c.Width(), At: 0}}
 		}},
 	}
+	if err := smallCfg().Validate(); err != nil {
+		t.Fatalf("base config rejected: %v", err)
+	}
 	for _, tc := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: Validate did not panic", tc.name)
-				}
-			}()
-			cfg := smallCfg()
-			tc.mut(&cfg)
-			cfg.Validate()
-		}()
+		cfg := smallCfg()
+		tc.mut(&cfg)
+		if cfg.Validate() == nil {
+			t.Fatalf("%s: Validate accepted it", tc.name)
+		}
 	}
 }
 
@@ -310,7 +309,7 @@ func TestSlowRebuildOnTinySpGCArrayDrains(t *testing.T) {
 	cfg.Device.FTL.GCMode = ftl.GCSpatial
 	cfg.ChurnFraction = 0.5
 	cfg.RebuildPagesPerSec = 50_000
-	cfg.Check = true
+	cfg.Device.Check = &check.Config{}
 	tr, err := workload.Named("rocksdb-0", cfg.LogicalPages(), 300, 1)
 	if err != nil {
 		t.Fatal(err)

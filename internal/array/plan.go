@@ -78,10 +78,13 @@ func ladderWait(backoff sim.Time, max int) sim.Time {
 
 // BuildPlan routes a foreground trace of array-level requests. Requests
 // must use array LPNs in [0, cfg.LogicalPages()); multi-page requests
-// are expanded page by page, each page joining on its own shard set.
+// are expanded page by page, each page joining on its own shard set. A
+// cfg that fails Validate panics with its error.
 func BuildPlan(cfg Config, reqs []host.Request) *Plan {
 	cfg = cfg.WithDefaults()
-	cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	p := &Plan{
 		cfg:     cfg,
 		sched:   fault.NewDeviceSchedule(cfg.Failures),

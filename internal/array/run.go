@@ -30,7 +30,7 @@ type Result struct {
 	// completed — must stay zero on a healthy run.
 	Incomplete int
 	// Violations aggregates array-level invariant breaches plus any
-	// per-device checker failures (only populated with cfg.Check).
+	// per-device checker failures (only populated with cfg.Device.Check).
 	Violations []check.Violation
 	// Devices exposes every member simulation for per-device digests
 	// (GC counters, RAS, bus occupancy).
@@ -98,16 +98,7 @@ func Run(cfg Config, reqs []host.Request, parallel int) *Result {
 		return fmt.Sprintf("%s dev%d %s/%d+%d", role, dev, cfg.Arch, cfg.Data, cfg.Parity)
 	}
 	outs := runner.MapLabeled(parallel, cfg.Devices(), label, func(dev int) deviceOut {
-		dcfg := cfg.Device
-		if cfg.Check {
-			dcfg.Check = &check.Config{}
-		}
-		if cfg.Trace != nil {
-			tc := *cfg.Trace
-			tc.TrackPrefix = fmt.Sprintf("dev%d/", dev)
-			dcfg.Trace = &tc
-		}
-		s := ssd.New(cfg.Arch, dcfg)
+		s := ssd.New(cfg.Arch, cfg.Device)
 		foot := s.Config.LogicalPages()
 		s.Host.Warmup(foot)
 		for _, lpn := range churnLPNs(cfg, dev) {
@@ -124,7 +115,7 @@ func Run(cfg Config, reqs []host.Request, parallel int) *Result {
 		Devices: make([]*ssd.SSD, len(outs)),
 	}
 	var ck *check.ArrayChecker
-	if cfg.Check {
+	if cfg.Device.Check != nil {
 		ck = check.NewArrayChecker()
 	}
 	for dev, o := range outs {
@@ -194,7 +185,7 @@ func Run(cfg Config, reqs []host.Request, parallel int) *Result {
 		res.Telemetry = col.Summary(res.SimTime)
 	}
 
-	if cfg.Check {
+	if ck != nil {
 		res.Violations = verify(cfg, plan, outs, ck, res.SimTime)
 	}
 	return res

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/array"
+	"repro/internal/check"
 	"repro/internal/fault"
 	"repro/internal/ftl"
 	"repro/internal/runner"
@@ -104,6 +105,7 @@ func (c ArrayCase) Config() array.Config {
 	dc.BusMTps = c.BusMTps
 	dc.FTL.GCMode = c.GCMode
 	dc.LogicalUtilization = 0.5
+	dc.Check = &check.Config{}
 
 	cfg := array.Config{
 		Arch:   c.Arch,
@@ -112,7 +114,6 @@ func (c ArrayCase) Config() array.Config {
 		Groups: c.Groups,
 		Spares: 1,
 		Seed:   int64(c.Seed >> 2),
-		Check:  true,
 	}
 	if c.Kill {
 		cfg.Failures = []fault.DeviceEvent{{Device: c.KillDev, At: c.KillAt}}

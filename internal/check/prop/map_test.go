@@ -3,6 +3,8 @@ package prop
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/controller"
 )
 
 // TestPropertyMappingZeroViolations crosses both mapping modes against
@@ -47,13 +49,13 @@ func TestGenerateCoversMappingDimension(t *testing.T) {
 	modes := map[string]int{}
 	sizes := map[int]bool{}
 	evictions := map[string]bool{}
-	crossSched := map[string]bool{}
+	crossSched := map[controller.SchedPolicy]bool{}
 	for _, c := range Generate(3, 60) {
 		modes[c.Mapping]++
 		if c.Mapping == "fmmu" {
 			sizes[c.MapCacheEntries] = true
 			evictions[c.MapEviction] = true
-			if c.Scheduler != "" && c.Scheduler != "fifo" {
+			if c.Scheduler != controller.SchedFIFO {
 				crossSched[c.Scheduler] = true
 			}
 		}

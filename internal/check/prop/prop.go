@@ -51,10 +51,9 @@ type Case struct {
 	Tenants int
 	Arbiter string
 
-	// Scheduler selects the controller scheduling policy ("fifo",
-	// "conflict", or "ooo") — the empty string, like "fifo", runs
-	// without the scheduling layer.
-	Scheduler string
+	// Scheduler is the controller scheduling policy; FIFO runs without
+	// the scheduling layer.
+	Scheduler controller.SchedPolicy
 
 	// Mapping selects the FTL mapping mode ("flat" or "fmmu"); under
 	// fmmu the map cache holds MapCacheEntries translation pages and
@@ -163,7 +162,7 @@ func Generate(seed uint64, n int) []Case {
 			Requests:    100 + 50*r.intn(5),
 			Tenants:     pickInt(r, 1, 2, 3),
 			Arbiter:     host.ArbiterNames()[r.intn(len(host.ArbiterNames()))],
-			Scheduler:   controller.SchedPolicyNames()[r.intn(len(controller.SchedPolicyNames()))],
+			Scheduler:   controller.SchedPolicy(r.intn(len(controller.SchedPolicyNames()))),
 
 			Mapping:         mapping,
 			MapCacheEntries: mapEntries,
@@ -203,9 +202,9 @@ func (c Case) Config() ssd.Config {
 		}
 	}
 	cfg.Scheduler = c.Scheduler
-	cfg.Mapping = c.Mapping
-	cfg.MapCacheEntries = c.MapCacheEntries
-	cfg.MapEviction = c.MapEviction
+	if c.Mapping == "fmmu" {
+		cfg.FTL.Map = &ftl.MapConfig{Entries: c.MapCacheEntries, Eviction: c.MapEviction}
+	}
 	cfg.Check = &check.Config{}
 	if c.Tenants > 1 {
 		tenants := make([]host.TenantConfig, c.Tenants)

@@ -16,10 +16,10 @@ func TestPropertySchedulerZeroViolations(t *testing.T) {
 	pols := controller.SchedPolicyNames()
 	base := Generate(19, len(pols)*3)
 	var cases []Case
-	for i, pol := range pols {
+	for i := range pols {
 		for j := 0; j < 3; j++ {
 			c := base[i*3+j]
-			c.Scheduler = pol
+			c.Scheduler = controller.SchedPolicy(i)
 			cases = append(cases, c)
 		}
 	}
@@ -50,9 +50,9 @@ func TestPropertySchedulerPreservesOutcome(t *testing.T) {
 	c := Generate(23, 1)[0]
 	c.Arch = ssd.ArchPnSSDSplit
 	c.Faulty = false
-	for _, pol := range controller.SchedPolicyNames() {
+	for i := range controller.SchedPolicyNames() {
 		cc := c
-		cc.Scheduler = pol
+		cc.Scheduler = controller.SchedPolicy(i)
 		res := Run(cc)
 		if res.Err != nil {
 			t.Fatalf("%v: %v", cc, res.Err)
@@ -70,9 +70,9 @@ func TestGenerateCoversSchedulerDimension(t *testing.T) {
 	seen := map[string]int{}
 	crossTenant := map[string]bool{}
 	for _, c := range Generate(3, 60) {
-		seen[c.Scheduler]++
+		seen[c.Scheduler.String()]++
 		if c.Tenants > 1 {
-			crossTenant[c.Scheduler] = true
+			crossTenant[c.Scheduler.String()] = true
 		}
 	}
 	for _, pol := range controller.SchedPolicyNames() {

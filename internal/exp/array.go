@@ -80,7 +80,6 @@ func arrayCfg(opt Options, arch ssd.Arch, mode ftl.GCMode) array.Config {
 		Spares:        1,
 		Seed:          opt.Seed,
 		ChurnFraction: churnFraction,
-		Check:         opt.Cfg.Check != nil,
 	}
 }
 

@@ -91,8 +91,9 @@ func FmmuSweep(opt Options) []FmmuRow {
 }
 
 func runFmmuPoint(p FmmuPoint, params workload.Params, cfg ssd.Config, opt Options) FmmuRow {
-	cfg.Mapping = p.Mapping
-	cfg.MapCacheEntries = p.Entries
+	if p.Mapping == "fmmu" {
+		cfg.FTL.Map = &ftl.MapConfig{Entries: p.Entries}
+	}
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.FTL.Policy = ftl.PCWD
 	s := ssd.New(ssd.ArchPnSSDSplit, cfg)

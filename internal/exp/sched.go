@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/controller"
 	"repro/internal/ftl"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -13,7 +14,7 @@ import (
 // controller scheduling policy, and a GC mode.
 type SchedPoint struct {
 	Arch  ssd.Arch
-	Sched string
+	Sched controller.SchedPolicy
 	SpGC  bool
 }
 
@@ -33,7 +34,7 @@ func (p SchedPoint) Label() string {
 func SchedSweepPoints() []SchedPoint {
 	var pts []SchedPoint
 	for _, arch := range []ssd.Arch{ssd.ArchPSSD, ssd.ArchPnSSD, ssd.ArchPnSSDSplit} {
-		for _, sched := range []string{"fifo", "conflict", "ooo"} {
+		for _, sched := range []controller.SchedPolicy{controller.SchedFIFO, controller.SchedConflict, controller.SchedOOO} {
 			for _, spgc := range []bool{false, true} {
 				pts = append(pts, SchedPoint{Arch: arch, Sched: sched, SpGC: spgc})
 			}
@@ -115,7 +116,7 @@ func SchedNoisy(opt Options) []SchedNoisyRow {
 	opt = opt.withDefaults()
 	var pts []SchedPoint
 	for _, arch := range []ssd.Arch{ssd.ArchPSSD, ssd.ArchPnSSDSplit} {
-		for _, sched := range []string{"fifo", "conflict", "ooo"} {
+		for _, sched := range []controller.SchedPolicy{controller.SchedFIFO, controller.SchedConflict, controller.SchedOOO} {
 			pts = append(pts, SchedPoint{Arch: arch, Sched: sched, SpGC: true})
 		}
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/ssd"
 )
 
@@ -32,17 +33,17 @@ func TestSchedSweepUnderChecker(t *testing.T) {
 			t.Errorf("%s: the GC-pressure workload never copied a page", label)
 		}
 		switch r.Point.Sched {
-		case "fifo":
+		case controller.SchedFIFO:
 			if r.Deferred != 0 || r.Reordered != 0 {
 				t.Errorf("%s: fifo reported scheduler activity %d/%d", label, r.Deferred, r.Reordered)
 			}
-		case "conflict":
+		case controller.SchedConflict:
 			conflictDeferred += r.Deferred
-		case "ooo":
+		case controller.SchedOOO:
 			oooReordered += r.Reordered
 		}
 	}
-	if !seen[SchedPoint{Arch: ssd.ArchPnSSDSplit, Sched: "conflict", SpGC: true}.Label()] {
+	if !seen[SchedPoint{Arch: ssd.ArchPnSSDSplit, Sched: controller.SchedConflict, SpGC: true}.Label()] {
 		t.Fatal("matrix is missing the pnSSD(+split)/conflict/SpGC cell")
 	}
 	if conflictDeferred == 0 {
@@ -71,7 +72,7 @@ func TestSchedNoisyUnderChecker(t *testing.T) {
 			t.Errorf("%s: implausible tails p99=%v p99.9=%v noisy=%v",
 				label, r.LatencyP99, r.LatencyP999, r.NoisyP99)
 		}
-		if r.Point.Sched == "fifo" && (r.Deferred != 0 || r.Reordered != 0) {
+		if r.Point.Sched == controller.SchedFIFO && (r.Deferred != 0 || r.Reordered != 0) {
 			t.Errorf("%s: fifo reported scheduler activity", label)
 		}
 	}

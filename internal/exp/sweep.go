@@ -65,8 +65,9 @@ func closedLoopPoints(param string) []sweepPoint {
 		}
 	case "sched":
 		// x is the policy's ordinal so the x column stays numeric.
-		for i, pol := range controller.SchedPolicyNames() {
-			pts = append(pts, sweepPoint{x: i, edit: func(c *ssd.Config) { c.Scheduler = pol }, outs: 16, reqPages: 4, suffix: "/" + pol})
+		for i := range controller.SchedPolicyNames() {
+			pol := controller.SchedPolicy(i)
+			pts = append(pts, sweepPoint{x: i, edit: func(c *ssd.Config) { c.Scheduler = pol }, outs: 16, reqPages: 4, suffix: "/" + pol.String()})
 		}
 	case "mapcache":
 		// x is the map-cache capacity in translation-page entries; 0 is
@@ -77,8 +78,9 @@ func closedLoopPoints(param string) []sweepPoint {
 				mode = "flat"
 			}
 			pts = append(pts, sweepPoint{x: n, edit: func(c *ssd.Config) {
-				c.Mapping = mode
-				c.MapCacheEntries = n
+				if n != 0 {
+					c.FTL.Map = &ftl.MapConfig{Entries: n}
+				}
 			}, outs: 16, reqPages: 4, suffix: "/" + mode})
 		}
 	default:

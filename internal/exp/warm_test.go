@@ -59,9 +59,9 @@ func TestWarmRestoreMatchesFreshWarm(t *testing.T) {
 	small.LogicalUtilization = gcUtilization
 	small.FTL.GCMode = ftl.GCSpatial
 	fmmu, checked, both := small, small, small
-	fmmu.Mapping, fmmu.MapCacheEntries = "fmmu", 3
+	fmmu.FTL.Map = &ftl.MapConfig{Entries: 3}
 	checked.Check = &check.Config{}
-	both.Mapping, both.MapCacheEntries, both.Check = "fmmu", 3, &check.Config{}
+	both.FTL.Map, both.Check = &ftl.MapConfig{Entries: 3}, &check.Config{}
 	cells = append(cells,
 		cell{"fmmu", fmmu, ftl.PCWD, true, nil},
 		cell{"check", checked, ftl.PWCD, true, nil},

@@ -43,22 +43,29 @@ type DeviceSchedule struct {
 	nOutages int
 }
 
-// NewDeviceSchedule validates and indexes a failure schedule. Negative
-// device indexes, negative times, and empty transient windows panic,
-// mirroring the Config.Validate convention.
+// Validate reports a negative device index, a negative time, or an
+// empty transient window.
+func (e DeviceEvent) Validate() error {
+	switch {
+	case e.Device < 0:
+		return fmt.Errorf("fault: negative device index %d", e.Device)
+	case e.At < 0:
+		return fmt.Errorf("fault: negative event time %v", e.At)
+	case e.Transient && e.Until <= e.At:
+		return fmt.Errorf("fault: empty transient window [%v,%v)", e.At, e.Until)
+	}
+	return nil
+}
+
+// NewDeviceSchedule validates and indexes a failure schedule. An event
+// that fails DeviceEvent.Validate panics with its error.
 func NewDeviceSchedule(events []DeviceEvent) *DeviceSchedule {
 	s := &DeviceSchedule{kills: make(map[int]sim.Time), outages: make(map[int][]DeviceEvent)}
 	for _, e := range events {
-		if e.Device < 0 {
-			panic(fmt.Sprintf("fault: negative device index %d", e.Device))
-		}
-		if e.At < 0 {
-			panic(fmt.Sprintf("fault: negative event time %v", e.At))
+		if err := e.Validate(); err != nil {
+			panic(err)
 		}
 		if e.Transient {
-			if e.Until <= e.At {
-				panic(fmt.Sprintf("fault: empty transient window [%v,%v)", e.At, e.Until))
-			}
 			s.outages[e.Device] = append(s.outages[e.Device], e)
 			s.nOutages++
 			continue

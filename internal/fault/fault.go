@@ -139,39 +139,41 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate panics on impossible configurations, mirroring the
-// panic-on-misconfiguration convention of ssd.Config.Validate.
-func (c Config) Validate() {
-	check01 := func(name string, r float64) {
-		if r < 0 || r > 1 {
-			panic(fmt.Sprintf("fault: %s rate %v outside [0,1]", name, r))
+// Validate reports the first impossible setting: a rate outside its
+// range, or a negative quota, retry bound, backoff budget or dead
+// v-channel index.
+func (c Config) Validate() error {
+	for _, r := range []struct {
+		name string
+		rate float64
+	}{{"read ECC", c.ReadECCRate}, {"on-die ECC", c.OnDieECCRate}, {"grant drop", c.GrantDropRate}} {
+		if !(r.rate >= 0 && r.rate <= 1) {
+			return fmt.Errorf("fault: %s rate %v outside [0,1]", r.name, r.rate)
 		}
 	}
-	check01("read ECC", c.ReadECCRate)
-	check01("on-die ECC", c.OnDieECCRate)
-	check01("grant drop", c.GrantDropRate)
 	// Program/erase recovery re-runs the operation on a fresh block; a
 	// rate of 1 would retry forever.
-	if c.ProgramFailRate < 0 || c.ProgramFailRate >= 1 {
-		panic(fmt.Sprintf("fault: program fail rate %v outside [0,1)", c.ProgramFailRate))
+	if !(c.ProgramFailRate >= 0 && c.ProgramFailRate < 1) {
+		return fmt.Errorf("fault: program fail rate %v outside [0,1)", c.ProgramFailRate)
 	}
-	if c.EraseFailRate < 0 || c.EraseFailRate >= 1 {
-		panic(fmt.Sprintf("fault: erase fail rate %v outside [0,1)", c.EraseFailRate))
+	if !(c.EraseFailRate >= 0 && c.EraseFailRate < 1) {
+		return fmt.Errorf("fault: erase fail rate %v outside [0,1)", c.EraseFailRate)
 	}
 	if c.ProgramFailsPerChip < 0 || c.EraseFailsPerChip < 0 {
-		panic("fault: negative per-chip fail quota")
+		return fmt.Errorf("fault: negative per-chip fail quota")
 	}
 	if c.ReadRetryMax < 0 || c.GrantRetryMax < 0 {
-		panic("fault: negative retry bound")
+		return fmt.Errorf("fault: negative retry bound")
 	}
 	if c.GrantBackoffBudget < 0 {
-		panic("fault: negative grant backoff budget")
+		return fmt.Errorf("fault: negative grant backoff budget")
 	}
 	for _, v := range c.DeadVChannels {
 		if v < 0 {
-			panic(fmt.Sprintf("fault: negative dead v-channel index %d", v))
+			return fmt.Errorf("fault: negative dead v-channel index %d", v)
 		}
 	}
+	return nil
 }
 
 // Injector draws deterministic fault outcomes and owns the run's RAS
@@ -191,9 +193,12 @@ type Injector struct {
 	ras   *stats.RAS
 }
 
-// New builds an injector. The config is validated and defaulted.
+// New builds an injector. The config is validated (New panics with the
+// error of Validate) and defaulted.
 func New(cfg Config) *Injector {
-	cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
 	in := &Injector{cfg: cfg, ras: stats.NewRAS(), deadV: make(map[int]bool)}
 	in.rates[ReadECC] = cfg.ReadECCRate

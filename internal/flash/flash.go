@@ -28,11 +28,12 @@ type Geometry struct {
 	PageSize       int // bytes
 }
 
-// Validate panics on a malformed geometry.
-func (g Geometry) Validate() {
+// Validate reports a geometry with a field that is not positive.
+func (g Geometry) Validate() error {
 	if g.Planes <= 0 || g.BlocksPerPlane <= 0 || g.PagesPerBlock <= 0 || g.PageSize <= 0 {
-		panic(fmt.Sprintf("flash: invalid geometry %+v", g))
+		return fmt.Errorf("flash: invalid geometry %+v", g)
 	}
+	return nil
 }
 
 // PagesPerChip returns the total page count.
@@ -150,9 +151,11 @@ type Array struct {
 }
 
 // NewArray builds n erased chips of one geometry; name appends chip i's
-// name to b.
+// name to b. A geometry that fails Validate panics with its error.
 func NewArray(eng *sim.Engine, n int, name func(b []byte, i int) []byte, geo Geometry, timing Timing) *Array {
-	geo.Validate()
+	if err := geo.Validate(); err != nil {
+		panic(err)
+	}
 	pages, blocks := geo.PagesPerChip(), geo.Planes*geo.BlocksPerPlane
 	a := &Array{
 		Chips:      make([]Chip, n),

@@ -201,22 +201,59 @@ type CheckSink interface {
 // SetChecker attaches a page-commit sink; nil (the default) detaches.
 func (f *FTL) SetChecker(s CheckSink) { f.sink = s }
 
+// Validate reports why New would refuse cfg over a channels×ways grid
+// of geo chips exporting numLPNs logical pages, or nil. The grid and
+// geometry fields must be positive. The physical page count must stay
+// below 2^31, the int32 maps' bound, and is formed so that no product
+// can overflow first; numLPNs must lie in (0, raw) to leave
+// over-provisioning; SpGC needs GCGroupFraction in (0,1); and the map
+// unit, when configured, must be valid and its region must fit the
+// device's blocks.
+func (c Config) Validate(channels, ways int, geo flash.Geometry, numLPNs int64) error {
+	raw := int64(1)
+	for _, n := range []int{channels, ways, geo.Planes, geo.BlocksPerPlane, geo.PagesPerBlock} {
+		if n <= 0 {
+			return fmt.Errorf("ftl: %d×%d chips of geometry %+v", channels, ways, geo)
+		}
+		if raw > math.MaxInt32/int64(n) {
+			return fmt.Errorf("ftl: %d×%d chips of %d×%d×%d pages exceed the int32 maps' bound of %d physical pages",
+				channels, ways, geo.Planes, geo.BlocksPerPlane, geo.PagesPerBlock, math.MaxInt32)
+		}
+		raw *= int64(n)
+	}
+	if numLPNs <= 0 || numLPNs >= raw {
+		return fmt.Errorf("ftl: logical capacity %d must be in (0, %d)", numLPNs, raw)
+	}
+	if c.GCMode == GCSpatial && !(c.GCGroupFraction > 0 && c.GCGroupFraction < 1) {
+		return fmt.Errorf("ftl: GCGroupFraction %v must be in (0,1)", c.GCGroupFraction)
+	}
+	if c.Map == nil {
+		return nil
+	}
+	if err := c.Map.Validate(); err != nil {
+		return err
+	}
+	m := c.Map.withDefaults(geo)
+	if m.EntriesPerPage <= 0 {
+		return fmt.Errorf("ftl: a %d-byte page holds no map entry", geo.PageSize)
+	}
+	if need, have := m.blocks(geo, numLPNs), raw/int64(geo.PagesPerBlock); need > have {
+		return fmt.Errorf("ftl: the map region needs %d blocks, the device has %d", need, have)
+	}
+	return nil
+}
+
 // New builds an FTL over the fabric. numLPNs is the exported logical
 // capacity in pages; it must leave over-provisioning headroom below the
-// raw capacity or GC cannot make progress.
+// raw capacity or GC cannot make progress. New panics with the error of
+// Config.Validate.
 func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL {
 	grid := fab.Grid()
 	geo := grid.Chip(controller.ChipID{Channel: 0, Way: 0}).Geometry()
+	if err := cfg.Validate(grid.Channels, grid.Ways, geo, numLPNs); err != nil {
+		panic(err)
+	}
 	raw := int64(grid.NumChips()) * int64(geo.PagesPerChip())
-	if raw > math.MaxInt32 {
-		panic(fmt.Sprintf("ftl: %d physical pages exceed the int32 maps' bound of %d", raw, math.MaxInt32))
-	}
-	if numLPNs <= 0 || numLPNs >= raw {
-		panic(fmt.Sprintf("ftl: logical capacity %d must be in (0, %d)", numLPNs, raw))
-	}
-	if cfg.GCMode == GCSpatial && (cfg.GCGroupFraction <= 0 || cfg.GCGroupFraction >= 1) {
-		panic("ftl: GCGroupFraction must be in (0,1)")
-	}
 	f := &FTL{
 		eng:            eng,
 		fab:            fab,

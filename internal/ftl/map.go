@@ -53,15 +53,25 @@ type MapConfig struct {
 	WritebackBatch int
 }
 
+// Validate reports a cache size below zero or an eviction policy other
+// than clock or lru. Zero fields take their defaults.
+func (c MapConfig) Validate() error {
+	if c.Entries < 0 {
+		return fmt.Errorf("ftl: negative map cache size %d", c.Entries)
+	}
+	switch c.Eviction {
+	case "", "clock", "lru":
+		return nil
+	}
+	return fmt.Errorf("ftl: unknown map eviction policy %q (want clock or lru)", c.Eviction)
+}
+
 func (c MapConfig) withDefaults(geo flash.Geometry) MapConfig {
-	if c.Entries <= 0 {
+	if c.Entries == 0 {
 		c.Entries = 64
 	}
 	if c.Eviction == "" {
 		c.Eviction = "clock"
-	}
-	if c.Eviction != "clock" && c.Eviction != "lru" {
-		panic(fmt.Sprintf("ftl: unknown map eviction policy %q (want clock or lru)", c.Eviction))
 	}
 	if c.EntriesPerPage <= 0 {
 		c.EntriesPerPage = geo.PageSize / 8
@@ -70,6 +80,14 @@ func (c MapConfig) withDefaults(geo flash.Geometry) MapConfig {
 		c.WritebackBatch = 8
 	}
 	return c
+}
+
+// blocks returns the size of the map region carveBlocks takes for
+// numLPNs logical pages: the directory's blocks plus two overwrite
+// blocks and one spare. c carries its defaults.
+func (c MapConfig) blocks(geo flash.Geometry, numLPNs int64) int64 {
+	numT := (numLPNs + int64(c.EntriesPerPage) - 1) / int64(c.EntriesPerPage)
+	return (numT+int64(geo.PagesPerBlock)-1)/int64(geo.PagesPerBlock) + 3
 }
 
 // MapStats aggregates map-unit activity over a run.
@@ -246,7 +264,7 @@ func newMapUnit(f *FTL, cfg MapConfig) *mapUnit {
 // stays zero (translation pages never enter p2l).
 func (m *mapUnit) carveBlocks() {
 	geo := m.f.geo
-	needed := (m.numT+geo.PagesPerBlock-1)/geo.PagesPerBlock + 3
+	needed := int(m.cfg.blocks(geo, m.f.numLPNs))
 	numChips := m.f.channels * m.f.ways
 	for i := 0; i < needed; i++ {
 		chipIdx := i % numChips

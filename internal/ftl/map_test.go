@@ -43,12 +43,15 @@ func TestMapConfigDefaults(t *testing.T) {
 	if c.EntriesPerPage != geo.PageSize/8 {
 		t.Fatalf("EntriesPerPage = %d, want %d", c.EntriesPerPage, geo.PageSize/8)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad eviction policy did not panic")
-		}
-	}()
-	MapConfig{Eviction: "random"}.withDefaults(geo)
+	if err := (MapConfig{}).Validate(); err != nil {
+		t.Fatalf("the zero MapConfig is invalid: %v", err)
+	}
+	if err := (MapConfig{Eviction: "random"}).Validate(); err == nil {
+		t.Fatal("bad eviction policy accepted")
+	}
+	if err := (MapConfig{Entries: -1}).Validate(); err == nil {
+		t.Fatal("negative cache size accepted")
+	}
 }
 
 func TestMapCarvingAndDirectory(t *testing.T) {

@@ -177,22 +177,7 @@ type Engine struct {
 	fired   int64
 	// counted is how much of fired has been published to totalFired.
 	counted int64
-	// highWater tracks the longest the heap has been since the last full
-	// drain; recentHW keeps the marks of the last few drained Runs so the
-	// backing array can shrink once a big-config run is provably over,
-	// not on the first quiet window after it.
-	highWater int
-	recentHW  [hwRuns]int
-	hwIdx     int
 }
-
-// hwRuns is how many drained Runs of queue high-water history inform the
-// shrink decision; minShrinkCap is the capacity below which shrinking is
-// never worth a reallocation.
-const (
-	hwRuns       = 4
-	minShrinkCap = 1024
-)
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
@@ -227,15 +212,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic("sim: nil event function")
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
-}
-
-// push queues ev in the heap.
-func (e *Engine) push(ev event) {
-	e.events.push(ev)
-	if n := len(e.events); n > e.highWater {
-		e.highWater = n
-	}
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // AtEach runs fn(i) at times[i] for every i. The order and the seq
@@ -291,7 +268,7 @@ type arrivals struct {
 // queue pushes items[pos] with the seq reserved for its index.
 func (s *arrivals) queue() {
 	a := s.items[s.pos]
-	s.eng.push(event{at: a.at, seq: s.base + int64(a.i), fn: s.fire})
+	s.eng.events.push(event{at: a.at, seq: s.base + int64(a.i), fn: s.fire})
 }
 
 // next fires the queued arrival after queueing its successor, so the
@@ -316,7 +293,6 @@ func (e *Engine) Run() Time {
 		e.step()
 	}
 	e.flushFired()
-	e.noteDrained()
 	return e.now
 }
 
@@ -330,30 +306,6 @@ func (e *Engine) flushFired() {
 		e.counted = e.fired
 	}
 }
-
-// noteDrained records the queue's high-water mark for the Run that just
-// drained and shrinks the heap's backing array once its capacity
-// exceeds 4x the deepest queue any of the last hwRuns Runs needed.
-// Big-config sweeps reuse one engine across many Runs; without this, a
-// single deep-queue run pins its peak-size slice (and every event
-// closure slot in it) for the engine's remaining lifetime.
-func (e *Engine) noteDrained() {
-	e.recentHW[e.hwIdx%hwRuns] = e.highWater
-	e.hwIdx++
-	need := 0
-	for _, hw := range e.recentHW {
-		if hw > need {
-			need = hw
-		}
-	}
-	if c := cap(e.events); c >= minShrinkCap && c > 4*need {
-		e.events = make(eventHeap, 0, 2*need)
-	}
-	e.highWater = 0
-}
-
-// heapCap exposes the heap's backing capacity to tests.
-func (e *Engine) heapCap() int { return cap(e.events) }
 
 // RunUntil executes every event with a timestamp <= deadline, including
 // events those events schedule into the window, and returns the number of

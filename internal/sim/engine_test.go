@@ -445,39 +445,3 @@ func TestEventsFiredTotalConcurrentEngines(t *testing.T) {
 		t.Fatalf("concurrent engines published %d events, want %d", got, goroutines*perEngine)
 	}
 }
-
-// TestEventHeapShrinks: a run that piles up a huge queue must not pin its
-// peak-size backing array forever. After enough small drained Runs push
-// the big one out of the high-water history, capacity falls back toward
-// what the recent runs actually needed.
-func TestEventHeapShrinks(t *testing.T) {
-	e := NewEngine()
-	const big = 50_000
-	for i := 0; i < big; i++ {
-		e.Schedule(Time(i), func() {})
-	}
-	e.Run()
-	peak := e.heapCap()
-	if peak < big {
-		t.Fatalf("heap capacity %d below queue depth %d", peak, big)
-	}
-	// hwRuns small drains age the big run out of the history window.
-	for r := 0; r < hwRuns+1; r++ {
-		for i := 0; i < 8; i++ {
-			e.Schedule(Time(i), func() {})
-		}
-		e.Run()
-	}
-	if c := e.heapCap(); c >= peak/4 {
-		t.Fatalf("heap capacity still %d after small runs (peak %d); want < peak/4", c, peak)
-	}
-	// The engine still works after shrinking.
-	fired := 0
-	for i := 0; i < 1000; i++ {
-		e.Schedule(Time(i), func() { fired++ })
-	}
-	e.Run()
-	if fired != 1000 {
-		t.Fatalf("post-shrink run fired %d/1000 events", fired)
-	}
-}

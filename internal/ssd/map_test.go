@@ -7,25 +7,26 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/controller"
 	"repro/internal/ftl"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // TestMappingFlatByteIdentical pins the default-path contract of the
-// mapping refactor: Mapping "" and "flat" build no map unit, so every
-// artifact matches byte for byte and no map fields leak into the output.
+// mapping unit: a nil FTL.Map builds no map unit, two such runs match
+// byte for byte, and no map fields leak into the output.
 func TestMappingFlatByteIdentical(t *testing.T) {
 	refSummary, refChrome, refTel, ref := instrumentedArtifacts(t, func(*Config) {})
 	if ref.FTL.MapEnabled() {
 		t.Fatal("default config built a map unit")
 	}
-	summary, chrome, tel, s := instrumentedArtifacts(t, func(c *Config) { c.Mapping = "flat" })
+	summary, chrome, tel, s := instrumentedArtifacts(t, func(c *Config) { c.FTL.Map = nil })
 	if s.FTL.MapEnabled() {
-		t.Fatal("explicit flat built a map unit")
+		t.Fatal("nil FTL.Map built a map unit")
 	}
 	if !bytes.Equal(summary, refSummary) || !bytes.Equal(chrome, refChrome) || !bytes.Equal(tel, refTel) {
-		t.Fatal("explicit flat output diverges from the default")
+		t.Fatal("flat output is not reproducible")
 	}
 	for _, leak := range []string{`"mapping"`, `"map_hits"`, "map-stall"} {
 		if bytes.Contains(refSummary, []byte(leak)) || bytes.Contains(refTel, []byte(leak)) {
@@ -42,9 +43,7 @@ func TestFmmuWiring(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.LogicalUtilization = 0.75
-	cfg.Mapping = "fmmu"
-	cfg.MapCacheEntries = 2 // tiny: force real miss traffic
-	cfg.MapEviction = "lru"
+	cfg.FTL.Map = &ftl.MapConfig{Entries: 2, Eviction: "lru"} // tiny: force real miss traffic
 	cfg.Check = &check.Config{}
 	cfg.Telemetry = &telemetry.Config{}
 	s := New(ArchPnSSDSplit, cfg)
@@ -84,42 +83,55 @@ func TestFmmuWiring(t *testing.T) {
 	}
 }
 
-// TestConfigValidateEnums walks every invalid-enum path through Validate
-// and pins that each panic message names the accepted values, so a typo
-// on the command line tells the user what to type instead.
+// TestConfigValidateEnums walks the invalid paths through Validate:
+// each enum error names the accepted values, so a typo on the command
+// line tells the user what to type instead, and each config ssd.New
+// would panic on inside the FTL is refused with an error first.
 func TestConfigValidateEnums(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Config)
 		want string
 	}{
-		{"scheduler", func(c *Config) { c.Scheduler = "venice" },
-			`unknown scheduler policy "venice" (want fifo, conflict, or ooo)`},
-		{"mapping", func(c *Config) { c.Mapping = "dftl" },
-			`unknown mapping mode "dftl" (want flat or fmmu)`},
-		{"map-eviction", func(c *Config) { c.MapEviction = "random" },
+		{"scheduler", func(c *Config) { c.Scheduler = controller.SchedPolicy(7) },
+			`unknown scheduler policy sched(7) (want fifo, conflict, or ooo)`},
+		{"map-eviction", func(c *Config) { c.FTL.Map = &ftl.MapConfig{Eviction: "random"} },
 			`unknown map eviction policy "random" (want clock or lru)`},
-		{"map-cache-negative", func(c *Config) { c.MapCacheEntries = -1 },
+		{"map-cache-negative", func(c *Config) { c.FTL.Map = &ftl.MapConfig{Entries: -1} },
 			"negative map cache size -1"},
+		// One page at 0.875 utilization exports no logical page.
+		{"logical-pages-zero", func(c *Config) {
+			c.Channels, c.Ways = 1, 1
+			c.Geometry.Planes, c.Geometry.BlocksPerPlane, c.Geometry.PagesPerBlock = 1, 1, 1
+		}, "logical capacity 0 must be in (0, 1)"},
+		{"gc-group-fraction-zero", func(c *Config) { c.FTL.GCMode, c.FTL.GCGroupFraction = ftl.GCSpatial, 0 },
+			"GCGroupFraction 0 must be in (0,1)"},
+		{"gc-group-fraction-one", func(c *Config) { c.FTL.GCMode, c.FTL.GCGroupFraction = ftl.GCSpatial, 1 },
+			"GCGroupFraction 1 must be in (0,1)"},
+		// (2^62+1)·4·16 pages per chip wraps int64 to 64, under the bound.
+		{"page-count-overflow", func(c *Config) {
+			c.Channels, c.Ways = 1, 1
+			c.Geometry.Planes, c.Geometry.BlocksPerPlane, c.Geometry.PagesPerBlock = 1<<62+1, 4, 16
+		}, "exceed the int32 maps' bound"},
+		// Three blocks cannot hold the map directory, two overwrite blocks
+		// and a spare.
+		{"map-region", func(c *Config) {
+			c.Channels, c.Ways = 1, 1
+			c.Geometry.Planes, c.Geometry.BlocksPerPlane = 1, 3
+			c.FTL.Map = &ftl.MapConfig{}
+		}, "the map region needs 4 blocks, the device has 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tinyConfig()
 			tc.mut(&cfg)
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("Validate accepted invalid %s", tc.name)
-				}
-				msg, ok := r.(string)
-				if !ok {
-					t.Fatalf("panic value %T, want string", r)
-				}
-				if !strings.Contains(msg, tc.want) {
-					t.Fatalf("panic %q does not name the accepted values (%q)", msg, tc.want)
-				}
-			}()
-			cfg.Validate()
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatalf("Validate accepted invalid %s", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", err, tc.want)
+			}
 		})
 	}
 }

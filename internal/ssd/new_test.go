@@ -82,8 +82,8 @@ func TestValidateRejectsInt32Overflow(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := quickConfig()
 			cfg.Geometry.BlocksPerPlane = tc.blocks
-			if got := panics(cfg.Validate); got != tc.reject {
-				t.Fatalf("Validate of %d pages panicked: %v, want %v", cfg.RawPages(), got, tc.reject)
+			if err := cfg.Validate(); (err != nil) != tc.reject {
+				t.Fatalf("Validate of %d pages: %v, want rejection %v", cfg.RawPages(), err, tc.reject)
 			}
 			if !tc.reject {
 				return // a valid device this large is not built here

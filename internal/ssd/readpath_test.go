@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 
+	"repro/internal/ftl"
 	"repro/internal/host"
 	"repro/internal/workload"
 )
@@ -62,9 +63,8 @@ func BenchmarkReadPath(b *testing.B) {
 	}
 	b.Run("pnssd+split-fmmu", func(b *testing.B) {
 		cfg := ScaledConfig()
-		cfg.Mapping = "fmmu"
 		perT := int64(cfg.Geometry.PageSize / 8)
-		cfg.MapCacheEntries = int((cfg.LogicalPages()+perT-1)/perT) / 4
+		cfg.FTL.Map = &ftl.MapConfig{Entries: int((cfg.LogicalPages()+perT-1)/perT) / 4}
 		s := benchReadPath(b, ArchPnSSDSplit, cfg)
 		b.ReportMetric(s.FTL.MapStats().MissRate()*100, "miss-pct")
 	})

@@ -11,15 +11,15 @@ import (
 )
 
 // TestSchedulerFIFOByteIdentical pins the default-path contract of the
-// scheduling refactor: Scheduler "" and "fifo" both leave the fabric
-// unwrapped, so the whole artifact set — summary, trace, telemetry —
+// scheduling refactor: the zero Scheduler and an explicit SchedFIFO both
+// leave the fabric unwrapped, so the whole artifact set — summary, trace, telemetry —
 // matches today's output byte for byte.
 func TestSchedulerFIFOByteIdentical(t *testing.T) {
 	refSummary, refChrome, refTel, ref := instrumentedArtifacts(t, func(*Config) {})
 	if ref.Sched != nil {
 		t.Fatal("default config built a scheduling layer")
 	}
-	summary, chrome, tel, s := instrumentedArtifacts(t, func(c *Config) { c.Scheduler = "fifo" })
+	summary, chrome, tel, s := instrumentedArtifacts(t, func(c *Config) { c.Scheduler = controller.SchedFIFO })
 	if s.Sched != nil {
 		t.Fatal("explicit fifo built a scheduling layer")
 	}
@@ -39,9 +39,9 @@ func TestInstrumentedNonDefaultModes(t *testing.T) {
 		edit func(*Config)
 		want string
 	}{
-		{func(c *Config) { c.Scheduler = "conflict" }, `"scheduler": "conflict"`},
-		{func(c *Config) { c.Scheduler = "ooo" }, `"scheduler": "ooo"`},
-		{func(c *Config) { c.Mapping = "fmmu"; c.MapCacheEntries = 16 }, `"mapping": "fmmu"`},
+		{func(c *Config) { c.Scheduler = controller.SchedConflict }, `"scheduler": "conflict"`},
+		{func(c *Config) { c.Scheduler = controller.SchedOOO }, `"scheduler": "ooo"`},
+		{func(c *Config) { c.FTL.Map = &ftl.MapConfig{Entries: 16} }, `"mapping": "fmmu"`},
 	} {
 		summary, _, _, _ := instrumentedArtifacts(t, tc.edit)
 		if !bytes.Contains(summary, []byte(tc.want)) {
@@ -56,7 +56,7 @@ func TestInstrumentedNonDefaultModes(t *testing.T) {
 // scheduling ledger engages under -check.
 func TestSchedulerWiring(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Scheduler = "conflict"
+	cfg.Scheduler = controller.SchedConflict
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.LogicalUtilization = 0.75
 	cfg.Check = &check.Config{}
@@ -94,7 +94,7 @@ func TestSchedulerWiring(t *testing.T) {
 
 	// ooo wiring: the window is enforced, so the checker must have seen
 	// in-window issues only (a violation would have panicked above).
-	cfg.Scheduler = "ooo"
+	cfg.Scheduler = controller.SchedOOO
 	s2 := New(ArchPnSSDSplit, cfg)
 	if s2.Sched == nil || s2.Sched.Policy() != controller.SchedOOO {
 		t.Fatal("ooo wiring failed")
@@ -109,11 +109,8 @@ func TestSchedulerWiring(t *testing.T) {
 
 func TestSchedulerValidate(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Scheduler = "venice"
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Validate accepted an unknown scheduler policy")
-		}
-	}()
-	cfg.Validate()
+	cfg.Scheduler = controller.SchedOOO + 1
+	if cfg.Validate() == nil {
+		t.Fatal("Validate accepted an unknown scheduler policy")
+	}
 }

@@ -8,7 +8,6 @@ package ssd
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/bus"
@@ -105,7 +104,9 @@ type Config struct {
 	Timing   flash.Timing
 	// BusMTps is the flash channel transfer rate (Table II: 1000 MT/s).
 	BusMTps int
-	// FTL carries allocation policy and GC settings.
+	// FTL carries allocation policy and GC settings, and FTL.Map, when
+	// non-nil, turns on the FMMU-style demand-paged map unit (a bounded
+	// DRAM cache over an on-flash map); nil keeps the whole map in DRAM.
 	FTL ftl.Config
 	// LogicalUtilization is the fraction of raw capacity exported as LPNs
 	// (the rest is over-provisioning).
@@ -141,27 +142,14 @@ type Config struct {
 	// hook detached, so the simulation is bit-identical to a build
 	// without telemetry.
 	Telemetry *telemetry.Config
-	// Scheduler selects the controller's command scheduling policy:
-	// "fifo" (or empty, the default — issue in arrival order, byte-
-	// identical to a build without the scheduling layer), "conflict"
-	// (Venice-style conflict-aware path reservation), or "ooo"
-	// (Sprinkler-style out-of-order die-level reordering). Non-FIFO
-	// policies interpose controller.SchedFabric between the FTL and the
-	// fabric.
-	Scheduler string
-	// Mapping selects the FTL mapping mode: "flat" (or empty, the
-	// default — whole map in DRAM, translation free, byte-identical to a
-	// build without the map unit) or "fmmu" (FMMU-style demand-paged
-	// mapping: translation pages live on flash, a bounded DRAM map cache
-	// holds the hot subset, and map IO flows through the fabric as real
-	// traffic).
-	Mapping string
-	// MapCacheEntries is the fmmu map-cache capacity in translation
-	// pages; zero selects the ftl default (64). Ignored in flat mode.
-	MapCacheEntries int
-	// MapEviction selects the fmmu map-cache replacement policy:
-	// "clock" (or empty, the default) or "lru". Ignored in flat mode.
-	MapEviction string
+	// Scheduler is the controller's command scheduling policy. The zero
+	// value, controller.SchedFIFO, issues in arrival order and is byte-
+	// identical to a build without the scheduling layer;
+	// controller.SchedConflict (Venice-style conflict-aware path
+	// reservation) and controller.SchedOOO (Sprinkler-style out-of-order
+	// die-level reordering) interpose controller.SchedFabric between the
+	// FTL and the fabric.
+	Scheduler controller.SchedPolicy
 }
 
 // DefaultConfig returns the paper's Table II parameters: 8 channels, 8
@@ -190,52 +178,45 @@ func ScaledConfig() Config {
 	return c
 }
 
-// Validate panics on malformed configuration.
-func (c Config) Validate() {
-	c.Geometry.Validate()
+// Validate reports the first reason New would refuse c, or nil. It is
+// the one check of a device configuration: the geometry, grid, bus rate,
+// utilization and scheduler here, the FTL's rules (the int32 page bound,
+// a logical capacity in (0, raw), the SpGC group, the map unit in
+// FTL.Map) through ftl.Config.Validate, then the front end and the
+// fault injector.
+func (c Config) Validate() error {
+	if err := c.Geometry.Validate(); err != nil {
+		return err
+	}
 	if c.Channels <= 0 || c.Ways <= 0 || c.BusMTps <= 0 {
-		panic(fmt.Sprintf("ssd: invalid config %+v", c))
+		return fmt.Errorf("ssd: invalid config %+v", c)
 	}
-	// The FTL's maps hold page numbers as int32.
-	if n := c.RawPages(); n > math.MaxInt32 {
-		panic(fmt.Sprintf("ssd: %d physical pages exceed the bound of %d", n, math.MaxInt32))
+	if !(c.LogicalUtilization > 0 && c.LogicalUtilization < 1) {
+		return fmt.Errorf("ssd: LogicalUtilization %v must be in (0,1)", c.LogicalUtilization)
 	}
-	if c.LogicalUtilization <= 0 || c.LogicalUtilization >= 1 {
-		panic("ssd: LogicalUtilization must be in (0,1)")
+	if c.Scheduler < 0 || int(c.Scheduler) >= len(controller.SchedPolicyNames()) {
+		return fmt.Errorf("ssd: unknown scheduler policy %v (want fifo, conflict, or ooo)", c.Scheduler)
 	}
-	if _, err := controller.ParseSchedPolicy(c.Scheduler); err != nil {
-		panic(fmt.Sprintf("ssd: %v", err))
-	}
-	switch c.Mapping {
-	case "", "flat", "fmmu":
-	default:
-		panic(fmt.Sprintf("ssd: unknown mapping mode %q (want flat or fmmu)", c.Mapping))
-	}
-	switch c.MapEviction {
-	case "", "clock", "lru":
-	default:
-		panic(fmt.Sprintf("ssd: unknown map eviction policy %q (want clock or lru)", c.MapEviction))
-	}
-	if c.MapCacheEntries < 0 {
-		panic(fmt.Sprintf("ssd: negative map cache size %d", c.MapCacheEntries))
+	if err := c.FTL.Validate(c.Channels, c.Ways, c.Geometry, c.LogicalPages()); err != nil {
+		return err
 	}
 	if c.Frontend != nil {
 		if err := c.Frontend.Validate(); err != nil {
-			panic(err)
+			return err
 		}
 	}
 	if c.Fault != nil {
-		c.Fault.Validate()
-		numV := c.Channels
-		if c.Ways < numV {
-			numV = c.Ways
+		if err := c.Fault.Validate(); err != nil {
+			return err
 		}
+		numV := min(c.Channels, c.Ways)
 		for _, v := range c.Fault.DeadVChannels {
 			if v >= numV {
-				panic(fmt.Sprintf("ssd: dead v-channel %d outside [0,%d)", v, numV))
+				return fmt.Errorf("ssd: dead v-channel %d outside [0,%d)", v, numV)
 			}
 		}
 	}
+	return nil
 }
 
 // RawPages returns the device's physical page count.
@@ -363,7 +344,7 @@ func wireTrace(cfg Config, eng *sim.Engine, ps []probe, fab controller.Fabric, f
 	if cfg.Trace == nil {
 		return nil
 	}
-	rec := trace.New(eng, *cfg.Trace)
+	rec := trace.New(eng)
 	for _, p := range ps {
 		for _, name := range p.names {
 			rec.RegisterTrack(name, p.kind)
@@ -528,14 +509,10 @@ func wireFrontend(cfg Config, h *host.Host, rec *trace.Recorder, ck *check.Check
 // unwrapped, so the default build is byte-identical to one without the
 // scheduling layer compiled in.
 func wrapSched(cfg Config, fab controller.Fabric) (controller.Fabric, *controller.SchedFabric) {
-	pol, err := controller.ParseSchedPolicy(cfg.Scheduler)
-	if err != nil {
-		panic(fmt.Sprintf("ssd: %v", err)) // Validate already vetted it
-	}
-	if pol == controller.SchedFIFO {
+	if cfg.Scheduler == controller.SchedFIFO {
 		return fab, nil
 	}
-	s := controller.NewSchedFabric(fab, pol)
+	s := controller.NewSchedFabric(fab, cfg.Scheduler)
 	return s, s
 }
 
@@ -556,24 +533,15 @@ func wireSchedCheck(sched *controller.SchedFabric, ck *check.Checker) {
 	})
 }
 
-// ftlConfig returns cfg.FTL with the map unit enabled when Mapping
-// selects fmmu. Flat (or empty) leaves Map nil, so the FTL is built
-// exactly as before the mapping mode existed.
-func ftlConfig(cfg Config) ftl.Config {
-	fc := cfg.FTL
-	if cfg.Mapping == "fmmu" {
-		fc.Map = &ftl.MapConfig{Entries: cfg.MapCacheEntries, Eviction: cfg.MapEviction}
-	}
-	return fc
-}
-
 // FabricFunc builds the interconnect over an assembled grid and SoC.
 type FabricFunc func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric
 
 // New builds an SSD of the given architecture. The SoC and NVMe
 // bandwidths are provisioned at the architecture's total flash-channel
 // bandwidth so they never bottleneck the interconnect under study
-// (Sec VII-A).
+// (Sec VII-A). A cfg that fails Validate panics with its error; callers
+// that take a configuration from outside the program call Validate
+// first.
 func New(arch Arch, cfg Config) *SSD {
 	// Controller-side bandwidth multiplier: packetized architectures double
 	// the per-controller pin bandwidth (16 bits vs 8).
@@ -599,13 +567,15 @@ func NewCustom(arch Arch, cfg Config, mk FabricFunc) *SSD {
 // provisioned at socMBps, the fabric from mk, the optional scheduling
 // layer, FTL, host, and every opt-in instrument.
 func build(arch Arch, cfg Config, socMBps int, mk FabricFunc) *SSD {
-	cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	eng := sim.NewEngine()
 	grid := controller.NewGrid(eng, cfg.Channels, cfg.Ways, cfg.Geometry, cfg.Timing)
 	soc := controller.NewSoc(eng, socMBps, socMBps)
 	fab := mk(eng, grid, soc, cfg.Geometry.PageSize)
 	ftlFab, sched := wrapSched(cfg, fab)
-	f := ftl.New(eng, ftlFab, ftlConfig(cfg), cfg.LogicalPages())
+	f := ftl.New(eng, ftlFab, cfg.FTL, cfg.LogicalPages())
 	h := host.New(eng, f, cfg.Geometry.PageSize, socMBps)
 	inj := wireFaults(cfg, grid, fab, f)
 	ps := probes(grid, fab, soc, h)

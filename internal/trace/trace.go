@@ -25,14 +25,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Config parameterizes a Recorder.
-type Config struct {
-	// TrackPrefix is prepended to every track name. Array runs trace many
-	// devices whose internal resources share names ("nvme", "h0", die
-	// grids); a per-device prefix like "dev3/" keeps the merged view
-	// unambiguous without renaming any resource.
-	TrackPrefix string
-}
+// Config enables tracing; it has no options, and a non-nil pointer in a
+// device configuration is the switch.
+type Config struct{}
 
 // Track kinds: the label of each track in exports, and the class of each
 // bus in ssd.Buses.
@@ -74,8 +69,7 @@ type KV struct {
 
 // Recorder accumulates trace events for one simulation run.
 type Recorder struct {
-	eng    *sim.Engine
-	prefix string
+	eng *sim.Engine
 
 	events []event
 	tracks map[string]*Track
@@ -87,12 +81,8 @@ type Recorder struct {
 }
 
 // New builds a Recorder bound to an engine.
-func New(eng *sim.Engine, cfg Config) *Recorder {
-	return &Recorder{
-		eng:    eng,
-		prefix: cfg.TrackPrefix,
-		tracks: make(map[string]*Track),
-	}
+func New(eng *sim.Engine) *Recorder {
+	return &Recorder{eng: eng, tracks: make(map[string]*Track)}
 }
 
 // Enabled reports whether the recorder is live. It is the guard hot paths
@@ -102,15 +92,11 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // RegisterTrack declares a track up front so it appears in the export
 // (with stable ordering) even if it never records an event — the
 // guarantee behind "one track per h-channel, v-channel, and chip".
-// Registering an existing name returns the existing track. The
-// configured TrackPrefix is applied here, the single naming point, so
-// every caller and every auto-registered resource agrees on the final
-// name.
+// Registering an existing name returns the existing track.
 func (r *Recorder) RegisterTrack(name, kind string) *Track {
 	if r == nil {
 		return nil
 	}
-	name = r.prefix + name
 	if t, ok := r.tracks[name]; ok {
 		return t
 	}
@@ -120,10 +106,9 @@ func (r *Recorder) RegisterTrack(name, kind string) *Track {
 	return t
 }
 
-// track resolves a raw (unprefixed) name, auto-registering unknown
-// resources.
+// track resolves a name, auto-registering unknown resources.
 func (r *Recorder) track(name string) *Track {
-	if t, ok := r.tracks[r.prefix+name]; ok {
+	if t, ok := r.tracks[name]; ok {
 		return t
 	}
 	return r.RegisterTrack(name, KindOther)

@@ -42,13 +42,13 @@ func TestNilRecorderIsInert(t *testing.T) {
 }
 
 // newTestRecorder builds a recorder with its own engine.
-func newTestRecorder(cfg Config) (*sim.Engine, *Recorder) {
+func newTestRecorder() (*sim.Engine, *Recorder) {
 	eng := sim.NewEngine()
-	return eng, New(eng, cfg)
+	return eng, New(eng)
 }
 
 func TestRecorderHolds(t *testing.T) {
-	_, rec := newTestRecorder(Config{})
+	_, rec := newTestRecorder()
 	rec.RegisterTrack("h0", KindHChannel)
 	res := sim.NewResource(sim.NewEngine(), "h0")
 	rec.ResourceHold(res, "xfer", 0, 0, 15*sim.Microsecond)
@@ -91,7 +91,7 @@ func trackNames(t *testing.T, rec *Recorder) []string {
 }
 
 func TestExportChromeStructure(t *testing.T) {
-	_, rec := newTestRecorder(Config{})
+	_, rec := newTestRecorder()
 	rec.RegisterTrack("h0", KindHChannel)
 	res := sim.NewResource(sim.NewEngine(), "h0")
 	rec.ResourceHold(res, "xfer", 0, 2*sim.Microsecond, 5*sim.Microsecond)
@@ -146,7 +146,7 @@ func TestExportChromeStructure(t *testing.T) {
 }
 
 func TestSpanIDsPairUp(t *testing.T) {
-	_, rec := newTestRecorder(Config{})
+	_, rec := newTestRecorder()
 	a := rec.BeginSpan("req", "read")
 	b := rec.BeginSpan("req", "write")
 	if a == b {
@@ -188,35 +188,8 @@ func TestSpanIDsPairUp(t *testing.T) {
 	}
 }
 
-// A TrackPrefix must apply at every naming point — explicit
-// registration, auto-registration from a resource hold, and repeat
-// registration must all resolve to the same prefixed track.
-func TestTrackPrefixAppliesEverywhere(t *testing.T) {
-	eng, rec := newTestRecorder(Config{TrackPrefix: "dev3/"})
-	rec.RegisterTrack("h0", KindHChannel)
-	if tr := trackNames(t, rec); len(tr) != 1 || tr[0] != "h-channel dev3/h0" {
-		t.Fatalf("registered tracks: %q", tr)
-	}
-	// Registering the raw name again must not mint a second track.
-	rec.RegisterTrack("h0", KindHChannel)
-	if tr := trackNames(t, rec); len(tr) != 1 {
-		t.Fatalf("re-registration duplicated the track: %q", tr)
-	}
-	// Auto-registration through an observer callback sees the raw
-	// resource name and must land on the prefixed track.
-	res := sim.NewResource(eng, "nvme")
-	rec.ResourceHold(res, "hold", 0, 0, sim.Microsecond)
-	if tr := trackNames(t, rec); len(tr) != 2 || tr[1] != "resource dev3/nvme" {
-		t.Fatalf("auto-registered tracks: %q", tr)
-	}
-	rec.ResourceHold(res, "hold", sim.Microsecond, sim.Microsecond, 2*sim.Microsecond)
-	if tr := trackNames(t, rec); len(tr) != 2 {
-		t.Fatalf("repeat hold duplicated a track: %q", tr)
-	}
-}
-
 func TestAutoRegisteredTrackGetsOtherKind(t *testing.T) {
-	_, rec := newTestRecorder(Config{})
+	_, rec := newTestRecorder()
 	res := sim.NewResource(sim.NewEngine(), "mystery")
 	rec.ResourceHold(res, "hold", 0, 0, sim.Microsecond)
 	if tr := trackNames(t, rec); len(tr) != 1 || tr[0] != KindOther+" mystery" {

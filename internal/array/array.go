@@ -25,13 +25,22 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Defaults for the router's timing knobs.
+// The router's timings.
 const (
-	DefaultRouteLatency       = 2 * sim.Microsecond
-	DefaultReconstructLatency = 10 * sim.Microsecond
-	DefaultDetectLatency      = 100 * sim.Microsecond
-	DefaultRetryMax           = 3
-	DefaultRetryBackoff       = 10 * sim.Microsecond
+	// RouteLatency is the router's fixed per-request overhead.
+	RouteLatency = 2 * sim.Microsecond
+	// ReconstructLatency is the decode cost added after the last of the
+	// m surviving shards arrives on a degraded read.
+	ReconstructLatency = 10 * sim.Microsecond
+	// DetectLatency is how long a permanent kill stays undetected: reads
+	// in the window burn the retry ladder before reconstructing; after
+	// it the router reconstructs (or redirects) immediately.
+	DetectLatency = 100 * sim.Microsecond
+	// RetryMax and RetryBackoff bound the per-read retry ladder against
+	// an unresponsive device: attempt i waits RetryBackoff<<(i-1), and
+	// an exhausted ladder falls back to reconstruction.
+	RetryMax     = 3
+	RetryBackoff = 10 * sim.Microsecond
 )
 
 // Config describes one erasure-coded array.
@@ -67,21 +76,6 @@ type Config struct {
 	// keep simulating; the router just stops (or defers) routing to them.
 	Failures []fault.DeviceEvent
 
-	// RouteLatency is the router's fixed per-request overhead.
-	RouteLatency sim.Time
-	// ReconstructLatency is the decode cost added after the last of the
-	// m surviving shards arrives on a degraded read.
-	ReconstructLatency sim.Time
-	// DetectLatency is how long a permanent kill stays undetected: reads
-	// in the window burn the retry ladder before reconstructing; after
-	// it the router reconstructs (or redirects) immediately.
-	DetectLatency sim.Time
-	// RetryMax and RetryBackoff bound the per-read retry ladder against
-	// an unresponsive device: attempt i waits RetryBackoff<<(i-1), and
-	// an exhausted ladder falls back to reconstruction.
-	RetryMax     int
-	RetryBackoff sim.Time
-
 	// RebuildPagesPerSec throttles the background rebuild scheduler;
 	// zero disables rebuild (spares still absorb redirected writes).
 	RebuildPagesPerSec int
@@ -92,26 +86,6 @@ type Config struct {
 	// series are computed arithmetically from joined per-device
 	// completion times, so they are byte-identical at any parallelism.
 	Telemetry *telemetry.Config
-}
-
-// WithDefaults fills zero timing knobs.
-func (c Config) WithDefaults() Config {
-	if c.RouteLatency == 0 {
-		c.RouteLatency = DefaultRouteLatency
-	}
-	if c.ReconstructLatency == 0 {
-		c.ReconstructLatency = DefaultReconstructLatency
-	}
-	if c.DetectLatency == 0 {
-		c.DetectLatency = DefaultDetectLatency
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = DefaultRetryMax
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = DefaultRetryBackoff
-	}
-	return c
 }
 
 // Width returns the shard count per stripe, m+k.
@@ -146,9 +120,8 @@ func (c Config) Validate() error {
 	if c.Spares < 0 {
 		return fmt.Errorf("array: negative spare count")
 	}
-	if c.RetryMax < 0 || c.RetryBackoff < 0 || c.RouteLatency < 0 ||
-		c.ReconstructLatency < 0 || c.DetectLatency < 0 || c.RebuildPagesPerSec < 0 {
-		return fmt.Errorf("array: negative router parameter")
+	if c.RebuildPagesPerSec < 0 {
+		return fmt.Errorf("array: negative rebuild rate")
 	}
 	coded := c.Groups * c.Width()
 	for _, e := range c.Failures {

@@ -105,7 +105,7 @@ func TestHealthyRunCompletesClean(t *testing.T) {
 		r.RedirectedWrites != 0 || r.LostWrites != 0 || r.RebuildPages != 0 {
 		t.Fatalf("healthy run touched failure paths: %s", r)
 	}
-	if res.Metrics.MeanLatency() <= cfg.RouteLatency {
+	if res.Metrics.MeanLatency() <= RouteLatency {
 		t.Fatalf("mean latency %v implausibly small", res.Metrics.MeanLatency())
 	}
 }
@@ -232,12 +232,11 @@ func TestKillWithoutSpareLosesWritesNotReads(t *testing.T) {
 func TestPlanUndetectedKillBurnsLadder(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Failures = []fault.DeviceEvent{{Device: 0, At: 0}}
-	cfg = cfg.WithDefaults()
 	// One read whose data shard lives on dev 0: stripe 0 lane 0.
 	reqs := []host.Request{{Arrival: 0, Kind: stats.Read, LPN: 0, Pages: 1}}
 	p := BuildPlan(cfg, reqs)
 	r := p.RAS
-	if r.RouterRetries != int64(cfg.RetryMax) || r.RetryExhausted != 1 {
+	if r.RouterRetries != RetryMax || r.RetryExhausted != 1 {
 		t.Fatalf("undetected kill: retries=%d exhausted=%d", r.RouterRetries, r.RetryExhausted)
 	}
 	if r.DegradedReads != 1 || r.ReconstructionReads != int64(cfg.Data) {
@@ -253,8 +252,7 @@ func TestPlanSpareReadAfterRebuild(t *testing.T) {
 	cfg := smallCfg()
 	cfg.RebuildPagesPerSec = 1_000_000_000 // rebuild everything at detection
 	cfg.Failures = []fault.DeviceEvent{{Device: 0, At: 0}}
-	cfg = cfg.WithDefaults()
-	late := cfg.DetectLatency + sim.Time(cfg.StripesPerGroup()) + sim.Millisecond
+	late := DetectLatency + sim.Time(cfg.StripesPerGroup()) + sim.Millisecond
 	reqs := []host.Request{{Arrival: late, Kind: stats.Read, LPN: 0, Pages: 1}}
 	p := BuildPlan(cfg, reqs)
 	if p.RAS.SpareReads != 1 {
@@ -280,6 +278,7 @@ func TestConfigValidation(t *testing.T) {
 		{"zero parity", func(c *Config) { c.Parity = 0 }},
 		{"zero groups", func(c *Config) { c.Groups = 0 }},
 		{"negative spares", func(c *Config) { c.Spares = -1 }},
+		{"negative rebuild rate", func(c *Config) { c.RebuildPagesPerSec = -1 }},
 		{"failure on spare", func(c *Config) {
 			c.Failures = []fault.DeviceEvent{{Device: c.Groups * c.Width(), At: 0}}
 		}},
@@ -346,7 +345,6 @@ func BenchmarkArrayRouter(b *testing.B) {
 		RebuildPagesPerSec: 200_000,
 		Failures:           []fault.DeviceEvent{{Device: 0, At: 2 * sim.Millisecond}},
 	}
-	cfg = cfg.WithDefaults()
 	tr, err := workload.Named("rocksdb-0", cfg.LogicalPages(), 2000, 1)
 	if err != nil {
 		b.Fatal(err)

@@ -67,21 +67,14 @@ type Plan struct {
 	detectAt sim.Time
 }
 
-// ladderWait sums the full retry ladder: attempt i waits backoff<<(i-1).
-func ladderWait(backoff sim.Time, max int) sim.Time {
-	var w sim.Time
-	for i := 0; i < max; i++ {
-		w += backoff << uint(i)
-	}
-	return w
-}
+// ladderWait is the full retry ladder: attempt i waits RetryBackoff<<(i-1).
+const ladderWait = RetryBackoff * (1<<RetryMax - 1)
 
 // BuildPlan routes a foreground trace of array-level requests. Requests
 // must use array LPNs in [0, cfg.LogicalPages()); multi-page requests
 // are expanded page by page, each page joining on its own shard set. A
 // cfg that fails Validate panics with its error.
 func BuildPlan(cfg Config, reqs []host.Request) *Plan {
-	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -109,7 +102,7 @@ func BuildPlan(cfg Config, reqs []host.Request) *Plan {
 	}
 	p.detectAt = -1
 	for _, k := range kills {
-		if d := k.At + cfg.DetectLatency; p.detectAt < 0 || d < p.detectAt {
+		if d := k.At + DetectLatency; p.detectAt < 0 || d < p.detectAt {
 			p.detectAt = d
 		}
 	}
@@ -154,7 +147,7 @@ func BuildPlan(cfg Config, reqs []host.Request) *Plan {
 				continue
 			}
 			g := k.Device / cfg.Width()
-			start := k.At + cfg.DetectLatency
+			start := k.At + DetectLatency
 			for s := int64(0); s < cfg.StripesPerGroup(); s++ {
 				at := start + sim.Time(s)*interval
 				if r, ok := redirectAt[spare][s]; ok && r <= at {
@@ -318,20 +311,19 @@ func (p *Plan) routeRead(g int, t int64, lane int, at sim.Time) planPage {
 			return planPage{ops: []opRef{op}, floor: at}
 		}
 		killAt, _ := p.sched.KilledAt(s.dev)
-		if at >= killAt+cfg.DetectLatency {
+		if at >= killAt+DetectLatency {
 			return p.reconstructPage(g, t, lane, at)
 		}
 		// Undetected: every retry times out, then reconstruction.
-		wait := ladderWait(cfg.RetryBackoff, cfg.RetryMax)
-		p.RAS.RouterRetries += int64(cfg.RetryMax)
+		p.RAS.RouterRetries += RetryMax
 		p.RAS.RetryExhausted++
-		return p.reconstructPage(g, t, lane, at+wait)
+		return p.reconstructPage(g, t, lane, at+ladderWait)
 	}
 
 	if until, out := p.sched.UnavailableAt(s.dev, at); out {
 		var waited sim.Time
-		for i := 0; i < cfg.RetryMax; i++ {
-			waited += cfg.RetryBackoff << uint(i)
+		for i := 0; i < RetryMax; i++ {
+			waited += RetryBackoff << uint(i)
 			p.RAS.RouterRetries++
 			if at+waited >= until {
 				op := p.push(s.dev, host.Request{Arrival: at + waited, Kind: stats.Read, LPN: s.lpn, Pages: 1})
@@ -386,7 +378,7 @@ func (p *Plan) reconstructPage(g int, t int64, lane int, rt sim.Time) planPage {
 	}
 	p.RAS.DegradedReads++
 	p.RAS.ReconstructionReads += int64(len(ops))
-	return planPage{ops: ops, floor: rt, tail: p.cfg.ReconstructLatency}
+	return planPage{ops: ops, floor: rt, tail: ReconstructLatency}
 }
 
 // DeviceOps returns the total operation count across device traces —

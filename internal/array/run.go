@@ -88,7 +88,6 @@ type deviceOut struct {
 // routing was decided in BuildPlan and reassembly is an arithmetic join
 // over per-device completion times.
 func Run(cfg Config, reqs []host.Request, parallel int) *Result {
-	cfg = cfg.WithDefaults()
 	plan := BuildPlan(cfg, reqs)
 	label := func(dev int) string {
 		role := "coded"
@@ -162,7 +161,7 @@ func Run(cfg Config, reqs []host.Request, parallel int) *Result {
 			res.Incomplete++
 			continue
 		}
-		complete += cfg.RouteLatency
+		complete += RouteLatency
 		res.Metrics.Record(pr.kind, pr.arrival, complete, pr.bytes)
 		col.RecordCompletion(pr.kind, pr.arrival, complete, pr.bytes)
 		ck.Ack(int64(i), complete)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flash"
-	"repro/internal/sim"
 )
 
 // Lost grants must be retried a bounded number of times and then fail
@@ -35,71 +34,14 @@ func TestGrantDropFailsOverToRelay(t *testing.T) {
 		t.Fatalf("direct=%d relayed=%d, want 0/1", direct, relayed)
 	}
 	ras := inj.RAS()
-	cfg := inj.Config()
-	if ras.GrantDrops != int64(cfg.GrantRetryMax)+1 {
-		t.Fatalf("GrantDrops = %d, want %d", ras.GrantDrops, cfg.GrantRetryMax+1)
+	if ras.GrantDrops != fault.GrantRetryMax+1 {
+		t.Fatalf("GrantDrops = %d, want %d", ras.GrantDrops, fault.GrantRetryMax+1)
 	}
-	if ras.GrantRetries != int64(cfg.GrantRetryMax) {
-		t.Fatalf("GrantRetries = %d, want %d", ras.GrantRetries, cfg.GrantRetryMax)
-	}
-	if ras.CopyFailovers != 1 {
-		t.Fatalf("CopyFailovers = %d, want 1", ras.CopyFailovers)
-	}
-}
-
-// A small backoff-time budget must fail the copy over even when the
-// retry count alone would have kept the ladder going, and the failover
-// must be tallied as budget-triggered.
-func TestGrantBackoffBudgetForcesFailover(t *testing.T) {
-	e, g, soc := testRig(4, 2)
-	f := newOmnibus(e, g, soc, false)
-	// Retry count effectively unbounded; the budget admits the first
-	// 5us backoff (waited 5us <= 12us) but not the second 10us one
-	// (5+10 > 12), so the exchange fails over after exactly one retry.
-	inj := fault.New(fault.Config{
-		Seed:               1,
-		GrantDropRate:      1.0,
-		GrantRetryMax:      100,
-		GrantBackoffBudget: 12 * sim.Microsecond,
-	})
-	f.SetFaultInjector(inj)
-
-	src, dst := ChipID{0, 1}, ChipID{3, 1}
-	from := flash.PPA{Plane: 0, Block: 0, Page: 0}
-	to := flash.PPA{Plane: 1, Block: 2, Page: 0}
-	g.Chip(src).InstallPage(from, 0xB7)
-
-	done := false
-	f.Copy(src, from, dst, to, func() { done = true })
-	e.Run()
-	if !done {
-		t.Fatal("copy never completed after budget exhaustion")
-	}
-	if g.Chip(dst).ContentAt(to) != 0xB7 {
-		t.Fatal("budget failover relay lost the page content")
-	}
-	ras := inj.RAS()
-	if ras.GrantDrops != 2 || ras.GrantRetries != 1 {
-		t.Fatalf("GrantDrops=%d GrantRetries=%d, want 2/1", ras.GrantDrops, ras.GrantRetries)
+	if ras.GrantRetries != fault.GrantRetryMax {
+		t.Fatalf("GrantRetries = %d, want %d", ras.GrantRetries, fault.GrantRetryMax)
 	}
 	if ras.CopyFailovers != 1 {
 		t.Fatalf("CopyFailovers = %d, want 1", ras.CopyFailovers)
-	}
-	if ras.GrantBudgetExhausted != 1 {
-		t.Fatalf("GrantBudgetExhausted = %d, want 1", ras.GrantBudgetExhausted)
-	}
-}
-
-// The default budget is sized above the default ladder's cumulative
-// backoff, so count-bounded failovers never tally as budget-triggered.
-func TestGrantDefaultBudgetCoversDefaultLadder(t *testing.T) {
-	cfg := fault.New(fault.Config{Seed: 1, GrantDropRate: 1.0}).Config()
-	var sum sim.Time
-	for i := 0; i < cfg.GrantRetryMax; i++ {
-		sum += cfg.GrantTimeout << uint(i)
-	}
-	if cfg.GrantBackoffBudget < sum {
-		t.Fatalf("default budget %v below default ladder sum %v", cfg.GrantBackoffBudget, sum)
 	}
 }
 

@@ -430,8 +430,8 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 	// register is reserved at grant time; if none is free, the request
 	// waits at the destination in arrival order and the grant leaves the
 	// instant a register frees. An injected GrantDrop loses the exchange:
-	// the source controller times out after GrantTimeout<<attempt and
-	// re-requests, and when the retry budget is exhausted it fails over
+	// the source controller times out after fault.GrantTimeout<<attempt
+	// and re-requests, and after fault.GrantRetryMax retries it fails over
 	// to the controller-relayed path — a grant is never awaited forever.
 	c.arbStart = f.eng.Now()
 	if f.trc.Enabled() {
@@ -453,11 +453,10 @@ type copyOp struct {
 	done     func()
 	direct   bool // the flash-to-flash route over the column's v-channel
 
-	// Grant arbitration: retries so far, when it began, the backoff
-	// spent, and its trace span.
+	// Grant arbitration: retries so far, when it began, and its trace
+	// span.
 	attempts  int
 	arbStart  sim.Time
-	waited    sim.Time
 	grantSpan trace.SpanID
 
 	span  trace.SpanID       // the copy's trace span, once routed
@@ -483,7 +482,7 @@ func (f *OmnibusFabric) newCopy(src ChipID, from flash.PPA, dst ChipID, to flash
 		c.vpage = c.vpageStep
 	}
 	c.src, c.from[0], c.dst, c.to, c.done = src, from, dst, to, done
-	c.attempts, c.waited = 0, 0
+	c.attempts = 0
 	return c
 }
 
@@ -498,19 +497,8 @@ func (c *copyOp) requestStep() {
 		ras := f.faults.RAS()
 		ras.GrantDrops++
 		f.tel.Event("grant-drop", f.eng.Now())
-		cfg := f.faults.Config()
 		c.attempts++
-		backoff := cfg.GrantTimeout << uint(c.attempts-1)
-		// The ladder is doubly bounded: by retry count and by the
-		// cumulative backoff-time budget. Either bound exhausting fails
-		// the copy over to the relay path; a budget-triggered failover
-		// (the count alone would have kept retrying) is tallied
-		// separately so the report distinguishes "gave up after N tries"
-		// from "ran out of time".
-		if c.attempts > cfg.GrantRetryMax || c.waited+backoff > cfg.GrantBackoffBudget {
-			if c.attempts <= cfg.GrantRetryMax {
-				ras.GrantBudgetExhausted++
-			}
+		if c.attempts > fault.GrantRetryMax {
 			ras.CopyFailovers++
 			f.trc.EndSpan(c.grantSpan)
 			f.tel.GrantWait(c.arbStart, f.eng.Now())
@@ -518,8 +506,7 @@ func (c *copyOp) requestStep() {
 			return
 		}
 		ras.GrantRetries++
-		c.waited += backoff
-		f.eng.Schedule(backoff, c.arbitrate)
+		f.eng.Schedule(fault.GrantTimeout<<uint(c.attempts-1), c.arbitrate)
 		return
 	}
 	f.soc.CtrlMsg(c.status) // buffer-status check at destination ctrl

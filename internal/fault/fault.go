@@ -18,9 +18,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Class identifies one fault class. Each class has its own rate, quota,
-// and draw counter so enabling one class never perturbs the draw
-// sequence of another.
+// Class identifies one fault class. Each class has its own rate or
+// per-chip quota, and its own draw counter, so enabling one class never
+// perturbs the draw sequence of another.
 type Class int
 
 // Fault classes.
@@ -63,85 +63,54 @@ func (c Class) String() string {
 	}
 }
 
+// Recovery ladders. Every campaign recovers from a fault the same way,
+// so the ladders are fixed, not per-campaign settings.
+const (
+	// ReadRetryMax bounds the re-senses of a faulted read; retry k costs
+	// one extra tR plus k*ReadRetryStep. A read that exhausts the ladder
+	// relays through the controller's strong ECC for StrongECCLatency.
+	ReadRetryMax     = 3
+	ReadRetryStep    = 2 * sim.Microsecond
+	StrongECCLatency = 10 * sim.Microsecond
+
+	// A dropped Omnibus grant resolves after GrantTimeout<<attempt and
+	// is retried up to GrantRetryMax times before the copy fails over to
+	// the relay path.
+	GrantTimeout  = 5 * sim.Microsecond
+	GrantRetryMax = 3
+)
+
 // Config describes one fault campaign. The zero value injects nothing;
 // rates are probabilities in [0,1], quotas force a fixed number of
-// injections per chip before the rate applies.
+// injections per chip.
 type Config struct {
 	// Seed drives every draw. Two runs with equal Seed and equal draw
 	// sequences observe identical fault outcomes.
 	Seed uint64
 
-	// Read path. A faulted read re-senses up to ReadRetryMax times, each
-	// retry costing one extra tR plus k*ReadRetryStep; if the ladder is
-	// exhausted the page relays through the controller's strong ECC for
-	// StrongECCLatency.
-	ReadECCRate      float64
-	ReadRetryMax     int      // default 3
-	ReadRetryStep    sim.Time // default 2us
-	StrongECCLatency sim.Time // default 10us
+	// ReadECCRate is the probability that a page sense fails on-chip
+	// ECC and climbs the read-retry ladder.
+	ReadECCRate float64
 
 	// OnDieECCRate is the Sec VIII hybrid-ECC fallback probability for
 	// direct flash-to-flash copies.
 	OnDieECCRate float64
 
-	// Write/erase path. Rates must stay below 1: retirement handling
-	// retries the operation on a fresh block, which only terminates when
-	// some draw eventually succeeds. Quotas (...PerChip) force that many
-	// deterministic failures per chip before the rate takes over.
-	ProgramFailRate     float64
+	// Write/erase path. Each chip's first ProgramFailsPerChip programs
+	// and EraseFailsPerChip erases fail; the FTL retires the block and
+	// retries the operation on a fresh one.
 	ProgramFailsPerChip int
-	EraseFailRate       float64
 	EraseFailsPerChip   int
 
-	// Interconnect. GrantDropRate loses request/grant exchanges; a
-	// dropped grant resolves after GrantTimeout<<attempt and retries up
-	// to GrantRetryMax times — within GrantBackoffBudget of cumulative
-	// backoff — before failing over to the relay path.
+	// Interconnect. GrantDropRate loses request/grant exchanges.
 	// DeadVChannels lists v-channel indexes that are hard-failed from t=0
 	// (the kill-switch can also be thrown mid-run via KillVChannel).
 	GrantDropRate float64
-	GrantTimeout  sim.Time // default 5us
-	GrantRetryMax int      // default 3
-	// GrantBackoffBudget caps the total backoff time one grant exchange
-	// may accumulate before failing over, independent of the retry count.
-	// The default covers the full default ladder (the count bound fires
-	// first); setting it lower trades recovery attempts for a hard bound
-	// on added latency, and every budget-triggered failover is tallied in
-	// RAS.GrantBudgetExhausted.
-	GrantBackoffBudget sim.Time
-	DeadVChannels      []int
+	DeadVChannels []int
 }
 
-// withDefaults fills the retry-ladder and timeout knobs.
-func (c Config) withDefaults() Config {
-	if c.ReadRetryMax == 0 {
-		c.ReadRetryMax = 3
-	}
-	if c.ReadRetryStep == 0 {
-		c.ReadRetryStep = 2 * sim.Microsecond
-	}
-	if c.StrongECCLatency == 0 {
-		c.StrongECCLatency = 10 * sim.Microsecond
-	}
-	if c.GrantTimeout == 0 {
-		c.GrantTimeout = 5 * sim.Microsecond
-	}
-	if c.GrantRetryMax == 0 {
-		c.GrantRetryMax = 3
-	}
-	if c.GrantBackoffBudget == 0 {
-		// Wide enough for the whole exponential ladder at the configured
-		// retry count: sum of GrantTimeout<<i for i<GrantRetryMax is
-		// GrantTimeout*(2^GrantRetryMax - 1), so twice the top term covers
-		// it and the count bound remains the default failover trigger.
-		c.GrantBackoffBudget = c.GrantTimeout << uint(c.GrantRetryMax)
-	}
-	return c
-}
-
-// Validate reports the first impossible setting: a rate outside its
-// range, or a negative quota, retry bound, backoff budget or dead
-// v-channel index.
+// Validate reports the first impossible setting: a rate outside [0,1],
+// a negative quota or a negative dead v-channel index.
 func (c Config) Validate() error {
 	for _, r := range []struct {
 		name string
@@ -151,22 +120,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("fault: %s rate %v outside [0,1]", r.name, r.rate)
 		}
 	}
-	// Program/erase recovery re-runs the operation on a fresh block; a
-	// rate of 1 would retry forever.
-	if !(c.ProgramFailRate >= 0 && c.ProgramFailRate < 1) {
-		return fmt.Errorf("fault: program fail rate %v outside [0,1)", c.ProgramFailRate)
-	}
-	if !(c.EraseFailRate >= 0 && c.EraseFailRate < 1) {
-		return fmt.Errorf("fault: erase fail rate %v outside [0,1)", c.EraseFailRate)
-	}
 	if c.ProgramFailsPerChip < 0 || c.EraseFailsPerChip < 0 {
 		return fmt.Errorf("fault: negative per-chip fail quota")
-	}
-	if c.ReadRetryMax < 0 || c.GrantRetryMax < 0 {
-		return fmt.Errorf("fault: negative retry bound")
-	}
-	if c.GrantBackoffBudget < 0 {
-		return fmt.Errorf("fault: negative grant backoff budget")
 	}
 	for _, v := range c.DeadVChannels {
 		if v < 0 {
@@ -179,7 +134,7 @@ func (c Config) Validate() error {
 // Injector draws deterministic fault outcomes and owns the run's RAS
 // counters. All methods are nil-safe.
 type Injector struct {
-	cfg   Config
+	seed  uint64
 	rates [numClasses]float64
 	quota [numClasses]int
 
@@ -193,18 +148,14 @@ type Injector struct {
 	ras   *stats.RAS
 }
 
-// New builds an injector. The config is validated (New panics with the
-// error of Validate) and defaulted.
+// New builds an injector. New panics with the error of Validate.
 func New(cfg Config) *Injector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	cfg = cfg.withDefaults()
-	in := &Injector{cfg: cfg, ras: stats.NewRAS(), deadV: make(map[int]bool)}
+	in := &Injector{seed: cfg.Seed, ras: stats.NewRAS(), deadV: make(map[int]bool)}
 	in.rates[ReadECC] = cfg.ReadECCRate
 	in.rates[OnDieECC] = cfg.OnDieECCRate
-	in.rates[ProgramFail] = cfg.ProgramFailRate
-	in.rates[EraseFail] = cfg.EraseFailRate
 	in.rates[GrantDrop] = cfg.GrantDropRate
 	in.quota[ProgramFail] = cfg.ProgramFailsPerChip
 	in.quota[EraseFail] = cfg.EraseFailsPerChip
@@ -215,14 +166,6 @@ func New(cfg Config) *Injector {
 		in.deadV[v] = true
 	}
 	return in
-}
-
-// Config returns the validated, defaulted configuration.
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}.withDefaults()
-	}
-	return in.cfg
 }
 
 // RAS returns the run's RAS counters, or nil on a nil injector.
@@ -245,7 +188,7 @@ func (in *Injector) Rate(c Class) float64 {
 // word of (seed, class, counter).
 func (in *Injector) hash(c Class) uint64 {
 	in.draws[c]++
-	x := in.cfg.Seed ^ (uint64(c)+1)*0xA24BAED4963EE407
+	x := in.seed ^ (uint64(c)+1)*0xA24BAED4963EE407
 	x += in.draws[c] * 0x9E3779B97F4A7C15
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9

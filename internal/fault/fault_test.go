@@ -67,7 +67,7 @@ func TestQuotaForcesPerChipFailures(t *testing.T) {
 				t.Fatalf("chip %d forced fail %d not injected", chip, i)
 			}
 		}
-		// Quota exhausted and rate is zero: no more failures.
+		// Quota exhausted: no more failures.
 		for i := 0; i < 50; i++ {
 			if in.DrawFor(ProgramFail, chip) {
 				t.Fatalf("chip %d failed past its quota", chip)
@@ -90,9 +90,6 @@ func TestNilInjectorIsSafe(t *testing.T) {
 	if in.Rate(ReadECC) != 0 || in.Injected(ReadECC) != 0 {
 		t.Fatal("nil injector reported nonzero state")
 	}
-	if in.Config().ReadRetryMax == 0 {
-		t.Fatal("nil injector config missing defaults")
-	}
 }
 
 func TestKillSwitch(t *testing.T) {
@@ -108,15 +105,6 @@ func TestKillSwitch(t *testing.T) {
 	if in.VChannelDead(2) {
 		t.Fatal("ReviveVChannel had no effect")
 	}
-}
-
-func TestValidateRejectsCertainProgramFailure(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("program fail rate 1.0 did not panic")
-		}
-	}()
-	New(Config{Seed: 1, ProgramFailRate: 1.0})
 }
 
 func TestValidateRejectsNegativeRate(t *testing.T) {
@@ -139,10 +127,7 @@ func TestValidateRejectsOutOfRangeRates(t *testing.T) {
 		{"on-die ECC negative", Config{OnDieECCRate: -0.1}},
 		{"read ECC above 1", Config{ReadECCRate: 1.5}},
 		{"grant drop above 1", Config{GrantDropRate: 1.5}},
-		{"erase fail at 1", Config{EraseFailRate: 1}},
 		{"negative quota", Config{EraseFailsPerChip: -1}},
-		{"negative retry bound", Config{GrantRetryMax: -1}},
-		{"negative backoff budget", Config{GrantBackoffBudget: -1}},
 		{"negative dead v-channel", Config{DeadVChannels: []int{-1}}},
 	} {
 		func() {

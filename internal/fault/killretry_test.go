@@ -55,14 +55,13 @@ func TestKillSwitchAndRetryLadderComposeOnce(t *testing.T) {
 			}
 
 			ras := s.RAS()
-			retryMax := int64(s.Faults.Config().ReadRetryMax)
 			// On-die ladder: every read faults, burns the full ladder, and
 			// escalates to the strong-ECC relay exactly once.
 			if ras.ReadFaults != n || ras.ReadRelays != n {
 				t.Fatalf("ReadFaults=%d ReadRelays=%d, want %d/%d", ras.ReadFaults, ras.ReadRelays, n, n)
 			}
-			if ras.ReadRetries != n*retryMax {
-				t.Fatalf("ReadRetries = %d, want %d", ras.ReadRetries, n*retryMax)
+			if ras.ReadRetries != n*fault.ReadRetryMax {
+				t.Fatalf("ReadRetries = %d, want %d", ras.ReadRetries, n*fault.ReadRetryMax)
 			}
 			// Fabric route: the degraded h-return fires once per read — the
 			// ladder must not re-issue the transfer and re-count the route.

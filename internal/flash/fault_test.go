@@ -25,12 +25,11 @@ func TestReadRetryLadderExtendsDieTime(t *testing.T) {
 	}
 	// Rate 1.0 never recovers: the full ladder (3 re-senses at tR +
 	// k*2us) then the 10us strong-ECC relay, on top of the base tR.
-	cfg := inj.Config()
 	want := c.timing.Read
-	for k := 1; k <= cfg.ReadRetryMax; k++ {
-		want += c.timing.Read + sim.Time(k)*cfg.ReadRetryStep
+	for k := 1; k <= fault.ReadRetryMax; k++ {
+		want += c.timing.Read + sim.Time(k)*fault.ReadRetryStep
 	}
-	want += cfg.StrongECCLatency
+	want += fault.StrongECCLatency
 	if e.Now() != want {
 		t.Fatalf("faulted read took %v, want %v", e.Now(), want)
 	}
@@ -38,10 +37,10 @@ func TestReadRetryLadderExtendsDieTime(t *testing.T) {
 		t.Fatal("relay path lost page content")
 	}
 	r := inj.RAS()
-	if r.ReadFaults != 1 || r.ReadRetries != int64(cfg.ReadRetryMax) || r.ReadRelays != 1 {
+	if r.ReadFaults != 1 || r.ReadRetries != fault.ReadRetryMax || r.ReadRelays != 1 {
 		t.Fatalf("RAS = faults %d retries %d relays %d", r.ReadFaults, r.ReadRetries, r.ReadRelays)
 	}
-	if r.RetryLadder.Max() != cfg.ReadRetryMax {
+	if r.RetryLadder.Max() != fault.ReadRetryMax {
 		t.Fatalf("retry ladder max = %d", r.RetryLadder.Max())
 	}
 }
@@ -77,12 +76,11 @@ func TestMultiPlaneWorstPageBounds(t *testing.T) {
 	c.SetFaults(inj, 0)
 	c.Read(ppas, nil)
 	e.Run()
-	cfg := inj.Config()
 	want := c.timing.Read
-	for k := 1; k <= cfg.ReadRetryMax; k++ {
-		want += c.timing.Read + sim.Time(k)*cfg.ReadRetryStep
+	for k := 1; k <= fault.ReadRetryMax; k++ {
+		want += c.timing.Read + sim.Time(k)*fault.ReadRetryStep
 	}
-	want += cfg.StrongECCLatency
+	want += fault.StrongECCLatency
 	if e.Now() != want {
 		t.Fatalf("multi-plane faulted read took %v, want %v (worst page only)", e.Now(), want)
 	}

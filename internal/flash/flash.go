@@ -349,15 +349,14 @@ func (r *chipRead) sensed() {
 // readFaultPenalty draws the transient-ECC outcome for each page of a
 // read and returns the extra die time the worst page costs. A faulted
 // page climbs the read-retry ladder — retry k re-senses at tR plus
-// k*ReadRetryStep (modelling shifted-Vref sensing) — and if the ladder is
-// exhausted the page relays through the controller's strong ECC engine
-// for StrongECCLatency. Planes sense in parallel, so the slowest page
+// k*fault.ReadRetryStep (modelling shifted-Vref sensing) — and if the
+// ladder is exhausted the page relays through the controller's strong
+// ECC engine for fault.StrongECCLatency. Planes sense in parallel, so the slowest page
 // bounds the multi-plane operation.
 func (c *Chip) readFaultPenalty(pages int) sim.Time {
 	if c.faults == nil || c.faults.Rate(fault.ReadECC) <= 0 {
 		return 0
 	}
-	cfg := c.faults.Config()
 	ras := c.faults.RAS()
 	var worst sim.Time
 	for p := 0; p < pages; p++ {
@@ -368,9 +367,9 @@ func (c *Chip) readFaultPenalty(pages int) sim.Time {
 		var pen sim.Time
 		retries := 0
 		recovered := false
-		for retries < cfg.ReadRetryMax {
+		for retries < fault.ReadRetryMax {
 			retries++
-			pen += c.timing.Read + sim.Time(retries)*cfg.ReadRetryStep
+			pen += c.timing.Read + sim.Time(retries)*fault.ReadRetryStep
 			if !c.faults.DrawFor(fault.ReadECC, c.faultKey) {
 				recovered = true
 				break
@@ -380,7 +379,7 @@ func (c *Chip) readFaultPenalty(pages int) sim.Time {
 		ras.RetryLadder.Add(retries)
 		if !recovered {
 			ras.ReadRelays++
-			pen += cfg.StrongECCLatency
+			pen += fault.StrongECCLatency
 		}
 		if pen > worst {
 			worst = pen

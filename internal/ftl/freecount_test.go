@@ -141,8 +141,8 @@ func TestFreeBlockCountTracksPoolsUnderFaults(t *testing.T) {
 // count starts net of the carved blocks and stays exact under GC churn.
 func TestFreeBlockCountTracksFmmuCarving(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Map = &MapConfig{Entries: 8, Eviction: "clock", EntriesPerPage: 8, WritebackBatch: 4}
-	e, f, _ := rig(cfg, 128)
+	cfg.Map = &MapConfig{Entries: 8, Eviction: "clock"}
+	e, f, _ := rigOn(mapGeo(), cfg, 128)
 	carved := len(f.mapu.blocks)
 	if carved == 0 {
 		t.Fatal("map unit carved no blocks")

@@ -202,14 +202,29 @@ type CheckSink interface {
 func (f *FTL) SetChecker(s CheckSink) { f.sink = s }
 
 // Validate reports why New would refuse cfg over a channels×ways grid
-// of geo chips exporting numLPNs logical pages, or nil. The grid and
-// geometry fields must be positive. The physical page count must stay
-// below 2^31, the int32 maps' bound, and is formed so that no product
-// can overflow first; numLPNs must lie in (0, raw) to leave
-// over-provisioning; SpGC needs GCGroupFraction in (0,1); and the map
-// unit, when configured, must be valid and its region must fit the
-// device's blocks.
+// of geo chips exporting numLPNs logical pages, or nil. The GC mode and
+// victim policy must be known ones and the allocation order a
+// permutation of plane, channel and way. The grid and geometry fields
+// must be positive. The physical page count must stay below 2^31, the
+// int32 maps' bound, and is formed so that no product can overflow
+// first; numLPNs must lie in (0, raw) to leave over-provisioning; SpGC
+// needs GCGroupFraction in (0,1); and the map unit, when configured,
+// must be valid, and its region, the logical pages and the GC reserve
+// must fit the device together, so a warm-up can install every page.
 func (c Config) Validate(channels, ways int, geo flash.Geometry, numLPNs int64) error {
+	if c.GCMode < GCNone || c.GCMode > GCSpatial {
+		return fmt.Errorf("ftl: unknown GC mode %v", c.GCMode)
+	}
+	if c.Victim != VictimGreedy && c.Victim != VictimCostBenefit {
+		return fmt.Errorf("ftl: unknown victim policy %d (want greedy or cost-benefit)", int(c.Victim))
+	}
+	var seen [3]bool
+	for _, d := range c.Policy.Order {
+		if d < DimPlane || d > DimWay || seen[d] {
+			return fmt.Errorf("ftl: allocation order %v is not a permutation of plane, channel and way", c.Policy.Order)
+		}
+		seen[d] = true
+	}
 	raw := int64(1)
 	for _, n := range []int{channels, ways, geo.Planes, geo.BlocksPerPlane, geo.PagesPerBlock} {
 		if n <= 0 {
@@ -233,12 +248,13 @@ func (c Config) Validate(channels, ways int, geo flash.Geometry, numLPNs int64) 
 	if err := c.Map.Validate(); err != nil {
 		return err
 	}
-	m := c.Map.withDefaults(geo)
-	if m.EntriesPerPage <= 0 {
+	if mapEntriesPerPage(geo) <= 0 {
 		return fmt.Errorf("ftl: a %d-byte page holds no map entry", geo.PageSize)
 	}
-	if need, have := m.blocks(geo, numLPNs), raw/int64(geo.PagesPerBlock); need > have {
-		return fmt.Errorf("ftl: the map region needs %d blocks, the device has %d", need, have)
+	ppb, need, reserve := int64(geo.PagesPerBlock), mapBlocks(geo, numLPNs), int64(channels)*int64(ways)
+	if (need+reserve)*ppb+numLPNs > raw {
+		return fmt.Errorf("ftl: the map region needs %d blocks, the device has %d, too few to also hold a %d-block GC reserve and %d logical pages",
+			need, raw/ppb, reserve, numLPNs)
 	}
 	return nil
 }
@@ -267,7 +283,7 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 		inflightWrites: make(map[int64]int),
 		writeWaiters:   make(map[int64][]func()),
 		gcGroupLo:      false,                     // first SpGC round collects the high half
-		reserveBlocks:  grid.Channels * grid.Ways, // one block per chip
+		reserveBlocks:  grid.Channels * grid.Ways, // one block per chip, as Validate assumes
 	}
 	for i := range f.l2p {
 		f.l2p[i] = unmapped

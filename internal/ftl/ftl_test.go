@@ -15,10 +15,15 @@ func smallGeo() flash.Geometry {
 
 // rig builds a 2x2 base-SSD with 512 raw pages and the given FTL config.
 func rig(cfg Config, numLPNs int64) (*sim.Engine, *FTL, *controller.Grid) {
+	return rigOn(smallGeo(), cfg, numLPNs)
+}
+
+// rigOn is rig over chips of geometry geo.
+func rigOn(geo flash.Geometry, cfg Config, numLPNs int64) (*sim.Engine, *FTL, *controller.Grid) {
 	e := sim.NewEngine()
-	g := controller.NewGrid(e, 2, 2, smallGeo(), flash.ULLTiming())
+	g := controller.NewGrid(e, 2, 2, geo, flash.ULLTiming())
 	soc := controller.NewSoc(e, 8000, 8000)
-	fab := controller.NewOmnibusFabric(e, "base", g, soc, smallGeo().PageSize, 8, 0, 1000, false, false)
+	fab := controller.NewOmnibusFabric(e, "base", g, soc, geo.PageSize, 8, 0, 1000, false, false)
 	return e, New(e, fab, cfg, numLPNs), g
 }
 

@@ -43,15 +43,16 @@ type MapConfig struct {
 	// Eviction selects the cache replacement policy: "clock" (default)
 	// or "lru".
 	Eviction string
-	// EntriesPerPage is how many LPN translations one flash page holds
-	// (default PageSize/8: 8-byte PPN entries). Unit tests shrink it to
-	// exercise many translation pages on tiny geometries.
-	EntriesPerPage int
-	// WritebackBatch flushes dirty translation pages once this many are
-	// dirty at once (default 8). Dirty pages below the threshold stay in
-	// DRAM, as on a real device between periodic syncs.
-	WritebackBatch int
 }
+
+// mapWritebackBatch flushes dirty translation pages once this many are
+// dirty at once. Dirty pages below the threshold stay in DRAM, as on a
+// real device between periodic syncs.
+const mapWritebackBatch = 8
+
+// mapEntriesPerPage is how many LPN translations one flash page of geo
+// holds: 8-byte PPN entries.
+func mapEntriesPerPage(geo flash.Geometry) int { return geo.PageSize / 8 }
 
 // Validate reports a cache size below zero or an eviction policy other
 // than clock or lru. Zero fields take their defaults.
@@ -66,27 +67,22 @@ func (c MapConfig) Validate() error {
 	return fmt.Errorf("ftl: unknown map eviction policy %q (want clock or lru)", c.Eviction)
 }
 
-func (c MapConfig) withDefaults(geo flash.Geometry) MapConfig {
+func (c MapConfig) withDefaults() MapConfig {
 	if c.Entries == 0 {
 		c.Entries = 64
 	}
 	if c.Eviction == "" {
 		c.Eviction = "clock"
 	}
-	if c.EntriesPerPage <= 0 {
-		c.EntriesPerPage = geo.PageSize / 8
-	}
-	if c.WritebackBatch <= 0 {
-		c.WritebackBatch = 8
-	}
 	return c
 }
 
-// blocks returns the size of the map region carveBlocks takes for
+// mapBlocks returns the size of the map region carveBlocks takes for
 // numLPNs logical pages: the directory's blocks plus two overwrite
-// blocks and one spare. c carries its defaults.
-func (c MapConfig) blocks(geo flash.Geometry, numLPNs int64) int64 {
-	numT := (numLPNs + int64(c.EntriesPerPage) - 1) / int64(c.EntriesPerPage)
+// blocks and one spare.
+func mapBlocks(geo flash.Geometry, numLPNs int64) int64 {
+	per := int64(mapEntriesPerPage(geo))
+	numT := (numLPNs + per - 1) / per
 	return (numT+int64(geo.PagesPerBlock)-1)/int64(geo.PagesPerBlock) + 3
 }
 
@@ -228,11 +224,11 @@ func (m *mapUnit) tIndex(lpn int64) int { return int(lpn / int64(m.perPage)) }
 // the unit. Called from New before any host IO exists, so the carve is
 // deterministic for a given config.
 func newMapUnit(f *FTL, cfg MapConfig) *mapUnit {
-	cfg = cfg.withDefaults(f.geo)
+	cfg = cfg.withDefaults()
 	m := &mapUnit{
 		f:         f,
 		cfg:       cfg,
-		perPage:   cfg.EntriesPerPage,
+		perPage:   mapEntriesPerPage(f.geo),
 		where:     make(map[int]int),
 		fetching:  make(map[int][]func()),
 		wbPending: make(map[int]int),
@@ -264,7 +260,7 @@ func newMapUnit(f *FTL, cfg MapConfig) *mapUnit {
 // stays zero (translation pages never enter p2l).
 func (m *mapUnit) carveBlocks() {
 	geo := m.f.geo
-	needed := int(m.cfg.blocks(geo, m.f.numLPNs))
+	needed := int(mapBlocks(geo, m.f.numLPNs))
 	numChips := m.f.channels * m.f.ways
 	for i := 0; i < needed; i++ {
 		chipIdx := i % numChips
@@ -273,7 +269,7 @@ func (m *mapUnit) carveBlocks() {
 		ps := m.f.planeAt(id, plane)
 		b, ok := ps.popFree()
 		if !ok {
-			panic(fmt.Sprintf("ftl: map region does not fit: chip %v plane %d has no free block for map block %d/%d (shrink the footprint or EntriesPerPage)", id, plane, i, needed))
+			panic(fmt.Sprintf("ftl: map region does not fit: chip %v plane %d has no free block for map block %d/%d (shrink the footprint)", id, plane, i, needed))
 		}
 		bi := &ps.blocks[b]
 		bi.state = BlockFull
@@ -597,7 +593,7 @@ func (m *mapUnit) noteUpdate(lpn int64) {
 }
 
 func (m *mapUnit) maybeFlush() {
-	if m.dirtyCount < m.cfg.WritebackBatch {
+	if m.dirtyCount < mapWritebackBatch {
 		return
 	}
 	m.flushDirty()

@@ -3,17 +3,30 @@ package ftl
 import (
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/flash"
 	"repro/internal/sim"
 )
 
+// mapGeo is smallGeo with 64-byte pages: a translation page holds eight
+// entries, so the small rig has many translation pages (numLPNs/8)
+// instead of one.
+func mapGeo() flash.Geometry {
+	g := smallGeo()
+	g.PageSize = 64
+	return g
+}
+
 // fmmuCfg returns a no-GC FTL config with the map unit enabled.
-// EntriesPerPage is shrunk to 8 so the small test geometry yields many
-// translation pages (numLPNs/8) instead of one.
-func fmmuCfg(entries int, eviction string, batch int) Config {
+func fmmuCfg(entries int, eviction string) Config {
 	c := noGC()
-	c.Map = &MapConfig{Entries: entries, Eviction: eviction, EntriesPerPage: 8, WritebackBatch: batch}
+	c.Map = &MapConfig{Entries: entries, Eviction: eviction}
 	return c
+}
+
+// fmmuRig builds the rig over mapGeo chips with the map unit enabled.
+func fmmuRig(entries int, eviction string, numLPNs int64) (*sim.Engine, *FTL, *controller.Grid) {
+	return rigOn(mapGeo(), fmmuCfg(entries, eviction), numLPNs)
 }
 
 // warmFootprint installs LPNs [0, n) at version 0.
@@ -35,13 +48,8 @@ func readLPN(t *testing.T, e *sim.Engine, f *FTL, lpn int64) {
 }
 
 func TestMapConfigDefaults(t *testing.T) {
-	geo := smallGeo()
-	c := MapConfig{}.withDefaults(geo)
-	if c.Entries != 64 || c.Eviction != "clock" || c.WritebackBatch != 8 {
+	if c := (MapConfig{}).withDefaults(); c.Entries != 64 || c.Eviction != "clock" {
 		t.Fatalf("defaults = %+v", c)
-	}
-	if c.EntriesPerPage != geo.PageSize/8 {
-		t.Fatalf("EntriesPerPage = %d, want %d", c.EntriesPerPage, geo.PageSize/8)
 	}
 	if err := (MapConfig{}).Validate(); err != nil {
 		t.Fatalf("the zero MapConfig is invalid: %v", err)
@@ -55,13 +63,13 @@ func TestMapConfigDefaults(t *testing.T) {
 }
 
 func TestMapCarvingAndDirectory(t *testing.T) {
-	_, f, g := rig(fmmuCfg(4, "clock", 8), 256)
+	_, f, g := fmmuRig(4, "clock", 256)
 	m := f.mapu
 	wantT := 256 / 8
 	if m.numT != wantT {
 		t.Fatalf("numT = %d, want %d", m.numT, wantT)
 	}
-	wantBlocks := (wantT+smallGeo().PagesPerBlock-1)/smallGeo().PagesPerBlock + 3
+	wantBlocks := (wantT+mapGeo().PagesPerBlock-1)/mapGeo().PagesPerBlock + 3
 	if len(m.blocks) != wantBlocks {
 		t.Fatalf("%d map blocks carved, want %d", len(m.blocks), wantBlocks)
 	}
@@ -92,7 +100,7 @@ func TestMapCarvingAndDirectory(t *testing.T) {
 func TestMapHitMissEvict(t *testing.T) {
 	for _, pol := range []string{"clock", "lru"} {
 		t.Run(pol, func(t *testing.T) {
-			e, f, _ := rig(fmmuCfg(2, pol, 64), 256)
+			e, f, _ := fmmuRig(2, pol, 256)
 			warmFootprint(f, 256)
 
 			base := f.MapStats()
@@ -133,7 +141,7 @@ func TestMapHitMissEvict(t *testing.T) {
 // recency, while LRU takes the least-recently-used entry.
 func TestMapEvictPolicyChoice(t *testing.T) {
 	mk := func(pol string) *mapUnit {
-		_, f, _ := rig(fmmuCfg(3, pol, 64), 256)
+		_, f, _ := fmmuRig(3, pol, 256)
 		m := f.mapu
 		// Make t0, t1, t2 resident (clean), in that order.
 		m.warmTouch(0)  // t0
@@ -171,7 +179,7 @@ func TestMapEvictPolicyChoice(t *testing.T) {
 // translation pages fetch concurrently; misses on the same page
 // coalesce onto one fetch.
 func TestMapMissUnderMiss(t *testing.T) {
-	e, f, _ := rig(fmmuCfg(4, "clock", 64), 256)
+	e, f, _ := fmmuRig(4, "clock", 256)
 	warmFootprint(f, 256)
 
 	// Same page: two misses, one fetch, one coalesced join.
@@ -210,34 +218,33 @@ func TestMapMissUnderMiss(t *testing.T) {
 // TestMapWritebackBatching: dirty pages accumulate below the batch
 // threshold and flush together exactly when it is reached.
 func TestMapWritebackBatching(t *testing.T) {
-	e, f, _ := rig(fmmuCfg(64, "clock", 4), 256)
+	e, f, _ := fmmuRig(64, "clock", 256)
 	warmFootprint(f, 256)
 
 	write := func(lpn int64) {
 		f.Write([]int64{lpn}, []flash.Token{TokenFor(lpn, 1)}, func() {})
 		e.Run()
 	}
-	// Three distinct translation pages dirtied: below the threshold,
-	// nothing flushes.
-	write(0)  // t0
-	write(8)  // t1
-	write(16) // t2
+	// One page short of the threshold: nothing flushes.
+	for tp := 0; tp < mapWritebackBatch-1; tp++ {
+		write(int64(tp) * 8)
+	}
 	if s := f.MapStats(); s.Writebacks != 0 {
 		t.Fatalf("flushed %d writebacks below the batch threshold", s.Writebacks)
 	}
-	if f.mapu.dirtyCount != 3 {
-		t.Fatalf("dirtyCount = %d, want 3", f.mapu.dirtyCount)
+	if f.mapu.dirtyCount != mapWritebackBatch-1 {
+		t.Fatalf("dirtyCount = %d, want %d", f.mapu.dirtyCount, mapWritebackBatch-1)
 	}
-	// The fourth dirty page hits the threshold: all four flush.
-	write(24) // t3
-	if s := f.MapStats(); s.Writebacks != 4 {
-		t.Fatalf("Writebacks = %d, want 4", s.Writebacks)
+	// The next dirty page hits the threshold: all of them flush.
+	write((mapWritebackBatch - 1) * 8)
+	if s := f.MapStats(); s.Writebacks != mapWritebackBatch {
+		t.Fatalf("Writebacks = %d, want %d", s.Writebacks, mapWritebackBatch)
 	}
 	if f.mapu.dirtyCount != 0 {
 		t.Fatalf("dirtyCount = %d after flush", f.mapu.dirtyCount)
 	}
 	// Flash now holds the committed versions.
-	for _, tp := range []int{0, 1, 2, 3} {
+	for tp := 0; tp < mapWritebackBatch; tp++ {
 		tok, ok := f.MapFlashToken(tp)
 		if !ok || tok != MapTokenFor(tp, f.mapu.flashVer[tp]) {
 			t.Fatalf("t=%d flash token %#x ok=%v", tp, tok, ok)
@@ -252,7 +259,7 @@ func TestMapWritebackBatching(t *testing.T) {
 // multi-page requests (lookups are sequential, so only the lookup
 // instant needs residency) and dirty evictions write back correctly.
 func TestMapCacheSizeOne(t *testing.T) {
-	e, f, g := rig(fmmuCfg(1, "clock", 2), 256)
+	e, f, g := fmmuRig(1, "clock", 256)
 	warmFootprint(f, 256)
 
 	// One request spanning four translation pages.
@@ -288,7 +295,7 @@ func TestMapCacheSizeOne(t *testing.T) {
 // append capacity forces cleaning rounds, which must relocate live
 // translation pages intact and keep every committed version readable.
 func TestMapCleaningReclaims(t *testing.T) {
-	e, f, _ := rig(fmmuCfg(64, "clock", 2), 128)
+	e, f, _ := fmmuRig(64, "clock", 128)
 	warmFootprint(f, 128)
 
 	// 16 translation pages, 5 map blocks (2 directory + 2 + spare) of 8
@@ -339,7 +346,7 @@ func TestFmmuInfiniteCacheConvergesToFlat(t *testing.T) {
 		times []sim.Time
 	}
 	runOne := func(cfg Config) result {
-		e, f, _ := rig(cfg, 256)
+		e, f, _ := rigOn(mapGeo(), cfg, 256)
 		warmFootprint(f, 256)
 		var res result
 		for i := 0; i < 40; i++ {
@@ -354,7 +361,7 @@ func TestFmmuInfiniteCacheConvergesToFlat(t *testing.T) {
 		return res
 	}
 	flat := runOne(noGC())
-	fm := runOne(fmmuCfg(1024, "clock", 8))
+	fm := runOne(fmmuCfg(1024, "clock"))
 	if len(flat.order) != len(fm.order) {
 		t.Fatalf("completion counts differ: %d vs %d", len(flat.order), len(fm.order))
 	}

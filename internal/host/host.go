@@ -39,7 +39,6 @@ type Host struct {
 	pageSize   int
 	nvme       *sim.Resource
 	nvmePsByte sim.Time
-	cmdLatency sim.Time
 
 	metrics  *stats.IOMetrics
 	versions map[int64]int64
@@ -68,7 +67,6 @@ func New(eng *sim.Engine, f *ftl.FTL, pageSize, nvmeMBps int) *Host {
 		pageSize:   pageSize,
 		nvme:       sim.NewResource(eng, "nvme"),
 		nvmePsByte: sim.Time(1_000_000 / nvmeMBps),
-		cmdLatency: DefaultCmdLatency,
 		metrics:    stats.NewIOMetrics(),
 		versions:   make(map[int64]int64),
 	}
@@ -151,7 +149,7 @@ func (h *Host) Submit(r Request, done func()) error {
 			q.toks = append(q.toks, ftl.TokenFor(lpn, h.versions[lpn]))
 		}
 	}
-	h.eng.Schedule(h.cmdLatency, q.cmd)
+	h.eng.Schedule(DefaultCmdLatency, q.cmd)
 	return nil
 }
 

@@ -51,10 +51,9 @@ const DefaultHopLatency = 10 * sim.Nanosecond
 
 // Mesh is the interconnect fabric.
 type Mesh struct {
-	eng        *sim.Engine
-	w, h       int
-	hopLatency sim.Time
-	links      []bus.Channel
+	eng   *sim.Engine
+	w, h  int
+	links []bus.Channel
 	// out[4*cell+d] indexes links for the link leaving a node in
 	// direction d (+x, -x, +y, -y), or is -1. Cells are row-major over
 	// x in [-1, w), so a row's controller is the cell west of its edge
@@ -88,12 +87,11 @@ func New(eng *sim.Engine, w, h, widthBits, rateMTps int) *Mesh {
 		return pairs[i][1].appendTo(append(b, "->"...))
 	})
 	m := &Mesh{
-		eng:        eng,
-		w:          w,
-		h:          h,
-		hopLatency: DefaultHopLatency,
-		links:      bus.NewChannels(eng, names, widthBits, rateMTps),
-		out:        make([]int32, 4*(w+1)*h),
+		eng:   eng,
+		w:     w,
+		h:     h,
+		links: bus.NewChannels(eng, names, widthBits, rateMTps),
+		out:   make([]int32, 4*(w+1)*h),
 	}
 	for i := range m.out {
 		m.out[i] = -1
@@ -271,7 +269,7 @@ func (h *hop) grantedStep() sim.Time {
 	if !h.last() {
 		// Head cut-through: downstream link is requested after the
 		// router latency and the first beat.
-		m.eng.Schedule(m.hopLatency+h.link.BeatTime(), h.next)
+		m.eng.Schedule(DefaultHopLatency+h.link.BeatTime(), h.next)
 	}
 	return h.link.TimeForFlits(h.t.flits)
 }

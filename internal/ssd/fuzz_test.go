@@ -41,8 +41,9 @@ func (b *fuzzBytes) frac(lo, hi float64) float64 {
 }
 
 // fuzzConfig decodes a device configuration: grid, geometry, bus rate,
-// utilization, GC mode and group fraction, scheduler, an optional map
-// unit and optional fault rates. Fields range over invalid values too.
+// utilization, GC mode, victim policy and group fraction, allocation
+// policy, scheduler, an optional map unit and an optional fault
+// campaign. Fields range over invalid values too.
 func fuzzConfig(data []byte) (Arch, Config) {
 	b := fuzzBytes(data)
 	arch := Archs[b.small(0, len(Archs)-1)]
@@ -56,26 +57,34 @@ func fuzzConfig(data []byte) (Arch, Config) {
 	}
 	cfg.BusMTps = b.small(-10, 2000)
 	cfg.LogicalUtilization = b.frac(-0.2, 1.2)
-	cfg.FTL.GCMode = ftl.GCMode(b.small(0, 3))
+	cfg.FTL.GCMode = ftl.GCMode(b.small(-1, 5))
+	cfg.FTL.Victim = ftl.VictimPolicy(b.small(-1, 3))
 	cfg.FTL.GCGroupFraction = b.frac(-0.2, 1.2)
+	switch b.small(0, 2) {
+	case 0:
+		cfg.FTL.Policy = ftl.PCWD
+	case 1:
+		cfg.FTL.Policy = ftl.PWCD
+	default:
+		cfg.FTL.Policy = ftl.AllocPolicy{Order: [3]ftl.Dim{
+			ftl.Dim(b.small(-1, 3)), ftl.Dim(b.small(-1, 3)), ftl.Dim(b.small(-1, 3))}}
+	}
 	cfg.Scheduler = controller.SchedPolicy(b.small(-1, 3))
 	if b.byte()%2 == 1 {
 		cfg.FTL.Map = &ftl.MapConfig{
-			Entries:        b.small(-2, 70),
-			Eviction:       []string{"", "clock", "lru", "random"}[b.small(0, 3)],
-			EntriesPerPage: b.small(-1, 64),
-			WritebackBatch: b.small(-1, 16),
+			Entries:  b.small(-2, 70),
+			Eviction: []string{"", "clock", "lru", "random"}[b.small(0, 3)],
 		}
 	}
 	if b.byte()%2 == 1 {
 		cfg.Fault = &fault.Config{
-			Seed:            uint64(b.byte()),
-			ReadECCRate:     b.frac(-0.1, 1.1),
-			OnDieECCRate:    b.frac(-0.1, 1.1),
-			ProgramFailRate: b.frac(-0.1, 1.1),
-			EraseFailRate:   b.frac(-0.1, 1.1),
-			GrantDropRate:   b.frac(-0.1, 1.1),
-			DeadVChannels:   []int{b.small(-1, 9)},
+			Seed:                uint64(b.byte()),
+			ReadECCRate:         b.frac(-0.1, 1.1),
+			OnDieECCRate:        b.frac(-0.1, 1.1),
+			GrantDropRate:       b.frac(-0.1, 1.1),
+			ProgramFailsPerChip: b.small(-1, 3),
+			EraseFailsPerChip:   b.small(-1, 3),
+			DeadVChannels:       []int{b.small(-1, 9)},
 		}
 	}
 	return arch, cfg
@@ -83,16 +92,23 @@ func fuzzConfig(data []byte) (Arch, Config) {
 
 // FuzzConfig: Validate is the one gate of a device configuration. On any
 // decoded configuration it must not panic, and whenever it returns nil
-// New must build the device without panicking. Only devices of at most
-// 4096 pages and 64 chips are built, so a case allocates little.
+// New must build the device and its host must warm up the whole logical
+// space without panicking. Only devices of at most 4096 pages and 64
+// chips are built, so a case allocates little.
 func FuzzConfig(f *testing.F) {
 	// Each byte is a field's offset from the low end of its range.
-	f.Add([]byte{4, 5, 5, 3, 9, 17, 6, 210, 172, 1, 127, 1, 0, 0})                          // 4096-page pnSSD, PaGC
-	f.Add([]byte{5, 3, 5, 3, 9, 17, 6, 210, 172, 3, 127, 3, 1, 10, 2, 9, 5, 0})             // SpGC, ooo, fmmu
-	f.Add([]byte{0, 3, 3, 2, 9, 9, 6, 210, 172, 1, 127, 2, 0, 1, 9, 23, 23, 23, 23, 23, 2}) // faults
-	f.Add([]byte{1, 2, 2, 2, 2, 2, 6, 210, 194, 0, 127, 1, 0, 0})                           // one page: no logical capacity
-	f.Add([]byte{2, 3, 3, 3, 9, 17, 6, 210, 172, 3, 0, 1, 0, 0})                            // SpGC group fraction below 0
-	f.Add([]byte{3, 2, 2, 2, 4, 9, 6, 210, 172, 0, 127, 1, 1, 2, 0, 1, 1, 0})               // map region too big
+	f.Add([]byte{4, 5, 5, 3, 9, 17, 6, 210, 172, 2, 1, 127, 0, 1, 0, 0})                        // 4096-page pnSSD, PaGC
+	f.Add([]byte{5, 3, 5, 3, 9, 17, 6, 210, 172, 4, 2, 127, 1, 3, 1, 10, 2, 0})                 // SpGC, cost-benefit, PWCD, ooo, fmmu
+	f.Add([]byte{0, 3, 3, 2, 9, 9, 6, 210, 172, 2, 1, 127, 0, 2, 0, 1, 9, 23, 23, 23, 3, 2, 2}) // faults
+	f.Add([]byte{1, 2, 2, 2, 2, 2, 6, 210, 194, 1, 1, 127, 0, 1, 0, 0})                         // one page: no logical capacity
+	f.Add([]byte{2, 3, 3, 3, 9, 17, 6, 210, 172, 4, 1, 0, 0, 1, 0, 0})                          // SpGC group fraction below 0
+	f.Add([]byte{3, 2, 2, 2, 4, 9, 6, 210, 172, 1, 1, 127, 0, 1, 1, 2, 0, 0})                   // map region too big
+	f.Add([]byte{4, 5, 5, 3, 9, 17, 6, 210, 172, 6, 1, 127, 0, 1, 0, 0})                        // GC mode 5
+	f.Add([]byte{4, 5, 5, 3, 9, 17, 6, 210, 172, 2, 4, 127, 0, 1, 0, 0})                        // victim policy 3
+	f.Add([]byte{4, 5, 5, 3, 9, 17, 6, 210, 172, 2, 1, 127, 2, 1, 1, 1, 1, 0, 0})               // the zero allocation order
+	f.Add([]byte{4, 5, 5, 3, 9, 17, 6, 210, 172, 2, 1, 127, 2, 1, 2, 4, 1, 0, 0})               // allocation order {0,1,3}
+	f.Add([]byte{4, 5, 5, 3, 9, 17, 6, 210, 172, 2, 1, 127, 2, 3, 1, 2, 1, 0, 0})               // allocation order {2,0,1}
+	f.Add([]byte{0, 2, 2, 2, 5, 9, 6, 210, 172, 2, 1, 127, 0, 1, 1, 2, 0, 0})                   // fmmu map region leaves no room to warm up
 	f.Fuzz(func(t *testing.T, data []byte) {
 		arch, cfg := fuzzConfig(data)
 		if err := cfg.Validate(); err != nil {
@@ -101,6 +117,6 @@ func FuzzConfig(f *testing.F) {
 		if cfg.RawPages() > 4096 || cfg.Channels*cfg.Ways > 64 {
 			return
 		}
-		New(arch, cfg)
+		New(arch, cfg).Host.Warmup(cfg.LogicalPages())
 	})
 }

@@ -120,6 +120,23 @@ func TestConfigValidateEnums(t *testing.T) {
 			c.Geometry.Planes, c.Geometry.BlocksPerPlane = 1, 3
 			c.FTL.Map = &ftl.MapConfig{}
 		}, "the map region needs 4 blocks, the device has 3"},
+		{"gc-mode", func(c *Config) { c.FTL.GCMode = ftl.GCMode(9) }, "unknown GC mode gcmode(9)"},
+		{"victim-policy", func(c *Config) { c.FTL.Victim = ftl.VictimPolicy(7) },
+			"unknown victim policy 7 (want greedy or cost-benefit)"},
+		// The zero policy stripes along the plane dimension three times
+		// and would put every page on one chip.
+		{"alloc-order-zero", func(c *Config) { c.FTL.Policy = ftl.AllocPolicy{} },
+			"allocation order [0 0 0] is not a permutation of plane, channel and way"},
+		{"alloc-order-range", func(c *Config) { c.FTL.Policy = ftl.AllocPolicy{Order: [3]ftl.Dim{0, 1, 5}} },
+			"allocation order [0 1 5] is not a permutation"},
+		// The 4-block map region fits, but leaves no room for the
+		// logical pages and the GC reserve, so a warm-up would run out
+		// of space.
+		{"map-warmup-capacity", func(c *Config) {
+			c.Channels, c.Ways = 1, 1
+			c.Geometry.Planes, c.Geometry.BlocksPerPlane, c.Geometry.PagesPerBlock = 1, 4, 8
+			c.FTL.Map = &ftl.MapConfig{}
+		}, "the map region needs 4 blocks, the device has 4, too few to also hold a 1-block GC reserve"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

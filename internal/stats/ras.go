@@ -75,13 +75,12 @@ type RAS struct {
 	GCCopyRetries int64 // GC copies redirected after a destination failure
 
 	// Interconnect: Omnibus control-plane and v-channel faults.
-	OnDieECCFallbacks    int64 // direct copies relayed for strong ECC
-	GrantDrops           int64 // request/grant exchanges that timed out
-	GrantRetries         int64 // arbitration retries after a grant timeout
-	CopyFailovers        int64 // copies relayed after the grant ladder gave up
-	GrantBudgetExhausted int64 // failovers forced by the backoff-time budget, not the retry count
-	DeadVCopies          int64 // copies relayed because the v-channel is dead
-	DegradedReturns      int64 // transfers forced onto h by a dead v-channel
+	OnDieECCFallbacks int64 // direct copies relayed for strong ECC
+	GrantDrops        int64 // request/grant exchanges that timed out
+	GrantRetries      int64 // arbitration retries after a grant timeout
+	CopyFailovers     int64 // copies relayed after the grant ladder gave up
+	DeadVCopies       int64 // copies relayed because the v-channel is dead
+	DegradedReturns   int64 // transfers forced onto h by a dead v-channel
 
 	retiredByChip map[uint64]int64
 }
@@ -135,7 +134,6 @@ func (r *RAS) Rows() [][2]string {
 		{"grant drops", n(r.GrantDrops)},
 		{"grant retries", n(r.GrantRetries)},
 		{"copy failovers", n(r.CopyFailovers)},
-		{"grant budget exhausted", n(r.GrantBudgetExhausted)},
 		{"dead-v copies relayed", n(r.DeadVCopies)},
 		{"degraded h returns", n(r.DegradedReturns)},
 	}

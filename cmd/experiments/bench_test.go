@@ -3,7 +3,6 @@ package main
 import (
 	"testing"
 
-	"repro/internal/exp"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
@@ -17,7 +16,7 @@ func BenchmarkQuickSuite(b *testing.B) {
 	var fired int64
 	for i := 0; i < b.N; i++ {
 		before := sim.EventsFiredTotal()
-		defaultSuite(exp.Quick(), func(*report.Table) {})
+		defaultSuite(options(true, 1, 0, false), func(*report.Table) {})
 		fired += sim.EventsFiredTotal() - before
 	}
 	b.ReportMetric(float64(fired)/float64(b.N), "events/op")

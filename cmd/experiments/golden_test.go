@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/report"
+	"repro/internal/runner"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from this run")
@@ -17,7 +18,10 @@ var update = flag.Bool("update", false, "rewrite the golden files from this run"
 // `experiments -quick -csv <selector>` prints it, compared byte for byte
 // against its committed file. Any drift in a figure's numbers — a model
 // change, an arithmetic slip, a reordered row — fails here and shows up
-// as a reviewable testdata diff when accepted with -update.
+// as a reviewable testdata diff when accepted with -update. The default
+// suite runs at 1 and at 3 workers: which recycled device a run gets
+// depends on the worker count, so a reset that leaked state from one
+// run into the next would show as a difference.
 func TestQuickSuiteGolden(t *testing.T) {
 	cases := []struct {
 		golden string // under testdata/
@@ -32,22 +36,30 @@ func TestQuickSuiteGolden(t *testing.T) {
 		{"fault_all.csv", func(o exp.Options, e func(*report.Table)) { runFaultExperiments("all", o, e) }},
 		{"sweep_all.csv", func(o exp.Options, e func(*report.Table)) { runSweeps("all", o, e) }},
 	}
+	defer runner.SetDefault(runner.Default())
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
-			var buf bytes.Buffer
-			c.run(exp.Quick(), func(tb *report.Table) { buf.WriteString(tb.CSV()) })
-			golden := "testdata/" + c.golden
-			if *update {
-				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			parallel := []int{runner.Default()}
+			if c.golden == "quick.csv" {
+				parallel = []int{1, 3}
+			}
+			for _, p := range parallel {
+				runner.SetDefault(p)
+				var buf bytes.Buffer
+				c.run(options(true, 1, 0, false), func(tb *report.Table) { buf.WriteString(tb.CSV()) })
+				golden := "testdata/" + c.golden
+				if *update {
+					if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(golden)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("-quick -csv output differs from %s (rerun with -update to accept):\n%s", golden, firstDiff(buf.Bytes(), want))
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Errorf("-quick -csv output at %d workers differs from %s (rerun with -update to accept):\n%s", p, golden, firstDiff(buf.Bytes(), want))
+				}
 			}
 		})
 	}

@@ -75,21 +75,7 @@ func main() {
 	}
 	defer stop()
 
-	opt := exp.Options{Seed: *seed}
-	if *quick {
-		opt = exp.Quick()
-		opt.Seed = *seed
-	}
-	if *reqs > 0 {
-		opt.TraceRequests = *reqs
-	}
-	if *checkFlag {
-		if opt.Cfg == nil {
-			c := ssd.ScaledConfig()
-			opt.Cfg = &c
-		}
-		opt.Cfg.Check = &check.Config{}
-	}
+	opt := options(*quick, *seed, *reqs, *checkFlag)
 
 	if *traceOut != "" || *metricsOut != "" {
 		runTraced(opt, *traceOut, *metricsOut)
@@ -163,6 +149,28 @@ func main() {
 	default:
 		defaultSuite(opt, emit)
 	}
+}
+
+// options builds the run options the flags select. Every figure of one
+// invocation shares one warm-up cache, so each distinct warmed device
+// state is warmed once per process.
+func options(quick bool, seed int64, reqs int, checked bool) exp.Options {
+	opt := exp.Options{Seed: seed}
+	if quick {
+		opt = exp.Quick()
+		opt.Seed = seed
+	}
+	if reqs > 0 {
+		opt.TraceRequests = reqs
+	}
+	if checked {
+		if opt.Cfg == nil {
+			c := ssd.ScaledConfig()
+			opt.Cfg = &c
+		}
+		opt.Cfg.Check = &check.Config{}
+	}
+	return opt.ShareWarmups()
 }
 
 // defaultSuite renders what an invocation without a selector prints.

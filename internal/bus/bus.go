@@ -104,6 +104,10 @@ func (c *Channel) Load() int {
 // alongside any already installed (tracing, checking, the Fig 3 matrix).
 func (c *Channel) AddObserver(o sim.ResourceObserver) { c.res.AddObserver(o) }
 
+// Reset returns an idle channel to its state at construction
+// (sim.Resource.Reset).
+func (c *Channel) Reset() { c.res.Reset() }
+
 // TotalBusy returns cumulative occupancy.
 func (c *Channel) TotalBusy() sim.Time { return c.res.TotalBusy() }
 

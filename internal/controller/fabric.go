@@ -63,6 +63,12 @@ type Fabric interface {
 	// without v-channels, directly flash-to-flash where the topology
 	// allows.
 	Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func())
+	// Reset returns an idle fabric to its state after construction: its
+	// own buses or links idle with zero totals and no observer, counters
+	// zero, hooks detached. Settings (a route policy) and recycled
+	// records are kept. The grid and SoC it was built over are reset by
+	// their owner.
+	Reset()
 }
 
 // Grid is the channel×way array of flash chips shared by every fabric.
@@ -102,6 +108,9 @@ func (g *Grid) ForEach(fn func(id ChipID, c *flash.Chip)) {
 		fn(ChipID{i / g.Ways, i % g.Ways}, &g.arr.Chips[i])
 	}
 }
+
+// Reset returns every chip to its state at NewGrid (flash.Array.Reset).
+func (g *Grid) Reset() { g.arr.Reset() }
 
 // SaveArray returns a copy of every chip's array state.
 func (g *Grid) SaveArray() *flash.ArrayState { return g.arr.Save() }
@@ -199,6 +208,14 @@ func (x *socXfer) dramStep() {
 	x.done = nil
 	s.freeXfers = append(s.freeXfers, x)
 	s.dram.UseLabeled("xfer", sim.Time(n)*s.dramPsByte, done)
+}
+
+// Reset returns an idle SoC's resources to idle with zero totals and no
+// observer. The control-plane latency and recycled transfer records are
+// kept.
+func (s *Soc) Reset() {
+	s.sysBus.Reset()
+	s.dram.Reset()
 }
 
 // AddObserver attaches a hold/queue observer to the system bus and DRAM

@@ -45,6 +45,9 @@ func (f *MeshFabric) Name() string { return f.name }
 // Grid implements Fabric.
 func (f *MeshFabric) Grid() *Grid { return f.grid }
 
+// Reset implements Fabric: every mesh link idle.
+func (f *MeshFabric) Reset() { f.m.Reset() }
+
 // Mesh exposes the fabric's mesh for instrumentation.
 func (f *MeshFabric) Mesh() *mesh.Mesh { return f.m }
 

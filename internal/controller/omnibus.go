@@ -267,6 +267,21 @@ func (f *OmnibusFabric) routeToV(hch, vch *bus.Channel) bool {
 	}
 }
 
+// Reset implements Fabric: every h- and v-channel idle, zero counters,
+// and no injector, tracer, collector or checker.
+func (f *OmnibusFabric) Reset() {
+	for i := range f.h {
+		f.h[i].Reset()
+	}
+	for i := range f.v {
+		f.v[i].Reset()
+	}
+	f.faults, f.trc, f.tel, f.check = nil, nil, nil, nil
+	f.eccFallbacks = 0
+	f.hReturns, f.vReturns, f.splitReturns = 0, 0, 0
+	f.directCopies, f.relayedCopies = 0, 0
+}
+
 // PathCounts returns how many read returns used the h path, the v path,
 // and split transfers, plus direct vs controller-relayed GC copies.
 func (f *OmnibusFabric) PathCounts() (h, v, split, direct, relayed int64) {

@@ -245,6 +245,19 @@ func (f *SchedFabric) Quiesced() bool {
 	return f.inflight == 0 && len(f.deferq) == 0 && len(f.pending) == 0 && len(f.table) == 0
 }
 
+// Reset implements Fabric for the scheduling layer's own state: an empty
+// reservation table and backlog, zero counters, and no checker. It
+// panics while it holds work. The inner fabric is reset by its owner.
+func (f *SchedFabric) Reset() {
+	if !f.Quiesced() {
+		panic("controller: reset of a scheduling layer that still holds work")
+	}
+	*f = SchedFabric{
+		inner: f.inner, pol: f.pol, ways: f.ways, window: DefaultSchedWindow, bound: DefaultReorderBound,
+		table: f.table, deferq: f.deferq[:0], pending: f.pending[:0], chipLoad: f.chipLoad,
+	}
+}
+
 // Name implements Fabric; the wrapper is invisible in reports.
 func (f *SchedFabric) Name() string { return f.inner.Name() }
 

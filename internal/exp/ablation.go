@@ -135,16 +135,17 @@ func AblationGCGroup(opt Options) []AblationRow {
 		cfg := gcCfg(opt)
 		cfg.FTL.GCMode = ftl.GCSpatial
 		cfg.FTL.GCGroupFraction = frac
-		s := build(ssd.ArchPnSSDSplit, cfg, ftl.GCSpatial, ftl.PCWD)
-		replay(s, opt, true, "rocksdb-0")
-		m := s.Metrics()
-		st := s.FTL.Stats()
-		return AblationRow{
-			Name:    fmt.Sprintf("GC group %.0f%%", frac*100),
-			Latency: m.MeanLatency(),
-			P99:     m.Combined().P99(),
-			Detail:  fmt.Sprintf("rocksdb-0, %d GC rounds, %d copies", st.GCRounds, st.GCPagesCopied),
-		}
+		return onDevice(opt, ssd.ArchPnSSDSplit, withFTL(cfg, ftl.GCSpatial, ftl.PCWD), func(s *ssd.SSD) AblationRow {
+			replay(s, opt, true, "rocksdb-0")
+			m := s.Metrics()
+			st := s.FTL.Stats()
+			return AblationRow{
+				Name:    fmt.Sprintf("GC group %.0f%%", frac*100),
+				Latency: m.MeanLatency(),
+				P99:     m.Combined().P99(),
+				Detail:  fmt.Sprintf("rocksdb-0, %d GC rounds, %d copies", st.GCRounds, st.GCPagesCopied),
+			}
+		})
 	})
 }
 
@@ -157,16 +158,17 @@ func AblationOrganization(opt Options) []AblationRow {
 		org := orgs[i]
 		cfg := *opt.Cfg
 		cfg.Channels, cfg.Ways = org.ch, org.ways
-		s := build(ssd.ArchPnSSDSplit, cfg, ftl.GCNone, ftl.PCWD)
-		replay(s, opt, false, "exchange-1")
-		m := s.Metrics()
-		omni := s.Fabric.(*controller.OmnibusFabric)
-		return AblationRow{
-			Name:    fmt.Sprintf("%d channels x %d ways", org.ch, org.ways),
-			Latency: m.MeanLatency(),
-			P99:     m.Combined().P99(),
-			Detail:  fmt.Sprintf("%d v-channels, %d columns each", omni.NumVChannels(), omni.ColumnsPerVChannel()),
-		}
+		return onDevice(opt, ssd.ArchPnSSDSplit, withFTL(cfg, ftl.GCNone, ftl.PCWD), func(s *ssd.SSD) AblationRow {
+			replay(s, opt, false, "exchange-1")
+			m := s.Metrics()
+			omni := s.Fabric.(*controller.OmnibusFabric)
+			return AblationRow{
+				Name:    fmt.Sprintf("%d channels x %d ways", org.ch, org.ways),
+				Latency: m.MeanLatency(),
+				P99:     m.Combined().P99(),
+				Detail:  fmt.Sprintf("%d v-channels, %d columns each", omni.NumVChannels(), omni.ColumnsPerVChannel()),
+			}
+		})
 	})
 }
 
@@ -181,32 +183,33 @@ func AblationVictimPolicy(opt Options) []AblationRow {
 		cfg := gcCfg(opt)
 		cfg.FTL.GCMode = ftl.GCParallel
 		cfg.FTL.Victim = vp
-		s := build(ssd.ArchPnSSDSplit, cfg, ftl.GCParallel, ftl.PCWD)
-		warm(s, opt, false)
-		// Hot/cold overwrite stream: 90% of writes hit 5% of the space, the
-		// regime where age-aware cleaning avoids re-copying hot data. Warm-up
-		// churn is skipped so block ages come entirely from the run itself.
-		tr := workload.Generate("hotcold", workload.Params{
-			ReadRatio:  0.05,
-			ZipfS:      1.6,
-			HotRegions: 16,
-			ReqPages:   2,
-			MeanGap:    40 * sim.Microsecond,
-			Burst:      4,
-		}, s.Config.LogicalPages(), opt.TraceRequests*2, opt.Seed)
-		s.Host.MustReplay(tr.Requests)
-		s.Run()
-		m := s.Metrics()
-		st := s.FTL.Stats()
-		perBlock := 0.0
-		if st.GCBlocksErased > 0 {
-			perBlock = float64(st.GCPagesCopied) / float64(st.GCBlocksErased)
-		}
-		return AblationRow{
-			Name:    vp.String(),
-			Latency: m.MeanLatency(),
-			P99:     m.Combined().P99(),
-			Detail:  fmt.Sprintf("hot/cold writes + PaGC, %.1f copies per reclaimed block", perBlock),
-		}
+		return onDevice(opt, ssd.ArchPnSSDSplit, withFTL(cfg, ftl.GCParallel, ftl.PCWD), func(s *ssd.SSD) AblationRow {
+			warm(s, opt, false)
+			// Hot/cold overwrite stream: 90% of writes hit 5% of the space, the
+			// regime where age-aware cleaning avoids re-copying hot data. Warm-up
+			// churn is skipped so block ages come entirely from the run itself.
+			tr := workload.Generate("hotcold", workload.Params{
+				ReadRatio:  0.05,
+				ZipfS:      1.6,
+				HotRegions: 16,
+				ReqPages:   2,
+				MeanGap:    40 * sim.Microsecond,
+				Burst:      4,
+			}, s.Config.LogicalPages(), opt.TraceRequests*2, opt.Seed)
+			s.Host.MustReplay(tr.Requests)
+			s.Run()
+			m := s.Metrics()
+			st := s.FTL.Stats()
+			perBlock := 0.0
+			if st.GCBlocksErased > 0 {
+				perBlock = float64(st.GCPagesCopied) / float64(st.GCBlocksErased)
+			}
+			return AblationRow{
+				Name:    vp.String(),
+				Latency: m.MeanLatency(),
+				P99:     m.Combined().P99(),
+				Detail:  fmt.Sprintf("hot/cold writes + PaGC, %.1f copies per reclaimed block", perBlock),
+			}
+		})
 	})
 }

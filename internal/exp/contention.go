@@ -35,57 +35,58 @@ func Contention(opt Options) []ContentionRow {
 	archs := []ssd.Arch{ssd.ArchBase, ssd.ArchPSSD, ssd.ArchPnSSD, ssd.ArchPnSSDSplit, ssd.ArchNoSSDPin}
 	return runner.MapDefault(len(archs), func(i int) ContentionRow {
 		arch := archs[i]
-		s := build(arch, *opt.Cfg, ftl.GCNone, ftl.PCWD)
-		replay(s, opt, false, "search-0")
+		return onDevice(opt, arch, withFTL(*opt.Cfg, ftl.GCNone, ftl.PCWD), func(s *ssd.SSD) ContentionRow {
+			replay(s, opt, false, "search-0")
 
-		row := ContentionRow{Arch: arch, MeanLatency: s.Metrics().MeanLatency()}
-		scan := func(chs []*bus.Channel) (mean, max sim.Time, util float64) {
-			var totalWait sim.Time
-			var n int
-			for _, ch := range chs {
-				totalWait += ch.MeanWait()
-				n++
-				if ch.MaxWait() > max {
-					max = ch.MaxWait()
+			row := ContentionRow{Arch: arch, MeanLatency: s.Metrics().MeanLatency()}
+			scan := func(chs []*bus.Channel) (mean, max sim.Time, util float64) {
+				var totalWait sim.Time
+				var n int
+				for _, ch := range chs {
+					totalWait += ch.MeanWait()
+					n++
+					if ch.MaxWait() > max {
+						max = ch.MaxWait()
+					}
+					if u := ch.Utilization(); u > util {
+						util = u
+					}
 				}
-				if u := ch.Utilization(); u > util {
-					util = u
+				if n > 0 {
+					mean = totalWait / sim.Time(n)
+				}
+				return mean, max, util
+			}
+			if fab, ok := s.Fabric.(*controller.MeshFabric); ok {
+				m := fab.Mesh()
+				var chs []*bus.Channel
+				for y := 0; y < s.Config.Channels; y++ {
+					edge, ctrl := mesh.Node{X: 0, Y: y}, mesh.Controller(y)
+					chs = append(chs, m.Link(edge, ctrl), m.Link(ctrl, edge))
+				}
+				row.HMeanWait, row.HMaxWait, row.BusiestUtil = scan(chs)
+				return row
+			}
+			var hs, vs []*bus.Channel
+			for _, b := range s.Buses() {
+				switch b.Kind {
+				case trace.KindHChannel:
+					hs = append(hs, b.Channel)
+				case trace.KindVChannel:
+					vs = append(vs, b.Channel)
 				}
 			}
-			if n > 0 {
-				mean = totalWait / sim.Time(n)
+			var vMax sim.Time
+			var vUtil float64
+			row.HMeanWait, row.HMaxWait, row.BusiestUtil = scan(hs)
+			row.VMeanWait, vMax, vUtil = scan(vs)
+			if vMax > row.HMaxWait {
+				row.HMaxWait = vMax
 			}
-			return mean, max, util
-		}
-		if fab, ok := s.Fabric.(*controller.MeshFabric); ok {
-			m := fab.Mesh()
-			var chs []*bus.Channel
-			for y := 0; y < s.Config.Channels; y++ {
-				edge, ctrl := mesh.Node{X: 0, Y: y}, mesh.Controller(y)
-				chs = append(chs, m.Link(edge, ctrl), m.Link(ctrl, edge))
+			if vUtil > row.BusiestUtil {
+				row.BusiestUtil = vUtil
 			}
-			row.HMeanWait, row.HMaxWait, row.BusiestUtil = scan(chs)
 			return row
-		}
-		var hs, vs []*bus.Channel
-		for _, b := range s.Buses() {
-			switch b.Kind {
-			case trace.KindHChannel:
-				hs = append(hs, b.Channel)
-			case trace.KindVChannel:
-				vs = append(vs, b.Channel)
-			}
-		}
-		var vMax sim.Time
-		var vUtil float64
-		row.HMeanWait, row.HMaxWait, row.BusiestUtil = scan(hs)
-		row.VMeanWait, vMax, vUtil = scan(vs)
-		if vMax > row.HMaxWait {
-			row.HMaxWait = vMax
-		}
-		if vUtil > row.BusiestUtil {
-			row.BusiestUtil = vUtil
-		}
-		return row
+		})
 	})
 }

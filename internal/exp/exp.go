@@ -1,7 +1,8 @@
 // Package exp contains one runner per table and figure of the paper's
-// evaluation (Sec VII), plus the motivation figures. Each runner builds
-// fresh SSDs, drives the workload the paper describes, and returns typed
-// rows; cmd/experiments renders them as tables. Sweep and
+// evaluation (Sec VII), plus the motivation figures. Each runner takes
+// as-built SSDs (new, or recycled with ssd.SSD.Reset), drives the
+// workload the paper describes, and returns typed rows; cmd/experiments
+// renders them as tables. Sweep and
 // RebuildRateSweep add one-dimensional sensitivity sweeps (bus rate, way
 // count, request size, tenant count, rebuild throttle, ...) on the same
 // run recipes.
@@ -16,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 
 	"repro/internal/ftl"
@@ -42,9 +45,21 @@ type Options struct {
 	// Traces overrides the trace list (default workload.Names()).
 	Traces []string
 
-	// warmed holds the warm-ups of one exported call; withDefaults
-	// gives each call a fresh one.
-	warmed *warmCache
+	// warmed holds the saved warm-ups: one exported call's, unless
+	// ShareWarmups gave several calls one cache. devices holds one
+	// exported call's idle devices. withDefaults gives a call fresh ones
+	// of each that it lacks.
+	warmed  *warmCache
+	devices *devicePool
+}
+
+// ShareWarmups returns o with a warm-up cache of its own, shared by every
+// exported call given the result: each distinct warmed state is then
+// warmed once for all those calls, not once per call. Results do not
+// change; a warmed state is a function of its key alone.
+func (o Options) ShareWarmups() Options {
+	o.warmed = newWarmCache()
+	return o
 }
 
 const (
@@ -76,7 +91,10 @@ func (o Options) withDefaults() Options {
 		o.Traces = workload.Names()
 	}
 	if o.warmed == nil {
-		o.warmed = &warmCache{entries: make(map[warmKey]*warmEntry)}
+		o.warmed = newWarmCache()
+	}
+	if o.devices == nil {
+		o.devices = &devicePool{idle: make(map[ssd.Arch][]*ssd.SSD)}
 	}
 	return o
 }
@@ -95,11 +113,56 @@ func Quick() Options {
 	}
 }
 
-// build constructs an SSD with the given architecture and GC mode.
-func build(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, policy ftl.AllocPolicy) *ssd.SSD {
+// withFTL returns cfg with the given GC mode and allocation policy.
+func withFTL(cfg ssd.Config, mode ftl.GCMode, policy ftl.AllocPolicy) ssd.Config {
 	cfg.FTL.GCMode = mode
 	cfg.FTL.Policy = policy
+	return cfg
+}
+
+// devicePool holds the idle devices of one exported call, keyed by arch
+// and configuration, the pointed-to sections of the configuration
+// compared by value. A run takes an as-built device from it: an idle
+// one after ssd.Reset, or a new build when none is idle. A key never has
+// more devices than runs of it in flight at once, so the pool holds at
+// most one idle device per worker per key. NewCustom devices are not
+// pooled: their fabric comes from a function that no key can name.
+type devicePool struct {
+	mu   sync.Mutex
+	idle map[ssd.Arch][]*ssd.SSD
+}
+
+// get returns an as-built device of arch and cfg.
+func (p *devicePool) get(arch ssd.Arch, cfg ssd.Config) *ssd.SSD {
+	p.mu.Lock()
+	idle := p.idle[arch]
+	for i, s := range idle {
+		if reflect.DeepEqual(s.Config, cfg) {
+			p.idle[arch] = slices.Delete(idle, i, i+1)
+			p.mu.Unlock()
+			s.Reset()
+			return s
+		}
+	}
+	p.mu.Unlock()
 	return ssd.New(arch, cfg)
+}
+
+// put gives a drained device back for a later run.
+func (p *devicePool) put(s *ssd.SSD) {
+	p.mu.Lock()
+	p.idle[s.Arch] = append(p.idle[s.Arch], s)
+	p.mu.Unlock()
+}
+
+// onDevice runs fn on a device of arch and cfg from opt's pool and then
+// gives the device back. fn must copy out what it returns, since the
+// device's next run resets it.
+func onDevice[T any](opt Options, arch ssd.Arch, cfg ssd.Config, fn func(*ssd.SSD) T) T {
+	s := opt.devices.get(arch, cfg)
+	v := fn(s)
+	opt.devices.put(s)
+	return v
 }
 
 // warm installs the full logical footprint; with churn it then instantly
@@ -150,6 +213,8 @@ type warmKey struct {
 	seed  int64
 }
 
+func newWarmCache() *warmCache { return &warmCache{entries: make(map[warmKey]*warmEntry)} }
+
 // warmCache holds one saved warm-up per key. Each entry is filled once,
 // by whichever worker reaches it first; the state is a function of the
 // key alone, so which worker that is cannot show in any result.
@@ -176,7 +241,8 @@ func (c *warmCache) entry(k warmKey) *warmEntry {
 
 // replay is the package's one run recipe: warm s (churned if churn), replay
 // opt.TraceRequests requests of the named preset trace at opt.Seed, and
-// run s to drain. Callers build s and read its metrics afterwards.
+// run s to drain. Callers take s from the pool and read its metrics
+// afterwards.
 func replay(s *ssd.SSD, opt Options, churn bool, trace string) {
 	warm(s, opt, churn)
 	tr, err := workload.Named(trace, s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
@@ -187,49 +253,59 @@ func replay(s *ssd.SSD, opt Options, churn bool, trace string) {
 	s.Run()
 }
 
-// replayTrace runs the recipe on a fresh SSD and returns the host
-// metrics and FTL stats.
+// replayTrace runs the recipe on a pooled SSD and returns copies of the
+// host metrics and FTL stats.
 func replayTrace(arch ssd.Arch, cfg ssd.Config, mode ftl.GCMode, opt Options, churn bool, trace string) (*stats.IOMetrics, ftl.Stats) {
-	s := build(arch, cfg, mode, ftl.PCWD)
-	replay(s, opt, churn, trace)
-	return s.Metrics(), s.FTL.Stats()
+	type out struct {
+		m  *stats.IOMetrics
+		st ftl.Stats
+	}
+	o := onDevice(opt, arch, withFTL(cfg, mode, ftl.PCWD), func(s *ssd.SSD) out {
+		replay(s, opt, churn, trace)
+		return out{s.Metrics().Clone(), s.FTL.Stats()}
+	})
+	return o.m, o.st
 }
 
 // replayTenants is the multi-tenant form of replay: it puts a 16-deep
-// front end with the given arbiter over cfg, builds and warms the SSD,
-// replays the tenants' interleaved traces, runs to drain, and returns
-// the SSD for the caller to read. cfg carries the GC mode and policy.
-func replayTenants(arch ssd.Arch, cfg ssd.Config, specs []workload.TenantSpec, arbiter string, opt Options, churn bool) *ssd.SSD {
+// front end with the given arbiter over cfg, takes and warms a pooled
+// SSD, replays the tenants' interleaved traces, runs to drain, and
+// returns what read copies out of the SSD. cfg carries the GC mode and
+// policy.
+func replayTenants[T any](arch ssd.Arch, cfg ssd.Config, specs []workload.TenantSpec, arbiter string, opt Options, churn bool, read func(*ssd.SSD) T) T {
 	cfg.Frontend = &host.FrontendConfig{
 		Tenants:     workload.QueueConfigs(specs),
 		Arbiter:     arbiter,
 		MaxInflight: 16,
 	}
-	s := ssd.New(arch, cfg)
-	warm(s, opt, churn)
-	tr, err := workload.GenerateTenants(specs, s.Config.LogicalPages(), opt.Seed)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := s.Frontend.Replay(tr.Requests); err != nil {
-		panic(err)
-	}
-	s.Run()
-	if !s.Frontend.Drained() {
-		panic(fmt.Sprintf("%v/%s tenants: completed %d of %d requests", arch, arbiter, s.Metrics().TotalRequests(), len(tr.Requests)))
-	}
-	return s
+	return onDevice(opt, arch, cfg, func(s *ssd.SSD) T {
+		warm(s, opt, churn)
+		tr, err := workload.GenerateTenants(specs, s.Config.LogicalPages(), opt.Seed)
+		if err != nil {
+			panic(err)
+		}
+		if _, err := s.Frontend.Replay(tr.Requests); err != nil {
+			panic(err)
+		}
+		s.Run()
+		if !s.Frontend.Drained() {
+			panic(fmt.Sprintf("%v/%s tenants: completed %d of %d requests", arch, arbiter, s.Metrics().TotalRequests(), len(tr.Requests)))
+		}
+		return read(s)
+	})
 }
 
 // runClosedLoop drives opt.SyntheticRequests requests of a synthetic
-// pattern, reqPages pages each, with a fixed outstanding depth.
+// pattern, reqPages pages each, with a fixed outstanding depth, and
+// returns a copy of the host metrics.
 func runClosedLoop(arch ssd.Arch, cfg ssd.Config, policy ftl.AllocPolicy, p workload.Pattern, outstanding, reqPages int, opt Options) *stats.IOMetrics {
-	s := build(arch, cfg, ftl.GCNone, policy)
-	warm(s, opt, false)
-	gen := workload.Synthetic(p, s.Config.LogicalPages(), reqPages, opt.Seed)
-	s.Host.RunClosedLoop(gen, outstanding, opt.SyntheticRequests)
-	s.Run()
-	return s.Metrics()
+	return onDevice(opt, arch, withFTL(cfg, ftl.GCNone, policy), func(s *ssd.SSD) *stats.IOMetrics {
+		warm(s, opt, false)
+		gen := workload.Synthetic(p, s.Config.LogicalPages(), reqPages, opt.Seed)
+		s.Host.RunClosedLoop(gen, outstanding, opt.SyntheticRequests)
+		s.Run()
+		return s.Metrics().Clone()
+	})
 }
 
 // gcCfg returns the device configuration for GC experiments: the base

@@ -43,19 +43,20 @@ func FaultSweep(opt Options) []FaultSweepRow {
 			ProgramFailsPerChip: 2,
 			EraseFailsPerChip:   1,
 		}
-		s := ssd.New(arch, cfg)
-		replay(s, opt, true, "rocksdb-0")
-		m := s.Metrics()
-		return FaultSweepRow{
-			Arch:       arch,
-			ReadECC:    rate,
-			Latency:    m.MeanLatency(),
-			P99:        m.Combined().P99(),
-			KIOPS:      m.KIOPS(),
-			RAS:        s.RAS(),
-			Consistent: s.FTL.CheckConsistency() == nil,
-			Completed:  s.Host.InFlight() == 0,
-		}
+		return onDevice(opt, arch, cfg, func(s *ssd.SSD) FaultSweepRow {
+			replay(s, opt, true, "rocksdb-0")
+			m := s.Metrics()
+			return FaultSweepRow{
+				Arch:       arch,
+				ReadECC:    rate,
+				Latency:    m.MeanLatency(),
+				P99:        m.Combined().P99(),
+				KIOPS:      m.KIOPS(),
+				RAS:        s.RAS(),
+				Consistent: s.FTL.CheckConsistency() == nil,
+				Completed:  s.Host.InFlight() == 0,
+			}
+		})
 	})
 }
 
@@ -84,18 +85,19 @@ func DegradedSweep(opt Options) []DegradedRow {
 		cfg.FTL.GCMode = ftl.GCSpatial
 		fc.Seed = uint64(opt.Seed)
 		cfg.Fault = &fc
-		s := ssd.New(ssd.ArchPnSSDSplit, cfg)
-		replay(s, opt, true, "rocksdb-0")
-		m := s.Metrics()
-		return DegradedRow{
-			Name:       name,
-			Latency:    m.MeanLatency(),
-			P99:        m.Combined().P99(),
-			KIOPS:      m.KIOPS(),
-			RAS:        s.RAS(),
-			Consistent: s.FTL.CheckConsistency() == nil,
-			Completed:  s.Host.InFlight() == 0,
-		}
+		return onDevice(opt, ssd.ArchPnSSDSplit, cfg, func(s *ssd.SSD) DegradedRow {
+			replay(s, opt, true, "rocksdb-0")
+			m := s.Metrics()
+			return DegradedRow{
+				Name:       name,
+				Latency:    m.MeanLatency(),
+				P99:        m.Combined().P99(),
+				KIOPS:      m.KIOPS(),
+				RAS:        s.RAS(),
+				Consistent: s.FTL.CheckConsistency() == nil,
+				Completed:  s.Host.InFlight() == 0,
+			}
+		})
 	}
 
 	type scenario struct {

@@ -48,7 +48,7 @@ func fmmuSkews() map[string]workload.Params {
 // anchor). Sizes scale with the configured geometry so the quick and
 // full variants stress the same regimes.
 func FmmuSweepPoints(cfg ssd.Config) []FmmuPoint {
-	numT := int((cfg.LogicalPages() + int64(cfg.Geometry.PageSize/8) - 1) / int64(cfg.Geometry.PageSize/8))
+	numT := int(ftl.TranslationPages(cfg.Geometry, cfg.LogicalPages()))
 	sizes := []int{max(1, numT/8), max(2, numT/2), 2 * numT}
 	var pts []FmmuPoint
 	for _, skew := range []string{"low", "high"} {
@@ -96,26 +96,27 @@ func runFmmuPoint(p FmmuPoint, params workload.Params, cfg ssd.Config, opt Optio
 	}
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.FTL.Policy = ftl.PCWD
-	s := ssd.New(ssd.ArchPnSSDSplit, cfg)
-	warm(s, opt, true)
-	tr := workload.Generate("fmmu-"+p.Skew, params, s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
-	s.Host.MustReplay(tr.Requests)
-	s.Run()
-	m := s.Metrics()
-	lat := m.Combined()
-	row := FmmuRow{
-		Point: p,
-		Mean:  lat.Mean(),
-		P99:   lat.Percentile(99),
-		KIOPS: m.KIOPS(),
-	}
-	if s.FTL.MapEnabled() {
-		ms := s.FTL.MapStats()
-		row.MapLookups = ms.Lookups
-		row.MapMisses = ms.Misses
-		row.MissRate = ms.MissRate()
-		row.MapFetches = ms.Fetches
-		row.MapWritebacks = ms.Writebacks
-	}
-	return row
+	return onDevice(opt, ssd.ArchPnSSDSplit, cfg, func(s *ssd.SSD) FmmuRow {
+		warm(s, opt, true)
+		tr := workload.Generate("fmmu-"+p.Skew, params, s.Config.LogicalPages(), opt.TraceRequests, opt.Seed)
+		s.Host.MustReplay(tr.Requests)
+		s.Run()
+		m := s.Metrics()
+		lat := m.Combined()
+		row := FmmuRow{
+			Point: p,
+			Mean:  lat.Mean(),
+			P99:   lat.Percentile(99),
+			KIOPS: m.KIOPS(),
+		}
+		if s.FTL.MapEnabled() {
+			ms := s.FTL.MapStats()
+			row.MapLookups = ms.Lookups
+			row.MapMisses = ms.Misses
+			row.MissRate = ms.MissRate()
+			row.MapFetches = ms.Fetches
+			row.MapWritebacks = ms.Writebacks
+		}
+		return row
+	})
 }

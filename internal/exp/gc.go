@@ -56,13 +56,14 @@ func Fig18(opt Options) []Fig18Row {
 	opt = opt.withDefaults()
 	cfg := gcCfg(opt)
 	run := func(c GCConfig, p workload.Pattern) sim.Time {
-		s := build(c.Arch, cfg, c.Mode, ftl.PCWD)
-		warm(s, opt, true)
-		gen := workload.Synthetic(p, s.Config.LogicalPages(), 4, opt.Seed)
-		s.Host.RunClosedLoop(gen, 16, opt.SyntheticRequests)
-		forceContinuousGC(s)
-		s.Run()
-		return s.Metrics().MeanLatency()
+		return onDevice(opt, c.Arch, withFTL(cfg, c.Mode, ftl.PCWD), func(s *ssd.SSD) sim.Time {
+			warm(s, opt, true)
+			gen := workload.Synthetic(p, s.Config.LogicalPages(), 4, opt.Seed)
+			s.Host.RunClosedLoop(gen, 16, opt.SyntheticRequests)
+			forceContinuousGC(s)
+			s.Run()
+			return s.Metrics().MeanLatency()
+		})
 	}
 	// Two independent runs (read, write) per configuration.
 	lats := runner.MapDefault(len(Fig18Configs)*2, func(i int) sim.Time {
@@ -172,9 +173,10 @@ func Fig20a(opt Options) []Fig20aRow {
 	opt = opt.withDefaults()
 	return runner.MapDefault(len(Fig20aConfigs), func(i int) Fig20aRow {
 		c := Fig20aConfigs[i]
-		s := build(c.Arch, gcCfg(opt), c.Mode, ftl.PCWD)
-		replay(s, opt, true, "rocksdb-0")
-		h := s.Metrics().Combined()
+		h := onDevice(opt, c.Arch, withFTL(gcCfg(opt), c.Mode, ftl.PCWD), func(s *ssd.SSD) *stats.Histogram {
+			replay(s, opt, true, "rocksdb-0")
+			return s.Metrics().Combined()
+		})
 		return Fig20aRow{
 			Config: c,
 			P50:    h.Percentile(50),

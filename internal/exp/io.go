@@ -33,18 +33,19 @@ func Fig3(opt Options) Fig3Result {
 		panic(err)
 	}
 	run := func(kind stats.IOKind) [][]float64 {
-		s := build(ssd.ArchBase, *opt.Cfg, ftl.GCNone, ftl.PCWD)
-		warm(s, opt, false)
-		m := s.AttachChannelUtil()
-		var reqs []host.Request
-		for _, r := range full.Requests {
-			if r.Kind == kind {
-				reqs = append(reqs, r)
+		return onDevice(opt, ssd.ArchBase, withFTL(*opt.Cfg, ftl.GCNone, ftl.PCWD), func(s *ssd.SSD) [][]float64 {
+			warm(s, opt, false)
+			m := s.AttachChannelUtil()
+			var reqs []host.Request
+			for _, r := range full.Requests {
+				if r.Kind == kind {
+					reqs = append(reqs, r)
+				}
 			}
-		}
-		s.Host.MustReplay(reqs)
-		s.Run()
-		return m.Rows()
+			s.Host.MustReplay(reqs)
+			s.Run()
+			return m.Rows()
+		})
 	}
 	rows := runner.MapDefault(2, func(i int) [][]float64 {
 		return run([]stats.IOKind{stats.Read, stats.Write}[i])

@@ -77,22 +77,23 @@ func runSchedPoint(p SchedPoint, opt Options) SchedRow {
 	cfg.Scheduler = p.Sched
 	cfg.FTL.GCMode = mode
 	cfg.FTL.Policy = ftl.PCWD
-	s := ssd.New(p.Arch, cfg)
-	replay(s, opt, true, "rocksdb-0")
-	m := s.Metrics()
-	lat := m.Combined()
-	row := SchedRow{
-		Point:    p,
-		Mean:     lat.Mean(),
-		P99:      lat.Percentile(99),
-		KIOPS:    m.KIOPS(),
-		BWMBps:   m.BandwidthMBps(),
-		GCCopied: s.FTL.Stats().GCPagesCopied,
-	}
-	if s.Sched != nil {
-		row.Deferred, row.Reordered, _ = s.Sched.Counts()
-	}
-	return row
+	return onDevice(opt, p.Arch, cfg, func(s *ssd.SSD) SchedRow {
+		replay(s, opt, true, "rocksdb-0")
+		m := s.Metrics()
+		lat := m.Combined()
+		row := SchedRow{
+			Point:    p,
+			Mean:     lat.Mean(),
+			P99:      lat.Percentile(99),
+			KIOPS:    m.KIOPS(),
+			BWMBps:   m.BandwidthMBps(),
+			GCCopied: s.FTL.Stats().GCPagesCopied,
+		}
+		if s.Sched != nil {
+			row.Deferred, row.Reordered, _ = s.Sched.Counts()
+		}
+		return row
+	})
 }
 
 // SchedNoisyRow is one cell of the scheduling noisy-neighbor study: the
@@ -130,21 +131,22 @@ func runSchedNoisyPoint(p SchedPoint, opt Options) SchedNoisyRow {
 	cfg.Scheduler = p.Sched
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.FTL.Policy = ftl.PCWD
-	s := replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), "dwrr", opt, true)
-	row := SchedNoisyRow{Point: p}
-	for _, tm := range s.Frontend.Metrics().Tenants {
-		h := tm.Combined()
-		switch tm.Name {
-		case "latency":
-			row.LatencyP99 = h.Percentile(99)
-			row.LatencyP999 = h.Percentile(99.9)
-			row.SLOViolations = tm.SLOViolations()
-		case "noisy":
-			row.NoisyP99 = h.Percentile(99)
+	return replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), "dwrr", opt, true, func(s *ssd.SSD) SchedNoisyRow {
+		row := SchedNoisyRow{Point: p}
+		for _, tm := range s.Frontend.Metrics().Tenants {
+			h := tm.Combined()
+			switch tm.Name {
+			case "latency":
+				row.LatencyP99 = h.Percentile(99)
+				row.LatencyP999 = h.Percentile(99.9)
+				row.SLOViolations = tm.SLOViolations()
+			case "noisy":
+				row.NoisyP99 = h.Percentile(99)
+			}
 		}
-	}
-	if s.Sched != nil {
-		row.Deferred, row.Reordered, _ = s.Sched.Counts()
-	}
-	return row
+		if s.Sched != nil {
+			row.Deferred, row.Reordered, _ = s.Sched.Counts()
+		}
+		return row
+	})
 }

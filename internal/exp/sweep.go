@@ -127,8 +127,9 @@ func tenantCountSweep(opt Options) []SweepRow {
 		cfg := *opt.Cfg
 		cfg.FTL.GCMode = ftl.GCNone
 		cfg.FTL.Policy = ftl.PCWD
-		s := replayTenants(arch, cfg, specs, arb, opt, false)
-		return sweepRow(arch, "rocksdb-0/"+arb, count, s.Metrics())
+		return replayTenants(arch, cfg, specs, arb, opt, false, func(s *ssd.SSD) SweepRow {
+			return sweepRow(arch, "rocksdb-0/"+arb, count, s.Metrics())
+		})
 	})
 }
 

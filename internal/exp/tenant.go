@@ -104,21 +104,22 @@ func runTenantPoint(p TenantPoint, opt Options) TenantRow {
 	cfg := gcCfg(opt)
 	cfg.FTL.GCMode = mode
 	cfg.FTL.Policy = ftl.PCWD
-	s := replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), p.Arbiter, opt, true)
-	row := TenantRow{Point: p}
-	for _, tm := range s.Frontend.Metrics().Tenants {
-		h := tm.Combined()
-		row.Tenants = append(row.Tenants, TenantResult{
-			Name:          tm.Name,
-			Requests:      tm.TotalRequests(),
-			Mean:          h.Mean(),
-			P50:           h.Percentile(50),
-			P95:           h.Percentile(95),
-			P99:           h.Percentile(99),
-			P999:          h.Percentile(99.9),
-			KIOPS:         tm.KIOPS(),
-			SLOViolations: tm.SLOViolations(),
-		})
-	}
-	return row
+	return replayTenants(p.Arch, cfg, NoisyNeighborSpecs(opt.TraceRequests), p.Arbiter, opt, true, func(s *ssd.SSD) TenantRow {
+		row := TenantRow{Point: p}
+		for _, tm := range s.Frontend.Metrics().Tenants {
+			h := tm.Combined()
+			row.Tenants = append(row.Tenants, TenantResult{
+				Name:          tm.Name,
+				Requests:      tm.TotalRequests(),
+				Mean:          h.Mean(),
+				P50:           h.Percentile(50),
+				P95:           h.Percentile(95),
+				P99:           h.Percentile(99),
+				P999:          h.Percentile(99.9),
+				KIOPS:         tm.KIOPS(),
+				SLOViolations: tm.SLOViolations(),
+			})
+		}
+		return row
+	})
 }

@@ -8,8 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/controller"
+	"repro/internal/fault"
 	"repro/internal/ftl"
+	"repro/internal/host"
 	"repro/internal/ssd"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -84,11 +89,11 @@ func TestWarmRestoreMatchesFreshWarm(t *testing.T) {
 			if c.save != nil {
 				save = *c.save
 			}
-			warm(build(ssd.ArchBase, save, save.FTL.GCMode, c.policy), opt, c.churn)
+			warm(ssd.New(ssd.ArchBase, withFTL(save, save.FTL.GCMode, c.policy)), opt, c.churn)
 			for _, arch := range ssd.Archs {
-				restored := build(arch, c.cfg, c.cfg.FTL.GCMode, c.policy)
+				restored := ssd.New(arch, withFTL(c.cfg, c.cfg.FTL.GCMode, c.policy))
 				warm(restored, opt, c.churn)
-				fresh := build(arch, c.cfg, c.cfg.FTL.GCMode, c.policy)
+				fresh := ssd.New(arch, withFTL(c.cfg, c.cfg.FTL.GCMode, c.policy))
 				install(fresh, c.churn, opt.Seed)
 				if err := restored.FTL.CheckConsistency(); err != nil {
 					t.Fatalf("%v: restored device inconsistent: %v", arch, err)
@@ -119,11 +124,112 @@ func TestWarmRestoreMatchesFreshWarm(t *testing.T) {
 	}
 }
 
+// TestResetRestoreMatchesFreshWarm: a device that ran a trace and was
+// reset equals a fresh build field by field; with a saved warm-up
+// restored into it, it equals a fresh build of the same arch and config
+// warmed for real, and the two give the same Summarize JSON on the same
+// trace. Every arch runs every cell: the plain GC device, the checker,
+// the map unit, the front end, fault injection, both scheduling layers,
+// and telemetry with tracing. The walk skips only the record free lists
+// named in recycled.
+func TestResetRestoreMatchesFreshWarm(t *testing.T) {
+	base := ssd.ScaledConfig()
+	base.Geometry.BlocksPerPlane, base.Geometry.PagesPerBlock = 8, 16
+	base.LogicalUtilization = gcUtilization
+	base.FTL.GCMode = ftl.GCSpatial
+	cells := map[string]func(*ssd.Config){
+		"plain": func(*ssd.Config) {},
+		"check": func(c *ssd.Config) { c.Check = &check.Config{} },
+		"fmmu":  func(c *ssd.Config) { c.FTL.Map = &ftl.MapConfig{Entries: 3}; c.Check = &check.Config{} },
+		"frontend": func(c *ssd.Config) {
+			c.Frontend = &host.FrontendConfig{Tenants: workload.QueueConfigs(NoisyNeighborSpecs(40)), Arbiter: "dwrr", MaxInflight: 16}
+			c.Check = &check.Config{}
+		},
+		"fault": func(c *ssd.Config) {
+			c.FTL.GCMode = ftl.GCParallel
+			c.Fault = &fault.Config{Seed: 3, ReadECCRate: 0.02, OnDieECCRate: 0.02, GrantDropRate: 0.05, ProgramFailsPerChip: 1, EraseFailsPerChip: 1}
+		},
+		"conflict":  func(c *ssd.Config) { c.Scheduler = controller.SchedConflict; c.Check = &check.Config{} },
+		"ooo":       func(c *ssd.Config) { c.Scheduler = controller.SchedOOO },
+		"telemetry": func(c *ssd.Config) { c.Telemetry, c.Trace = &telemetry.Config{}, &trace.Config{} },
+	}
+	run := func(t *testing.T, s *ssd.SSD, trace string, seed int64) {
+		t.Helper()
+		if s.Frontend != nil {
+			tr, err := workload.GenerateTenants(NoisyNeighborSpecs(40), s.Config.LogicalPages(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Frontend.Replay(tr.Requests); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			tr, err := workload.Named(trace, s.Config.LogicalPages(), 80, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Host.MustReplay(tr.Requests)
+		}
+		s.Run()
+	}
+	for name, edit := range cells {
+		for _, arch := range ssd.Archs {
+			t.Run(fmt.Sprintf("%s/%v", name, arch), func(t *testing.T) {
+				cfg := base
+				edit(&cfg)
+				opt := Options{Cfg: &cfg, Seed: 5}.withDefaults()
+				used := ssd.New(arch, cfg)
+				warm(used, opt, true)
+				run(t, used, "update-0", 9)
+				used.Reset()
+				if d := deepDiff(ssd.New(arch, cfg), used); d != "" {
+					t.Fatalf("reset device differs from a fresh build at %s", d)
+				}
+				warm(used, opt, true)
+				fresh := ssd.New(arch, cfg)
+				install(fresh, true, opt.Seed)
+				if d := deepDiff(fresh, used); d != "" {
+					t.Fatalf("reset and restored device differs from a fresh warm-up at %s", d)
+				}
+				var sums [2][]byte
+				for i, s := range []*ssd.SSD{fresh, used} {
+					run(t, s, "rocksdb-0", 7)
+					var err error
+					if sums[i], err = json.Marshal(s.Summarize()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if string(sums[0]) != string(sums[1]) {
+					t.Fatalf("summaries differ after the same trace\nfresh:    %s\nrecycled: %s", sums[0], sums[1])
+				}
+			})
+		}
+	}
+}
+
+// recycled names the fields deepDiff skips, as "package.Type.field": the
+// free lists of recycled operation records, which a reset device keeps
+// and a fresh one has not grown yet. Everything else, any field added
+// later included, is compared.
+var recycled = map[string]bool{
+	"flash.Chip.freeReads":                true,
+	"flash.Chip.freeArrayOps":             true,
+	"controller.fabricOps.free":           true,
+	"controller.OmnibusFabric.freeCopies": true,
+	"controller.MeshFabric.copies":        true,
+	"controller.Soc.freeXfers":            true,
+	"mesh.Mesh.freeXfers":                 true,
+	"ftl.FTL.freeReads":                   true,
+	"ftl.FTL.freeWrites":                  true,
+	"ftl.FTL.freeVictims":                 true,
+	"host.Host.freeReqs":                  true,
+}
+
 // deepDiff walks a and b field by field, unexported fields included, and
 // returns the path of the first difference, or "" when they are equal.
 // Function values compare by nil-ness alone, since two devices bind
 // their callbacks to different objects; nil and empty slices and maps
-// are equal.
+// are equal. Fields named in recycled are skipped.
 func deepDiff(a, b any) string {
 	seen := make(map[[2]uintptr]bool)
 	// walk returns "" or the difference's path below x, which the
@@ -175,6 +281,9 @@ func deepDiff(a, b any) string {
 			return walk(x.Elem(), y.Elem())
 		case reflect.Struct:
 			for i := 0; i < x.NumField(); i++ {
+				if recycled[x.Type().String()+"."+x.Type().Field(i).Name] {
+					continue
+				}
 				if d := walk(x.Field(i), y.Field(i)); d != "" {
 					return "." + x.Type().Field(i).Name + d
 				}
@@ -245,9 +354,9 @@ func mapKey(k reflect.Value) string {
 // policy is refused.
 func TestRestoreWarmRejectsOtherKey(t *testing.T) {
 	cfg := *Quick().Cfg
-	src := build(ssd.ArchBase, cfg, ftl.GCNone, ftl.PCWD)
+	src := ssd.New(ssd.ArchBase, withFTL(cfg, ftl.GCNone, ftl.PCWD))
 	ws := src.FTL.SaveWarm(func() { install(src, false, 1) })
-	dst := build(ssd.ArchBase, cfg, ftl.GCNone, ftl.PWCD)
+	dst := ssd.New(ssd.ArchBase, withFTL(cfg, ftl.GCNone, ftl.PWCD))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RestoreWarm accepted a warm-up saved under another key")

@@ -189,6 +189,36 @@ func NewArray(eng *sim.Engine, n int, name func(b []byte, i int) []byte, geo Geo
 	return a
 }
 
+// Reset returns every chip of an idle array to its state at NewArray:
+// all pages erased, erase counts, registers and counters zero, no fault
+// injector, and each die idle with no observer. Chips keep their slab
+// windows and their recycled operation records. A chip with an array
+// operation in flight or queued panics, as its die does.
+func (a *Array) Reset() {
+	clear(a.content)
+	clear(a.state)
+	clear(a.nextPage)
+	clear(a.eraseCount)
+	for i := range a.Chips {
+		a.Chips[i].reset()
+	}
+}
+
+// reset is Array.Reset for one chip, whose page and block windows the
+// array has already cleared.
+func (c *Chip) reset() {
+	c.die.Reset()
+	clear(c.pageReg)
+	clear(c.vpage)
+	clear(c.vpageInUse)
+	*c = Chip{
+		eng: c.eng, name: c.name, geo: c.geo, timing: c.timing, die: c.die,
+		pageReg: c.pageReg, vpage: c.vpage, vpageInUse: c.vpageInUse, vpageWait: c.vpageWait[:0],
+		content: c.content, state: c.state, nextPage: c.nextPage, eraseCount: c.eraseCount,
+		freeReads: c.freeReads, freeArrayOps: c.freeArrayOps, ppaScratch: c.ppaScratch[:0],
+	}
+}
+
 // window returns the i-th n-element window of a slab, its capacity
 // limited so that an append copies rather than spills into window i+1.
 func window[T any](slab []T, i, n int) []T { return slab[i*n : (i+1)*n : (i+1)*n] }

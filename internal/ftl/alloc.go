@@ -119,6 +119,15 @@ func newPlanes(a *allocator, ways int, geo flash.Geometry) (planes []planeState,
 	planes = make([]planeState, n)
 	blocks = make([]blockInfo, n*bpp)
 	free = make([]int, n*bpp)
+	formatPlanes(a, ways, geo, planes, blocks, free)
+	return planes, blocks, free
+}
+
+// formatPlanes puts planes, whose zeroed block records and free lists
+// are windows of blocks and free, into newPlanes' state and counts every
+// block free in a, whose counts and bits must be zero.
+func formatPlanes(a *allocator, ways int, geo flash.Geometry, planes []planeState, blocks []blockInfo, free []int) {
+	bpp := geo.BlocksPerPlane
 	for i, s := range a.slots {
 		k := (s.chip.Channel*ways+s.chip.Way)*geo.Planes + s.plane
 		lo, hi := k*bpp, (k+1)*bpp
@@ -132,7 +141,6 @@ func newPlanes(a *allocator, ways int, geo flash.Geometry) (planes []planeState,
 		a.freeBlocks += bpp
 		a.free.set(i)
 	}
-	return planes, blocks, free
 }
 
 // popFree takes the most recently erased block out of the free pool, or

@@ -285,12 +285,8 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 		gcGroupLo:      false,                     // first SpGC round collects the high half
 		reserveBlocks:  grid.Channels * grid.Ways, // one block per chip, as Validate assumes
 	}
-	for i := range f.l2p {
-		f.l2p[i] = unmapped
-	}
-	for i := range f.p2l {
-		f.p2l[i] = unmapped
-	}
+	fillUnmapped(f.l2p)
+	fillUnmapped(f.p2l)
 	f.alloc = newAllocator(cfg.Policy, f.channels, f.ways, geo.Planes)
 	f.planes, f.blocks, f.freeLists = newPlanes(f.alloc, f.ways, geo)
 	f.maybeGC = f.maybeTriggerGC
@@ -307,6 +303,43 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 		f.mapu = newMapUnit(f, *cfg.Map)
 	}
 	return f
+}
+
+// fillUnmapped sets every entry of a map slab to unmapped.
+func fillUnmapped(m []int32) {
+	for i := range m {
+		m[i] = unmapped
+	}
+}
+
+// Reset returns a drained FTL to its state at New: every LPN unmapped,
+// every block erased and free, zero stats, no GC round, and no injector,
+// tracer, collector or checker attached; the map unit carves its region
+// and installs its directory again. Slabs, maps and recycled records
+// keep their capacity. The chips must have been reset first, since the
+// directory is programmed into them. An FTL with host operations,
+// writes or a GC round in flight panics.
+func (f *FTL) Reset() {
+	if f.outstanding != 0 || len(f.inflightWrites) != 0 || len(f.stalled) != 0 || f.gcActive {
+		panic(fmt.Sprintf("ftl: reset with %d host ops, %d LPN writes and %d stalled writes in flight (GC active: %v)",
+			f.outstanding, len(f.inflightWrites), len(f.stalled), f.gcActive))
+	}
+	fillUnmapped(f.l2p)
+	fillUnmapped(f.p2l)
+	a := f.alloc
+	a.cursor, a.freeBlocks = 0, 0
+	clear(a.open)
+	clear(a.gcOpen)
+	clear(a.free)
+	clear(f.blocks)
+	formatPlanes(a, f.ways, f.geo, f.planes, f.blocks, f.freeLists)
+	f.targets, f.victims, f.cands = f.targets[:0], f.victims[:0], f.cands[:0]
+	f.gcGroupLo = false
+	f.stats = Stats{}
+	f.faults, f.trc, f.gcSpan, f.tel, f.sink = nil, nil, trace.SpanID{}, nil, nil
+	if f.mapu != nil {
+		f.mapu.reset()
+	}
 }
 
 // Stats returns a copy of the accumulated statistics.

@@ -77,12 +77,19 @@ func (c MapConfig) withDefaults() MapConfig {
 	return c
 }
 
+// TranslationPages returns how many translation pages the map unit's
+// directory spans for numLPNs logical pages of geo, the size of the map
+// a map cache holds a share of.
+func TranslationPages(geo flash.Geometry, numLPNs int64) int64 {
+	per := int64(mapEntriesPerPage(geo))
+	return (numLPNs + per - 1) / per
+}
+
 // mapBlocks returns the size of the map region carveBlocks takes for
 // numLPNs logical pages: the directory's blocks plus two overwrite
 // blocks and one spare.
 func mapBlocks(geo flash.Geometry, numLPNs int64) int64 {
-	per := int64(mapEntriesPerPage(geo))
-	numT := (numLPNs + per - 1) / per
+	numT := TranslationPages(geo, numLPNs)
 	return (numT+int64(geo.PagesPerBlock)-1)/int64(geo.PagesPerBlock) + 3
 }
 
@@ -234,21 +241,46 @@ func newMapUnit(f *FTL, cfg MapConfig) *mapUnit {
 		wbPending: make(map[int]int),
 		wbWaiters: make(map[int][]func()),
 	}
-	m.numT = int((f.numLPNs + int64(m.perPage) - 1) / int64(m.perPage))
+	m.numT = int(TranslationPages(f.geo, f.numLPNs))
 	m.slots = make([]mapSlot, cfg.Entries)
-	for i := range m.slots {
-		m.slots[i].t = mapSlotEmpty
-	}
-	for i := cfg.Entries - 1; i >= 0; i-- {
-		m.freeSlots = append(m.freeSlots, i)
-	}
 	m.loc = make([]int64, m.numT)
 	m.homeB = make([]int, m.numT)
 	m.ver = make([]int64, m.numT)
 	m.flashVer = make([]int64, m.numT)
+	m.format()
+	return m
+}
+
+// format fills a unit whose directory and cache are zero and whose
+// queues are empty: every cache slot free, the map region carved out of
+// the free pools, and every translation page installed at version 0.
+func (m *mapUnit) format() {
+	for i := range m.slots {
+		m.slots[i] = mapSlot{t: mapSlotEmpty}
+	}
+	for i := len(m.slots) - 1; i >= 0; i-- {
+		m.freeSlots = append(m.freeSlots, i)
+	}
 	m.carveBlocks()
 	m.installDirectory()
-	return m
+}
+
+// reset returns the unit to its state at newMapUnit over an FTL and
+// chips that have been reset, keeping its slices' and maps' capacity.
+// format rewrites every loc and homeB entry; the queues are empty once
+// the engine has drained.
+func (m *mapUnit) reset() {
+	clear(m.where)
+	clear(m.ver)
+	clear(m.flashVer)
+	*m = mapUnit{
+		f: m.f, cfg: m.cfg, numT: m.numT, perPage: m.perPage,
+		slots: m.slots, where: m.where, freeSlots: m.freeSlots[:0],
+		loc: m.loc, homeB: m.homeB, ver: m.ver, flashVer: m.flashVer, blocks: m.blocks[:0],
+		fetching: m.fetching, wbPending: m.wbPending, wbWaiters: m.wbWaiters,
+		slotWaiters: m.slotWaiters[:0], wbQueue: m.wbQueue[:0],
+	}
+	m.format()
 }
 
 // carveBlocks removes the map region from the host free pools:

@@ -72,6 +72,21 @@ func New(eng *sim.Engine, f *ftl.FTL, pageSize, nvmeMBps int) *Host {
 	}
 }
 
+// Reset returns a host with nothing in flight to its state at New: the
+// NVMe link idle, empty metrics, every LPN at version 0, and no tracer
+// or collector. Its maps, metrics and recycled records keep their
+// capacity. A host with requests in flight panics.
+func (h *Host) Reset() {
+	if h.inFlight != 0 {
+		panic(fmt.Sprintf("host: reset with %d requests in flight", h.inFlight))
+	}
+	h.nvme.Reset()
+	h.metrics.Reset()
+	clear(h.versions)
+	h.reqSeq = 0
+	h.trc, h.tel = nil, nil
+}
+
 // Metrics returns the recorder.
 func (h *Host) Metrics() *stats.IOMetrics { return h.metrics }
 

@@ -102,6 +102,14 @@ func New(eng *sim.Engine, w, h, widthBits, rateMTps int) *Mesh {
 	return m
 }
 
+// Reset returns every link of an idle mesh to its state at New: idle,
+// zero totals, no observer. Recycled transfer records are kept.
+func (m *Mesh) Reset() {
+	for i := range m.links {
+		m.links[i].Reset()
+	}
+}
+
 // slot returns the index in out of the link from one node to the next,
 // or -1 when from is off the mesh or to is not one step from it.
 func (m *Mesh) slot(from, to Node) int {

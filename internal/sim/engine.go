@@ -307,6 +307,19 @@ func (e *Engine) flushFired() {
 	}
 }
 
+// Reset returns a drained engine to its state at NewEngine: the clock,
+// the sequence counter and the fired count go back to zero, and the
+// queue keeps its backing array. The fired count is published to
+// EventsFiredTotal first, so the process-wide census stays exact. An
+// engine with events pending panics: resetting mid-run would drop them.
+func (e *Engine) Reset() {
+	if n := e.Pending(); n != 0 {
+		panic(fmt.Sprintf("sim: reset of an engine with %d events pending", n))
+	}
+	e.flushFired()
+	*e = Engine{events: e.events[:0]}
+}
+
 // RunUntil executes every event with a timestamp <= deadline, including
 // events those events schedule into the window, and returns the number of
 // events fired. Events beyond the deadline remain queued. The clock

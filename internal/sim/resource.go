@@ -108,6 +108,18 @@ func Names(n int, name func(b []byte, i int) []byte) []string {
 	return out
 }
 
+// Reset returns an idle resource to its state at construction: no
+// observer, zero totals, and an empty waiter queue that keeps its
+// capacity (an idle resource has no waiters, and a grant zeroes the
+// slot it pops). A held resource panics, since its release is still
+// scheduled.
+func (r *Resource) Reset() {
+	if r.busy {
+		panic("sim: reset of held resource " + r.name)
+	}
+	*r = Resource{eng: r.eng, name: r.name, waiters: r.waiters[:0], relStep: r.relStep}
+}
+
 // Name returns the diagnostic name supplied at construction.
 func (r *Resource) Name() string { return r.name }
 

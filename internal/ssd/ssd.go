@@ -577,14 +577,47 @@ func build(arch Arch, cfg Config, socMBps int, mk FabricFunc) *SSD {
 	ftlFab, sched := wrapSched(cfg, fab)
 	f := ftl.New(eng, ftlFab, cfg.FTL, cfg.LogicalPages())
 	h := host.New(eng, f, cfg.Geometry.PageSize, socMBps)
-	inj := wireFaults(cfg, grid, fab, f)
-	ps := probes(grid, fab, soc, h)
-	rec := wireTrace(cfg, eng, ps, fab, f, h)
-	ck := wireCheck(cfg, eng, ps, grid, fab, f, h, soc, inj)
-	wireSchedCheck(sched, ck)
-	col := wireTelemetry(cfg, fab, f, h)
-	fe := wireFrontend(cfg, h, rec, ck, col)
-	return &SSD{Arch: arch, Config: cfg, Engine: eng, Grid: grid, Soc: soc, Fabric: fab, FTL: f, Host: h, Frontend: fe, Faults: inj, Tracer: rec, Checker: ck, Telemetry: col, Sched: sched, probes: ps}
+	s := &SSD{Arch: arch, Config: cfg, Engine: eng, Grid: grid, Soc: soc, Fabric: fab, FTL: f, Host: h, Sched: sched, probes: probes(grid, fab, soc, h)}
+	s.wire()
+	return s
+}
+
+// wire builds every opt-in instrument Config asks for (fault injector,
+// tracer, checker, telemetry collector, front end) and attaches it to
+// the core that build assembled or Reset returned to as-built.
+func (s *SSD) wire() {
+	cfg := s.Config
+	s.Faults = wireFaults(cfg, s.Grid, s.Fabric, s.FTL)
+	s.Tracer = wireTrace(cfg, s.Engine, s.probes, s.Fabric, s.FTL, s.Host)
+	s.Checker = wireCheck(cfg, s.Engine, s.probes, s.Grid, s.Fabric, s.FTL, s.Host, s.Soc, s.Faults)
+	wireSchedCheck(s.Sched, s.Checker)
+	s.Telemetry = wireTelemetry(cfg, s.Fabric, s.FTL, s.Host)
+	s.Frontend = wireFrontend(cfg, s.Host, s.Tracer, s.Checker, s.Telemetry)
+}
+
+// Reset returns a drained device to the state New leaves it in, so that
+// one device can serve many runs. Every layer keeps its objects, its
+// slabs and its recycled operation records, and zeroes the rest: the
+// clock and event queue, every resource, the chips, the fabric, the
+// scheduling layer, the FTL (its map unit re-carved and re-installed)
+// and the host's metrics and versions. The opt-in instruments are not
+// reset but built again from Config by the same code New runs, so an
+// instrument cannot carry anything from the last run. A device with
+// events pending or requests in flight panics.
+func (s *SSD) Reset() {
+	if n, q := s.Engine.Pending(), s.Host.InFlight(); n != 0 || q != 0 || (s.Frontend != nil && !s.Frontend.Drained()) {
+		panic(fmt.Sprintf("ssd: reset of a device with %d events pending and %d requests in flight", n, q))
+	}
+	s.Engine.Reset()
+	s.Grid.Reset()
+	s.Soc.Reset()
+	s.Fabric.Reset()
+	if s.Sched != nil {
+		s.Sched.Reset()
+	}
+	s.FTL.Reset()
+	s.Host.Reset()
+	s.wire()
 }
 
 func makeFabric(arch Arch, eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, cfg Config) controller.Fabric {

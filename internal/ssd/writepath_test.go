@@ -2,10 +2,12 @@ package ssd
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/ftl"
 	"repro/internal/host"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -77,6 +79,67 @@ func TestWritePathAllocs(t *testing.T) {
 			t.Errorf("%v/%v: %.3f allocations per write request, want <= %v", c.arch, c.gc, perReq, writePathAllocsMax)
 		}
 	}
+}
+
+// openLoopAllocsMax bounds allocations per request when an open-loop
+// write storm replays on a reset device whose record pools grew in an
+// earlier replay of the same trace. Submit's completion closure is the
+// one allocation per request left; the rest of the bound covers the
+// replay's per-trace slices and the pools that still deepen.
+const openLoopAllocsMax = 2
+
+// TestOpenLoopReplayAllocs pins what recycling a device saves. An
+// open-loop replay of rocksdb-1 under PaGC backs writes up far past the
+// 16 in flight of TestWritePathAllocs, and a fresh device grows every
+// write, read, fabric and chip record pool to that backlog. After Reset
+// and a restore of the same warm state, the same replay finds the pools
+// grown and allocates at most openLoopAllocsMax per request.
+func TestOpenLoopReplayAllocs(t *testing.T) {
+	cfg := ScaledConfig()
+	cfg.FTL.GCMode = ftl.GCParallel
+	cfg.LogicalUtilization = 0.75
+	s := New(ArchBase, cfg)
+	foot := cfg.LogicalPages()
+	ws := s.FTL.SaveWarm(func() { s.Host.Warmup(foot) })
+	tr, err := workload.Named("rocksdb-1", foot, 12000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	replay := func() float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Host.MustReplay(tr.Requests)
+		s.Run()
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / float64(len(tr.Requests))
+	}
+	fresh := replay()
+	if s.FTL.Stats().WriteStalls == 0 {
+		t.Fatal("the replay never stalled a write: no backlog to grow the pools")
+	}
+	s.Reset()
+	s.FTL.RestoreWarm(ws)
+	if again := replay(); again > openLoopAllocsMax {
+		t.Errorf("replay on a reset device: %.2f allocations per request (%.2f on the fresh device), want <= %d", again, fresh, openLoopAllocsMax)
+	} else {
+		t.Logf("allocations per request: %.2f on the fresh device, %.2f after Reset", fresh, again)
+	}
+}
+
+// TestResetRefusesBusyDevice: a device with a request pending cannot be
+// reset, since Reset would drop it.
+func TestResetRefusesBusyDevice(t *testing.T) {
+	cfg := ScaledConfig()
+	s := New(ArchBase, cfg)
+	s.Host.Warmup(cfg.LogicalPages())
+	s.Host.MustReplay([]host.Request{{Kind: stats.Read, LPN: 0, Pages: 1}})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset accepted a device with a request pending")
+		}
+	}()
+	s.Reset()
 }
 
 // BenchmarkWritePath measures the host-request layer under a write

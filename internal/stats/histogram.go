@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -80,6 +81,18 @@ func (h *Histogram) Add(v sim.Time) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// Reset empties the histogram, keeping its buckets' capacity.
+func (h *Histogram) Reset() {
+	*h = Histogram{bucketsPerDecade: h.bucketsPerDecade, counts: h.counts[:0], min: math.MaxInt64}
+}
+
+// Clone returns an independent copy of the histogram.
+func (h *Histogram) Clone() *Histogram {
+	c := *h
+	c.counts = slices.Clone(h.counts)
+	return &c
 }
 
 // Count returns the number of samples recorded.

@@ -58,6 +58,24 @@ func (m *IOMetrics) Record(kind IOKind, arrival, complete sim.Time, bytes int64)
 	}
 }
 
+// Reset empties the metrics in place, keeping their histograms.
+func (m *IOMetrics) Reset() {
+	for _, h := range m.Latency {
+		h.Reset()
+	}
+	*m = IOMetrics{Latency: m.Latency}
+}
+
+// Clone returns an independent copy, for a caller that keeps the metrics
+// of a device that will be reset and run again.
+func (m *IOMetrics) Clone() *IOMetrics {
+	c := *m
+	for k, h := range m.Latency {
+		c.Latency[k] = h.Clone()
+	}
+	return &c
+}
+
 // TotalRequests returns the request count across kinds.
 func (m *IOMetrics) TotalRequests() int64 { return m.Requests[Read] + m.Requests[Write] }
 

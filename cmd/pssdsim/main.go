@@ -64,7 +64,6 @@ func run(args []string, stdout io.Writer) error {
 	sched := fs.String("sched", "fifo", "controller scheduling policy: fifo, conflict (Venice-style path reservation), ooo (Sprinkler-style die reordering)")
 	mapping := fs.String("mapping", "flat", "FTL mapping mode: flat (whole map in DRAM), fmmu (on-flash map with a bounded cache)")
 	mapcache := fs.Int("mapcache", 0, "with -mapping fmmu: map cache capacity in translation-page entries (0 = default 64)")
-	mapevict := fs.String("mapevict", "", "with -mapping fmmu: cache eviction policy, clock or lru (default clock)")
 	list := fs.Bool("list", false, "list named traces and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -118,8 +117,8 @@ func run(args []string, stdout io.Writer) error {
 	if cfg.Scheduler, err = controller.ParseSchedPolicy(*sched); err != nil {
 		return err
 	}
-	// The map flags are checked even when -mapping flat leaves them unused.
-	mapCfg := &ftl.MapConfig{Entries: *mapcache, Eviction: strings.ToLower(*mapevict)}
+	// -mapcache is checked even when -mapping flat leaves it unused.
+	mapCfg := &ftl.MapConfig{Entries: *mapcache}
 	if err := mapCfg.Validate(); err != nil {
 		return err
 	}

@@ -110,8 +110,6 @@ func TestBadFlagsReturnErrors(t *testing.T) {
 		{"-tracefile", tooBig},
 		{"-sched", "bogus"},
 		{"-mapping", "bogus"},
-		{"-mapevict", "bogus"},
-		{"-mapping", "fmmu", "-mapevict", "bogus"},
 		{"-mapcache", "-1"},
 	} {
 		var out bytes.Buffer
@@ -133,7 +131,6 @@ func TestBadFlagsNameAcceptedValues(t *testing.T) {
 	}{
 		{[]string{"-sched", "venice"}, `"venice" (want fifo, conflict, or ooo)`},
 		{[]string{"-mapping", "dftl"}, `"dftl" (want flat or fmmu)`},
-		{[]string{"-mapevict", "random"}, `"random" (want clock or lru)`},
 		{[]string{"-mapping", "fmmu", "-mapcache", "-1"}, "negative map cache size -1"},
 	} {
 		err := run(tc.args, new(bytes.Buffer))

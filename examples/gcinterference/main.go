@@ -7,7 +7,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/ftl"
 	"repro/internal/ssd"
@@ -20,20 +19,13 @@ func run(arch ssd.Arch, mode ftl.GCMode) (*stats.IOMetrics, ftl.Stats) {
 	cfg.FTL.GCMode = mode
 	cfg.LogicalUtilization = 0.75 // GC needs absolute free headroom at this scale
 	device := ssd.New(arch, cfg)
-	foot := device.Config.LogicalPages()
-	device.Host.Warmup(foot)
-
-	// Churn half the headroom instantly so blocks carry invalid pages and
+	// Install the footprint, then overwrite half of it instantly (capped
+	// at half the free headroom) so blocks carry invalid pages and
 	// collection has real work.
-	rng := rand.New(rand.NewSource(7))
-	churn := (device.Config.RawPages() - foot) / 2
-	for i := int64(0); i < churn; i++ {
-		lpn := rng.Int63n(foot)
-		device.FTL.Reinstall(lpn, ftl.TokenFor(lpn, 1))
-	}
+	device.Precondition(0.5, 7)
 
 	// A write-heavy LSM-style trace keeps GC triggered throughout.
-	tr, err := workload.Named("rocksdb-1", foot, 600, 7)
+	tr, err := workload.Named("rocksdb-1", device.Config.LogicalPages(), 600, 7)
 	if err != nil {
 		panic(err)
 	}

@@ -2,7 +2,6 @@ package array
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/check"
 	"repro/internal/flash"
@@ -52,27 +51,9 @@ func (r *Result) Err() error {
 	return nil
 }
 
-// churnLPNs returns the deterministic churn sequence for one device —
-// the same bounded overwrite pass exp.warm applies, but recorded so the
-// content invariants know which LPNs carry the churn token. Seeded per
-// device so groups don't churn in lockstep.
-func churnLPNs(cfg Config, dev int) []int64 {
-	if cfg.ChurnFraction <= 0 {
-		return nil
-	}
-	foot := cfg.Device.LogicalPages()
-	headroom := cfg.Device.RawPages() - foot
-	churn := int64(float64(foot) * cfg.ChurnFraction)
-	if limit := headroom / 2; churn > limit {
-		churn = limit
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(dev)*1009))
-	out := make([]int64, churn)
-	for i := range out {
-		out[i] = rng.Int63n(foot)
-	}
-	return out
-}
+// churnSeed seeds one member's churn, so groups don't churn in
+// lockstep.
+func churnSeed(cfg Config, dev int) int64 { return cfg.Seed + int64(dev)*1009 }
 
 // deviceOut is what each parallel device job returns.
 type deviceOut struct {
@@ -98,11 +79,7 @@ func Run(cfg Config, reqs []host.Request, parallel int) *Result {
 	}
 	outs := runner.MapLabeled(parallel, cfg.Devices(), label, func(dev int) deviceOut {
 		s := ssd.New(cfg.Arch, cfg.Device)
-		foot := s.Config.LogicalPages()
-		s.Host.Warmup(foot)
-		for _, lpn := range churnLPNs(cfg, dev) {
-			s.FTL.Reinstall(lpn, ftl.TokenFor(lpn, 1))
-		}
+		s.Precondition(cfg.ChurnFraction, churnSeed(cfg, dev))
 		times := s.Host.MustReplay(plan.Device[dev])
 		end := s.Engine.Run()
 		return deviceOut{s: s, times: times, end: end}
@@ -208,7 +185,7 @@ func verify(cfg Config, plan *Plan, outs []deviceOut, ck *check.ArrayChecker, at
 	churned := make([]map[int64]bool, cfg.Devices())
 	for dev := range churned {
 		churned[dev] = make(map[int64]bool)
-		for _, lpn := range churnLPNs(cfg, dev) {
+		for _, lpn := range cfg.Device.ChurnLPNs(cfg.ChurnFraction, churnSeed(cfg, dev)) {
 			churned[dev][lpn] = true
 		}
 	}
@@ -220,18 +197,6 @@ func verify(cfg Config, plan *Plan, outs []deviceOut, ck *check.ArrayChecker, at
 			return ftl.TokenFor(lpn, 1)
 		}
 		return ftl.TokenFor(lpn, 0)
-	}
-	probe := func(dev int, lpn int64) (flash.Token, bool) {
-		s := outs[dev].s
-		id, addr, ok := s.FTL.Map(lpn)
-		if !ok {
-			return 0, false
-		}
-		chip := s.Grid.Chip(id)
-		if chip.PageStateAt(addr) != flash.PageProgrammed {
-			return 0, false
-		}
-		return chip.ContentAt(addr), true
 	}
 	// shardOK: the lane's shard is readable and current — on its home
 	// device when that device survived, or on the fresh spare copy when
@@ -248,7 +213,7 @@ func verify(cfg Config, plan *Plan, outs []deviceOut, ck *check.ArrayChecker, at
 				}
 				dev = spare
 			}
-			got, ok := probe(dev, s.lpn)
+			got, ok := outs[dev].s.FTL.Content(s.lpn)
 			return ok && got == expected(dev, s.lpn)
 		}
 	}

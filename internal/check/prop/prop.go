@@ -56,19 +56,17 @@ type Case struct {
 	Scheduler controller.SchedPolicy
 
 	// Mapping selects the FTL mapping mode ("flat" or "fmmu"); under
-	// fmmu the map cache holds MapCacheEntries translation pages and
-	// evicts with MapEviction ("clock" or "lru").
+	// fmmu the map cache holds MapCacheEntries translation pages.
 	Mapping         string
 	MapCacheEntries int
-	MapEviction     string
 }
 
 // String renders the case compactly for failure messages.
 func (c Case) String() string {
-	return fmt.Sprintf("case %d seed=%#x %v %dx%d geo=%d/%d/%d gc=%v thr=%.2f util=%.2f faulty=%v %s x%d tenants=%d/%s sched=%s map=%s/%d/%s",
+	return fmt.Sprintf("case %d seed=%#x %v %dx%d geo=%d/%d/%d gc=%v thr=%.2f util=%.2f faulty=%v %s x%d tenants=%d/%s sched=%s map=%s/%d",
 		c.Index, c.Seed, c.Arch, c.Channels, c.Ways, c.Planes, c.Blocks, c.Pages,
 		c.GCMode, c.GCThreshold, c.Utilization, c.Faulty, c.Trace, c.Requests, c.Tenants, c.Arbiter, c.Scheduler,
-		c.Mapping, c.MapCacheEntries, c.MapEviction)
+		c.Mapping, c.MapCacheEntries)
 }
 
 // rng is a splitmix64 stream: tiny, seedable, and stable across Go
@@ -108,7 +106,6 @@ func Generate(seed uint64, n int) []Case {
 		faulty := r.intn(2) == 1
 		mapping := []string{"flat", "fmmu"}[r.intn(2)]
 		mapEntries := pickInt(r, 1, 4, 16, 64)
-		mapEviction := []string{"clock", "lru"}[r.intn(2)]
 		// Feasibility cap: each plane permanently consumes ~2.5 blocks of
 		// slack (host-active block, open GC destination, and the global
 		// one-block-per-chip reserve), and forced retirement faults eat up
@@ -166,7 +163,6 @@ func Generate(seed uint64, n int) []Case {
 
 			Mapping:         mapping,
 			MapCacheEntries: mapEntries,
-			MapEviction:     mapEviction,
 		}
 	}
 	return cases
@@ -203,7 +199,7 @@ func (c Case) Config() ssd.Config {
 	}
 	cfg.Scheduler = c.Scheduler
 	if c.Mapping == "fmmu" {
-		cfg.FTL.Map = &ftl.MapConfig{Entries: c.MapCacheEntries, Eviction: c.MapEviction}
+		cfg.FTL.Map = &ftl.MapConfig{Entries: c.MapCacheEntries}
 	}
 	cfg.Check = &check.Config{}
 	if c.Tenants > 1 {

@@ -27,14 +27,15 @@ type AblationRow struct {
 	Detail  string
 }
 
-// pnSSDTraceRun builds a pnSSD variant of cfg via mk, replays a trace,
-// and returns metrics.
-func pnSSDTraceRun(opt Options, cfg ssd.Config, mode ftl.GCMode, trace string, churn bool, mk ssd.FabricFunc) (*ssd.SSD, AblationRow) {
-	cfg.FTL.GCMode = mode
+// pnSSDTraceRun builds a pnSSD variant of opt.Cfg via mk, with GC off,
+// replays a trace on it unchurned, and returns metrics.
+func pnSSDTraceRun(opt Options, trace string, mk ssd.FabricFunc) AblationRow {
+	cfg := *opt.Cfg
+	cfg.FTL.GCMode = ftl.GCNone
 	s := ssd.NewCustom(ssd.ArchPnSSD, cfg, mk)
-	replay(s, opt, churn, trace)
+	replay(s, opt, false, trace)
 	m := s.Metrics()
-	return s, AblationRow{Latency: m.MeanLatency(), P99: m.Combined().P99()}
+	return AblationRow{Latency: m.MeanLatency(), P99: m.Combined().P99()}
 }
 
 // AblationVWidth sweeps the v-channel width while holding the h-channel
@@ -45,7 +46,7 @@ func AblationVWidth(opt Options) []AblationRow {
 	widths := []int{2, 4, 8, 16}
 	return runner.MapDefault(len(widths), func(i int) AblationRow {
 		vBits := widths[i]
-		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "exchange-1", false,
+		row := pnSSDTraceRun(opt, "exchange-1",
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, vBits, opt.Cfg.BusMTps, true, false)
 			})
@@ -73,7 +74,7 @@ func AblationRouting(opt Options) []AblationRow {
 	}
 	return runner.MapDefault(len(variants), func(i int) AblationRow {
 		v := variants[i]
-		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "search-0", false,
+		row := pnSSDTraceRun(opt, "search-0",
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				f := controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, 8, opt.Cfg.BusMTps, true, v.split)
 				f.SetRoutePolicy(v.route)
@@ -95,14 +96,18 @@ func AblationEccFallback(opt Options) []AblationRow {
 	return runner.MapDefault(len(rates), func(i int) AblationRow {
 		rate := rates[i]
 		cfg := gcCfg(opt)
+		cfg.FTL.GCMode = ftl.GCSpatial
 		cfg.Fault = &fault.Config{Seed: 1, OnDieECCRate: rate}
-		s, row := pnSSDTraceRun(opt, cfg, ftl.GCSpatial, "rocksdb-0", true,
-			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
-				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, 8, opt.Cfg.BusMTps, true, false)
-			})
-		row.Name = fmt.Sprintf("on-die ECC fail %.0f%%", rate*100)
-		row.Detail = fmt.Sprintf("rocksdb-0 + SpGC, %d copies relayed for strong ECC", s.Fabric.(*controller.OmnibusFabric).EccFallbacks())
-		return row
+		return onDevice(opt, ssd.ArchPnSSD, cfg, func(s *ssd.SSD) AblationRow {
+			replay(s, opt, true, "rocksdb-0")
+			m := s.Metrics()
+			return AblationRow{
+				Name:    fmt.Sprintf("on-die ECC fail %.0f%%", rate*100),
+				Latency: m.MeanLatency(),
+				P99:     m.Combined().P99(),
+				Detail:  fmt.Sprintf("rocksdb-0 + SpGC, %d copies relayed for strong ECC", s.Fabric.(*controller.OmnibusFabric).EccFallbacks()),
+			}
+		})
 	})
 }
 
@@ -114,7 +119,7 @@ func AblationCtrlLatency(opt Options) []AblationRow {
 	lats := []sim.Time{0, 100 * sim.Nanosecond, 500 * sim.Nanosecond, 2 * sim.Microsecond, 10 * sim.Microsecond}
 	return runner.MapDefault(len(lats), func(i int) AblationRow {
 		d := lats[i]
-		_, row := pnSSDTraceRun(opt, *opt.Cfg, ftl.GCNone, "exchange-1", false,
+		row := pnSSDTraceRun(opt, "exchange-1",
 			func(eng *sim.Engine, grid *controller.Grid, soc *controller.Soc, pageSize int) controller.Fabric {
 				soc.SetCtrlMsgLatency(d)
 				return controller.NewOmnibusFabric(eng, "pnssd", grid, soc, pageSize, 8, 8, opt.Cfg.BusMTps, true, true)

@@ -16,7 +16,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
@@ -125,8 +124,11 @@ func withFTL(cfg ssd.Config, mode ftl.GCMode, policy ftl.AllocPolicy) ssd.Config
 // compared by value. A run takes an as-built device from it: an idle
 // one after ssd.Reset, or a new build when none is idle. A key never has
 // more devices than runs of it in flight at once, so the pool holds at
-// most one idle device per worker per key. NewCustom devices are not
-// pooled: their fabric comes from a function that no key can name.
+// most one idle device per worker per key. Every Table III device is
+// pooled. The exceptions are the NewCustom devices of the three
+// ablations whose fabric is not a Table III architecture (v-channel
+// width, routing policy, control-message latency): their fabric comes
+// from a function that no key can name.
 type devicePool struct {
 	mu   sync.Mutex
 	idle map[ssd.Arch][]*ssd.SSD
@@ -165,16 +167,15 @@ func onDevice[T any](opt Options, arch ssd.Arch, cfg ssd.Config, fn func(*ssd.SS
 	return v
 }
 
-// warm installs the full logical footprint; with churn it then instantly
-// overwrites churnFraction of it (bounded by the free headroom) so blocks
-// carry the invalid pages GC experiments need. The first warm-up of each
-// distinct state in opt's cache runs for real and is saved; every later
-// one restores the saved state.
+// warm preconditions s (ssd.SSD.Precondition at opt.Seed), churned at
+// churnFraction when churn is set. The first warm-up of each distinct
+// state in opt's cache runs for real and is saved; every later one
+// restores the saved state.
 func warm(s *ssd.SSD, opt Options, churn bool) {
 	e := opt.warmed.entry(warmKey{s.FTL.WarmKey(), churn, opt.Seed})
 	saved := false
 	e.once.Do(func() {
-		e.state = s.FTL.SaveWarm(func() { install(s, churn, opt.Seed) })
+		e.state = s.FTL.SaveWarm(func() { s.Precondition(churnOf(churn), opt.Seed) })
 		saved = true
 	})
 	if !saved {
@@ -182,27 +183,12 @@ func warm(s *ssd.SSD, opt Options, churn bool) {
 	}
 }
 
-// install is the warm-up itself.
-func install(s *ssd.SSD, churn bool, seed int64) {
-	foot := s.Config.LogicalPages()
-	s.Host.Warmup(foot)
-	if !churn {
-		return
+// churnOf is the churn fraction warm preconditions with.
+func churnOf(churn bool) float64 {
+	if churn {
+		return churnFraction
 	}
-	headroom := s.Config.RawPages() - foot
-	n := int64(float64(foot) * churnFraction)
-	// Churn consumes free pages one-for-one; cap it at half the headroom
-	// so the device enters the measured run with a working free pool —
-	// GC needs erased blocks for copy destinations and the host keeps
-	// writing while rounds are in flight.
-	if limit := headroom / 2; n > limit {
-		n = limit
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for i := int64(0); i < n; i++ {
-		lpn := rng.Int63n(foot)
-		s.FTL.Reinstall(lpn, ftl.TokenFor(lpn, 1))
-	}
+	return 0
 }
 
 // warmKey names one distinct warmed state. The arch is not part of it:

@@ -27,18 +27,21 @@ func TracedRun(opt Options, arch ssd.Arch, mode ftl.GCMode, traceName string, tr
 	cfg.FTL.Policy = ftl.PCWD
 	cfg.Trace = &trace.Config{}
 	cfg.Telemetry = &telemetry.Config{}
-	s := ssd.New(arch, cfg)
-	replay(s, opt, true, traceName)
-	if traceW != nil {
-		s.InjectTelemetryCounters()
-		if err := s.Tracer.ExportChrome(traceW); err != nil {
-			return nil, err
+	var err error
+	m := onDevice(opt, arch, cfg, func(s *ssd.SSD) *stats.IOMetrics {
+		replay(s, opt, true, traceName)
+		if traceW != nil {
+			s.InjectTelemetryCounters()
+			if err = s.Tracer.ExportChrome(traceW); err != nil {
+				return nil
+			}
 		}
-	}
-	if summaryW != nil {
-		if err := s.WriteSummaryJSON(summaryW); err != nil {
-			return nil, err
+		if summaryW != nil {
+			if err = s.WriteSummaryJSON(summaryW); err != nil {
+				return nil
+			}
 		}
-	}
-	return s.Metrics(), nil
+		return s.Metrics().Clone()
+	})
+	return m, err
 }

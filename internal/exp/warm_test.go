@@ -94,7 +94,7 @@ func TestWarmRestoreMatchesFreshWarm(t *testing.T) {
 				restored := ssd.New(arch, withFTL(c.cfg, c.cfg.FTL.GCMode, c.policy))
 				warm(restored, opt, c.churn)
 				fresh := ssd.New(arch, withFTL(c.cfg, c.cfg.FTL.GCMode, c.policy))
-				install(fresh, c.churn, opt.Seed)
+				fresh.Precondition(churnOf(c.churn), opt.Seed)
 				if err := restored.FTL.CheckConsistency(); err != nil {
 					t.Fatalf("%v: restored device inconsistent: %v", arch, err)
 				}
@@ -187,7 +187,7 @@ func TestResetRestoreMatchesFreshWarm(t *testing.T) {
 				}
 				warm(used, opt, true)
 				fresh := ssd.New(arch, cfg)
-				install(fresh, true, opt.Seed)
+				fresh.Precondition(churnFraction, opt.Seed)
 				if d := deepDiff(fresh, used); d != "" {
 					t.Fatalf("reset and restored device differs from a fresh warm-up at %s", d)
 				}
@@ -355,7 +355,7 @@ func mapKey(k reflect.Value) string {
 func TestRestoreWarmRejectsOtherKey(t *testing.T) {
 	cfg := *Quick().Cfg
 	src := ssd.New(ssd.ArchBase, withFTL(cfg, ftl.GCNone, ftl.PCWD))
-	ws := src.FTL.SaveWarm(func() { install(src, false, 1) })
+	ws := src.FTL.SaveWarm(func() { src.Precondition(0, 1) })
 	dst := ssd.New(ssd.ArchBase, withFTL(cfg, ftl.GCNone, ftl.PWCD))
 	defer func() {
 		if recover() == nil {

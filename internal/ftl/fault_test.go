@@ -12,7 +12,7 @@ import (
 // write to a fresh one; the host-visible result is indistinguishable
 // from a clean write.
 func TestProgramFailRetiresBlockAndRemapsWrite(t *testing.T) {
-	e, f, g := rig(noGC(), 256)
+	e, f, _ := rig(noGC(), 256)
 	inj := fault.New(fault.Config{Seed: 1, ProgramFailsPerChip: 1})
 	f.SetFaults(inj)
 
@@ -29,7 +29,7 @@ func TestProgramFailRetiresBlockAndRemapsWrite(t *testing.T) {
 		t.Fatal("faulted write never completed")
 	}
 	for i, lpn := range lpns {
-		if got := contentOf(t, f, g, lpn); got != toks[i] {
+		if got := contentOf(t, f, lpn); got != toks[i] {
 			t.Fatalf("LPN %d content = %x, want %x", lpn, got, toks[i])
 		}
 	}
@@ -67,7 +67,7 @@ func TestFaultChurnKeepsLogicalStateConsistent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GCMode = GCParallel
 	cfg.GCThreshold = 0.25
-	e, f, g := rig(cfg, 192)
+	e, f, _ := rig(cfg, 192)
 	inj := fault.New(fault.Config{
 		Seed:                11,
 		ProgramFailsPerChip: 2,
@@ -98,7 +98,7 @@ func TestFaultChurnKeepsLogicalStateConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lpn, v := range version {
-		if got := contentOf(t, f, g, lpn); got != TokenFor(lpn, v) {
+		if got := contentOf(t, f, lpn); got != TokenFor(lpn, v) {
 			t.Fatalf("LPN %d stale after faulted churn", lpn)
 		}
 	}
@@ -174,7 +174,7 @@ func TestGCCopyRetriesOnDestinationFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GCMode = GCParallel
 	cfg.GCThreshold = 0.25
-	e, f, g := rig(cfg, 192)
+	e, f, _ := rig(cfg, 192)
 
 	// Fragment through the warmup path, which performs no fault draws;
 	// with the injector attached afterwards, the only program draws in
@@ -202,7 +202,7 @@ func TestGCCopyRetriesOnDestinationFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lpn := int64(0); lpn < 192; lpn++ {
-		if got := contentOf(t, f, g, lpn); got != TokenFor(lpn, version[lpn]) {
+		if got := contentOf(t, f, lpn); got != TokenFor(lpn, version[lpn]) {
 			t.Fatalf("LPN %d stale after GC copy retries", lpn)
 		}
 	}

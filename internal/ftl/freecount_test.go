@@ -141,7 +141,7 @@ func TestFreeBlockCountTracksPoolsUnderFaults(t *testing.T) {
 // count starts net of the carved blocks and stays exact under GC churn.
 func TestFreeBlockCountTracksFmmuCarving(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Map = &MapConfig{Entries: 8, Eviction: "clock"}
+	cfg.Map = &MapConfig{Entries: 8}
 	e, f, _ := rigOn(mapGeo(), cfg, 128)
 	carved := len(f.mapu.blocks)
 	if carved == 0 {

@@ -432,6 +432,21 @@ func (f *FTL) Map(lpn int64) (controller.ChipID, flash.PPA, bool) {
 	return id, addr, true
 }
 
+// Content returns the token programmed at an LPN's mapped page, and
+// false when the LPN is unmapped or its page is not programmed: the one
+// probe checkers read a device's logical contents through.
+func (f *FTL) Content(lpn int64) (flash.Token, bool) {
+	id, addr, ok := f.Map(lpn)
+	if !ok {
+		return 0, false
+	}
+	chip := f.fab.Grid().Chip(id)
+	if chip.PageStateAt(addr) != flash.PageProgrammed {
+		return 0, false
+	}
+	return chip.ContentAt(addr), true
+}
+
 // warmupSlot picks an allocation slot for instant warm-up writes. Like
 // host writes it must not strand the device without erased blocks: slots
 // with an open active block are preferred, and a new block is opened only
@@ -680,7 +695,7 @@ func (f *FTL) issueRead(r *hostRead) {
 		// Pin the blocks under read so GC cannot erase them while the read
 		// is still queued behind channel or die contention.
 		for i, a := range b.ppas {
-			if debugReads && f.fab.Grid().Chip(b.id).PageStateAt(a) != flash.PageProgrammed {
+			if f.fab.Grid().Chip(b.id).PageStateAt(a) != flash.PageProgrammed {
 				f.erasedReadPanic(r.lpns, b.id, a, i)
 			}
 			f.planeAt(b.id, a.Plane).blocks[a.Block].readRefs++
@@ -919,7 +934,7 @@ func (f *FTL) commitWrite(w *hostWrite, targets []pendingTarget) {
 		}
 		addr := flash.PPA{Plane: tgt.s.plane, Block: tgt.block, Page: tgt.page}
 		phys := physIndex(f.geo, f.ways, tgt.s.chip, addr)
-		if debugReads && f.p2l[phys] != unmapped {
+		if f.p2l[phys] != unmapped {
 			panic(fmt.Sprintf("ftl: commitWrite double-maps phys %d (old lpn %d, new lpn %d) at %v/%v", phys, f.p2l[phys], lpn, tgt.s.chip, addr))
 		}
 		f.l2p[lpn] = int32(phys)
@@ -1205,9 +1220,6 @@ func (f *FTL) checkSlotBits() error {
 	}
 	return nil
 }
-
-// debugReads enables an issue-time page-state check in issueRead.
-const debugReads = true
 
 // WearStats summarizes block erase counts across the device — the P/E
 // cycle distribution whose uniformity the SpGC group swap protects

@@ -41,18 +41,44 @@ func noGC() Config {
 	return c
 }
 
-// contentOf fetches the token stored at an LPN's current mapping.
-func contentOf(t *testing.T, f *FTL, g *controller.Grid, lpn int64) flash.Token {
-	t.Helper()
-	id, addr, ok := f.Map(lpn)
-	if !ok {
-		t.Fatalf("LPN %d unmapped", lpn)
+// TestContent: Content returns the token at an LPN's mapped page, false
+// for an unmapped LPN, and false once the mapped page has been erased.
+func TestContent(t *testing.T) {
+	e, f, g := rig(noGC(), 256)
+	f.Install(7, TokenFor(7, 3))
+	if tok, ok := f.Content(7); !ok || tok != TokenFor(7, 3) {
+		t.Fatalf("Content(7) = %#x, %v; want %#x, true", tok, ok, TokenFor(7, 3))
 	}
-	return g.Chip(id).ContentAt(addr)
+	if _, ok := f.Content(8); ok {
+		t.Fatal("unmapped LPN 8 has content")
+	}
+	id, addr, _ := f.Map(7)
+	erased := false
+	g.Chip(id).Erase([]flash.PPA{addr}, func() { erased = true })
+	e.Run()
+	if !erased {
+		t.Fatal("erase never completed")
+	}
+	if _, _, ok := f.Map(7); !ok {
+		t.Fatal("the chip erase dropped the FTL's mapping")
+	}
+	if _, ok := f.Content(7); ok {
+		t.Fatal("LPN 7 has content after its page was erased")
+	}
+}
+
+// contentOf fetches the token stored at an LPN's current mapping.
+func contentOf(t *testing.T, f *FTL, lpn int64) flash.Token {
+	t.Helper()
+	tok, ok := f.Content(lpn)
+	if !ok {
+		t.Fatalf("LPN %d has no programmed page", lpn)
+	}
+	return tok
 }
 
 func TestInstallAndRead(t *testing.T) {
-	e, f, g := rig(noGC(), 256)
+	e, f, _ := rig(noGC(), 256)
 	for lpn := int64(0); lpn < 10; lpn++ {
 		f.Install(lpn, TokenFor(lpn, 0))
 	}
@@ -60,7 +86,7 @@ func TestInstallAndRead(t *testing.T) {
 		t.Fatal("Install consumed time")
 	}
 	for lpn := int64(0); lpn < 10; lpn++ {
-		if contentOf(t, f, g, lpn) != TokenFor(lpn, 0) {
+		if contentOf(t, f, lpn) != TokenFor(lpn, 0) {
 			t.Fatalf("LPN %d content wrong", lpn)
 		}
 	}
@@ -79,7 +105,7 @@ func TestInstallAndRead(t *testing.T) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	e, f, g := rig(noGC(), 256)
+	e, f, _ := rig(noGC(), 256)
 	lpns := []int64{5, 6, 7, 8}
 	toks := make([]flash.Token, len(lpns))
 	for i, lpn := range lpns {
@@ -92,7 +118,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal("write never completed")
 	}
 	for i, lpn := range lpns {
-		if got := contentOf(t, f, g, lpn); got != toks[i] {
+		if got := contentOf(t, f, lpn); got != toks[i] {
 			t.Fatalf("LPN %d content = %x, want %x", lpn, got, toks[i])
 		}
 	}
@@ -118,7 +144,7 @@ func TestOverwriteInvalidatesOld(t *testing.T) {
 }
 
 func TestReadWaitsForInflightWrite(t *testing.T) {
-	e, f, g := rig(noGC(), 256)
+	e, f, _ := rig(noGC(), 256)
 	f.Write([]int64{3}, []flash.Token{TokenFor(3, 0)}, func() {})
 	e.Run()
 	var readDoneAt, writeDoneAt sim.Time
@@ -128,7 +154,7 @@ func TestReadWaitsForInflightWrite(t *testing.T) {
 	if readDoneAt <= writeDoneAt {
 		t.Fatalf("read (%v) did not wait for in-flight write (%v)", readDoneAt, writeDoneAt)
 	}
-	if contentOf(t, f, g, 3) != TokenFor(3, 1) {
+	if contentOf(t, f, 3) != TokenFor(3, 1) {
 		t.Fatal("read raced the write")
 	}
 }
@@ -226,7 +252,7 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 	cfg.GCMode = GCParallel
 	cfg.GCThreshold = 0.3
 	// 512 raw pages; 320 LPNs leaves ~37% over-provisioning.
-	e, f, g := rig(cfg, 320)
+	e, f, _ := rig(cfg, 320)
 	version := fillAndChurn(t, e, f, 320, 400, 42)
 	if f.Stats().GCRounds == 0 {
 		t.Fatal("churn never triggered GC")
@@ -238,7 +264,7 @@ func TestGCReclaimsAndPreservesData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lpn, v := range version {
-		if got := contentOf(t, f, g, lpn); got != TokenFor(lpn, v) {
+		if got := contentOf(t, f, lpn); got != TokenFor(lpn, v) {
 			t.Fatalf("LPN %d content %x, want version %d", lpn, got, v)
 		}
 	}
@@ -248,7 +274,7 @@ func TestGCPreemptivePreservesData(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GCMode = GCPreemptive
 	cfg.GCThreshold = 0.3
-	e, f, g := rig(cfg, 320)
+	e, f, _ := rig(cfg, 320)
 	version := fillAndChurn(t, e, f, 320, 400, 43)
 	if f.Stats().GCRounds == 0 {
 		t.Fatal("churn never triggered GC")
@@ -257,7 +283,7 @@ func TestGCPreemptivePreservesData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lpn, v := range version {
-		if got := contentOf(t, f, g, lpn); got != TokenFor(lpn, v) {
+		if got := contentOf(t, f, lpn); got != TokenFor(lpn, v) {
 			t.Fatalf("LPN %d stale content", lpn)
 		}
 	}
@@ -297,9 +323,8 @@ func TestSpatialGCSameColumnCopies(t *testing.T) {
 	if err := f.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	g := fab.Grid()
 	for lpn, v := range version {
-		if got := contentOf(t, f, g, lpn); got != TokenFor(lpn, v) {
+		if got := contentOf(t, f, lpn); got != TokenFor(lpn, v) {
 			t.Fatalf("LPN %d stale after SpGC", lpn)
 		}
 	}
@@ -417,7 +442,7 @@ func TestRandomWorkloadConsistency(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.GCMode = mode
 		cfg.GCThreshold = 0.35
-		e, f, g := rig(cfg, 320)
+		e, f, _ := rig(cfg, 320)
 		version := make(map[int64]int64)
 		for lpn := int64(0); lpn < 320; lpn++ {
 			f.Install(lpn, TokenFor(lpn, 0))
@@ -440,7 +465,7 @@ func TestRandomWorkloadConsistency(t *testing.T) {
 		}
 		e.Run()
 		for lpn, v := range version {
-			if got := contentOf(t, f, g, lpn); got != TokenFor(lpn, v) {
+			if got := contentOf(t, f, lpn); got != TokenFor(lpn, v) {
 				t.Fatalf("mode %v: LPN %d stale", mode, lpn)
 			}
 		}

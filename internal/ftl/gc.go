@@ -387,7 +387,7 @@ func (r *victimRun) copiedStep() {
 	}
 	if lpn := r.lpn; int64(f.p2l[r.oldPhys]) == lpn && int64(f.l2p[lpn]) == r.oldPhys {
 		// Still current: move the mapping.
-		if debugGC2 && f.p2l[r.newPhys] != unmapped {
+		if f.p2l[r.newPhys] != unmapped {
 			panic(fmt.Sprintf("ftl: GC copy double-maps phys %d (old lpn %d, new lpn %d)", r.newPhys, f.p2l[r.newPhys], lpn))
 		}
 		f.l2p[lpn] = int32(r.newPhys)
@@ -503,6 +503,3 @@ func (r *victimRun) finish() {
 	f.freeVictims = append(f.freeVictims, r)
 	done()
 }
-
-// debugGC2 enables mapping-invariant assertions in the copy path.
-const debugGC2 = true

@@ -56,7 +56,7 @@ func TestGCZeroVictimRoundParksStalledWrites(t *testing.T) {
 	if f.StalledWrites() != 0 {
 		t.Fatalf("%d writes still parked after drain", f.StalledWrites())
 	}
-	if got := contentOf(t, f, g, 0); got != TokenFor(0, 2) {
+	if got := contentOf(t, f, 0); got != TokenFor(0, 2) {
 		t.Fatalf("LPN 0 content = %x, want the stalled write's token %x", got, TokenFor(0, 2))
 	}
 	if err := f.CheckConsistency(); err != nil {

@@ -38,11 +38,8 @@ import (
 // file.
 type MapConfig struct {
 	// Entries is the DRAM map-cache capacity in translation pages
-	// (default 64).
+	// (default 64). The cache evicts with CLOCK.
 	Entries int
-	// Eviction selects the cache replacement policy: "clock" (default)
-	// or "lru".
-	Eviction string
 }
 
 // mapWritebackBatch flushes dirty translation pages once this many are
@@ -54,25 +51,17 @@ const mapWritebackBatch = 8
 // holds: 8-byte PPN entries.
 func mapEntriesPerPage(geo flash.Geometry) int { return geo.PageSize / 8 }
 
-// Validate reports a cache size below zero or an eviction policy other
-// than clock or lru. Zero fields take their defaults.
+// Validate reports a cache size below zero. Zero takes the default.
 func (c MapConfig) Validate() error {
 	if c.Entries < 0 {
 		return fmt.Errorf("ftl: negative map cache size %d", c.Entries)
 	}
-	switch c.Eviction {
-	case "", "clock", "lru":
-		return nil
-	}
-	return fmt.Errorf("ftl: unknown map eviction policy %q (want clock or lru)", c.Eviction)
+	return nil
 }
 
 func (c MapConfig) withDefaults() MapConfig {
 	if c.Entries == 0 {
 		c.Entries = 64
-	}
-	if c.Eviction == "" {
-		c.Eviction = "clock"
 	}
 	return c
 }
@@ -153,11 +142,10 @@ const mapSlotEmpty = -1
 
 // mapSlot is one DRAM map-cache entry.
 type mapSlot struct {
-	t     int   // translation page index, mapSlotEmpty when free
-	dirty bool  // DRAM version ahead of the flash home
-	ref   bool  // CLOCK second-chance bit
-	use   int64 // LRU recency stamp
-	pend  bool  // fetch in flight into this slot; not evictable
+	t     int  // translation page index, mapSlotEmpty when free
+	dirty bool // DRAM version ahead of the flash home
+	ref   bool // CLOCK second-chance bit
+	pend  bool // fetch in flight into this slot; not evictable
 }
 
 // mapBlock is one flash block carved out for translation pages.
@@ -192,7 +180,6 @@ type mapUnit struct {
 	where     map[int]int // t -> slot index (present also while pend)
 	freeSlots []int       // LIFO; seeded so slot 0 pops first
 	hand      int         // CLOCK sweep position
-	useTick   int64       // LRU stamp source
 
 	// Directory: where each translation page lives on flash and which
 	// content version is current (DRAM) vs committed (flash).
@@ -336,55 +323,33 @@ func (m *mapUnit) installDirectory() {
 
 // ---- cache ----
 
-func (m *mapUnit) touchSlot(si int) {
-	m.slots[si].ref = true
-	m.useTick++
-	m.slots[si].use = m.useTick
-}
+func (m *mapUnit) touchSlot(si int) { m.slots[si].ref = true }
 
 // grabSlot returns a free or evictable slot, or false when every slot
-// has a fetch in flight. Eviction is policy-driven; a dirty victim
-// queues an immediate writeback of its version on the way out.
+// has a fetch in flight. The victim is CLOCK's: the first slot past the
+// hand whose reference bit is clear. A dirty victim queues an immediate
+// writeback of its version on the way out.
 func (m *mapUnit) grabSlot() (int, bool) {
 	if n := len(m.freeSlots); n > 0 {
 		si := m.freeSlots[n-1]
 		m.freeSlots = m.freeSlots[:n-1]
 		return si, true
 	}
-	switch m.cfg.Eviction {
-	case "lru":
-		best, bestUse := -1, int64(0)
-		for si := range m.slots {
-			sl := &m.slots[si]
-			if sl.pend {
-				continue
-			}
-			if best < 0 || sl.use < bestUse {
-				best, bestUse = si, sl.use
-			}
+	for sweep := 0; sweep < 2*len(m.slots); sweep++ {
+		si := m.hand
+		m.hand = (m.hand + 1) % len(m.slots)
+		sl := &m.slots[si]
+		if sl.pend {
+			continue
 		}
-		if best < 0 {
-			return 0, false
+		if sl.ref {
+			sl.ref = false
+			continue
 		}
-		m.evict(best)
-		return best, true
-	default: // clock
-		for sweep := 0; sweep < 2*len(m.slots); sweep++ {
-			si := m.hand
-			m.hand = (m.hand + 1) % len(m.slots)
-			sl := &m.slots[si]
-			if sl.pend {
-				continue
-			}
-			if sl.ref {
-				sl.ref = false
-				continue
-			}
-			m.evict(si)
-			return si, true
-		}
-		return 0, false
+		m.evict(si)
+		return si, true
 	}
+	return 0, false
 }
 
 func (m *mapUnit) evict(si int) {

@@ -18,15 +18,15 @@ func mapGeo() flash.Geometry {
 }
 
 // fmmuCfg returns a no-GC FTL config with the map unit enabled.
-func fmmuCfg(entries int, eviction string) Config {
+func fmmuCfg(entries int) Config {
 	c := noGC()
-	c.Map = &MapConfig{Entries: entries, Eviction: eviction}
+	c.Map = &MapConfig{Entries: entries}
 	return c
 }
 
 // fmmuRig builds the rig over mapGeo chips with the map unit enabled.
-func fmmuRig(entries int, eviction string, numLPNs int64) (*sim.Engine, *FTL, *controller.Grid) {
-	return rigOn(mapGeo(), fmmuCfg(entries, eviction), numLPNs)
+func fmmuRig(entries int, numLPNs int64) (*sim.Engine, *FTL, *controller.Grid) {
+	return rigOn(mapGeo(), fmmuCfg(entries), numLPNs)
 }
 
 // warmFootprint installs LPNs [0, n) at version 0.
@@ -48,14 +48,11 @@ func readLPN(t *testing.T, e *sim.Engine, f *FTL, lpn int64) {
 }
 
 func TestMapConfigDefaults(t *testing.T) {
-	if c := (MapConfig{}).withDefaults(); c.Entries != 64 || c.Eviction != "clock" {
+	if c := (MapConfig{}).withDefaults(); c.Entries != 64 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	if err := (MapConfig{}).Validate(); err != nil {
 		t.Fatalf("the zero MapConfig is invalid: %v", err)
-	}
-	if err := (MapConfig{Eviction: "random"}).Validate(); err == nil {
-		t.Fatal("bad eviction policy accepted")
 	}
 	if err := (MapConfig{Entries: -1}).Validate(); err == nil {
 		t.Fatal("negative cache size accepted")
@@ -63,7 +60,7 @@ func TestMapConfigDefaults(t *testing.T) {
 }
 
 func TestMapCarvingAndDirectory(t *testing.T) {
-	_, f, g := fmmuRig(4, "clock", 256)
+	_, f, g := fmmuRig(4, 256)
 	m := f.mapu
 	wantT := 256 / 8
 	if m.numT != wantT {
@@ -93,77 +90,55 @@ func TestMapCarvingAndDirectory(t *testing.T) {
 	_ = g
 }
 
-// TestMapHitMissEvict drives the hit/miss/evict matrix for both
-// eviction policies through real reads on a 2-entry cache. Sequential
-// warmup leaves the last two translation pages resident under both
-// policies, so the stat deltas below are policy-independent.
+// TestMapHitMissEvict drives the hit/miss/evict matrix through real
+// reads on a 2-entry cache. Sequential warmup leaves the last two
+// translation pages resident.
 func TestMapHitMissEvict(t *testing.T) {
-	for _, pol := range []string{"clock", "lru"} {
-		t.Run(pol, func(t *testing.T) {
-			e, f, _ := fmmuRig(2, pol, 256)
-			warmFootprint(f, 256)
+	t.Run("clock", func(t *testing.T) {
+		e, f, _ := fmmuRig(2, 256)
+		warmFootprint(f, 256)
 
-			base := f.MapStats()
-			readLPN(t, e, f, 40) // t5: absent after warmup -> miss
-			s := f.MapStats()
-			if s.Misses != base.Misses+1 || s.Fetches != base.Fetches+1 {
-				t.Fatalf("cold read: misses %d->%d fetches %d->%d", base.Misses, s.Misses, base.Fetches, s.Fetches)
-			}
+		base := f.MapStats()
+		readLPN(t, e, f, 40) // t5: absent after warmup -> miss
+		s := f.MapStats()
+		if s.Misses != base.Misses+1 || s.Fetches != base.Fetches+1 {
+			t.Fatalf("cold read: misses %d->%d fetches %d->%d", base.Misses, s.Misses, base.Fetches, s.Fetches)
+		}
 
-			readLPN(t, e, f, 41) // same t5 -> hit, no new fetch
-			s2 := f.MapStats()
-			if s2.Hits != s.Hits+1 || s2.Fetches != s.Fetches {
-				t.Fatalf("warm read: hits %d->%d fetches %d->%d", s.Hits, s2.Hits, s.Fetches, s2.Fetches)
-			}
+		readLPN(t, e, f, 41) // same t5 -> hit, no new fetch
+		s2 := f.MapStats()
+		if s2.Hits != s.Hits+1 || s2.Fetches != s.Fetches {
+			t.Fatalf("warm read: hits %d->%d fetches %d->%d", s.Hits, s2.Hits, s.Fetches, s2.Fetches)
+		}
 
-			// Two more distinct pages overflow the 2-entry cache; under
-			// both policies t5 is out after t6 and t7 came in.
-			readLPN(t, e, f, 48) // t6
-			readLPN(t, e, f, 56) // t7
-			s3 := f.MapStats()
-			if s3.Evictions <= base.Evictions {
-				t.Fatal("overflow produced no evictions")
-			}
-			readLPN(t, e, f, 40) // t5 again -> must miss
-			s4 := f.MapStats()
-			if s4.Misses != s3.Misses+1 {
-				t.Fatalf("evicted page did not miss: misses %d->%d", s3.Misses, s4.Misses)
-			}
-			if err := f.MapIdle(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		// Two more distinct pages overflow the 2-entry cache; t5 is out
+		// after t6 and t7 came in.
+		readLPN(t, e, f, 48) // t6
+		readLPN(t, e, f, 56) // t7
+		s3 := f.MapStats()
+		if s3.Evictions <= base.Evictions {
+			t.Fatal("overflow produced no evictions")
+		}
+		readLPN(t, e, f, 40) // t5 again -> must miss
+		s4 := f.MapStats()
+		if s4.Misses != s3.Misses+1 {
+			t.Fatalf("evicted page did not miss: misses %d->%d", s3.Misses, s4.Misses)
+		}
+		if err := f.MapIdle(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
-// TestMapEvictPolicyChoice pins where CLOCK and LRU differ: with the
-// reference bit of one entry cleared, CLOCK takes it regardless of
-// recency, while LRU takes the least-recently-used entry.
+// TestMapEvictPolicyChoice pins CLOCK's victim: with the reference bit
+// of one entry cleared, CLOCK takes it regardless of recency.
 func TestMapEvictPolicyChoice(t *testing.T) {
-	mk := func(pol string) *mapUnit {
-		_, f, _ := fmmuRig(3, pol, 256)
-		m := f.mapu
-		// Make t0, t1, t2 resident (clean), in that order.
-		m.warmTouch(0)  // t0
-		m.warmTouch(8)  // t1
-		m.warmTouch(16) // t2
-		return m
-	}
-
-	lru := mk("lru")
-	lru.touchSlot(lru.where[0]) // t0 most recent; t1 now least recent
-	si, ok := lru.grabSlot()
-	if !ok || lru.slots[si].t != mapSlotEmpty {
-		t.Fatalf("lru grabSlot: ok=%v", ok)
-	}
-	if _, still := lru.where[1]; still {
-		t.Fatal("lru kept t1")
-	}
-	if _, kept := lru.where[0]; !kept {
-		t.Fatal("lru evicted the most recent entry t0")
-	}
-
-	clk := mk("clock")
+	_, f, _ := fmmuRig(3, 256)
+	clk := f.mapu
+	// Make t0, t1, t2 resident (clean), in that order.
+	clk.warmTouch(0)  // t0
+	clk.warmTouch(8)  // t1
+	clk.warmTouch(16) // t2
 	// Clear t2's reference bit only; CLOCK must take it on the sweep
 	// even though it was touched last.
 	clk.slots[clk.where[16]].ref = false
@@ -179,7 +154,7 @@ func TestMapEvictPolicyChoice(t *testing.T) {
 // translation pages fetch concurrently; misses on the same page
 // coalesce onto one fetch.
 func TestMapMissUnderMiss(t *testing.T) {
-	e, f, _ := fmmuRig(4, "clock", 256)
+	e, f, _ := fmmuRig(4, 256)
 	warmFootprint(f, 256)
 
 	// Same page: two misses, one fetch, one coalesced join.
@@ -218,7 +193,7 @@ func TestMapMissUnderMiss(t *testing.T) {
 // TestMapWritebackBatching: dirty pages accumulate below the batch
 // threshold and flush together exactly when it is reached.
 func TestMapWritebackBatching(t *testing.T) {
-	e, f, _ := fmmuRig(64, "clock", 256)
+	e, f, _ := fmmuRig(64, 256)
 	warmFootprint(f, 256)
 
 	write := func(lpn int64) {
@@ -259,7 +234,7 @@ func TestMapWritebackBatching(t *testing.T) {
 // multi-page requests (lookups are sequential, so only the lookup
 // instant needs residency) and dirty evictions write back correctly.
 func TestMapCacheSizeOne(t *testing.T) {
-	e, f, g := fmmuRig(1, "clock", 256)
+	e, f, _ := fmmuRig(1, 256)
 	warmFootprint(f, 256)
 
 	// One request spanning four translation pages.
@@ -285,7 +260,7 @@ func TestMapCacheSizeOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lpn := int64(0); lpn < 64; lpn += 8 {
-		if got := contentOf(t, f, g, lpn); got != TokenFor(lpn, 1) {
+		if got := contentOf(t, f, lpn); got != TokenFor(lpn, 1) {
 			t.Fatalf("LPN %d content %#x after map churn", lpn, got)
 		}
 	}
@@ -295,7 +270,7 @@ func TestMapCacheSizeOne(t *testing.T) {
 // append capacity forces cleaning rounds, which must relocate live
 // translation pages intact and keep every committed version readable.
 func TestMapCleaningReclaims(t *testing.T) {
-	e, f, _ := fmmuRig(64, "clock", 128)
+	e, f, _ := fmmuRig(64, 128)
 	warmFootprint(f, 128)
 
 	// 16 translation pages, 5 map blocks (2 directory + 2 + spare) of 8
@@ -361,7 +336,7 @@ func TestFmmuInfiniteCacheConvergesToFlat(t *testing.T) {
 		return res
 	}
 	flat := runOne(noGC())
-	fm := runOne(fmmuCfg(1024, "clock"))
+	fm := runOne(fmmuCfg(1024))
 	if len(flat.order) != len(fm.order) {
 		t.Fatalf("completion counts differ: %d vs %d", len(flat.order), len(fm.order))
 	}

@@ -22,7 +22,7 @@ func runVictimPolicy(t *testing.T, policy VictimPolicy) (int64, int64) {
 	cfg.GCMode = GCParallel
 	cfg.GCThreshold = 0.3
 	cfg.Victim = policy
-	e, f, g := rig(cfg, 320)
+	e, f, _ := rig(cfg, 320)
 	version := make(map[int64]int64)
 	for lpn := int64(0); lpn < 320; lpn++ {
 		f.Install(lpn, TokenFor(lpn, 0))
@@ -48,7 +48,7 @@ func runVictimPolicy(t *testing.T, policy VictimPolicy) (int64, int64) {
 		t.Fatal(err)
 	}
 	for lpn, v := range version {
-		if got := contentOf(t, f, g, lpn); got != TokenFor(lpn, v) {
+		if got := contentOf(t, f, lpn); got != TokenFor(lpn, v) {
 			t.Fatalf("policy %v: LPN %d stale", policy, lpn)
 		}
 	}

@@ -71,10 +71,7 @@ func fuzzConfig(data []byte) (Arch, Config) {
 	}
 	cfg.Scheduler = controller.SchedPolicy(b.small(-1, 3))
 	if b.byte()%2 == 1 {
-		cfg.FTL.Map = &ftl.MapConfig{
-			Entries:  b.small(-2, 70),
-			Eviction: []string{"", "clock", "lru", "random"}[b.small(0, 3)],
-		}
+		cfg.FTL.Map = &ftl.MapConfig{Entries: b.small(-2, 70)}
 	}
 	if b.byte()%2 == 1 {
 		cfg.Fault = &fault.Config{

@@ -43,7 +43,7 @@ func TestFmmuWiring(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.FTL.GCMode = ftl.GCSpatial
 	cfg.LogicalUtilization = 0.75
-	cfg.FTL.Map = &ftl.MapConfig{Entries: 2, Eviction: "lru"} // tiny: force real miss traffic
+	cfg.FTL.Map = &ftl.MapConfig{Entries: 2} // tiny: force real miss traffic
 	cfg.Check = &check.Config{}
 	cfg.Telemetry = &telemetry.Config{}
 	s := New(ArchPnSSDSplit, cfg)
@@ -95,8 +95,6 @@ func TestConfigValidateEnums(t *testing.T) {
 	}{
 		{"scheduler", func(c *Config) { c.Scheduler = controller.SchedPolicy(7) },
 			`unknown scheduler policy sched(7) (want fifo, conflict, or ooo)`},
-		{"map-eviction", func(c *Config) { c.FTL.Map = &ftl.MapConfig{Eviction: "random"} },
-			`unknown map eviction policy "random" (want clock or lru)`},
 		{"map-cache-negative", func(c *Config) { c.FTL.Map = &ftl.MapConfig{Entries: -1} },
 			"negative map cache size -1"},
 		// One page at 0.875 utilization exports no logical page.

@@ -8,6 +8,7 @@ package ssd
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"repro/internal/bus"
@@ -229,6 +230,26 @@ func (c Config) LogicalPages() int64 {
 	return int64(float64(c.RawPages()) * c.LogicalUtilization)
 }
 
+// ChurnLPNs returns, in order, the LPNs Precondition(churn, seed)
+// overwrites on a device of c: ⌊footprint·churn⌋ of them, capped at half
+// the free headroom, drawn uniformly from the footprint by a generator
+// seeded with seed. Churn consumes free pages one for one; the cap leaves
+// the device a working free pool, since GC needs erased blocks for copy
+// destinations and the host keeps writing while rounds are in flight.
+func (c Config) ChurnLPNs(churn float64, seed int64) []int64 {
+	foot := c.LogicalPages()
+	n := min(int64(float64(foot)*churn), (c.RawPages()-foot)/2)
+	if n <= 0 {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(seed))
+	lpns := make([]int64, n)
+	for i := range lpns {
+		lpns[i] = rng.Int63n(foot)
+	}
+	return lpns
+}
+
 // totalFlashMBps is the aggregate baseline flash bus bandwidth used to
 // provision SoC and NVMe resources (Table II's "x1" note).
 func (c Config) totalFlashMBps() int { return c.Channels * c.BusMTps }
@@ -402,17 +423,7 @@ func wireCheck(cfg Config, eng *sim.Engine, ps []probe, grid *controller.Grid, f
 		ck.AddDrainCheck("map-idle", f.MapIdle)
 	}
 	f.SetChecker(ck)
-	ck.SetContentProbe(func(lpn int64) (flash.Token, bool) {
-		id, addr, ok := f.Map(lpn)
-		if !ok {
-			return 0, false
-		}
-		chip := grid.Chip(id)
-		if chip.PageStateAt(addr) != flash.PageProgrammed {
-			return 0, false
-		}
-		return chip.ContentAt(addr), true
-	})
+	ck.SetContentProbe(f.Content)
 	ck.AddDrainCheck("engine-drained", func() error {
 		if n := eng.Pending(); n != 0 {
 			return fmt.Errorf("%d events still pending", n)
@@ -593,6 +604,18 @@ func (s *SSD) wire() {
 	wireSchedCheck(s.Sched, s.Checker)
 	s.Telemetry = wireTelemetry(cfg, s.Fabric, s.FTL, s.Host)
 	s.Frontend = wireFrontend(cfg, s.Host, s.Tracer, s.Checker, s.Telemetry)
+}
+
+// Precondition puts an as-built device in the state a measured run starts
+// from, in no simulated time: Host.Warmup installs the whole logical
+// footprint, then every LPN of Config.ChurnLPNs(churn, seed) is
+// overwritten at version 1, so blocks carry the invalid pages GC
+// collects. Churn 0 only installs the footprint.
+func (s *SSD) Precondition(churn float64, seed int64) {
+	s.Host.Warmup(s.Config.LogicalPages())
+	for _, lpn := range s.Config.ChurnLPNs(churn, seed) {
+		s.FTL.Reinstall(lpn, ftl.TokenFor(lpn, 1))
+	}
 }
 
 // Reset returns a drained device to the state New leaves it in, so that

@@ -152,14 +152,15 @@ func main() {
 }
 
 // options builds the run options the flags select. Every figure of one
-// invocation shares one warm-up cache, so each distinct warmed device
-// state is warmed once per process.
+// invocation shares the options' warm-up cache and device pool, so each
+// distinct warmed device state is warmed once per process and each
+// device structure built once per worker.
 func options(quick bool, seed int64, reqs int, checked bool) exp.Options {
-	opt := exp.Options{Seed: seed}
+	opt := exp.Full()
 	if quick {
 		opt = exp.Quick()
-		opt.Seed = seed
 	}
+	opt.Seed = seed
 	if reqs > 0 {
 		opt.TraceRequests = reqs
 	}
@@ -170,7 +171,7 @@ func options(quick bool, seed int64, reqs int, checked bool) exp.Options {
 		}
 		opt.Cfg.Check = &check.Config{}
 	}
-	return opt.ShareWarmups()
+	return opt
 }
 
 // defaultSuite renders what an invocation without a selector prints.

@@ -16,8 +16,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"reflect"
-	"slices"
 	"sync"
 
 	"repro/internal/ftl"
@@ -44,21 +42,15 @@ type Options struct {
 	// Traces overrides the trace list (default workload.Names()).
 	Traces []string
 
-	// warmed holds the saved warm-ups: one exported call's, unless
-	// ShareWarmups gave several calls one cache. devices holds one
-	// exported call's idle devices. withDefaults gives a call fresh ones
-	// of each that it lacks.
+	// warmed holds the saved warm-ups and devices the idle devices. Quick
+	// and Full attach one of each, shared by every exported call given
+	// those options or a copy of them, so each distinct warmed state is
+	// warmed once and each device structure built once per worker for
+	// all those calls. withDefaults gives a call fresh ones of each that
+	// it lacks. Results do not change: a warmed state is a function of
+	// its key alone, and a reset device equals a new build.
 	warmed  *warmCache
 	devices *devicePool
-}
-
-// ShareWarmups returns o with a warm-up cache of its own, shared by every
-// exported call given the result: each distinct warmed state is then
-// warmed once for all those calls, not once per call. Results do not
-// change; a warmed state is a function of its key alone.
-func (o Options) ShareWarmups() Options {
-	o.warmed = newWarmCache()
-	return o
 }
 
 const (
@@ -93,12 +85,13 @@ func (o Options) withDefaults() Options {
 		o.warmed = newWarmCache()
 	}
 	if o.devices == nil {
-		o.devices = &devicePool{idle: make(map[ssd.Arch][]*ssd.SSD)}
+		o.devices = newDevicePool()
 	}
 	return o
 }
 
-// Quick returns options small enough for unit tests and -short benches.
+// Quick returns options small enough for unit tests and -short benches,
+// with a warm-up cache and device pool of their own.
 func Quick() Options {
 	c := ssd.ScaledConfig()
 	c.Geometry.BlocksPerPlane = 8
@@ -109,7 +102,16 @@ func Quick() Options {
 		SyntheticRequests: 80,
 		Seed:              1,
 		Traces:            []string{"exchange-1", "rocksdb-0", "mail-0"},
+		warmed:            newWarmCache(),
+		devices:           newDevicePool(),
 	}
+}
+
+// Full returns the full-scale options: seed 1 and every other field zero,
+// so each call takes its defaults, with a warm-up cache and device pool
+// of their own.
+func Full() Options {
+	return Options{Seed: 1, warmed: newWarmCache(), devices: newDevicePool()}
 }
 
 // withFTL returns cfg with the given GC mode and allocation policy.
@@ -119,32 +121,38 @@ func withFTL(cfg ssd.Config, mode ftl.GCMode, policy ftl.AllocPolicy) ssd.Config
 	return cfg
 }
 
-// devicePool holds the idle devices of one exported call, keyed by arch
-// and configuration, the pointed-to sections of the configuration
-// compared by value. A run takes an as-built device from it: an idle
-// one after ssd.Reset, or a new build when none is idle. A key never has
-// more devices than runs of it in flight at once, so the pool holds at
-// most one idle device per worker per key. Every Table III device is
+// devicePool holds idle devices keyed by arch and ssd.Structure, for
+// as long as the Options that own it live. A run takes an as-built
+// device from it: an idle one of its structure after ssd.SSD.Reset to
+// the run's configuration, or a new build when none is idle. A key never
+// has more devices than runs of it in flight at once, so the pool holds
+// at most one idle device per worker per key. Every Table III device is
 // pooled. The exceptions are the NewCustom devices of the three
 // ablations whose fabric is not a Table III architecture (v-channel
 // width, routing policy, control-message latency): their fabric comes
 // from a function that no key can name.
 type devicePool struct {
 	mu   sync.Mutex
-	idle map[ssd.Arch][]*ssd.SSD
+	idle map[poolKey][]*ssd.SSD
 }
+
+type poolKey struct {
+	arch ssd.Arch
+	st   ssd.Structure
+}
+
+func newDevicePool() *devicePool { return &devicePool{idle: make(map[poolKey][]*ssd.SSD)} }
 
 // get returns an as-built device of arch and cfg.
 func (p *devicePool) get(arch ssd.Arch, cfg ssd.Config) *ssd.SSD {
+	k := poolKey{arch, cfg.Structure()}
 	p.mu.Lock()
-	idle := p.idle[arch]
-	for i, s := range idle {
-		if reflect.DeepEqual(s.Config, cfg) {
-			p.idle[arch] = slices.Delete(idle, i, i+1)
-			p.mu.Unlock()
-			s.Reset()
-			return s
-		}
+	if idle := p.idle[k]; len(idle) > 0 {
+		s := idle[len(idle)-1]
+		p.idle[k] = idle[:len(idle)-1]
+		p.mu.Unlock()
+		s.Reset(cfg)
+		return s
 	}
 	p.mu.Unlock()
 	return ssd.New(arch, cfg)
@@ -153,7 +161,8 @@ func (p *devicePool) get(arch ssd.Arch, cfg ssd.Config) *ssd.SSD {
 // put gives a drained device back for a later run.
 func (p *devicePool) put(s *ssd.SSD) {
 	p.mu.Lock()
-	p.idle[s.Arch] = append(p.idle[s.Arch], s)
+	k := poolKey{s.Arch, s.Config.Structure()}
+	p.idle[k] = append(p.idle[k], s)
 	p.mu.Unlock()
 }
 

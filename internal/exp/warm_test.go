@@ -12,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ftl"
 	"repro/internal/host"
+	"repro/internal/runner"
 	"repro/internal/ssd"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -124,34 +125,59 @@ func TestWarmRestoreMatchesFreshWarm(t *testing.T) {
 	}
 }
 
-// TestResetRestoreMatchesFreshWarm: a device that ran a trace and was
-// reset equals a fresh build field by field; with a saved warm-up
+// TestResetRestoreMatchesFreshWarm: a device that ran a trace under one
+// configuration and was reset to another of its structure equals a
+// fresh build of the second field by field; with a saved warm-up
 // restored into it, it equals a fresh build of the same arch and config
 // warmed for real, and the two give the same Summarize JSON on the same
 // trace. Every arch runs every cell: the plain GC device, the checker,
 // the map unit, the front end, fault injection, both scheduling layers,
-// and telemetry with tracing. The walk skips only the record free lists
-// named in recycled.
+// and telemetry with tracing. The configuration it is reset to differs
+// from the cell's in one per-run setting, or in none, or drops every
+// opt-in instrument; the choice rotates with the arch, so each arch is
+// reset across every one of them. The walk skips only the fields named
+// in recycled.
 func TestResetRestoreMatchesFreshWarm(t *testing.T) {
 	base := ssd.ScaledConfig()
 	base.Geometry.BlocksPerPlane, base.Geometry.PagesPerBlock = 8, 16
 	base.LogicalUtilization = gcUtilization
 	base.FTL.GCMode = ftl.GCSpatial
-	cells := map[string]func(*ssd.Config){
-		"plain": func(*ssd.Config) {},
-		"check": func(c *ssd.Config) { c.Check = &check.Config{} },
-		"fmmu":  func(c *ssd.Config) { c.FTL.Map = &ftl.MapConfig{Entries: 3}; c.Check = &check.Config{} },
-		"frontend": func(c *ssd.Config) {
+	type cfgEdit struct {
+		name string
+		edit func(*ssd.Config)
+	}
+	cells := []cfgEdit{
+		{"plain", func(*ssd.Config) {}},
+		{"check", func(c *ssd.Config) { c.Check = &check.Config{} }},
+		{"fmmu", func(c *ssd.Config) { c.FTL.Map = &ftl.MapConfig{Entries: 3}; c.Check = &check.Config{} }},
+		{"frontend", func(c *ssd.Config) {
 			c.Frontend = &host.FrontendConfig{Tenants: workload.QueueConfigs(NoisyNeighborSpecs(40)), Arbiter: "dwrr", MaxInflight: 16}
 			c.Check = &check.Config{}
-		},
-		"fault": func(c *ssd.Config) {
+		}},
+		{"fault", func(c *ssd.Config) {
 			c.FTL.GCMode = ftl.GCParallel
 			c.Fault = &fault.Config{Seed: 3, ReadECCRate: 0.02, OnDieECCRate: 0.02, GrantDropRate: 0.05, ProgramFailsPerChip: 1, EraseFailsPerChip: 1}
-		},
-		"conflict":  func(c *ssd.Config) { c.Scheduler = controller.SchedConflict; c.Check = &check.Config{} },
-		"ooo":       func(c *ssd.Config) { c.Scheduler = controller.SchedOOO },
-		"telemetry": func(c *ssd.Config) { c.Telemetry, c.Trace = &telemetry.Config{}, &trace.Config{} },
+		}},
+		{"conflict", func(c *ssd.Config) { c.Scheduler = controller.SchedConflict; c.Check = &check.Config{} }},
+		{"ooo", func(c *ssd.Config) { c.Scheduler = controller.SchedOOO }},
+		{"telemetry", func(c *ssd.Config) { c.Telemetry, c.Trace = &telemetry.Config{}, &trace.Config{} }},
+	}
+	// to edits a cell's configuration into the one its device is reset
+	// to. Without a map unit the logical utilization is per run; with
+	// one it is structure, and that cell is reset to its own.
+	to := []cfgEdit{
+		{"same", func(*ssd.Config) {}},
+		{"policy", func(c *ssd.Config) { c.FTL.Policy = ftl.PWCD }},
+		{"gc-mode", func(c *ssd.Config) { c.FTL.GCMode = ftl.GCPreemptive }},
+		{"victim", func(c *ssd.Config) { c.FTL.Victim = ftl.VictimCostBenefit }},
+		{"threshold", func(c *ssd.Config) { c.FTL.GCThreshold = 0.3 }},
+		{"group-fraction", func(c *ssd.Config) { c.FTL.GCGroupFraction = 0.25 }},
+		{"utilization", func(c *ssd.Config) {
+			if c.FTL.Map == nil {
+				c.LogicalUtilization = 0.7
+			}
+		}},
+		{"bare", func(c *ssd.Config) { c.Check, c.Fault, c.Frontend, c.Telemetry, c.Trace = nil, nil, nil, nil, nil }},
 	}
 	run := func(t *testing.T, s *ssd.SSD, trace string, seed int64) {
 		t.Helper()
@@ -172,48 +198,55 @@ func TestResetRestoreMatchesFreshWarm(t *testing.T) {
 		}
 		s.Run()
 	}
-	for name, edit := range cells {
-		for _, arch := range ssd.Archs {
-			t.Run(fmt.Sprintf("%s/%v", name, arch), func(t *testing.T) {
-				cfg := base
-				edit(&cfg)
-				opt := Options{Cfg: &cfg, Seed: 5}.withDefaults()
-				used := ssd.New(arch, cfg)
-				warm(used, opt, true)
-				run(t, used, "update-0", 9)
-				used.Reset()
-				if d := deepDiff(ssd.New(arch, cfg), used); d != "" {
-					t.Fatalf("reset device differs from a fresh build at %s", d)
-				}
-				warm(used, opt, true)
-				fresh := ssd.New(arch, cfg)
-				fresh.Precondition(churnFraction, opt.Seed)
-				if d := deepDiff(fresh, used); d != "" {
-					t.Fatalf("reset and restored device differs from a fresh warm-up at %s", d)
-				}
-				var sums [2][]byte
-				for i, s := range []*ssd.SSD{fresh, used} {
-					run(t, s, "rocksdb-0", 7)
-					var err error
-					if sums[i], err = json.Marshal(s.Summarize()); err != nil {
-						t.Fatal(err)
+	for ci, cell := range cells {
+		for ai, arch := range ssd.Archs {
+			b := to[(ci+ai)%len(to)]
+			t.Run(fmt.Sprintf("%s/%v", cell.name, arch), func(t *testing.T) {
+				t.Run("to-"+b.name, func(t *testing.T) {
+					cfg := base
+					cell.edit(&cfg)
+					next := cfg
+					b.edit(&next)
+					opt := Options{Cfg: &cfg, Seed: 5}.withDefaults()
+					warm(ssd.New(arch, next), opt, true) // saves next's warm-up
+					used := ssd.New(arch, cfg)
+					warm(used, opt, true)
+					run(t, used, "update-0", 9)
+					used.Reset(next)
+					if d := deepDiff(ssd.New(arch, next), used); d != "" {
+						t.Fatalf("reset device differs from a fresh build at %s", d)
 					}
-				}
-				if string(sums[0]) != string(sums[1]) {
-					t.Fatalf("summaries differ after the same trace\nfresh:    %s\nrecycled: %s", sums[0], sums[1])
-				}
+					warm(used, opt, true)
+					fresh := ssd.New(arch, next)
+					fresh.Precondition(churnFraction, opt.Seed)
+					if d := deepDiff(fresh, used); d != "" {
+						t.Fatalf("reset and restored device differs from a fresh warm-up at %s", d)
+					}
+					var sums [2][]byte
+					for i, s := range []*ssd.SSD{fresh, used} {
+						run(t, s, "rocksdb-0", 7)
+						var err error
+						if sums[i], err = json.Marshal(s.Summarize()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if string(sums[0]) != string(sums[1]) {
+						t.Fatalf("summaries differ after the same trace\nfresh:    %s\nrecycled: %s", sums[0], sums[1])
+					}
+				})
 			})
 		}
 	}
 }
 
 // recycled names the fields deepDiff skips, as "package.Type.field": the
-// free lists of recycled operation records, which a reset device keeps
-// and a fresh one has not grown yet. Everything else, any field added
-// later included, is compared.
+// free lists of recycled operation records, and the chip's array-op
+// completion, bound at its first program or erase, which a reset device
+// keeps and a fresh one has not made yet. Everything else, any field
+// added later included, is compared.
 var recycled = map[string]bool{
 	"flash.Chip.freeReads":                true,
-	"flash.Chip.freeArrayOps":             true,
+	"flash.Chip.finishOp":                 true,
 	"controller.fabricOps.free":           true,
 	"controller.OmnibusFabric.freeCopies": true,
 	"controller.MeshFabric.copies":        true,
@@ -374,5 +407,36 @@ func TestFig19WarmsOnce(t *testing.T) {
 	Fig19(opt)
 	if n := len(opt.warmed.entries); n != 1 {
 		t.Fatalf("Fig 19 made %d real warm-ups, want 1", n)
+	}
+}
+
+// TestFiguresShareDevices: figure calls given one Quick() Options take
+// their devices from one pool keyed by arch and structure. At one worker
+// Fig 16 builds one device per arch, and Fig 17 and Fig 19, whose
+// allocation policy, GC mode and utilization differ from Fig 16's,
+// build none: every device they run on is one of Fig 16's, reset.
+func TestFiguresShareDevices(t *testing.T) {
+	prev := runner.Default()
+	defer runner.SetDefault(prev)
+	runner.SetDefault(1)
+	opt := Quick()
+	pooled := func() (n int) {
+		for _, idle := range opt.devices.idle {
+			n += len(idle)
+		}
+		return n
+	}
+	for _, fig := range []struct {
+		name string
+		run  func(Options)
+	}{
+		{"Fig16", func(o Options) { Fig16(o) }},
+		{"Fig17", func(o Options) { Fig17(o) }},
+		{"Fig19", func(o Options) { Fig19(o) }},
+	} {
+		fig.run(opt)
+		if n := pooled(); n != len(ssd.Archs) {
+			t.Fatalf("after %s the pool holds %d devices, want %d (one per arch)", fig.name, n, len(ssd.Archs))
+		}
 	}
 }

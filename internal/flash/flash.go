@@ -117,10 +117,19 @@ type Chip struct {
 
 	reads, programs, erases int64
 
-	freeReads    []*chipRead  // recycled Read records
-	freeArrayOps []*arrayOp   // recycled Program and Erase records
-	ppaScratch   []PPA        // Program's multi-plane check
-	vcommit      [1]ProgramOp // ProgramFromVPage's op, copied at issue
+	freeReads  []*chipRead  // recycled Read records
+	ppaScratch []PPA        // Program's multi-plane check
+	vcommit    [1]ProgramOp // ProgramFromVPage's op, copied at issue
+
+	// The queued and running Programs and Erases, oldest first, and
+	// their targets (pages and tokens, or erased blocks) in the same
+	// order. The die grants holds in request order and runs one at a
+	// time, so the oldest is always the next to finish, and finishOp,
+	// bound at the chip's first array operation, is every such hold's
+	// completion.
+	arrayOps fifo[arrayOp]
+	targets  fifo[ProgramOp]
+	finishOp func() // bound c.finishArrayOp
 
 	// faults injects transient read ECC failures; faultKey identifies
 	// this chip in the injector's per-chip quota accounting.
@@ -215,7 +224,8 @@ func (c *Chip) reset() {
 		eng: c.eng, name: c.name, geo: c.geo, timing: c.timing, die: c.die,
 		pageReg: c.pageReg, vpage: c.vpage, vpageInUse: c.vpageInUse, vpageWait: c.vpageWait[:0],
 		content: c.content, state: c.state, nextPage: c.nextPage, eraseCount: c.eraseCount,
-		freeReads: c.freeReads, freeArrayOps: c.freeArrayOps, ppaScratch: c.ppaScratch[:0],
+		freeReads: c.freeReads, ppaScratch: c.ppaScratch[:0],
+		arrayOps: c.arrayOps.emptied(), targets: c.targets.emptied(), finishOp: c.finishOp,
 	}
 }
 
@@ -448,80 +458,100 @@ func (c *Chip) program(ops []ProgramOp, vreg int, done func()) {
 			panic(fmt.Sprintf("flash %s: program of non-erased page %v", c.name, a))
 		}
 	}
-	r := c.newArrayOp(done)
-	r.ops = append(r.ops[:0], ops...)
-	r.vreg = vreg
 	// State is committed at issue time so a read queued behind this program
 	// on the die validates against the state it will observe at grant.
-	for _, op := range r.ops {
+	for _, op := range ops {
 		c.nextPage[c.blockIndex(op.Addr)]++
 		c.state[c.pageIndex(op.Addr)] = PageProgrammed
 	}
-	c.die.UseLabeled("program", c.timing.Program, r.finish)
+	c.targets.push(ops...)
+	c.queueArrayOp("program", c.timing.Program, arrayOp{n: len(ops), vreg: vreg, done: done})
 }
 
 // arrayOp is one queued or running Chip.Program or Chip.Erase, a timed
-// hold of the die. Records are recycled through the chip's free list like
-// chipRead: finish is a method value bound once, and the ops and blocks
-// copies keep their capacity across uses. An erase is a record with
-// blocks set.
+// hold of the die whose n targets wait in the chip's target queue.
 type arrayOp struct {
-	c      *Chip
-	ops    []ProgramOp // program targets and tokens
-	blocks []PPA       // erase targets; empty for a program
-	vreg   int         // V-page register the program frees, or -1
-	done   func()
-	finish func() // bound r.finished
+	n     int
+	erase bool
+	vreg  int // V-page register the program frees, or -1
+	done  func()
 }
 
-// newArrayOp pops an array-op record off the free list, building one if
-// empty.
-func (c *Chip) newArrayOp(done func()) *arrayOp {
-	var r *arrayOp
-	if n := len(c.freeArrayOps); n > 0 {
-		r = c.freeArrayOps[n-1]
-		c.freeArrayOps = c.freeArrayOps[:n-1]
-	} else {
-		// A multi-plane op addresses at most one page per plane, so
-		// buffers of that capacity never grow.
-		r = &arrayOp{c: c, ops: make([]ProgramOp, 0, c.geo.Planes), blocks: make([]PPA, 0, c.geo.Planes)}
-		r.finish = r.finished
+// queueArrayOp queues op, whose targets its caller has just queued, and
+// requests its die hold in the same step, so the queue keeps the order
+// the die grants in.
+func (c *Chip) queueArrayOp(label string, d sim.Time, op arrayOp) {
+	if c.finishOp == nil {
+		c.finishOp = c.finishArrayOp
 	}
-	r.ops, r.blocks, r.vreg, r.done = r.ops[:0], r.blocks[:0], -1, done
-	return r
+	c.arrayOps.push(op)
+	c.die.UseLabeled(label, d, c.finishOp)
 }
 
-// finished runs as the die hold ends and applies the operation to the
-// array. The record returns to the free list before the V-page release
-// and done run, because either may issue the next operation on this chip.
-func (r *arrayOp) finished() {
-	c := r.c
-	if len(r.blocks) > 0 {
-		for _, a := range r.blocks {
-			base := c.pageIndex(a)
+// finishArrayOp runs as a die hold of an array operation ends and
+// applies the oldest queued operation to the array. Its entries leave
+// the queues before the V-page release and done run, because either may
+// issue the next operation on this chip.
+func (c *Chip) finishArrayOp() {
+	op := c.arrayOps.pop(1)[0]
+	targets := c.targets.pop(op.n)
+	if op.erase {
+		for _, t := range targets {
+			base := c.pageIndex(t.Addr)
 			for i := base; i < base+c.geo.PagesPerBlock; i++ {
 				c.state[i] = PageErased
 				c.content[i] = ErasedToken
 			}
-			c.nextPage[c.blockIndex(a)] = 0
-			c.eraseCount[c.blockIndex(a)]++
+			c.nextPage[c.blockIndex(t.Addr)] = 0
+			c.eraseCount[c.blockIndex(t.Addr)]++
 		}
 		c.erases++
 	} else {
-		for _, op := range r.ops {
-			c.content[c.pageIndex(op.Addr)] = op.Token
+		for _, t := range targets {
+			c.content[c.pageIndex(t.Addr)] = t.Token
 		}
 		c.programs++
 	}
-	vreg, done := r.vreg, r.done
-	r.done = nil
-	c.freeArrayOps = append(c.freeArrayOps, r)
-	if vreg >= 0 {
-		c.ReleaseVPage(vreg)
+	if op.vreg >= 0 {
+		c.ReleaseVPage(op.vreg)
 	}
-	if done != nil {
-		done()
+	if op.done != nil {
+		op.done()
 	}
+}
+
+// fifo is a queue that reuses its slice, as sim.Resource's waiter queue
+// does: the live entries slide to the front only when a push finds the
+// slice full, and the slice resets when a pop empties it. Popped entries
+// stay in it until overwritten or emptied.
+type fifo[T any] struct {
+	q    []T
+	head int
+}
+
+func (f *fifo[T]) push(vs ...T) {
+	if f.head > 0 && len(f.q)+len(vs) > cap(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, vs...)
+}
+
+// pop removes the n oldest entries and returns them, valid until the
+// next push.
+func (f *fifo[T]) pop(n int) []T {
+	out := f.q[f.head : f.head+n]
+	if f.head += n; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return out
+}
+
+// emptied returns an empty queue with f's slice, its entries zeroed.
+func (f *fifo[T]) emptied() fifo[T] {
+	clear(f.q[:cap(f.q)])
+	return fifo[T]{q: f.q[:0]}
 }
 
 // ProgramFromVPage programs a V-page register's content into the array —
@@ -543,9 +573,10 @@ func (c *Chip) Erase(blocks []PPA, done func()) {
 		blocks[i].Page = 0
 	}
 	c.checkMultiPlane(blocks)
-	r := c.newArrayOp(done)
-	r.blocks = append(r.blocks, blocks...)
-	c.die.UseLabeled("erase", c.timing.Erase, r.finish)
+	for _, b := range blocks {
+		c.targets.push(ProgramOp{Addr: b})
+	}
+	c.queueArrayOp("erase", c.timing.Erase, arrayOp{n: len(blocks), erase: true, vreg: -1, done: done})
 }
 
 // PageRegister returns the content of a plane's page register.

@@ -442,3 +442,71 @@ func TestReadRecordReusedFromItsOwnCallback(t *testing.T) {
 		t.Fatalf("reads = %d, want %d", r, chain+1)
 	}
 }
+
+// TestArrayOpQueue queues programs, a read and erases deep on one die,
+// with completions that issue the next operation while the finishing
+// one's entries leave the queues. Every operation must finish in issue
+// order and apply its own targets, and once the queues have grown, a
+// whole round must allocate nothing.
+func TestArrayOpQueue(t *testing.T) {
+	e := sim.NewEngine()
+	c := newTestChip(e)
+	tok := func(plane, page int) Token { return Token(0x100*plane + page + 1) }
+	var order []int
+	var progs [4][]ProgramOp
+	for i := range progs {
+		progs[i] = []ProgramOp{{Addr: PPA{Plane: 0, Page: i}, Token: tok(0, i)}, {Addr: PPA{Plane: 1, Page: i}, Token: tok(1, i)}}
+	}
+	done := make([]func(), 7)
+	for i := range done {
+		done[i] = func() { order = append(order, i) }
+	}
+	read := []PPA{{Plane: 1, Page: 3}}
+	readDone := func() {
+		if got := c.PageRegister(1); got != tok(1, 3) {
+			t.Fatalf("read queued behind the programs: register %x, want %x", got, tok(1, 3))
+		}
+	}
+	erase01 := []PPA{{Plane: 0}, {Plane: 1}}
+	erase2 := []PPA{{Plane: 2}}
+	commit := []ProgramOp{{Addr: PPA{Plane: 2}, Token: tok(2, 0)}}
+	afterCommit := func() {
+		done[5]()
+		if got := c.ContentAt(PPA{Plane: 2}); got != tok(2, 0) {
+			t.Fatalf("program issued from a completion: content %x, want %x", got, tok(2, 0))
+		}
+		c.Erase(erase2, done[6])
+	}
+	afterErase := func() {
+		done[4]()
+		for plane := 0; plane < 2; plane++ {
+			for page := 0; page < 4; page++ {
+				if c.PageStateAt(PPA{Plane: plane, Page: page}) != PageErased {
+					t.Fatalf("plane %d page %d not erased", plane, page)
+				}
+			}
+		}
+		c.Program(commit, afterCommit)
+	}
+	round := func() {
+		order = order[:0]
+		for i := range progs {
+			c.Program(progs[i], done[i])
+		}
+		c.Read(read, readDone)
+		c.Erase(erase01, afterErase)
+		e.Run()
+	}
+	round()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("finish order %v, want 0..6", order)
+		}
+	}
+	if len(order) != 7 || c.EraseCount(0, 0) != 1 || c.EraseCount(2, 0) != 1 {
+		t.Fatalf("finish order %v, erase counts %d and %d, want 7 ops and 1 erase each", order, c.EraseCount(0, 0), c.EraseCount(2, 0))
+	}
+	if n := testing.AllocsPerRun(10, round); n != 0 {
+		t.Fatalf("a round on grown queues allocates %v objects, want 0", n)
+	}
+}

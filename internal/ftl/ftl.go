@@ -273,36 +273,43 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 	f := &FTL{
 		eng:            eng,
 		fab:            fab,
-		cfg:            cfg,
 		geo:            geo,
 		channels:       grid.Channels,
 		ways:           grid.Ways,
-		numLPNs:        numLPNs,
-		l2p:            make([]int32, numLPNs),
 		p2l:            make([]int32, raw),
 		inflightWrites: make(map[int64]int),
 		writeWaiters:   make(map[int64][]func()),
 		gcGroupLo:      false,                     // first SpGC round collects the high half
 		reserveBlocks:  grid.Channels * grid.Ways, // one block per chip, as Validate assumes
 	}
+	f.configure(cfg, numLPNs)
 	fillUnmapped(f.l2p)
 	fillUnmapped(f.p2l)
-	f.alloc = newAllocator(cfg.Policy, f.channels, f.ways, geo.Planes)
 	f.planes, f.blocks, f.freeLists = newPlanes(f.alloc, f.ways, geo)
 	f.maybeGC = f.maybeTriggerGC
-	f.gcBoundary = int(float64(f.ways) * cfg.GCGroupFraction)
-	if f.gcBoundary <= 0 {
-		f.gcBoundary = 1
-	}
-	if f.gcBoundary >= f.ways {
-		f.gcBoundary = f.ways - 1
-	}
-	f.gcLo, f.ioLo = f.alloc.waysMask(0, f.gcBoundary), f.alloc.waysMask(f.gcBoundary, f.ways)
-	f.gcHi, f.ioHi = f.alloc.waysMask(f.ways-f.gcBoundary, f.ways), f.alloc.waysMask(0, f.ways-f.gcBoundary)
 	if cfg.Map != nil {
 		f.mapu = newMapUnit(f, *cfg.Map)
 	}
 	return f
+}
+
+// configure sets what New and Reset both derive from cfg and numLPNs:
+// the configuration itself, the logical capacity with l2p at its length
+// (re-sliced, grown only past its capacity, entries left to the
+// caller), an allocator for the policy (a fresh one, counting nothing,
+// when the order changes), and the SpGC group boundary and masks.
+func (f *FTL) configure(cfg Config, numLPNs int64) {
+	if f.alloc == nil || cfg.Policy.Order != f.cfg.Policy.Order {
+		f.alloc = newAllocator(cfg.Policy, f.channels, f.ways, f.geo.Planes)
+	}
+	f.cfg, f.numLPNs = cfg, numLPNs
+	if int64(cap(f.l2p)) < numLPNs {
+		f.l2p = make([]int32, numLPNs)
+	}
+	f.l2p = f.l2p[:numLPNs]
+	f.gcBoundary = min(max(int(float64(f.ways)*cfg.GCGroupFraction), 1), f.ways-1)
+	f.gcLo, f.ioLo = f.alloc.waysMask(0, f.gcBoundary), f.alloc.waysMask(f.gcBoundary, f.ways)
+	f.gcHi, f.ioHi = f.alloc.waysMask(f.ways-f.gcBoundary, f.ways), f.alloc.waysMask(0, f.ways-f.gcBoundary)
 }
 
 // fillUnmapped sets every entry of a map slab to unmapped.
@@ -312,18 +319,30 @@ func fillUnmapped(m []int32) {
 	}
 }
 
-// Reset returns a drained FTL to its state at New: every LPN unmapped,
-// every block erased and free, zero stats, no GC round, and no injector,
-// tracer, collector or checker attached; the map unit carves its region
-// and installs its directory again. Slabs, maps and recycled records
-// keep their capacity. The chips must have been reset first, since the
-// directory is programmed into them. An FTL with host operations,
-// writes or a GC round in flight panics.
-func (f *FTL) Reset() {
+// Reset returns a drained FTL to the state New(eng, fab, cfg, numLPNs)
+// leaves it in: every LPN unmapped, every block erased and free, zero
+// stats, no GC round, and no injector, tracer, collector or checker
+// attached; the map unit carves its region and installs its directory
+// again. cfg may change any per-run setting (allocation policy, GC mode,
+// victim policy, threshold, group fraction) and, without a map unit,
+// numLPNs; the map unit's configuration and, with one, numLPNs are its
+// structure, and a cfg or numLPNs that changes them panics, as one that
+// New would refuse does. Slabs, maps and recycled records keep their
+// capacity. The chips must have been reset first, since the directory
+// is programmed into them. An FTL with host operations, writes or a GC
+// round in flight panics.
+func (f *FTL) Reset(cfg Config, numLPNs int64) {
 	if f.outstanding != 0 || len(f.inflightWrites) != 0 || len(f.stalled) != 0 || f.gcActive {
 		panic(fmt.Sprintf("ftl: reset with %d host ops, %d LPN writes and %d stalled writes in flight (GC active: %v)",
 			f.outstanding, len(f.inflightWrites), len(f.stalled), f.gcActive))
 	}
+	if (cfg.Map == nil) != (f.mapu == nil) || f.mapu != nil && (cfg.Map.withDefaults() != f.mapu.cfg || numLPNs != f.numLPNs) {
+		panic(fmt.Sprintf("ftl: reset to map unit %v over %d LPNs of an FTL built with %v over %d", cfg.Map, numLPNs, f.cfg.Map, f.numLPNs))
+	}
+	if err := cfg.Validate(f.channels, f.ways, f.geo, numLPNs); err != nil {
+		panic(err)
+	}
+	f.configure(cfg, numLPNs)
 	fillUnmapped(f.l2p)
 	fillUnmapped(f.p2l)
 	a := f.alloc

@@ -250,6 +250,34 @@ func (c Config) ChurnLPNs(churn float64, seed int64) []int64 {
 	return lpns
 }
 
+// Structure is what a device's objects are built to, and so what
+// SSD.Reset cannot change: the chip grid, its geometry and timing, the
+// bus rate, the scheduling layer, and the map unit with the logical
+// capacity it maps. Every other Config field is per run. Structures are
+// comparable, so they key a pool of devices.
+type Structure struct {
+	Channels, Ways int
+	Geometry       flash.Geometry
+	Timing         flash.Timing
+	BusMTps        int
+	Scheduler      controller.SchedPolicy
+	// Map is the map unit's configuration when Mapped; the unit sizes its
+	// directory for the logical capacity, so LogicalUtilization counts
+	// only then.
+	Map                ftl.MapConfig
+	Mapped             bool
+	LogicalUtilization float64
+}
+
+// Structure returns c's structure.
+func (c Config) Structure() Structure {
+	st := Structure{Channels: c.Channels, Ways: c.Ways, Geometry: c.Geometry, Timing: c.Timing, BusMTps: c.BusMTps, Scheduler: c.Scheduler}
+	if c.FTL.Map != nil {
+		st.Map, st.Mapped, st.LogicalUtilization = *c.FTL.Map, true, c.LogicalUtilization
+	}
+	return st
+}
+
 // totalFlashMBps is the aggregate baseline flash bus bandwidth used to
 // provision SoC and NVMe resources (Table II's "x1" note).
 func (c Config) totalFlashMBps() int { return c.Channels * c.BusMTps }
@@ -618,19 +646,30 @@ func (s *SSD) Precondition(churn float64, seed int64) {
 	}
 }
 
-// Reset returns a drained device to the state New leaves it in, so that
-// one device can serve many runs. Every layer keeps its objects, its
-// slabs and its recycled operation records, and zeroes the rest: the
+// Reset returns a drained device to the state New(s.Arch, cfg) leaves
+// it in, so that one device can serve every run of its structure. cfg
+// must have the device's Structure and pass Validate; any other panics,
+// as a device with events pending or requests in flight does. The rest
+// of cfg is per run: the FTL's allocation policy, GC mode, victim
+// policy, threshold and group fraction, the logical utilization without
+// a map unit, and the opt-in instruments. Every layer keeps its objects,
+// its slabs and its recycled operation records, and zeroes the rest: the
 // clock and event queue, every resource, the chips, the fabric, the
-// scheduling layer, the FTL (its map unit re-carved and re-installed)
-// and the host's metrics and versions. The opt-in instruments are not
-// reset but built again from Config by the same code New runs, so an
-// instrument cannot carry anything from the last run. A device with
-// events pending or requests in flight panics.
-func (s *SSD) Reset() {
+// scheduling layer, the FTL (configured for cfg, its map unit re-carved
+// and re-installed) and the host's metrics and versions. The opt-in
+// instruments are not reset but built again from cfg by the same code
+// New runs, so an instrument cannot carry anything from the last run.
+func (s *SSD) Reset(cfg Config) {
 	if n, q := s.Engine.Pending(), s.Host.InFlight(); n != 0 || q != 0 || (s.Frontend != nil && !s.Frontend.Drained()) {
 		panic(fmt.Sprintf("ssd: reset of a device with %d events pending and %d requests in flight", n, q))
 	}
+	if have, want := s.Config.Structure(), cfg.Structure(); have != want {
+		panic(fmt.Sprintf("ssd: reset to structure %+v of a device built as %+v", want, have))
+	}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	s.Config = cfg
 	s.Engine.Reset()
 	s.Grid.Reset()
 	s.Soc.Reset()
@@ -638,7 +677,7 @@ func (s *SSD) Reset() {
 	if s.Sched != nil {
 		s.Sched.Reset()
 	}
-	s.FTL.Reset()
+	s.FTL.Reset(cfg.FTL, cfg.LogicalPages())
 	s.Host.Reset()
 	s.wire()
 }

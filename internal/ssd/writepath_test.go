@@ -3,8 +3,10 @@ package ssd
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/ftl"
 	"repro/internal/host"
 	"repro/internal/stats"
@@ -118,7 +120,7 @@ func TestOpenLoopReplayAllocs(t *testing.T) {
 	if s.FTL.Stats().WriteStalls == 0 {
 		t.Fatal("the replay never stalled a write: no backlog to grow the pools")
 	}
-	s.Reset()
+	s.Reset(s.Config)
 	s.FTL.RestoreWarm(ws)
 	if again := replay(); again > openLoopAllocsMax {
 		t.Errorf("replay on a reset device: %.2f allocations per request (%.2f on the fresh device), want <= %d", again, fresh, openLoopAllocsMax)
@@ -139,7 +141,56 @@ func TestResetRefusesBusyDevice(t *testing.T) {
 			t.Fatal("Reset accepted a device with a request pending")
 		}
 	}()
-	s.Reset()
+	s.Reset(s.Config)
+}
+
+// TestResetRefusesOtherStructure: Reset refuses a configuration that
+// changes any field of the device's Structure, each tried alone, and
+// takes one that changes the utilization of a device without a map unit.
+func TestResetRefusesOtherStructure(t *testing.T) {
+	flat := ScaledConfig()
+	flat.Geometry.BlocksPerPlane, flat.Geometry.PagesPerBlock = 8, 16
+	mapped := flat
+	mapped.FTL.Map = &ftl.MapConfig{Entries: 4}
+	cases := []struct {
+		name string
+		from Config
+		edit func(*Config)
+	}{
+		{"channels", flat, func(c *Config) { c.Channels = 4 }},
+		{"ways", flat, func(c *Config) { c.Ways = 4 }},
+		{"geometry", flat, func(c *Config) { c.Geometry.BlocksPerPlane = 12 }},
+		{"timing", flat, func(c *Config) { c.Timing.Program++ }},
+		{"bus-rate", flat, func(c *Config) { c.BusMTps = 800 }},
+		{"scheduler", flat, func(c *Config) { c.Scheduler = controller.SchedOOO }},
+		{"map-on", flat, func(c *Config) { c.FTL.Map = &ftl.MapConfig{Entries: 4} }},
+		{"map-off", mapped, func(c *Config) { c.FTL.Map = nil }},
+		{"map-entries", mapped, func(c *Config) { c.FTL.Map = &ftl.MapConfig{Entries: 8} }},
+		{"map-utilization", mapped, func(c *Config) { c.LogicalUtilization = 0.75 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			to := c.from
+			c.edit(&to)
+			if err := to.Validate(); err != nil {
+				t.Fatalf("the changed config is invalid: %v", err)
+			}
+			s := New(ArchPnSSD, c.from)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "structure") {
+					t.Fatalf("Reset to another structure: recovered %v, want a structure refusal", r)
+				}
+			}()
+			s.Reset(to)
+		})
+	}
+	s := New(ArchPnSSD, flat)
+	to := flat
+	to.LogicalUtilization = 0.75
+	s.Reset(to)
+	if got, want := s.FTL.NumLPNs(), to.LogicalPages(); got != want {
+		t.Fatalf("after Reset to utilization 0.75: %d LPNs, want %d", got, want)
+	}
 }
 
 // BenchmarkWritePath measures the host-request layer under a write

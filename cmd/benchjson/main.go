@@ -6,10 +6,10 @@
 // cmd/experiments (the whole -quick default suite, once), and re-emits
 // the results as JSON, seeding the perf-trajectory file BENCH_quick.json.
 // The committed CSV goldens of cmd/experiments pin the figures' numbers
-// byte for byte. The simulation metrics (events per request or op, miss
-// rates, plan sizes) and allocs/op are deterministic run to run; the
-// wall-clock ns/op entries are not and are recorded for trend-watching
-// only.
+// byte for byte. Every benchmark runs a fixed op count (benchRuns), so
+// the simulation metrics (events per request or op, miss rates, plan
+// sizes) and allocs/op are deterministic run to run; the wall-clock
+// ns/op entries are not and are recorded for trend-watching only.
 //
 // -diff compares two result files metric by metric instead of running
 // anything: it prints every shared deterministic metric whose relative
@@ -20,7 +20,7 @@
 // deterministic metric fails until the baseline is regenerated.
 //
 //	go run ./cmd/benchjson                 # writes BENCH_quick.json
-//	go run ./cmd/benchjson -o out.json -bench ReadPath
+//	go run ./cmd/benchjson -o out.json -bench ReadPath   # runs everything, keeps the ReadPath rows
 //	go run ./cmd/benchjson -diff -threshold 0 BENCH_quick.json /tmp/bench_new.json
 package main
 
@@ -59,7 +59,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.+)$`)
 
 func main() {
 	out := flag.String("o", "BENCH_quick.json", "output file")
-	bench := flag.String("bench", ".", "benchmark selection regexp (go test -bench)")
+	bench := flag.String("bench", ".", "keep only the benchmarks whose full name (e.g. BenchmarkReadPath/base) matches this regexp")
 	diff := flag.Bool("diff", false, "compare two result files (old new) instead of running benchmarks")
 	threshold := flag.Float64("threshold", 25, "with -diff: flag metrics whose relative change exceeds this percentage")
 	flag.Parse()
@@ -72,20 +72,20 @@ func main() {
 		os.Exit(diffFiles(flag.Arg(0), flag.Arg(1), *threshold))
 	}
 
-	// The engine, hold and router benches run long enough for ns/op to
-	// mean something; the read- and write-path benches run a fixed
-	// request count so their events/req does not depend on the machine;
-	// BenchmarkNew builds a fixed number of devices; and the quick suite,
-	// seconds long, runs once. Each run skips what another run covers.
+	// Every benchmark runs a fixed op count, so its allocs/op and
+	// simulation metrics are the same on every machine. The counts give
+	// the engine, hold and router benches 50-150 ms each, long enough for
+	// ns/op to mean something; the read- and write-path benches run a
+	// fixed request count, BenchmarkNew builds a fixed number of
+	// devices, and the quick suite, seconds long, runs once.
+	sel, err := regexp.Compile(*bench)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bad -bench: %v\n", err)
+		os.Exit(2)
+	}
 	var raw []byte
-	for _, run := range []struct{ pkg, benchtime, skip string }{
-		{"./internal/sim", "100ms", ""},
-		{"./internal/array", "100ms", ""},
-		{"./internal/ssd", "20000x", "^BenchmarkNew$"},
-		{"./internal/ssd", "200x", "^Benchmark(ReadPath|WritePath|Replay)$"},
-		{"./cmd/experiments", "1x", ""},
-	} {
-		cmd := exec.Command("go", "test", "-run=^$", "-bench="+*bench, "-benchtime="+run.benchtime, "-skip="+run.skip, run.pkg)
+	for _, run := range benchRuns {
+		cmd := exec.Command("go", "test", "-run=^$", "-bench="+run.bench, "-benchtime="+run.benchtime, run.pkg)
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
 		if err != nil {
@@ -95,10 +95,12 @@ func main() {
 		raw = append(raw, out...)
 	}
 
+	var runs []string
+	for _, run := range benchRuns {
+		runs = append(runs, fmt.Sprintf("`go test -bench='%s' -benchtime=%s %s`", run.bench, run.benchtime, run.pkg))
+	}
 	file := File{
-		Note: "Generated by cmd/benchjson from `go test -bench=. -benchtime=100ms ./internal/sim ./internal/array`, " +
-			"`go test -bench=. -benchtime=20000x -skip=^BenchmarkNew$ ./internal/ssd`, " +
-			"`go test -bench=BenchmarkNew -benchtime=200x ./internal/ssd` and `go test -bench=. -benchtime=1x ./cmd/experiments`. " +
+		Note: "Generated by cmd/benchjson from " + strings.Join(runs, ", ") + ". " +
 			"Simulation metrics and allocs/op are deterministic; ns/op is wall-clock noise.",
 	}
 	if v, err := exec.Command("go", "env", "GOVERSION").Output(); err == nil {
@@ -107,6 +109,9 @@ func main() {
 	for _, line := range strings.Split(string(raw), "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
+			continue
+		}
+		if !sel.MatchString(m[1]) {
 			continue
 		}
 		runs, _ := strconv.ParseInt(m[2], 10, 64)
@@ -142,6 +147,19 @@ func main() {
 	}
 	fh.Close()
 	fmt.Printf("wrote %s: %d benchmarks\n", *out, len(file.Benchmarks))
+}
+
+// benchRuns are the go test runs behind a result file: each selects
+// its benchmarks by name and runs each of them a fixed op count.
+var benchRuns = []struct{ pkg, bench, benchtime string }{
+	{"./internal/sim", "^Benchmark(EngineSchedule|EngineSameInstant|ResourceHold)$", "2000000x"},
+	{"./internal/sim", "^BenchmarkResourceHoldContended$", "500000x"},
+	{"./internal/sim", "^BenchmarkWindowedSparse$", "1000x"},
+	{"./internal/sim", "^BenchmarkEngineThroughput$", "3x"},
+	{"./internal/array", ".", "20x"},
+	{"./internal/ssd", "^Benchmark(ReadPath|WritePath|Replay)$", "20000x"},
+	{"./internal/ssd", "^BenchmarkNew$", "200x"},
+	{"./cmd/experiments", ".", "1x"},
 }
 
 // noisyMetrics are wall-clock / allocator readings that vary run to run

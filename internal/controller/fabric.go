@@ -163,20 +163,29 @@ func (s *Soc) Transfer(n int, done func()) {
 // eccTransfer is the tail of every page read into DRAM: the controller's
 // ECC pipeline latency, then Transfer.
 func (s *Soc) eccTransfer(n int, done func()) {
-	s.eng.Schedule(EccLatency, s.newXfer(n, done).sysBus)
+	x := s.newXfer(n, done)
+	s.eng.Schedule(EccLatency, x.then(xferSysBus))
 }
 
 // socXfer is one SoC transfer between issue and its DRAM stage. Records
-// are recycled through the Soc's free list; sysBus and dram are method
-// values bound once when the record is created, so a transfer allocates
-// nothing in steady state.
+// are recycled through the Soc's free list; fire, a method value bound
+// once when the record is created, runs the step that step names, so a
+// transfer allocates nothing in steady state.
 type socXfer struct {
-	s      *Soc
-	n      int
-	done   func()
-	sysBus func() // bound x.sysBusStep
-	dram   func() // bound x.dramStep
+	s    *Soc
+	n    int
+	done func()
+	step xferStep // what fire runs next
+	fire func()   // bound x.run
 }
+
+// xferStep names a SoC transfer's steps.
+type xferStep uint8
+
+const (
+	xferSysBus xferStep = iota // the system-bus stage
+	xferDram                   // the DRAM stage
+)
 
 // newXfer pops a transfer record off the free list, building one if
 // empty.
@@ -190,15 +199,29 @@ func (s *Soc) newXfer(n int, done func()) *socXfer {
 		s.freeXfers = s.freeXfers[:k-1]
 	} else {
 		x = &socXfer{s: s}
-		x.sysBus = x.sysBusStep
-		x.dram = x.dramStep
+		x.fire = x.run
 	}
 	x.n, x.done = n, done
 	return x
 }
 
+// then arms the record's lane with step st and returns its callback.
+func (x *socXfer) then(st xferStep) func() {
+	x.step = st
+	return x.fire
+}
+
+func (x *socXfer) run() {
+	switch x.step {
+	case xferSysBus:
+		x.sysBusStep()
+	case xferDram:
+		x.dramStep()
+	}
+}
+
 func (x *socXfer) sysBusStep() {
-	x.s.sysBus.UseLabeled("xfer", sim.Time(x.n)*x.s.sysBusPsByte, x.dram)
+	x.s.sysBus.UseLabeled("xfer", sim.Time(x.n)*x.s.sysBusPsByte, x.then(xferDram))
 }
 
 // dramStep is the record's last event: it goes back on the free list and
@@ -258,8 +281,13 @@ func (s *Soc) DramBusy() sim.Time { return s.dram.TotalBusy() }
 // controller ECC, the fabric's own delivery path carries the payload to
 // the chip, and the chip programs it. An erase is one command, then the
 // chip erases. Records are recycled through the fabric's fabricOps free
-// list, and every step is a method value bound once when the record is
-// created, so a steady stream of operations allocates nothing.
+// list, so a steady stream of operations allocates nothing.
+//
+// A record's steps run in two lanes, each a method value bound once when
+// the record is created that runs the step its step code names. The main
+// lane carries the op from issue to its last event; the v lane carries a
+// v-channel hold through its control-plane request and grant, which on a
+// split transfer runs while the main lane holds the h-channel half.
 type fabricOp struct {
 	pool  *fabricOps
 	id    ChipID
@@ -270,23 +298,41 @@ type fabricOp struct {
 	done  func()
 
 	// Omnibus transfers: joins counts the split halves still in flight
-	// and joined runs when the last lands; vch/vLabel/vDur/vNext is the
-	// v-channel hold issued once the control-plane grant arrives.
+	// and joined is the step that runs when the last lands;
+	// vch/vLabel/vDur/vNext is the v-channel hold issued once the
+	// control-plane grant arrives, and the step it ends in.
 	joins  int
-	joined func()
+	joined opStep
 	vch    *bus.Channel
 	vLabel string
 	vDur   sim.Time
-	vNext  func()
+	vNext  opStep
 
-	sense, ret, xfer, ecc, deliver, program, erase, join, vReq, vGrant func() // bound steps
+	step, vStep opStep // what fire and vFire run next
+	fire, vFire func() // bound r.run and r.runV
 }
+
+// opStep names a fabric op's steps.
+type opStep uint8
+
+const (
+	fopSense   opStep = iota // read command at the chip: sense
+	fopRet                   // pages in the registers: return them
+	fopXfer                  // read payload at the controller
+	fopEcc                   // write payload across the SoC
+	fopDeliver               // write payload past the ECC: deliver it
+	fopProgram               // write payload at the chip
+	fopErase                 // erase command at the chip
+	fopJoin                  // one split half landed
+	fopVReq                  // v-channel request at its owner
+	fopVGrant                // v-channel grant back: hold it
+)
 
 // fabricOps is one fabric's free list of op records plus its two
 // fabric-specific paths: ret carries a read's pages from the chip's page
-// registers to the controller and must end in the record's xfer step;
+// registers to the controller and must end in the record's fopXfer step;
 // deliver carries a write's payload from the controller to the chip and
-// must end in its program step.
+// must end in its fopProgram step.
 type fabricOps struct {
 	grid     *Grid
 	soc      *Soc
@@ -304,9 +350,7 @@ func (p *fabricOps) get(id ChipID, done func()) *fabricOp {
 		p.free = p.free[:k-1]
 	} else {
 		r = &fabricOp{pool: p}
-		r.sense, r.ret, r.xfer = r.senseStep, r.retStep, r.xferStep
-		r.ecc, r.deliver, r.program, r.erase = r.eccStep, r.deliverStep, r.programStep, r.eraseStep
-		r.join, r.vReq, r.vGrant = r.joinStep, r.vReqStep, r.vGrantStep
+		r.fire, r.vFire = r.run, r.runV
 	}
 	r.id, r.chip, r.done = id, p.grid.Chip(id), done
 	return r
@@ -328,13 +372,50 @@ func (p *fabricOps) write(id ChipID, progs []flash.ProgramOp, done func()) *fabr
 
 // put returns a record whose last event has fired to the free list.
 func (p *fabricOps) put(r *fabricOp) {
-	r.ppas, r.progs, r.done, r.joined, r.vNext = nil, nil, nil, nil, nil
+	r.ppas, r.progs, r.done = nil, nil, nil
 	p.free = append(p.free, r)
 }
 
-func (r *fabricOp) senseStep() { r.chip.Read(r.ppas, r.ret) }
+// then arms the main lane with step s and returns its callback.
+func (r *fabricOp) then(s opStep) func() {
+	r.step = s
+	return r.fire
+}
 
-func (r *fabricOp) retStep() { r.pool.ret(r) }
+// thenV arms the v lane with step s and returns its callback.
+func (r *fabricOp) thenV(s opStep) func() {
+	r.vStep = s
+	return r.vFire
+}
+
+func (r *fabricOp) run()  { r.do(r.step) }
+func (r *fabricOp) runV() { r.do(r.vStep) }
+
+// do runs step s.
+func (r *fabricOp) do(s opStep) {
+	switch s {
+	case fopSense:
+		r.chip.Read(r.ppas, r.then(fopRet))
+	case fopRet:
+		r.pool.ret(r)
+	case fopXfer:
+		r.xferStep()
+	case fopEcc:
+		r.pool.soc.eng.Schedule(EccLatency, r.then(fopDeliver))
+	case fopDeliver:
+		r.pool.deliver(r)
+	case fopProgram:
+		r.programStep()
+	case fopErase:
+		r.eraseStep()
+	case fopJoin:
+		r.joinStep()
+	case fopVReq:
+		r.pool.soc.CtrlMsg(r.thenV(fopVGrant))
+	case fopVGrant:
+		r.vch.UseOp(r.vLabel, r.vDur, r.thenV(r.vNext))
+	}
+}
 
 // xferStep is a read's last event: the payload has reached the
 // controller, so the record goes back on the free list and the ECC and
@@ -344,11 +425,6 @@ func (r *fabricOp) xferStep() {
 	p.put(r)
 	p.soc.eccTransfer(n, done)
 }
-
-// eccStep follows a write's SoC transfer: the controller ECC pipeline.
-func (r *fabricOp) eccStep() { r.pool.soc.eng.Schedule(EccLatency, r.deliver) }
-
-func (r *fabricOp) deliverStep() { r.pool.deliver(r) }
 
 // programStep is a write's last event: the payload sits at the chip, so
 // the record goes back on the free list and the program carries done.
@@ -365,9 +441,9 @@ func (r *fabricOp) eraseStep() {
 	chip.Erase(blocks, done)
 }
 
-// splitJoin arms a split transfer: two halves in flight, and next runs
-// when both have landed.
-func (r *fabricOp) splitJoin(next func()) {
+// splitJoin arms a split transfer: two halves in flight, and step next
+// runs when both have landed.
+func (r *fabricOp) splitJoin(next opStep) {
 	r.joins, r.joined = 2, next
 }
 
@@ -375,21 +451,17 @@ func (r *fabricOp) splitJoin(next func()) {
 func (r *fabricOp) joinStep() {
 	r.joins--
 	if r.joins == 0 {
-		r.joined()
+		r.do(r.joined)
 	}
 }
 
 // afterVGrant issues a v-channel hold of d once the request/grant
 // exchange over the control plane lets controller[way] drive vch, then
-// runs next.
-func (r *fabricOp) afterVGrant(vch *bus.Channel, label string, d sim.Time, next func()) {
+// runs step next on the v lane.
+func (r *fabricOp) afterVGrant(vch *bus.Channel, label string, d sim.Time, next opStep) {
 	r.vch, r.vLabel, r.vDur, r.vNext = vch, label, d, next
-	r.pool.soc.CtrlMsg(r.vReq)
+	r.pool.soc.CtrlMsg(r.thenV(fopVReq))
 }
-
-func (r *fabricOp) vReqStep() { r.pool.soc.CtrlMsg(r.vGrant) }
-
-func (r *fabricOp) vGrantStep() { r.vch.UseOp(r.vLabel, r.vDur, r.vNext) }
 
 // totalBytes sums the page sizes of a multi-plane op set.
 func totalBytes(pageSize, pages int) int { return pageSize * pages }

@@ -57,31 +57,31 @@ func (f *MeshFabric) node(id ChipID) mesh.Node { return mesh.Node{X: id.Way, Y: 
 // to the row's controller, ECC, SoC hop.
 func (f *MeshFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
 	r := f.fops.read(id, ppas, done)
-	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.sense)
+	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.then(fopSense))
 }
 
 // returnRead sends the data packet back to the row's controller.
 func (f *MeshFabric) returnRead(r *fabricOp) {
-	f.m.Transfer(f.node(r.id), mesh.Controller(r.id.Channel), packet.DataFlitsFor(r.n), r.xfer)
+	f.m.Transfer(f.node(r.id), mesh.Controller(r.id.Channel), packet.DataFlitsFor(r.n), r.then(fopXfer))
 }
 
 // Write implements Fabric: SoC hop, then one command+payload packet stream
 // to the chip, then tPROG.
 func (f *MeshFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
 	w := f.fops.write(id, ops, done)
-	f.soc.Transfer(w.n, w.ecc)
+	f.soc.Transfer(w.n, w.then(fopEcc))
 }
 
 // deliverWrite sends the command+payload packet stream to the chip.
 func (f *MeshFabric) deliverWrite(w *fabricOp) {
-	f.m.Transfer(mesh.Controller(w.id.Channel), f.node(w.id), packet.ControlFlitsFor()+packet.DataFlitsFor(w.n), w.program)
+	f.m.Transfer(mesh.Controller(w.id.Channel), f.node(w.id), packet.ControlFlitsFor()+packet.DataFlitsFor(w.n), w.then(fopProgram))
 }
 
 // Erase implements Fabric.
 func (f *MeshFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
 	r := f.fops.get(id, done)
 	r.ppas = blocks
-	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.erase)
+	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.then(fopErase))
 }
 
 // Copy implements Fabric: the mesh does provide flash-to-flash
@@ -96,16 +96,17 @@ func (f *MeshFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, 
 		f.copies = f.copies[:k-1]
 	} else {
 		c = &meshCopy{f: f}
-		c.readCmd, c.sensed, c.arrived, c.commit, c.finish = c.readCmdStep, c.sensedStep, c.arrivedStep, c.commitStep, c.finishStep
-		c.vpage = c.vpageStep
+		c.fire = c.run
 	}
 	c.src, c.from[0], c.dst, c.to, c.done = src, from, dst, to, done
-	f.m.Transfer(mesh.Controller(src.Channel), f.node(src), packet.ControlFlitsFor(), c.readCmd)
+	f.m.Transfer(mesh.Controller(src.Channel), f.node(src), packet.ControlFlitsFor(), c.then(mcReadCmd))
 }
 
 // meshCopy is one MeshFabric.Copy in flight. Records are recycled
-// through the fabric's free list and every step is a method value bound
-// once, so a steady stream of GC copies allocates nothing.
+// through the fabric's free list. A copy's steps run one after another,
+// so a record has one lane: fire, a method value bound once when the
+// record is created, runs the step that step names, and a steady stream
+// of GC copies allocates nothing.
 type meshCopy struct {
 	f        *MeshFabric
 	src, dst ChipID
@@ -115,32 +116,53 @@ type meshCopy struct {
 	token    flash.Token
 	reg      int
 
-	readCmd, sensed, arrived, commit, finish func() // bound steps
-	vpage                                    func(reg int)
+	step meshCopyStep // what fire runs next
+	fire func()       // bound c.run
 }
 
-func (c *meshCopy) readCmdStep() { c.f.grid.Chip(c.src).Read(c.from[:], c.sensed) }
+// meshCopyStep names a mesh copy's steps.
+type meshCopyStep uint8
 
-// sensedStep sends the page from the source node to the destination.
-func (c *meshCopy) sensedStep() {
+const (
+	mcReadCmd meshCopyStep = iota // read command at the source chip
+	mcSensed                      // page in the source's register
+	mcArrived                     // payload at the destination node
+	mcVPage                       // destination register claimed
+	mcCommit                      // on-die ECC done: commit
+	mcFinish                      // the copy's last event
+)
+
+// then arms the record's lane with step s and returns its callback.
+func (c *meshCopy) then(s meshCopyStep) func() {
+	c.step = s
+	return c.fire
+}
+
+func (c *meshCopy) run() {
 	f := c.f
-	c.token = f.grid.Chip(c.src).PageRegister(c.from[0].Plane)
-	f.m.Transfer(f.node(c.src), f.node(c.dst), packet.DataFlitsFor(f.pageSize), c.arrived)
+	switch c.step {
+	case mcReadCmd:
+		f.grid.Chip(c.src).Read(c.from[:], c.then(mcSensed))
+	case mcSensed:
+		// Send the page from the source node to the destination.
+		c.token = f.grid.Chip(c.src).PageRegister(c.from[0].Plane)
+		f.m.Transfer(f.node(c.src), f.node(c.dst), packet.DataFlitsFor(f.pageSize), c.then(mcArrived))
+	case mcArrived:
+		// Park the payload at the destination: the mesh has no
+		// control-plane reservation, so it stalls until a V-page
+		// register frees.
+		f.grid.Chip(c.dst).WaitVPage(&c.reg, c.then(mcVPage))
+	case mcVPage:
+		// Store the payload in the claimed register; on-die ECC runs
+		// before the commit.
+		f.grid.Chip(c.dst).SetVPage(c.reg, c.token)
+		f.eng.Schedule(OnDieEccLatency, c.then(mcCommit))
+	case mcCommit:
+		f.grid.Chip(c.dst).ProgramFromVPage(c.reg, c.to, c.then(mcFinish))
+	case mcFinish:
+		c.finishStep()
+	}
 }
-
-// arrivedStep parks the payload at the destination: the mesh has no
-// control-plane reservation, so it stalls until a V-page register frees.
-func (c *meshCopy) arrivedStep() { c.f.grid.Chip(c.dst).WaitVPage(c.vpage) }
-
-// vpageStep stores the payload in the claimed register; on-die ECC runs
-// before the commit.
-func (c *meshCopy) vpageStep(reg int) {
-	c.reg = reg
-	c.f.grid.Chip(c.dst).SetVPage(reg, c.token)
-	c.f.eng.Schedule(OnDieEccLatency, c.commit)
-}
-
-func (c *meshCopy) commitStep() { c.f.grid.Chip(c.dst).ProgramFromVPage(c.reg, c.to, c.finish) }
 
 // finishStep is the copy's last event: the record goes back on the free
 // list and done runs.

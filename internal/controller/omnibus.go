@@ -293,7 +293,7 @@ func (f *OmnibusFabric) PathCounts() (h, v, split, direct, relayed int64) {
 // split.
 func (f *OmnibusFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
 	r := f.fops.read(id, ppas, done)
-	f.h[id.Channel].UseOp("read-cmd", f.hIface[id.Channel].ReadCmd(), r.sense)
+	f.h[id.Channel].UseOp("read-cmd", f.hIface[id.Channel].ReadCmd(), r.then(fopSense))
 }
 
 // returnData moves the read's payload from the chip's page registers to
@@ -315,7 +315,7 @@ func (f *OmnibusFabric) returnData(r *fabricOp) {
 			}
 		}
 		f.hReturns++
-		hch.UseOp("read-xfer", hifc.ReadXfer(n), r.xfer)
+		hch.UseOp("read-xfer", hifc.ReadXfer(n), r.then(fopXfer))
 		return
 	}
 	vch, vifc := &f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
@@ -331,9 +331,9 @@ func (f *OmnibusFabric) returnData(r *fabricOp) {
 			f.trc.Instant("route", "split-return", trace.KV{K: "chip", V: id.String()})
 		}
 		half1, half2 := n/2, n-n/2
-		r.splitJoin(r.xfer)
-		hch.UseOp("read-xfer-half", hifc.ReadXfer(half1), r.join)
-		r.afterVGrant(vch, "read-xfer-half", vifc.ReadXfer(half2), r.join)
+		r.splitJoin(fopXfer)
+		hch.UseOp("read-xfer-half", hifc.ReadXfer(half1), r.then(fopJoin))
+		r.afterVGrant(vch, "read-xfer-half", vifc.ReadXfer(half2), fopJoin)
 		return
 	}
 	// Greedy adaptive, as in the paper: the first *available* channel is
@@ -346,18 +346,18 @@ func (f *OmnibusFabric) returnData(r *fabricOp) {
 		if f.trc.Enabled() {
 			f.trc.Instant("route", "v-return", trace.KV{K: "chip", V: id.String()})
 		}
-		r.afterVGrant(vch, "read-xfer", vifc.ReadXfer(n), r.xfer)
+		r.afterVGrant(vch, "read-xfer", vifc.ReadXfer(n), fopXfer)
 		return
 	}
 	f.hReturns++
-	hch.UseOp("read-xfer", hifc.ReadXfer(n), r.xfer)
+	hch.UseOp("read-xfer", hifc.ReadXfer(n), r.then(fopXfer))
 }
 
 // Write implements Fabric. Payload delivery mirrors the read return path:
 // split across h and v when enabled, otherwise greedy adaptive.
 func (f *OmnibusFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
 	w := f.fops.write(id, ops, done)
-	f.soc.Transfer(w.n, w.ecc)
+	f.soc.Transfer(w.n, w.then(fopEcc))
 }
 
 // deliverWrite carries a write's payload from the controller to the chip
@@ -372,7 +372,7 @@ func (f *OmnibusFabric) deliverWrite(w *fabricOp) {
 				r.DegradedReturns++
 			}
 		}
-		hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.program)
+		hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.then(fopProgram))
 		return
 	}
 	vch, vifc := &f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
@@ -385,23 +385,23 @@ func (f *OmnibusFabric) deliverWrite(w *fabricOp) {
 	// halves down both.
 	if f.split && n > 1 && hch.Load() == 0 && vch.Load() == 0 {
 		half1, half2 := n/2, n-n/2
-		w.splitJoin(w.program)
-		hch.UseOp("program-xfer-half", hifc.ProgramXfer(half1), w.join)
-		w.afterVGrant(vch, "program-xfer-half", vifc.ProgramXfer(half2), w.join)
+		w.splitJoin(fopProgram)
+		hch.UseOp("program-xfer-half", hifc.ProgramXfer(half1), w.then(fopJoin))
+		w.afterVGrant(vch, "program-xfer-half", vifc.ProgramXfer(half2), fopJoin)
 		return
 	}
 	if f.routeToV(hch, vch) {
-		w.afterVGrant(vch, "program-xfer", vifc.ProgramXfer(n), w.program)
+		w.afterVGrant(vch, "program-xfer", vifc.ProgramXfer(n), fopProgram)
 		return
 	}
-	hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.program)
+	hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.then(fopProgram))
 }
 
 // Erase implements Fabric: a single control packet on the h-channel.
 func (f *OmnibusFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
 	r := f.fops.get(id, done)
 	r.ppas = blocks
-	f.h[id.Channel].UseOp("erase-cmd", f.hIface[id.Channel].EraseCmd(), r.erase)
+	f.h[id.Channel].UseOp("erase-cmd", f.hIface[id.Channel].EraseCmd(), r.then(fopErase))
 }
 
 // Copy implements Fabric. Same-column copies move directly over the
@@ -453,13 +453,14 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 		c.grantSpan = f.trc.BeginSpan("gc", "grant-wait",
 			trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
 	}
-	c.arbitrateStep()
+	c.then(cpArbitrate)()
 }
 
 // copyOp is one OmnibusFabric.Copy from arbitration to commit, on either
-// route. Records are recycled through the fabric's free list; every step
-// is a method value bound once when the record is created, so a steady
-// stream of GC copies allocates nothing.
+// route. Records are recycled through the fabric's free list. A copy's
+// steps run one after another, so a record has one lane: fire, a method
+// value bound once when the record is created, runs the step that step
+// names, and a steady stream of GC copies allocates nothing.
 type copyOp struct {
 	f        *OmnibusFabric
 	src, dst ChipID
@@ -478,10 +479,28 @@ type copyOp struct {
 	reg   int                // the destination's V-page register (direct)
 	token flash.Token        // the page, once sensed
 	prog  [1]flash.ProgramOp // the relayed write (relay)
-	vpage func(reg int)      // bound c.vpageStep
 
-	arbitrate, request, status, grant, readCmd, sensed, vxfer, commit, relayed, relayWrite, finish func() // bound steps
+	step copyStep // what fire runs next
+	fire func()   // bound c.run
 }
+
+// copyStep names a copy's steps.
+type copyStep uint8
+
+const (
+	cpArbitrate  copyStep = iota // send the request to the v-channel owner
+	cpRequest                    // request at the owner
+	cpStatus                     // buffer-status check at the destination
+	cpVPage                      // destination register claimed
+	cpGrant                      // grant back at the source
+	cpReadCmd                    // read command at the source chip
+	cpSensed                     // page in the source's register
+	cpVXfer                      // page in the destination's V-page register
+	cpCommit                     // on-die ECC done: commit
+	cpRelayed                    // relayed page at the controller
+	cpRelayWrite                 // relayed page in DRAM: write it out
+	cpFinish                     // the copy's last event
+)
 
 // newCopy pops a copy record off the free list, building one if empty.
 func (f *OmnibusFabric) newCopy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) *copyOp {
@@ -491,18 +510,50 @@ func (f *OmnibusFabric) newCopy(src ChipID, from flash.PPA, dst ChipID, to flash
 		f.freeCopies = f.freeCopies[:k-1]
 	} else {
 		c = &copyOp{f: f}
-		c.arbitrate, c.request, c.status, c.grant = c.arbitrateStep, c.requestStep, c.statusStep, c.grantStep
-		c.readCmd, c.sensed, c.vxfer, c.commit = c.readCmdStep, c.sensedStep, c.vxferStep, c.commitStep
-		c.relayed, c.relayWrite, c.finish = c.relayedStep, c.relayWriteStep, c.finishStep
-		c.vpage = c.vpageStep
+		c.fire = c.run
 	}
 	c.src, c.from[0], c.dst, c.to, c.done = src, from, dst, to, done
 	c.attempts = 0
 	return c
 }
 
-// arbitrateStep sends the request: source ctrl -> v-channel owner.
-func (c *copyOp) arbitrateStep() { c.f.soc.CtrlMsg(c.request) }
+// then arms the record's lane with step s and returns its callback.
+func (c *copyOp) then(s copyStep) func() {
+	c.step = s
+	return c.fire
+}
+
+func (c *copyOp) run() {
+	f := c.f
+	switch c.step {
+	case cpArbitrate:
+		f.soc.CtrlMsg(c.then(cpRequest))
+	case cpRequest:
+		c.requestStep()
+	case cpStatus:
+		f.grid.Chip(c.dst).WaitVPage(&c.reg, c.then(cpVPage))
+	case cpVPage:
+		// The claimed register is held; the grant goes back to the
+		// source ctrl.
+		f.soc.CtrlMsg(c.then(cpGrant))
+	case cpGrant:
+		c.grantStep()
+	case cpReadCmd:
+		f.grid.Chip(c.src).Read(c.from[:], c.then(cpSensed))
+	case cpSensed:
+		c.sensedStep()
+	case cpVXfer:
+		c.vxferStep()
+	case cpCommit:
+		f.grid.Chip(c.dst).ProgramFromVPage(c.reg, c.to, c.then(cpFinish))
+	case cpRelayed:
+		f.soc.eccTransfer(f.pageSize, c.then(cpRelayWrite))
+	case cpRelayWrite:
+		c.relayWriteStep()
+	case cpFinish:
+		c.finishStep()
+	}
+}
 
 // requestStep lands the request at the v-channel owner, unless an
 // injected GrantDrop lost it.
@@ -521,19 +572,10 @@ func (c *copyOp) requestStep() {
 			return
 		}
 		ras.GrantRetries++
-		f.eng.Schedule(fault.GrantTimeout<<uint(c.attempts-1), c.arbitrate)
+		f.eng.Schedule(fault.GrantTimeout<<uint(c.attempts-1), c.then(cpArbitrate))
 		return
 	}
-	f.soc.CtrlMsg(c.status) // buffer-status check at destination ctrl
-}
-
-func (c *copyOp) statusStep() { c.f.grid.Chip(c.dst).WaitVPage(c.vpage) }
-
-// vpageStep holds the claimed register and sends the grant back to the
-// source ctrl.
-func (c *copyOp) vpageStep(reg int) {
-	c.reg = reg
-	c.f.soc.CtrlMsg(c.grant)
+	f.soc.CtrlMsg(c.then(cpStatus)) // buffer-status check at destination ctrl
 }
 
 // grantStep starts the data-plane half of a same-column copy: tR on the
@@ -550,7 +592,7 @@ func (c *copyOp) grantStep() {
 	c.direct = true
 	c.beginSpan("direct-copy")
 	vi := f.vIndex(c.src.Way)
-	f.v[vi].UseOp("gc-read-cmd", f.vIface[vi].ReadCmd(), c.readCmd)
+	f.v[vi].UseOp("gc-read-cmd", f.vIface[vi].ReadCmd(), c.then(cpReadCmd))
 }
 
 // relayCopy is the controller-relayed route: every copy on a fabric
@@ -567,7 +609,7 @@ func (f *OmnibusFabric) relayCopy(c *copyOp) {
 	c.direct = false
 	c.beginSpan("relay-copy")
 	ch := c.src.Channel
-	f.h[ch].UseOp("gc-read-cmd", f.hIface[ch].ReadCmd(), c.readCmd)
+	f.h[ch].UseOp("gc-read-cmd", f.hIface[ch].ReadCmd(), c.then(cpReadCmd))
 }
 
 // beginSpan opens the copy's gc trace span named name when tracing is
@@ -578,8 +620,6 @@ func (c *copyOp) beginSpan(name string) {
 	}
 }
 
-func (c *copyOp) readCmdStep() { c.f.grid.Chip(c.src).Read(c.from[:], c.sensed) }
-
 // sensedStep moves the sensed page off the source: over the v-channel
 // into the destination's V-page register, or over the source row's
 // h-channel toward DRAM.
@@ -588,28 +628,24 @@ func (c *copyOp) sensedStep() {
 	c.token = f.grid.Chip(c.src).PageRegister(c.from[0].Plane)
 	if c.direct {
 		vi := f.vIndex(c.src.Way)
-		f.v[vi].UseOp("gc-vxfer", f.vIface[vi].VXfer(f.pageSize), c.vxfer)
+		f.v[vi].UseOp("gc-vxfer", f.vIface[vi].VXfer(f.pageSize), c.then(cpVXfer))
 		return
 	}
 	ch := c.src.Channel
-	f.h[ch].UseOp("gc-read-xfer", f.hIface[ch].ReadXfer(f.pageSize), c.relayed)
+	f.h[ch].UseOp("gc-read-xfer", f.hIface[ch].ReadXfer(f.pageSize), c.then(cpRelayed))
 }
 
 // vxferStep lands the payload in the V-page register; on-die ECC runs
 // before the commit.
 func (c *copyOp) vxferStep() {
 	c.f.grid.Chip(c.dst).SetVPage(c.reg, c.token)
-	c.f.eng.Schedule(OnDieEccLatency, c.commit)
+	c.f.eng.Schedule(OnDieEccLatency, c.then(cpCommit))
 }
-
-func (c *copyOp) commitStep() { c.f.grid.Chip(c.dst).ProgramFromVPage(c.reg, c.to, c.finish) }
-
-func (c *copyOp) relayedStep() { c.f.soc.eccTransfer(c.f.pageSize, c.relayWrite) }
 
 // relayWriteStep writes the page out from DRAM like any host write.
 func (c *copyOp) relayWriteStep() {
 	c.prog[0] = flash.ProgramOp{Addr: c.to, Token: c.token}
-	c.f.Write(c.dst, c.prog[:], c.finish)
+	c.f.Write(c.dst, c.prog[:], c.then(cpFinish))
 }
 
 // finishStep is the copy's last event: it closes the trace span, goes

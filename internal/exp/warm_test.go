@@ -240,12 +240,14 @@ func TestResetRestoreMatchesFreshWarm(t *testing.T) {
 }
 
 // recycled names the fields deepDiff skips, as "package.Type.field": the
-// free lists of recycled operation records, and the chip's array-op
-// completion, bound at its first program or erase, which a reset device
+// free lists of recycled operation records, and the completions bound at
+// first use (the chip's read hook and completion and array-op
+// completion, the FTL's GC victim completion), which a reset device
 // keeps and a fresh one has not made yet. Everything else, any field
 // added later included, is compared.
 var recycled = map[string]bool{
-	"flash.Chip.freeReads":                true,
+	"flash.Chip.grantRead":                true,
+	"flash.Chip.finishRead":               true,
 	"flash.Chip.finishOp":                 true,
 	"controller.fabricOps.free":           true,
 	"controller.OmnibusFabric.freeCopies": true,
@@ -255,6 +257,9 @@ var recycled = map[string]bool{
 	"ftl.FTL.freeReads":                   true,
 	"ftl.FTL.freeWrites":                  true,
 	"ftl.FTL.freeVictims":                 true,
+	"ftl.FTL.victimDone":                  true,
+	"ftl.mapUnit.freeLookups":             true,
+	"ftl.mapUnit.freeFetches":             true,
 	"host.Host.freeReqs":                  true,
 }
 

@@ -105,7 +105,7 @@ type Chip struct {
 	pageReg    []Token // per-plane page registers
 	vpage      []Token // pnSSD V-page registers (2 in the paper)
 	vpageInUse []bool
-	vpageWait  []func(reg int) // WaitVPage callers, oldest first; only while all are held
+	vpageWait  []vpageWaiter // WaitVPage callers, oldest first; only while all are held
 
 	// The chip's windows of its Array's slabs: pages at
 	// plane*pagesPerPlane + block*pagesPerBlock + page (pageIndex), blocks
@@ -117,9 +117,21 @@ type Chip struct {
 
 	reads, programs, erases int64
 
-	freeReads  []*chipRead  // recycled Read records
 	ppaScratch []PPA        // Program's multi-plane check
 	vcommit    [1]ProgramOp // ProgramFromVPage's op, copied at issue
+
+	// The queued and sensing Reads, oldest first, and their pages in the
+	// same order. The die grants holds in request order, so the oldest
+	// read is the next to finish, and a grant is for the read that
+	// readsHeld, the count granted and not yet finished, skips past: one
+	// while a release hands the die from one read to the next, else
+	// none. grantRead and finishRead, bound at the chip's first read, are
+	// every read hold's grant hook and completion.
+	readOps    fifo[readOp]
+	readAddrs  fifo[PPA]
+	readsHeld  int
+	grantRead  func() sim.Time // bound c.readGranted
+	finishRead func()          // bound c.readSensed
 
 	// The queued and running Programs and Erases, oldest first, and
 	// their targets (pages and tokens, or erased blocks) in the same
@@ -201,8 +213,9 @@ func NewArray(eng *sim.Engine, n int, name func(b []byte, i int) []byte, geo Geo
 // Reset returns every chip of an idle array to its state at NewArray:
 // all pages erased, erase counts, registers and counters zero, no fault
 // injector, and each die idle with no observer. Chips keep their slab
-// windows and their recycled operation records. A chip with an array
-// operation in flight or queued panics, as its die does.
+// windows, their operation queues' capacity and their bound
+// completions. A chip with an operation in flight or queued panics, as
+// its die does.
 func (a *Array) Reset() {
 	clear(a.content)
 	clear(a.state)
@@ -224,7 +237,9 @@ func (c *Chip) reset() {
 		eng: c.eng, name: c.name, geo: c.geo, timing: c.timing, die: c.die,
 		pageReg: c.pageReg, vpage: c.vpage, vpageInUse: c.vpageInUse, vpageWait: c.vpageWait[:0],
 		content: c.content, state: c.state, nextPage: c.nextPage, eraseCount: c.eraseCount,
-		freeReads: c.freeReads, ppaScratch: c.ppaScratch[:0],
+		ppaScratch: c.ppaScratch[:0],
+		readOps:    c.readOps.emptied(), readAddrs: c.readAddrs.emptied(),
+		grantRead: c.grantRead, finishRead: c.finishRead,
 		arrayOps: c.arrayOps.emptied(), targets: c.targets.emptied(), finishOp: c.finishOp,
 	}
 }
@@ -328,61 +343,45 @@ func (c *Chip) Read(ppas []PPA, done func()) {
 			panic(fmt.Sprintf("flash %s: read of unprogrammed page %v", c.name, a))
 		}
 	}
-	r := c.newRead()
-	r.addrs = append(r.addrs[:0], ppas...)
-	r.done = done
+	if c.finishRead == nil {
+		c.grantRead, c.finishRead = c.readGranted, c.readSensed
+	}
+	c.readAddrs.push(ppas...)
+	c.readOps.push(readOp{n: len(ppas), done: done})
 	// The hold's length is set at the grant, where the ECC fault penalty
 	// is drawn, so penalties are drawn in grant order.
-	c.die.UseGranted("read", r.grant, r.sense)
+	c.die.UseGranted("read", c.grantRead, c.finishRead)
 }
 
-// chipRead is one queued or sensing Chip.Read. Records are recycled
-// through the chip's free list so a steady stream of reads allocates
-// nothing: grant and sense are method values bound once when the record
-// is created, and addrs keeps its capacity across uses.
-type chipRead struct {
-	c     *Chip
-	addrs []PPA
-	done  func()
-	grant func() sim.Time // bound r.granted
-	sense func()          // bound r.sensed
+// readOp is one queued or sensing Chip.Read, whose n pages wait in the
+// chip's read-address queue.
+type readOp struct {
+	n    int
+	done func()
 }
 
-// newRead pops a read record off the free list, building one if empty.
-func (c *Chip) newRead() *chipRead {
-	if n := len(c.freeReads); n > 0 {
-		r := c.freeReads[n-1]
-		c.freeReads = c.freeReads[:n-1]
-		return r
-	}
-	r := &chipRead{c: c}
-	r.grant = r.granted
-	r.sense = r.sensed
-	return r
+// readGranted runs when the die is granted to a read and returns how
+// long the read holds it. The retry ladder extends the die-busy window:
+// re-senses hold the array exactly like the first sense does on real
+// NAND.
+func (c *Chip) readGranted() sim.Time {
+	op := c.readOps.q[c.readOps.head+c.readsHeld]
+	c.readsHeld++
+	return c.timing.Read + c.readFaultPenalty(op.n)
 }
 
-// granted runs when the die is granted and returns how long the read
-// holds it. The retry ladder extends the die-busy window: re-senses hold
-// the array exactly like the first sense does on real NAND.
-func (r *chipRead) granted() sim.Time {
-	c := r.c
-	return c.timing.Read + c.readFaultPenalty(len(r.addrs))
-}
-
-// sensed runs once the die is released and lands the pages in their
-// registers. The record returns to the free list before done runs,
-// because done may issue the next read on this chip.
-func (r *chipRead) sensed() {
-	c := r.c
-	for _, a := range r.addrs {
+// readSensed runs once the die is released by the oldest read and lands
+// its pages in their registers. The read leaves the queues before done
+// runs, because done may issue the next read on this chip.
+func (c *Chip) readSensed() {
+	op := c.readOps.pop(1)[0]
+	for _, a := range c.readAddrs.pop(op.n) {
 		c.pageReg[a.Plane] = c.content[c.pageIndex(a)]
 	}
+	c.readsHeld--
 	c.reads++
-	done := r.done
-	r.done = nil
-	c.freeReads = append(c.freeReads, r)
-	if done != nil {
-		done()
+	if op.done != nil {
+		op.done()
 	}
 }
 
@@ -607,15 +606,23 @@ func (c *Chip) AcquireVPage() int {
 }
 
 // WaitVPage claims a V-page register for fn — the buffer-status check the
-// Omnibus control plane performs before a grant (Fig 11). fn runs at once
-// when a register is free; otherwise it waits in arrival order, and the
-// register a commit or abort frees passes straight to the oldest waiter.
-func (c *Chip) WaitVPage(fn func(reg int)) {
-	if reg := c.AcquireVPage(); reg >= 0 {
-		fn(reg)
+// Omnibus control plane performs before a grant (Fig 11) — storing its
+// index in *reg before fn runs. fn runs at once when a register is free;
+// otherwise it waits in arrival order, and the register a commit or
+// abort frees passes straight to the oldest waiter.
+func (c *Chip) WaitVPage(reg *int, fn func()) {
+	if r := c.AcquireVPage(); r >= 0 {
+		*reg = r
+		fn()
 		return
 	}
-	c.vpageWait = append(c.vpageWait, fn)
+	c.vpageWait = append(c.vpageWait, vpageWaiter{reg, fn})
+}
+
+// vpageWaiter is one parked WaitVPage call.
+type vpageWaiter struct {
+	reg *int
+	fn  func()
 }
 
 // SetVPage stores payload arriving over a v-channel into a claimed V-page
@@ -642,11 +649,12 @@ func (c *Chip) ReleaseVPage(reg int) {
 	}
 	// Shift the queue down rather than reslice it forward, so appends
 	// keep reusing one backing array.
-	fn := c.vpageWait[0]
+	w := c.vpageWait[0]
 	n := copy(c.vpageWait, c.vpageWait[1:])
-	c.vpageWait[n] = nil
+	c.vpageWait[n] = vpageWaiter{}
 	c.vpageWait = c.vpageWait[:n]
-	fn(reg)
+	*w.reg = reg
+	w.fn()
 }
 
 // InstallPage instantly programs a page with no simulated time, for

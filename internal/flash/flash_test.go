@@ -275,10 +275,11 @@ func TestWaitVPageFIFO(t *testing.T) {
 	r1 := c.AcquireVPage()
 	var served []int
 	var regs []int
-	for i := 0; i < 3; i++ {
-		c.WaitVPage(func(reg int) {
+	slots := make([]int, 3)
+	for i := range slots {
+		c.WaitVPage(&slots[i], func() {
 			served = append(served, i)
-			regs = append(regs, reg)
+			regs = append(regs, slots[i])
 		})
 	}
 	if len(served) != 0 || c.VPagesHeld() != NumVPageRegisters {
@@ -312,9 +313,9 @@ func TestWaitVPageFIFO(t *testing.T) {
 	if c.VPagesHeld() != 0 {
 		t.Fatalf("%d registers held after the queue drained", c.VPagesHeld())
 	}
-	got := -1
-	c.WaitVPage(func(reg int) { got = reg })
-	if got < 0 {
+	got, claimed := -1, false
+	c.WaitVPage(&got, func() { claimed = true })
+	if got < 0 || !claimed {
 		t.Fatal("WaitVPage on a free chip did not claim at once")
 	}
 }

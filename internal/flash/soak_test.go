@@ -104,10 +104,11 @@ func TestChipProtocolSoak(t *testing.T) {
 			}
 			tok := toks[i]
 			claimed := false
-			to.WaitVPage(func(reg int) {
+			reg := new(int)
+			to.WaitVPage(reg, func() {
 				claimed = true
-				to.SetVPage(reg, tok)
-				to.ProgramFromVPage(reg, dstAddr, func() { committed++ })
+				to.SetVPage(*reg, tok)
+				to.ProgramFromVPage(*reg, dstAddr, func() { committed++ })
 			})
 			if !claimed {
 				waits++

@@ -169,6 +169,11 @@ type FTL struct {
 	maybeGC    func() // bound f.maybeTriggerGC
 	stats      Stats
 
+	// round is the GC round in flight, and victimDone, bound at the
+	// first round, is each of its victims' completion.
+	round      gcRound
+	victimDone func() // bound f.victimCollected
+
 	// faults draws program/erase failure outcomes; nil means no injection.
 	faults *fault.Injector
 
@@ -551,8 +556,10 @@ type chipBatch struct {
 // batchByChip groups per-page operations into chip batches, appending to
 // batches[:0] and reusing the buffers of its old elements. A page joins
 // the chip's most recent batch unless that batch already holds its
-// plane, in which case it opens a new one.
-func batchByChip(batches []chipBatch, locs []controller.ChipID, addrs []flash.PPA, toks []flash.Token, lpns []int64) []chipBatch {
+// plane, in which case it opens a new one. A batch holds at most one
+// page per plane, so a new slot's buffers are made at once with room
+// for planes pages and never grow.
+func batchByChip(batches []chipBatch, planes int, locs []controller.ChipID, addrs []flash.PPA, toks []flash.Token, lpns []int64) []chipBatch {
 	batches = batches[:0]
 	for i := range locs {
 		id := locs[i]
@@ -587,12 +594,21 @@ func batchByChip(batches []chipBatch, locs []controller.ChipID, addrs []flash.PP
 		}
 		nb := &batches[len(batches)-1]
 		nb.id = id
+		if cap(nb.ppas) == 0 {
+			nb.ppas = make([]flash.PPA, 0, planes)
+		}
 		nb.ppas = append(nb.ppas[:0], addrs[i])
 		nb.toks, nb.lpns = nb.toks[:0], nb.lpns[:0]
 		if toks != nil {
+			if cap(nb.toks) == 0 {
+				nb.toks = make([]flash.Token, 0, planes)
+			}
 			nb.toks = append(nb.toks, toks[i])
 		}
 		if lpns != nil {
+			if cap(nb.lpns) == 0 {
+				nb.lpns = make([]int64, 0, planes)
+			}
 			nb.lpns = append(nb.lpns, lpns[i])
 		}
 	}
@@ -626,9 +642,11 @@ func (f *FTL) ReadTracked(lpns []int64, att *telemetry.Attribution, done func())
 
 // hostRead is one ReadTracked from entry to done. Records are recycled
 // through the FTL's free list and keep the capacity of their lpns copy,
-// translation scratch and chip batches across uses; each batch's
-// completion is a method value bound once, so a steady stream of reads
-// allocates nothing.
+// translation scratch and chip batches across uses. Until it issues, a
+// read waits on one thing at a time, a write or a translation: fire, a
+// method value bound once when the record is created, runs the step that
+// step names. Its chip batches then complete in lanes of their own, one
+// batchEnd each. So a steady stream of reads allocates nothing.
 type hostRead struct {
 	f         *FTL
 	lpns      []int64
@@ -639,13 +657,25 @@ type hostRead struct {
 	batches   []chipBatch
 	ends      []*batchEnd // ends[i] completes batches[i]
 	remaining int
+
+	step readStep // what fire runs next
+	fire func()   // bound r.run
 }
 
-// batchEnd completes one chip batch of a hostRead.
+// readStep names a host read's steps before it issues.
+type readStep uint8
+
+const (
+	rdStable readStep = iota // a write it waited on landed
+	rdMapped                 // the map unit translated its LPNs
+)
+
+// batchEnd completes one chip batch of a hostRead: each is a lane of
+// one step, fire.
 type batchEnd struct {
-	r  *hostRead
-	i  int
-	fn func() // bound e.complete
+	r    *hostRead
+	i    int
+	fire func() // bound e.complete
 }
 
 // newRead pops a read record off the free list, building one if empty.
@@ -655,7 +685,24 @@ func (f *FTL) newRead() *hostRead {
 		f.freeReads = f.freeReads[:n-1]
 		return r
 	}
-	return &hostRead{f: f}
+	r := &hostRead{f: f}
+	r.fire = r.run
+	return r
+}
+
+// then arms the record's lane with step s and returns its callback.
+func (r *hostRead) then(s readStep) func() {
+	r.step = s
+	return r.fire
+}
+
+func (r *hostRead) run() {
+	switch r.step {
+	case rdStable:
+		r.f.readWhenStable(r)
+	case rdMapped:
+		r.mapped()
+	}
 }
 
 // readWhenStable issues the read once no target LPN has a write in
@@ -665,9 +712,7 @@ func (f *FTL) newRead() *hostRead {
 func (f *FTL) readWhenStable(r *hostRead) {
 	for _, lpn := range r.lpns {
 		if f.inflightWrites[lpn] > 0 {
-			f.writeWaiters[lpn] = append(f.writeWaiters[lpn], func() {
-				f.readWhenStable(r)
-			})
+			f.writeWaiters[lpn] = append(f.writeWaiters[lpn], r.then(rdStable))
 			return
 		}
 	}
@@ -678,19 +723,23 @@ func (f *FTL) readWhenStable(r *hostRead) {
 		f.issueRead(r)
 		return
 	}
-	f.mapu.translate(r.lpns, func() {
-		r.att.Mark(telemetry.PhaseMap, f.eng.Now())
-		// A fetch consumed simulated time: a write to one of the target
-		// LPNs may have started meanwhile, so re-check stability before
-		// issuing (any new wait is credited back to the stall phase).
-		for _, lpn := range r.lpns {
-			if f.inflightWrites[lpn] > 0 {
-				f.readWhenStable(r)
-				return
-			}
+	f.mapu.translate(r.lpns, r.then(rdMapped))
+}
+
+// mapped resumes a read once the map unit has translated its LPNs.
+func (r *hostRead) mapped() {
+	f := r.f
+	r.att.Mark(telemetry.PhaseMap, f.eng.Now())
+	// A fetch consumed simulated time: a write to one of the target
+	// LPNs may have started meanwhile, so re-check stability before
+	// issuing (any new wait is credited back to the stall phase).
+	for _, lpn := range r.lpns {
+		if f.inflightWrites[lpn] > 0 {
+			f.readWhenStable(r)
+			return
 		}
-		f.issueRead(r)
-	})
+	}
+	f.issueRead(r)
 }
 
 func (f *FTL) issueRead(r *hostRead) {
@@ -702,10 +751,10 @@ func (f *FTL) issueRead(r *hostRead) {
 		}
 		r.locs, r.addrs = append(r.locs, id), append(r.addrs, addr)
 	}
-	r.batches = batchByChip(r.batches, r.locs, r.addrs, nil, nil)
+	r.batches = batchByChip(r.batches, f.geo.Planes, r.locs, r.addrs, nil, nil)
 	for len(r.ends) < len(r.batches) {
 		e := &batchEnd{r: r, i: len(r.ends)}
-		e.fn = e.complete
+		e.fire = e.complete
 		r.ends = append(r.ends, e)
 	}
 	r.remaining = len(r.batches)
@@ -719,7 +768,7 @@ func (f *FTL) issueRead(r *hostRead) {
 			}
 			f.planeAt(b.id, a.Plane).blocks[a.Block].readRefs++
 		}
-		f.fab.Read(b.id, b.ppas, r.ends[bi].fn)
+		f.fab.Read(b.id, b.ppas, r.ends[bi].fire)
 	}
 }
 
@@ -794,15 +843,17 @@ func (f *FTL) WriteTracked(lpns []int64, toks []flash.Token, att *telemetry.Attr
 	}
 	// Even an overwrite consults the map first — honest DFTL lookup
 	// traffic: the FTL must know the old physical page to invalidate it.
-	f.mapu.translate(w.lpns, w.translated)
+	f.mapu.translate(w.lpns, w.fire)
 }
 
 // hostWrite is one write from entry until its last program lands: a
 // WriteTracked, the allocated prefix a stall commits early, or a
 // program-fail reissue. A stalled write re-queues the same record.
 // Records are recycled through the FTL's free list and keep the capacity
-// of their lpns and token copies, chip batches and ProgramOp buffers;
-// each batch's completion is a method value bound once, so a steady
+// of their lpns and token copies, chip batches and ProgramOp buffers.
+// Before it commits, a write's one step is its translation, fire, a
+// method value bound once when the record is created; its chip batches
+// then complete in lanes of their own, one writeEnd each. So a steady
 // stream of writes allocates nothing.
 type hostWrite struct {
 	f    *FTL
@@ -812,8 +863,8 @@ type hostWrite struct {
 	done func()
 	host bool // a WriteTracked: completion drops the outstanding count
 
-	stall      trace.SpanID // open write-stall span while parked
-	translated func()       // bound w.mapped
+	stall trace.SpanID // open write-stall span while parked
+	fire  func()       // bound w.mapped
 
 	locs      []controller.ChipID
 	addrs     []flash.PPA
@@ -823,11 +874,12 @@ type hostWrite struct {
 	remaining int
 }
 
-// writeEnd completes one chip batch of a hostWrite.
+// writeEnd completes one chip batch of a hostWrite: each is a lane of
+// one step, fire.
 type writeEnd struct {
-	w  *hostWrite
-	i  int
-	fn func() // bound e.complete
+	w    *hostWrite
+	i    int
+	fire func() // bound e.complete
 }
 
 // newWrite pops a write record off the free list, building one if
@@ -839,7 +891,7 @@ func (f *FTL) newWrite(lpns []int64, toks []flash.Token, att *telemetry.Attribut
 		f.freeWrites = f.freeWrites[:n-1]
 	} else {
 		w = &hostWrite{f: f}
-		w.translated = w.mapped
+		w.fire = w.mapped
 	}
 	w.lpns = append(w.lpns[:0], lpns...)
 	w.toks = append(w.toks[:0], toks...)
@@ -971,10 +1023,10 @@ func (f *FTL) commitWrite(w *hostWrite, targets []pendingTarget) {
 		}
 		w.locs, w.addrs = append(w.locs, tgt.s.chip), append(w.addrs, addr)
 	}
-	w.batches = batchByChip(w.batches, w.locs, w.addrs, w.toks, w.lpns)
+	w.batches = batchByChip(w.batches, f.geo.Planes, w.locs, w.addrs, w.toks, w.lpns)
 	for len(w.ends) < len(w.batches) {
 		e := &writeEnd{w: w, i: len(w.ends)}
-		e.fn = e.complete
+		e.fire = e.complete
 		w.ends = append(w.ends, e)
 		w.ops = append(w.ops, nil)
 	}
@@ -982,11 +1034,14 @@ func (f *FTL) commitWrite(w *hostWrite, targets []pendingTarget) {
 	for bi := range w.batches {
 		b := &w.batches[bi]
 		ops := w.ops[bi][:0]
+		if cap(ops) == 0 {
+			ops = make([]flash.ProgramOp, 0, f.geo.Planes)
+		}
 		for i := range b.ppas {
 			ops = append(ops, flash.ProgramOp{Addr: b.ppas[i], Token: b.toks[i]})
 		}
 		w.ops[bi] = ops
-		f.fab.Write(b.id, ops, w.ends[bi].fn)
+		f.fab.Write(b.id, ops, w.ends[bi].fire)
 	}
 }
 

@@ -169,16 +169,33 @@ func (f *FTL) startGC(done func()) {
 		f.finishGC(started, freeAtStart, false, done)
 		return
 	}
-	remaining := len(victims)
-	collected := func() {
-		remaining--
-		if remaining == 0 {
-			f.finishGC(started, freeAtStart, true, done)
-		}
+	if f.victimDone == nil {
+		f.victimDone = f.victimCollected
 	}
+	f.round = gcRound{remaining: len(victims), started: started, freeAtStart: freeAtStart, done: done}
 	for _, v := range victims {
-		f.collectVictim(v, collected)
+		f.collectVictim(v, f.victimDone)
 	}
+}
+
+// gcRound is the state of the collection round in flight.
+type gcRound struct {
+	remaining   int // victims still being collected
+	started     sim.Time
+	freeAtStart int
+	done        func()
+}
+
+// victimCollected completes one victim of the round in flight; the last
+// one clears the round, since finishGC may start the next, and finishes
+// it.
+func (f *FTL) victimCollected() {
+	if f.round.remaining--; f.round.remaining > 0 {
+		return
+	}
+	r := f.round
+	f.round = gcRound{}
+	f.finishGC(r.started, r.freeAtStart, true, r.done)
 }
 
 // capVictims trims a round's victim set so that the pages its copies will
@@ -258,8 +275,10 @@ func (f *FTL) finishGC(started sim.Time, freeAtStart int, hadVictims bool, done 
 // victimRun collects one victim block: it migrates the block's valid
 // pages one at a time, then erases it and runs done. Records are
 // recycled through the FTL's free list and keep the capacity of their
-// page snapshot; every step is a method value bound once, so a round's
-// page copies and erases allocate nothing.
+// page snapshot. Their steps run one after another, so a record has one
+// lane: fire, a method value bound once when the record is created, runs
+// the step that step names, and a round's page copies and erases
+// allocate nothing.
 type victimRun struct {
 	f     *FTL
 	v     victim
@@ -276,8 +295,20 @@ type victimRun struct {
 
 	blocks [1]flash.PPA // the erase target
 
-	copyPage, copied, poll, erase, erased func() // bound steps
+	step victimStep // what fire runs next
+	fire func()     // bound r.run
 }
+
+// victimStep names a victim run's steps.
+type victimStep uint8
+
+const (
+	vrCopy   victimStep = iota // migrate pages[i]
+	vrCopied                   // pages[i]'s copy landed
+	vrPoll                     // preemptive GC: poll for idle
+	vrErase                    // erase the migrated victim
+	vrErased                   // the erase completed
+)
 
 // collectVictim migrates every valid page off one victim block, then
 // erases it.
@@ -288,8 +319,7 @@ func (f *FTL) collectVictim(v victim, done func()) {
 		f.freeVictims = f.freeVictims[:n-1]
 	} else {
 		r = &victimRun{f: f}
-		r.copyPage, r.copied, r.poll = r.copyStep, r.copiedStep, r.pollStep
-		r.erase, r.erased = r.eraseStep, r.erasedStep
+		r.fire = r.run
 	}
 	r.v, r.i, r.done = v, 0, done
 	// Snapshot the valid pages now; pages invalidated by host overwrites
@@ -302,6 +332,27 @@ func (f *FTL) collectVictim(v victim, done func()) {
 		}
 	}
 	r.advance()
+}
+
+// then arms the record's lane with step s and returns its callback.
+func (r *victimRun) then(s victimStep) func() {
+	r.step = s
+	return r.fire
+}
+
+func (r *victimRun) run() {
+	switch r.step {
+	case vrCopy:
+		r.copyStep()
+	case vrCopied:
+		r.copiedStep()
+	case vrPoll:
+		r.pollStep()
+	case vrErase:
+		r.eraseStep()
+	case vrErased:
+		r.erasedStep()
+	}
 }
 
 // advance migrates pages[i], or erases the victim once every page has
@@ -337,7 +388,7 @@ func (r *victimRun) pollStep() {
 		r.copyStep()
 		return
 	}
-	f.eng.Schedule(10*sim.Microsecond, r.poll)
+	f.eng.Schedule(10*sim.Microsecond, r.then(vrPoll))
 }
 
 // copyStep migrates pages[i] if it is still valid.
@@ -356,7 +407,7 @@ func (r *victimRun) copyStep() {
 		// Transient exhaustion: every free block is being consumed by
 		// concurrent copies or host writes racing into the reserve. Other
 		// victims' erases will free blocks; retry then.
-		f.eng.Schedule(20*sim.Microsecond, r.copyPage)
+		f.eng.Schedule(20*sim.Microsecond, r.then(vrCopy))
 		return
 	}
 	r.dst, r.dstAddr = dst, dstAddr
@@ -365,7 +416,7 @@ func (r *victimRun) copyStep() {
 	r.dstPS.blocks[dstAddr.Block].inflight++
 	f.stats.GCPagesCopied++
 	f.tel.GCCopied(f.eng.Now())
-	f.fab.Copy(v.id, from, dst, dstAddr, r.copied)
+	f.fab.Copy(v.id, from, dst, dstAddr, r.then(vrCopied))
 }
 
 // copiedStep lands one page copy: the mapping moves to the destination
@@ -456,7 +507,7 @@ func (r *victimRun) eraseStep() {
 		panic(fmt.Sprintf("ftl: erasing block with %d valid pages", ps.blocks[v.block].validCount))
 	}
 	if ps.blocks[v.block].readRefs > 0 {
-		f.eng.Schedule(20*sim.Microsecond, r.erase)
+		f.eng.Schedule(20*sim.Microsecond, r.then(vrErase))
 		return
 	}
 	if ps.blocks[v.block].bad {
@@ -469,7 +520,7 @@ func (r *victimRun) eraseStep() {
 		return
 	}
 	r.blocks[0] = flash.PPA{Plane: v.plane, Block: v.block}
-	f.fab.Erase(v.id, r.blocks[:], r.erased)
+	f.fab.Erase(v.id, r.blocks[:], r.then(vrErased))
 }
 
 // erasedStep returns an erased victim to the free pool, or retires it

@@ -194,10 +194,15 @@ type mapUnit struct {
 	spareB  int // erased block reserved as the cleaning destination
 
 	// Waiters.
-	fetching    map[int][]func() // t -> lookups coalesced onto the in-flight fetch
-	wbPending   map[int]int      // t -> in-flight map programs for t
-	wbWaiters   map[int][]func() // t -> continuations parked until wbPending[t]==0
-	slotWaiters []func()         // lookups parked until any fetch lands
+	fetching    map[int]*mapFetch // t -> its fetch in flight
+	wbPending   map[int]int       // t -> in-flight map programs for t
+	wbWaiters   map[int][]func()  // t -> continuations parked until wbPending[t]==0
+	slotWaiters []func()          // lookups parked until any fetch lands
+	woken       []func()          // wakeSlotWaiters' batch, kept for its capacity
+
+	// Recycled records.
+	freeLookups []*lookup
+	freeFetches []*mapFetch
 
 	// Writeback and cleaning.
 	dirtyCount int
@@ -224,7 +229,7 @@ func newMapUnit(f *FTL, cfg MapConfig) *mapUnit {
 		cfg:       cfg,
 		perPage:   mapEntriesPerPage(f.geo),
 		where:     make(map[int]int),
-		fetching:  make(map[int][]func()),
+		fetching:  make(map[int]*mapFetch),
 		wbPending: make(map[int]int),
 		wbWaiters: make(map[int][]func()),
 	}
@@ -265,7 +270,8 @@ func (m *mapUnit) reset() {
 		slots: m.slots, where: m.where, freeSlots: m.freeSlots[:0],
 		loc: m.loc, homeB: m.homeB, ver: m.ver, flashVer: m.flashVer, blocks: m.blocks[:0],
 		fetching: m.fetching, wbPending: m.wbPending, wbWaiters: m.wbWaiters,
-		slotWaiters: m.slotWaiters[:0], wbQueue: m.wbQueue[:0],
+		slotWaiters: m.slotWaiters[:0], woken: m.woken, wbQueue: m.wbQueue[:0],
+		freeLookups: m.freeLookups, freeFetches: m.freeFetches,
 	}
 	m.format()
 }
@@ -388,10 +394,9 @@ func (m *mapUnit) install(si, t int, dirty bool) {
 
 // ---- lookup / demand paging ----
 
-// tpages returns the distinct translation pages backing lpns, in
-// first-touch order.
-func (m *mapUnit) tpages(lpns []int64) []int {
-	ts := make([]int, 0, len(lpns))
+// appendTPages appends the distinct translation pages backing lpns to
+// ts, in first-touch order.
+func (m *mapUnit) appendTPages(ts []int, lpns []int64) []int {
 	for _, lpn := range lpns {
 		t := m.tIndex(lpn)
 		dup := false
@@ -416,12 +421,66 @@ func (m *mapUnit) tpages(lpns []int64) []int {
 // a miss parks only its own request, so independent host requests never
 // serialize behind one map fetch (miss-under-miss).
 func (m *mapUnit) translate(lpns []int64, done func()) {
-	m.lookupAll(m.tpages(lpns), done)
+	var l *lookup
+	if n := len(m.freeLookups); n > 0 {
+		l = m.freeLookups[n-1]
+		m.freeLookups = m.freeLookups[:n-1]
+	} else {
+		l = &lookup{m: m}
+		l.fire = l.run
+	}
+	l.ts, l.next, l.done = m.appendTPages(l.ts[:0], lpns), 0, done
+	l.resume()
 }
 
-func (m *mapUnit) lookupAll(ts []int, done func()) {
-	for len(ts) > 0 {
-		t := ts[0]
+// lookup is one translate call from entry to done. Records are recycled
+// through the unit's free list and keep the capacity of their page list.
+// A lookup waits on one thing at a time (a fetch, a slot, a writeback),
+// so a record has one lane: fire, a method value bound once when the
+// record is created, runs the step that step names, and a lookup that
+// misses parks without allocating.
+type lookup struct {
+	m    *mapUnit
+	ts   []int // the pages to resolve, in order
+	next int   // ts[next:] are still to look up
+	t    int   // the missed page a parked lookup waits for
+	done func()
+
+	step lookupStep // what fire runs next
+	fire func()     // bound l.run
+}
+
+// lookupStep names a lookup's steps.
+type lookupStep uint8
+
+const (
+	lkResume lookupStep = iota // the missed page landed: go on with the rest
+	lkRetry                    // a wait ended: resolve the missed page again
+)
+
+// then arms the record's lane with step s and returns its callback.
+func (l *lookup) then(s lookupStep) func() {
+	l.step = s
+	return l.fire
+}
+
+func (l *lookup) run() {
+	switch l.step {
+	case lkResume:
+		l.resume()
+	case lkRetry:
+		l.m.resolveAgain(l)
+	}
+}
+
+// resume looks up ts[next:] in order. A miss parks the lookup until the
+// missed page lands and resumes past it; the last page's hit returns
+// the record to the free list and runs done.
+func (l *lookup) resume() {
+	m := l.m
+	for l.next < len(l.ts) {
+		t := l.ts[l.next]
+		l.next++
 		now := m.f.eng.Now()
 		m.stats.Lookups++
 		if si, ok := m.where[t]; ok && !m.slots[si].pend {
@@ -431,7 +490,6 @@ func (m *mapUnit) lookupAll(ts []int, done func()) {
 			if m.sink != nil {
 				m.sink.MapHit(t, m.ver[t])
 			}
-			ts = ts[1:]
 			continue
 		}
 		m.stats.Misses++
@@ -439,84 +497,128 @@ func (m *mapUnit) lookupAll(ts []int, done func()) {
 		if m.sink != nil {
 			m.sink.MapMiss(t)
 		}
-		rest := ts[1:]
-		cont := func() { m.lookupAll(rest, done) }
-		if _, ok := m.where[t]; ok {
+		l.t = t
+		if fe, ok := m.fetching[t]; ok {
 			// Fetch already in flight: coalesce onto it.
 			m.stats.SharedMisses++
-			m.fetching[t] = append(m.fetching[t], cont)
+			fe.waiters = append(fe.waiters, l.then(lkResume))
 			return
 		}
-		m.startFetch(t, cont)
+		m.startFetch(l)
 		return
 	}
+	done := l.done
+	l.done = nil
+	m.freeLookups = append(m.freeLookups, l)
 	done()
 }
 
-// resolveAgain re-resolves t after a wait (slot or writeback); the world
-// may have changed while parked. The original lookup already counted its
-// miss, so this path never double-counts.
-func (m *mapUnit) resolveAgain(t int, cont func()) {
-	if si, ok := m.where[t]; ok {
+// resolveAgain re-resolves a parked lookup's missed page after a wait
+// (slot or writeback); the world may have changed while parked. The
+// original lookup already counted its miss, so this path never
+// double-counts.
+func (m *mapUnit) resolveAgain(l *lookup) {
+	if si, ok := m.where[l.t]; ok {
 		if m.slots[si].pend {
-			m.fetching[t] = append(m.fetching[t], cont)
+			fe := m.fetching[l.t]
+			fe.waiters = append(fe.waiters, l.then(lkResume))
 			return
 		}
 		m.touchSlot(si)
-		cont()
+		l.resume()
 		return
 	}
-	m.startFetch(t, cont)
+	m.startFetch(l)
 }
 
-// startFetch demand-pages translation page t in from its flash home.
-func (m *mapUnit) startFetch(t int, cont func()) {
+// startFetch demand-pages a lookup's missed page in from its flash home.
+func (m *mapUnit) startFetch(l *lookup) {
+	t := l.t
 	if m.wbPending[t] > 0 {
 		// A program for this page is still in the fabric; the chip
 		// commits page state only when the op arrives, so a read racing
 		// it could reach an unprogrammed page. Park until it lands.
-		m.wbWaiters[t] = append(m.wbWaiters[t], func() { m.resolveAgain(t, cont) })
+		m.wbWaiters[t] = append(m.wbWaiters[t], l.then(lkRetry))
 		return
 	}
 	si, ok := m.grabSlot()
 	if !ok {
 		// Every slot has a fetch in flight: wait for one to land.
-		m.slotWaiters = append(m.slotWaiters, func() { m.resolveAgain(t, cont) })
+		m.slotWaiters = append(m.slotWaiters, l.then(lkRetry))
 		return
 	}
 	sl := &m.slots[si]
 	sl.t, sl.pend, sl.dirty, sl.ref = t, true, false, false
 	m.where[t] = si
 	m.stats.Fetches++
-	hb := m.homeB[t]
-	m.blocks[hb].fetchRefs++
-	_, addr := physDecode(m.f.geo, m.f.ways, m.loc[t])
-	var span trace.SpanID
+	fe := m.newFetch()
+	fe.t, fe.si, fe.hb, fe.cont = t, si, m.homeB[t], l.then(lkResume)
+	m.fetching[t] = fe
+	m.blocks[fe.hb].fetchRefs++
+	_, fe.addr[0] = physDecode(m.f.geo, m.f.ways, m.loc[t])
+	fe.span = trace.SpanID{}
 	if m.f.trc.Enabled() {
-		span = m.f.trc.BeginSpan("ftl", "map-fetch", trace.KV{K: "tpage", V: t})
+		fe.span = m.f.trc.BeginSpan("ftl", "map-fetch", trace.KV{K: "tpage", V: t})
 	}
-	m.f.fab.Read(m.blocks[hb].id, []flash.PPA{addr}, func() {
-		m.f.trc.EndSpan(span)
-		m.blocks[hb].fetchRefs--
-		// The slot was reserved for t; pend kept it from being evicted
-		// or reused while the read was in flight.
-		sl := &m.slots[si]
-		sl.pend = false
-		m.touchSlot(si)
-		// An update may have dirtied the entry mid-fetch (noteUpdate on
-		// a pend slot); MapResident reports the current version either
-		// way.
-		if m.sink != nil {
-			m.sink.MapResident(t, m.ver[t], sl.dirty)
-		}
-		waiters := m.fetching[t]
-		delete(m.fetching, t)
-		cont()
-		for _, w := range waiters {
-			w()
-		}
-		m.wakeSlotWaiters()
-	})
+	m.f.fab.Read(m.blocks[fe.hb].id, fe.addr[:], fe.fire)
+}
+
+// mapFetch is one demand fetch of a translation page into a reserved
+// cache slot, from its read to its landing. Records are recycled
+// through the unit's free list and keep the capacity of their waiter
+// list; the landing is fire, a method value bound once when the record
+// is created.
+type mapFetch struct {
+	m       *mapUnit
+	t, si   int // the page and the slot reserved for it
+	hb      int // the page's home block, pinned against erase
+	addr    [1]flash.PPA
+	span    trace.SpanID
+	cont    func()   // the lookup that started the fetch
+	waiters []func() // lookups coalesced onto it, oldest first
+	fire    func()   // bound fe.landed
+}
+
+// newFetch pops a fetch record off the free list, building one if empty.
+func (m *mapUnit) newFetch() *mapFetch {
+	if n := len(m.freeFetches); n > 0 {
+		fe := m.freeFetches[n-1]
+		m.freeFetches = m.freeFetches[:n-1]
+		return fe
+	}
+	fe := &mapFetch{m: m}
+	fe.fire = fe.landed
+	return fe
+}
+
+// landed installs the fetched page, resumes the lookup that started the
+// fetch and then those coalesced onto it, and wakes lookups parked on a
+// slot. The record goes back on the free list last, since the loop reads
+// its waiters.
+func (fe *mapFetch) landed() {
+	m, t, si := fe.m, fe.t, fe.si
+	m.f.trc.EndSpan(fe.span)
+	m.blocks[fe.hb].fetchRefs--
+	// The slot was reserved for t; pend kept it from being evicted
+	// or reused while the read was in flight.
+	sl := &m.slots[si]
+	sl.pend = false
+	m.touchSlot(si)
+	// An update may have dirtied the entry mid-fetch (noteUpdate on
+	// a pend slot); MapResident reports the current version either
+	// way.
+	if m.sink != nil {
+		m.sink.MapResident(t, m.ver[t], sl.dirty)
+	}
+	delete(m.fetching, t)
+	fe.cont()
+	for _, w := range fe.waiters {
+		w()
+	}
+	clear(fe.waiters)
+	fe.cont, fe.waiters = nil, fe.waiters[:0]
+	m.freeFetches = append(m.freeFetches, fe)
+	m.wakeSlotWaiters()
 }
 
 func (m *mapUnit) wakeSlotWaiters() {
@@ -524,10 +626,12 @@ func (m *mapUnit) wakeSlotWaiters() {
 		return
 	}
 	ws := m.slotWaiters
-	m.slotWaiters = nil
+	m.slotWaiters = m.woken[:0]
 	for _, w := range ws {
 		w()
 	}
+	clear(ws)
+	m.woken = ws[:0]
 }
 
 // warmTouch makes a translation page resident during instant warmup, as

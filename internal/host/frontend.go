@@ -65,10 +65,11 @@ type FrontendObserver interface {
 	TenantDone(tenant int)
 }
 
-// pending is one queued command.
+// pending is one queued command and the caller's part of its
+// completion: a callback or a replay's completion-time slot.
 type pending struct {
-	req  Request
-	done func()
+	req Request
+	c   completion
 }
 
 // tenantQueue is one submission queue pair. fifo[head:] are the queued
@@ -242,15 +243,20 @@ func (fe *Frontend) StarvationBound() int {
 // kind, arrival not in the future), so dispatch cannot fail later. done
 // may be nil; it runs at completion after metrics are recorded.
 func (fe *Frontend) Enqueue(tenant int, r Request, done func()) error {
+	return fe.enqueue(tenant, pending{req: r, c: completion{done: done}})
+}
+
+// enqueue is Enqueue with the caller's full part of the completion.
+func (fe *Frontend) enqueue(tenant int, p pending) error {
 	if tenant < 0 || tenant >= len(fe.queues) {
 		return fmt.Errorf("host: tenant %d outside [0,%d)", tenant, len(fe.queues))
 	}
-	if err := r.validate(fe.eng.Now()); err != nil {
+	if err := p.req.validate(fe.eng.Now()); err != nil {
 		return err
 	}
-	r.Tenant = tenant
+	p.req.Tenant = tenant
 	q := fe.queues[tenant]
-	q.push(pending{req: r, done: done})
+	q.push(p)
 	if fe.obs != nil {
 		fe.obs.TenantQueued(tenant, q.len())
 	}
@@ -271,8 +277,8 @@ func (fe *Frontend) Replay(reqs []Request) ([]sim.Time, error) {
 		}
 		return nil
 	}
-	return replay(fe.eng, reqs, inRange, func(r Request, done func()) error {
-		return fe.Enqueue(r.Tenant, r, done)
+	return replay(fe.eng, reqs, inRange, func(r Request, at *sim.Time) error {
+		return fe.enqueue(r.Tenant, pending{req: r, c: completion{at: at}})
 	})
 }
 
@@ -311,31 +317,28 @@ func (fe *Frontend) pump() {
 	}
 }
 
-// dispatch hands one command to the host and hooks completion:
-// per-tenant metrics, tracing, observer, the caller's done, then
-// another pump for the freed slot.
+// dispatch hands one command to the host. Its completion comes back
+// through the host's request record, which calls finished and, after
+// the caller's done, pump.
 func (fe *Frontend) dispatch(tenant int, p pending) {
-	var span trace.SpanID
+	p.c.fe = fe
 	if fe.trc.Enabled() {
-		span = fe.trc.BeginSpanOn(fe.tracks[tenant], "tenant-req", p.req.Kind.String(),
+		p.c.span = fe.trc.BeginSpanOn(fe.tracks[tenant], "tenant-req", p.req.Kind.String(),
 			trace.KV{K: "lpn", V: p.req.LPN},
 			trace.KV{K: "pages", V: p.req.Pages})
 	}
-	req := p.req
-	bytes := int64(req.Pages) * int64(fe.h.pageSize)
-	err := fe.h.Submit(req, func() {
-		fe.inflight--
-		fe.tm.Record(tenant, req.Kind, req.Arrival, fe.eng.Now(), bytes)
-		fe.trc.EndSpan(span)
-		if fe.obs != nil {
-			fe.obs.TenantDone(tenant)
-		}
-		if p.done != nil {
-			p.done()
-		}
-		fe.pump()
-	})
-	if err != nil {
+	if err := fe.h.submit(p.req, p.c); err != nil {
 		panic(err) // requests are validated at Enqueue; see Request.validate
+	}
+}
+
+// finished records a dispatched command's completion: the freed
+// inflight slot, per-tenant metrics, its span and the observer.
+func (fe *Frontend) finished(r Request, span trace.SpanID) {
+	fe.inflight--
+	fe.tm.Record(r.Tenant, r.Kind, r.Arrival, fe.eng.Now(), int64(r.Pages)*int64(fe.h.pageSize))
+	fe.trc.EndSpan(span)
+	if fe.obs != nil {
+		fe.obs.TenantDone(r.Tenant)
 	}
 }

@@ -126,13 +126,25 @@ func (h *Host) Warmup(lpns int64) {
 // arrival still in the future — is rejected with an error before any
 // event is scheduled, so replaying an untrusted trace cannot crash the
 // simulation.
-func (h *Host) Submit(r Request, done func()) error {
+func (h *Host) Submit(r Request, done func()) error { return h.submit(r, completion{done: done}) }
+
+// completion is what a request reports to when it completes, besides
+// the host's own metrics. Every field may be zero.
+type completion struct {
+	done func()       // the caller's callback
+	at   *sim.Time    // a replay's completion-time slot
+	fe   *Frontend    // the front end that dispatched the request
+	span trace.SpanID // its tenant span on fe's trace
+}
+
+// submit is Submit with the full completion.
+func (h *Host) submit(r Request, c completion) error {
 	if err := r.validate(h.eng.Now()); err != nil {
 		return err
 	}
 	h.inFlight++
 	q := h.newRequest()
-	q.req, q.done = r, done
+	q.req, q.c = r, c
 	q.lpns = q.lpns[:0]
 	for i := 0; i < r.Pages; i++ {
 		lpn := r.LPN + int64(i)
@@ -164,19 +176,20 @@ func (h *Host) Submit(r Request, done func()) error {
 			q.toks = append(q.toks, ftl.TokenFor(lpn, h.versions[lpn]))
 		}
 	}
-	h.eng.Schedule(DefaultCmdLatency, q.cmd)
+	h.eng.Schedule(DefaultCmdLatency, q.then(reqCmd))
 	return nil
 }
 
 // request is one Submit from command fetch to completion. Records are
 // recycled through the host's free list and keep the capacity of their
-// lpns and token buffers; the steps are method values bound once when
-// the record is created, so a steady stream of requests allocates
-// nothing in the host.
+// lpns and token buffers. Their steps run one after another, so a record
+// has one lane: fire, a method value bound once when the record is
+// created, runs the step that step names, and a steady stream of
+// requests allocates nothing in the host.
 type request struct {
 	h     *Host
 	req   Request
-	done  func()
+	c     completion
 	lpns  []int64
 	toks  []flash.Token // write payload
 	bytes int64
@@ -184,8 +197,19 @@ type request struct {
 	span  trace.SpanID
 	att   *telemetry.Attribution
 
-	cmd, flashed, payload, finish func() // bound steps
+	step reqStep // what fire runs next
+	fire func()  // bound q.run
 }
+
+// reqStep names a request's steps.
+type reqStep uint8
+
+const (
+	reqCmd     reqStep = iota // command processed
+	reqFlashed                // read data in DRAM
+	reqPayload                // write payload across the link
+	reqFinish                 // completion
+)
 
 // newRequest pops a request record off the free list, building one if
 // empty.
@@ -196,8 +220,27 @@ func (h *Host) newRequest() *request {
 		return q
 	}
 	q := &request{h: h}
-	q.cmd, q.flashed, q.payload, q.finish = q.cmdStep, q.flashedStep, q.payloadStep, q.finishStep
+	q.fire = q.run
 	return q
+}
+
+// then arms the record's lane with step s and returns its callback.
+func (q *request) then(s reqStep) func() {
+	q.step = s
+	return q.fire
+}
+
+func (q *request) run() {
+	switch q.step {
+	case reqCmd:
+		q.cmdStep()
+	case reqFlashed:
+		q.flashedStep()
+	case reqPayload:
+		q.payloadStep()
+	case reqFinish:
+		q.finishStep()
+	}
 }
 
 // cmdStep runs once the command is processed: a read goes to the FTL, a
@@ -206,26 +249,28 @@ func (q *request) cmdStep() {
 	h := q.h
 	q.att.Mark(telemetry.PhaseCmd, h.eng.Now())
 	if q.req.Kind == stats.Read {
-		h.f.ReadTracked(q.lpns, q.att, q.flashed)
+		h.f.ReadTracked(q.lpns, q.att, q.then(reqFlashed))
 		return
 	}
-	h.nvme.UseLabeled("write-payload", q.xfer, q.payload)
+	h.nvme.UseLabeled("write-payload", q.xfer, q.then(reqPayload))
 }
 
 // flashedStep returns read data over the NVMe link.
 func (q *request) flashedStep() {
 	q.att.Mark(telemetry.PhaseFlash, q.h.eng.Now())
-	q.h.nvme.UseLabeled("read-return", q.xfer, q.finish)
+	q.h.nvme.UseLabeled("read-return", q.xfer, q.then(reqFinish))
 }
 
 // payloadStep hands a write's payload to the FTL.
 func (q *request) payloadStep() {
 	q.att.Mark(telemetry.PhaseXfer, q.h.eng.Now())
-	q.h.f.WriteTracked(q.lpns, q.toks, q.att, q.finish)
+	q.h.f.WriteTracked(q.lpns, q.toks, q.att, q.then(reqFinish))
 }
 
-// finishStep records the completion, returns the record to the free list
-// and then runs done, which may submit the next request.
+// finishStep records the completion, returns the record to the free
+// list, and then reports the completion: the time to its slot, the
+// tenant's metrics to the front end, done, which may submit the next
+// request, and last the front end's dispatcher, for the freed slot.
 func (q *request) finishStep() {
 	h := q.h
 	h.inFlight--
@@ -239,11 +284,20 @@ func (q *request) finishStep() {
 		q.att.Mark(telemetry.PhaseFlash, now)
 	}
 	h.tel.FinishRequest(q.att, now, q.bytes)
-	done := q.done
-	q.done, q.att = nil, nil
+	c := q.c
+	q.c, q.att = completion{}, nil
 	h.freeReqs = append(h.freeReqs, q)
-	if done != nil {
-		done()
+	if c.at != nil {
+		*c.at = now
+	}
+	if c.fe != nil {
+		c.fe.finished(r, c.span)
+	}
+	if c.done != nil {
+		c.done()
+	}
+	if c.fe != nil {
+		c.fe.pump()
 	}
 }
 
@@ -273,7 +327,9 @@ func (r Request) validate(now sim.Time) error {
 // error and schedules nothing, so a malformed trace file cannot crash a
 // sweep.
 func (h *Host) Replay(reqs []Request) ([]sim.Time, error) {
-	return replay(h.eng, reqs, nil, h.Submit)
+	return replay(h.eng, reqs, nil, func(r Request, at *sim.Time) error {
+		return h.submit(r, completion{at: at})
+	})
 }
 
 // MustReplay replays a trace the caller knows is well-formed (generated
@@ -292,9 +348,9 @@ func (h *Host) MustReplay(reqs []Request) []sim.Time {
 // Frontend.Replay. Each request must pass check (when non-nil) and the
 // arrival and shape rules before anything is scheduled; then the trace
 // is copied, so the caller may reuse its slice, and one Engine.AtEach
-// stream hands each request to submit at its arrival time, with a
-// completion callback recording its completion time.
-func replay(eng *sim.Engine, reqs []Request, check func(Request) error, submit func(Request, func()) error) ([]sim.Time, error) {
+// stream hands each request to submit at its arrival time, with the slot
+// of the completion table its completion time goes to.
+func replay(eng *sim.Engine, reqs []Request, check func(Request) error, submit func(Request, *sim.Time) error) ([]sim.Time, error) {
 	now := eng.Now()
 	for i, r := range reqs {
 		if check != nil {
@@ -315,7 +371,7 @@ func replay(eng *sim.Engine, reqs []Request, check func(Request) error, submit f
 		times[i] = r.Arrival
 	}
 	eng.AtEach(times, func(i int) {
-		if err := submit(trace[i], func() { times[i] = eng.Now() }); err != nil {
+		if err := submit(trace[i], &times[i]); err != nil {
 			panic(err) // validated above; a rejection here is a bug
 		}
 	})

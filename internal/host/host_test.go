@@ -280,10 +280,14 @@ func tiedTrace() []Request {
 }
 
 // replayRig is a fresh device behind one of the two replay entry points.
+// submit is the entry point's public submission with a completion
+// callback, and slot is the form replay uses, which stores the
+// completion time in a slot instead.
 type replayRig struct {
 	eng     *sim.Engine
 	replay  func([]Request) ([]sim.Time, error)
 	submit  func(Request, func()) error
+	slot    func(Request, *sim.Time) error
 	metrics *stats.IOMetrics
 }
 
@@ -291,11 +295,15 @@ func newReplayRig(t *testing.T, frontend bool) replayRig {
 	if !frontend {
 		e, h := testHost(t)
 		h.Warmup(64)
-		return replayRig{e, h.Replay, h.Submit, h.Metrics()}
+		return replayRig{e, h.Replay, h.Submit, func(r Request, at *sim.Time) error {
+			return h.submit(r, completion{at: at})
+		}, h.Metrics()}
 	}
 	e, fe := testFrontend(t, twoTenants())
 	return replayRig{e, fe.Replay, func(r Request, done func()) error {
 		return fe.Enqueue(r.Tenant, r, done)
+	}, func(r Request, at *sim.Time) error {
+		return fe.enqueue(r.Tenant, pending{req: r, c: completion{at: at}})
 	}, fe.h.Metrics()}
 }
 
@@ -317,30 +325,37 @@ func atLoopReplay(eng *sim.Engine, reqs []Request, submit func(Request, func()) 
 // TestReplayTiesFireInIndexOrder: replay submits an unsorted trace by
 // arrival with ties in index order, and fills the same completion times
 // after the same number of events as the one-At-per-request reference,
-// on the Host and on the Frontend.
+// whose completion callbacks record the times, on the Host and on the
+// Frontend.
 func TestReplayTiesFireInIndexOrder(t *testing.T) {
 	trace := tiedTrace()
 	want := []int{4, 1, 3, 6, 0, 2, 5}
 	for _, frontend := range []bool{false, true} {
-		run := func(sched func(*sim.Engine, func(Request, func()) error) []sim.Time) ([]int, []sim.Time, int64) {
+		run := func(sched func(*sim.Engine, replayRig) []sim.Time) ([]int, []sim.Time, int64) {
 			rig := newReplayRig(t, frontend)
 			var order []int
-			times := sched(rig.eng, func(r Request, done func()) error {
+			submit, slot := rig.submit, rig.slot
+			rig.submit = func(r Request, done func()) error {
 				order = append(order, slices.Index(trace, r))
-				return rig.submit(r, done)
-			})
+				return submit(r, done)
+			}
+			rig.slot = func(r Request, at *sim.Time) error {
+				order = append(order, slices.Index(trace, r))
+				return slot(r, at)
+			}
+			times := sched(rig.eng, rig)
 			rig.eng.Run()
 			return order, times, rig.eng.EventsFired()
 		}
-		order, times, fired := run(func(e *sim.Engine, submit func(Request, func()) error) []sim.Time {
-			times, err := replay(e, trace, nil, submit)
+		order, times, fired := run(func(e *sim.Engine, rig replayRig) []sim.Time {
+			times, err := replay(e, trace, nil, rig.slot)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return times
 		})
-		refOrder, refTimes, refFired := run(func(e *sim.Engine, submit func(Request, func()) error) []sim.Time {
-			return atLoopReplay(e, trace, submit)
+		refOrder, refTimes, refFired := run(func(e *sim.Engine, rig replayRig) []sim.Time {
+			return atLoopReplay(e, trace, rig.submit)
 		})
 		if !slices.Equal(order, want) || !slices.Equal(refOrder, want) {
 			t.Fatalf("frontend=%v: submission order %v (reference %v), want %v", frontend, order, refOrder, want)

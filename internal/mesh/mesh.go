@@ -208,48 +208,46 @@ func (m *Mesh) appendPath(path []Node, src, dst Node) []Node {
 func (m *Mesh) Transfer(src, dst Node, flits int, done func()) {
 	t := m.newTransfer()
 	t.path = m.appendPath(t.path[:0], src, dst)
+	t.flits, t.done = flits, done
 	if len(t.path) < 2 {
 		// Degenerate same-node transfer: no links crossed.
-		m.freeXfers = append(m.freeXfers, t)
-		m.eng.Schedule(0, func() {
-			if done != nil {
-				done()
-			}
-		})
+		m.eng.Schedule(0, t.then(trFinish))
 		return
 	}
-	for len(t.hops) < len(t.path)-1 {
-		h := &hop{t: t, i: len(t.hops)}
-		h.granted, h.next, h.release = h.grantedStep, h.nextStep, h.releaseStep
-		t.hops = append(t.hops, h)
-	}
-	t.flits, t.done = flits, done
-	t.hops[0].request()
+	t.hop = 0
+	t.request()
 }
 
 // transfer is one packet in flight. Records are recycled through the
-// mesh's free list, and each hop's steps are method values bound once
-// when the hop is created, so a transfer allocates nothing in steady
-// state. The final hop's release is the record's last event: every hop
-// is requested strictly after its predecessor was granted and all links
-// share one serialization time.
+// mesh's free list. Hop i crosses path[i] -> path[i+1] and is requested
+// once hop i-1 is granted and its head has cut through, so at most one
+// hop awaits its grant: granted, bound once when the record is created,
+// is every hop's grant hook. The hops' next steps and the final release
+// run one after another in one lane, fire, also bound once; earlier
+// hops' releases carry no callback. So a transfer allocates nothing in
+// steady state. The final hop's release is the record's last event:
+// every hop is requested strictly after its predecessor was granted and
+// all links share one serialization time.
 type transfer struct {
 	m     *Mesh
 	path  []Node
-	hops  []*hop // hops[i] crosses path[i] -> path[i+1]
+	hop   int          // the hop last requested
+	link  *bus.Channel // its link
 	flits int
 	done  func()
+
+	granted func() sim.Time // bound t.grantedStep
+	step    transferStep    // what fire runs next
+	fire    func()          // bound t.run
 }
 
-// hop is one link crossing of a transfer.
-type hop struct {
-	t    *transfer
-	i    int
-	link *bus.Channel
+// transferStep names a transfer's steps.
+type transferStep uint8
 
-	granted       func() sim.Time // bound grantedStep
-	next, release func()          // bound steps
-}
+const (
+	trNext   transferStep = iota // the head cut through: request the next hop
+	trFinish                     // the tail left the final link
+)
 
 // newTransfer pops a transfer record off the free list, building one if
 // empty.
@@ -259,36 +257,54 @@ func (m *Mesh) newTransfer() *transfer {
 		m.freeXfers = m.freeXfers[:k-1]
 		return t
 	}
-	return &transfer{m: m}
+	t := &transfer{m: m}
+	t.granted, t.fire = t.grantedStep, t.run
+	return t
 }
 
-// last reports whether the hop crosses the transfer's final link.
-func (h *hop) last() bool { return h.i+2 == len(h.t.path) }
-
-func (h *hop) request() {
-	h.link = h.t.m.Link(h.t.path[h.i], h.t.path[h.i+1])
-	h.link.UseGranted(h.granted, h.release)
+// then arms the record's lane with step s and returns its callback.
+func (t *transfer) then(s transferStep) func() {
+	t.step = s
+	return t.fire
 }
 
-// grantedStep runs at the grant, which cut-through needs, and returns
-// how long the packet holds the link.
-func (h *hop) grantedStep() sim.Time {
-	m := h.t.m
-	if !h.last() {
+func (t *transfer) run() {
+	switch t.step {
+	case trNext:
+		t.hop++
+		t.request()
+	case trFinish:
+		t.finish()
+	}
+}
+
+// last reports whether the current hop crosses the final link.
+func (t *transfer) last() bool { return t.hop+2 == len(t.path) }
+
+// request asks for the current hop's link; only the final hop's release
+// carries a callback.
+func (t *transfer) request() {
+	t.link = t.m.Link(t.path[t.hop], t.path[t.hop+1])
+	var release func()
+	if t.last() {
+		release = t.then(trFinish)
+	}
+	t.link.UseGranted(t.granted, release)
+}
+
+// grantedStep runs at the current hop's grant, which cut-through needs,
+// and returns how long the packet holds the link.
+func (t *transfer) grantedStep() sim.Time {
+	if !t.last() {
 		// Head cut-through: downstream link is requested after the
 		// router latency and the first beat.
-		m.eng.Schedule(DefaultHopLatency+h.link.BeatTime(), h.next)
+		t.m.eng.Schedule(DefaultHopLatency+t.link.BeatTime(), t.then(trNext))
 	}
-	return h.link.TimeForFlits(h.t.flits)
+	return t.link.TimeForFlits(t.flits)
 }
 
-func (h *hop) nextStep() { h.t.hops[h.i+1].request() }
-
-func (h *hop) releaseStep() {
-	if !h.last() {
-		return
-	}
-	t := h.t
+// finish returns the record to the free list and runs done.
+func (t *transfer) finish() {
 	done := t.done
 	t.done = nil
 	t.m.freeXfers = append(t.m.freeXfers, t)

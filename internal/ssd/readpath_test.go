@@ -10,7 +10,7 @@ import (
 
 // The read-path pin and bench run closed-loop 64 KB random reads, 16 in
 // flight. The warm-up batch is long enough for every chip to have seen
-// its deepest read queue, so the per-chip free lists are full.
+// its deepest read queue, so the per-chip queues are grown.
 const (
 	readPathOutstanding = 16
 	readPathWarm        = 4096
@@ -26,13 +26,35 @@ func readPathDevice(arch Arch, cfg Config) (*SSD, func(int) host.Request) {
 	return s, workload.Synthetic(workload.RandRead, foot, 65536/cfg.Geometry.PageSize, 1)
 }
 
+// fmmuReadConfig is the scaled config mapping through the fmmu map unit
+// with a cache of a quarter of the translation pages, so a read stream
+// mixes cache hits with demand fetches through the fabric.
+func fmmuReadConfig() Config {
+	cfg := ScaledConfig()
+	perT := int64(cfg.Geometry.PageSize / 8)
+	cfg.FTL.Map = &ftl.MapConfig{Entries: int((cfg.LogicalPages()+perT-1)/perT) / 4}
+	return cfg
+}
+
 // TestReadPathAllocFree pins the allocation-free read path: once one
 // batch has filled the per-layer free lists (host request, FTL read,
-// fabric read, mesh transfer, SoC transfer, chip read), a second batch of
-// 64 KB reads allocates nothing per request on every architecture.
+// fabric read, mesh transfer, SoC transfer, and on the fmmu device map
+// lookup and fetch) and grown the chips' read queues, a second batch of
+// 64 KB reads allocates nothing per request on every architecture, and
+// on pnSSD(+split) mapping through the fmmu map unit.
 func TestReadPathAllocFree(t *testing.T) {
+	type readCase struct {
+		name string
+		arch Arch
+		cfg  Config
+	}
+	var cases []readCase
 	for _, arch := range Archs {
-		s, gen := readPathDevice(arch, ScaledConfig())
+		cases = append(cases, readCase{arch.String(), arch, ScaledConfig()})
+	}
+	cases = append(cases, readCase{"pnssd+split-fmmu", ArchPnSSDSplit, fmmuReadConfig()})
+	for _, c := range cases {
+		s, gen := readPathDevice(c.arch, c.cfg)
 		s.Host.RunClosedLoop(gen, readPathOutstanding, readPathWarm)
 		s.Run()
 		batch := func() {
@@ -41,7 +63,7 @@ func TestReadPathAllocFree(t *testing.T) {
 		}
 		perReq := testing.AllocsPerRun(2, batch) / readPathBatch
 		if perReq > 0.1 {
-			t.Errorf("%v: %.3f allocations per read request, want <= 0.1", arch, perReq)
+			t.Errorf("%v: %.3f allocations per read request, want <= 0.1", c.name, perReq)
 		}
 	}
 }
@@ -52,20 +74,15 @@ func TestReadPathAllocFree(t *testing.T) {
 // allocs/op, zero once the free lists are warm, and events/req. Run it
 // at a fixed -benchtime=Nx so events/req is the same on every machine.
 //
-// The pnssd+split-fmmu case maps through the fmmu map unit with a cache
-// of a quarter of the translation pages, so the stream mixes cache hits
-// with demand fetches through the fabric; it adds miss-pct. The fmmu
-// translate callback still allocates, so TestReadPathAllocFree leaves
-// this case out.
+// The pnssd+split-fmmu case maps through the fmmu map unit
+// (fmmuReadConfig), so the stream mixes cache hits with demand fetches
+// through the fabric; it adds miss-pct.
 func BenchmarkReadPath(b *testing.B) {
 	for i, arch := range Archs {
 		b.Run(archFlags[i], func(b *testing.B) { benchReadPath(b, arch, ScaledConfig()) })
 	}
 	b.Run("pnssd+split-fmmu", func(b *testing.B) {
-		cfg := ScaledConfig()
-		perT := int64(cfg.Geometry.PageSize / 8)
-		cfg.FTL.Map = &ftl.MapConfig{Entries: int((cfg.LogicalPages()+perT-1)/perT) / 4}
-		s := benchReadPath(b, ArchPnSSDSplit, cfg)
+		s := benchReadPath(b, ArchPnSSDSplit, fmmuReadConfig())
 		b.ReportMetric(s.FTL.MapStats().MissRate()*100, "miss-pct")
 	})
 }

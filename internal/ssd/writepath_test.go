@@ -49,13 +49,11 @@ func writePathDevice(arch Arch, gc ftl.GCMode) (*SSD, func(int) host.Request) {
 }
 
 // writePathAllocsMax bounds allocations per 64 KB write request under
-// sustained GC once the free lists are warm. Measured: 0.11 on baseSSD
-// and 0.01 on pnSSD. What remains is mostly the chips' program records:
-// each chip's free list grows to its deepest program queue, and on
-// baseSSD, where every GC copy relays through a few open destination
-// blocks, those queues are still deepening after the warm-up. The
-// margin is about twice the larger value; one closure per request
-// anywhere on the chain would cost at least 1.
+// sustained GC once the free lists are warm. Measured: 0.011 on baseSSD
+// and 0.008 on pnSSD. What remains is mostly growth: the chips' program
+// and erase queues are still deepening after the warm-up, and each batch
+// builds its closed-loop driver. One closure per request anywhere on the
+// chain would cost at least 1.
 const writePathAllocsMax = 0.25
 
 // TestWritePathAllocs pins the allocation-free write and GC chains: once
@@ -85,47 +83,67 @@ func TestWritePathAllocs(t *testing.T) {
 
 // openLoopAllocsMax bounds allocations per request when an open-loop
 // write storm replays on a reset device whose record pools grew in an
-// earlier replay of the same trace. Submit's completion closure is the
-// one allocation per request left; the rest of the bound covers the
-// replay's per-trace slices and the pools that still deepen.
-const openLoopAllocsMax = 2
+// earlier replay of the same trace. Measured: 0.082, through the Host
+// and through the Frontend alike. No callback is built per request; what
+// remains is the FTL's lists of reads parked on in-flight writes, one
+// per parked LPN, buffers of records that meet more chip batches than
+// they did in the first replay, and the replay's per-trace slices. One
+// allocation per request anywhere on the chain would cost 1.
+const openLoopAllocsMax = 0.1
 
 // TestOpenLoopReplayAllocs pins what recycling a device saves. An
 // open-loop replay of rocksdb-1 under PaGC backs writes up far past the
 // 16 in flight of TestWritePathAllocs, and a fresh device grows every
 // write, read, fabric and chip record pool to that backlog. After Reset
 // and a restore of the same warm state, the same replay finds the pools
-// grown and allocates at most openLoopAllocsMax per request.
+// grown and allocates at most openLoopAllocsMax per request, both
+// through Host.Replay and through Frontend.Replay, with the requests
+// dealt in turn to two tenants, whose commands complete through the
+// same host records.
 func TestOpenLoopReplayAllocs(t *testing.T) {
-	cfg := ScaledConfig()
-	cfg.FTL.GCMode = ftl.GCParallel
-	cfg.LogicalUtilization = 0.75
-	s := New(ArchBase, cfg)
-	foot := cfg.LogicalPages()
-	ws := s.FTL.SaveWarm(func() { s.Host.Warmup(foot) })
-	tr, err := workload.Named("rocksdb-1", foot, 12000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	replay := func() float64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		s.Host.MustReplay(tr.Requests)
-		s.Run()
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / float64(len(tr.Requests))
-	}
-	fresh := replay()
-	if s.FTL.Stats().WriteStalls == 0 {
-		t.Fatal("the replay never stalled a write: no backlog to grow the pools")
-	}
-	s.Reset(s.Config)
-	s.FTL.RestoreWarm(ws)
-	if again := replay(); again > openLoopAllocsMax {
-		t.Errorf("replay on a reset device: %.2f allocations per request (%.2f on the fresh device), want <= %d", again, fresh, openLoopAllocsMax)
-	} else {
-		t.Logf("allocations per request: %.2f on the fresh device, %.2f after Reset", fresh, again)
+	for _, frontend := range []bool{false, true} {
+		cfg := ScaledConfig()
+		cfg.FTL.GCMode = ftl.GCParallel
+		cfg.LogicalUtilization = 0.75
+		if frontend {
+			cfg.Frontend = &host.FrontendConfig{Tenants: []host.TenantConfig{{Weight: 1}, {Weight: 2}}, Arbiter: "dwrr"}
+		}
+		s := New(ArchBase, cfg)
+		foot := cfg.LogicalPages()
+		ws := s.FTL.SaveWarm(func() { s.Host.Warmup(foot) })
+		tr, err := workload.Named("rocksdb-1", foot, 12000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayOn := s.Host.Replay
+		if frontend {
+			for i := range tr.Requests {
+				tr.Requests[i].Tenant = i % 2
+			}
+			replayOn = s.Frontend.Replay
+		}
+		replay := func() float64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := replayOn(tr.Requests); err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+			runtime.ReadMemStats(&after)
+			return float64(after.Mallocs-before.Mallocs) / float64(len(tr.Requests))
+		}
+		fresh := replay()
+		if s.FTL.Stats().WriteStalls == 0 {
+			t.Fatalf("frontend=%v: the replay never stalled a write: no backlog to grow the pools", frontend)
+		}
+		s.Reset(s.Config)
+		s.FTL.RestoreWarm(ws)
+		if again := replay(); again > openLoopAllocsMax {
+			t.Errorf("frontend=%v: replay on a reset device: %.3f allocations per request (%.3f on the fresh device), want <= %v", frontend, again, fresh, openLoopAllocsMax)
+		} else {
+			t.Logf("frontend=%v: allocations per request: %.3f on the fresh device, %.3f after Reset", frontend, fresh, again)
+		}
 	}
 }
 

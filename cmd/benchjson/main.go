@@ -1,7 +1,8 @@
 // Command benchjson runs the repo's layer benchmarks (the engine and
-// resource-hold benches of internal/sim, the array-router bench of
-// internal/array, and the host-request read- and write-path and device
-// construction benches of internal/ssd) and the end-to-end
+// resource-hold benches of internal/sim, the die bench of
+// internal/flash, the array-router bench of internal/array, and the
+// host-request read- and write-path and device construction benches of
+// internal/ssd) and the end-to-end
 // BenchmarkQuickSuite of
 // cmd/experiments (the whole -quick default suite, once), and re-emits
 // the results as JSON, seeding the perf-trajectory file BENCH_quick.json.
@@ -156,6 +157,7 @@ var benchRuns = []struct{ pkg, bench, benchtime string }{
 	{"./internal/sim", "^BenchmarkResourceHoldContended$", "500000x"},
 	{"./internal/sim", "^BenchmarkWindowedSparse$", "1000x"},
 	{"./internal/sim", "^BenchmarkEngineThroughput$", "3x"},
+	{"./internal/flash", "^BenchmarkChipOps$", "20000x"},
 	{"./internal/array", ".", "20x"},
 	{"./internal/ssd", "^Benchmark(ReadPath|WritePath|Replay)$", "20000x"},
 	{"./internal/ssd", "^BenchmarkNew$", "200x"},

@@ -15,8 +15,9 @@ type SchedPolicy int
 
 // Scheduling policies.
 const (
-	// SchedFIFO issues transactions in arrival order with no deferral;
-	// it is byte-identical to running without a scheduling layer.
+	// SchedFIFO issues transactions in arrival order with no deferral.
+	// It is the unwrapped fabric: a device under FIFO has no scheduling
+	// layer, and NewSchedFabric refuses it.
 	SchedFIFO SchedPolicy = iota
 	// SchedConflict is Venice-style conflict-free path allocation:
 	// before a (potentially split) read or a GC copy issues, its full
@@ -160,10 +161,6 @@ type schedOp struct {
 // inside the enqueue call or a completion callback, so it schedules no
 // engine events of its own and inherits the wrapped fabric's determinism
 // (including byte-identity at any -parallel setting).
-//
-// With SchedFIFO the wrapper issues every transaction immediately in
-// arrival order — the exact event sequence of an unwrapped fabric — so
-// unit tests can diff the other policies against it.
 type SchedFabric struct {
 	inner Fabric
 	pol   SchedPolicy
@@ -195,10 +192,14 @@ type SchedFabric struct {
 	maxPending int
 }
 
-// NewSchedFabric wraps inner with the given policy.
+// NewSchedFabric wraps inner with the given policy, SchedConflict or
+// SchedOOO. SchedFIFO panics: FIFO is the unwrapped fabric.
 func NewSchedFabric(inner Fabric, pol SchedPolicy) *SchedFabric {
 	if inner == nil {
 		panic("controller: scheduling layer needs an inner fabric")
+	}
+	if pol != SchedConflict && pol != SchedOOO {
+		panic(fmt.Sprintf("controller: no scheduling layer for policy %v (FIFO is the unwrapped fabric)", pol))
 	}
 	return &SchedFabric{
 		inner:    inner,
@@ -397,8 +398,6 @@ func (f *SchedFabric) submit(op *schedOp, done func()) {
 		}
 		op.run = wrapFin(op.run, fin)
 		f.drainOOO()
-	default: // SchedFIFO: immediate, arrival order
-		f.issue(op, 0, fin)
 	}
 }
 

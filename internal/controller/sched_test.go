@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/flash"
-	"repro/internal/sim"
 )
 
 func TestParseSchedPolicy(t *testing.T) {
@@ -305,26 +304,18 @@ func TestOOOStarvationForcedPick(t *testing.T) {
 }
 
 func TestOOOWindowOneIsFIFO(t *testing.T) {
-	mk := func(pol SchedPolicy, window int) []string {
-		h := newSchedHarness(pol, window, 0)
-		// Arrivals deliberately favour reordering: later ops target idle
-		// dies while earlier ones pile on die 0.
-		h.add("A", nil, 0)
-		h.add("B", nil, 0)
-		h.add("C", nil, 1)
-		h.add("D", nil, 2)
-		for _, tag := range []string{"A", "B", "C", "D"} {
-			h.complete(tag)
-		}
-		return h.order
+	h := newSchedHarness(SchedOOO, 1, 0)
+	// Arrivals deliberately favour reordering: later ops target idle
+	// dies while earlier ones pile on die 0.
+	h.add("A", nil, 0)
+	h.add("B", nil, 0)
+	h.add("C", nil, 1)
+	h.add("D", nil, 2)
+	for _, tag := range []string{"A", "B", "C", "D"} {
+		h.complete(tag)
 	}
-	fifo := mk(SchedFIFO, 0)
-	oooW1 := mk(SchedOOO, 1)
-	if !reflect.DeepEqual(fifo, oooW1) {
-		t.Fatalf("ooo window=1 order %v differs from fifo %v", oooW1, fifo)
-	}
-	if !reflect.DeepEqual(fifo, []string{"A", "B", "C", "D"}) {
-		t.Fatalf("fifo order = %v, not arrival order", fifo)
+	if want := []string{"A", "B", "C", "D"}; !reflect.DeepEqual(h.order, want) {
+		t.Fatalf("ooo window=1 order = %v, want arrival order %v", h.order, want)
 	}
 }
 
@@ -378,7 +369,7 @@ func TestSchedDeterminism(t *testing.T) {
 		}
 		return h.order
 	}
-	for _, pol := range []SchedPolicy{SchedFIFO, SchedConflict, SchedOOO} {
+	for _, pol := range []SchedPolicy{SchedConflict, SchedOOO} {
 		a, b := run(pol, 42), run(pol, 42)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%v: same seed produced different issue orders\n%v\n%v", pol, a, b)
@@ -408,7 +399,7 @@ func (r *recordingSchedChecker) SchedCompleted(op uint64, inflight int) {
 // on a live Omnibus fabric: all four op kinds complete, the wrapper
 // quiesces, and the checker hooks balance.
 func TestSchedFabricEndToEnd(t *testing.T) {
-	for _, pol := range []SchedPolicy{SchedFIFO, SchedConflict, SchedOOO} {
+	for _, pol := range []SchedPolicy{SchedConflict, SchedOOO} {
 		t.Run(pol.String(), func(t *testing.T) {
 			e, g, soc := testRig(2, 2)
 			inner := newOmnibus(e, g, soc, true)
@@ -458,37 +449,6 @@ func TestSchedFabricEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSchedFIFOMatchesUnwrapped pins the transparency contract: the FIFO
-// wrapper issues immediately in arrival order, so a wrapped run fires the
-// exact event count of an unwrapped one.
-func TestSchedFIFOMatchesUnwrapped(t *testing.T) {
-	run := func(wrap bool) (sim.Time, int64) {
-		e, g, soc := testRig(2, 2)
-		var f Fabric = newOmnibus(e, g, soc, true)
-		if wrap {
-			f = NewSchedFabric(f, SchedFIFO)
-		}
-		a := flash.PPA{Plane: 0, Block: 0, Page: 0}
-		for ch := 0; ch < 2; ch++ {
-			for w := 0; w < 2; w++ {
-				f.Write(ChipID{ch, w}, []flash.ProgramOp{{Addr: a, Token: 7}}, nil)
-			}
-		}
-		e.Run()
-		for ch := 0; ch < 2; ch++ {
-			for w := 0; w < 2; w++ {
-				f.Read(ChipID{ch, w}, []flash.PPA{a}, nil)
-			}
-		}
-		return e.Run(), e.EventsFired()
-	}
-	t0, n0 := run(false)
-	t1, n1 := run(true)
-	if t0 != t1 || n0 != n1 {
-		t.Fatalf("fifo wrapper perturbed the run: time %v vs %v, events %d vs %d", t0, t1, n0, n1)
-	}
-}
-
 func TestSchedConfigDefaults(t *testing.T) {
 	e, g, soc := testRig(2, 2)
 	inner := newOmnibus(e, g, soc, false)
@@ -503,4 +463,10 @@ func TestSchedConfigDefaults(t *testing.T) {
 	if c.Policy() != SchedConflict || f.Policy() != SchedOOO {
 		t.Fatal("Policy() mismatch")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSchedFabric accepted SchedFIFO, which is the unwrapped fabric")
+		}
+	}()
+	NewSchedFabric(inner, SchedFIFO)
 }

@@ -240,14 +240,13 @@ func TestResetRestoreMatchesFreshWarm(t *testing.T) {
 }
 
 // recycled names the fields deepDiff skips, as "package.Type.field": the
-// free lists of recycled operation records, and the completions bound at
-// first use (the chip's read hook and completion and array-op
-// completion, the FTL's GC victim completion), which a reset device
-// keeps and a fresh one has not made yet. Everything else, any field
-// added later included, is compared.
+// free lists of recycled operation records and parked-continuation
+// lists, and the completions bound at first use (the chip's one grant
+// hook and one completion, the FTL's GC victim completion), which a
+// reset device keeps and a fresh one has not made yet. Everything else,
+// any field added later included, is compared.
 var recycled = map[string]bool{
-	"flash.Chip.grantRead":                true,
-	"flash.Chip.finishRead":               true,
+	"flash.Chip.grantOp":                  true,
 	"flash.Chip.finishOp":                 true,
 	"controller.fabricOps.free":           true,
 	"controller.OmnibusFabric.freeCopies": true,
@@ -258,6 +257,8 @@ var recycled = map[string]bool{
 	"ftl.FTL.freeWrites":                  true,
 	"ftl.FTL.freeVictims":                 true,
 	"ftl.FTL.victimDone":                  true,
+	"ftl.parkedLists[int64].spare":        true,
+	"ftl.parkedLists[int].spare":          true,
 	"ftl.mapUnit.freeLookups":             true,
 	"ftl.mapUnit.freeFetches":             true,
 	"host.Host.freeReqs":                  true,

@@ -105,7 +105,7 @@ type Chip struct {
 	pageReg    []Token // per-plane page registers
 	vpage      []Token // pnSSD V-page registers (2 in the paper)
 	vpageInUse []bool
-	vpageWait  []vpageWaiter // WaitVPage callers, oldest first; only while all are held
+	vpageWait  sim.Queue[vpageWaiter] // WaitVPage callers, oldest first; only while all are held
 
 	// The chip's windows of its Array's slabs: pages at
 	// plane*pagesPerPlane + block*pagesPerBlock + page (pageIndex), blocks
@@ -117,31 +117,22 @@ type Chip struct {
 
 	reads, programs, erases int64
 
-	ppaScratch []PPA        // Program's multi-plane check
-	vcommit    [1]ProgramOp // ProgramFromVPage's op, copied at issue
+	ppaScratch []PPA // Program's multi-plane check
 
-	// The queued and sensing Reads, oldest first, and their pages in the
-	// same order. The die grants holds in request order, so the oldest
-	// read is the next to finish, and a grant is for the read that
-	// readsHeld, the count granted and not yet finished, skips past: one
-	// while a release hands the die from one read to the next, else
-	// none. grantRead and finishRead, bound at the chip's first read, are
-	// every read hold's grant hook and completion.
-	readOps    fifo[readOp]
-	readAddrs  fifo[PPA]
-	readsHeld  int
-	grantRead  func() sim.Time // bound c.readGranted
-	finishRead func()          // bound c.readSensed
-
-	// The queued and running Programs and Erases, oldest first, and
-	// their targets (pages and tokens, or erased blocks) in the same
-	// order. The die grants holds in request order and runs one at a
-	// time, so the oldest is always the next to finish, and finishOp,
-	// bound at the chip's first array operation, is every such hold's
-	// completion.
-	arrayOps fifo[arrayOp]
-	targets  fifo[ProgramOp]
-	finishOp func() // bound c.finishArrayOp
+	// The queued and running array operations (reads, programs and
+	// erases), oldest first, and their targets (read pages, programmed
+	// pages and tokens, or erased blocks) in the same order. The die
+	// grants holds in request order and runs one at a time, so the
+	// oldest op is always the next to finish, and a grant is for the op
+	// that held, the count granted and not yet finished, skips past: one
+	// while a release hands the die from one op to the next, else none.
+	// grantOp and finishOp, bound at the chip's first op, are every die
+	// hold's grant hook and completion.
+	ops      sim.Queue[dieOp]
+	targets  sim.Queue[ProgramOp]
+	held     int
+	grantOp  func() sim.Time // bound c.opGranted
+	finishOp func()          // bound c.opFinished
 
 	// faults injects transient read ECC failures; faultKey identifies
 	// this chip in the injector's per-chip quota accounting.
@@ -235,12 +226,9 @@ func (c *Chip) reset() {
 	clear(c.vpageInUse)
 	*c = Chip{
 		eng: c.eng, name: c.name, geo: c.geo, timing: c.timing, die: c.die,
-		pageReg: c.pageReg, vpage: c.vpage, vpageInUse: c.vpageInUse, vpageWait: c.vpageWait[:0],
+		pageReg: c.pageReg, vpage: c.vpage, vpageInUse: c.vpageInUse, vpageWait: c.vpageWait,
 		content: c.content, state: c.state, nextPage: c.nextPage, eraseCount: c.eraseCount,
-		ppaScratch: c.ppaScratch[:0],
-		readOps:    c.readOps.emptied(), readAddrs: c.readAddrs.emptied(),
-		grantRead: c.grantRead, finishRead: c.finishRead,
-		arrayOps: c.arrayOps.emptied(), targets: c.targets.emptied(), finishOp: c.finishOp,
+		ops: c.ops, targets: c.targets, grantOp: c.grantOp, finishOp: c.finishOp, ppaScratch: c.ppaScratch[:0],
 	}
 }
 
@@ -343,46 +331,11 @@ func (c *Chip) Read(ppas []PPA, done func()) {
 			panic(fmt.Sprintf("flash %s: read of unprogrammed page %v", c.name, a))
 		}
 	}
-	if c.finishRead == nil {
-		c.grantRead, c.finishRead = c.readGranted, c.readSensed
+	t := c.targets.PushN(len(ppas))
+	for i, a := range ppas {
+		t[i] = ProgramOp{Addr: a}
 	}
-	c.readAddrs.push(ppas...)
-	c.readOps.push(readOp{n: len(ppas), done: done})
-	// The hold's length is set at the grant, where the ECC fault penalty
-	// is drawn, so penalties are drawn in grant order.
-	c.die.UseGranted("read", c.grantRead, c.finishRead)
-}
-
-// readOp is one queued or sensing Chip.Read, whose n pages wait in the
-// chip's read-address queue.
-type readOp struct {
-	n    int
-	done func()
-}
-
-// readGranted runs when the die is granted to a read and returns how
-// long the read holds it. The retry ladder extends the die-busy window:
-// re-senses hold the array exactly like the first sense does on real
-// NAND.
-func (c *Chip) readGranted() sim.Time {
-	op := c.readOps.q[c.readOps.head+c.readsHeld]
-	c.readsHeld++
-	return c.timing.Read + c.readFaultPenalty(op.n)
-}
-
-// readSensed runs once the die is released by the oldest read and lands
-// its pages in their registers. The read leaves the queues before done
-// runs, because done may issue the next read on this chip.
-func (c *Chip) readSensed() {
-	op := c.readOps.pop(1)[0]
-	for _, a := range c.readAddrs.pop(op.n) {
-		c.pageReg[a.Plane] = c.content[c.pageIndex(a)]
-	}
-	c.readsHeld--
-	c.reads++
-	if op.done != nil {
-		op.done()
-	}
+	c.queueOp(dieOp{kind: opRead, n: len(ppas), vreg: -1, done: done})
 }
 
 // readFaultPenalty draws the transient-ECC outcome for each page of a
@@ -463,38 +416,80 @@ func (c *Chip) program(ops []ProgramOp, vreg int, done func()) {
 		c.nextPage[c.blockIndex(op.Addr)]++
 		c.state[c.pageIndex(op.Addr)] = PageProgrammed
 	}
-	c.targets.push(ops...)
-	c.queueArrayOp("program", c.timing.Program, arrayOp{n: len(ops), vreg: vreg, done: done})
+	copy(c.targets.PushN(len(ops)), ops)
+	c.queueOp(dieOp{kind: opProgram, n: len(ops), vreg: vreg, done: done})
 }
 
-// arrayOp is one queued or running Chip.Program or Chip.Erase, a timed
-// hold of the die whose n targets wait in the chip's target queue.
-type arrayOp struct {
-	n     int
-	erase bool
-	vreg  int // V-page register the program frees, or -1
-	done  func()
+// dieOp is one queued or running array operation, a hold of the die
+// whose n targets wait in the chip's target queue.
+type dieOp struct {
+	kind opKind
+	n    int
+	vreg int // V-page register a program frees, or -1
+	done func()
 }
 
-// queueArrayOp queues op, whose targets its caller has just queued, and
+// opKind is what a dieOp does to the array; it indexes opLabels.
+type opKind uint8
+
+const (
+	opRead opKind = iota
+	opProgram
+	opErase
+)
+
+// opLabels are the die-hold labels observers see, by opKind.
+var opLabels = [...]string{opRead: "read", opProgram: "program", opErase: "erase"}
+
+// queueOp queues op, whose targets its caller has just queued, and
 // requests its die hold in the same step, so the queue keeps the order
 // the die grants in.
-func (c *Chip) queueArrayOp(label string, d sim.Time, op arrayOp) {
+func (c *Chip) queueOp(op dieOp) {
 	if c.finishOp == nil {
-		c.finishOp = c.finishArrayOp
+		c.grantOp, c.finishOp = c.opGranted, c.opFinished
 	}
-	c.arrayOps.push(op)
-	c.die.UseLabeled(label, d, c.finishOp)
+	c.ops.Push(op)
+	c.die.UseGranted(opLabels[op.kind], c.grantOp, c.finishOp)
 }
 
-// finishArrayOp runs as a die hold of an array operation ends and
-// applies the oldest queued operation to the array. Its entries leave
-// the queues before the V-page release and done run, because either may
-// issue the next operation on this chip.
-func (c *Chip) finishArrayOp() {
-	op := c.arrayOps.pop(1)[0]
-	targets := c.targets.pop(op.n)
-	if op.erase {
+// opGranted runs when the die is granted to an op and returns how long
+// the op holds it: tPROG, tBERS, or tR plus the read's ECC fault
+// penalty, drawn here so penalties are drawn in grant order. The retry
+// ladder extends the die-busy window: re-senses hold the array exactly
+// like the first sense does on real NAND.
+func (c *Chip) opGranted() sim.Time {
+	op := c.ops.Peek(c.held)
+	c.held++
+	switch op.kind {
+	case opRead:
+		return c.timing.Read + c.readFaultPenalty(op.n)
+	case opProgram:
+		return c.timing.Program
+	}
+	return c.timing.Erase
+}
+
+// opFinished runs as the die is released by the oldest op and applies
+// it to the array: a read lands its pages in their registers, a program
+// stores its tokens, an erase wipes its blocks. The op leaves the queues
+// before the V-page release and done run, because either may issue the
+// next op on this chip.
+func (c *Chip) opFinished() {
+	op := c.ops.Pop()
+	targets := c.targets.PopN(op.n)
+	c.held--
+	switch op.kind {
+	case opRead:
+		for _, t := range targets {
+			c.pageReg[t.Addr.Plane] = c.content[c.pageIndex(t.Addr)]
+		}
+		c.reads++
+	case opProgram:
+		for _, t := range targets {
+			c.content[c.pageIndex(t.Addr)] = t.Token
+		}
+		c.programs++
+	case opErase:
 		for _, t := range targets {
 			base := c.pageIndex(t.Addr)
 			for i := base; i < base+c.geo.PagesPerBlock; i++ {
@@ -505,11 +500,6 @@ func (c *Chip) finishArrayOp() {
 			c.eraseCount[c.blockIndex(t.Addr)]++
 		}
 		c.erases++
-	} else {
-		for _, t := range targets {
-			c.content[c.pageIndex(t.Addr)] = t.Token
-		}
-		c.programs++
 	}
 	if op.vreg >= 0 {
 		c.ReleaseVPage(op.vreg)
@@ -517,40 +507,6 @@ func (c *Chip) finishArrayOp() {
 	if op.done != nil {
 		op.done()
 	}
-}
-
-// fifo is a queue that reuses its slice, as sim.Resource's waiter queue
-// does: the live entries slide to the front only when a push finds the
-// slice full, and the slice resets when a pop empties it. Popped entries
-// stay in it until overwritten or emptied.
-type fifo[T any] struct {
-	q    []T
-	head int
-}
-
-func (f *fifo[T]) push(vs ...T) {
-	if f.head > 0 && len(f.q)+len(vs) > cap(f.q) {
-		n := copy(f.q, f.q[f.head:])
-		clear(f.q[n:])
-		f.q, f.head = f.q[:n], 0
-	}
-	f.q = append(f.q, vs...)
-}
-
-// pop removes the n oldest entries and returns them, valid until the
-// next push.
-func (f *fifo[T]) pop(n int) []T {
-	out := f.q[f.head : f.head+n]
-	if f.head += n; f.head == len(f.q) {
-		f.q, f.head = f.q[:0], 0
-	}
-	return out
-}
-
-// emptied returns an empty queue with f's slice, its entries zeroed.
-func (f *fifo[T]) emptied() fifo[T] {
-	clear(f.q[:cap(f.q)])
-	return fifo[T]{q: f.q[:0]}
 }
 
 // ProgramFromVPage programs a V-page register's content into the array —
@@ -561,8 +517,7 @@ func (c *Chip) ProgramFromVPage(reg int, addr PPA, done func()) {
 	if !c.vpageInUse[reg] {
 		panic(fmt.Sprintf("flash %s: VCommit from empty V-page register %d", c.name, reg))
 	}
-	c.vcommit[0] = ProgramOp{Addr: addr, Token: c.vpage[reg]}
-	c.program(c.vcommit[:], reg, done)
+	c.program([]ProgramOp{{Addr: addr, Token: c.vpage[reg]}}, reg, done)
 }
 
 // Erase erases one block per addressed plane (multi-plane erase). All
@@ -572,10 +527,11 @@ func (c *Chip) Erase(blocks []PPA, done func()) {
 		blocks[i].Page = 0
 	}
 	c.checkMultiPlane(blocks)
-	for _, b := range blocks {
-		c.targets.push(ProgramOp{Addr: b})
+	t := c.targets.PushN(len(blocks))
+	for i, b := range blocks {
+		t[i] = ProgramOp{Addr: b}
 	}
-	c.queueArrayOp("erase", c.timing.Erase, arrayOp{n: len(blocks), erase: true, vreg: -1, done: done})
+	c.queueOp(dieOp{kind: opErase, n: len(blocks), vreg: -1, done: done})
 }
 
 // PageRegister returns the content of a plane's page register.
@@ -616,7 +572,7 @@ func (c *Chip) WaitVPage(reg *int, fn func()) {
 		fn()
 		return
 	}
-	c.vpageWait = append(c.vpageWait, vpageWaiter{reg, fn})
+	c.vpageWait.Push(vpageWaiter{reg, fn})
 }
 
 // vpageWaiter is one parked WaitVPage call.
@@ -643,16 +599,11 @@ func (c *Chip) ReleaseVPage(reg int) {
 	if !c.vpageInUse[reg] {
 		panic(fmt.Sprintf("flash %s: release of unclaimed V-page register %d", c.name, reg))
 	}
-	if len(c.vpageWait) == 0 {
+	if c.vpageWait.Len() == 0 {
 		c.vpageInUse[reg] = false
 		return
 	}
-	// Shift the queue down rather than reslice it forward, so appends
-	// keep reusing one backing array.
-	w := c.vpageWait[0]
-	n := copy(c.vpageWait, c.vpageWait[1:])
-	c.vpageWait[n] = vpageWaiter{}
-	c.vpageWait = c.vpageWait[:n]
+	w := c.vpageWait.Pop()
 	*w.reg = reg
 	w.fn()
 }

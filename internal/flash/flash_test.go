@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -444,42 +445,54 @@ func TestReadRecordReusedFromItsOwnCallback(t *testing.T) {
 	}
 }
 
-// TestArrayOpQueue queues programs, a read and erases deep on one die,
-// with completions that issue the next operation while the finishing
-// one's entries leave the queues. Every operation must finish in issue
-// order and apply its own targets, and once the queues have grown, a
-// whole round must allocate nothing.
+// TestArrayOpQueue queues reads, programs, erases and V-page commits
+// deep on one die, with read ECC faults on and with completions that
+// issue the next operation while the finishing one's entries leave the
+// queues. Every operation must finish in issue order and apply its own
+// targets; every hold the die reports must last tPROG, tBERS, or tR plus
+// the penalty a twin injector on the same seed draws for that read; and
+// once the queues have grown, a whole round must allocate nothing.
 func TestArrayOpQueue(t *testing.T) {
+	cfg := fault.Config{Seed: 3, ReadECCRate: 0.3}
 	e := sim.NewEngine()
 	c := newTestChip(e)
+	c.SetFaults(fault.New(cfg), 0)
+	twin := newTestChip(sim.NewEngine())
+	twin.SetFaults(fault.New(cfg), 0)
+	log := &dieHolds{}
+	c.AddObserver(log)
 	tok := func(plane, page int) Token { return Token(0x100*plane + page + 1) }
+
 	var order []int
-	var progs [4][]ProgramOp
-	for i := range progs {
-		progs[i] = []ProgramOp{{Addr: PPA{Plane: 0, Page: i}, Token: tok(0, i)}, {Addr: PPA{Plane: 1, Page: i}, Token: tok(1, i)}}
-	}
-	done := make([]func(), 7)
-	for i := range done {
-		done[i] = func() { order = append(order, i) }
-	}
-	read := []PPA{{Plane: 1, Page: 3}}
-	readDone := func() {
-		if got := c.PageRegister(1); got != tok(1, 3) {
-			t.Fatalf("read queued behind the programs: register %x, want %x", got, tok(1, 3))
+	// finish returns op i's completion: it records the finish, runs
+	// check on what the op left behind, then runs then, which may issue
+	// the next op.
+	finish := func(i int, check, then func()) func() {
+		return func() {
+			order = append(order, i)
+			if check != nil {
+				check()
+			}
+			if then != nil {
+				then()
+			}
 		}
 	}
-	erase01 := []PPA{{Plane: 0}, {Plane: 1}}
-	erase2 := []PPA{{Plane: 2}}
-	commit := []ProgramOp{{Addr: PPA{Plane: 2}, Token: tok(2, 0)}}
-	afterCommit := func() {
-		done[5]()
-		if got := c.ContentAt(PPA{Plane: 2}); got != tok(2, 0) {
-			t.Fatalf("program issued from a completion: content %x, want %x", got, tok(2, 0))
+	regIs := func(plane, page int) func() {
+		return func() {
+			if got := c.PageRegister(plane); got != tok(plane, page) {
+				t.Fatalf("read of plane %d page %d: register %x, want %x", plane, page, got, tok(plane, page))
+			}
 		}
-		c.Erase(erase2, done[6])
 	}
-	afterErase := func() {
-		done[4]()
+	contentIs := func(plane int) func() {
+		return func() {
+			if got := c.ContentAt(PPA{Plane: plane}); got != tok(plane, 0) {
+				t.Fatalf("commit into plane %d: content %x, want %x", plane, got, tok(plane, 0))
+			}
+		}
+	}
+	erased01 := func() {
 		for plane := 0; plane < 2; plane++ {
 			for page := 0; page < 4; page++ {
 				if c.PageStateAt(PPA{Plane: plane, Page: page}) != PageErased {
@@ -487,27 +500,142 @@ func TestArrayOpQueue(t *testing.T) {
 				}
 			}
 		}
-		c.Program(commit, afterCommit)
 	}
+	var progs [4][]ProgramOp
+	for i := range progs {
+		progs[i] = []ProgramOp{{Addr: PPA{Plane: 0, Page: i}, Token: tok(0, i)}, {Addr: PPA{Plane: 1, Page: i}, Token: tok(1, i)}}
+	}
+	reads := [][]PPA{{{Plane: 0, Page: 0}}, {{Plane: 1, Page: 1}}, {{Plane: 1, Page: 3}}, {{Plane: 3}}}
+	erase01, erase2, erase3 := []PPA{{Plane: 0}, {Plane: 1}}, []PPA{{Plane: 2}}, []PPA{{Plane: 3}}
+
+	// Ops 0-8 are issued up front; 9 by the V-page waiter that op 7's
+	// register release wakes, and 10-12 from completions.
+	var r1, waited int
+	done := make([]func(), 13)
+	done[12] = finish(12, nil, nil)
+	done[11] = finish(11, regIs(3, 0), func() { c.Erase(erase3, done[12]) })
+	done[10] = finish(10, nil, nil)
+	done[9] = finish(9, contentIs(3), func() { c.Read(reads[3], done[11]) })
+	done[8] = finish(8, erased01, func() { c.Erase(erase2, done[10]) })
+	done[7] = finish(7, contentIs(2), nil)
+	done[6] = finish(6, regIs(1, 3), nil)
+	done[5] = finish(5, nil, nil)
+	done[4] = finish(4, regIs(1, 1), nil)
+	done[3] = finish(3, nil, nil)
+	done[2] = finish(2, nil, nil)
+	done[1] = finish(1, regIs(0, 0), nil)
+	done[0] = finish(0, nil, nil)
+	commitWaited := func() {
+		c.SetVPage(waited, tok(3, 0))
+		c.ProgramFromVPage(waited, PPA{Plane: 3}, done[9])
+	}
+	labels := [...]string{"program", "read", "program", "program", "read", "program", "read",
+		"program", "erase", "program", "erase", "read", "erase"}
 	round := func() {
-		order = order[:0]
-		for i := range progs {
-			c.Program(progs[i], done[i])
-		}
-		c.Read(read, readDone)
-		c.Erase(erase01, afterErase)
+		order, log.holds = order[:0], log.holds[:0]
+		c.Program(progs[0], done[0])
+		c.Read(reads[0], done[1])
+		c.Program(progs[1], done[2])
+		c.Program(progs[2], done[3])
+		c.Read(reads[1], done[4])
+		c.Program(progs[3], done[5])
+		c.Read(reads[2], done[6])
+		r0 := c.AcquireVPage()
+		r1 = c.AcquireVPage()
+		c.WaitVPage(&waited, commitWaited) // both registers held: parks
+		c.SetVPage(r0, tok(2, 0))
+		c.ProgramFromVPage(r0, PPA{Plane: 2}, done[7])
+		c.Erase(erase01, done[8])
 		e.Run()
+		c.ReleaseVPage(r1) // abort the copy that held the other register
+		if len(order) != len(done) || c.VPagesHeld() != 0 {
+			t.Fatalf("finish order %v with %d V-page registers held, want 0..12 and none", order, c.VPagesHeld())
+		}
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("finish order %v, want 0..12", order)
+			}
+		}
+		if len(log.holds) != len(labels) {
+			t.Fatalf("die reported %d holds, want %d", len(log.holds), len(labels))
+		}
+		for k, h := range log.holds {
+			want := c.timing.Erase
+			switch h.label {
+			case "read":
+				want = c.timing.Read + twin.readFaultPenalty(1)
+			case "program":
+				want = c.timing.Program
+			}
+			if h.label != labels[k] || h.d != want {
+				t.Fatalf("hold %d: %s for %v, want %s for %v", k, h.label, h.d, labels[k], want)
+			}
+		}
 	}
 	round()
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("finish order %v, want 0..6", order)
-		}
-	}
-	if len(order) != 7 || c.EraseCount(0, 0) != 1 || c.EraseCount(2, 0) != 1 {
-		t.Fatalf("finish order %v, erase counts %d and %d, want 7 ops and 1 erase each", order, c.EraseCount(0, 0), c.EraseCount(2, 0))
+	if c.EraseCount(0, 0) != 1 || c.EraseCount(2, 0) != 1 || c.EraseCount(3, 0) != 1 {
+		t.Fatalf("erase counts %d, %d and %d, want 1 each", c.EraseCount(0, 0), c.EraseCount(2, 0), c.EraseCount(3, 0))
 	}
 	if n := testing.AllocsPerRun(10, round); n != 0 {
 		t.Fatalf("a round on grown queues allocates %v objects, want 0", n)
 	}
+	if ras := c.faults.RAS(); ras.ReadFaults == 0 {
+		t.Fatal("no read faulted: the holds never carried a penalty")
+	}
+}
+
+// dieHolds records each completed die hold's label and length.
+type dieHolds struct{ holds []dieHold }
+
+type dieHold struct {
+	label string
+	d     sim.Time
+}
+
+func (h *dieHolds) ResourceHold(_ *sim.Resource, label string, _, grantedAt, releasedAt sim.Time) {
+	h.holds = append(h.holds, dieHold{label, releasedAt - grantedAt})
+}
+
+func (*dieHolds) ResourceQueue(*sim.Resource, int, sim.Time) {}
+
+// BenchmarkChipOps measures the die layer on one contended die. An op is
+// one round: two multi-plane programs and two reads of their pages,
+// queued at once, and on every PagesPerBlock-th round a four-plane erase
+// of the filled block. The die then drains, so each release hands it to
+// a waiting op.
+func BenchmarkChipOps(b *testing.B) {
+	e := sim.NewEngine()
+	c := newTestChip(e)
+	geo := c.Geometry()
+	progs := make([][2][]ProgramOp, geo.PagesPerBlock)
+	reads := make([][2][]PPA, geo.PagesPerBlock)
+	for pg := range progs {
+		for h := range 2 {
+			lo, hi := PPA{Plane: 2 * h, Page: pg}, PPA{Plane: 2*h + 1, Page: pg}
+			progs[pg][h] = []ProgramOp{{Addr: lo, Token: Token(pg + 1)}, {Addr: hi, Token: Token(pg + 1)}}
+			reads[pg][h] = []PPA{lo}
+		}
+	}
+	erase := []PPA{{Plane: 0}, {Plane: 1}, {Plane: 2}, {Plane: 3}}
+	round := func(i int) {
+		pg := i % geo.PagesPerBlock
+		c.Program(progs[pg][0], nil)
+		c.Program(progs[pg][1], nil)
+		c.Read(reads[pg][0], nil)
+		c.Read(reads[pg][1], nil)
+		if pg == geo.PagesPerBlock-1 {
+			c.Erase(erase, nil)
+		}
+		e.Run()
+	}
+	for i := range geo.PagesPerBlock {
+		round(i) // grow the queues
+	}
+	fired := e.EventsFired()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i)
+	}
+	b.ReportMetric(float64(e.EventsFired()-fired)/float64(b.N), "events/op")
 }

@@ -142,7 +142,7 @@ type FTL struct {
 	// in-flight write tracking: reads of an LPN with a write in flight
 	// wait for the write to land.
 	inflightWrites map[int64]int
-	writeWaiters   map[int64][]func()
+	writeWaiters   parkedLists[int64]
 
 	// writes stalled on allocation space, retried as blocks free up;
 	// retryStalled swaps stalled with the spare buffer.
@@ -283,7 +283,7 @@ func New(eng *sim.Engine, fab controller.Fabric, cfg Config, numLPNs int64) *FTL
 		ways:           grid.Ways,
 		p2l:            make([]int32, raw),
 		inflightWrites: make(map[int64]int),
-		writeWaiters:   make(map[int64][]func()),
+		writeWaiters:   parkedLists[int64]{lists: make(map[int64][]func())},
 		gcGroupLo:      false,                     // first SpGC round collects the high half
 		reserveBlocks:  grid.Channels * grid.Ways, // one block per chip, as Validate assumes
 	}
@@ -712,7 +712,7 @@ func (r *hostRead) run() {
 func (f *FTL) readWhenStable(r *hostRead) {
 	for _, lpn := range r.lpns {
 		if f.inflightWrites[lpn] > 0 {
-			f.writeWaiters[lpn] = append(f.writeWaiters[lpn], r.then(rdStable))
+			f.writeWaiters.park(lpn, r.then(rdStable))
 			return
 		}
 	}
@@ -1100,11 +1100,38 @@ func (f *FTL) releaseInflight(lpn int64) {
 	}
 	if f.inflightWrites[lpn] == 0 {
 		delete(f.inflightWrites, lpn)
-		waiters := f.writeWaiters[lpn]
-		delete(f.writeWaiters, lpn)
-		for _, w := range waiters {
-			w()
+		f.writeWaiters.wake(lpn)
+	}
+}
+
+// parkedLists holds continuations parked per key until the key is
+// woken. A woken key's list goes to a spare stack, and the next key to
+// park takes it from there, so parking allocates only while the lists
+// and the stack grow.
+type parkedLists[K comparable] struct {
+	lists map[K][]func()
+	spare [][]func()
+}
+
+// park queues fn on k.
+func (p *parkedLists[K]) park(k K, fn func()) {
+	l, ok := p.lists[k]
+	if n := len(p.spare); !ok && n > 0 {
+		l, p.spare = p.spare[n-1], p.spare[:n-1]
+	}
+	p.lists[k] = append(l, fn)
+}
+
+// wake removes k's continuations and runs them, oldest first. One that
+// parks again on k starts a new list.
+func (p *parkedLists[K]) wake(k K) {
+	if l, ok := p.lists[k]; ok {
+		delete(p.lists, k)
+		for _, fn := range l {
+			fn()
 		}
+		clear(l)
+		p.spare = append(p.spare, l[:0])
 	}
 }
 

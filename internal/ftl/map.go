@@ -196,9 +196,8 @@ type mapUnit struct {
 	// Waiters.
 	fetching    map[int]*mapFetch // t -> its fetch in flight
 	wbPending   map[int]int       // t -> in-flight map programs for t
-	wbWaiters   map[int][]func()  // t -> continuations parked until wbPending[t]==0
-	slotWaiters []func()          // lookups parked until any fetch lands
-	woken       []func()          // wakeSlotWaiters' batch, kept for its capacity
+	wbWaiters   parkedLists[int]  // t -> continuations parked until wbPending[t]==0
+	slotWaiters sim.Queue[func()] // lookups parked until any fetch lands
 
 	// Recycled records.
 	freeLookups []*lookup
@@ -206,7 +205,7 @@ type mapUnit struct {
 
 	// Writeback and cleaning.
 	dirtyCount int
-	wbQueue    []wbReq
+	wbQueue    sim.Queue[wbReq]
 	cleaning   bool
 	cleanSpan  trace.SpanID
 
@@ -231,7 +230,7 @@ func newMapUnit(f *FTL, cfg MapConfig) *mapUnit {
 		where:     make(map[int]int),
 		fetching:  make(map[int]*mapFetch),
 		wbPending: make(map[int]int),
-		wbWaiters: make(map[int][]func()),
+		wbWaiters: parkedLists[int]{lists: make(map[int][]func())},
 	}
 	m.numT = int(TranslationPages(f.geo, f.numLPNs))
 	m.slots = make([]mapSlot, cfg.Entries)
@@ -270,7 +269,7 @@ func (m *mapUnit) reset() {
 		slots: m.slots, where: m.where, freeSlots: m.freeSlots[:0],
 		loc: m.loc, homeB: m.homeB, ver: m.ver, flashVer: m.flashVer, blocks: m.blocks[:0],
 		fetching: m.fetching, wbPending: m.wbPending, wbWaiters: m.wbWaiters,
-		slotWaiters: m.slotWaiters[:0], woken: m.woken, wbQueue: m.wbQueue[:0],
+		slotWaiters: m.slotWaiters, wbQueue: m.wbQueue,
 		freeLookups: m.freeLookups, freeFetches: m.freeFetches,
 	}
 	m.format()
@@ -364,7 +363,7 @@ func (m *mapUnit) evict(si int) {
 	wasDirty := sl.dirty
 	if wasDirty {
 		m.stats.ForcedWritebacks++
-		m.wbQueue = append(m.wbQueue, wbReq{t: t, ver: m.ver[t]})
+		m.wbQueue.Push(wbReq{t: t, ver: m.ver[t]})
 		m.dirtyCount--
 	}
 	m.stats.Evictions++
@@ -538,13 +537,13 @@ func (m *mapUnit) startFetch(l *lookup) {
 		// A program for this page is still in the fabric; the chip
 		// commits page state only when the op arrives, so a read racing
 		// it could reach an unprogrammed page. Park until it lands.
-		m.wbWaiters[t] = append(m.wbWaiters[t], l.then(lkRetry))
+		m.wbWaiters.park(t, l.then(lkRetry))
 		return
 	}
 	si, ok := m.grabSlot()
 	if !ok {
 		// Every slot has a fetch in flight: wait for one to land.
-		m.slotWaiters = append(m.slotWaiters, l.then(lkRetry))
+		m.slotWaiters.Push(l.then(lkRetry))
 		return
 	}
 	sl := &m.slots[si]
@@ -621,17 +620,12 @@ func (fe *mapFetch) landed() {
 	m.wakeSlotWaiters()
 }
 
+// wakeSlotWaiters runs the lookups parked on slots, oldest first; one
+// that parks again waits for the next wake.
 func (m *mapUnit) wakeSlotWaiters() {
-	if len(m.slotWaiters) == 0 {
-		return
+	for n := m.slotWaiters.Len(); n > 0; n-- {
+		m.slotWaiters.Pop()()
 	}
-	ws := m.slotWaiters
-	m.slotWaiters = m.woken[:0]
-	for _, w := range ws {
-		w()
-	}
-	clear(ws)
-	m.woken = ws[:0]
 }
 
 // warmTouch makes a translation page resident during instant warmup, as
@@ -684,7 +678,7 @@ func (m *mapUnit) noteUpdate(lpn int64) {
 		// writeback directly. The update itself already landed in the
 		// authoritative tables.
 		m.stats.UpdateBypasses++
-		m.wbQueue = append(m.wbQueue, wbReq{t: t, ver: m.ver[t]})
+		m.wbQueue.Push(wbReq{t: t, ver: m.ver[t]})
 		m.drainWB()
 		return
 	}
@@ -715,7 +709,7 @@ func (m *mapUnit) flushDirty() {
 	}
 	sort.Ints(ts)
 	for _, t := range ts {
-		m.wbQueue = append(m.wbQueue, wbReq{t: t, ver: m.ver[t]})
+		m.wbQueue.Push(wbReq{t: t, ver: m.ver[t]})
 		sl := &m.slots[m.where[t]]
 		sl.dirty = false
 		m.dirtyCount--
@@ -729,11 +723,11 @@ func (m *mapUnit) flushDirty() {
 // appendable page left it starts a cleaning round and resumes when the
 // round frees a block.
 func (m *mapUnit) drainWB() {
-	for len(m.wbQueue) > 0 {
-		req := m.wbQueue[0]
+	for m.wbQueue.Len() > 0 {
+		req := m.wbQueue.Peek(0)
 		if req.ver <= m.flashVer[req.t] {
 			// Superseded: an equal-or-newer version already committed.
-			m.wbQueue = m.wbQueue[1:]
+			m.wbQueue.Pop()
 			continue
 		}
 		bi, page, ok := m.mapAlloc()
@@ -741,7 +735,7 @@ func (m *mapUnit) drainWB() {
 			m.startCleaning()
 			return
 		}
-		m.wbQueue = m.wbQueue[1:]
+		m.wbQueue.Pop()
 		m.commitWB(req, bi, page)
 	}
 }
@@ -800,11 +794,7 @@ func (m *mapUnit) issueMapWrite(bi int, addr flash.PPA, t int, tok flash.Token) 
 		m.wbPending[t]--
 		if m.wbPending[t] <= 0 {
 			delete(m.wbPending, t)
-			ws := m.wbWaiters[t]
-			delete(m.wbWaiters, t)
-			for _, w := range ws {
-				w()
-			}
+			m.wbWaiters.wake(t)
 		}
 	})
 }
@@ -861,7 +851,7 @@ func (m *mapUnit) relocate(victim int, ts []int, i int) {
 	}
 	t := ts[i]
 	if m.wbPending[t] > 0 {
-		m.wbWaiters[t] = append(m.wbWaiters[t], func() { m.relocate(victim, ts, i) })
+		m.wbWaiters.park(t, func() { m.relocate(victim, ts, i) })
 		return
 	}
 	_, src := physDecode(m.f.geo, m.f.ways, m.loc[t])
@@ -1013,16 +1003,16 @@ func (f *FTL) MapIdle() error {
 			return fmt.Errorf("ftl: map slot %d still pending", si)
 		}
 	}
-	if n := len(m.slotWaiters); n > 0 {
+	if n := m.slotWaiters.Len(); n > 0 {
 		return fmt.Errorf("ftl: %d lookups parked on map slots", n)
 	}
-	if n := len(m.wbQueue); n > 0 {
+	if n := m.wbQueue.Len(); n > 0 {
 		return fmt.Errorf("ftl: %d map writebacks still queued", n)
 	}
 	if n := len(m.wbPending); n > 0 {
 		return fmt.Errorf("ftl: %d translation pages with programs in flight", n)
 	}
-	if n := len(m.wbWaiters); n > 0 {
+	if n := len(m.wbWaiters.lists); n > 0 {
 		return fmt.Errorf("ftl: %d waiters parked on map writebacks", n)
 	}
 	if m.cleaning {

@@ -72,28 +72,11 @@ type pending struct {
 	c   completion
 }
 
-// tenantQueue is one submission queue pair. fifo[head:] are the queued
-// commands; head advances on dispatch and the slice is compacted when
-// drained so replays don't pin the whole trace in memory.
+// tenantQueue is one submission queue pair: its queued commands, oldest
+// first.
 type tenantQueue struct {
-	cfg  TenantConfig
-	fifo []pending
-	head int
-}
-
-func (q *tenantQueue) len() int { return len(q.fifo) - q.head }
-
-func (q *tenantQueue) push(p pending) { q.fifo = append(q.fifo, p) }
-
-func (q *tenantQueue) pop() pending {
-	p := q.fifo[q.head]
-	q.fifo[q.head] = pending{}
-	q.head++
-	if q.head == len(q.fifo) {
-		q.fifo = q.fifo[:0]
-		q.head = 0
-	}
-	return p
+	cfg TenantConfig
+	sim.Queue[pending]
 }
 
 // Frontend is the multi-tenant NVMe front end: N submission/completion
@@ -175,17 +158,7 @@ func (fe *Frontend) Grants(tenant int) int64 { return fe.grants[tenant] }
 
 // Drained reports whether every queue is empty with nothing inflight —
 // the front end's end-of-run invariant.
-func (fe *Frontend) Drained() bool {
-	if fe.inflight != 0 {
-		return false
-	}
-	for _, q := range fe.queues {
-		if q.len() != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (fe *Frontend) Drained() bool { return fe.inflight == 0 && !fe.anyQueued() }
 
 // SetObserver attaches the queue lifecycle observer (nil detaches).
 func (fe *Frontend) SetObserver(o FrontendObserver) { fe.obs = o }
@@ -256,11 +229,11 @@ func (fe *Frontend) enqueue(tenant int, p pending) error {
 	}
 	p.req.Tenant = tenant
 	q := fe.queues[tenant]
-	q.push(p)
+	q.Push(p)
 	if fe.obs != nil {
-		fe.obs.TenantQueued(tenant, q.len())
+		fe.obs.TenantQueued(tenant, q.Len())
 	}
-	fe.tel.TenantDepth(q.cfg.Name, q.len(), fe.eng.Now())
+	fe.tel.TenantDepth(q.cfg.Name, q.Len(), fe.eng.Now())
 	fe.pump()
 	return nil
 }
@@ -285,7 +258,7 @@ func (fe *Frontend) Replay(reqs []Request) ([]sim.Time, error) {
 // anyQueued reports whether any submission queue holds a command.
 func (fe *Frontend) anyQueued() bool {
 	for _, q := range fe.queues {
-		if q.len() > 0 {
+		if q.Len() > 0 {
 			return true
 		}
 	}
@@ -298,21 +271,21 @@ func (fe *Frontend) anyQueued() bool {
 func (fe *Frontend) pump() {
 	for (fe.max == 0 || fe.inflight < fe.max) && fe.anyQueued() {
 		for i, q := range fe.queues {
-			v := QueueState{Len: q.len(), Weight: q.cfg.Weight, Burst: q.cfg.Burst}
+			v := QueueState{Len: q.Len(), Weight: q.cfg.Weight, Burst: q.cfg.Burst}
 			if v.Len > 0 {
-				v.HeadPages = q.fifo[q.head].req.Pages
+				v.HeadPages = q.Peek(0).req.Pages
 			}
 			fe.views[i] = v
 		}
 		pick := fe.arb.Pick(fe.views)
 		q := fe.queues[pick]
-		p := q.pop()
+		p := q.Pop()
 		fe.inflight++
 		fe.grants[pick]++
 		if fe.obs != nil {
-			fe.obs.TenantGranted(pick, q.len())
+			fe.obs.TenantGranted(pick, q.Len())
 		}
-		fe.tel.TenantDepth(q.cfg.Name, q.len(), fe.eng.Now())
+		fe.tel.TenantDepth(q.cfg.Name, q.Len(), fe.eng.Now())
 		fe.dispatch(pick, p)
 	}
 }

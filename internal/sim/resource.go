@@ -17,11 +17,9 @@ type Resource struct {
 	eng  *Engine
 	name string
 	busy bool
-	// waiters[head:] are the queued requests, oldest first. Popped slots
-	// are zeroed, and the live entries slide to the front only when an
-	// append finds the slice full, so a grant is O(1).
-	waiters []grantReq
-	head    int
+	// waiters are the queued requests, oldest first; a grant pops one in
+	// O(1) and zeroes its slot.
+	waiters Queue[grantReq]
 
 	// accounting
 	busySince   Time
@@ -117,7 +115,7 @@ func (r *Resource) Reset() {
 	if r.busy {
 		panic("sim: reset of held resource " + r.name)
 	}
-	*r = Resource{eng: r.eng, name: r.name, waiters: r.waiters[:0], relStep: r.relStep}
+	*r = Resource{eng: r.eng, name: r.name, waiters: r.waiters, relStep: r.relStep}
 }
 
 // Name returns the diagnostic name supplied at construction.
@@ -160,17 +158,11 @@ func (t teeObserver) ResourceQueue(r *Resource, depth int, at Time) {
 func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen returns the number of waiters not yet granted.
-func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
-// enqueue appends a waiter, first sliding the live entries to the front
-// when the slice is full and popped slots sit before them.
+// enqueue queues req behind the hold in flight.
 func (r *Resource) enqueue(req grantReq) {
-	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
-		n := copy(r.waiters, r.waiters[r.head:])
-		clear(r.waiters[n:])
-		r.waiters, r.head = r.waiters[:n], 0
-	}
-	r.waiters = append(r.waiters, req)
+	r.waiters.Push(req)
 	if r.obs != nil {
 		r.obs.ResourceQueue(r, r.QueueLen(), r.eng.Now())
 	}
@@ -227,14 +219,8 @@ func (r *Resource) release() {
 		r.obs.ResourceHold(r, r.curLabel, r.curQueued, r.busySince, r.eng.Now())
 	}
 	r.busy = false
-	if h := r.head; h < len(r.waiters) {
-		next := r.waiters[h]
-		r.waiters[h] = grantReq{}
-		if h+1 == len(r.waiters) {
-			r.waiters, r.head = r.waiters[:0], 0
-		} else {
-			r.head = h + 1
-		}
+	if r.waiters.Len() > 0 {
+		next := r.waiters.Pop()
 		wait := r.eng.Now() - next.at
 		r.totalWait += wait
 		if wait > r.maxWait {
@@ -253,13 +239,12 @@ func (r *Resource) release() {
 func (r *Resource) Use(d Time, done func()) { r.UseLabeled(DefaultHoldLabel, d, done) }
 
 // UseLabeled is Use with an observer label for the hold (e.g.
-// "read-xfer" on a bus, "program" on a die). Labels should be constant
-// strings; they are carried by value and never retained. It is the
-// engine's hottest path, every bus transfer and flash program or erase
-// passes through it, so it is allocation-free and costs one event: the
-// hold's duration and done callback ride in the grant request, and the
-// grant schedules the release through a per-resource method value bound
-// once at construction.
+// "read-xfer" on a bus). Labels should be constant strings; they are
+// carried by value and never retained. It is the engine's hottest path,
+// every bus transfer passes through it, so it is allocation-free and
+// costs one event: the hold's duration and done callback ride in the
+// grant request, and the grant schedules the release through a
+// per-resource method value bound once at construction.
 func (r *Resource) UseLabeled(label string, d Time, done func()) {
 	if d < 0 {
 		panic("sim: negative hold duration for " + r.name)

@@ -199,9 +199,10 @@ func TestResourceDeepQueue(t *testing.T) {
 			if r.QueueLen() != waiting {
 				t.Fatalf("after grant %d: QueueLen %d, want %d", i, r.QueueLen(), waiting)
 			}
-			for k, w := range r.waiters[:cap(r.waiters)] {
-				if (k < r.head || k >= len(r.waiters)) && (w.hold != nil || w.done != nil || w.label != "") {
-					t.Fatalf("after grant %d: slot %d outside [%d,%d) still holds a request", i, k, r.head, len(r.waiters))
+			w := &r.waiters
+			for k, req := range w.q[:cap(w.q)] {
+				if (k < w.head || k >= len(w.q)) && (req.hold != nil || req.done != nil || req.label != "") {
+					t.Fatalf("after grant %d: slot %d outside [%d,%d) still holds a request", i, k, w.head, len(w.q))
 				}
 			}
 			if i%2 == 0 && next < 1000 {
@@ -242,10 +243,10 @@ func TestResourceDeepQueue(t *testing.T) {
 			t.Fatalf("hook %d ran for hold %d, want %d", k, v, 3*k+2)
 		}
 	}
-	if c := cap(r.waiters); c > 2*deepest {
+	if c := cap(r.waiters.q); c > 2*deepest {
 		t.Fatalf("backing array grew to %d slots for a queue at most %d deep", c, deepest)
 	}
-	if r.QueueLen() != 0 || r.head != 0 || len(r.waiters) != 0 {
-		t.Fatalf("drained queue has QueueLen %d, head %d, len %d", r.QueueLen(), r.head, len(r.waiters))
+	if r.QueueLen() != 0 || r.waiters.head != 0 || len(r.waiters.q) != 0 {
+		t.Fatalf("drained queue has QueueLen %d, head %d, len %d", r.QueueLen(), r.waiters.head, len(r.waiters.q))
 	}
 }

@@ -145,15 +145,31 @@ func (k opKind) String() string {
 	return [...]string{"read", "write", "erase", "copy"}[k]
 }
 
-// schedOp is one transaction held by the scheduling layer.
+// schedOp is one transaction held by the scheduling layer: its kind and
+// arguments, the chips it targets and the path it reserves. Records are
+// recycled through the fabric's free list and keep their reservation
+// buffer, and fire, a method value bound once when the record is built,
+// is the inner fabric's completion. So a steady stream of transactions
+// allocates nothing.
 type schedOp struct {
+	f        *SchedFabric
 	seq      uint64
 	kind     opKind
-	segs     []PathSeg // conflict-table reservation set; nil = pass through
-	chips    []int     // target chip indices, for the die-utilization score
-	run      func(done func())
+	segs     []PathSeg // conflict-table reservation set; empty = pass through
+	chip     [2]int    // target chip indices, for the die-utilization score
+	nchips   int
 	bypassed int
+
+	id, dst  ChipID            // target chip; a copy's source and destination
+	ppas     []flash.PPA       // a read's pages or an erase's blocks
+	ops      []flash.ProgramOp // a write's programs
+	from, to flash.PPA         // a copy's pages
+	done     func()            // the caller's completion
+	fire     func()            // bound op.finish
 }
+
+// chips returns the op's target chip indices.
+func (op *schedOp) chips() []int { return op.chip[:op.nchips] }
 
 // SchedFabric wraps an inner Fabric with a pluggable scheduling policy.
 // It is transparent to the FTL — same four transactions, same completion
@@ -184,6 +200,8 @@ type SchedFabric struct {
 	chipLoad map[int]int
 
 	check SchedChecker
+
+	free []*schedOp // recycled transaction records
 
 	// counters for reports and tests
 	deferred   int64 // conflict: transactions that waited in the defer queue
@@ -255,7 +273,7 @@ func (f *SchedFabric) Reset() {
 	}
 	*f = SchedFabric{
 		inner: f.inner, pol: f.pol, ways: f.ways, window: DefaultSchedWindow, bound: DefaultReorderBound,
-		table: f.table, deferq: f.deferq[:0], pending: f.pending[:0], chipLoad: f.chipLoad,
+		table: f.table, deferq: f.deferq[:0], pending: f.pending[:0], chipLoad: f.chipLoad, free: f.free,
 	}
 }
 
@@ -267,37 +285,35 @@ func (f *SchedFabric) Grid() *Grid { return f.inner.Grid() }
 
 func (f *SchedFabric) chipIndex(id ChipID) int { return id.Channel*f.ways + id.Way }
 
-// readPath closes over the segments a read may occupy: the row's
+// readPath appends to segs the segments a read may occupy: the row's
 // h-channel on a channel fabric, plus the column's v-channel when it has
 // v-channels, since the return path is then adaptive or split and the
 // reservation conservatively covers both. Mesh chips reserve themselves.
-func (f *SchedFabric) readPath(id ChipID) []PathSeg {
+func (f *SchedFabric) readPath(segs []PathSeg, id ChipID) []PathSeg {
 	chip := PathSeg{SegChip, f.chipIndex(id)}
 	in, ok := f.inner.(*OmnibusFabric)
 	switch {
 	case !ok:
-		return []PathSeg{chip}
+		return append(segs, chip)
 	case in.NumVChannels() > 0:
-		return []PathSeg{{SegH, id.Channel}, {SegV, in.vIndex(id.Way)}, chip}
+		return append(segs, PathSeg{SegH, id.Channel}, PathSeg{SegV, in.vIndex(id.Way)}, chip)
 	default:
-		return []PathSeg{{SegH, id.Channel}, chip}
+		return append(segs, PathSeg{SegH, id.Channel}, chip)
 	}
 }
 
-// copyPath closes over the segments a GC copy occupies on a channel
-// fabric: the column's v-channel for a direct copy, the two rows'
-// h-channels for a relayed one, plus both chips.
-func (f *SchedFabric) copyPath(src, dst ChipID) []PathSeg {
-	chips := []PathSeg{{SegChip, f.chipIndex(src)}, {SegChip, f.chipIndex(dst)}}
-	var segs []PathSeg
+// copyPath appends to segs, which must be empty, the segments a GC copy
+// occupies on a channel fabric: the column's v-channel for a direct copy,
+// the two rows' h-channels for a relayed one, plus both chips.
+func (f *SchedFabric) copyPath(segs []PathSeg, src, dst ChipID) []PathSeg {
 	if in, ok := f.inner.(*OmnibusFabric); ok {
 		if in.sameV(src, dst) {
-			segs = []PathSeg{{SegV, in.vIndex(src.Way)}}
+			segs = append(segs, PathSeg{SegV, in.vIndex(src.Way)})
 		} else {
-			segs = []PathSeg{{SegH, src.Channel}, {SegH, dst.Channel}}
+			segs = append(segs, PathSeg{SegH, src.Channel}, PathSeg{SegH, dst.Channel})
 		}
 	}
-	return dedupeSegs(append(segs, chips...))
+	return dedupeSegs(append(segs, PathSeg{SegChip, f.chipIndex(src)}, PathSeg{SegChip, f.chipIndex(dst)}))
 }
 
 // dedupeSegs removes duplicate segments (a same-row relay copy names one
@@ -319,100 +335,94 @@ func dedupeSegs(segs []PathSeg) []PathSeg {
 	return out
 }
 
+// newOp pops an op record off the free list, building one if empty, and
+// loads a transaction of kind on chip id with the caller's done: no
+// reservation, and id as its one target chip.
+func (f *SchedFabric) newOp(kind opKind, id ChipID, done func()) *schedOp {
+	var op *schedOp
+	if n := len(f.free); n > 0 {
+		op = f.free[n-1]
+		f.free = f.free[:n-1]
+	} else {
+		op = &schedOp{f: f}
+		op.fire = op.finish
+	}
+	op.kind, op.id, op.done = kind, id, done
+	op.segs, op.chip[0], op.nchips, op.bypassed = op.segs[:0], f.chipIndex(id), 1, 0
+	return op
+}
+
 // Read implements Fabric.
 func (f *SchedFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
-	f.submit(&schedOp{
-		kind:  opRead,
-		segs:  f.readPath(id),
-		chips: []int{f.chipIndex(id)},
-		run:   func(fin func()) { f.inner.Read(id, ppas, fin) },
-	}, done)
+	op := f.newOp(opRead, id, done)
+	op.ppas, op.segs = ppas, f.readPath(op.segs, id)
+	f.submit(op)
 }
 
 // Write implements Fabric. Writes are single-path on every fabric, so
 // the conflict policy passes them through unreserved; the out-of-order
 // window still sequences them against the die-utilization score.
 func (f *SchedFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
-	f.submit(&schedOp{
-		kind:  opWrite,
-		chips: []int{f.chipIndex(id)},
-		run:   func(fin func()) { f.inner.Write(id, ops, fin) },
-	}, done)
+	op := f.newOp(opWrite, id, done)
+	op.ops = ops
+	f.submit(op)
 }
 
 // Erase implements Fabric; erases are one control packet and pass the
 // conflict table unreserved.
 func (f *SchedFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
-	f.submit(&schedOp{
-		kind:  opErase,
-		chips: []int{f.chipIndex(id)},
-		run:   func(fin func()) { f.inner.Erase(id, blocks, fin) },
-	}, done)
+	op := f.newOp(opErase, id, done)
+	op.ppas = blocks
+	f.submit(op)
 }
 
 // Copy implements Fabric.
 func (f *SchedFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) {
-	f.submit(&schedOp{
-		kind:  opCopy,
-		segs:  f.copyPath(src, dst),
-		chips: []int{f.chipIndex(src), f.chipIndex(dst)},
-		run:   func(fin func()) { f.inner.Copy(src, from, dst, to, fin) },
-	}, done)
+	op := f.newOp(opCopy, src, done)
+	op.dst, op.from, op.to = dst, from, to
+	op.chip[1], op.nchips = f.chipIndex(dst), 2
+	op.segs = f.copyPath(op.segs, src, dst)
+	f.submit(op)
 }
 
-// submit routes one transaction through the active policy. The done
-// callback is wrapped so completion feeds the scheduler before the FTL.
-func (f *SchedFabric) submit(op *schedOp, done func()) {
+// submit routes one transaction through the active policy.
+func (f *SchedFabric) submit(op *schedOp) {
 	op.seq = f.seq
 	f.seq++
-	fin := func() {
-		f.complete(op)
-		if done != nil {
-			done()
-		}
-	}
 	switch f.pol {
 	case SchedConflict:
-		if op.segs != nil && (f.frozenConflict() || !f.pathFree(op.segs)) {
+		if len(op.segs) > 0 && (f.frozenConflict() || !f.pathFree(op.segs)) {
 			f.deferred++
 			f.deferq = append(f.deferq, op)
 			if n := len(f.deferq); n > f.maxPending {
 				f.maxPending = n
 			}
-			op.run = wrapFin(op.run, fin)
 			return
 		}
 		// A fresh reservation jumping ahead of deferred work counts as a
 		// bypass against everything already waiting, so the starvation
 		// bound covers new arrivals too.
-		if op.segs != nil {
+		if len(op.segs) > 0 {
 			for _, d := range f.deferq {
 				d.bypassed++
 			}
 		}
-		f.issue(op, 0, fin)
+		f.issue(op, 0)
 	case SchedOOO:
 		f.pending = append(f.pending, op)
 		if n := len(f.pending); n > f.maxPending {
 			f.maxPending = n
 		}
-		op.run = wrapFin(op.run, fin)
 		f.drainOOO()
 	}
-}
-
-// wrapFin binds the completion chain into the op so deferred issues keep
-// their callback.
-func wrapFin(run func(done func()), fin func()) func(done func()) {
-	return func(_ func()) { run(fin) }
 }
 
 // issue reserves the op's path (conflict policy), notifies the checker,
 // bumps the load accounting, and hands the transaction to the inner
 // fabric. rank is the op's arrival-order position among the transactions
 // it was picked from.
-func (f *SchedFabric) issue(op *schedOp, rank int, fin func()) {
-	if f.pol == SchedConflict && op.segs != nil {
+func (f *SchedFabric) issue(op *schedOp, rank int) {
+	if f.pol == SchedConflict && len(op.segs) > 0 {
 		for _, s := range op.segs {
 			f.table[s] = op.seq
 		}
@@ -421,16 +431,35 @@ func (f *SchedFabric) issue(op *schedOp, rank int, fin func()) {
 		}
 	}
 	f.inflight++
-	for _, c := range op.chips {
+	for _, c := range op.chips() {
 		f.chipLoad[c]++
 	}
 	if f.check != nil {
 		f.check.SchedIssued(op.seq, rank, f.Window(), op.bypassed, f.bound)
 	}
-	if fin != nil {
-		op.run(fin)
-	} else {
-		op.run(nil) // deferred op: fin already bound by wrapFin
+	in := f.inner
+	switch op.kind {
+	case opRead:
+		in.Read(op.id, op.ppas, op.fire)
+	case opWrite:
+		in.Write(op.id, op.ops, op.fire)
+	case opErase:
+		in.Erase(op.id, op.ppas, op.fire)
+	case opCopy:
+		in.Copy(op.id, op.from, op.dst, op.to, op.fire)
+	}
+}
+
+// finish runs when the inner fabric completes op: the scheduler sees the
+// completion first, then the record goes back to the free list and the
+// caller's done runs.
+func (op *schedOp) finish() {
+	f, done := op.f, op.done
+	f.complete(op)
+	op.ppas, op.ops, op.done = nil, nil, nil
+	f.free = append(f.free, op)
+	if done != nil {
+		done()
 	}
 }
 
@@ -438,12 +467,12 @@ func (f *SchedFabric) issue(op *schedOp, rank int, fin func()) {
 // update load, notify the checker, and let the policy admit more work.
 func (f *SchedFabric) complete(op *schedOp) {
 	f.inflight--
-	for _, c := range op.chips {
+	for _, c := range op.chips() {
 		if f.chipLoad[c]--; f.chipLoad[c] == 0 {
 			delete(f.chipLoad, c)
 		}
 	}
-	if f.pol == SchedConflict && op.segs != nil {
+	if f.pol == SchedConflict && len(op.segs) > 0 {
 		for _, s := range op.segs {
 			delete(f.table, s)
 		}

@@ -49,6 +49,6 @@ func (f *SchedFabric) drainConflict() {
 		for j := 0; j < i; j++ {
 			f.deferq[j].bypassed++
 		}
-		f.issue(op, i, nil)
+		f.issue(op, i)
 	}
 }

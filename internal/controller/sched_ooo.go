@@ -23,7 +23,7 @@ func (f *SchedFabric) drainOOO() {
 		if idx > 0 {
 			f.reordered++
 		}
-		f.issue(op, idx, nil)
+		f.issue(op, idx)
 	}
 }
 
@@ -54,7 +54,7 @@ func (f *SchedFabric) pickOOO() int {
 // chips: 0 means every target die is idle from the scheduler's view.
 func (f *SchedFabric) loadOf(op *schedOp) int {
 	load := 0
-	for _, c := range op.chips {
+	for _, c := range op.chips() {
 		load += f.chipLoad[c]
 	}
 	return load

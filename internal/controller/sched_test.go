@@ -48,29 +48,29 @@ func TestSchedPathClosure(t *testing.T) {
 	e, g, soc := testRig(4, 4)
 	omni := NewOmnibusFabric(e, "pnssd", g, soc, testGeo().PageSize, 8, 8, 1000, true, false)
 	so := NewSchedFabric(omni, SchedConflict)
-	if got := so.readPath(ChipID{2, 3}); !reflect.DeepEqual(got, []PathSeg{{SegH, 2}, {SegV, 3}, {SegChip, 2*4 + 3}}) {
+	if got := so.readPath(nil, ChipID{2, 3}); !reflect.DeepEqual(got, []PathSeg{{SegH, 2}, {SegV, 3}, {SegChip, 2*4 + 3}}) {
 		t.Fatalf("omnibus read path = %v", got)
 	}
 	// Same v-column copy reserves the v-channel, not the h-channels.
-	if got := so.copyPath(ChipID{0, 1}, ChipID{3, 1}); !reflect.DeepEqual(got, []PathSeg{{SegV, 1}, {SegChip, 1}, {SegChip, 3*4 + 1}}) {
+	if got := so.copyPath(nil, ChipID{0, 1}, ChipID{3, 1}); !reflect.DeepEqual(got, []PathSeg{{SegV, 1}, {SegChip, 1}, {SegChip, 3*4 + 1}}) {
 		t.Fatalf("same-column copy path = %v", got)
 	}
 	// Cross-column copy relays over both rows' h-channels.
-	if got := so.copyPath(ChipID{0, 0}, ChipID{1, 2}); !reflect.DeepEqual(got, []PathSeg{{SegH, 0}, {SegH, 1}, {SegChip, 0}, {SegChip, 1*4 + 2}}) {
+	if got := so.copyPath(nil, ChipID{0, 0}, ChipID{1, 2}); !reflect.DeepEqual(got, []PathSeg{{SegH, 0}, {SegH, 1}, {SegChip, 0}, {SegChip, 1*4 + 2}}) {
 		t.Fatalf("cross-column copy path = %v", got)
 	}
 	// Same-row cross-column copy names one h-channel once (dedupe).
-	if got := so.copyPath(ChipID{2, 0}, ChipID{2, 3}); !reflect.DeepEqual(got, []PathSeg{{SegH, 2}, {SegChip, 2 * 4}, {SegChip, 2*4 + 3}}) {
+	if got := so.copyPath(nil, ChipID{2, 0}, ChipID{2, 3}); !reflect.DeepEqual(got, []PathSeg{{SegH, 2}, {SegChip, 2 * 4}, {SegChip, 2*4 + 3}}) {
 		t.Fatalf("same-row copy path = %v", got)
 	}
 
 	e2, g2, soc2 := testRig(4, 4)
 	bus := NewOmnibusFabric(e2, "pssd", g2, soc2, testGeo().PageSize, 16, 0, 1000, true, false)
 	sb := NewSchedFabric(bus, SchedConflict)
-	if got := sb.readPath(ChipID{1, 2}); !reflect.DeepEqual(got, []PathSeg{{SegH, 1}, {SegChip, 1*4 + 2}}) {
+	if got := sb.readPath(nil, ChipID{1, 2}); !reflect.DeepEqual(got, []PathSeg{{SegH, 1}, {SegChip, 1*4 + 2}}) {
 		t.Fatalf("bus read path = %v", got)
 	}
-	if got := sb.copyPath(ChipID{1, 0}, ChipID{3, 0}); !reflect.DeepEqual(got, []PathSeg{{SegH, 1}, {SegH, 3}, {SegChip, 1 * 4}, {SegChip, 3 * 4}}) {
+	if got := sb.copyPath(nil, ChipID{1, 0}, ChipID{3, 0}); !reflect.DeepEqual(got, []PathSeg{{SegH, 1}, {SegH, 3}, {SegChip, 1 * 4}, {SegChip, 3 * 4}}) {
 		t.Fatalf("bus copy path = %v", got)
 	}
 	if PathSeg.String(PathSeg{SegV, 2}) != "v2" {
@@ -83,8 +83,23 @@ func TestSchedPathClosure(t *testing.T) {
 // them by hand.
 type schedHarness struct {
 	f     *SchedFabric
+	tags  []string // tags[i] names the op whose one page is page i
 	order []string
 	fins  map[string]func()
+}
+
+// harnessFabric is a harness scheduler's inner fabric: a read records
+// the issue of the op its page names and keeps its completion for the
+// test to run.
+type harnessFabric struct {
+	Fabric
+	h *schedHarness
+}
+
+func (f harnessFabric) Read(_ ChipID, ppas []flash.PPA, done func()) {
+	tag := f.h.tags[ppas[0].Page]
+	f.h.order = append(f.h.order, tag)
+	f.h.fins[tag] = done
 }
 
 // tune overrides a scheduler's reorder window and starvation bound; zero
@@ -102,22 +117,20 @@ func tune(f *SchedFabric, window, bound int) *SchedFabric {
 func newSchedHarness(pol SchedPolicy, window, bound int) *schedHarness {
 	e, g, soc := testRig(2, 2)
 	inner := newOmnibus(e, g, soc, false)
-	h := &schedHarness{f: tune(NewSchedFabric(inner, pol), window, bound), fins: make(map[string]func())}
+	h := &schedHarness{fins: make(map[string]func())}
+	h.f = tune(NewSchedFabric(harnessFabric{inner, h}, pol), window, bound)
 	return h
 }
 
-// add injects one op named tag with the given reservation path and
+// add injects one read named tag with the given reservation path and
 // target chips; the inner issue is stubbed so completion is manual.
 func (h *schedHarness) add(tag string, segs []PathSeg, chips ...int) {
-	h.f.submit(&schedOp{
-		kind:  opRead,
-		segs:  segs,
-		chips: chips,
-		run: func(fin func()) {
-			h.order = append(h.order, tag)
-			h.fins[tag] = fin
-		},
-	}, nil)
+	op := h.f.newOp(opRead, ChipID{}, nil)
+	op.segs = append(op.segs, segs...)
+	op.nchips = copy(op.chip[:], chips)
+	op.ppas = []flash.PPA{{Page: len(h.tags)}}
+	h.tags = append(h.tags, tag)
+	h.f.submit(op)
 }
 
 func (h *schedHarness) complete(tag string) {

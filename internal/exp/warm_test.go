@@ -250,11 +250,13 @@ var recycled = map[string]bool{
 	"flash.Chip.finishOp":                 true,
 	"controller.fabricOps.free":           true,
 	"controller.OmnibusFabric.freeCopies": true,
+	"controller.SchedFabric.free":         true,
 	"controller.MeshFabric.copies":        true,
 	"controller.Soc.freeXfers":            true,
 	"mesh.Mesh.freeXfers":                 true,
 	"ftl.FTL.freeReads":                   true,
 	"ftl.FTL.freeWrites":                  true,
+	"ftl.FTL.freeBatches":                 true,
 	"ftl.FTL.freeVictims":                 true,
 	"ftl.FTL.victimDone":                  true,
 	"ftl.parkedLists[int64].spare":        true,

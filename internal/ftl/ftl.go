@@ -13,6 +13,7 @@ package ftl
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/controller"
 	"repro/internal/fault"
@@ -150,10 +151,16 @@ type FTL struct {
 
 	freeReads   []*hostRead     // recycled ReadTracked records
 	freeWrites  []*hostWrite    // recycled write records
+	freeBatches []*chipBatch    // recycled chip batches
 	freeVictims []*victimRun    // recycled GC victim records
 	targets     []pendingTarget // tryWrite scratch
 	victims     []victim        // selectVictims result
 	cands       []victimCand    // selectVictims scratch
+	// locs and addrs translate a read or write page by page, and batches
+	// groups them, for issueRead and commitWrite.
+	locs    []controller.ChipID
+	addrs   []flash.PPA
+	batches []*chipBatch
 
 	// reserveBlocks is the pool of free blocks host writes may not consume
 	// — headroom that guarantees GC can always allocate copy destinations.
@@ -358,6 +365,7 @@ func (f *FTL) Reset(cfg Config, numLPNs int64) {
 	clear(f.blocks)
 	formatPlanes(a, f.ways, f.geo, f.planes, f.blocks, f.freeLists)
 	f.targets, f.victims, f.cands = f.targets[:0], f.victims[:0], f.cands[:0]
+	f.locs, f.addrs, f.batches = f.locs[:0], f.addrs[:0], f.batches[:0]
 	f.gcGroupLo = false
 	f.stats = Stats{}
 	f.faults, f.trc, f.gcSpan, f.tel, f.sink = nil, nil, trace.SpanID{}, nil, nil
@@ -544,75 +552,80 @@ func (f *FTL) installAt(s slot, lpn int64, tok flash.Token) {
 	}
 }
 
-// chipBatch is one multi-plane operation: pages on one chip with
-// distinct planes.
+// chipBatch is one multi-plane operation of a host read or write: pages
+// on one chip with distinct planes. Batches are FTL-wide records: one is
+// taken from the free list when a read issues or a write commits and
+// goes back when its fabric op lands, so the FTL holds as many as are in
+// flight at once, however many reads and writes wait. fire, a method
+// value bound once when the record is built, is the op's completion.
 type chipBatch struct {
 	id   controller.ChipID
 	ppas []flash.PPA
-	toks []flash.Token
-	lpns []int64 // parallel to ppas on write batches; nil on reads
+	ops  []flash.ProgramOp // a write's programs, parallel to ppas
+	lpns []int64           // a write's LPNs, parallel to ppas
+	r    *hostRead         // the read it serves, or nil
+	w    *hostWrite        // the write it serves, or nil
+	fire func()            // bound b.landed
 }
 
-// batchByChip groups per-page operations into chip batches, appending to
-// batches[:0] and reusing the buffers of its old elements. A page joins
-// the chip's most recent batch unless that batch already holds its
-// plane, in which case it opens a new one. A batch holds at most one
-// page per plane, so a new slot's buffers are made at once with room
-// for planes pages and never grow.
-func batchByChip(batches []chipBatch, planes int, locs []controller.ChipID, addrs []flash.PPA, toks []flash.Token, lpns []int64) []chipBatch {
-	batches = batches[:0]
-	for i := range locs {
-		id := locs[i]
-		bi := len(batches) - 1
-		for bi >= 0 && batches[bi].id != id {
+// newBatch pops a batch off the free list for chip id, building one if
+// empty. A batch holds at most one page per plane, so its buffers are
+// made at once with room for every plane and never grow.
+func (f *FTL) newBatch(id controller.ChipID) *chipBatch {
+	var b *chipBatch
+	if n := len(f.freeBatches); n > 0 {
+		b = f.freeBatches[n-1]
+		f.freeBatches = f.freeBatches[:n-1]
+	} else {
+		p := f.geo.Planes
+		b = &chipBatch{ppas: make([]flash.PPA, 0, p), ops: make([]flash.ProgramOp, 0, p), lpns: make([]int64, 0, p)}
+		b.fire = b.landed
+	}
+	b.id = id
+	return b
+}
+
+// freeBatch returns a landed batch to the free list.
+func (f *FTL) freeBatch(b *chipBatch) {
+	b.ppas, b.ops, b.lpns = b.ppas[:0], b.ops[:0], b.lpns[:0]
+	b.r, b.w = nil, nil
+	f.freeBatches = append(f.freeBatches, b)
+}
+
+// batchByChip groups the pages of f.locs and f.addrs into new chip
+// batches, listed in f.batches. A page joins the chip's most recent batch
+// unless that batch already holds its plane, in which case it opens a
+// new one. For a write w, each page's program and LPN join its batch.
+func (f *FTL) batchByChip(w *hostWrite) {
+	f.batches = f.batches[:0]
+	for i, id := range f.locs {
+		addr := f.addrs[i]
+		bi := len(f.batches) - 1
+		for bi >= 0 && f.batches[bi].id != id {
 			bi--
 		}
-		if bi >= 0 {
-			b := &batches[bi]
-			conflict := false
-			for _, a := range b.ppas {
-				if a.Plane == addrs[i].Plane {
-					conflict = true
-					break
-				}
-			}
-			if !conflict {
-				b.ppas = append(b.ppas, addrs[i])
-				if toks != nil {
-					b.toks = append(b.toks, toks[i])
-				}
-				if lpns != nil {
-					b.lpns = append(b.lpns, lpns[i])
-				}
-				continue
-			}
-		}
-		if len(batches) == cap(batches) {
-			batches = append(batches, chipBatch{})
+		var b *chipBatch
+		if bi >= 0 && !slices.ContainsFunc(f.batches[bi].ppas, func(a flash.PPA) bool { return a.Plane == addr.Plane }) {
+			b = f.batches[bi]
 		} else {
-			batches = batches[:len(batches)+1]
+			b = f.newBatch(id)
+			f.batches = append(f.batches, b)
 		}
-		nb := &batches[len(batches)-1]
-		nb.id = id
-		if cap(nb.ppas) == 0 {
-			nb.ppas = make([]flash.PPA, 0, planes)
-		}
-		nb.ppas = append(nb.ppas[:0], addrs[i])
-		nb.toks, nb.lpns = nb.toks[:0], nb.lpns[:0]
-		if toks != nil {
-			if cap(nb.toks) == 0 {
-				nb.toks = make([]flash.Token, 0, planes)
-			}
-			nb.toks = append(nb.toks, toks[i])
-		}
-		if lpns != nil {
-			if cap(nb.lpns) == 0 {
-				nb.lpns = make([]int64, 0, planes)
-			}
-			nb.lpns = append(nb.lpns, lpns[i])
+		b.ppas = append(b.ppas, addr)
+		if w != nil {
+			b.ops = append(b.ops, flash.ProgramOp{Addr: addr, Token: w.toks[i]})
+			b.lpns = append(b.lpns, w.lpns[i])
 		}
 	}
-	return batches
+}
+
+// landed completes the batch's fabric op for the read or write it serves.
+func (b *chipBatch) landed() {
+	if b.r != nil {
+		b.r.f.readLanded(b)
+	} else {
+		b.w.f.writeLanded(b)
+	}
 }
 
 // Read services host page reads for the given LPNs, invoking done when
@@ -641,22 +654,18 @@ func (f *FTL) ReadTracked(lpns []int64, att *telemetry.Attribution, done func())
 }
 
 // hostRead is one ReadTracked from entry to done. Records are recycled
-// through the FTL's free list and keep the capacity of their lpns copy,
-// translation scratch and chip batches across uses. Until it issues, a
-// read waits on one thing at a time, a write or a translation: fire, a
-// method value bound once when the record is created, runs the step that
-// step names. Its chip batches then complete in lanes of their own, one
-// batchEnd each. So a steady stream of reads allocates nothing.
+// through the FTL's free list and keep the capacity of their lpns copy
+// across uses. Until it issues, a read waits on one thing at a time, a
+// write or a translation: fire, a method value bound once when the record
+// is created, runs the step that step names. It then issues one pooled
+// chip batch per multi-plane read and counts them back in. So a steady
+// stream of reads allocates nothing.
 type hostRead struct {
-	f         *FTL
-	lpns      []int64
-	att       *telemetry.Attribution
-	done      func()
-	locs      []controller.ChipID
-	addrs     []flash.PPA
-	batches   []chipBatch
-	ends      []*batchEnd // ends[i] completes batches[i]
-	remaining int
+	f        *FTL
+	lpns     []int64
+	att      *telemetry.Attribution
+	done     func()
+	inflight int // chip batches in flight
 
 	step readStep // what fire runs next
 	fire func()   // bound r.run
@@ -669,14 +678,6 @@ const (
 	rdStable readStep = iota // a write it waited on landed
 	rdMapped                 // the map unit translated its LPNs
 )
-
-// batchEnd completes one chip batch of a hostRead: each is a lane of
-// one step, fire.
-type batchEnd struct {
-	r    *hostRead
-	i    int
-	fire func() // bound e.complete
-}
 
 // newRead pops a read record off the free list, building one if empty.
 func (f *FTL) newRead() *hostRead {
@@ -743,23 +744,18 @@ func (r *hostRead) mapped() {
 }
 
 func (f *FTL) issueRead(r *hostRead) {
-	r.locs, r.addrs = r.locs[:0], r.addrs[:0]
+	f.locs, f.addrs = f.locs[:0], f.addrs[:0]
 	for _, lpn := range r.lpns {
 		id, addr, ok := f.Map(lpn)
 		if !ok {
 			panic(fmt.Sprintf("ftl: read of unmapped LPN %d (warm up the footprint first)", lpn))
 		}
-		r.locs, r.addrs = append(r.locs, id), append(r.addrs, addr)
+		f.locs, f.addrs = append(f.locs, id), append(f.addrs, addr)
 	}
-	r.batches = batchByChip(r.batches, f.geo.Planes, r.locs, r.addrs, nil, nil)
-	for len(r.ends) < len(r.batches) {
-		e := &batchEnd{r: r, i: len(r.ends)}
-		e.fire = e.complete
-		r.ends = append(r.ends, e)
-	}
-	r.remaining = len(r.batches)
-	for bi := range r.batches {
-		b := &r.batches[bi]
+	f.batchByChip(nil)
+	r.inflight = len(f.batches)
+	for _, b := range f.batches {
+		b.r = r
 		// Pin the blocks under read so GC cannot erase them while the read
 		// is still queued behind channel or die contention.
 		for i, a := range b.ppas {
@@ -768,22 +764,20 @@ func (f *FTL) issueRead(r *hostRead) {
 			}
 			f.planeAt(b.id, a.Plane).blocks[a.Block].readRefs++
 		}
-		f.fab.Read(b.id, b.ppas, r.ends[bi].fire)
+		f.fab.Read(b.id, b.ppas, b.fire)
 	}
 }
 
-// complete unpins the batch's blocks; the read's last batch returns the
-// record to the free list and then runs done, which may issue the next
-// read.
-func (e *batchEnd) complete() {
-	r := e.r
-	f := r.f
-	b := &r.batches[e.i]
+// readLanded unpins a landed read batch's blocks and frees the batch; the
+// read's last batch returns the record to the free list and then runs
+// done, which may issue the next read.
+func (f *FTL) readLanded(b *chipBatch) {
+	r := b.r
 	for _, a := range b.ppas {
 		f.planeAt(b.id, a.Plane).blocks[a.Block].readRefs--
 	}
-	r.remaining--
-	if r.remaining > 0 {
+	f.freeBatch(b)
+	if r.inflight--; r.inflight > 0 {
 		return
 	}
 	done := r.done
@@ -850,10 +844,10 @@ func (f *FTL) WriteTracked(lpns []int64, toks []flash.Token, att *telemetry.Attr
 // WriteTracked, the allocated prefix a stall commits early, or a
 // program-fail reissue. A stalled write re-queues the same record.
 // Records are recycled through the FTL's free list and keep the capacity
-// of their lpns and token copies, chip batches and ProgramOp buffers.
-// Before it commits, a write's one step is its translation, fire, a
-// method value bound once when the record is created; its chip batches
-// then complete in lanes of their own, one writeEnd each. So a steady
+// of their lpns and token copies. Before it commits, a write's one step
+// is its translation, fire, a method value bound once when the record is
+// created; it then issues one pooled chip batch per multi-plane program
+// and counts them back in. A stalled write holds no batch. So a steady
 // stream of writes allocates nothing.
 type hostWrite struct {
 	f    *FTL
@@ -863,23 +857,9 @@ type hostWrite struct {
 	done func()
 	host bool // a WriteTracked: completion drops the outstanding count
 
-	stall trace.SpanID // open write-stall span while parked
-	fire  func()       // bound w.mapped
-
-	locs      []controller.ChipID
-	addrs     []flash.PPA
-	batches   []chipBatch
-	ops       [][]flash.ProgramOp // ops[i] programs batches[i]
-	ends      []*writeEnd         // ends[i] completes batches[i]
-	remaining int
-}
-
-// writeEnd completes one chip batch of a hostWrite: each is a lane of
-// one step, fire.
-type writeEnd struct {
-	w    *hostWrite
-	i    int
-	fire func() // bound e.complete
+	stall    trace.SpanID // open write-stall span while parked
+	fire     func()       // bound w.mapped
+	inflight int          // chip batches in flight
 }
 
 // newWrite pops a write record off the free list, building one if
@@ -996,7 +976,7 @@ type pendingTarget struct {
 // commitWrite maps every LPN of w to its target and issues one fabric
 // write per chip batch.
 func (f *FTL) commitWrite(w *hostWrite, targets []pendingTarget) {
-	w.locs, w.addrs = w.locs[:0], w.addrs[:0]
+	f.locs, f.addrs = f.locs[:0], f.addrs[:0]
 	for i, tgt := range targets {
 		lpn := w.lpns[i]
 		// Invalidate the previous version.
@@ -1021,36 +1001,21 @@ func (f *FTL) commitWrite(w *hostWrite, targets []pendingTarget) {
 		if f.mapu != nil {
 			f.mapu.noteUpdate(lpn)
 		}
-		w.locs, w.addrs = append(w.locs, tgt.s.chip), append(w.addrs, addr)
+		f.locs, f.addrs = append(f.locs, tgt.s.chip), append(f.addrs, addr)
 	}
-	w.batches = batchByChip(w.batches, f.geo.Planes, w.locs, w.addrs, w.toks, w.lpns)
-	for len(w.ends) < len(w.batches) {
-		e := &writeEnd{w: w, i: len(w.ends)}
-		e.fire = e.complete
-		w.ends = append(w.ends, e)
-		w.ops = append(w.ops, nil)
-	}
-	w.remaining = len(w.batches)
-	for bi := range w.batches {
-		b := &w.batches[bi]
-		ops := w.ops[bi][:0]
-		if cap(ops) == 0 {
-			ops = make([]flash.ProgramOp, 0, f.geo.Planes)
-		}
-		for i := range b.ppas {
-			ops = append(ops, flash.ProgramOp{Addr: b.ppas[i], Token: b.toks[i]})
-		}
-		w.ops[bi] = ops
-		f.fab.Write(b.id, ops, w.ends[bi].fire)
+	f.batchByChip(w)
+	w.inflight = len(f.batches)
+	for _, b := range f.batches {
+		b.w = w
+		f.fab.Write(b.id, b.ops, b.fire)
 	}
 }
 
-// complete releases the batch's blocks; the write's last batch releases
-// its LPNs, returns the record to the free list and then runs done.
-func (e *writeEnd) complete() {
-	w := e.w
-	f := w.f
-	b := &w.batches[e.i]
+// writeLanded releases a landed write batch's blocks and frees the batch;
+// the write's last batch releases its LPNs, returns the record to the
+// free list and then runs done.
+func (f *FTL) writeLanded(b *chipBatch) {
+	w := b.w
 	for _, a := range b.ppas {
 		f.planeAt(b.id, a.Plane).blocks[a.Block].inflight--
 	}
@@ -1061,8 +1026,8 @@ func (e *writeEnd) complete() {
 	if f.faults != nil {
 		f.handleProgramFaults(b)
 	}
-	w.remaining--
-	if w.remaining > 0 {
+	f.freeBatch(b)
+	if w.inflight--; w.inflight > 0 {
 		return
 	}
 	for _, lpn := range w.lpns {
@@ -1164,7 +1129,8 @@ func (f *FTL) handleProgramFaults(b *chipBatch) {
 		// this LPN cannot observe the unmapped window (or a stalled
 		// reissue) and panic on an unmapped read.
 		f.holdInflight(lpn)
-		f.tryWrite(f.newWrite(b.lpns[i:i+1], b.toks[i:i+1], nil, func() { f.releaseInflight(lpn) }))
+		tok := [1]flash.Token{b.ops[i].Token}
+		f.tryWrite(f.newWrite(b.lpns[i:i+1], tok[:], nil, func() { f.releaseInflight(lpn) }))
 	}
 }
 

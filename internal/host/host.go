@@ -145,7 +145,7 @@ func (h *Host) submit(r Request, c completion) error {
 	h.inFlight++
 	q := h.newRequest()
 	q.req, q.c = r, c
-	q.lpns = q.lpns[:0]
+	q.lpns = slices.Grow(q.lpns[:0], r.Pages)
 	for i := 0; i < r.Pages; i++ {
 		lpn := r.LPN + int64(i)
 		if lpn >= h.f.NumLPNs() {
@@ -170,7 +170,7 @@ func (h *Host) submit(r Request, c completion) error {
 	q.att.Mark(telemetry.PhaseQueue, h.eng.Now())
 	q.xfer = sim.Time(q.bytes) * h.nvmePsByte
 	if r.Kind == stats.Write {
-		q.toks = q.toks[:0]
+		q.toks = slices.Grow(q.toks[:0], r.Pages)
 		for _, lpn := range q.lpns {
 			h.versions[lpn]++
 			q.toks = append(q.toks, ftl.TokenFor(lpn, h.versions[lpn]))

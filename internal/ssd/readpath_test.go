@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/ftl"
 	"repro/internal/host"
 	"repro/internal/workload"
@@ -39,9 +40,11 @@ func fmmuReadConfig() Config {
 // TestReadPathAllocFree pins the allocation-free read path: once one
 // batch has filled the per-layer free lists (host request, FTL read,
 // fabric read, mesh transfer, SoC transfer, and on the fmmu device map
-// lookup and fetch) and grown the chips' read queues, a second batch of
-// 64 KB reads allocates nothing per request on every architecture, and
-// on pnSSD(+split) mapping through the fmmu map unit.
+// lookup and fetch, under a scheduling layer its transactions) and grown
+// the chips' read queues, a second batch of 64 KB reads allocates
+// nothing per request on every architecture, on pnSSD(+split) mapping
+// through the fmmu map unit, and on pnSSD(+split) under the conflict and
+// out-of-order schedulers.
 func TestReadPathAllocFree(t *testing.T) {
 	type readCase struct {
 		name string
@@ -53,6 +56,11 @@ func TestReadPathAllocFree(t *testing.T) {
 		cases = append(cases, readCase{arch.String(), arch, ScaledConfig()})
 	}
 	cases = append(cases, readCase{"pnssd+split-fmmu", ArchPnSSDSplit, fmmuReadConfig()})
+	for _, pol := range []controller.SchedPolicy{controller.SchedConflict, controller.SchedOOO} {
+		cfg := ScaledConfig()
+		cfg.Scheduler = pol
+		cases = append(cases, readCase{"pnssd+split-" + pol.String(), ArchPnSSDSplit, cfg})
+	}
 	for _, c := range cases {
 		s, gen := readPathDevice(c.arch, c.cfg)
 		s.Host.RunClosedLoop(gen, readPathOutstanding, readPathWarm)

@@ -77,6 +77,15 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	var workloads []string
+	for _, w := range []struct{ flag, val string }{{"-synthetic", *synth}, {"-tracefile", *traceFile}, {"-preset", *preset}} {
+		if w.val != "" {
+			workloads = append(workloads, w.flag)
+		}
+	}
+	if len(workloads) > 1 {
+		return fmt.Errorf("%s conflict: give one workload", strings.Join(workloads, " and "))
+	}
 	arch, err := ssd.ParseArch(*archFlag)
 	if err != nil {
 		return err

@@ -111,6 +111,10 @@ func TestBadFlagsReturnErrors(t *testing.T) {
 		{"-sched", "bogus"},
 		{"-mapping", "bogus"},
 		{"-mapcache", "-1"},
+		{"-synthetic", "rand-read", "-tracefile", filepath.Join(dir, "missing.csv")},
+		{"-synthetic", "rand-read", "-preset", "rocksdb-0"},
+		{"-tracefile", filepath.Join(dir, "missing.csv"), "-preset", "rocksdb-0"},
+		{"-synthetic", "rand-read", "-tracefile", tooBig, "-preset", "rocksdb-0"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {

@@ -130,7 +130,7 @@ type Soc struct {
 	sysBusPsByte sim.Time
 	dramPsByte   sim.Time
 	ctrlMsgDelay sim.Time
-	freeXfers    []*socXfer // recycled Transfer records
+	xfers        sim.Pool[socXfer] // recycled Transfer records
 }
 
 // DefaultCtrlMsgLatency is the one-way latency of a control-plane message
@@ -164,19 +164,17 @@ func (s *Soc) Transfer(n int, done func()) {
 // ECC pipeline latency, then Transfer.
 func (s *Soc) eccTransfer(n int, done func()) {
 	x := s.newXfer(n, done)
-	s.eng.Schedule(EccLatency, x.then(xferSysBus))
+	s.eng.Schedule(EccLatency, x.lane.Then(xferSysBus))
 }
 
 // socXfer is one SoC transfer between issue and its DRAM stage. Records
-// are recycled through the Soc's free list; fire, a method value bound
-// once when the record is created, runs the step that step names, so a
-// transfer allocates nothing in steady state.
+// are recycled through the Soc's pool and run their two stages in one
+// lane, so a transfer allocates nothing in steady state.
 type socXfer struct {
 	s    *Soc
 	n    int
 	done func()
-	step xferStep // what fire runs next
-	fire func()   // bound x.run
+	lane sim.Lane[xferStep] // bound x.run
 }
 
 // xferStep names a SoC transfer's steps.
@@ -187,32 +185,22 @@ const (
 	xferDram                   // the DRAM stage
 )
 
-// newXfer pops a transfer record off the free list, building one if
-// empty.
+// newXfer takes a transfer record from the pool.
 func (s *Soc) newXfer(n int, done func()) *socXfer {
 	if n < 0 {
 		panic("controller: negative SoC transfer")
 	}
-	var x *socXfer
-	if k := len(s.freeXfers); k > 0 {
-		x = s.freeXfers[k-1]
-		s.freeXfers = s.freeXfers[:k-1]
-	} else {
-		x = &socXfer{s: s}
-		x.fire = x.run
+	x, fresh := s.xfers.Get()
+	if fresh {
+		x.s = s
+		x.lane.Bind(x.run)
 	}
 	x.n, x.done = n, done
 	return x
 }
 
-// then arms the record's lane with step st and returns its callback.
-func (x *socXfer) then(st xferStep) func() {
-	x.step = st
-	return x.fire
-}
-
 func (x *socXfer) run() {
-	switch x.step {
+	switch x.lane.Step {
 	case xferSysBus:
 		x.sysBusStep()
 	case xferDram:
@@ -221,15 +209,15 @@ func (x *socXfer) run() {
 }
 
 func (x *socXfer) sysBusStep() {
-	x.s.sysBus.UseLabeled("xfer", sim.Time(x.n)*x.s.sysBusPsByte, x.then(xferDram))
+	x.s.sysBus.UseLabeled("xfer", sim.Time(x.n)*x.s.sysBusPsByte, x.lane.Then(xferDram))
 }
 
-// dramStep is the record's last event: it goes back on the free list and
-// the DRAM hold carries done.
+// dramStep is the record's last event: it goes back to the pool and the
+// DRAM hold carries done.
 func (x *socXfer) dramStep() {
 	s, n, done := x.s, x.n, x.done
 	x.done = nil
-	s.freeXfers = append(s.freeXfers, x)
+	s.xfers.Put(x)
 	s.dram.UseLabeled("xfer", sim.Time(n)*s.dramPsByte, done)
 }
 
@@ -280,14 +268,13 @@ func (s *Soc) DramBusy() sim.Time { return s.dram.TotalBusy() }
 // Soc.eccTransfer lands them in DRAM. A write crosses the SoC and the
 // controller ECC, the fabric's own delivery path carries the payload to
 // the chip, and the chip programs it. An erase is one command, then the
-// chip erases. Records are recycled through the fabric's fabricOps free
-// list, so a steady stream of operations allocates nothing.
+// chip erases. Records are recycled through the fabric's fabricOps pool,
+// so a steady stream of operations allocates nothing.
 //
-// A record's steps run in two lanes, each a method value bound once when
-// the record is created that runs the step its step code names. The main
-// lane carries the op from issue to its last event; the v lane carries a
-// v-channel hold through its control-plane request and grant, which on a
-// split transfer runs while the main lane holds the h-channel half.
+// A record's steps run in two lanes. The main lane carries the op from
+// issue to its last event; the v lane carries a v-channel hold through
+// its control-plane request and grant, which on a split transfer runs
+// while the main lane holds the h-channel half.
 type fabricOp struct {
 	pool  *fabricOps
 	id    ChipID
@@ -308,8 +295,7 @@ type fabricOp struct {
 	vDur   sim.Time
 	vNext  opStep
 
-	step, vStep opStep // what fire and vFire run next
-	fire, vFire func() // bound r.run and r.runV
+	lane, vLane sim.Lane[opStep] // bound r.run and r.runV
 }
 
 // opStep names a fabric op's steps.
@@ -328,7 +314,7 @@ const (
 	fopVGrant                // v-channel grant back: hold it
 )
 
-// fabricOps is one fabric's free list of op records plus its two
+// fabricOps is one fabric's pool of op records plus its two
 // fabric-specific paths: ret carries a read's pages from the chip's page
 // registers to the controller and must end in the record's fopXfer step;
 // deliver carries a write's payload from the controller to the chip and
@@ -339,18 +325,16 @@ type fabricOps struct {
 	pageSize int
 	ret      func(r *fabricOp)
 	deliver  func(r *fabricOp)
-	free     []*fabricOp
+	free     sim.Pool[fabricOp]
 }
 
-// get pops an op record off the free list, building one if empty.
+// get takes an op record from the pool.
 func (p *fabricOps) get(id ChipID, done func()) *fabricOp {
-	var r *fabricOp
-	if k := len(p.free); k > 0 {
-		r = p.free[k-1]
-		p.free = p.free[:k-1]
-	} else {
-		r = &fabricOp{pool: p}
-		r.fire, r.vFire = r.run, r.runV
+	r, fresh := p.free.Get()
+	if fresh {
+		r.pool = p
+		r.lane.Bind(r.run)
+		r.vLane.Bind(r.runV)
 	}
 	r.id, r.chip, r.done = id, p.grid.Chip(id), done
 	return r
@@ -370,38 +354,26 @@ func (p *fabricOps) write(id ChipID, progs []flash.ProgramOp, done func()) *fabr
 	return r
 }
 
-// put returns a record whose last event has fired to the free list.
+// put returns a record whose last event has fired to the pool.
 func (p *fabricOps) put(r *fabricOp) {
 	r.ppas, r.progs, r.done = nil, nil, nil
-	p.free = append(p.free, r)
+	p.free.Put(r)
 }
 
-// then arms the main lane with step s and returns its callback.
-func (r *fabricOp) then(s opStep) func() {
-	r.step = s
-	return r.fire
-}
-
-// thenV arms the v lane with step s and returns its callback.
-func (r *fabricOp) thenV(s opStep) func() {
-	r.vStep = s
-	return r.vFire
-}
-
-func (r *fabricOp) run()  { r.do(r.step) }
-func (r *fabricOp) runV() { r.do(r.vStep) }
+func (r *fabricOp) run()  { r.do(r.lane.Step) }
+func (r *fabricOp) runV() { r.do(r.vLane.Step) }
 
 // do runs step s.
 func (r *fabricOp) do(s opStep) {
 	switch s {
 	case fopSense:
-		r.chip.Read(r.ppas, r.then(fopRet))
+		r.chip.Read(r.ppas, r.lane.Then(fopRet))
 	case fopRet:
 		r.pool.ret(r)
 	case fopXfer:
 		r.xferStep()
 	case fopEcc:
-		r.pool.soc.eng.Schedule(EccLatency, r.then(fopDeliver))
+		r.pool.soc.eng.Schedule(EccLatency, r.lane.Then(fopDeliver))
 	case fopDeliver:
 		r.pool.deliver(r)
 	case fopProgram:
@@ -411,15 +383,15 @@ func (r *fabricOp) do(s opStep) {
 	case fopJoin:
 		r.joinStep()
 	case fopVReq:
-		r.pool.soc.CtrlMsg(r.thenV(fopVGrant))
+		r.pool.soc.CtrlMsg(r.vLane.Then(fopVGrant))
 	case fopVGrant:
-		r.vch.UseOp(r.vLabel, r.vDur, r.thenV(r.vNext))
+		r.vch.UseOp(r.vLabel, r.vDur, r.vLane.Then(r.vNext))
 	}
 }
 
 // xferStep is a read's last event: the payload has reached the
-// controller, so the record goes back on the free list and the ECC and
-// SoC hop carries done.
+// controller, so the record goes back to the pool and the ECC and SoC
+// hop carries done.
 func (r *fabricOp) xferStep() {
 	p, n, done := r.pool, r.n, r.done
 	p.put(r)
@@ -427,7 +399,7 @@ func (r *fabricOp) xferStep() {
 }
 
 // programStep is a write's last event: the payload sits at the chip, so
-// the record goes back on the free list and the program carries done.
+// the record goes back to the pool and the program carries done.
 func (r *fabricOp) programStep() {
 	chip, progs, done := r.chip, r.progs, r.done
 	r.pool.put(r)
@@ -460,7 +432,7 @@ func (r *fabricOp) joinStep() {
 // runs step next on the v lane.
 func (r *fabricOp) afterVGrant(vch *bus.Channel, label string, d sim.Time, next opStep) {
 	r.vch, r.vLabel, r.vDur, r.vNext = vch, label, d, next
-	r.pool.soc.CtrlMsg(r.thenV(fopVReq))
+	r.pool.soc.CtrlMsg(r.vLane.Then(fopVReq))
 }
 
 // totalBytes sums the page sizes of a multi-plane op set.

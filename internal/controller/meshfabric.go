@@ -21,7 +21,7 @@ type MeshFabric struct {
 	pageSize int
 	m        *mesh.Mesh
 	fops     fabricOps
-	copies   []*meshCopy // recycled Copy records
+	copies   sim.Pool[meshCopy] // recycled Copy records
 }
 
 // NewMeshFabric builds the mesh fabric; widthBits is the per-link width
@@ -57,31 +57,31 @@ func (f *MeshFabric) node(id ChipID) mesh.Node { return mesh.Node{X: id.Way, Y: 
 // to the row's controller, ECC, SoC hop.
 func (f *MeshFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
 	r := f.fops.read(id, ppas, done)
-	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.then(fopSense))
+	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.lane.Then(fopSense))
 }
 
 // returnRead sends the data packet back to the row's controller.
 func (f *MeshFabric) returnRead(r *fabricOp) {
-	f.m.Transfer(f.node(r.id), mesh.Controller(r.id.Channel), packet.DataFlitsFor(r.n), r.then(fopXfer))
+	f.m.Transfer(f.node(r.id), mesh.Controller(r.id.Channel), packet.DataFlitsFor(r.n), r.lane.Then(fopXfer))
 }
 
 // Write implements Fabric: SoC hop, then one command+payload packet stream
 // to the chip, then tPROG.
 func (f *MeshFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
 	w := f.fops.write(id, ops, done)
-	f.soc.Transfer(w.n, w.then(fopEcc))
+	f.soc.Transfer(w.n, w.lane.Then(fopEcc))
 }
 
 // deliverWrite sends the command+payload packet stream to the chip.
 func (f *MeshFabric) deliverWrite(w *fabricOp) {
-	f.m.Transfer(mesh.Controller(w.id.Channel), f.node(w.id), packet.ControlFlitsFor()+packet.DataFlitsFor(w.n), w.then(fopProgram))
+	f.m.Transfer(mesh.Controller(w.id.Channel), f.node(w.id), packet.ControlFlitsFor()+packet.DataFlitsFor(w.n), w.lane.Then(fopProgram))
 }
 
 // Erase implements Fabric.
 func (f *MeshFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
 	r := f.fops.get(id, done)
 	r.ppas = blocks
-	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.then(fopErase))
+	f.m.Transfer(mesh.Controller(id.Channel), f.node(id), packet.ControlFlitsFor(), r.lane.Then(fopErase))
 }
 
 // Copy implements Fabric: the mesh does provide flash-to-flash
@@ -90,23 +90,18 @@ func (f *MeshFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
 // commits with an on-die program — the same capability pnSSD has, paid
 // for with multi-hop link occupancy.
 func (f *MeshFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) {
-	var c *meshCopy
-	if k := len(f.copies); k > 0 {
-		c = f.copies[k-1]
-		f.copies = f.copies[:k-1]
-	} else {
-		c = &meshCopy{f: f}
-		c.fire = c.run
+	c, fresh := f.copies.Get()
+	if fresh {
+		c.f = f
+		c.lane.Bind(c.run)
 	}
 	c.src, c.from[0], c.dst, c.to, c.done = src, from, dst, to, done
-	f.m.Transfer(mesh.Controller(src.Channel), f.node(src), packet.ControlFlitsFor(), c.then(mcReadCmd))
+	f.m.Transfer(mesh.Controller(src.Channel), f.node(src), packet.ControlFlitsFor(), c.lane.Then(mcReadCmd))
 }
 
 // meshCopy is one MeshFabric.Copy in flight. Records are recycled
-// through the fabric's free list. A copy's steps run one after another,
-// so a record has one lane: fire, a method value bound once when the
-// record is created, runs the step that step names, and a steady stream
-// of GC copies allocates nothing.
+// through the fabric's pool. A copy's steps run one after another in one
+// lane, so a steady stream of GC copies allocates nothing.
 type meshCopy struct {
 	f        *MeshFabric
 	src, dst ChipID
@@ -116,8 +111,7 @@ type meshCopy struct {
 	token    flash.Token
 	reg      int
 
-	step meshCopyStep // what fire runs next
-	fire func()       // bound c.run
+	lane sim.Lane[meshCopyStep] // bound c.run
 }
 
 // meshCopyStep names a mesh copy's steps.
@@ -132,44 +126,38 @@ const (
 	mcFinish                      // the copy's last event
 )
 
-// then arms the record's lane with step s and returns its callback.
-func (c *meshCopy) then(s meshCopyStep) func() {
-	c.step = s
-	return c.fire
-}
-
 func (c *meshCopy) run() {
 	f := c.f
-	switch c.step {
+	switch c.lane.Step {
 	case mcReadCmd:
-		f.grid.Chip(c.src).Read(c.from[:], c.then(mcSensed))
+		f.grid.Chip(c.src).Read(c.from[:], c.lane.Then(mcSensed))
 	case mcSensed:
 		// Send the page from the source node to the destination.
 		c.token = f.grid.Chip(c.src).PageRegister(c.from[0].Plane)
-		f.m.Transfer(f.node(c.src), f.node(c.dst), packet.DataFlitsFor(f.pageSize), c.then(mcArrived))
+		f.m.Transfer(f.node(c.src), f.node(c.dst), packet.DataFlitsFor(f.pageSize), c.lane.Then(mcArrived))
 	case mcArrived:
 		// Park the payload at the destination: the mesh has no
 		// control-plane reservation, so it stalls until a V-page
 		// register frees.
-		f.grid.Chip(c.dst).WaitVPage(&c.reg, c.then(mcVPage))
+		f.grid.Chip(c.dst).WaitVPage(&c.reg, c.lane.Then(mcVPage))
 	case mcVPage:
 		// Store the payload in the claimed register; on-die ECC runs
 		// before the commit.
 		f.grid.Chip(c.dst).SetVPage(c.reg, c.token)
-		f.eng.Schedule(OnDieEccLatency, c.then(mcCommit))
+		f.eng.Schedule(OnDieEccLatency, c.lane.Then(mcCommit))
 	case mcCommit:
-		f.grid.Chip(c.dst).ProgramFromVPage(c.reg, c.to, c.then(mcFinish))
+		f.grid.Chip(c.dst).ProgramFromVPage(c.reg, c.to, c.lane.Then(mcFinish))
 	case mcFinish:
 		c.finishStep()
 	}
 }
 
-// finishStep is the copy's last event: the record goes back on the free
-// list and done runs.
+// finishStep is the copy's last event: the record goes back to the pool
+// and done runs.
 func (c *meshCopy) finishStep() {
 	f, done := c.f, c.done
 	c.done = nil
-	f.copies = append(f.copies, c)
+	f.copies.Put(c)
 	if done != nil {
 		done()
 	}

@@ -80,8 +80,8 @@ type OmnibusFabric struct {
 	hReturns, vReturns, splitReturns int64
 	directCopies, relayedCopies      int64
 
-	fops       fabricOps
-	freeCopies []*copyOp // recycled Copy records
+	fops   fabricOps
+	copies sim.Pool[copyOp] // recycled Copy records
 }
 
 // NewOmnibusFabric builds the channel fabric: one h-channel per grid row
@@ -293,7 +293,7 @@ func (f *OmnibusFabric) PathCounts() (h, v, split, direct, relayed int64) {
 // split.
 func (f *OmnibusFabric) Read(id ChipID, ppas []flash.PPA, done func()) {
 	r := f.fops.read(id, ppas, done)
-	f.h[id.Channel].UseOp("read-cmd", f.hIface[id.Channel].ReadCmd(), r.then(fopSense))
+	f.h[id.Channel].UseOp("read-cmd", f.hIface[id.Channel].ReadCmd(), r.lane.Then(fopSense))
 }
 
 // returnData moves the read's payload from the chip's page registers to
@@ -315,7 +315,7 @@ func (f *OmnibusFabric) returnData(r *fabricOp) {
 			}
 		}
 		f.hReturns++
-		hch.UseOp("read-xfer", hifc.ReadXfer(n), r.then(fopXfer))
+		hch.UseOp("read-xfer", hifc.ReadXfer(n), r.lane.Then(fopXfer))
 		return
 	}
 	vch, vifc := &f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
@@ -332,7 +332,7 @@ func (f *OmnibusFabric) returnData(r *fabricOp) {
 		}
 		half1, half2 := n/2, n-n/2
 		r.splitJoin(fopXfer)
-		hch.UseOp("read-xfer-half", hifc.ReadXfer(half1), r.then(fopJoin))
+		hch.UseOp("read-xfer-half", hifc.ReadXfer(half1), r.lane.Then(fopJoin))
 		r.afterVGrant(vch, "read-xfer-half", vifc.ReadXfer(half2), fopJoin)
 		return
 	}
@@ -350,14 +350,14 @@ func (f *OmnibusFabric) returnData(r *fabricOp) {
 		return
 	}
 	f.hReturns++
-	hch.UseOp("read-xfer", hifc.ReadXfer(n), r.then(fopXfer))
+	hch.UseOp("read-xfer", hifc.ReadXfer(n), r.lane.Then(fopXfer))
 }
 
 // Write implements Fabric. Payload delivery mirrors the read return path:
 // split across h and v when enabled, otherwise greedy adaptive.
 func (f *OmnibusFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
 	w := f.fops.write(id, ops, done)
-	f.soc.Transfer(w.n, w.then(fopEcc))
+	f.soc.Transfer(w.n, w.lane.Then(fopEcc))
 }
 
 // deliverWrite carries a write's payload from the controller to the chip
@@ -372,7 +372,7 @@ func (f *OmnibusFabric) deliverWrite(w *fabricOp) {
 				r.DegradedReturns++
 			}
 		}
-		hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.then(fopProgram))
+		hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.lane.Then(fopProgram))
 		return
 	}
 	vch, vifc := &f.v[f.vIndex(id.Way)], f.vIface[f.vIndex(id.Way)]
@@ -386,7 +386,7 @@ func (f *OmnibusFabric) deliverWrite(w *fabricOp) {
 	if f.split && n > 1 && hch.Load() == 0 && vch.Load() == 0 {
 		half1, half2 := n/2, n-n/2
 		w.splitJoin(fopProgram)
-		hch.UseOp("program-xfer-half", hifc.ProgramXfer(half1), w.then(fopJoin))
+		hch.UseOp("program-xfer-half", hifc.ProgramXfer(half1), w.lane.Then(fopJoin))
 		w.afterVGrant(vch, "program-xfer-half", vifc.ProgramXfer(half2), fopJoin)
 		return
 	}
@@ -394,14 +394,14 @@ func (f *OmnibusFabric) deliverWrite(w *fabricOp) {
 		w.afterVGrant(vch, "program-xfer", vifc.ProgramXfer(n), fopProgram)
 		return
 	}
-	hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.then(fopProgram))
+	hch.UseOp("program-xfer", hifc.ProgramXfer(n), w.lane.Then(fopProgram))
 }
 
 // Erase implements Fabric: a single control packet on the h-channel.
 func (f *OmnibusFabric) Erase(id ChipID, blocks []flash.PPA, done func()) {
 	r := f.fops.get(id, done)
 	r.ppas = blocks
-	f.h[id.Channel].UseOp("erase-cmd", f.hIface[id.Channel].EraseCmd(), r.then(fopErase))
+	f.h[id.Channel].UseOp("erase-cmd", f.hIface[id.Channel].EraseCmd(), r.lane.Then(fopErase))
 }
 
 // Copy implements Fabric. Same-column copies move directly over the
@@ -453,14 +453,13 @@ func (f *OmnibusFabric) Copy(src ChipID, from flash.PPA, dst ChipID, to flash.PP
 		c.grantSpan = f.trc.BeginSpan("gc", "grant-wait",
 			trace.KV{K: "src", V: src.String()}, trace.KV{K: "dst", V: dst.String()})
 	}
-	c.then(cpArbitrate)()
+	c.lane.Then(cpArbitrate)()
 }
 
 // copyOp is one OmnibusFabric.Copy from arbitration to commit, on either
-// route. Records are recycled through the fabric's free list. A copy's
-// steps run one after another, so a record has one lane: fire, a method
-// value bound once when the record is created, runs the step that step
-// names, and a steady stream of GC copies allocates nothing.
+// route. Records are recycled through the fabric's pool. A copy's steps
+// run one after another in one lane, so a steady stream of GC copies
+// allocates nothing.
 type copyOp struct {
 	f        *OmnibusFabric
 	src, dst ChipID
@@ -480,8 +479,7 @@ type copyOp struct {
 	token flash.Token        // the page, once sensed
 	prog  [1]flash.ProgramOp // the relayed write (relay)
 
-	step copyStep // what fire runs next
-	fire func()   // bound c.run
+	lane sim.Lane[copyStep] // bound c.run
 }
 
 // copyStep names a copy's steps.
@@ -502,52 +500,43 @@ const (
 	cpFinish                     // the copy's last event
 )
 
-// newCopy pops a copy record off the free list, building one if empty.
+// newCopy takes a copy record from the pool.
 func (f *OmnibusFabric) newCopy(src ChipID, from flash.PPA, dst ChipID, to flash.PPA, done func()) *copyOp {
-	var c *copyOp
-	if k := len(f.freeCopies); k > 0 {
-		c = f.freeCopies[k-1]
-		f.freeCopies = f.freeCopies[:k-1]
-	} else {
-		c = &copyOp{f: f}
-		c.fire = c.run
+	c, fresh := f.copies.Get()
+	if fresh {
+		c.f = f
+		c.lane.Bind(c.run)
 	}
 	c.src, c.from[0], c.dst, c.to, c.done = src, from, dst, to, done
 	c.attempts = 0
 	return c
 }
 
-// then arms the record's lane with step s and returns its callback.
-func (c *copyOp) then(s copyStep) func() {
-	c.step = s
-	return c.fire
-}
-
 func (c *copyOp) run() {
 	f := c.f
-	switch c.step {
+	switch c.lane.Step {
 	case cpArbitrate:
-		f.soc.CtrlMsg(c.then(cpRequest))
+		f.soc.CtrlMsg(c.lane.Then(cpRequest))
 	case cpRequest:
 		c.requestStep()
 	case cpStatus:
-		f.grid.Chip(c.dst).WaitVPage(&c.reg, c.then(cpVPage))
+		f.grid.Chip(c.dst).WaitVPage(&c.reg, c.lane.Then(cpVPage))
 	case cpVPage:
 		// The claimed register is held; the grant goes back to the
 		// source ctrl.
-		f.soc.CtrlMsg(c.then(cpGrant))
+		f.soc.CtrlMsg(c.lane.Then(cpGrant))
 	case cpGrant:
 		c.grantStep()
 	case cpReadCmd:
-		f.grid.Chip(c.src).Read(c.from[:], c.then(cpSensed))
+		f.grid.Chip(c.src).Read(c.from[:], c.lane.Then(cpSensed))
 	case cpSensed:
 		c.sensedStep()
 	case cpVXfer:
 		c.vxferStep()
 	case cpCommit:
-		f.grid.Chip(c.dst).ProgramFromVPage(c.reg, c.to, c.then(cpFinish))
+		f.grid.Chip(c.dst).ProgramFromVPage(c.reg, c.to, c.lane.Then(cpFinish))
 	case cpRelayed:
-		f.soc.eccTransfer(f.pageSize, c.then(cpRelayWrite))
+		f.soc.eccTransfer(f.pageSize, c.lane.Then(cpRelayWrite))
 	case cpRelayWrite:
 		c.relayWriteStep()
 	case cpFinish:
@@ -572,10 +561,10 @@ func (c *copyOp) requestStep() {
 			return
 		}
 		ras.GrantRetries++
-		f.eng.Schedule(fault.GrantTimeout<<uint(c.attempts-1), c.then(cpArbitrate))
+		f.eng.Schedule(fault.GrantTimeout<<uint(c.attempts-1), c.lane.Then(cpArbitrate))
 		return
 	}
-	f.soc.CtrlMsg(c.then(cpStatus)) // buffer-status check at destination ctrl
+	f.soc.CtrlMsg(c.lane.Then(cpStatus)) // buffer-status check at destination ctrl
 }
 
 // grantStep starts the data-plane half of a same-column copy: tR on the
@@ -592,7 +581,7 @@ func (c *copyOp) grantStep() {
 	c.direct = true
 	c.beginSpan("direct-copy")
 	vi := f.vIndex(c.src.Way)
-	f.v[vi].UseOp("gc-read-cmd", f.vIface[vi].ReadCmd(), c.then(cpReadCmd))
+	f.v[vi].UseOp("gc-read-cmd", f.vIface[vi].ReadCmd(), c.lane.Then(cpReadCmd))
 }
 
 // relayCopy is the controller-relayed route: every copy on a fabric
@@ -609,7 +598,7 @@ func (f *OmnibusFabric) relayCopy(c *copyOp) {
 	c.direct = false
 	c.beginSpan("relay-copy")
 	ch := c.src.Channel
-	f.h[ch].UseOp("gc-read-cmd", f.hIface[ch].ReadCmd(), c.then(cpReadCmd))
+	f.h[ch].UseOp("gc-read-cmd", f.hIface[ch].ReadCmd(), c.lane.Then(cpReadCmd))
 }
 
 // beginSpan opens the copy's gc trace span named name when tracing is
@@ -628,33 +617,33 @@ func (c *copyOp) sensedStep() {
 	c.token = f.grid.Chip(c.src).PageRegister(c.from[0].Plane)
 	if c.direct {
 		vi := f.vIndex(c.src.Way)
-		f.v[vi].UseOp("gc-vxfer", f.vIface[vi].VXfer(f.pageSize), c.then(cpVXfer))
+		f.v[vi].UseOp("gc-vxfer", f.vIface[vi].VXfer(f.pageSize), c.lane.Then(cpVXfer))
 		return
 	}
 	ch := c.src.Channel
-	f.h[ch].UseOp("gc-read-xfer", f.hIface[ch].ReadXfer(f.pageSize), c.then(cpRelayed))
+	f.h[ch].UseOp("gc-read-xfer", f.hIface[ch].ReadXfer(f.pageSize), c.lane.Then(cpRelayed))
 }
 
 // vxferStep lands the payload in the V-page register; on-die ECC runs
 // before the commit.
 func (c *copyOp) vxferStep() {
 	c.f.grid.Chip(c.dst).SetVPage(c.reg, c.token)
-	c.f.eng.Schedule(OnDieEccLatency, c.then(cpCommit))
+	c.f.eng.Schedule(OnDieEccLatency, c.lane.Then(cpCommit))
 }
 
 // relayWriteStep writes the page out from DRAM like any host write.
 func (c *copyOp) relayWriteStep() {
 	c.prog[0] = flash.ProgramOp{Addr: c.to, Token: c.token}
-	c.f.Write(c.dst, c.prog[:], c.then(cpFinish))
+	c.f.Write(c.dst, c.prog[:], c.lane.Then(cpFinish))
 }
 
 // finishStep is the copy's last event: it closes the trace span, goes
-// back on the free list and runs done.
+// back to the pool and runs done.
 func (c *copyOp) finishStep() {
 	f, done := c.f, c.done
 	f.trc.EndSpan(c.span)
 	c.done, c.span, c.grantSpan = nil, trace.SpanID{}, trace.SpanID{}
-	f.freeCopies = append(f.freeCopies, c)
+	f.copies.Put(c)
 	if done != nil {
 		done()
 	}

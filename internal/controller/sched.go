@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/flash"
+	"repro/internal/sim"
 )
 
 // SchedPolicy selects the controller's command scheduling policy — the
@@ -147,7 +148,7 @@ func (k opKind) String() string {
 
 // schedOp is one transaction held by the scheduling layer: its kind and
 // arguments, the chips it targets and the path it reserves. Records are
-// recycled through the fabric's free list and keep their reservation
+// recycled through the fabric's pool and keep their reservation
 // buffer, and fire, a method value bound once when the record is built,
 // is the inner fabric's completion. So a steady stream of transactions
 // allocates nothing.
@@ -201,7 +202,7 @@ type SchedFabric struct {
 
 	check SchedChecker
 
-	free []*schedOp // recycled transaction records
+	opPool sim.Pool[schedOp] // recycled transaction records
 
 	// counters for reports and tests
 	deferred   int64 // conflict: transactions that waited in the defer queue
@@ -273,7 +274,7 @@ func (f *SchedFabric) Reset() {
 	}
 	*f = SchedFabric{
 		inner: f.inner, pol: f.pol, ways: f.ways, window: DefaultSchedWindow, bound: DefaultReorderBound,
-		table: f.table, deferq: f.deferq[:0], pending: f.pending[:0], chipLoad: f.chipLoad, free: f.free,
+		table: f.table, deferq: f.deferq[:0], pending: f.pending[:0], chipLoad: f.chipLoad, opPool: f.opPool,
 	}
 }
 
@@ -335,16 +336,13 @@ func dedupeSegs(segs []PathSeg) []PathSeg {
 	return out
 }
 
-// newOp pops an op record off the free list, building one if empty, and
-// loads a transaction of kind on chip id with the caller's done: no
-// reservation, and id as its one target chip.
+// newOp takes an op record from the pool and loads a transaction of
+// kind on chip id with the caller's done: no reservation, and id as its
+// one target chip.
 func (f *SchedFabric) newOp(kind opKind, id ChipID, done func()) *schedOp {
-	var op *schedOp
-	if n := len(f.free); n > 0 {
-		op = f.free[n-1]
-		f.free = f.free[:n-1]
-	} else {
-		op = &schedOp{f: f}
+	op, fresh := f.opPool.Get()
+	if fresh {
+		op.f = f
 		op.fire = op.finish
 	}
 	op.kind, op.id, op.done = kind, id, done
@@ -451,13 +449,13 @@ func (f *SchedFabric) issue(op *schedOp, rank int) {
 }
 
 // finish runs when the inner fabric completes op: the scheduler sees the
-// completion first, then the record goes back to the free list and the
+// completion first, then the record goes back to the pool and the
 // caller's done runs.
 func (op *schedOp) finish() {
 	f, done := op.f, op.done
 	f.complete(op)
 	op.ppas, op.ops, op.done = nil, nil, nil
-	f.free = append(f.free, op)
+	f.opPool.Put(op)
 	if done != nil {
 		done()
 	}

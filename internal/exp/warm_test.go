@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -239,38 +240,31 @@ func TestResetRestoreMatchesFreshWarm(t *testing.T) {
 	}
 }
 
-// recycled names the fields deepDiff skips, as "package.Type.field": the
-// free lists of recycled operation records and parked-continuation
-// lists, and the completions bound at first use (the chip's one grant
-// hook and one completion, the FTL's GC victim completion), which a
-// reset device keeps and a fresh one has not made yet. Everything else,
-// any field added later included, is compared.
+// recycled names the fields deepDiff skips besides every sim.Pool of
+// recycled operation records, as "package.Type.field": the spare
+// parked-continuation lists, and the completions bound at first use
+// (the chip's one grant hook and one completion, the FTL's GC victim
+// completion), which a reset device keeps and a fresh one has not made
+// yet. Everything else, any field added later included, is compared.
 var recycled = map[string]bool{
-	"flash.Chip.grantOp":                  true,
-	"flash.Chip.finishOp":                 true,
-	"controller.fabricOps.free":           true,
-	"controller.OmnibusFabric.freeCopies": true,
-	"controller.SchedFabric.free":         true,
-	"controller.MeshFabric.copies":        true,
-	"controller.Soc.freeXfers":            true,
-	"mesh.Mesh.freeXfers":                 true,
-	"ftl.FTL.freeReads":                   true,
-	"ftl.FTL.freeWrites":                  true,
-	"ftl.FTL.freeBatches":                 true,
-	"ftl.FTL.freeVictims":                 true,
-	"ftl.FTL.victimDone":                  true,
-	"ftl.parkedLists[int64].spare":        true,
-	"ftl.parkedLists[int].spare":          true,
-	"ftl.mapUnit.freeLookups":             true,
-	"ftl.mapUnit.freeFetches":             true,
-	"host.Host.freeReqs":                  true,
+	"flash.Chip.grantOp":           true,
+	"flash.Chip.finishOp":          true,
+	"ftl.FTL.victimDone":           true,
+	"ftl.parkedLists[int64].spare": true,
+	"ftl.parkedLists[int].spare":   true,
+}
+
+// isPool reports whether t is a sim.Pool, which a reset device keeps
+// filled and a fresh one has not filled yet.
+func isPool(t reflect.Type) bool {
+	return t.PkgPath() == "repro/internal/sim" && strings.HasPrefix(t.Name(), "Pool[")
 }
 
 // deepDiff walks a and b field by field, unexported fields included, and
 // returns the path of the first difference, or "" when they are equal.
 // Function values compare by nil-ness alone, since two devices bind
 // their callbacks to different objects; nil and empty slices and maps
-// are equal. Fields named in recycled are skipped.
+// are equal. Pools and the fields named in recycled are skipped.
 func deepDiff(a, b any) string {
 	seen := make(map[[2]uintptr]bool)
 	// walk returns "" or the difference's path below x, which the
@@ -322,7 +316,7 @@ func deepDiff(a, b any) string {
 			return walk(x.Elem(), y.Elem())
 		case reflect.Struct:
 			for i := 0; i < x.NumField(); i++ {
-				if recycled[x.Type().String()+"."+x.Type().Field(i).Name] {
+				if f := x.Type().Field(i); isPool(f.Type) || recycled[x.Type().String()+"."+f.Name] {
 					continue
 				}
 				if d := walk(x.Field(i), y.Field(i)); d != "" {

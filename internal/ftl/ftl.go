@@ -149,13 +149,13 @@ type FTL struct {
 	// retryStalled swaps stalled with the spare buffer.
 	stalled, stalledSpare []*hostWrite
 
-	freeReads   []*hostRead     // recycled ReadTracked records
-	freeWrites  []*hostWrite    // recycled write records
-	freeBatches []*chipBatch    // recycled chip batches
-	freeVictims []*victimRun    // recycled GC victim records
-	targets     []pendingTarget // tryWrite scratch
-	victims     []victim        // selectVictims result
-	cands       []victimCand    // selectVictims scratch
+	readPool   sim.Pool[hostRead]  // recycled ReadTracked records
+	writePool  sim.Pool[hostWrite] // recycled write records
+	batchPool  sim.Pool[chipBatch] // recycled chip batches
+	victimPool sim.Pool[victimRun] // recycled GC victim records
+	targets    []pendingTarget     // tryWrite scratch
+	victims    []victim            // selectVictims result
+	cands      []victimCand        // selectVictims scratch
 	// locs and addrs translate a read or write page by page, and batches
 	// groups them, for issueRead and commitWrite.
 	locs    []controller.ChipID
@@ -554,7 +554,7 @@ func (f *FTL) installAt(s slot, lpn int64, tok flash.Token) {
 
 // chipBatch is one multi-plane operation of a host read or write: pages
 // on one chip with distinct planes. Batches are FTL-wide records: one is
-// taken from the free list when a read issues or a write commits and
+// taken from the FTL's pool when a read issues or a write commits and
 // goes back when its fabric op lands, so the FTL holds as many as are in
 // flight at once, however many reads and writes wait. fire, a method
 // value bound once when the record is built, is the op's completion.
@@ -568,28 +568,25 @@ type chipBatch struct {
 	fire func()            // bound b.landed
 }
 
-// newBatch pops a batch off the free list for chip id, building one if
-// empty. A batch holds at most one page per plane, so its buffers are
-// made at once with room for every plane and never grow.
+// newBatch takes a batch for chip id from the pool. A batch holds at
+// most one page per plane, so its buffers are made at once with room for
+// every plane and never grow.
 func (f *FTL) newBatch(id controller.ChipID) *chipBatch {
-	var b *chipBatch
-	if n := len(f.freeBatches); n > 0 {
-		b = f.freeBatches[n-1]
-		f.freeBatches = f.freeBatches[:n-1]
-	} else {
+	b, fresh := f.batchPool.Get()
+	if fresh {
 		p := f.geo.Planes
-		b = &chipBatch{ppas: make([]flash.PPA, 0, p), ops: make([]flash.ProgramOp, 0, p), lpns: make([]int64, 0, p)}
+		b.ppas, b.ops, b.lpns = make([]flash.PPA, 0, p), make([]flash.ProgramOp, 0, p), make([]int64, 0, p)
 		b.fire = b.landed
 	}
 	b.id = id
 	return b
 }
 
-// freeBatch returns a landed batch to the free list.
+// freeBatch returns a landed batch to the pool.
 func (f *FTL) freeBatch(b *chipBatch) {
 	b.ppas, b.ops, b.lpns = b.ppas[:0], b.ops[:0], b.lpns[:0]
 	b.r, b.w = nil, nil
-	f.freeBatches = append(f.freeBatches, b)
+	f.batchPool.Put(b)
 }
 
 // batchByChip groups the pages of f.locs and f.addrs into new chip
@@ -647,19 +644,22 @@ func (f *FTL) ReadTracked(lpns []int64, att *telemetry.Attribution, done func())
 	for _, lpn := range lpns {
 		f.checkLPN(lpn)
 	}
-	r := f.newRead()
+	r, fresh := f.readPool.Get()
+	if fresh {
+		r.f = f
+		r.lane.Bind(r.run)
+	}
 	r.lpns = append(r.lpns[:0], lpns...)
 	r.att, r.done = att, done
 	f.readWhenStable(r)
 }
 
 // hostRead is one ReadTracked from entry to done. Records are recycled
-// through the FTL's free list and keep the capacity of their lpns copy
-// across uses. Until it issues, a read waits on one thing at a time, a
-// write or a translation: fire, a method value bound once when the record
-// is created, runs the step that step names. It then issues one pooled
-// chip batch per multi-plane read and counts them back in. So a steady
-// stream of reads allocates nothing.
+// through the FTL's pool and keep the capacity of their lpns copy across
+// uses. Until it issues, a read waits on one thing at a time, a write or
+// a translation, in one lane. It then issues one pooled chip batch per
+// multi-plane read and counts them back in. So a steady stream of reads
+// allocates nothing.
 type hostRead struct {
 	f        *FTL
 	lpns     []int64
@@ -667,8 +667,7 @@ type hostRead struct {
 	done     func()
 	inflight int // chip batches in flight
 
-	step readStep // what fire runs next
-	fire func()   // bound r.run
+	lane sim.Lane[readStep] // bound r.run
 }
 
 // readStep names a host read's steps before it issues.
@@ -679,26 +678,8 @@ const (
 	rdMapped                 // the map unit translated its LPNs
 )
 
-// newRead pops a read record off the free list, building one if empty.
-func (f *FTL) newRead() *hostRead {
-	if n := len(f.freeReads); n > 0 {
-		r := f.freeReads[n-1]
-		f.freeReads = f.freeReads[:n-1]
-		return r
-	}
-	r := &hostRead{f: f}
-	r.fire = r.run
-	return r
-}
-
-// then arms the record's lane with step s and returns its callback.
-func (r *hostRead) then(s readStep) func() {
-	r.step = s
-	return r.fire
-}
-
 func (r *hostRead) run() {
-	switch r.step {
+	switch r.lane.Step {
 	case rdStable:
 		r.f.readWhenStable(r)
 	case rdMapped:
@@ -713,7 +694,7 @@ func (r *hostRead) run() {
 func (f *FTL) readWhenStable(r *hostRead) {
 	for _, lpn := range r.lpns {
 		if f.inflightWrites[lpn] > 0 {
-			f.writeWaiters.park(lpn, r.then(rdStable))
+			f.writeWaiters.park(lpn, r.lane.Then(rdStable))
 			return
 		}
 	}
@@ -724,7 +705,7 @@ func (f *FTL) readWhenStable(r *hostRead) {
 		f.issueRead(r)
 		return
 	}
-	f.mapu.translate(r.lpns, r.then(rdMapped))
+	f.mapu.translate(r.lpns, r.lane.Then(rdMapped))
 }
 
 // mapped resumes a read once the map unit has translated its LPNs.
@@ -769,7 +750,7 @@ func (f *FTL) issueRead(r *hostRead) {
 }
 
 // readLanded unpins a landed read batch's blocks and frees the batch; the
-// read's last batch returns the record to the free list and then runs
+// read's last batch returns the record to the pool and then runs
 // done, which may issue the next read.
 func (f *FTL) readLanded(b *chipBatch) {
 	r := b.r
@@ -782,7 +763,7 @@ func (f *FTL) readLanded(b *chipBatch) {
 	}
 	done := r.done
 	r.att, r.done = nil, nil
-	f.freeReads = append(f.freeReads, r)
+	f.readPool.Put(r)
 	f.outstanding--
 	done()
 }
@@ -843,9 +824,9 @@ func (f *FTL) WriteTracked(lpns []int64, toks []flash.Token, att *telemetry.Attr
 // hostWrite is one write from entry until its last program lands: a
 // WriteTracked, the allocated prefix a stall commits early, or a
 // program-fail reissue. A stalled write re-queues the same record.
-// Records are recycled through the FTL's free list and keep the capacity
-// of their lpns and token copies. Before it commits, a write's one step
-// is its translation, fire, a method value bound once when the record is
+// Records are recycled through the FTL's pool and keep the capacity of
+// their lpns and token copies. Before it commits, a write's one step is
+// its translation, fire, a method value bound once when the record is
 // created; it then issues one pooled chip batch per multi-plane program
 // and counts them back in. A stalled write holds no batch. So a steady
 // stream of writes allocates nothing.
@@ -862,15 +843,12 @@ type hostWrite struct {
 	inflight int          // chip batches in flight
 }
 
-// newWrite pops a write record off the free list, building one if
-// empty, and loads copies of lpns and toks.
+// newWrite takes a write record from the pool and loads copies of lpns
+// and toks.
 func (f *FTL) newWrite(lpns []int64, toks []flash.Token, att *telemetry.Attribution, done func()) *hostWrite {
-	var w *hostWrite
-	if n := len(f.freeWrites); n > 0 {
-		w = f.freeWrites[n-1]
-		f.freeWrites = f.freeWrites[:n-1]
-	} else {
-		w = &hostWrite{f: f}
+	w, fresh := f.writePool.Get()
+	if fresh {
+		w.f = f
 		w.fire = w.mapped
 	}
 	w.lpns = append(w.lpns[:0], lpns...)
@@ -1013,7 +991,7 @@ func (f *FTL) commitWrite(w *hostWrite, targets []pendingTarget) {
 
 // writeLanded releases a landed write batch's blocks and frees the batch;
 // the write's last batch releases its LPNs, returns the record to the
-// free list and then runs done.
+// pool and then runs done.
 func (f *FTL) writeLanded(b *chipBatch) {
 	w := b.w
 	for _, a := range b.ppas {
@@ -1043,7 +1021,7 @@ func (f *FTL) writeLanded(b *chipBatch) {
 	}
 	done, host := w.done, w.host
 	w.att, w.done, w.host, w.stall = nil, nil, false, trace.SpanID{}
-	f.freeWrites = append(f.freeWrites, w)
+	f.writePool.Put(w)
 	if host {
 		f.outstanding--
 	}

@@ -274,11 +274,9 @@ func (f *FTL) finishGC(started sim.Time, freeAtStart int, hadVictims bool, done 
 
 // victimRun collects one victim block: it migrates the block's valid
 // pages one at a time, then erases it and runs done. Records are
-// recycled through the FTL's free list and keep the capacity of their
-// page snapshot. Their steps run one after another, so a record has one
-// lane: fire, a method value bound once when the record is created, runs
-// the step that step names, and a round's page copies and erases
-// allocate nothing.
+// recycled through the FTL's pool and keep the capacity of their page
+// snapshot. Their steps run one after another in one lane, so a round's
+// page copies and erases allocate nothing.
 type victimRun struct {
 	f     *FTL
 	v     victim
@@ -295,8 +293,7 @@ type victimRun struct {
 
 	blocks [1]flash.PPA // the erase target
 
-	step victimStep // what fire runs next
-	fire func()     // bound r.run
+	lane sim.Lane[victimStep] // bound r.run
 }
 
 // victimStep names a victim run's steps.
@@ -313,13 +310,10 @@ const (
 // collectVictim migrates every valid page off one victim block, then
 // erases it.
 func (f *FTL) collectVictim(v victim, done func()) {
-	var r *victimRun
-	if n := len(f.freeVictims); n > 0 {
-		r = f.freeVictims[n-1]
-		f.freeVictims = f.freeVictims[:n-1]
-	} else {
-		r = &victimRun{f: f}
-		r.fire = r.run
+	r, fresh := f.victimPool.Get()
+	if fresh {
+		r.f = f
+		r.lane.Bind(r.run)
 	}
 	r.v, r.i, r.done = v, 0, done
 	// Snapshot the valid pages now; pages invalidated by host overwrites
@@ -334,14 +328,8 @@ func (f *FTL) collectVictim(v victim, done func()) {
 	r.advance()
 }
 
-// then arms the record's lane with step s and returns its callback.
-func (r *victimRun) then(s victimStep) func() {
-	r.step = s
-	return r.fire
-}
-
 func (r *victimRun) run() {
-	switch r.step {
+	switch r.lane.Step {
 	case vrCopy:
 		r.copyStep()
 	case vrCopied:
@@ -388,7 +376,7 @@ func (r *victimRun) pollStep() {
 		r.copyStep()
 		return
 	}
-	f.eng.Schedule(10*sim.Microsecond, r.then(vrPoll))
+	f.eng.Schedule(10*sim.Microsecond, r.lane.Then(vrPoll))
 }
 
 // copyStep migrates pages[i] if it is still valid.
@@ -407,7 +395,7 @@ func (r *victimRun) copyStep() {
 		// Transient exhaustion: every free block is being consumed by
 		// concurrent copies or host writes racing into the reserve. Other
 		// victims' erases will free blocks; retry then.
-		f.eng.Schedule(20*sim.Microsecond, r.then(vrCopy))
+		f.eng.Schedule(20*sim.Microsecond, r.lane.Then(vrCopy))
 		return
 	}
 	r.dst, r.dstAddr = dst, dstAddr
@@ -416,7 +404,7 @@ func (r *victimRun) copyStep() {
 	r.dstPS.blocks[dstAddr.Block].inflight++
 	f.stats.GCPagesCopied++
 	f.tel.GCCopied(f.eng.Now())
-	f.fab.Copy(v.id, from, dst, dstAddr, r.then(vrCopied))
+	f.fab.Copy(v.id, from, dst, dstAddr, r.lane.Then(vrCopied))
 }
 
 // copiedStep lands one page copy: the mapping moves to the destination
@@ -507,7 +495,7 @@ func (r *victimRun) eraseStep() {
 		panic(fmt.Sprintf("ftl: erasing block with %d valid pages", ps.blocks[v.block].validCount))
 	}
 	if ps.blocks[v.block].readRefs > 0 {
-		f.eng.Schedule(20*sim.Microsecond, r.then(vrErase))
+		f.eng.Schedule(20*sim.Microsecond, r.lane.Then(vrErase))
 		return
 	}
 	if ps.blocks[v.block].bad {
@@ -520,7 +508,7 @@ func (r *victimRun) eraseStep() {
 		return
 	}
 	r.blocks[0] = flash.PPA{Plane: v.plane, Block: v.block}
-	f.fab.Erase(v.id, r.blocks[:], r.then(vrErased))
+	f.fab.Erase(v.id, r.blocks[:], r.lane.Then(vrErased))
 }
 
 // erasedStep returns an erased victim to the free pool, or retires it
@@ -546,11 +534,11 @@ func (r *victimRun) erasedStep() {
 	r.finish()
 }
 
-// finish returns the record to the free list, then runs done, which may
+// finish returns the record to the pool, then runs done, which may
 // finish the round and start the next.
 func (r *victimRun) finish() {
 	f, done := r.f, r.done
 	r.done = nil
-	f.freeVictims = append(f.freeVictims, r)
+	f.victimPool.Put(r)
 	done()
 }

@@ -200,8 +200,8 @@ type mapUnit struct {
 	slotWaiters sim.Queue[func()] // lookups parked until any fetch lands
 
 	// Recycled records.
-	freeLookups []*lookup
-	freeFetches []*mapFetch
+	lookups sim.Pool[lookup]
+	fetches sim.Pool[mapFetch]
 
 	// Writeback and cleaning.
 	dirtyCount int
@@ -270,7 +270,7 @@ func (m *mapUnit) reset() {
 		loc: m.loc, homeB: m.homeB, ver: m.ver, flashVer: m.flashVer, blocks: m.blocks[:0],
 		fetching: m.fetching, wbPending: m.wbPending, wbWaiters: m.wbWaiters,
 		slotWaiters: m.slotWaiters, wbQueue: m.wbQueue,
-		freeLookups: m.freeLookups, freeFetches: m.freeFetches,
+		lookups: m.lookups, fetches: m.fetches,
 	}
 	m.format()
 }
@@ -420,24 +420,20 @@ func (m *mapUnit) appendTPages(ts []int, lpns []int64) []int {
 // a miss parks only its own request, so independent host requests never
 // serialize behind one map fetch (miss-under-miss).
 func (m *mapUnit) translate(lpns []int64, done func()) {
-	var l *lookup
-	if n := len(m.freeLookups); n > 0 {
-		l = m.freeLookups[n-1]
-		m.freeLookups = m.freeLookups[:n-1]
-	} else {
-		l = &lookup{m: m}
-		l.fire = l.run
+	l, fresh := m.lookups.Get()
+	if fresh {
+		l.m = m
+		l.lane.Bind(l.run)
 	}
 	l.ts, l.next, l.done = m.appendTPages(l.ts[:0], lpns), 0, done
 	l.resume()
 }
 
 // lookup is one translate call from entry to done. Records are recycled
-// through the unit's free list and keep the capacity of their page list.
-// A lookup waits on one thing at a time (a fetch, a slot, a writeback),
-// so a record has one lane: fire, a method value bound once when the
-// record is created, runs the step that step names, and a lookup that
-// misses parks without allocating.
+// through the unit's pool and keep the capacity of their page list. A
+// lookup waits on one thing at a time (a fetch, a slot, a writeback), so
+// a record has one lane, and a lookup that misses parks without
+// allocating.
 type lookup struct {
 	m    *mapUnit
 	ts   []int // the pages to resolve, in order
@@ -445,8 +441,7 @@ type lookup struct {
 	t    int   // the missed page a parked lookup waits for
 	done func()
 
-	step lookupStep // what fire runs next
-	fire func()     // bound l.run
+	lane sim.Lane[lookupStep] // bound l.run
 }
 
 // lookupStep names a lookup's steps.
@@ -457,14 +452,8 @@ const (
 	lkRetry                    // a wait ended: resolve the missed page again
 )
 
-// then arms the record's lane with step s and returns its callback.
-func (l *lookup) then(s lookupStep) func() {
-	l.step = s
-	return l.fire
-}
-
 func (l *lookup) run() {
-	switch l.step {
+	switch l.lane.Step {
 	case lkResume:
 		l.resume()
 	case lkRetry:
@@ -474,7 +463,7 @@ func (l *lookup) run() {
 
 // resume looks up ts[next:] in order. A miss parks the lookup until the
 // missed page lands and resumes past it; the last page's hit returns
-// the record to the free list and runs done.
+// the record to the pool and runs done.
 func (l *lookup) resume() {
 	m := l.m
 	for l.next < len(l.ts) {
@@ -500,7 +489,7 @@ func (l *lookup) resume() {
 		if fe, ok := m.fetching[t]; ok {
 			// Fetch already in flight: coalesce onto it.
 			m.stats.SharedMisses++
-			fe.waiters = append(fe.waiters, l.then(lkResume))
+			fe.waiters = append(fe.waiters, l.lane.Then(lkResume))
 			return
 		}
 		m.startFetch(l)
@@ -508,7 +497,7 @@ func (l *lookup) resume() {
 	}
 	done := l.done
 	l.done = nil
-	m.freeLookups = append(m.freeLookups, l)
+	m.lookups.Put(l)
 	done()
 }
 
@@ -520,7 +509,7 @@ func (m *mapUnit) resolveAgain(l *lookup) {
 	if si, ok := m.where[l.t]; ok {
 		if m.slots[si].pend {
 			fe := m.fetching[l.t]
-			fe.waiters = append(fe.waiters, l.then(lkResume))
+			fe.waiters = append(fe.waiters, l.lane.Then(lkResume))
 			return
 		}
 		m.touchSlot(si)
@@ -537,21 +526,25 @@ func (m *mapUnit) startFetch(l *lookup) {
 		// A program for this page is still in the fabric; the chip
 		// commits page state only when the op arrives, so a read racing
 		// it could reach an unprogrammed page. Park until it lands.
-		m.wbWaiters.park(t, l.then(lkRetry))
+		m.wbWaiters.park(t, l.lane.Then(lkRetry))
 		return
 	}
 	si, ok := m.grabSlot()
 	if !ok {
 		// Every slot has a fetch in flight: wait for one to land.
-		m.slotWaiters.Push(l.then(lkRetry))
+		m.slotWaiters.Push(l.lane.Then(lkRetry))
 		return
 	}
 	sl := &m.slots[si]
 	sl.t, sl.pend, sl.dirty, sl.ref = t, true, false, false
 	m.where[t] = si
 	m.stats.Fetches++
-	fe := m.newFetch()
-	fe.t, fe.si, fe.hb, fe.cont = t, si, m.homeB[t], l.then(lkResume)
+	fe, fresh := m.fetches.Get()
+	if fresh {
+		fe.m = m
+		fe.fire = fe.landed
+	}
+	fe.t, fe.si, fe.hb, fe.cont = t, si, m.homeB[t], l.lane.Then(lkResume)
 	m.fetching[t] = fe
 	m.blocks[fe.hb].fetchRefs++
 	_, fe.addr[0] = physDecode(m.f.geo, m.f.ways, m.loc[t])
@@ -564,9 +557,9 @@ func (m *mapUnit) startFetch(l *lookup) {
 
 // mapFetch is one demand fetch of a translation page into a reserved
 // cache slot, from its read to its landing. Records are recycled
-// through the unit's free list and keep the capacity of their waiter
-// list; the landing is fire, a method value bound once when the record
-// is created.
+// through the unit's pool and keep the capacity of their waiter list;
+// the landing is fire, a method value bound once when the record is
+// created.
 type mapFetch struct {
 	m       *mapUnit
 	t, si   int // the page and the slot reserved for it
@@ -578,21 +571,9 @@ type mapFetch struct {
 	fire    func()   // bound fe.landed
 }
 
-// newFetch pops a fetch record off the free list, building one if empty.
-func (m *mapUnit) newFetch() *mapFetch {
-	if n := len(m.freeFetches); n > 0 {
-		fe := m.freeFetches[n-1]
-		m.freeFetches = m.freeFetches[:n-1]
-		return fe
-	}
-	fe := &mapFetch{m: m}
-	fe.fire = fe.landed
-	return fe
-}
-
 // landed installs the fetched page, resumes the lookup that started the
 // fetch and then those coalesced onto it, and wakes lookups parked on a
-// slot. The record goes back on the free list last, since the loop reads
+// slot. The record goes back to the pool last, since the loop reads
 // its waiters.
 func (fe *mapFetch) landed() {
 	m, t, si := fe.m, fe.t, fe.si
@@ -616,7 +597,7 @@ func (fe *mapFetch) landed() {
 	}
 	clear(fe.waiters)
 	fe.cont, fe.waiters = nil, fe.waiters[:0]
-	m.freeFetches = append(m.freeFetches, fe)
+	m.fetches.Put(fe)
 	m.wakeSlotWaiters()
 }
 

@@ -44,7 +44,7 @@ type Host struct {
 	versions map[int64]int64
 	inFlight int
 	reqSeq   int64
-	freeReqs []*request // recycled Submit records
+	reqs     sim.Pool[request] // recycled Submit records
 
 	// trc records one async span per request lifecycle (arrival through
 	// completion); nil (the default) disables tracing with no overhead.
@@ -143,7 +143,11 @@ func (h *Host) submit(r Request, c completion) error {
 		return err
 	}
 	h.inFlight++
-	q := h.newRequest()
+	q, fresh := h.reqs.Get()
+	if fresh {
+		q.h = h
+		q.lane.Bind(q.run)
+	}
 	q.req, q.c = r, c
 	q.lpns = slices.Grow(q.lpns[:0], r.Pages)
 	for i := 0; i < r.Pages; i++ {
@@ -176,16 +180,14 @@ func (h *Host) submit(r Request, c completion) error {
 			q.toks = append(q.toks, ftl.TokenFor(lpn, h.versions[lpn]))
 		}
 	}
-	h.eng.Schedule(DefaultCmdLatency, q.then(reqCmd))
+	h.eng.Schedule(DefaultCmdLatency, q.lane.Then(reqCmd))
 	return nil
 }
 
 // request is one Submit from command fetch to completion. Records are
-// recycled through the host's free list and keep the capacity of their
-// lpns and token buffers. Their steps run one after another, so a record
-// has one lane: fire, a method value bound once when the record is
-// created, runs the step that step names, and a steady stream of
-// requests allocates nothing in the host.
+// recycled through the host's pool and keep the capacity of their lpns
+// and token buffers. Their steps run one after another in one lane, so
+// a steady stream of requests allocates nothing in the host.
 type request struct {
 	h     *Host
 	req   Request
@@ -197,8 +199,7 @@ type request struct {
 	span  trace.SpanID
 	att   *telemetry.Attribution
 
-	step reqStep // what fire runs next
-	fire func()  // bound q.run
+	lane sim.Lane[reqStep] // bound q.run
 }
 
 // reqStep names a request's steps.
@@ -211,27 +212,8 @@ const (
 	reqFinish                 // completion
 )
 
-// newRequest pops a request record off the free list, building one if
-// empty.
-func (h *Host) newRequest() *request {
-	if n := len(h.freeReqs); n > 0 {
-		q := h.freeReqs[n-1]
-		h.freeReqs = h.freeReqs[:n-1]
-		return q
-	}
-	q := &request{h: h}
-	q.fire = q.run
-	return q
-}
-
-// then arms the record's lane with step s and returns its callback.
-func (q *request) then(s reqStep) func() {
-	q.step = s
-	return q.fire
-}
-
 func (q *request) run() {
-	switch q.step {
+	switch q.lane.Step {
 	case reqCmd:
 		q.cmdStep()
 	case reqFlashed:
@@ -249,22 +231,22 @@ func (q *request) cmdStep() {
 	h := q.h
 	q.att.Mark(telemetry.PhaseCmd, h.eng.Now())
 	if q.req.Kind == stats.Read {
-		h.f.ReadTracked(q.lpns, q.att, q.then(reqFlashed))
+		h.f.ReadTracked(q.lpns, q.att, q.lane.Then(reqFlashed))
 		return
 	}
-	h.nvme.UseLabeled("write-payload", q.xfer, q.then(reqPayload))
+	h.nvme.UseLabeled("write-payload", q.xfer, q.lane.Then(reqPayload))
 }
 
 // flashedStep returns read data over the NVMe link.
 func (q *request) flashedStep() {
 	q.att.Mark(telemetry.PhaseFlash, q.h.eng.Now())
-	q.h.nvme.UseLabeled("read-return", q.xfer, q.then(reqFinish))
+	q.h.nvme.UseLabeled("read-return", q.xfer, q.lane.Then(reqFinish))
 }
 
 // payloadStep hands a write's payload to the FTL.
 func (q *request) payloadStep() {
 	q.att.Mark(telemetry.PhaseXfer, q.h.eng.Now())
-	q.h.f.WriteTracked(q.lpns, q.toks, q.att, q.then(reqFinish))
+	q.h.f.WriteTracked(q.lpns, q.toks, q.att, q.lane.Then(reqFinish))
 }
 
 // finishStep records the completion, returns the record to the free
@@ -286,7 +268,7 @@ func (q *request) finishStep() {
 	h.tel.FinishRequest(q.att, now, q.bytes)
 	c := q.c
 	q.c, q.att = completion{}, nil
-	h.freeReqs = append(h.freeReqs, q)
+	h.reqs.Put(q)
 	if c.at != nil {
 		*c.at = now
 	}

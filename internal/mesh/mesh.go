@@ -58,8 +58,8 @@ type Mesh struct {
 	// direction d (+x, -x, +y, -y), or is -1. Cells are row-major over
 	// x in [-1, w), so a row's controller is the cell west of its edge
 	// node.
-	out       []int32
-	freeXfers []*transfer // recycled Transfer records
+	out   []int32
+	xfers sim.Pool[transfer] // recycled Transfer records
 }
 
 // New builds a w×h mesh with the given directed-link width and rate.
@@ -206,12 +206,17 @@ func (m *Mesh) appendPath(path []Node, src, dst Node) []Node {
 // serialization time; the head cuts through to the next link after the
 // hop latency plus one beat.
 func (m *Mesh) Transfer(src, dst Node, flits int, done func()) {
-	t := m.newTransfer()
+	t, fresh := m.xfers.Get()
+	if fresh {
+		t.m = m
+		t.granted = t.grantedStep
+		t.lane.Bind(t.run)
+	}
 	t.path = m.appendPath(t.path[:0], src, dst)
 	t.flits, t.done = flits, done
 	if len(t.path) < 2 {
 		// Degenerate same-node transfer: no links crossed.
-		m.eng.Schedule(0, t.then(trFinish))
+		m.eng.Schedule(0, t.lane.Then(trFinish))
 		return
 	}
 	t.hop = 0
@@ -219,12 +224,12 @@ func (m *Mesh) Transfer(src, dst Node, flits int, done func()) {
 }
 
 // transfer is one packet in flight. Records are recycled through the
-// mesh's free list. Hop i crosses path[i] -> path[i+1] and is requested
-// once hop i-1 is granted and its head has cut through, so at most one
-// hop awaits its grant: granted, bound once when the record is created,
-// is every hop's grant hook. The hops' next steps and the final release
-// run one after another in one lane, fire, also bound once; earlier
-// hops' releases carry no callback. So a transfer allocates nothing in
+// mesh's pool. Hop i crosses path[i] -> path[i+1] and is requested once
+// hop i-1 is granted and its head has cut through, so at most one hop
+// awaits its grant: granted, bound once when the record is created, is
+// every hop's grant hook. The hops' next steps and the final release
+// run one after another in one lane; earlier hops' releases carry no
+// callback. So a transfer allocates nothing in
 // steady state. The final hop's release is the record's last event:
 // every hop is requested strictly after its predecessor was granted and
 // all links share one serialization time.
@@ -236,9 +241,8 @@ type transfer struct {
 	flits int
 	done  func()
 
-	granted func() sim.Time // bound t.grantedStep
-	step    transferStep    // what fire runs next
-	fire    func()          // bound t.run
+	granted func() sim.Time        // bound t.grantedStep
+	lane    sim.Lane[transferStep] // bound t.run
 }
 
 // transferStep names a transfer's steps.
@@ -249,27 +253,8 @@ const (
 	trFinish                     // the tail left the final link
 )
 
-// newTransfer pops a transfer record off the free list, building one if
-// empty.
-func (m *Mesh) newTransfer() *transfer {
-	if k := len(m.freeXfers); k > 0 {
-		t := m.freeXfers[k-1]
-		m.freeXfers = m.freeXfers[:k-1]
-		return t
-	}
-	t := &transfer{m: m}
-	t.granted, t.fire = t.grantedStep, t.run
-	return t
-}
-
-// then arms the record's lane with step s and returns its callback.
-func (t *transfer) then(s transferStep) func() {
-	t.step = s
-	return t.fire
-}
-
 func (t *transfer) run() {
-	switch t.step {
+	switch t.lane.Step {
 	case trNext:
 		t.hop++
 		t.request()
@@ -287,7 +272,7 @@ func (t *transfer) request() {
 	t.link = t.m.Link(t.path[t.hop], t.path[t.hop+1])
 	var release func()
 	if t.last() {
-		release = t.then(trFinish)
+		release = t.lane.Then(trFinish)
 	}
 	t.link.UseGranted(t.granted, release)
 }
@@ -298,16 +283,16 @@ func (t *transfer) grantedStep() sim.Time {
 	if !t.last() {
 		// Head cut-through: downstream link is requested after the
 		// router latency and the first beat.
-		t.m.eng.Schedule(DefaultHopLatency+t.link.BeatTime(), t.then(trNext))
+		t.m.eng.Schedule(DefaultHopLatency+t.link.BeatTime(), t.lane.Then(trNext))
 	}
 	return t.link.TimeForFlits(t.flits)
 }
 
-// finish returns the record to the free list and runs done.
+// finish returns the record to the pool and runs done.
 func (t *transfer) finish() {
 	done := t.done
 	t.done = nil
-	t.m.freeXfers = append(t.m.freeXfers, t)
+	t.m.xfers.Put(t)
 	if done != nil {
 		done()
 	}

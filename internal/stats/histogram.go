@@ -159,8 +159,8 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.bucketsPerDecade != h.bucketsPerDecade {
 		panic("stats: merging histograms with different resolutions")
 	}
-	for len(h.counts) < len(other.counts) {
-		h.counts = append(h.counts, 0)
+	if d := len(other.counts) - len(h.counts); d > 0 {
+		h.counts = append(h.counts, make([]int64, d)...)
 	}
 	for b, c := range other.counts {
 		h.counts[b] += c

@@ -91,8 +91,16 @@ func (m *IOMetrics) Combined() *Histogram {
 }
 
 // MeanLatency returns the mean latency across all requests, the paper's
-// primary "average I/O latency" metric.
-func (m *IOMetrics) MeanLatency() sim.Time { return m.Combined().Mean() }
+// primary "average I/O latency" metric, or 0 when there are none. It is
+// Combined().Mean() without building the merged histogram.
+func (m *IOMetrics) MeanLatency() sim.Time {
+	r, w := m.Latency[Read], m.Latency[Write]
+	n := r.n + w.n
+	if n == 0 {
+		return 0
+	}
+	return sim.Time((r.sum + w.sum) / float64(n))
+}
 
 // Span returns the wall-clock interval covered, from first arrival to last
 // completion.

@@ -65,6 +65,16 @@ func TestIOMetricsCombined(t *testing.T) {
 	if c.Count() != 2 || c.Mean() != 20 {
 		t.Fatalf("combined: count=%d mean=%v", c.Count(), c.Mean())
 	}
+	if got := NewIOMetrics().MeanLatency(); got != 0 {
+		t.Fatalf("MeanLatency with no requests = %v, want 0", got)
+	}
+	for i := sim.Time(1); i <= 7; i++ {
+		m.Record(Read, 0, 1000*i+3, 1)
+		m.Record(Write, 0, 777*i*i, 1)
+	}
+	if got, want := m.MeanLatency(), m.Combined().Mean(); got != want {
+		t.Fatalf("MeanLatency = %v, Combined().Mean() = %v", got, want)
+	}
 }
 
 func TestIOMetricsInvalidCompletion(t *testing.T) {

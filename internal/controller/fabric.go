@@ -123,14 +123,57 @@ func (g *Grid) RestoreArray(s *flash.ArrayState) { g.arr.Restore(s) }
 // them must traverse: the system bus and DRAM, each a FIFO bandwidth
 // resource, plus the on-chip control network the Omnibus control plane
 // uses for request/grant messages between channel controllers.
+//
+// The system bus and DRAM are a tandem of FIFO stages entered only
+// through transfer, and DRAM is fed only by the system bus, in the same
+// order, so a transfer's whole path is known when it is requested. The
+// Soc keeps each stage's virtual clock, the instant it finishes the work
+// requested so far, and a transfer costs one event: its completion,
+// scheduled where a DRAM release granted at the same instant would be
+// (transfer). With an observer attached, sysBus and dram replay every
+// transfer's two holds as passive holds (sim.Resource.SetPassive),
+// requested where the stages take them, so the observers see each hold
+// and queue change as two ordinary resources would report them, and no
+// event is added.
 type Soc struct {
 	eng          *sim.Engine
-	sysBus       *sim.Resource
-	dram         *sim.Resource
 	sysBusPsByte sim.Time
 	dramPsByte   sim.Time
 	ctrlMsgDelay sim.Time
-	xfers        sim.Pool[socXfer] // recycled Transfer records
+	// sysFree and dramFree are the instants the system bus and DRAM
+	// finish the transfers requested so far; sysTotal and dramTotal sum
+	// those transfers' holds, and transfers counts them.
+	sysFree, dramFree   sim.Time
+	sysTotal, dramTotal sim.Time
+	transfers           int64
+
+	// landing queues the transfers without a tail whose completion has
+	// not fired, in DRAM order, and land (bound s.landStep) is each one's
+	// completion event. lastTail reports that the last transfer requested
+	// had a tail, so it is not in landing.
+	landing  sim.Queue[socLanding]
+	land     func()
+	lastTail bool
+
+	// The observed replay: observed is set by AddObserver, dramHolds
+	// queues the DRAM hold of each transfer on the passive system bus,
+	// oldest first, and toDram (bound s.dramStep) requests it there.
+	sysBus, dram *sim.Resource
+	observed     bool
+	dramHolds    sim.Queue[sim.Time]
+	toDram       func()
+
+	xfers sim.Pool[socXfer] // recycled eccTransfer records
+}
+
+// socLanding is a transfer without a tail on its way into DRAM: its
+// DRAM release and done. behind marks one that DRAM grants at the
+// release of the transfer before it, whose completion schedules this
+// one's.
+type socLanding struct {
+	at     sim.Time
+	done   func()
+	behind bool
 }
 
 // DefaultCtrlMsgLatency is the one-way latency of a control-plane message
@@ -144,7 +187,7 @@ func NewSoc(eng *sim.Engine, sysBusMBps, dramMBps int) *Soc {
 	if sysBusMBps <= 0 || dramMBps <= 0 {
 		panic("controller: non-positive SoC bandwidth")
 	}
-	return &Soc{
+	s := &Soc{
 		eng:          eng,
 		sysBus:       sim.NewResource(eng, "sysbus"),
 		dram:         sim.NewResource(eng, "dram"),
@@ -152,96 +195,140 @@ func NewSoc(eng *sim.Engine, sysBusMBps, dramMBps int) *Soc {
 		dramPsByte:   sim.Time(1_000_000 / dramMBps),
 		ctrlMsgDelay: DefaultCtrlMsgLatency,
 	}
+	s.sysBus.SetPassive()
+	s.dram.SetPassive()
+	s.land = s.landStep
+	s.toDram = s.dramStep
+	return s
 }
 
 // Transfer moves n bytes across the system bus and into/out of DRAM as a
 // two-stage pipeline, then runs done.
-func (s *Soc) Transfer(n int, done func()) {
-	s.newXfer(n, done).sysBusStep()
+func (s *Soc) Transfer(n int, done func()) { s.transfer(n, 0, done) }
+
+// transfer is Transfer with done run tail after the payload leaves DRAM,
+// in the same event: a write's controller ECC rides its SoC transfer.
+//
+// The system bus grants the transfer at max(now, sysFree) and holds it
+// for n bytes; DRAM grants it at g2 = max(that release, dramFree). The
+// completion fires at the DRAM release, or tail after it, and is
+// ordered as the release event of a resource granted at g2 would be:
+//   - If DRAM is busy at the bus release (a tie counts as busy) with a
+//     transfer that is still in landing, g2 is that transfer's release.
+//     Its completion schedules this one's before it runs its done, as a
+//     release hands a resource on before its holder's done runs.
+//   - Otherwise the completion is scheduled now, as of g2
+//     (sim.Engine.AtFrom): after what is scheduled at g2. A tail is
+//     scheduled as of the release it follows.
+func (s *Soc) transfer(n int, tail sim.Time, done func()) {
+	if n < 0 {
+		panic("controller: negative SoC transfer")
+	}
+	sys, dram := sim.Time(n)*s.sysBusPsByte, sim.Time(n)*s.dramPsByte
+	s.sysFree = max(s.eng.Now(), s.sysFree) + sys
+	queued := s.sysFree <= s.dramFree
+	g2 := max(s.sysFree, s.dramFree)
+	s.dramFree = g2 + dram
+	s.sysTotal += sys
+	s.dramTotal += dram
+	s.transfers++
+	if s.observed {
+		s.dramHolds.Push(dram)
+		s.sysBus.UseLabeled("xfer", sys, s.toDram)
+	}
+	if tail > 0 {
+		s.lastTail = true
+		if done != nil {
+			s.eng.AtFrom(s.dramFree+tail, s.dramFree, done)
+		}
+		return
+	}
+	behind := queued && !s.lastTail && s.landing.Len() > 0
+	s.lastTail = false
+	s.landing.Push(socLanding{at: s.dramFree, done: done, behind: behind})
+	if !behind {
+		s.eng.AtFrom(s.dramFree, g2, s.land)
+	}
 }
+
+// landStep is a completion: the oldest transfer in landing has left
+// DRAM. The next one's completion is scheduled first if it waited on
+// this release.
+func (s *Soc) landStep() {
+	x := s.landing.Pop()
+	if s.landing.Len() > 0 && s.landing.Peek(0).behind {
+		s.eng.At(s.landing.Peek(0).at, s.land)
+	}
+	if x.done != nil {
+		x.done()
+	}
+}
+
+// dramStep hands the transfer the passive system bus just released to
+// the passive DRAM.
+func (s *Soc) dramStep() { s.dram.UseLabeled("xfer", s.dramHolds.Pop(), nil) }
 
 // eccTransfer is the tail of every page read into DRAM: the controller's
-// ECC pipeline latency, then Transfer.
+// ECC pipeline latency, then Transfer. The delay stays an event of its
+// own: the read reaches the system bus only then, and a transfer
+// requested meanwhile must be granted first.
 func (s *Soc) eccTransfer(n int, done func()) {
-	x := s.newXfer(n, done)
-	s.eng.Schedule(EccLatency, x.lane.Then(xferSysBus))
+	x, fresh := s.xfers.Get()
+	if fresh {
+		x.s = s
+		x.fire = x.enter
+	}
+	x.n, x.done = n, done
+	s.eng.Schedule(EccLatency, x.fire)
 }
 
-// socXfer is one SoC transfer between issue and its DRAM stage. Records
-// are recycled through the Soc's pool and run their two stages in one
-// lane, so a transfer allocates nothing in steady state.
+// socXfer is a read's payload in the controller ECC. Records are
+// recycled through the Soc's pool, so a read allocates nothing in
+// steady state.
 type socXfer struct {
 	s    *Soc
 	n    int
 	done func()
-	lane sim.Lane[xferStep] // bound x.run
+	fire func() // bound x.enter
 }
 
-// xferStep names a SoC transfer's steps.
-type xferStep uint8
-
-const (
-	xferSysBus xferStep = iota // the system-bus stage
-	xferDram                   // the DRAM stage
-)
-
-// newXfer takes a transfer record from the pool.
-func (s *Soc) newXfer(n int, done func()) *socXfer {
-	if n < 0 {
-		panic("controller: negative SoC transfer")
-	}
-	x, fresh := s.xfers.Get()
-	if fresh {
-		x.s = s
-		x.lane.Bind(x.run)
-	}
-	x.n, x.done = n, done
-	return x
-}
-
-func (x *socXfer) run() {
-	switch x.lane.Step {
-	case xferSysBus:
-		x.sysBusStep()
-	case xferDram:
-		x.dramStep()
-	}
-}
-
-func (x *socXfer) sysBusStep() {
-	x.s.sysBus.UseLabeled("xfer", sim.Time(x.n)*x.s.sysBusPsByte, x.lane.Then(xferDram))
-}
-
-// dramStep is the record's last event: it goes back to the pool and the
-// DRAM hold carries done.
-func (x *socXfer) dramStep() {
+// enter is the record's one event: the payload leaves the ECC, the
+// record goes back to the pool and the transfer carries done.
+func (x *socXfer) enter() {
 	s, n, done := x.s, x.n, x.done
 	x.done = nil
 	s.xfers.Put(x)
-	s.dram.UseLabeled("xfer", sim.Time(n)*s.dramPsByte, done)
+	s.Transfer(n, done)
 }
 
-// Reset returns an idle SoC's resources to idle with zero totals and no
-// observer. The control-plane latency and recycled transfer records are
-// kept.
+// Reset returns an idle SoC to its state at NewSoc: both stages free at
+// time zero with zero totals, and no observer. The control-plane latency
+// and recycled records are kept.
 func (s *Soc) Reset() {
+	s.sysFree, s.dramFree, s.sysTotal, s.dramTotal, s.transfers = 0, 0, 0, 0, 0
+	s.lastTail, s.observed = false, false
 	s.sysBus.Reset()
 	s.dram.Reset()
 }
 
-// AddObserver attaches a hold/queue observer to the system bus and DRAM
-// resources, alongside any already installed.
+// AddObserver attaches a hold/queue observer to the system bus and DRAM,
+// alongside any already installed. The SoC must be idle: the replay
+// starts with its first transfer.
 func (s *Soc) AddObserver(o sim.ResourceObserver) {
+	if o == nil {
+		return
+	}
+	if !s.Idle() {
+		panic("controller: observer attached to a busy SoC")
+	}
 	s.sysBus.AddObserver(o)
 	s.dram.AddObserver(o)
+	s.observed = true
 }
 
-// Idle reports whether both SoC resources are idle with empty queues — a
-// drained-device invariant.
-func (s *Soc) Idle() bool {
-	return !s.sysBus.Busy() && s.sysBus.QueueLen() == 0 &&
-		!s.dram.Busy() && s.dram.QueueLen() == 0
-}
+// Idle reports whether the system bus and DRAM have finished every
+// transfer requested — a drained-device invariant.
+func (s *Soc) Idle() bool { return s.eng.Now() >= s.dramFree }
 
 // CtrlMsg delivers a control-plane message between two channel
 // controllers after the SoC interconnect latency.
@@ -256,20 +343,26 @@ func (s *Soc) SetCtrlMsgLatency(d sim.Time) {
 	s.ctrlMsgDelay = d
 }
 
-// SysBusBusy returns cumulative system-bus occupancy, for reports.
-func (s *Soc) SysBusBusy() sim.Time { return s.sysBus.TotalBusy() }
+// SysBusBusy returns the cumulative system-bus occupancy of the
+// transfers requested so far, for reports.
+func (s *Soc) SysBusBusy() sim.Time { return s.sysTotal }
 
-// DramBusy returns cumulative DRAM occupancy.
-func (s *Soc) DramBusy() sim.Time { return s.dram.TotalBusy() }
+// DramBusy returns the cumulative DRAM occupancy of the transfers
+// requested so far.
+func (s *Soc) DramBusy() sim.Time { return s.dramTotal }
+
+// Transfers returns the number of transfers requested so far.
+func (s *Soc) Transfers() int64 { return s.transfers }
 
 // fabricOp is one Fabric.Read, Write or Erase in flight on the channel or
 // mesh fabric. A read's command reaches the chip, the array senses, the
 // fabric's own return path carries the pages to the controller, and
 // Soc.eccTransfer lands them in DRAM. A write crosses the SoC and the
-// controller ECC, the fabric's own delivery path carries the payload to
-// the chip, and the chip programs it. An erase is one command, then the
-// chip erases. Records are recycled through the fabric's fabricOps pool,
-// so a steady stream of operations allocates nothing.
+// controller ECC in one event (Soc.transfer with its ECC tail), the
+// fabric's own delivery path carries the payload to the chip, and the
+// chip programs it. An erase is one command, then the chip erases.
+// Records are recycled through the fabric's fabricOps pool, so a steady
+// stream of operations allocates nothing.
 //
 // A record's steps run in two lanes. The main lane carries the op from
 // issue to its last event; the v lane carries a v-channel hold through
@@ -305,7 +398,6 @@ const (
 	fopSense   opStep = iota // read command at the chip: sense
 	fopRet                   // pages in the registers: return them
 	fopXfer                  // read payload at the controller
-	fopEcc                   // write payload across the SoC
 	fopDeliver               // write payload past the ECC: deliver it
 	fopProgram               // write payload at the chip
 	fopErase                 // erase command at the chip
@@ -372,8 +464,6 @@ func (r *fabricOp) do(s opStep) {
 		r.pool.ret(r)
 	case fopXfer:
 		r.xferStep()
-	case fopEcc:
-		r.pool.soc.eng.Schedule(EccLatency, r.lane.Then(fopDeliver))
 	case fopDeliver:
 		r.pool.deliver(r)
 	case fopProgram:

@@ -69,7 +69,7 @@ func (f *MeshFabric) returnRead(r *fabricOp) {
 // to the chip, then tPROG.
 func (f *MeshFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
 	w := f.fops.write(id, ops, done)
-	f.soc.Transfer(w.n, w.lane.Then(fopEcc))
+	f.soc.transfer(w.n, EccLatency, w.lane.Then(fopDeliver))
 }
 
 // deliverWrite sends the command+payload packet stream to the chip.

@@ -357,7 +357,7 @@ func (f *OmnibusFabric) returnData(r *fabricOp) {
 // split across h and v when enabled, otherwise greedy adaptive.
 func (f *OmnibusFabric) Write(id ChipID, ops []flash.ProgramOp, done func()) {
 	w := f.fops.write(id, ops, done)
-	f.soc.Transfer(w.n, w.lane.Then(fopEcc))
+	f.soc.transfer(w.n, EccLatency, w.lane.Then(fopDeliver))
 }
 
 // deliverWrite carries a write's payload from the controller to the chip

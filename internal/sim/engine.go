@@ -57,19 +57,30 @@ func (t Time) String() string {
 }
 
 type event struct {
-	at  Time
-	seq int64
-	fn  func()
+	at   Time
+	from Time  // the instant the event counts as scheduled
+	ord  int64 // seq<<1 | passive, with lateBit set by AtFrom
+	fn   func()
 }
 
-// before reports whether a must fire before b: earlier timestamp first,
-// scheduling order (seq) breaking ties. seq is unique, so the order is a
-// total order and every run replays identically.
+// An event's ord packs the rest of its sort key and its passive flag:
+// lateBit marks an AtFrom event, seq fills the bits below it, and the
+// low bit marks a passive entry. seq is unique, so the passive bit never
+// decides an order.
+const (
+	lateBit    = int64(1) << 62
+	passiveBit = int64(1)
+)
+
+// before reports whether a must fire before b: the order is (at, from,
+// late, seq). An ordinary event counts as scheduled when it is (from is
+// the clock at the call, late is 0), and from rises with seq, so among
+// ordinary events this is (at, seq): earlier timestamp first, scheduling
+// order breaking ties. An AtFrom event counts as scheduled at its from,
+// after every ordinary event scheduled at that instant. seq is unique,
+// so the order is a total order and every run replays identically.
 func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+	return a.at < b.at || a.at == b.at && (a.from < b.from || a.from == b.from && a.ord < b.ord)
 }
 
 // eventHeap is a 4-ary min-heap of concrete event values ordered by
@@ -81,18 +92,20 @@ func (a event) before(b event) bool {
 // its queue without reallocating.
 type eventHeap []event
 
-// push appends ev and sifts it up to its position.
+// push appends ev and sifts it up to its position: each parent that ev
+// precedes moves down into the hole, and ev fills the last one.
 func (h *eventHeap) push(ev event) {
 	s := append(*h, ev)
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !s[i].before(s[parent]) {
+		if !ev.before(s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 	*h = s
 }
 
@@ -100,15 +113,16 @@ func (h *eventHeap) push(ev event) {
 // zeroed so the callback closure becomes collectable immediately.
 func (h *eventHeap) popMin() event {
 	s := *h
-	min := s[0]
+	top := s[0]
 	last := len(s) - 1
-	s[0] = s[last]
+	x := s[last]
 	s[last] = event{}
 	s = s[:last]
 	*h = s
 
-	// Sift the relocated element down: find the smallest of up to four
-	// children, swap if it precedes the parent.
+	// Sift the former tail down from the root: the smallest of up to
+	// four children moves up into the hole while it precedes x, and x
+	// fills the last hole.
 	i := 0
 	for {
 		first := 4*i + 1
@@ -116,22 +130,22 @@ func (h *eventHeap) popMin() event {
 			break
 		}
 		best := first
-		end := first + 4
-		if end > last {
-			end = last
-		}
+		end := min(first+4, last)
 		for c := first + 1; c < end; c++ {
 			if s[c].before(s[best]) {
 				best = c
 			}
 		}
-		if !s[best].before(s[i]) {
+		if !s[best].before(x) {
 			break
 		}
-		s[i], s[best] = s[best], s[i]
+		s[i] = s[best]
 		i = best
 	}
-	return min
+	if last > 0 {
+		s[i] = x
+	}
+	return top
 }
 
 // totalFired accumulates events executed across every engine in the
@@ -167,7 +181,7 @@ func EventsFiredTotal() int64 { return totalFired.Load() }
 //   - events, the heap, for everything else, zero-delay events included.
 //
 // step fires the heap top, so the firing order is the single-queue
-// (at, seq) order event for event.
+// (at, from, late, seq) order event for event.
 type Engine struct {
 	now    Time
 	seq    int64
@@ -187,11 +201,13 @@ func NewEngine() *Engine {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// EventsFired returns the number of events executed so far.
+// EventsFired returns the number of events executed so far. Passive
+// entries (AtPassive) are not events and are not counted.
 func (e *Engine) EventsFired() int64 { return e.fired }
 
 // Pending returns the number of scheduled events that have not fired:
-// heap entries plus AtEach arrivals not yet queued.
+// heap entries, passive ones included, plus AtEach arrivals not yet
+// queued.
 func (e *Engine) Pending() int { return len(e.events) + e.backlog }
 
 // Schedule runs fn after delay d. A negative delay panics: the model has a
@@ -204,7 +220,33 @@ func (e *Engine) Schedule(d Time, fn func()) {
 }
 
 // At runs fn at absolute time t, which must not precede the current time.
-func (e *Engine) At(t Time, fn func()) {
+func (e *Engine) At(t Time, fn func()) { e.push(t, e.now, 0, fn) }
+
+// AtFrom runs fn at t, ordered as if it had been scheduled at from after
+// every ordinary event scheduled at that instant: among the events due
+// at t it fires after every ordinary event scheduled at or before from
+// and before every event scheduled later, and AtFrom events with equal t
+// and from fire in call order. from may lie in the future but not after
+// t. It is how a model that knows a completion when it is requested
+// schedules it once, at the request, and still fires it about where an
+// event scheduled at from, the grant it stands for, would have fired.
+func (e *Engine) AtFrom(t, from Time, fn func()) {
+	if from > t {
+		panic(fmt.Sprintf("sim: event at t=%v counted from later instant %v", t, from))
+	}
+	e.push(t, from, lateBit, fn)
+}
+
+// AtPassive queues fn at t as a passive entry: it fires in the order At
+// would give it but is not an event, so EventsFired does not count it.
+// It is for observer notifications a model computes ahead; fn must only
+// notify, never touch model state or schedule an ordinary event. It
+// takes a seq like any event, which shifts every later seq by one and
+// so leaves the order of the other events unchanged.
+func (e *Engine) AtPassive(t Time, fn func()) { e.push(t, e.now, passiveBit, fn) }
+
+// push queues fn at t with the next seq and the given flag bits.
+func (e *Engine) push(t, from Time, flags int64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule into the past: t=%v now=%v", t, e.now))
 	}
@@ -212,7 +254,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic("sim: nil event function")
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, from: from, ord: e.seq<<1 | flags, fn: fn})
 }
 
 // AtEach runs fn(i) at times[i] for every i. The order and the seq
@@ -235,7 +277,7 @@ func (e *Engine) AtEach(times []Time, fn func(i int)) {
 	if len(times) == 0 {
 		return
 	}
-	s := &arrivals{eng: e, base: e.seq + 1, fn: fn, items: make([]arrival, len(times))}
+	s := &arrivals{eng: e, from: e.now, base: e.seq + 1, fn: fn, items: make([]arrival, len(times))}
 	e.seq += int64(len(times))
 	for i, t := range times {
 		s.items[i] = arrival{at: t, i: i}
@@ -260,6 +302,7 @@ type arrivals struct {
 	eng   *Engine
 	items []arrival
 	pos   int
+	from  Time  // the instant of the AtEach call
 	base  int64 // seq of index 0
 	fn    func(int)
 	fire  func() // bound s.next, shared by every queued arrival
@@ -268,7 +311,7 @@ type arrivals struct {
 // queue pushes items[pos] with the seq reserved for its index.
 func (s *arrivals) queue() {
 	a := s.items[s.pos]
-	s.eng.events.push(event{at: a.at, seq: s.base + int64(a.i), fn: s.fire})
+	s.eng.events.push(event{at: a.at, from: s.from, ord: (s.base + int64(a.i)) << 1, fn: s.fire})
 }
 
 // next fires the queued arrival after queueing its successor, so the
@@ -321,34 +364,34 @@ func (e *Engine) Reset() {
 }
 
 // RunUntil executes every event with a timestamp <= deadline, including
-// events those events schedule into the window, and returns the number of
-// events fired. Events beyond the deadline remain queued. The clock
-// contract: on return the clock is exactly max(now, deadline) — it
-// advances to the deadline even if the last event fired earlier (or no
-// event fired at all), and an event scheduled exactly at the deadline
-// does fire. If the deadline precedes the current clock, nothing fires
-// and the clock is unchanged. EventsFiredTotal publication rides the
-// batching threshold (see EventsFiredTotal), so windowed drains do not
-// publish per call.
+// events those events schedule into the window, and returns the number
+// of events fired (passive entries run but are not counted). Events
+// beyond the deadline remain queued. The clock contract: on return the
+// clock is exactly max(now, deadline) — it advances to the deadline
+// even if the last event fired earlier (or no event fired at all), and
+// an event scheduled exactly at the deadline does fire. If the deadline
+// precedes the current clock, nothing fires and the clock is unchanged.
+// EventsFiredTotal publication rides the batching threshold (see
+// EventsFiredTotal), so windowed drains do not publish per call.
 func (e *Engine) RunUntil(deadline Time) int64 {
-	var n int64
+	start := e.fired
 	for len(e.events) > 0 && e.events[0].at <= deadline {
 		e.step()
-		n++
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
-	return n
+	return e.fired - start
 }
 
 // RunFor advances the clock by d, executing everything due in the window.
 func (e *Engine) RunFor(d Time) int64 { return e.RunUntil(e.now + d) }
 
-// Step executes exactly one event if any is pending, reporting whether one
-// fired. Fired events feed EventsFiredTotal through the same batching
-// threshold as the run loops, so a caller single-stepping an engine (or
-// draining it in tiny RunUntil slices) still surfaces progress.
+// Step executes exactly one heap entry, an event or a passive entry, if
+// any is pending, reporting whether one ran. Fired events feed
+// EventsFiredTotal through the same batching threshold as the run
+// loops, so a caller single-stepping an engine (or draining it in tiny
+// RunUntil slices) still surfaces progress.
 func (e *Engine) Step() bool {
 	if !e.queued() {
 		return false
@@ -357,17 +400,19 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// step fires the heap top.
+// step fires the heap top, counting it unless it is passive.
 func (e *Engine) step() {
 	ev := e.events.popMin()
 	if ev.at < e.now {
 		panic("sim: event heap corrupted")
 	}
 	e.now = ev.at
-	e.fired++
-	if e.fired-e.counted >= firedFlushBatch {
-		totalFired.Add(e.fired - e.counted)
-		e.counted = e.fired
+	if ev.ord&passiveBit == 0 {
+		e.fired++
+		if e.fired-e.counted >= firedFlushBatch {
+			totalFired.Add(e.fired - e.counted)
+			e.counted = e.fired
+		}
 	}
 	ev.fn()
 }

@@ -247,7 +247,7 @@ func TestEngineCorruptedHeapPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {})
 	e.Run()
-	e.events.push(event{at: 5, seq: e.seq + 1, fn: func() {}})
+	e.events.push(event{at: 5, ord: (e.seq + 1) << 1, fn: func() {}})
 	defer func() {
 		if r := recover(); r != "sim: event heap corrupted" {
 			t.Fatalf("recovered %v, want the corrupted-heap panic", r)

@@ -10,17 +10,20 @@ import (
 
 // The engine-order oracle runs one byte script twice: on Engine with real
 // Resources, and on refEngine, a naive queue that keeps every pending
-// event in one slice sorted by (at, seq), with refResource mirroring
-// Resource's event pattern on top of it. The two firing logs must agree
-// entry for entry, which pins that the heap and the AtEach streams fire
-// in the single-queue (at, seq) order, and that a resource's holds run
-// their hooks and releases where the reference says.
+// event in one slice sorted by (at, from, late, seq) written out field by
+// field, with refResource mirroring Resource's event pattern on top of
+// it. The two firing logs must agree entry for entry, which pins that the
+// heap, its packed sort key and the AtEach streams fire in the
+// single-queue order, and that a resource's holds run their hooks and
+// releases where the reference says.
 
 // queue is the scheduling surface a script drives.
 type queue interface {
 	Now() Time
 	Schedule(d Time, fn func())
 	At(t Time, fn func())
+	AtFrom(t, from Time, fn func())
+	AtPassive(t Time, fn func())
 	AtEach(times []Time, fn func(i int))
 	RunUntil(deadline Time) int64
 	Step() bool
@@ -37,12 +40,37 @@ type holder interface {
 	TotalWait() Time
 }
 
-// refEngine is the reference queue: a slice kept sorted by before.
+// refEngine is the reference queue: a slice kept sorted by refEvent's
+// before.
 type refEngine struct {
 	now   Time
 	seq   int64
-	evs   []event
+	evs   []refEvent
 	fired int64
+}
+
+// refEvent is one reference entry with its sort key unpacked: an
+// ordinary event counts from the clock at its call, an AtFrom event from
+// its from and late, and a passive entry is not counted when it fires.
+type refEvent struct {
+	at, from Time
+	late     bool
+	seq      int64
+	passive  bool
+	fn       func()
+}
+
+// before is the (at, from, late, seq) order.
+func (a refEvent) before(b refEvent) bool {
+	switch {
+	case a.at != b.at:
+		return a.at < b.at
+	case a.from != b.from:
+		return a.from < b.from
+	case a.late != b.late:
+		return b.late
+	}
+	return a.seq < b.seq
 }
 
 func (e *refEngine) Now() Time          { return e.now }
@@ -51,11 +79,19 @@ func (e *refEngine) EventsFired() int64 { return e.fired }
 
 func (e *refEngine) Schedule(d Time, fn func()) { e.At(e.now+d, fn) }
 
-func (e *refEngine) At(t Time, fn func()) {
+func (e *refEngine) At(t Time, fn func()) { e.add(refEvent{at: t, from: e.now, fn: fn}) }
+func (e *refEngine) AtFrom(t, from Time, fn func()) {
+	e.add(refEvent{at: t, from: from, late: true, fn: fn})
+}
+func (e *refEngine) AtPassive(t Time, fn func()) {
+	e.add(refEvent{at: t, from: e.now, passive: true, fn: fn})
+}
+
+func (e *refEngine) add(ev refEvent) {
 	e.seq++
-	ev := event{at: t, seq: e.seq, fn: fn}
+	ev.seq = e.seq
 	k := sort.Search(len(e.evs), func(k int) bool { return ev.before(e.evs[k]) })
-	e.evs = append(e.evs, event{})
+	e.evs = append(e.evs, refEvent{})
 	copy(e.evs[k+1:], e.evs[k:])
 	e.evs[k] = ev
 }
@@ -70,7 +106,9 @@ func (e *refEngine) step() {
 	ev := e.evs[0]
 	e.evs = e.evs[1:]
 	e.now = ev.at
-	e.fired++
+	if !ev.passive {
+		e.fired++
+	}
 	ev.fn()
 }
 
@@ -90,15 +128,14 @@ func (e *refEngine) Run() Time {
 }
 
 func (e *refEngine) RunUntil(deadline Time) int64 {
-	var n int64
+	start := e.fired
 	for len(e.evs) > 0 && e.evs[0].at <= deadline {
 		e.step()
-		n++
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
-	return n
+	return e.fired - start
 }
 
 // refResource is Resource's event pattern on refEngine: a grant runs the
@@ -163,7 +200,9 @@ const maxScript = 128
 // orderRun executes a script against q and returns its log: every fired
 // script event as id@time with the queue's Pending count, and the result
 // of every top-level op. Ops (first byte mod 10, then argument bytes):
-// 0 nothing, 1 Schedule(0), 2 Schedule(d), 3 At(now+d), 4 AtEach over up
+// 0 nothing, 1 Schedule(0), 2 Schedule(d), 3 At(now+d) or, when bit 3 of
+// its argument is set, AtFrom(now+d, from) with from anywhere from now
+// to now+d, 4 AtEach over up
 // to five times with ties and zero offsets in any order, 5 Use(d),
 // 6 UseGranted whose hook fires an event inline and returns d, and at
 // top level only 7 RunUntil (the deadline may precede the clock), 8 Step,
@@ -202,7 +241,13 @@ func orderRun(q queue, res [2]holder, script []byte) string {
 		case 2:
 			q.Schedule(Time(next()%8), newEvent())
 		case 3:
-			q.At(q.Now()+Time(next()%8), newEvent())
+			b := next()
+			d := b % 8
+			if b&8 == 0 {
+				q.At(q.Now()+Time(d), newEvent())
+				break
+			}
+			q.AtFrom(q.Now()+Time(d), q.Now()+Time(b>>4%(d+1)), newEvent())
 		case 4:
 			times := make([]Time, next()%6)
 			for i := range times {
@@ -235,7 +280,7 @@ func orderRun(q queue, res [2]holder, script []byte) string {
 	for pos < len(script) {
 		op(false)
 	}
-	fmt.Fprintf(&sb, "| end @%d/%d", q.Run(), q.Pending())
+	fmt.Fprintf(&sb, "| end @%d/%d fired %d", q.Run(), q.Pending(), q.EventsFired())
 	return sb.String()
 }
 
@@ -249,6 +294,68 @@ func checkEngineOrder(t *testing.T, script []byte) {
 	want := orderRun(ref, [2]holder{&refResource{e: ref}, &refResource{e: ref}}, script)
 	if got != want {
 		t.Fatalf("script %v: firing order diverges from the reference queue\n got: %s\nwant: %s", script, got, want)
+	}
+}
+
+// passiveTee queues a passive entry beside every event its caller
+// schedules, due at the same instant, and hides them from the caller:
+// Pending leaves them out and Step runs on to the next counted event.
+// log records each passive entry as it runs, with the instant it was due.
+type passiveTee struct {
+	queue
+	n   int // passive entries pending
+	log strings.Builder
+}
+
+func (p *passiveTee) note(t Time) {
+	p.n++
+	p.queue.AtPassive(t, func() {
+		p.n--
+		fmt.Fprintf(&p.log, "p@%d/%d ", p.Now(), t)
+	})
+}
+
+func (p *passiveTee) Schedule(d Time, fn func()) { p.At(p.Now()+d, fn) }
+
+func (p *passiveTee) At(t Time, fn func()) {
+	p.note(t)
+	p.queue.At(t, fn)
+}
+
+func (p *passiveTee) AtFrom(t, from Time, fn func()) {
+	p.note(t)
+	p.queue.AtFrom(t, from, fn)
+}
+
+func (p *passiveTee) Pending() int { return p.queue.Pending() - p.n }
+
+func (p *passiveTee) Step() bool {
+	for fired := p.EventsFired(); p.queue.Step(); {
+		if p.EventsFired() != fired {
+			return true
+		}
+	}
+	return false
+}
+
+// checkPassiveOrder runs script on Engine with and without a passive
+// entry beside every scheduled event: the counted events must fire in the
+// same order at the same instants with the same fired counts, and the
+// passive entries in the order the reference queue gives them.
+func checkPassiveOrder(t *testing.T, script []byte) {
+	t.Helper()
+	e := NewEngine()
+	want := orderRun(e, [2]holder{NewResource(e, "a"), NewResource(e, "b")}, script)
+	e = NewEngine()
+	tee := &passiveTee{queue: e}
+	if got := orderRun(tee, [2]holder{NewResource(e, "a"), NewResource(e, "b")}, script); got != want {
+		t.Fatalf("script %v: passive entries moved the counted events\n got: %s\nwant: %s", script, got, want)
+	}
+	ref := &refEngine{}
+	refTee := &passiveTee{queue: ref}
+	orderRun(refTee, [2]holder{&refResource{e: ref}, &refResource{e: ref}}, script)
+	if got, want := tee.log.String(), refTee.log.String(); got != want {
+		t.Fatalf("script %v: passive entries diverge from the reference queue\n got: %s\nwant: %s", script, got, want)
 	}
 }
 
@@ -274,6 +381,9 @@ func engineOrderCorpus() [][]byte {
 		{5, 0, 3, 1, 5, 0, 2, 2, 6, 0, 3, 2, 6, 1, 0, 5, 7, 5, 7, 1, 8, 8, 9},
 		// A cut whose deadline precedes the clock, then single steps.
 		{3, 6, 7, 8, 7, 0, 8, 8, 8, 8},
+		// AtFrom ties at one instant: from 1, an At, a Schedule, from 2
+		// (in the future), from now.
+		{3, 26, 3, 2, 2, 2, 3, 42, 3, 10, 9},
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 64; i++ {
@@ -289,6 +399,7 @@ func engineOrderCorpus() [][]byte {
 func TestEngineOrderCorpus(t *testing.T) {
 	for _, s := range engineOrderCorpus() {
 		checkEngineOrder(t, s)
+		checkPassiveOrder(t, s)
 	}
 }
 
@@ -302,5 +413,6 @@ func FuzzEngineOrder(f *testing.F) {
 			return
 		}
 		checkEngineOrder(t, script)
+		checkPassiveOrder(t, script)
 	})
 }

@@ -17,6 +17,8 @@ type Resource struct {
 	eng  *Engine
 	name string
 	busy bool
+	// passive makes every release a passive engine entry (SetPassive).
+	passive bool
 	// waiters are the queued requests, oldest first; a grant pops one in
 	// O(1) and zeroes its slot.
 	waiters Queue[grantReq]
@@ -115,8 +117,16 @@ func (r *Resource) Reset() {
 	if r.busy {
 		panic("sim: reset of held resource " + r.name)
 	}
-	*r = Resource{eng: r.eng, name: r.name, waiters: r.waiters, relStep: r.relStep}
+	*r = Resource{eng: r.eng, name: r.name, passive: r.passive, waiters: r.waiters, relStep: r.relStep}
 }
+
+// SetPassive makes r a replay of holds that the model times elsewhere:
+// each release is a passive engine entry (Engine.AtPassive), so a hold
+// costs no event and r only feeds its observers and totals. The model
+// must request r's holds where the resource it stands for would be
+// requested, and the done callbacks must only notify or request further
+// passive holds.
+func (r *Resource) SetPassive() { r.passive = true }
 
 // Name returns the diagnostic name supplied at construction.
 func (r *Resource) Name() string { return r.name }
@@ -192,6 +202,10 @@ func (r *Resource) grant(req grantReq) {
 		if d = req.hold(); d < 0 {
 			panic("sim: negative hold duration for " + r.name)
 		}
+	}
+	if r.passive {
+		r.eng.AtPassive(r.eng.Now()+d, r.relStep)
+		return
 	}
 	r.eng.Schedule(d, r.relStep)
 }

@@ -68,6 +68,47 @@ func TestTimedHoldIsOneEvent(t *testing.T) {
 	}
 }
 
+// obsLog records a resource observer's callbacks as text.
+type obsLog struct{ strings.Builder }
+
+func (l *obsLog) ResourceHold(r *Resource, label string, queued, granted, released Time) {
+	fmt.Fprintf(l, "%s %s %d/%d/%d; ", r.Name(), label, queued, granted, released)
+}
+
+func (l *obsLog) ResourceQueue(r *Resource, depth int, at Time) {
+	fmt.Fprintf(l, "%s depth %d@%d; ", r.Name(), depth, at)
+}
+
+// TestPassiveResource: a passive resource reports the holds, queue depths
+// and totals an ordinary one does, in the same order, and its holds are
+// not events; Reset keeps it passive.
+func TestPassiveResource(t *testing.T) {
+	run := func(passive bool) (string, int64, Time) {
+		e := NewEngine()
+		r := NewResource(e, "bus")
+		if passive {
+			r.SetPassive()
+			r.Reset()
+		}
+		var log obsLog
+		r.AddObserver(&log)
+		for i, at := range []Time{0, 0, 3, 9, 9, 30} {
+			d := Time(2 + i%3*4)
+			e.At(at, func() { r.UseLabeled("x", d, func() { fmt.Fprintf(&log, "done %d@%d; ", i, e.Now()) }) })
+		}
+		e.Run()
+		return log.String(), e.EventsFired(), r.TotalBusy()
+	}
+	want, wantFired, wantBusy := run(false)
+	got, fired, busy := run(true)
+	if got != want || busy != wantBusy {
+		t.Fatalf("passive resource reports\n%s busy %v, want\n%s busy %v", got, busy, want, wantBusy)
+	}
+	if fired != 6 || wantFired != 12 {
+		t.Fatalf("6 requests fired %d events with passive holds and %d with ordinary ones, want 6 and 12", fired, wantFired)
+	}
+}
+
 // TestResourceUseGranted serializes two holds whose lengths their hooks
 // set at the grant: the second is granted when the first is released.
 func TestResourceUseGranted(t *testing.T) {

@@ -185,6 +185,61 @@ func TestSummarizeShape(t *testing.T) {
 	}
 }
 
+// TestTraceSeesEverySocTransfer: the SoC times a transfer without
+// holding its two resources, and replays the holds only for observers;
+// a traced run still draws one system-bus slice and one DRAM slice per
+// transfer, on a pnSSD(+split) SpGC run and on a baseSSD PaGC run whose
+// GC copies are relayed through DRAM.
+func TestTraceSeesEverySocTransfer(t *testing.T) {
+	base := func() *SSD {
+		cfg := gcConfig()
+		cfg.Trace = &trace.Config{}
+		s := New(ArchBase, cfg)
+		foot := s.Config.LogicalPages()
+		s.Host.Warmup(foot)
+		tr, err := workload.Named("rocksdb-1", foot, 300, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Host.MustReplay(tr.Requests)
+		s.Run()
+		return s
+	}
+	for _, s := range []*SSD{runGCHeavy(t, true), base()} {
+		var buf bytes.Buffer
+		if err := s.Tracer.ExportChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name, Ph string
+				Tid      int
+				Args     map[string]any
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		tracks := map[int]string{}
+		perTrack := map[string]int64{}
+		for _, ev := range doc.TraceEvents {
+			switch ev.Ph {
+			case "M":
+				if ev.Name == "thread_name" {
+					tracks[ev.Tid], _ = ev.Args["name"].(string)
+				}
+			case "X":
+				perTrack[tracks[ev.Tid]]++
+			}
+		}
+		n := s.Soc.Transfers()
+		sys, dram := perTrack[trace.KindSoc+" sysbus"], perTrack[trace.KindSoc+" dram"]
+		if n == 0 || sys != n || dram != n {
+			t.Fatalf("%s: %d SoC transfers, %d sysbus and %d dram slices; want equal and nonzero", s.Arch, n, sys, dram)
+		}
+	}
+}
+
 // A baseSSD GC copy is visible like a pnSSD one: the bus architectures
 // are the channel fabric with no v-channels, so their relayed copies get
 // the same trace span, path counter and checker notification. The three

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -73,6 +75,27 @@ func TestGoldenOutput(t *testing.T) {
 				t.Errorf("output differs from %s (rerun with -update to accept):\ngot:\n%s\nwant:\n%s", tc.golden, got, want)
 			}
 		})
+	}
+}
+
+// The -trace JSON lists every span and instant in the order the model
+// recorded them, so its digest catches a reorder within one instant
+// that leaves every figure and transcript alone. Only the digest is
+// committed; the trace is about 2 MB.
+func TestTraceDigest(t *testing.T) {
+	const want = "c4b963377d5341f8cacb5340f11840aaccb82b330d7f52de1d48a42f908d895a"
+	out := filepath.Join(t.TempDir(), "trace.json")
+	args := []string{"-arch", "pnssd+split", "-gc", "spgc", "-preset", "rocksdb-0", "-requests", "300", "-trace", out}
+	if err := run(args, new(bytes.Buffer)); err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("trace sha256 = %s, want %s", got, want)
 	}
 }
 

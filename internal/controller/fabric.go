@@ -330,9 +330,18 @@ func (s *Soc) AddObserver(o sim.ResourceObserver) {
 // transfer requested — a drained-device invariant.
 func (s *Soc) Idle() bool { return s.eng.Now() >= s.dramFree }
 
-// CtrlMsg delivers a control-plane message between two channel
+// ctrlMsg delivers a control-plane message between two channel
 // controllers after the SoC interconnect latency.
-func (s *Soc) CtrlMsg(fn func()) { s.eng.Schedule(s.ctrlMsgDelay, fn) }
+func (s *Soc) ctrlMsg(fn func()) { s.eng.Schedule(s.ctrlMsgDelay, fn) }
+
+// ctrlExchange delivers a control-plane request and the reply its
+// receiver sends the instant the request arrives, and runs fn when the
+// reply lands. It is one event, ordered as the reply sent at the
+// request's arrival would be (sim.Engine.AtFrom).
+func (s *Soc) ctrlExchange(fn func()) {
+	now, d := s.eng.Now(), s.ctrlMsgDelay
+	s.eng.AtFrom(now+2*d, now+d, fn)
+}
 
 // SetCtrlMsgLatency overrides the control-plane message latency, for the
 // control-plane sensitivity ablation.
@@ -402,7 +411,6 @@ const (
 	fopProgram               // write payload at the chip
 	fopErase                 // erase command at the chip
 	fopJoin                  // one split half landed
-	fopVReq                  // v-channel request at its owner
 	fopVGrant                // v-channel grant back: hold it
 )
 
@@ -472,8 +480,6 @@ func (r *fabricOp) do(s opStep) {
 		r.eraseStep()
 	case fopJoin:
 		r.joinStep()
-	case fopVReq:
-		r.pool.soc.CtrlMsg(r.vLane.Then(fopVGrant))
 	case fopVGrant:
 		r.vch.UseOp(r.vLabel, r.vDur, r.vLane.Then(r.vNext))
 	}
@@ -522,7 +528,7 @@ func (r *fabricOp) joinStep() {
 // runs step next on the v lane.
 func (r *fabricOp) afterVGrant(vch *bus.Channel, label string, d sim.Time, next opStep) {
 	r.vch, r.vLabel, r.vDur, r.vNext = vch, label, d, next
-	r.pool.soc.CtrlMsg(r.vLane.Then(fopVReq))
+	r.pool.soc.ctrlExchange(r.vLane.Then(fopVGrant))
 }
 
 // totalBytes sums the page sizes of a multi-plane op set.

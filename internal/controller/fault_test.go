@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flash"
+	"repro/internal/sim"
 )
 
 // Lost grants must be retried a bounded number of times and then fail
@@ -21,10 +22,16 @@ func TestGrantDropFailsOverToRelay(t *testing.T) {
 	g.Chip(src).InstallPage(from, 0xC0)
 
 	done := false
-	f.Copy(src, from, dst, to, func() { done = true })
+	var at sim.Time
+	f.Copy(src, from, dst, to, func() { done, at = true, e.Now() })
 	e.Run()
 	if !done {
 		t.Fatal("copy never completed under 100% grant loss")
+	}
+	// The ladder's timeouts, each drop surfacing when its request
+	// arrives, and the relayed copy after the last.
+	if want := sim.Time(130_540_000); at != want {
+		t.Fatalf("failover copy completed at %v, want %v", at, want)
 	}
 	if g.Chip(dst).ContentAt(to) != 0xC0 {
 		t.Fatal("failover relay lost the page content")

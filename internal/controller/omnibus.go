@@ -487,7 +487,7 @@ type copyStep uint8
 
 const (
 	cpArbitrate  copyStep = iota // send the request to the v-channel owner
-	cpRequest                    // request at the owner
+	cpDropped                    // a lost request's arrival instant
 	cpStatus                     // buffer-status check at the destination
 	cpVPage                      // destination register claimed
 	cpGrant                      // grant back at the source
@@ -516,15 +516,23 @@ func (c *copyOp) run() {
 	f := c.f
 	switch c.lane.Step {
 	case cpArbitrate:
-		f.soc.CtrlMsg(c.lane.Then(cpRequest))
-	case cpRequest:
-		c.requestStep()
+		// The owner passes the request on to the destination's
+		// controller the instant it arrives: one exchange. A GrantDrop
+		// is drawn as the request leaves, in the order the requests
+		// arrive, and surfaces when the lost request would have arrived.
+		if f.faults.Draw(fault.GrantDrop) {
+			f.soc.ctrlMsg(c.lane.Then(cpDropped))
+			return
+		}
+		f.soc.ctrlExchange(c.lane.Then(cpStatus))
+	case cpDropped:
+		c.droppedStep()
 	case cpStatus:
 		f.grid.Chip(c.dst).WaitVPage(&c.reg, c.lane.Then(cpVPage))
 	case cpVPage:
 		// The claimed register is held; the grant goes back to the
 		// source ctrl.
-		f.soc.CtrlMsg(c.lane.Then(cpGrant))
+		f.soc.ctrlMsg(c.lane.Then(cpGrant))
 	case cpGrant:
 		c.grantStep()
 	case cpReadCmd:
@@ -544,27 +552,25 @@ func (c *copyOp) run() {
 	}
 }
 
-// requestStep lands the request at the v-channel owner, unless an
-// injected GrantDrop lost it.
-func (c *copyOp) requestStep() {
+// droppedStep is the instant an injected GrantDrop's lost request
+// would have reached the v-channel owner: the source times out and
+// re-requests, or fails over to the relayed route after
+// fault.GrantRetryMax retries.
+func (c *copyOp) droppedStep() {
 	f := c.f
-	if f.faults.Draw(fault.GrantDrop) {
-		ras := f.faults.RAS()
-		ras.GrantDrops++
-		f.tel.Event("grant-drop", f.eng.Now())
-		c.attempts++
-		if c.attempts > fault.GrantRetryMax {
-			ras.CopyFailovers++
-			f.trc.EndSpan(c.grantSpan)
-			f.tel.GrantWait(c.arbStart, f.eng.Now())
-			f.relayCopy(c)
-			return
-		}
-		ras.GrantRetries++
-		f.eng.Schedule(fault.GrantTimeout<<uint(c.attempts-1), c.lane.Then(cpArbitrate))
+	ras := f.faults.RAS()
+	ras.GrantDrops++
+	f.tel.Event("grant-drop", f.eng.Now())
+	c.attempts++
+	if c.attempts > fault.GrantRetryMax {
+		ras.CopyFailovers++
+		f.trc.EndSpan(c.grantSpan)
+		f.tel.GrantWait(c.arbStart, f.eng.Now())
+		f.relayCopy(c)
 		return
 	}
-	f.soc.CtrlMsg(c.lane.Then(cpStatus)) // buffer-status check at destination ctrl
+	ras.GrantRetries++
+	f.eng.Schedule(fault.GrantTimeout<<uint(c.attempts-1), c.lane.Then(cpArbitrate))
 }
 
 // grantStep starts the data-plane half of a same-column copy: tR on the

@@ -126,13 +126,16 @@ func run(args []string, stdout io.Writer) error {
 	if cfg.Scheduler, err = controller.ParseSchedPolicy(*sched); err != nil {
 		return err
 	}
-	// -mapcache is checked even when -mapping flat leaves it unused.
+	// A negative -mapcache is reported as such under either mapping.
 	mapCfg := &ftl.MapConfig{Entries: *mapcache}
 	if err := mapCfg.Validate(); err != nil {
 		return err
 	}
 	switch strings.ToLower(*mapping) {
 	case "flat":
+		if *mapcache != 0 {
+			return fmt.Errorf("-mapcache %d is used only with -mapping fmmu", *mapcache)
+		}
 	case "fmmu":
 		cfg.FTL.Map = mapCfg
 	default:

@@ -134,6 +134,7 @@ func TestBadFlagsReturnErrors(t *testing.T) {
 		{"-sched", "bogus"},
 		{"-mapping", "bogus"},
 		{"-mapcache", "-1"},
+		{"-mapcache", "5"},
 		{"-synthetic", "rand-read", "-tracefile", filepath.Join(dir, "missing.csv")},
 		{"-synthetic", "rand-read", "-preset", "rocksdb-0"},
 		{"-tracefile", filepath.Join(dir, "missing.csv"), "-preset", "rocksdb-0"},
@@ -159,6 +160,7 @@ func TestBadFlagsNameAcceptedValues(t *testing.T) {
 		{[]string{"-sched", "venice"}, `"venice" (want fifo, conflict, or ooo)`},
 		{[]string{"-mapping", "dftl"}, `"dftl" (want flat or fmmu)`},
 		{[]string{"-mapping", "fmmu", "-mapcache", "-1"}, "negative map cache size -1"},
+		{[]string{"-mapcache", "5"}, "-mapping fmmu"},
 	} {
 		err := run(tc.args, new(bytes.Buffer))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -129,12 +129,13 @@ func (g *Grid) RestoreArray(s *flash.ArrayState) { g.arr.Restore(s) }
 // order, so a transfer's whole path is known when it is requested. The
 // Soc keeps each stage's virtual clock, the instant it finishes the work
 // requested so far, and a transfer costs one event: its completion,
-// scheduled where a DRAM release granted at the same instant would be
-// (transfer). With an observer attached, sysBus and dram replay every
-// transfer's two holds as passive holds (sim.Resource.SetPassive),
-// requested where the stages take them, so the observers see each hold
-// and queue change as two ordinary resources would report them, and no
-// event is added.
+// scheduled when the transfer is requested, by one rule. A completion is
+// ordered as of its DRAM grant (a tail: as of its DRAM release), after
+// every event scheduled at that instant. With an observer attached,
+// sysBus and dram replay every transfer's two holds as passive holds
+// (sim.Resource.SetPassive), requested where the stages take them, so
+// the observers see each hold and queue change as two ordinary resources
+// would report them, and no event is added.
 type Soc struct {
 	eng          *sim.Engine
 	sysBusPsByte sim.Time
@@ -147,14 +148,6 @@ type Soc struct {
 	sysTotal, dramTotal sim.Time
 	transfers           int64
 
-	// landing queues the transfers without a tail whose completion has
-	// not fired, in DRAM order, and land (bound s.landStep) is each one's
-	// completion event. lastTail reports that the last transfer requested
-	// had a tail, so it is not in landing.
-	landing  sim.Queue[socLanding]
-	land     func()
-	lastTail bool
-
 	// The observed replay: observed is set by AddObserver, dramHolds
 	// queues the DRAM hold of each transfer on the passive system bus,
 	// oldest first, and toDram (bound s.dramStep) requests it there.
@@ -164,16 +157,6 @@ type Soc struct {
 	toDram       func()
 
 	xfers sim.Pool[socXfer] // recycled eccTransfer records
-}
-
-// socLanding is a transfer without a tail on its way into DRAM: its
-// DRAM release and done. behind marks one that DRAM grants at the
-// release of the transfer before it, whose completion schedules this
-// one's.
-type socLanding struct {
-	at     sim.Time
-	done   func()
-	behind bool
 }
 
 // DefaultCtrlMsgLatency is the one-way latency of a control-plane message
@@ -197,36 +180,27 @@ func NewSoc(eng *sim.Engine, sysBusMBps, dramMBps int) *Soc {
 	}
 	s.sysBus.SetPassive()
 	s.dram.SetPassive()
-	s.land = s.landStep
 	s.toDram = s.dramStep
 	return s
 }
 
-// Transfer moves n bytes across the system bus and into/out of DRAM as a
-// two-stage pipeline, then runs done.
-func (s *Soc) Transfer(n int, done func()) { s.transfer(n, 0, done) }
-
-// transfer is Transfer with done run tail after the payload leaves DRAM,
-// in the same event: a write's controller ECC rides its SoC transfer.
+// transfer moves n bytes across the system bus and into/out of DRAM as
+// a two-stage pipeline, then runs done tail after the payload leaves
+// DRAM: a write's controller ECC rides its SoC transfer in the same
+// event.
 //
 // The system bus grants the transfer at max(now, sysFree) and holds it
-// for n bytes; DRAM grants it at g2 = max(that release, dramFree). The
-// completion fires at the DRAM release, or tail after it, and is
-// ordered as the release event of a resource granted at g2 would be:
-//   - If DRAM is busy at the bus release (a tie counts as busy) with a
-//     transfer that is still in landing, g2 is that transfer's release.
-//     Its completion schedules this one's before it runs its done, as a
-//     release hands a resource on before its holder's done runs.
-//   - Otherwise the completion is scheduled now, as of g2
-//     (sim.Engine.AtFrom): after what is scheduled at g2. A tail is
-//     scheduled as of the release it follows.
+// for n bytes; DRAM grants it at g2 = max(that release, dramFree) and
+// holds it for n bytes. The completion fires at the DRAM release, or
+// tail after it, and is scheduled now (sim.Engine.AtFrom) as of g2, or
+// as of the DRAM release for a tail: after every event scheduled at
+// that instant.
 func (s *Soc) transfer(n int, tail sim.Time, done func()) {
 	if n < 0 {
 		panic("controller: negative SoC transfer")
 	}
 	sys, dram := sim.Time(n)*s.sysBusPsByte, sim.Time(n)*s.dramPsByte
 	s.sysFree = max(s.eng.Now(), s.sysFree) + sys
-	queued := s.sysFree <= s.dramFree
 	g2 := max(s.sysFree, s.dramFree)
 	s.dramFree = g2 + dram
 	s.sysTotal += sys
@@ -236,32 +210,14 @@ func (s *Soc) transfer(n int, tail sim.Time, done func()) {
 		s.dramHolds.Push(dram)
 		s.sysBus.UseLabeled("xfer", sys, s.toDram)
 	}
-	if tail > 0 {
-		s.lastTail = true
-		if done != nil {
-			s.eng.AtFrom(s.dramFree+tail, s.dramFree, done)
-		}
+	if done == nil { // a Fabric.Read may pass none
 		return
 	}
-	behind := queued && !s.lastTail && s.landing.Len() > 0
-	s.lastTail = false
-	s.landing.Push(socLanding{at: s.dramFree, done: done, behind: behind})
-	if !behind {
-		s.eng.AtFrom(s.dramFree, g2, s.land)
+	from := g2
+	if tail > 0 {
+		from = s.dramFree
 	}
-}
-
-// landStep is a completion: the oldest transfer in landing has left
-// DRAM. The next one's completion is scheduled first if it waited on
-// this release.
-func (s *Soc) landStep() {
-	x := s.landing.Pop()
-	if s.landing.Len() > 0 && s.landing.Peek(0).behind {
-		s.eng.At(s.landing.Peek(0).at, s.land)
-	}
-	if x.done != nil {
-		x.done()
-	}
+	s.eng.AtFrom(s.dramFree+tail, from, done)
 }
 
 // dramStep hands the transfer the passive system bus just released to
@@ -269,7 +225,7 @@ func (s *Soc) landStep() {
 func (s *Soc) dramStep() { s.dram.UseLabeled("xfer", s.dramHolds.Pop(), nil) }
 
 // eccTransfer is the tail of every page read into DRAM: the controller's
-// ECC pipeline latency, then Transfer. The delay stays an event of its
+// ECC pipeline latency, then transfer. The delay stays an event of its
 // own: the read reaches the system bus only then, and a transfer
 // requested meanwhile must be granted first.
 func (s *Soc) eccTransfer(n int, done func()) {
@@ -298,7 +254,7 @@ func (x *socXfer) enter() {
 	s, n, done := x.s, x.n, x.done
 	x.done = nil
 	s.xfers.Put(x)
-	s.Transfer(n, done)
+	s.transfer(n, 0, done)
 }
 
 // Reset returns an idle SoC to its state at NewSoc: both stages free at
@@ -306,7 +262,7 @@ func (x *socXfer) enter() {
 // and recycled records are kept.
 func (s *Soc) Reset() {
 	s.sysFree, s.dramFree, s.sysTotal, s.dramTotal, s.transfers = 0, 0, 0, 0, 0
-	s.lastTail, s.observed = false, false
+	s.observed = false
 	s.sysBus.Reset()
 	s.dram.Reset()
 }

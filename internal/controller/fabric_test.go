@@ -53,7 +53,7 @@ func TestSocTransferTiming(t *testing.T) {
 	e := sim.NewEngine()
 	soc := NewSoc(e, 8000, 8000) // 8 GB/s: 16 KB in 2us per stage
 	var doneAt sim.Time
-	soc.Transfer(16384, func() { doneAt = e.Now() })
+	soc.transfer(16384, 0, func() { doneAt = e.Now() })
 	e.Run()
 	if doneAt != 4096*sim.Nanosecond {
 		// 16384 bytes * 125ps = 2.048us per stage, two stages.
@@ -68,8 +68,8 @@ func TestSocPipelineOverlap(t *testing.T) {
 	e := sim.NewEngine()
 	soc := NewSoc(e, 8000, 8000)
 	remaining := 2
-	soc.Transfer(16384, func() { remaining-- })
-	soc.Transfer(16384, func() { remaining-- })
+	soc.transfer(16384, 0, func() { remaining-- })
+	soc.transfer(16384, 0, func() { remaining-- })
 	e.Run()
 	if remaining != 0 {
 		t.Fatal("transfers incomplete")
